@@ -8,13 +8,13 @@ replay the recentring exactly.
 
     python3 demos/02_rewrite.py
 """
-from valcert import (GF, QQ, GroupElement, Poly, RuleSequence, VarTag,
+from valcert import (GF, INTEGERS, QQ, Poly, RuleSequence, VarTag,
                      lacunary_sequence, rw_bivariate_charp, rw_multilinear,
                      rw_univariate_charp, rw_univariate_pfree,
                      taylor_recenter, taylor_via_hasse, verify_rewrite)
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
+ZZ = INTEGERS  # the value group: exponents are plain ints
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
 
 
@@ -23,9 +23,9 @@ def main():
     #    substitution-expansion, and the Hasse-derivative Taylor sum
     #    (divided powers, so it is correct in characteristic p too).
     f2 = GF(2)
-    g = Poly.var(f2, Y0) ** 2 + Poly.var(f2, Y0)
-    centers = {Y0: ValuedSeries.t_power(f2, Z(1))}
-    scales = {Y0: ValuedSeries.t_power(f2, Z(2))}
+    g = Poly.var(f2, ZZ, Y0) ** 2 + Poly.var(f2, ZZ, Y0)
+    centers = {Y0: ValuedSeries.t_power(f2, ZZ, 1)}
+    scales = {Y0: ValuedSeries.t_power(f2, ZZ, 2)}
     newtags = {Y0: VarTag.stage(0, 0)}
     direct = taylor_recenter(g, centers, scales, newtags)
     via = taylor_via_hasse(g, centers, scales, newtags)
@@ -36,7 +36,7 @@ def main():
     #    recentred polynomial is strictly minimal; c is the factored
     #    content and the certificate's value table is rechecked exactly.
     seq = lacunary_sequence(QQ, 300)
-    cert = rw_univariate_pfree(Poly.var(QQ, Y0) ** 2, seq)
+    cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
     print("univariate over Q: designated index", cert.indices,
           "case", cert.case)
     verify_rewrite(cert.to_json())
@@ -45,7 +45,7 @@ def main():
     #    to p, so the engine multiplies by Y first (case2); Y itself is
     #    decided directly (case1).
     seq2 = lacunary_sequence(f2, 300)
-    for g2 in (Poly.var(f2, Y0), Poly.var(f2, Y0) ** 2):
+    for g2 in (Poly.var(f2, ZZ, Y0), Poly.var(f2, ZZ, Y0) ** 2):
         cert = rw_univariate_charp(g2, seq2)
         cert.verify()
         print(f"char-2 univariate {g2}: {cert.case}")
@@ -54,23 +54,23 @@ def main():
     # 4. Bivariate char-p rewrite walks the multiplier cascade
     #    1, y1, y2, y1*y2 until some exponent becomes admissible.
     seqs = [lacunary_sequence(f2, 300),
-            RuleSequence(f2, {"kind": "geom", "a": Z(3)},
+            RuleSequence(f2, {"kind": "geom", "a": 3},
                          {"kind": "const", "c": 1}, horizon=300)]
-    gb = Poly.var(f2, Y0) ** 2 * Poly.var(f2, Y1) ** 2
+    gb = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1) ** 2
     cert = rw_bivariate_charp(gb, seqs)
     cert.verify()
     print("bivariate char-2 multiplier:", cert.case, "\n")
 
     # 5. Multilinear rewrite over two coupled sequences.
     seqs3 = [lacunary_sequence(QQ, 300),
-             RuleSequence(QQ, {"kind": "geom", "a": Z(3)},
+             RuleSequence(QQ, {"kind": "geom", "a": 3},
                           {"kind": "const", "c": 1}, horizon=300)]
-    gm = (Poly.var(QQ, Y0) * Poly.var(QQ, Y1)
-          + Poly.var(QQ, Y0) + Poly.var(QQ, Y1))
+    gm = (Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1)
+          + Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1))
     cert = rw_multilinear(gm, seqs3)
     cert.verify()
     print("multilinear designated coefficient value:",
-          cert.c_val().to_json())
+          cert.c_val())
 
 
 if __name__ == "__main__":

@@ -1,26 +1,25 @@
 """Exact-arithmetic workbench for valued-field constructions.
 
-Public surface: value-group elements, truncated valued series, sparse
-multivariate polynomials with Hasse derivatives, pseudo-convergent
-sequences, index-separation certificates, Taylor-recentring rewrite
-certificates, and smooth-subalgebra presentations with unit-Jacobian
-certificates.  Every certificate carries enough data for independent
-re-verification.
+Public surface: value groups with raw int/Fraction/tuple elements,
+truncated valued series, sparse multivariate polynomials with Hasse
+derivatives, pseudo-convergent sequences, index-separation certificates,
+Taylor-recentring rewrite certificates, and smooth-subalgebra
+presentations with unit-Jacobian certificates.  Every certificate
+carries enough data for independent re-verification.
 """
 
 from .errors import (HorizonError, InconclusiveError, IndeterminateValError,
                      InputError, NotStabilizedError, UndecidedError,
                      ValcertError, VariantMismatchError, VerificationError)
 from .fields import GF, QQ, Field, characteristic
-from .group import INF, GroupElement, gv_add, gv_cmp, gv_solve_scalar
+from .group import INF, INTEGERS, RATIONALS, Lex, ValueGroup
 from .pcs import (DEFAULT_HORIZON, DEFAULT_WINDOW, DerivedSequence,
                   PseudoSequence, RuleSequence, TableSequence,
                   lacunary_sequence, sequence_from_json)
 from .poly import Monomial, Poly, VarTag, sylvester_resultant
-from .rewrite import (RewriteCert, hasse_derivative, recenter_at,
-                      rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
-                      rw_multilinear_mono, rw_pair_square, rw_shift_min,
-                      rw_univariate_charp, rw_univariate_pfree,
+from .rewrite import (RewriteCert, recenter_at, rw_bivariate_charp,
+                      rw_bivariate_pfree, rw_multilinear, rw_multilinear_mono,
+                      rw_pair_square, rw_univariate_charp, rw_univariate_pfree,
                       taylor_recenter, taylor_via_hasse, verify_rewrite)
 from .separation import (SeparationCert, sep_cross_pair, sep_multi,
                          sep_shifted_pair, sep_tail, separate_indices,

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .errors import (HorizonError, InconclusiveError, InputError,
                      UndecidedError, VerificationError)
 from .fields import characteristic, field_from_json
-from .group import GroupElement
+from .group import element_from_json
 from .pcs import sequence_from_json
 from .poly import Poly
 from .rewrite import (rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
@@ -38,15 +38,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _group(obj) -> GroupElement:
-    return GroupElement.from_json(obj)
-
-
 def _load_stream(spec, horizon: int):
     """A gamma stream: either an explicit JSON list of group elements or a
     sequence spec whose gamma values are materialized up to the horizon."""
     if isinstance(spec, list):
-        return [_group(x) for x in spec]
+        return [element_from_json(x) for x in spec]
     seq = sequence_from_json(spec)
     hi = min(horizon, seq.horizon)
     return [seq.gamma(j) for j in range(hi)]
@@ -71,24 +67,24 @@ def cmd_separate(cfg, opts):
     H = opts.get("horizon") or cfg.get("horizon", 200)
     op = _require(cfg, "op")
     if op == "tail":
-        cert = sep_tail([_group(b) for b in _require(cfg, "betas")],
+        cert = sep_tail([element_from_json(b) for b in _require(cfg, "betas")],
                         [int(t) for t in _require(cfg, "ts")],
                         _load_stream(_require(cfg, "gamma"), H))
     elif op == "shifted":
-        cert = sep_shifted_pair(_group(_require(cfg, "beta0")),
-                                _group(_require(cfg, "beta1")),
-                                _group(_require(cfg, "c")),
+        cert = sep_shifted_pair(element_from_json(_require(cfg, "beta0")),
+                                element_from_json(_require(cfg, "beta1")),
+                                element_from_json(_require(cfg, "c")),
                                 _load_stream(_require(cfg, "gamma0"), H))
     elif op == "cross":
-        cert = sep_cross_pair(_group(_require(cfg, "beta0")),
-                              _group(_require(cfg, "beta1")),
-                              _group(_require(cfg, "beta01")),
+        cert = sep_cross_pair(element_from_json(_require(cfg, "beta0")),
+                              element_from_json(_require(cfg, "beta1")),
+                              element_from_json(_require(cfg, "beta01")),
                               _load_stream(_require(cfg, "gamma0"), H),
                               _load_stream(_require(cfg, "gamma1"), H))
     elif op == "multi":
         gammas = [_load_stream(g, H) for g in _require(cfg, "gammas")]
         cert = sep_multi([list(map(int, s)) for s in _require(cfg, "subsets")],
-                         [_group(b) for b in _require(cfg, "betas")],
+                         [element_from_json(b) for b in _require(cfg, "betas")],
                          [int(t) for t in _require(cfg, "ts")],
                          gammas,
                          [int(r) for r in cfg.get("rhos", [0] * len(gammas))])
@@ -99,8 +95,11 @@ def cmd_separate(cfg, opts):
 
 def cmd_rewrite(cfg, opts):
     field = field_from_json(cfg)
-    g = Poly.from_json(_require(cfg, "g"), field)
+    g_json = _require(cfg, "g")
     seqs = [_load_seq(s, opts.get("horizon")) for s in _require(cfg, "seqs")]
+    if not seqs:
+        raise InputError("a rewrite needs at least one sequence")
+    g = Poly.from_json(g_json, field, seqs[0].group)
     W = opts.get("window") or cfg.get("window", 8)
     R = opts.get("retries") or cfg.get("retries", 16)
     op = _require(cfg, "op")
@@ -125,23 +124,26 @@ def cmd_rewrite(cfg, opts):
 def cmd_smooth(cfg, opts):
     field = field_from_json(cfg)
     seq0 = _load_seq(_require(cfg, "seq0"), opts.get("horizon"))
+    group = seq0.group
     W = opts.get("window") or cfg.get("window", 8)
     R = opts.get("retries") or cfg.get("retries", 16)
     delta = opts.get("delta")
-    if delta is None and "delta" in cfg:
-        delta = _group(cfg["delta"])
+    if delta is not None:
+        delta = group.from_json(delta)
+    elif "delta" in cfg:
+        delta = group.from_json(cfg["delta"])
     op = _require(cfg, "op")
     if op == "pair":
-        f = Poly.from_json(_require(cfg, "f"), field)
-        d = (ValuedSeries.from_json(cfg["d"], field) if "d" in cfg else None)
+        f = Poly.from_json(_require(cfg, "f"), field, group)
+        d = (ValuedSeries.from_json(cfg["d"], field, group) if "d" in cfg else None)
         cert = sm_pair(f, seq0, d=d, nu=int(cfg.get("nu", 0)), W=W, R=R,
                        delta=delta)
     elif op == "family":
-        fs = [Poly.from_json(f, field) for f in _require(cfg, "fs")]
+        fs = [Poly.from_json(f, field, group) for f in _require(cfg, "fs")]
         cert = sm_family(fs, seq0, delta=delta, W=W, R=R)
     elif op == "fraction":
-        f1 = Poly.from_json(_require(cfg, "f1"), field)
-        f2 = Poly.from_json(_require(cfg, "f2"), field)
+        f1 = Poly.from_json(_require(cfg, "f1"), field, group)
+        f2 = Poly.from_json(_require(cfg, "f2"), field, group)
         cert = sm_fraction(f1, f2, seq0, delta=delta, W=W, R=R)
     else:
         raise InputError(f"unknown smooth op {op!r}")
@@ -155,8 +157,9 @@ def cmd_verify(cfg, opts):
     elif kind == "rewrite":
         verify_rewrite(cfg)
     elif kind == "smooth":
+        cert = SmoothCert.from_json(cfg)
         delta = opts.get("delta")
-        sm_verify(SmoothCert.from_json(cfg), delta=delta)
+        sm_verify(cert, delta=None if delta is None else cert.pres.group.from_json(delta))
     else:
         raise InputError(f"unknown certificate schema {kind!r}")
     return {"verified": True, "cert": kind}
@@ -181,10 +184,12 @@ def run_single(command: str, cfg: dict, opts: dict):
 
 
 def _parse_delta(text):
+    """The JSON form of a --delta value; bare text such as 3/2 stands for
+    the string "3/2".  It is decoded in the group of the input it meets."""
     try:
-        return GroupElement.from_json(json.loads(text))
-    except (json.JSONDecodeError, InputError):
-        return GroupElement.from_json(text)
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def main(argv=None) -> int:

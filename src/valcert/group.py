@@ -1,189 +1,225 @@
-"""Exact arithmetic and total order in the value group.
+"""The value group: the integers, the rationals, or lex-ordered Z^n.
 
-Three concrete variants are supported: the integers, the rationals and
-lexicographically ordered integer tuples of a fixed width.  A single
-formal Infinity element (the value of 0) tops the order and absorbs
-addition, so value tables sort uniformly without option types.
+Elements are stored raw -- int for Z, Fraction for Q, a tuple of n ints
+for lex Z^n -- so Python's own ordering, equality and hashing serve
+directly (tuples compare lexicographically).  A ValueGroup object
+supplies the arithmetic, the membership test and the JSON form, as
+fields.Field does for scalars.  INF is the value of exact zero and the
+truncation of an exact series; it tops every element and is not itself
+a group element.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import total_ordering
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InputError, VariantMismatchError
 
-_KINDS = ("Z", "Q", "lex", "inf")
+
+class _Infinity:
+    """The formal value of 0: greater than every group element."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return False
+
+    def __le__(self, other):
+        return other is self
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __ge__(self, other):
+        return True
+
+    def __repr__(self):
+        return "INF"
 
 
-@total_ordering
-class GroupElement:
-    """An element of the value group, or the formal Infinity."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: str, value):
-        if kind not in _KINDS:
-            raise InputError(f"unknown group variant {kind!r}")
-        self.kind = kind
-        self.value = value
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def of_int(n: int) -> "GroupElement":
-        return GroupElement("Z", int(n))
-
-    @staticmethod
-    def of_fraction(q) -> "GroupElement":
-        return GroupElement("Q", Fraction(q))
-
-    @staticmethod
-    def of_lex(*coords: int) -> "GroupElement":
-        if not coords:
-            raise InputError("lex tuple needs at least one coordinate")
-        return GroupElement("lex", tuple(int(c) for c in coords))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.kind == "inf"
-
-    def is_zero(self) -> bool:
-        if self.kind == "inf":
-            return False
-        if self.kind == "lex":
-            return all(c == 0 for c in self.value)
-        return self.value == 0
-
-    def zero(self) -> "GroupElement":
-        """The neutral element in this element's variant."""
-        if self.kind == "Z":
-            return GroupElement("Z", 0)
-        if self.kind == "Q":
-            return GroupElement("Q", Fraction(0))
-        if self.kind == "lex":
-            return GroupElement("lex", (0,) * len(self.value))
-        raise InputError("Infinity has no ambient variant")
-
-    # -- arithmetic ---------------------------------------------------
-    def _check(self, other: "GroupElement") -> None:
-        if self.kind == "inf" or other.kind == "inf":
-            return
-        if self.kind != other.kind:
-            raise VariantMismatchError(f"group variants {self.kind} vs {other.kind}")
-        if self.kind == "lex" and len(self.value) != len(other.value):
-            raise VariantMismatchError("lex tuples of different width")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        if self.kind == "inf" or other.kind == "inf":
-            return INF
-        if self.kind == "lex":
-            return GroupElement("lex", tuple(a + b for a, b in zip(self.value, other.value)))
-        return GroupElement(self.kind, self.value + other.value)
-
-    def __neg__(self) -> "GroupElement":
-        if self.kind == "inf":
-            raise InputError("Infinity cannot be negated")
-        if self.kind == "lex":
-            return GroupElement("lex", tuple(-c for c in self.value))
-        return GroupElement(self.kind, -self.value)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        if other.kind == "inf":
-            raise InputError("cannot subtract Infinity")
-        return self + (-other)
-
-    def scale(self, t: int) -> "GroupElement":
-        """Integer multiple t*self (t may be negative)."""
-        if self.kind == "inf":
-            if t == 0:
-                raise InputError("0 * Infinity is undefined")
-            return INF
-        if self.kind == "lex":
-            return GroupElement("lex", tuple(t * c for c in self.value))
-        return GroupElement(self.kind, t * self.value)
-
-    # -- order --------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        if self.kind == "inf" or other.kind == "inf":
-            return self.kind == other.kind
-        self._check(other)
-        return self.value == other.value
-
-    def __lt__(self, other: "GroupElement") -> bool:
-        if self.kind == "inf":
-            return False
-        if other.kind == "inf":
-            return True
-        self._check(other)
-        return self.value < other.value
-
-    def __hash__(self) -> int:
-        if self.kind == "inf":
-            return hash("inf")
-        return hash((self.kind, self.value))
-
-    def __repr__(self) -> str:
-        if self.kind == "inf":
-            return "GroupElement(inf)"
-        return f"GroupElement({self.kind}, {self.value!r})"
-
-    # -- JSON ---------------------------------------------------------
-    def to_json(self):
-        if self.kind == "inf":
-            return "inf"
-        if self.kind == "Z":
-            return self.value
-        if self.kind == "Q":
-            return f"{self.value.numerator}/{self.value.denominator}"
-        return list(self.value)
-
-    @staticmethod
-    def from_json(obj) -> "GroupElement":
-        if obj == "inf":
-            return INF
-        if isinstance(obj, bool):
-            raise InputError("booleans are not group elements")
-        if isinstance(obj, int):
-            return GroupElement.of_int(obj)
-        if isinstance(obj, str):
-            return GroupElement.of_fraction(Fraction(obj))
-        if isinstance(obj, list):
-            return GroupElement.of_lex(*obj)
-        raise InputError(f"cannot decode group element from {obj!r}")
+INF = _Infinity()
 
 
-INF = GroupElement("inf", None)
+class ValueGroup:
+    """One instance per group (Lex(n) is cached), so groups compare by
+    identity."""
+
+    name: str
+    zero_element: object
+
+    def zero(self):
+        return self.zero_element
+
+    def add(self, a, b):
+        raise NotImplementedError
+
+    def neg(self, a):
+        raise NotImplementedError
+
+    def sub(self, a, b):
+        raise NotImplementedError
+
+    def scale(self, a, t: int):
+        """The integer multiple t*a (t may be negative)."""
+        raise NotImplementedError
+
+    def solve_scalar(self, t: int, delta) -> Optional[object]:
+        """x with t*x == delta; None when the group has no such x."""
+        if t == 0:
+            raise InputError("scalar t must be nonzero")
+        return self._divide(delta, t)
+
+    def _divide(self, delta, t: int):
+        raise NotImplementedError
+
+    def contains(self, x) -> bool:
+        raise NotImplementedError
+
+    def check(self, *xs) -> None:
+        for x in xs:
+            if not self.contains(x):
+                raise VariantMismatchError(f"{x!r} is not an element of {self}")
+
+    def check_same(self, other: "ValueGroup") -> None:
+        if self is not other:
+            raise VariantMismatchError(f"value groups {self} vs {other}")
+
+    def to_json(self, a):
+        raise NotImplementedError
+
+    def from_json(self, obj):
+        """Decode an element of this group; anything else is an InputError."""
+        raise NotImplementedError
+
+    def __repr__(self):
+        return self.name
 
 
-def gv_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
+class _Numeric(ValueGroup):
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+
+    def scale(self, a, t: int):
+        return t * a
 
 
-def gv_cmp(a: GroupElement, b: GroupElement) -> int:
-    """Total-order comparison: -1, 0 or 1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
+class Integers(_Numeric):
+    name = "Z"
+    zero_element = 0
+
+    def _divide(self, delta, t):
+        return delta // t if delta % t == 0 else None
+
+    def contains(self, x) -> bool:
+        return type(x) is int
+
+    def to_json(self, a):
+        return a
+
+    def from_json(self, obj):
+        if type(obj) is not int:
+            raise InputError(f"{obj!r} is not an integer exponent")
+        return obj
 
 
-def gv_solve_scalar(t: int, delta: GroupElement) -> Optional[GroupElement]:
-    """Solve t*x = delta exactly; None when no solution exists in the group."""
-    if t == 0:
-        raise InputError("scalar t must be nonzero")
-    if delta.kind == "inf":
-        raise InputError("delta must be finite")
-    if delta.kind == "Q":
-        return GroupElement("Q", delta.value / t)
-    if delta.kind == "Z":
-        if delta.value % t != 0:
+class Rationals(_Numeric):
+    name = "Q"
+    zero_element = Fraction(0)
+
+    def _divide(self, delta, t):
+        return delta / t
+
+    def contains(self, x) -> bool:
+        return type(x) is Fraction
+
+    def to_json(self, a):
+        return f"{a.numerator}/{a.denominator}"
+
+    def from_json(self, obj):
+        if not isinstance(obj, str):
+            raise InputError(f"{obj!r} is not a rational exponent \"n/d\"")
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot read rational exponent {obj!r}: {exc}")
+
+
+class LexGroup(ValueGroup):
+    def __init__(self, n: int):
+        self.n = n
+        self.name = f"lex{n}"
+        self.zero_element = (0,) * n
+
+    def add(self, a, b):
+        return tuple(map(operator.add, a, b))
+
+    def neg(self, a):
+        return tuple(-c for c in a)
+
+    def sub(self, a, b):
+        return tuple(map(operator.sub, a, b))
+
+    def scale(self, a, t: int):
+        return tuple(t * c for c in a)
+
+    def _divide(self, delta, t):
+        if any(c % t for c in delta):
             return None
-        return GroupElement("Z", delta.value // t)
-    coords = []
-    for c in delta.value:
-        if c % t != 0:
-            return None
-        coords.append(c // t)
-    return GroupElement("lex", tuple(coords))
+        return tuple(c // t for c in delta)
+
+    def contains(self, x) -> bool:
+        return (type(x) is tuple and len(x) == self.n
+                and all(type(c) is int for c in x))
+
+    def to_json(self, a):
+        return list(a)
+
+    def from_json(self, obj):
+        if not (isinstance(obj, list) and len(obj) == self.n
+                and all(type(c) is int for c in obj)):
+            raise InputError(f"{obj!r} is not a lex exponent of width {self.n}")
+        return tuple(obj)
+
+
+INTEGERS = Integers()
+RATIONALS = Rationals()
+
+_LEX_CACHE: dict[int, LexGroup] = {}
+
+
+def Lex(n: int) -> LexGroup:
+    """Z^n ordered lexicographically (n >= 1)."""
+    if type(n) is not int or n < 1:
+        raise InputError("lex tuple needs at least one coordinate")
+    if n not in _LEX_CACHE:
+        _LEX_CACHE[n] = LexGroup(n)
+    return _LEX_CACHE[n]
+
+
+def group_of(x) -> ValueGroup:
+    """The group a raw element belongs to."""
+    if type(x) is int:
+        return INTEGERS
+    if type(x) is Fraction:
+        return RATIONALS
+    if type(x) is tuple:
+        group = Lex(len(x))
+        group.check(x)
+        return group
+    raise InputError(f"{x!r} is not a value-group element")
+
+
+def element_from_json(obj):
+    """Decode a JSON element of whichever group its form names: an int is
+    in Z, an "n/d" string in Q, a list of n ints in lex Z^n."""
+    if isinstance(obj, bool):
+        raise InputError("booleans are not group elements")
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, str):
+        return RATIONALS.from_json(obj)
+    if isinstance(obj, list):
+        return Lex(len(obj)).from_json(obj)
+    raise InputError(f"cannot decode group element from {obj!r}")

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import (HorizonError, InconclusiveError, InputError,
-                     NotStabilizedError)
+from .errors import HorizonError, InconclusiveError, InputError
 from .fields import Field, field_from_json, field_to_json
-from .group import GroupElement
-from .poly import Poly
+from .group import ValueGroup, element_from_json, group_of
+from .poly import Poly, VarTag
 from .series import ValuedSeries
 
 DEFAULT_HORIZON = 300
@@ -28,9 +27,10 @@ class PseudoSequence:
     """Common behaviour; subclasses supply term_pair(j) -> (e_j, c_j)."""
 
     field: Field
+    group: ValueGroup
     horizon: int
 
-    def term_pair(self, j: int) -> Tuple[GroupElement, object]:
+    def term_pair(self, j: int) -> Tuple[object, object]:
         raise NotImplementedError
 
     def _check_index(self, j: int) -> None:
@@ -40,7 +40,7 @@ class PseudoSequence:
             raise HorizonError(f"index {j} >= horizon {self.horizon}")
 
     # -- core accessors -----------------------------------------------
-    def gamma(self, j: int) -> GroupElement:
+    def gamma(self, j: int):
         self._check_index(j)
         return self.term_pair(j)[0]
 
@@ -51,15 +51,14 @@ class PseudoSequence:
     def term(self, j: int) -> ValuedSeries:
         """Partial sum v_j = sum_{i<j} c_i t^{e_i} (exact)."""
         self._check_index(j)
-        return ValuedSeries(self.field, [self.term_pair(i) for i in range(j)])
+        return ValuedSeries(self.field, self.group, [self.term_pair(i) for i in range(j)])
 
     def scale(self, j: int) -> ValuedSeries:
         """s_j = v_{j+1} - v_j = c_j t^{e_j} (exact monomial)."""
         self._check_index(j + 1)
-        e, c = self.term_pair(j)
-        return ValuedSeries(self.field, [(e, c)])
+        return ValuedSeries(self.field, self.group, [self.term_pair(j)])
 
-    def limit(self, delta: GroupElement) -> ValuedSeries:
+    def limit(self, delta) -> ValuedSeries:
         """Pseudo-limit y materialized below truncation delta."""
         terms = []
         for j in range(self.horizon):
@@ -68,24 +67,17 @@ class PseudoSequence:
             except HorizonError:
                 break
             if not (e < delta):
-                return ValuedSeries(self.field, terms, delta)
+                return ValuedSeries(self.field, self.group, terms, delta)
             terms.append((e, c))
         raise HorizonError(
-            f"pseudo-limit support does not reach truncation {delta.to_json()} within horizon")
-
-    def gamma_stream(self, lo: int = 0):
-        """Iterator over gamma_j for j >= lo, horizon-bounded."""
-        j = lo
-        while j < self.horizon:
-            yield self.gamma(j)
-            j += 1
+            "pseudo-limit support does not reach truncation "
+            f"{self.group.to_json(delta)} within horizon")
 
     # -- derived elements ---------------------------------------------
-    def stage(self, j: int, delta: GroupElement) -> ValuedSeries:
+    def stage(self, j: int, delta) -> ValuedSeries:
         """Unit stage element y_j = (y - v_j) / (v_{j+1} - v_j), to truncation delta."""
         self._check_index(j + 1)
-        ej = self.gamma(j)
-        y = self.limit(delta + ej)
+        y = self.limit(self.group.add(delta, self.gamma(j)))
         num = y - self.term(j)
         return num.div(self.scale(j))
 
@@ -100,49 +92,29 @@ class PseudoSequence:
         return d, b
 
     # -- classification -----------------------------------------------
-    def _poly_vals(self, f: Poly, indices: Sequence[int]):
+    def classify(self, f: Poly, W: int = DEFAULT_WINDOW) -> str:
+        """Tail behaviour of val(f(v_j)) over the last W indices below the horizon."""
+        if W < 2:
+            raise InputError("window must be >= 2")
         fvars = f.variables()
         if len(fvars) > 1:
             raise InputError("classification polynomial must be univariate")
         if not fvars or f.total_degree() < 1:
             raise InputError("classification polynomial must be nonconstant")
-        var = fvars[0]
-        out = []
-        for j in indices:
-            out.append(f.eval_series({var: self.term(j)}).val())
-        return out
-
-    def classify(self, f: Poly, W: int = DEFAULT_WINDOW) -> str:
-        """Tail behaviour of val(f(v_j)) over the last W indices below the horizon."""
-        if W < 2:
-            raise InputError("window must be >= 2")
-        indices = range(self.horizon - W, self.horizon)
-        vals = self._poly_vals(f, indices)
+        f = f.rename({fvars[0]: VarTag.orig(0)})
+        vals = [val_at_index(f, [self], j) for j in range(self.horizon - W, self.horizon)]
         if all(v == vals[0] for v in vals):
             return "transcendental-like"
         if all(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             return "algebraic-like"
         raise InconclusiveError(
-            "tail window is neither constant nor strictly increasing: "
-            + str([v.to_json() for v in vals]))
+            f"tail window is neither constant nor strictly increasing: {vals}")
 
-    def stable_val(self, f: Poly, W: int = DEFAULT_WINDOW) -> GroupElement:
-        return self.stable_val_info(f, W)[0]
 
-    def stable_val_info(self, f: Poly, W: int = DEFAULT_WINDOW) -> Tuple[GroupElement, int]:
-        """(stable value, first index of the certifying window of W equal values)."""
-        if W < 2:
-            raise InputError("window must be >= 2")
-        run_start = 0
-        prev = None
-        for j in range(self.horizon):
-            v = self._poly_vals(f, [j])[0]
-            if prev is None or v != prev:
-                run_start, prev = j, v
-            if j - run_start + 1 >= W:
-                return prev, run_start
-        raise NotStabilizedError(
-            f"val(f(v_j)) did not hold constant over {W} consecutive indices below {self.horizon}")
+def val_at_index(poly: Poly, seqs: Sequence[PseudoSequence], j: int):
+    """val(poly(v_{0,j}, ..., v_{m,j})), where Orig(e) stands for sequence e."""
+    assignment = {VarTag.orig(e): seq.term(j) for e, seq in enumerate(seqs)}
+    return poly.eval_series(assignment).val()
 
 
 class RuleSequence(PseudoSequence):
@@ -169,25 +141,33 @@ class RuleSequence(PseudoSequence):
             vals = self.coeff_rule["values"]
             if not vals or any(self.field.is_zero(c) for c in vals):
                 raise InputError("cycle coefficients must be nonzero")
+        rule = self.exp_rule
+        if kind == "list":
+            if not rule["values"]:
+                raise InputError("exponent list must be nonempty")
+            elements = list(rule["values"]) + [rule["step"]]
+        else:
+            elements = [rule["a"], rule["b"]] if kind == "arith" else [rule["a"]]
+        self.group = group_of(elements[0])
+        self.group.check(*elements)
         e0, e1 = self._exp(0), self._exp(1)
-        zero = e0.zero()
-        if not (zero < e0 or zero == e0):
+        if e0 < self.group.zero():
             raise InputError("exponents must be >= 0")
         if not e0 < e1:
             raise InputError("exponent rule must be strictly increasing")
 
-    def _exp(self, j: int) -> GroupElement:
-        rule = self.exp_rule
+    def _exp(self, j: int):
+        rule, g = self.exp_rule, self.group
         if rule["kind"] == "arith":
-            return rule["a"] + rule["b"].scale(j)
+            return g.add(rule["a"], g.scale(rule["b"], j))
         if rule["kind"] == "geom":
-            return rule["a"].scale(2 ** j)
+            return g.scale(rule["a"], 2 ** j)
         values = rule["values"]
         if j < len(values):
             return values[j]
-        return values[-1] + rule["step"].scale(j - len(values) + 1)
+        return g.add(values[-1], g.scale(rule["step"], j - len(values) + 1))
 
-    def term_pair(self, j: int) -> Tuple[GroupElement, object]:
+    def term_pair(self, j: int) -> Tuple[object, object]:
         e = self._exp(j)
         if self.coeff_rule["kind"] == "const":
             c = self.coeff_rule["c"]
@@ -198,15 +178,16 @@ class RuleSequence(PseudoSequence):
 
     # -- JSON ----------------------------------------------------------
     def to_json(self):
+        enc = self.group.to_json
         exp = {"kind": self.exp_rule["kind"]}
         if exp["kind"] == "arith":
-            exp["a"] = self.exp_rule["a"].to_json()
-            exp["b"] = self.exp_rule["b"].to_json()
+            exp["a"] = enc(self.exp_rule["a"])
+            exp["b"] = enc(self.exp_rule["b"])
         elif exp["kind"] == "geom":
-            exp["a"] = self.exp_rule["a"].to_json()
+            exp["a"] = enc(self.exp_rule["a"])
         else:
-            exp["values"] = [v.to_json() for v in self.exp_rule["values"]]
-            exp["step"] = self.exp_rule["step"].to_json()
+            exp["values"] = [enc(v) for v in self.exp_rule["values"]]
+            exp["step"] = enc(self.exp_rule["step"])
         if self.coeff_rule["kind"] == "const":
             coeff = {"kind": "const", "c": self.field.coeff_to_json(self.coeff_rule["c"])}
         else:
@@ -222,13 +203,13 @@ class RuleSequence(PseudoSequence):
         exp_json = obj["exp"]
         exp = {"kind": exp_json["kind"]}
         if exp["kind"] == "arith":
-            exp["a"] = GroupElement.from_json(exp_json["a"])
-            exp["b"] = GroupElement.from_json(exp_json["b"])
+            exp["a"] = element_from_json(exp_json["a"])
+            exp["b"] = element_from_json(exp_json["b"])
         elif exp["kind"] == "geom":
-            exp["a"] = GroupElement.from_json(exp_json["a"])
+            exp["a"] = element_from_json(exp_json["a"])
         elif exp["kind"] == "list":
-            exp["values"] = [GroupElement.from_json(v) for v in exp_json["values"]]
-            exp["step"] = GroupElement.from_json(exp_json["step"])
+            exp["values"] = [element_from_json(v) for v in exp_json["values"]]
+            exp["step"] = element_from_json(exp_json["step"])
         else:
             raise InputError(f"unknown exponent rule {exp['kind']!r}")
         coeff_json = obj["coeff"]
@@ -250,40 +231,44 @@ class TableSequence(PseudoSequence):
     nothing past the table is claimed (the horizon is the table length).
     """
 
-    def __init__(self, field: Field, terms: Sequence[Tuple[GroupElement, object]]):
+    def __init__(self, field: Field, terms: Sequence[Tuple[object, object]]):
         if len(terms) < 2:
             raise InputError("term table needs at least two entries")
+        group = group_of(terms[0][0])
+        group.check(*(e for e, _ in terms))
         for (e0, _), (e1, _) in zip(terms, terms[1:]):
             if not e0 < e1:
                 raise InputError("term table exponents must be strictly increasing")
-        zero = terms[0][0].zero()
-        if terms[0][0] < zero:
+        if terms[0][0] < group.zero():
             raise InputError("exponents must be >= 0")
         if any(field.is_zero(c) for _, c in terms):
             raise InputError("table coefficients must be nonzero")
         self.field = field
+        self.group = group
         self.horizon = len(terms)
         self._terms = [(e, c) for e, c in terms]
 
-    def term_pair(self, j: int) -> Tuple[GroupElement, object]:
+    def term_pair(self, j: int) -> Tuple[object, object]:
         return self._terms[j]
 
-    def limit(self, delta: GroupElement) -> ValuedSeries:
+    def limit(self, delta) -> ValuedSeries:
         if self._terms[-1][0] < delta:
             raise HorizonError(
                 "term table does not reach the requested truncation")
-        return ValuedSeries(self.field, [(e, c) for e, c in self._terms if e < delta], delta)
+        return ValuedSeries(self.field, self.group,
+                            [(e, c) for e, c in self._terms if e < delta], delta)
 
     def to_json(self):
         out = {"seq": "table",
-               "terms": [[e.to_json(), self.field.coeff_to_json(c)] for e, c in self._terms]}
+               "terms": [[self.group.to_json(e), self.field.coeff_to_json(c)]
+                         for e, c in self._terms]}
         out.update(field_to_json(self.field))
         return out
 
     @staticmethod
     def from_json(obj) -> "TableSequence":
         field = field_from_json(obj)
-        terms = [(GroupElement.from_json(e), field.coeff_from_json(c))
+        terms = [(element_from_json(e), field.coeff_from_json(c))
                  for e, c in obj["terms"]]
         return TableSequence(field, terms)
 
@@ -304,20 +289,21 @@ class DerivedSequence(PseudoSequence):
     results are accepted and simply bound the available terms).
     """
 
-    def __init__(self, field: Field, materialize: Callable[[GroupElement], ValuedSeries],
-                 seed_delta: GroupElement, horizon: int = DEFAULT_HORIZON):
+    def __init__(self, field: Field, materialize: Callable[[object], ValuedSeries],
+                 seed_delta, horizon: int = DEFAULT_HORIZON):
         self.field = field
+        self.group = group_of(seed_delta)
         self.horizon = horizon
         self._materialize = materialize
         self._delta = seed_delta
         self._series = materialize(seed_delta)
 
-    def term_pair(self, j: int) -> Tuple[GroupElement, object]:
+    def term_pair(self, j: int) -> Tuple[object, object]:
         while len(self._series.terms) <= j:
             if self._series.exact:
                 raise HorizonError(
                     f"underlying series has only {len(self._series.terms)} terms")
-            self._delta = self._delta.scale(2)
+            self._delta = self.group.scale(self._delta, 2)
             grown = self._materialize(self._delta)
             if len(grown.terms) <= len(self._series.terms) and grown.trunc == self._series.trunc:
                 raise HorizonError("materialization stalled while extending the sequence")
@@ -340,31 +326,5 @@ def lacunary_sequence(field: Field, horizon: int = DEFAULT_HORIZON,
         coeff_rule = {"kind": "const", "c": field.one()}
     else:
         coeff_rule = {"kind": "cycle", "values": list(coeffs)}
-    return RuleSequence(field, {"kind": "geom", "a": GroupElement.of_int(1)},
-                        coeff_rule, horizon)
+    return RuleSequence(field, {"kind": "geom", "a": 1}, coeff_rule, horizon)
 
-
-# Spec-shaped functional wrappers -------------------------------------
-
-def pcs_term(seq: PseudoSequence, j: int) -> ValuedSeries:
-    return seq.term(j)
-
-
-def pcs_gamma(seq: PseudoSequence, j: int) -> GroupElement:
-    return seq.gamma(j)
-
-
-def pcs_stage(seq: PseudoSequence, j: int, delta: GroupElement) -> ValuedSeries:
-    return seq.stage(j, delta)
-
-
-def pcs_restage_coeffs(seq: PseudoSequence, j: int, t: int):
-    return seq.restage_coeffs(j, t)
-
-
-def pcs_classify(seq: PseudoSequence, f: Poly, W: int = DEFAULT_WINDOW) -> str:
-    return seq.classify(f, W)
-
-
-def pcs_stable_val(seq: PseudoSequence, f: Poly, W: int = DEFAULT_WINDOW) -> GroupElement:
-    return seq.stable_val(f, W)

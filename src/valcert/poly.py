@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import InputError
 from .fields import Field
-from .group import GroupElement
+from .group import ValueGroup
 from .series import ValuedSeries
 
 _KIND_RANK = {"orig": 0, "stage": 1, "dup": 2}
@@ -89,10 +89,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Poly:
-    __slots__ = ("field", "monos")
+    __slots__ = ("field", "group", "monos")
 
-    def __init__(self, field: Field, monos: Mapping[Monomial, ValuedSeries] = ()):
+    def __init__(self, field: Field, group: ValueGroup,
+                 monos: Mapping[Monomial, ValuedSeries] = ()):
         self.field = field
+        self.group = group
         clean: Dict[Monomial, ValuedSeries] = {}
         items = monos.items() if isinstance(monos, Mapping) else monos
         for mono, coeff in items:
@@ -107,28 +109,27 @@ class Poly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(field: Field) -> "Poly":
-        return Poly(field)
+    def zero(field: Field, group: ValueGroup) -> "Poly":
+        return Poly(field, group)
 
     @staticmethod
     def const(coeff: ValuedSeries) -> "Poly":
-        return Poly(coeff.field, {(): coeff})
+        return Poly(coeff.field, coeff.group, {(): coeff})
 
     @staticmethod
-    def var(field: Field, tag: VarTag) -> "Poly":
-        return Poly(field, {((tag, 1),): ValuedSeries.one(field)})
+    def var(field: Field, group: ValueGroup, tag: VarTag) -> "Poly":
+        return Poly(field, group, {((tag, 1),): ValuedSeries.one(field, group)})
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[ValuedSeries], tag: VarTag) -> "Poly":
         """Univariate polynomial sum coeffs[k] * tag^k."""
         if not coeffs:
             raise InputError("empty coefficient list")
-        field = coeffs[0].field
         monos = {}
         for k, c in enumerate(coeffs):
             if not c.is_zero_exact():
                 monos[((tag, k),) if k else ()] = c
-        return Poly(field, monos)
+        return Poly(coeffs[0].field, coeffs[0].group, monos)
 
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -157,10 +158,10 @@ class Poly:
 
     def coeff(self, mono) -> ValuedSeries:
         mono = _mono_sorted(mono)
-        return self.monos.get(mono, ValuedSeries.zero(self.field))
+        return self.monos.get(mono, ValuedSeries.zero(self.field, self.group))
 
     def constant_term(self) -> ValuedSeries:
-        return self.monos.get((), ValuedSeries.zero(self.field))
+        return self.monos.get((), ValuedSeries.zero(self.field, self.group))
 
     def coeffs_in(self, tag: VarTag) -> list:
         """Coefficients of powers of tag, as Polys in the other variables."""
@@ -175,11 +176,18 @@ class Poly:
                 else:
                     rest.append((v, kk))
             buckets[k][_mono_sorted(rest)] = coeff
-        return [Poly(self.field, b) for b in buckets]
+        return [self._new(b) for b in buckets]
 
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "Poly") -> None:
         self.field.check_same(other.field)
+        self.group.check_same(other.group)
+
+    def _new(self, monos) -> "Poly":
+        return Poly(self.field, self.group, monos)
+
+    def _one(self) -> "Poly":
+        return Poly.const(ValuedSeries.one(self.field, self.group))
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -189,10 +197,10 @@ class Poly:
                 out[mono] = out[mono] + coeff
             else:
                 out[mono] = coeff
-        return Poly(self.field, out)
+        return self._new(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, {m: -c for m, c in self.monos.items()})
+        return self._new({m: -c for m, c in self.monos.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -208,15 +216,15 @@ class Poly:
                     out[m] = out[m] + prod
                 else:
                     out[m] = prod
-        return Poly(self.field, out)
+        return self._new(out)
 
     def scale(self, coeff: ValuedSeries) -> "Poly":
-        return Poly(self.field, {m: c * coeff for m, c in self.monos.items()})
+        return self._new({m: c * coeff for m, c in self.monos.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise InputError("negative polynomial powers")
-        result = Poly.const(ValuedSeries.one(self.field))
+        result = self._one()
         base = self
         while n:
             if n & 1:
@@ -228,7 +236,7 @@ class Poly:
 
     # -- substitution -------------------------------------------------
     def eval_series(self, assignment: Mapping[VarTag, ValuedSeries]) -> ValuedSeries:
-        total = ValuedSeries.zero(self.field)
+        total = ValuedSeries.zero(self.field, self.group)
         for mono, coeff in self.monos.items():
             term = coeff
             for v, k in mono:
@@ -241,8 +249,8 @@ class Poly:
     def subs_poly(self, tag: VarTag, replacement: "Poly") -> "Poly":
         """Substitute a polynomial for one variable."""
         self._check(replacement)
-        out = Poly.zero(self.field)
-        powers: Dict[int, Poly] = {0: Poly.const(ValuedSeries.one(self.field))}
+        out = Poly.zero(self.field, self.group)
+        powers: Dict[int, Poly] = {0: self._one()}
 
         def power(k: int) -> Poly:
             if k not in powers:
@@ -257,7 +265,7 @@ class Poly:
                     k = kk
                 else:
                     rest.append((v, kk))
-            base = Poly(self.field, {_mono_sorted(rest): coeff})
+            base = self._new({_mono_sorted(rest): coeff})
             out = out + base * power(k)
         return out
 
@@ -274,10 +282,10 @@ class Poly:
                 out[m] = out[m] + coeff
             else:
                 out[m] = coeff
-        return Poly(self.field, out)
+        return self._new(out)
 
     def map_coeffs(self, fn) -> "Poly":
-        return Poly(self.field, {m: fn(c) for m, c in self.monos.items()})
+        return self._new({m: fn(c) for m, c in self.monos.items()})
 
     # -- calculus -----------------------------------------------------
     def hasse_derivative(self, orders: Mapping[VarTag, int]) -> "Poly":
@@ -309,7 +317,7 @@ class Poly:
                 out[m] = out[m] + scaled
             else:
                 out[m] = scaled
-        return Poly(self.field, out)
+        return self._new(out)
 
     def derivative(self, tag: VarTag) -> "Poly":
         """Ordinary partial derivative (k * Y^(k-1))."""
@@ -331,17 +339,13 @@ class Poly:
                 out[m] = out[m] + scaled
             else:
                 out[m] = scaled
-        return Poly(self.field, out)
+        return self._new(out)
 
     # -- comparison / output ------------------------------------------
     def same_known(self, other: "Poly") -> bool:
         if set(self.monos) != set(other.monos):
             return False
         return all(self.monos[m].same_known(other.monos[m]) for m in self.monos)
-
-    def agrees_with(self, other: "Poly", delta: GroupElement) -> bool:
-        diff = self - other
-        return all(c.is_small(delta) for c in diff.monos.values())
 
     def __repr__(self) -> str:
         if not self.monos:
@@ -361,29 +365,46 @@ class Poly:
         return out
 
     @staticmethod
-    def from_json(obj, field: Field) -> "Poly":
+    def from_json(obj, field: Field, group: ValueGroup) -> "Poly":
         monos = {}
         for mono_json, coeff_json in obj:
             mono = _mono_sorted((VarTag.from_json(v), int(k)) for v, k in mono_json)
-            monos[mono] = ValuedSeries.from_json(coeff_json, field)
-        return Poly(field, monos)
+            monos[mono] = ValuedSeries.from_json(coeff_json, field, group)
+        return Poly(field, group, monos)
+
+
+def det(rows: Sequence[Sequence[Poly]], one: Poly) -> Poly:
+    """Determinant by Laplace expansion along the first row, skipping zero
+    entries (matrix sizes here stay small); one is the empty determinant."""
+
+    def expand(row_ids, col_ids):
+        if not row_ids:
+            return one
+        r = row_ids[0]
+        total = Poly.zero(one.field, one.group)
+        for pos, c in enumerate(col_ids):
+            entry = rows[r][c]
+            if entry.is_zero():
+                continue
+            term = entry * expand(row_ids[1:], col_ids[:pos] + col_ids[pos + 1:])
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    n = len(rows)
+    return expand(tuple(range(n)), tuple(range(n)))
 
 
 def sylvester_resultant(p: Poly, q: Poly, tag: VarTag) -> Poly:
-    """Resultant of p and q with respect to one variable.
-
-    Entries of the Sylvester matrix are polynomials in the remaining
-    variables; the determinant is expanded by Laplace recursion with
-    zero-entry skipping (matrix sizes here stay small).
-    """
+    """Resultant of p and q with respect to one variable: the determinant of
+    the Sylvester matrix, whose entries are polynomials in the remaining
+    variables."""
     pc = p.coeffs_in(tag)
     qc = q.coeffs_in(tag)
     dp, dq = len(pc) - 1, len(qc) - 1
     if dp < 1 or dq < 1:
         raise InputError("resultant needs positive degree in the eliminated variable")
     n = dp + dq
-    field = p.field
-    zero = Poly.zero(field)
+    zero = Poly.zero(p.field, p.group)
     rows = []
     for i in range(dq):
         row = [zero] * n
@@ -395,19 +416,4 @@ def sylvester_resultant(p: Poly, q: Poly, tag: VarTag) -> Poly:
         for k, c in enumerate(qc):
             row[i + (dq - k)] = c
         rows.append(row)
-
-    def det(row_ids, col_ids):
-        if not row_ids:
-            return Poly.const(ValuedSeries.one(field))
-        r = row_ids[0]
-        total = Poly.zero(field)
-        for pos, c in enumerate(col_ids):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            minor = det(row_ids[1:], col_ids[:pos] + col_ids[pos + 1:])
-            term = entry * minor
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    return det(tuple(range(n)), tuple(range(n)))
+    return det(rows, p._one())

@@ -12,14 +12,13 @@ exact recomputation plus direct value checks -- no searches re-run.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import (HorizonError, InputError, NotStabilizedError,
-                     UndecidedError, VerificationError)
+from .errors import (InputError, NotStabilizedError, UndecidedError,
+                     VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
-from .group import INF, GroupElement
-from .pcs import (DEFAULT_WINDOW, PseudoSequence, RuleSequence, TableSequence,
-                  sequence_from_json)
+from .group import INF
+from .pcs import DEFAULT_WINDOW, PseudoSequence, sequence_from_json, val_at_index
 from .poly import Poly, VarTag
 from .separation import separate_indices
 from .series import ValuedSeries
@@ -28,10 +27,6 @@ DEFAULT_RETRIES = 16
 
 
 # -- Taylor recentring -------------------------------------------------
-
-def hasse_derivative(f: Poly, orders: Mapping[VarTag, int]) -> Poly:
-    return f.hasse_derivative(orders)
-
 
 def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
                     scales: Mapping[VarTag, ValuedSeries],
@@ -43,7 +38,7 @@ def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
         if scale.is_zero_exact():
             raise InputError("recentring scale must be nonzero")
         replacement = (Poly.const(center)
-                       + Poly.var(g.field, newtags[tag]).scale(scale))
+                       + Poly.var(g.field, g.group, newtags[tag]).scale(scale))
         out = out.subs_poly(tag, replacement)
     return out
 
@@ -54,7 +49,7 @@ def taylor_via_hasse(g: Poly, centers: Mapping[VarTag, ValuedSeries],
     """Independent oracle: sum_n D^(n)g(centers) * prod s^n * Y_new^n."""
     tags = list(centers)
     ranges = [range(g.degree_in(t) + 1) for t in tags]
-    total = Poly.zero(g.field)
+    total = Poly.zero(g.field, g.group)
     for combo in itertools.product(*ranges):
         orders = {t: n for t, n in zip(tags, combo)}
         deriv = g.hasse_derivative(orders)
@@ -66,7 +61,7 @@ def taylor_via_hasse(g: Poly, centers: Mapping[VarTag, ValuedSeries],
             coeff = coeff * (scales[t] ** n)
             if n:
                 mono.append((newtags[t], n))
-        total = total + Poly(g.field, {tuple(mono): coeff})
+        total = total + Poly(g.field, g.group, {tuple(mono): coeff})
     return total
 
 
@@ -87,18 +82,17 @@ def recenter_at(h: Poly, seqs: Sequence[PseudoSequence],
 # -- Stabilized coefficient values -------------------------------------
 
 def stable_val_multi(poly: Poly, seqs: Sequence[PseudoSequence],
-                     W: int = DEFAULT_WINDOW) -> Tuple[GroupElement, int]:
-    """Stable value of val(poly(v_{0,j},...,v_{m,j})) along the common index.
+                     W: int = DEFAULT_WINDOW) -> Tuple[object, int]:
+    """Stable value of val(poly(v_{0,j},...,v_{m,j})) along the common index;
+    a single sequence is a list of one.
 
     Returns (value, first index of the W-long certifying window).
     """
     horizon = min(s.horizon for s in seqs)
-    assignment_tags = [VarTag.orig(e) for e in range(len(seqs))]
-    prev: Optional[GroupElement] = None
+    prev = None
     run_start = 0
     for j in range(horizon - 1):
-        assignment = {tag: seq.term(j) for tag, seq in zip(assignment_tags, seqs)}
-        v = poly.eval_series(assignment).val()
+        v = val_at_index(poly, seqs, j)
         if prev is None or v != prev:
             prev, run_start = v, j
         if j - run_start + 1 >= W:
@@ -111,7 +105,7 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
     """beta_k and window start for every nonzero Hasse derivative D^(k)h, k != 0."""
     tags = [VarTag.orig(e) for e in range(len(seqs))]
     ranges = [range(h.degree_in(t) + 1) for t in tags]
-    betas: Dict[Tuple[int, ...], Tuple[GroupElement, int]] = {}
+    betas: Dict[Tuple[int, ...], Tuple[object, int]] = {}
     for combo in itertools.product(*ranges):
         if not any(combo):
             continue
@@ -124,7 +118,8 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
 
 # -- Certificates ------------------------------------------------------
 
-_MODES = ("content", "min-linear")
+_KINDS = ("pair_square", "multilinear_mono", "multilinear", "univariate_pfree",
+          "univariate_charp", "bivariate_pfree", "bivariate_charp")
 
 
 class RewriteCert:
@@ -132,15 +127,13 @@ class RewriteCert:
 
     def __init__(self, kind: str, field: Field, g: Poly,
                  multiplier: Mapping[int, int], seqs: Sequence[PseudoSequence],
-                 from_indices: Optional[Sequence[int]], indices: Sequence[int],
-                 G1: Poly, c_mono, mode: str, case: str,
-                 table: Sequence[Tuple[object, GroupElement]]):
+                 indices: Sequence[int], G1: Poly, c_mono, mode: str, case: str,
+                 table: Sequence[Tuple[object, object]]):
         self.kind = kind
         self.field = field
         self.g = g
         self.multiplier = dict(multiplier)
         self.seqs = list(seqs)
-        self.from_indices = list(from_indices) if from_indices is not None else None
         self.indices = list(indices)
         self.G1 = G1
         self.c_mono = c_mono  # canonical monomial (tuple of [tag, exp])
@@ -161,47 +154,36 @@ class RewriteCert:
             "c_mono": [[v.to_json(), k] for v, k in self.c_mono],
             "mode": self.mode,
             "case": self.case,
-            "table": [[[[v.to_json(), k] for v, k in mono], val.to_json()]
+            "table": [[[[v.to_json(), k] for v, k in mono], self.g.group.to_json(val)]
                       for mono, val in self.table],
         }
         out.update(field_to_json(self.field))
-        if self.from_indices is not None:
-            out["from_indices"] = self.from_indices
         return out
 
     @staticmethod
     def from_json(obj) -> "RewriteCert":
         if obj.get("cert") != "rewrite":
             raise InputError("not a rewrite certificate")
+        if obj["kind"] not in _KINDS:
+            raise InputError(f"unknown rewrite kind {obj['kind']!r}")
         field = field_from_json(obj)
         seqs = [sequence_from_json(s) for s in obj["seqs"]]
-        g = Poly.from_json(obj["g"], field)
-        G1 = Poly.from_json(obj["G1"], field)
+        if not seqs:
+            raise InputError("a rewrite needs at least one sequence")
+        group = seqs[0].group
+        g = Poly.from_json(obj["g"], field, group)
+        G1 = Poly.from_json(obj["G1"], field, group)
         mono = tuple((VarTag.from_json(v), int(k)) for v, k in obj["c_mono"])
         table = [(tuple((VarTag.from_json(v), int(k)) for v, k in m),
-                  GroupElement.from_json(val)) for m, val in obj["table"]]
+                  group.from_json(val)) for m, val in obj["table"]]
         return RewriteCert(
             obj["kind"], field, g, {int(e): int(k) for e, k in obj["multiplier"]},
-            seqs, obj.get("from_indices"), obj["indices"], G1, mono,
-            obj["mode"], obj["case"], table)
+            seqs, obj["indices"], G1, mono, obj["mode"], obj["case"], table)
 
     # -- verification -------------------------------------------------
     def _recompute(self) -> Poly:
-        if self.kind == "shift_min":
-            out = self.g
-            for e, (j, t) in enumerate(zip(self.from_indices, self.indices)):
-                old = VarTag.stage(e, j)
-                if out.degree_in(old) == 0:
-                    continue
-                d, b = self.seqs[e].restage_coeffs(j, t)
-                replacement = (Poly.const(d)
-                               + Poly.var(self.field, VarTag.stage(e, t)).scale(b))
-                out = out.subs_poly(old, replacement)
-            return out
-        h = self.g
-        for e, k in self.multiplier.items():
-            h = h * (Poly.var(self.field, VarTag.orig(e)) ** k)
-        return recenter_at(h, self.seqs, self.indices)
+        return recenter_at(_with_multiplier(self.g, self.multiplier),
+                           self.seqs, self.indices)
 
     def verify(self) -> None:
         recomputed = self._recompute()
@@ -213,13 +195,11 @@ class RewriteCert:
         table = {mono: v for mono, v in self.table}
         if set(table) != set(vals) or any(table[m] != vals[m] for m in vals):
             raise VerificationError("value-table", "embedded value table is wrong")
-        zero = None
+        group = self.g.group
         for v in vals.values():
-            zero = v.zero()
-            break
-        for mono, v in vals.items():
-            if zero is not None and v < zero:
-                raise VerificationError("coeffs-in-V", f"coefficient val {v.to_json()} < 0")
+            if v < group.zero():
+                raise VerificationError(
+                    "coeffs-in-V", f"coefficient val {group.to_json(v)} < 0")
         nonconst = {m: v for m, v in vals.items() if m != ()}
         seen = list(nonconst.values())
         for i in range(len(seen)):
@@ -251,7 +231,7 @@ class RewriteCert:
     def c(self) -> ValuedSeries:
         return self.G1.monos[self.c_mono]
 
-    def c_val(self) -> GroupElement:
+    def c_val(self):
         return self.c.val()
 
 
@@ -271,7 +251,7 @@ def _build_streams(seqs: Sequence[PseudoSequence]):
     return out
 
 
-def _case_tag(vals: Dict[tuple, GroupElement]) -> str:
+def _case_tag(vals: Dict[tuple, object]) -> str:
     nonconst = {m: v for m, v in vals.items() if m != ()}
     if not nonconst:
         return "star"
@@ -285,10 +265,7 @@ def _case_tag(vals: Dict[tuple, GroupElement]) -> str:
 def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
              seqs: Sequence[PseudoSequence], nus: Sequence[int],
              mode: str, case: str, W: int, R: int) -> RewriteCert:
-    field = g.field
-    h = g
-    for e, k in multiplier.items():
-        h = h * (Poly.var(field, VarTag.orig(e)) ** k)
+    h = _with_multiplier(g, multiplier)
     if h.is_zero():
         raise InputError("polynomial must be nonzero")
     betas = _stable_betas(h, seqs, W)
@@ -301,7 +278,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
     failure = "no attempt"
     for attempt in range(R):
         entries = [(k, {e: ke for e, ke in enumerate(k) if ke}, beta)
-                   for k, (beta, _) in betas.items() if not beta.is_infinity]
+                   for k, (beta, _) in betas.items() if beta is not INF]
         if entries:
             js_sep = separate_indices(entries, streams, rhos)
             indices = [j - 1 for j in js_sep]
@@ -310,7 +287,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
         G1 = recenter_at(h, seqs, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
         nonconst = {m: v for m, v in vals.items() if m != ()}
-        ok, failure = _claims_hold(vals, nonconst, mode)
+        ok, failure = _claims_hold(vals, nonconst, mode, h.group.zero())
         if ok:
             if mode == "content":
                 c_mono = _argmin(vals)
@@ -318,7 +295,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
                 c_mono = _argmin(nonconst)
             table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
             tag = case if case else _case_tag(vals)
-            cert = RewriteCert(kind, field, g, multiplier, seqs, None, indices,
+            cert = RewriteCert(kind, g.field, g, multiplier, seqs, indices,
                                G1, c_mono, mode, tag, table)
             cert.verify()
             return cert
@@ -327,17 +304,24 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
         f"claims not reached after {R} retries: {failure}")
 
 
+def _with_multiplier(g: Poly, multiplier: Mapping[int, int]) -> Poly:
+    """g * prod_e Y_e^k_e."""
+    for e, k in multiplier.items():
+        g = g * (Poly.var(g.field, g.group, VarTag.orig(e)) ** k)
+    return g
+
+
 def _mono_key(m):
     return tuple(v.sort_key() + (k,) for v, k in m)
 
 
-def _argmin(vals: Dict[tuple, GroupElement]):
+def _argmin(vals: Dict[tuple, object]):
     best = min(vals.values())
     candidates = [m for m, v in vals.items() if v == best]
     return min(candidates, key=_mono_key)
 
 
-def _claims_hold(vals, nonconst, mode):
+def _claims_hold(vals, nonconst, mode, zero):
     if mode == "content":
         if not vals:
             return False, "empty polynomial"
@@ -347,14 +331,9 @@ def _claims_hold(vals, nonconst, mode):
     for a, b in zip(seen, seen[1:]):
         if a == b:
             return False, "coefficient values collide"
-    zero = None
     for v in vals.values():
-        zero = v.zero()
-        break
-    if zero is not None:
-        for v in vals.values():
-            if v < zero:
-                return False, "a coefficient lies outside V"
+        if v < zero:
+            return False, "a coefficient lies outside V"
     if mode == "min-linear":
         m = _argmin(nonconst)
         if sum(k for _, k in m) != 1:
@@ -411,71 +390,6 @@ def rw_multilinear(g: Poly, seqs: Sequence[PseudoSequence],
         # Constant polynomial: c = g, g1 = 1; nothing to recenter.
         return _certify("multilinear", g, {}, seqs, nus, "content", "", W, R)
     return _certify("multilinear", g, {}, seqs, nus, "min-linear", "", W, R)
-
-
-def rw_shift_min(g_stage: Poly, seqs: Sequence[PseudoSequence],
-                 bounds: Sequence[int], W: int = DEFAULT_WINDOW,
-                 R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Shift stage indices of a distinct-valued multilinear stage polynomial
-    until one linear coefficient is strictly minimal."""
-    field = g_stage.field
-    stage_vars = [v for v in g_stage.variables() if v.kind == "stage"]
-    if not stage_vars:
-        raise InputError("input must contain stage variables")
-    es = sorted(v.e for v in stage_vars)
-    if es != list(range(len(es))):
-        raise InputError("stage variables must be Y_{0,j0}..Y_{m,jm}")
-    from_indices = [None] * len(es)
-    for v in stage_vars:
-        if g_stage.degree_in(v) > 1:
-            raise InputError("input must be multilinear")
-        from_indices[v.e] = v.extra
-    if len(seqs) != len(es) or len(bounds) != len(es):
-        raise InputError("sequences and bounds must match the stage variables")
-    vals = {m: c.val() for m, c in g_stage.monos.items() if m != ()}
-    flat = sorted(vals.values())
-    for a, b in zip(flat, flat[1:]):
-        if a == b:
-            raise InputError("input coefficient values must be pairwise distinct")
-    streams = _build_streams(seqs)
-    rhos = [max(j + 1, t) for j, t in zip(from_indices, bounds)]
-    failure = "no attempt"
-    for attempt in range(R):
-        # Predict the shifted linear values and separate them.
-        entries = []
-        for e in range(len(es)):
-            tag = VarTag.stage(e, from_indices[e])
-            taus = [m for m in vals if any(v == tag for v, _ in m)]
-            if not taus:
-                continue
-            beta = min(vals[m] for m in taus) - seqs[e].gamma(from_indices[e])
-            entries.append((e, {e: 1}, beta))
-        if entries:
-            js_sep = separate_indices(entries, streams, rhos)
-            indices = [j - 1 for j in js_sep]
-        else:
-            indices = list(rhos)
-        out = g_stage
-        for e, (j, t) in enumerate(zip(from_indices, indices)):
-            old = VarTag.stage(e, j)
-            if out.degree_in(old) == 0:
-                continue
-            d, b = seqs[e].restage_coeffs(j, t)
-            out = out.subs_poly(old, Poly.const(d)
-                                + Poly.var(field, VarTag.stage(e, t)).scale(b))
-        new_vals = {m: c.val() for m, c in out.monos.items()}
-        nonconst = {m: v for m, v in new_vals.items() if m != ()}
-        ok, failure = _claims_hold(new_vals, nonconst, "min-linear")
-        if ok:
-            c_mono = _argmin(nonconst)
-            table = sorted(new_vals.items(), key=lambda kv: _mono_key(kv[0]))
-            cert = RewriteCert("shift_min", field, g_stage, {}, seqs,
-                               from_indices, indices, out, c_mono,
-                               "min-linear", "shift", table)
-            cert.verify()
-            return cert
-        rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
-    raise UndecidedError(f"shift did not reach a minimal linear coefficient: {failure}")
 
 
 def _charp_exponent_check(g: Poly, p: int, tags: Sequence[VarTag]) -> None:
@@ -570,9 +484,7 @@ def rw_bivariate_charp(f: Poly, seqs: Sequence[PseudoSequence],
         raise InputError("polynomial must live in Y_0, Y_1")
     last_failure: Optional[Exception] = None
     for mult in _MULTIPLIER_CASCADE:
-        h = f
-        for e, k in mult.items():
-            h = h * (Poly.var(f.field, VarTag.orig(e)) ** k)
+        h = _with_multiplier(f, mult)
         if not _has_admissible(h, p, tags):
             continue
         name = _MULTIPLIER_NAMES[tuple(sorted(mult.items()))]

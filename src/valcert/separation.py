@@ -12,15 +12,25 @@ s = 1..H (matching the source statements that range indices over [1, λ)).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HorizonError, InputError, VerificationError
-from .group import GroupElement, gv_solve_scalar
+from .group import ValueGroup, element_from_json, group_of
 
 
-def _check_stream(g: Sequence[GroupElement], name: str = "gamma") -> None:
-    if not g:
-        raise InputError(f"{name} stream is empty")
+def _common_group(streams: Sequence[Sequence], *values) -> ValueGroup:
+    """The value group of the first stream, which every stream entry and
+    every value must share."""
+    if not streams or not all(streams):
+        raise InputError("gamma stream is empty")
+    group = group_of(streams[0][0])
+    for stream in streams:
+        group.check(*stream)
+    group.check(*values)
+    return group
+
+
+def _check_stream(g: Sequence, name: str = "gamma") -> None:
     for a, b in zip(g, g[1:]):
         if not a < b:
             raise InputError(f"{name} stream must be strictly increasing")
@@ -49,18 +59,9 @@ class SeparationCert:
         _VERIFIERS[self.kind](self.data)
 
 
-def _g(x):
-    return GroupElement.from_json(x)
-
-
-def _gl(xs):
-    return [GroupElement.from_json(x) for x in xs]
-
-
 # -- Tail separation (single stream, integer multipliers) --------------
 
-def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
-             gamma: Sequence[GroupElement]) -> SeparationCert:
+def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationCert:
     """Least nu with beta_i + t_i*gamma_s pairwise distinct for all s > nu.
 
     When every t_i is positive, also reports the index r whose value is
@@ -72,6 +73,7 @@ def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
     m = len(betas)
     if m != len(ts) or m < 1:
         raise InputError("need equally many betas and ts, at least one")
+    G = _common_group([gamma], *betas)
     _check_stream(gamma)
     H = len(gamma)
     for i in range(m):
@@ -85,7 +87,7 @@ def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
             dt = ts[j] - ts[i]
             if dt == 0:
                 continue
-            target = gv_solve_scalar(dt, betas[i] - betas[j])
+            target = G.solve_scalar(dt, G.sub(betas[i], betas[j]))
             if target is None:
                 continue
             if gamma[-1] < target:
@@ -102,7 +104,7 @@ def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
     if all(t > 0 for t in ts):
         if nu >= H:
             raise HorizonError("no indices remain past nu within the window")
-        end = [betas[i] + gamma[H - 1].scale(ts[i]) for i in range(m)]
+        end = [G.add(betas[i], G.scale(gamma[H - 1], ts[i])) for i in range(m)]
         r = end.index(min(end))
         # A pair's ordering can flip between stream points without an
         # on-stream collision (the crossover value is skipped or is not
@@ -110,16 +112,16 @@ def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
         # also dominate the last index where r fails to be strictly
         # minimal.
         for s in range(H - 1, nu, -1):
-            vals = [betas[i] + gamma[s - 1].scale(ts[i]) for i in range(m)]
+            vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
             if any(i != r and not vals[r] < vals[i] for i in range(m)):
                 nu = s
                 break
         if nu >= H:
             raise HorizonError("no indices remain past nu within the window")
     cert = SeparationCert("tail", {
-        "betas": [b.to_json() for b in betas],
+        "betas": [G.to_json(b) for b in betas],
         "ts": list(ts),
-        "gamma": [g.to_json() for g in gamma],
+        "gamma": [G.to_json(g) for g in gamma],
         "nu": nu,
         "r": r,
     })
@@ -128,13 +130,14 @@ def sep_tail(betas: Sequence[GroupElement], ts: Sequence[int],
 
 
 def _verify_tail(data: dict) -> None:
-    betas = _gl(data["betas"])
+    betas = [element_from_json(b) for b in data["betas"]]
     ts = data["ts"]
-    gamma = _gl(data["gamma"])
+    gamma = [element_from_json(g) for g in data["gamma"]]
+    G = _common_group([gamma], *betas)
     nu, r = data["nu"], data["r"]
     m, H = len(betas), len(gamma)
     for s in range(nu + 1, H + 1):
-        vals = [betas[i] + gamma[s - 1].scale(ts[i]) for i in range(m)]
+        vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 if vals[i] == vals[j]:
@@ -146,7 +149,7 @@ def _verify_tail(data: dict) -> None:
                     raise VerificationError(
                         "tail-minimum", f"entry {r} not strictly minimal at s={s}")
     if nu > 0:
-        vals = [betas[i] + gamma[nu - 1].scale(ts[i]) for i in range(m)]
+        vals = [G.add(betas[i], G.scale(gamma[nu - 1], ts[i])) for i in range(m)]
         collision = len(set(vals)) < len(vals)
         # nu is minimal when at s=nu the certified claims break: either
         # two values collide, or the reported entry fails strict minimality.
@@ -160,28 +163,28 @@ def _verify_tail(data: dict) -> None:
 
 # -- Shifted pair (one stream, second shifted by a constant) ------------
 
-def sep_shifted_pair(beta0: GroupElement, beta1: GroupElement, c: GroupElement,
-                     gamma0: Sequence[GroupElement]) -> SeparationCert:
+def sep_shifted_pair(beta0, beta1, c, gamma0: Sequence) -> SeparationCert:
     """Collision structure of beta0+gamma_{j0} versus beta1+gamma_{j1}+c.
 
     Returns the set A and injective map sigma with equality exactly at
     j1 = sigma(j0), j0 in A, within the stream window.
     """
+    G = _common_group([gamma0], beta0, beta1, c)
     _check_stream(gamma0)
     H = len(gamma0)
     index_of = {gamma0[j - 1]: j for j in range(1, H + 1)}
-    shift = beta0 - beta1 - c
+    shift = G.sub(G.sub(beta0, beta1), c)
     sigma: List[Tuple[int, int]] = []
     for j0 in range(1, H + 1):
-        target = gamma0[j0 - 1] + shift
+        target = G.add(gamma0[j0 - 1], shift)
         j1 = index_of.get(target)
         if j1 is not None:
             sigma.append((j0, j1))
     cert = SeparationCert("shifted", {
-        "beta0": beta0.to_json(),
-        "beta1": beta1.to_json(),
-        "c": c.to_json(),
-        "gamma0": [g.to_json() for g in gamma0],
+        "beta0": G.to_json(beta0),
+        "beta1": G.to_json(beta1),
+        "c": G.to_json(c),
+        "gamma0": [G.to_json(g) for g in gamma0],
         "A": [p[0] for p in sigma],
         "sigma": [list(p) for p in sigma],
     })
@@ -190,18 +193,21 @@ def sep_shifted_pair(beta0: GroupElement, beta1: GroupElement, c: GroupElement,
 
 
 def _verify_shifted(data: dict) -> None:
-    beta0, beta1, c = _g(data["beta0"]), _g(data["beta1"]), _g(data["c"])
-    gamma0 = _gl(data["gamma0"])
+    beta0, beta1, c = (element_from_json(data[k]) for k in ("beta0", "beta1", "c"))
+    gamma0 = [element_from_json(g) for g in data["gamma0"]]
+    G = _common_group([gamma0], beta0, beta1, c)
     H = len(gamma0)
     pairs = {(a, b) for a, b in data["sigma"]}
     if set(data["A"]) != {a for a, _ in pairs}:
         raise VerificationError("shifted-A", "A does not match sigma's domain")
     if len({b for _, b in pairs}) != len(pairs):
         raise VerificationError("shifted-injective", "sigma is not injective")
-    for j0 in range(1, H + 1):
-        p0 = beta0 + gamma0[j0 - 1]
-        for j1 in range(1, H + 1):
-            p1 = beta1 + gamma0[j1 - 1] + c
+    # Each side's value depends on one index only; the scan over every
+    # pair (j0, j1) then only compares.
+    p0s = [G.add(beta0, g) for g in gamma0]
+    p1s = [G.add(G.add(beta1, g), c) for g in gamma0]
+    for j0, p0 in enumerate(p0s, 1):
+        for j1, p1 in enumerate(p1s, 1):
             if (p0 == p1) != ((j0, j1) in pairs):
                 raise VerificationError(
                     "shifted-exhaustive", f"collision map wrong at ({j0},{j1})")
@@ -209,38 +215,38 @@ def _verify_shifted(data: dict) -> None:
 
 # -- Cross pair (two streams and a cross term) --------------------------
 
-def sep_cross_pair(beta0: GroupElement, beta1: GroupElement, beta01: GroupElement,
-                   gamma0: Sequence[GroupElement],
-                   gamma1: Sequence[GroupElement]) -> SeparationCert:
+def sep_cross_pair(beta0, beta1, beta01, gamma0: Sequence,
+                   gamma1: Sequence) -> SeparationCert:
     """Bounds and collision map making the three families
     beta0+gamma_{0,j0}, beta1+gamma_{1,j1}, beta01+gamma_{0,j0}+gamma_{1,j1}
     pairwise distinct for j0 > rho0, j1 > rho1 with j1 != sigma(j0)."""
+    G = _common_group([gamma0, gamma1], beta0, beta1, beta01)
     _check_stream(gamma0, "gamma0")
     _check_stream(gamma1, "gamma1")
     H0, H1 = len(gamma0), len(gamma1)
     rho0 = 0
-    t0 = beta1 - beta01
+    t0 = G.sub(beta1, beta01)
     for j0 in range(1, H0 + 1):
         if gamma0[j0 - 1] == t0:
             rho0 = j0
     rho1 = 0
-    t1 = beta0 - beta01
+    t1 = G.sub(beta0, beta01)
     for j1 in range(1, H1 + 1):
         if gamma1[j1 - 1] == t1:
             rho1 = j1
     index1 = {gamma1[j - 1]: j for j in range(1, H1 + 1)}
-    shift = beta0 - beta1
+    shift = G.sub(beta0, beta1)
     sigma: List[Tuple[int, int]] = []
     for j0 in range(1, H0 + 1):
-        j1 = index1.get(gamma0[j0 - 1] + shift)
+        j1 = index1.get(G.add(gamma0[j0 - 1], shift))
         if j1 is not None:
             sigma.append((j0, j1))
     cert = SeparationCert("cross", {
-        "beta0": beta0.to_json(),
-        "beta1": beta1.to_json(),
-        "beta01": beta01.to_json(),
-        "gamma0": [g.to_json() for g in gamma0],
-        "gamma1": [g.to_json() for g in gamma1],
+        "beta0": G.to_json(beta0),
+        "beta1": G.to_json(beta1),
+        "beta01": G.to_json(beta01),
+        "gamma0": [G.to_json(g) for g in gamma0],
+        "gamma1": [G.to_json(g) for g in gamma1],
         "rho0": rho0,
         "rho1": rho1,
         "A": [p[0] for p in sigma],
@@ -251,17 +257,22 @@ def sep_cross_pair(beta0: GroupElement, beta1: GroupElement, beta01: GroupElemen
 
 
 def _verify_cross(data: dict) -> None:
-    beta0, beta1, beta01 = _g(data["beta0"]), _g(data["beta1"]), _g(data["beta01"])
-    gamma0, gamma1 = _gl(data["gamma0"]), _gl(data["gamma1"])
+    beta0, beta1, beta01 = (element_from_json(data[k]) for k in ("beta0", "beta1", "beta01"))
+    gamma0, gamma1 = ([element_from_json(g) for g in data[k]] for k in ("gamma0", "gamma1"))
+    G = _common_group([gamma0, gamma1], beta0, beta1, beta01)
     rho0, rho1 = data["rho0"], data["rho1"]
     pairs = {(a, b) for a, b in data["sigma"]}
+    # Per-index values, computed once; only the cross term needs the pair.
+    p0s = [G.add(beta0, g) for g in gamma0]
+    p1s = [G.add(beta1, g) for g in gamma1]
+    q0s = [G.add(beta01, g) for g in gamma0]
     for j0 in range(rho0 + 1, len(gamma0) + 1):
-        p0 = beta0 + gamma0[j0 - 1]
+        p0, q0 = p0s[j0 - 1], q0s[j0 - 1]
         for j1 in range(rho1 + 1, len(gamma1) + 1):
             if (j0, j1) in pairs:
                 continue
-            p1 = beta1 + gamma1[j1 - 1]
-            p01 = beta01 + gamma0[j0 - 1] + gamma1[j1 - 1]
+            p1 = p1s[j1 - 1]
+            p01 = G.add(q0, gamma1[j1 - 1])
             if p0 == p1 or p0 == p01 or p1 == p01:
                 raise VerificationError(
                     "cross-distinct", f"families collide at ({j0},{j1})")
@@ -269,11 +280,10 @@ def _verify_cross(data: dict) -> None:
 
 # -- Multi-index separation (the inductive lemma) -----------------------
 
-Entry = Tuple[object, Mapping[int, int], GroupElement]  # (label, {pos: mult}, beta)
+Entry = Tuple[object, Mapping[int, int], object]  # (label, {pos: mult}, beta)
 
 
-def separate_indices(entries: Sequence[Entry],
-                     gammas: Sequence[Sequence[GroupElement]],
+def separate_indices(entries: Sequence[Entry], gammas: Sequence[Sequence],
                      rhos: Sequence[int]) -> List[int]:
     """Choose indices (j_e), rho_e < j_e <= H_e, making all entry values
     beta + sum(mult_e * gamma_{e,j_e}) pairwise distinct.
@@ -287,24 +297,25 @@ def separate_indices(entries: Sequence[Entry],
     n = len(gammas)
     if len(rhos) != n:
         raise InputError("rhos must match the number of streams")
-    for g in gammas:
-        _check_stream(g)
     if not entries:
         raise InputError("no entries to separate")
+    G = _common_group(gammas, *(beta for _, _, beta in entries))
+    for g in gammas:
+        _check_stream(g)
     required = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
-    return _separate_rec(entries, required, gammas, rhos, n - 1)
+    return _separate_rec(G, entries, required, gammas, rhos, n - 1)
 
 
-def _entry_value(entry: Entry, gammas, js, upto: int) -> GroupElement:
+def _entry_value(G: ValueGroup, entry: Entry, gammas, js, upto: int):
     _, mult, beta = entry
     total = beta
     for e, t in mult.items():
         if e <= upto and t != 0:
-            total = total + gammas[e][js[e] - 1].scale(t)
+            total = G.add(total, G.scale(gammas[e][js[e] - 1], t))
     return total
 
 
-def _separate_rec(entries, required, gammas, rhos, m: int) -> List[int]:
+def _separate_rec(G: ValueGroup, entries, required, gammas, rhos, m: int) -> List[int]:
     if m < 0:
         for i, j in required:
             if entries[i][2] == entries[j][2]:
@@ -314,7 +325,7 @@ def _separate_rec(entries, required, gammas, rhos, m: int) -> List[int]:
         return []
     child_required = [(i, j) for i, j in required
                       if entries[i][1].get(m, 0) == entries[j][1].get(m, 0)]
-    js = _separate_rec(entries, child_required, gammas, rhos, m - 1)
+    js = _separate_rec(G, entries, child_required, gammas, rhos, m - 1)
     mixed = [(i, j) for i, j in required
              if entries[i][1].get(m, 0) != entries[j][1].get(m, 0)]
     H = len(gammas[m])
@@ -322,9 +333,10 @@ def _separate_rec(entries, required, gammas, rhos, m: int) -> List[int]:
         g = gammas[m][jm - 1]
         ok = True
         for i, j in mixed:
-            bi = _entry_value(entries[i], gammas, js + [jm], m - 1)
-            bj = _entry_value(entries[j], gammas, js + [jm], m - 1)
-            if bi + g.scale(entries[i][1].get(m, 0)) == bj + g.scale(entries[j][1].get(m, 0)):
+            bi = _entry_value(G, entries[i], gammas, js + [jm], m - 1)
+            bj = _entry_value(G, entries[j], gammas, js + [jm], m - 1)
+            if (G.add(bi, G.scale(g, entries[i][1].get(m, 0)))
+                    == G.add(bj, G.scale(g, entries[j][1].get(m, 0)))):
                 ok = False
                 break
         if ok:
@@ -333,8 +345,8 @@ def _separate_rec(entries, required, gammas, rhos, m: int) -> List[int]:
         f"no admissible index for position {m} within the stream window")
 
 
-def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence[GroupElement],
-              ts: Sequence[int], gammas: Sequence[Sequence[GroupElement]],
+def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence,
+              ts: Sequence[int], gammas: Sequence[Sequence],
               rhos: Sequence[int]) -> SeparationCert:
     """Spec-shaped wrapper: entries are subsets of positions with a common
     positive multiplier t_e per position."""
@@ -357,10 +369,11 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence[GroupElement],
             raise InputError(f"subset {key} names a position without a stream")
         entries.append((list(key), {e: ts[e] for e in key}, beta))
     js = separate_indices(entries, gammas, rhos)
+    G = group_of(gammas[0][0])
     cert = SeparationCert("multi", {
-        "entries": [[label, sorted((e, t) for e, t in mult.items()), beta.to_json()]
+        "entries": [[label, sorted((e, t) for e, t in mult.items()), G.to_json(beta)]
                     for label, mult, beta in entries],
-        "gammas": [[g.to_json() for g in stream] for stream in gammas],
+        "gammas": [[G.to_json(g) for g in stream] for stream in gammas],
         "rhos": list(rhos),
         "js": js,
     })
@@ -369,7 +382,9 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence[GroupElement],
 
 
 def _verify_multi(data: dict) -> None:
-    gammas = [_gl(stream) for stream in data["gammas"]]
+    gammas = [[element_from_json(g) for g in stream] for stream in data["gammas"]]
+    betas = [element_from_json(beta) for _, _, beta in data["entries"]]
+    G = _common_group(gammas, *betas)
     js = data["js"]
     rhos = data["rhos"]
     if len(js) != len(gammas):
@@ -378,11 +393,10 @@ def _verify_multi(data: dict) -> None:
         if not (rhos[e] < j <= len(gammas[e])):
             raise VerificationError("multi-bounds", f"index j_{e}={j} out of range")
     values = []
-    for label, mult, beta in data["entries"]:
-        total = _g(beta)
+    for (label, mult, _), total in zip(data["entries"], betas):
         for e, t in mult:
             if t != 0:
-                total = total + gammas[e][js[e] - 1].scale(t)
+                total = G.add(total, G.scale(gammas[e][js[e] - 1], t))
         values.append((label, total))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):

@@ -2,35 +2,38 @@
 
 A series is a sorted list of (exponent, coefficient) terms over a base
 field, together with a truncation order delta: exponents at or above
-delta are unknown unless the series is flagged exact.  Arithmetic never
-fabricates terms past the reliable window; the window shrinks under
-multiplication and division exactly as the error analysis dictates.
+delta are unknown unless the series is flagged exact.  Exponents are raw
+elements of the series' value group.  Arithmetic never fabricates terms
+past the reliable window; the window shrinks under multiplication and
+division exactly as the error analysis dictates.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import IndeterminateValError, InputError, VariantMismatchError
-from .fields import Field, field_from_json, field_to_json
-from .group import INF, GroupElement
+from .errors import IndeterminateValError, InputError
+from .fields import Field
+from .group import INF, ValueGroup
 
 
 class ValuedSeries:
-    __slots__ = ("field", "terms", "trunc")
+    __slots__ = ("field", "group", "terms", "trunc")
 
-    def __init__(self, field: Field, terms: Iterable, trunc: GroupElement = INF):
+    def __init__(self, field: Field, group: ValueGroup, terms: Iterable, trunc=INF):
         """Build a normalized series; trunc = INF means exact."""
         self.field = field
-        merged: dict[GroupElement, object] = {}
+        self.group = group
+        merged: dict = {}
         for exp, coeff in terms:
-            if exp.is_infinity:
+            if exp is INF:
                 raise InputError("term exponent cannot be Infinity")
             if exp in merged:
                 merged[exp] = field.add(merged[exp], coeff)
             else:
                 merged[exp] = coeff
+        exact = trunc is INF
         kept = [(e, c) for e, c in merged.items()
-                if not field.is_zero(c) and (trunc.is_infinity or e < trunc)]
+                if not field.is_zero(c) and (exact or e < trunc)]
         kept.sort(key=lambda t: t[0])
         self.terms = tuple(kept)
         self.trunc = trunc
@@ -38,38 +41,35 @@ class ValuedSeries:
     # -- basic predicates --------------------------------------------
     @property
     def exact(self) -> bool:
-        return self.trunc.is_infinity
+        return self.trunc is INF
 
     def is_zero_exact(self) -> bool:
         return self.exact and not self.terms
 
-    def val(self) -> GroupElement:
-        """Least support exponent; Infinity for exact zero."""
+    def val(self):
+        """Least support exponent; INF for exact zero."""
         if self.terms:
             return self.terms[0][0]
         if self.exact:
             return INF
         raise IndeterminateValError(
-            f"series vanishes below truncation {self.trunc.to_json()}")
+            f"series vanishes below truncation {self.group.to_json(self.trunc)}")
 
-    def val_lower(self) -> GroupElement:
+    def val_lower(self):
         """A certified lower bound for the valuation."""
         if self.terms:
             return self.terms[0][0]
-        return INF if self.exact else self.trunc
+        return self.trunc
 
     def is_unit(self) -> bool:
-        v = self.val()
-        if v.is_infinity:
-            return False
-        return v.is_zero()
+        return self.val() == self.group.zero()
 
     def leading(self):
         if not self.terms:
             raise InputError("zero series has no leading term")
         return self.terms[0]
 
-    def coeff_at(self, exp: GroupElement):
+    def coeff_at(self, exp):
         for e, c in self.terms:
             if e == exp:
                 return c
@@ -78,49 +78,49 @@ class ValuedSeries:
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "ValuedSeries") -> None:
         self.field.check_same(other.field)
+        self.group.check_same(other.group)
+
+    def _new(self, terms, trunc=INF) -> "ValuedSeries":
+        return ValuedSeries(self.field, self.group, terms, trunc)
 
     def __add__(self, other: "ValuedSeries") -> "ValuedSeries":
         self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        return ValuedSeries(self.field, list(self.terms) + list(other.terms), trunc)
+        return self._new(self.terms + other.terms, min(self.trunc, other.trunc))
 
     def __neg__(self) -> "ValuedSeries":
-        return ValuedSeries(self.field, [(e, self.field.neg(c)) for e, c in self.terms], self.trunc)
+        return self._new([(e, self.field.neg(c)) for e, c in self.terms], self.trunc)
 
     def __sub__(self, other: "ValuedSeries") -> "ValuedSeries":
         return self + (-other)
 
     def __mul__(self, other: "ValuedSeries") -> "ValuedSeries":
         self._check(other)
-        if self.exact and other.exact:
-            trunc = INF
-        else:
-            bounds = []
-            if not self.exact:
-                bounds.append(self.trunc + other.val_lower())
-            if not other.exact:
-                bounds.append(other.trunc + self.val_lower())
-            trunc = min(bounds)
-        out = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out.append((e1 + e2, self.field.mul(c1, c2)))
-        return ValuedSeries(self.field, out, trunc)
+        add = self.group.add
+        # The window of a product: each inexact factor's truncation shifted
+        # by the other factor's valuation (an exact zero factor gives INF).
+        bounds = [add(x.trunc, y.val_lower()) for x, y in ((self, other), (other, self))
+                  if not x.exact and y.val_lower() is not INF]
+        trunc = min(bounds) if bounds else INF
+        mul = self.field.mul
+        out = [(add(e1, e2), mul(c1, c2))
+               for e1, c1 in self.terms for e2, c2 in other.terms]
+        return self._new(out, trunc)
 
     def scalar_mul(self, c) -> "ValuedSeries":
         if self.field.is_zero(c):
-            return ValuedSeries(self.field, [], self.trunc)
-        return ValuedSeries(self.field, [(e, self.field.mul(c, k)) for e, k in self.terms], self.trunc)
+            return self._new([], self.trunc)
+        return self._new([(e, self.field.mul(c, k)) for e, k in self.terms], self.trunc)
 
-    def shift(self, g: GroupElement) -> "ValuedSeries":
+    def shift(self, g) -> "ValuedSeries":
         """Multiply by the monomial t^g (exact)."""
-        trunc = self.trunc if self.exact else self.trunc + g
-        return ValuedSeries(self.field, [(e + g, c) for e, c in self.terms], trunc)
+        add = self.group.add
+        trunc = self.trunc if self.exact else add(self.trunc, g)
+        return self._new([(add(e, g), c) for e, c in self.terms], trunc)
 
     def __pow__(self, n: int) -> "ValuedSeries":
         if n < 0:
             raise InputError("negative powers go through div")
-        result = ValuedSeries.one(self.field)
+        result = ValuedSeries.one(self.field, self.group)
         base = self
         while n:
             if n & 1:
@@ -134,19 +134,20 @@ class ValuedSeries:
         self._check(other)
         if other.is_zero_exact():
             raise ZeroDivisionError("series division by exact zero")
+        g = self.group
         vy = other.val()  # raises IndeterminateVal on zero-so-far divisor
         bounds = []
         if not self.exact:
-            bounds.append(self.trunc - vy)
-        if not other.exact:
-            bounds.append(other.trunc + self.val_lower() - vy.scale(2))
+            bounds.append(g.sub(self.trunc, vy))
+        if not other.exact and self.val_lower() is not INF:
+            bounds.append(g.sub(g.add(other.trunc, self.val_lower()), g.scale(vy, 2)))
         qtrunc = min(bounds) if bounds else INF
+        qexact = qtrunc is INF
+        rem_limit = None if qexact else g.add(qtrunc, vy)
         field = self.field
         ylead = other.terms[0][1]
         rest = other.terms[1:]
-        rem: dict[GroupElement, object] = {}
-        for e, c in self.terms:
-            rem[e] = c
+        rem = dict(self.terms)
         qterms = []
         steps = 0
         while rem:
@@ -155,14 +156,14 @@ class ValuedSeries:
                 raise InputError(
                     "exact quotient appears to have unbounded support; use div_to")
             lead = min(rem)
-            qe = lead - vy
-            if not qtrunc.is_infinity and not (qe < qtrunc):
+            qe = g.sub(lead, vy)
+            if not qexact and not (qe < qtrunc):
                 break
             qc = field.div(rem.pop(lead), ylead)
             qterms.append((qe, qc))
             for e2, c2 in rest:
-                tgt = qe + e2
-                if not qtrunc.is_infinity and not (tgt < qtrunc + vy):
+                tgt = g.add(qe, e2)
+                if not qexact and not (tgt < rem_limit):
                     continue
                 cur = rem.get(tgt, field.zero())
                 cur = field.sub(cur, field.mul(qc, c2))
@@ -170,63 +171,61 @@ class ValuedSeries:
                     rem.pop(tgt, None)
                 else:
                     rem[tgt] = cur
-        return ValuedSeries(field, qterms, qtrunc)
+        return self._new(qterms, qtrunc)
 
-    def div_to(self, other: "ValuedSeries", delta: GroupElement) -> "ValuedSeries":
+    def div_to(self, other: "ValuedSeries", delta) -> "ValuedSeries":
         """Quotient known below delta; use when the exact quotient may have
         infinite support (plain div would not terminate)."""
-        return self.truncate(delta + other.val()).div(other)
+        if other.is_zero_exact():
+            raise ZeroDivisionError("series division by exact zero")
+        return self.truncate(self.group.add(delta, other.val())).div(other)
 
     def inverse(self) -> "ValuedSeries":
-        return ValuedSeries.one(self.field).div(self)
+        return ValuedSeries.one(self.field, self.group).div(self)
 
-    def truncate(self, delta: GroupElement) -> "ValuedSeries":
-        return ValuedSeries(self.field, self.terms, min(self.trunc, delta))
+    def truncate(self, delta) -> "ValuedSeries":
+        return self._new(self.terms, min(self.trunc, delta))
 
     # -- window queries ----------------------------------------------
-    def is_small(self, delta: GroupElement) -> bool:
+    def is_small(self, delta) -> bool:
         """True iff val(self) > delta is certified on the known window.
 
         Raises IndeterminateVal when the window does not reach delta.
         """
-        for e, _ in self.terms:
-            if not (e > delta):
-                return False
+        if self.terms and not (self.terms[0][0] > delta):
+            return False
         if not self.exact and not (self.trunc > delta):
             raise IndeterminateValError(
-                f"window {self.trunc.to_json()} does not certify vanishing past {delta.to_json()}")
+                f"window {self.group.to_json(self.trunc)} does not certify "
+                f"vanishing past {self.group.to_json(delta)}")
         return True
-
-    def known_window(self) -> GroupElement:
-        return self.trunc
-
-    def agrees_with(self, other: "ValuedSeries", delta: GroupElement) -> bool:
-        return (self - other).is_small(delta)
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def zero(field: Field) -> "ValuedSeries":
-        return ValuedSeries(field, [])
+    def zero(field: Field, group: ValueGroup) -> "ValuedSeries":
+        return ValuedSeries(field, group, [])
 
     @staticmethod
-    def one(field: Field) -> "ValuedSeries":
-        return ValuedSeries.scalar(field, field.one())
+    def one(field: Field, group: ValueGroup) -> "ValuedSeries":
+        return ValuedSeries.scalar(field, group, field.one())
 
     @staticmethod
-    def scalar(field: Field, c) -> "ValuedSeries":
-        zero_exp = None  # exponent variant chosen lazily on use: default Z
-        return ValuedSeries(field, [(GroupElement.of_int(0), c)])
+    def scalar(field: Field, group: ValueGroup, c) -> "ValuedSeries":
+        return ValuedSeries(field, group, [(group.zero(), c)])
 
     @staticmethod
-    def t_power(field: Field, exp: GroupElement, coeff=None) -> "ValuedSeries":
+    def t_power(field: Field, group: ValueGroup, exp, coeff=None) -> "ValuedSeries":
         if coeff is None:
             coeff = field.one()
-        return ValuedSeries(field, [(exp, coeff)])
+        return ValuedSeries(field, group, [(exp, coeff)])
 
     # -- misc ---------------------------------------------------------
+    def _trunc_json(self):
+        return "inf" if self.exact else self.group.to_json(self.trunc)
+
     def __repr__(self) -> str:
-        body = " + ".join(f"{c!r}*t^{e.to_json()}" for e, c in self.terms) or "0"
-        tail = "" if self.exact else f" + O(t^{self.trunc.to_json()})"
+        body = " + ".join(f"{c!r}*t^{self.group.to_json(e)}" for e, c in self.terms) or "0"
+        tail = "" if self.exact else f" + O(t^{self._trunc_json()})"
         return f"<{body}{tail}>"
 
     def same_known(self, other: "ValuedSeries") -> bool:
@@ -234,36 +233,16 @@ class ValuedSeries:
 
     def to_json(self):
         return {
-            "terms": [[e.to_json(), self.field.coeff_to_json(c)] for e, c in self.terms],
-            "trunc": self.trunc.to_json(),
+            "terms": [[self.group.to_json(e), self.field.coeff_to_json(c)]
+                      for e, c in self.terms],
+            "trunc": self._trunc_json(),
             "exact": self.exact,
         }
 
     @staticmethod
-    def from_json(obj, field: Field) -> "ValuedSeries":
-        trunc = GroupElement.from_json(obj.get("trunc", "inf"))
-        terms = [(GroupElement.from_json(e), field.coeff_from_json(c))
+    def from_json(obj, field: Field, group: ValueGroup) -> "ValuedSeries":
+        trunc = obj.get("trunc", "inf")
+        trunc = INF if trunc == "inf" else group.from_json(trunc)
+        terms = [(group.from_json(e), field.coeff_from_json(c))
                  for e, c in obj.get("terms", [])]
-        return ValuedSeries(field, terms, trunc)
-
-
-def series_val(x: ValuedSeries) -> GroupElement:
-    return x.val()
-
-
-def series_arith(op: str, x: ValuedSeries, y: ValuedSeries) -> ValuedSeries:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise InputError(f"unknown op {op!r}")
-
-
-def series_div(x: ValuedSeries, y: ValuedSeries) -> ValuedSeries:
-    return x.div(y)
-
-
-def series_is_unit(x: ValuedSeries) -> bool:
-    return x.is_unit()
+        return ValuedSeries(field, group, terms, trunc)

@@ -10,14 +10,14 @@ re-derives the targets from the problem data and re-checks everything.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
-from .group import GroupElement
+from .group import ValueGroup, element_from_json, group_of
 from .pcs import DEFAULT_WINDOW, DerivedSequence, PseudoSequence, sequence_from_json
-from .poly import Poly, VarTag, sylvester_resultant
+from .poly import Poly, VarTag, det, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, RewriteCert, rw_bivariate_charp,
                       rw_bivariate_pfree, rw_univariate_charp,
                       rw_univariate_pfree)
@@ -26,36 +26,14 @@ from .series import ValuedSeries
 OUTER_RETRIES = 4
 
 
-# -- small linear algebra over series ----------------------------------
-
-def series_det(rows: Sequence[Sequence[ValuedSeries]], field: Field) -> ValuedSeries:
-    n = len(rows)
-    if n == 0:
-        return ValuedSeries.one(field)
-
-    def rec(row_ids, col_ids):
-        if not row_ids:
-            return ValuedSeries.one(field)
-        r = row_ids[0]
-        total = ValuedSeries.zero(field)
-        for pos, c in enumerate(col_ids):
-            entry = rows[r][c]
-            if entry.is_zero_exact():
-                continue
-            minor = rec(row_ids[1:], col_ids[:pos] + col_ids[pos + 1:])
-            term = entry * minor
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
-    return rec(tuple(range(n)), tuple(range(n)))
-
-
 # -- presentation and certificate data ---------------------------------
 
 class SmoothPresentation:
-    def __init__(self, field: Field, generators: Sequence[Tuple[VarTag, ValuedSeries]],
+    def __init__(self, field: Field, group: ValueGroup,
+                 generators: Sequence[Tuple[VarTag, ValuedSeries]],
                  relations: Sequence[Poly], base: int):
         self.field = field
+        self.group = group
         self.generators = list(generators)
         self.relations = list(relations)
         self.base = base
@@ -71,10 +49,11 @@ class SmoothPresentation:
         base = self.base if base is None else base
         assignment = self.assignment()
         cols = [tag for i, (tag, _) in enumerate(self.generators) if i != base]
-        rows = []
-        for rel in self.relations:
-            rows.append([rel.derivative(tag).eval_series(assignment) for tag in cols])
-        return series_det(rows, self.field)
+        # Entries are evaluated first and enter the expansion as constants.
+        rows = [[Poly.const(rel.derivative(tag).eval_series(assignment)) for tag in cols]
+                for rel in self.relations]
+        one = Poly.const(ValuedSeries.one(self.field, self.group))
+        return det(rows, one).constant_term()
 
     def to_json(self):
         return {
@@ -84,28 +63,36 @@ class SmoothPresentation:
         }
 
     @staticmethod
-    def from_json(obj, field: Field) -> "SmoothPresentation":
-        gens = [(VarTag.from_json(t), ValuedSeries.from_json(s, field))
+    def from_json(obj, field: Field, group: ValueGroup) -> "SmoothPresentation":
+        gens = [(VarTag.from_json(t), ValuedSeries.from_json(s, field, group))
                 for t, s in obj["generators"]]
-        rels = [Poly.from_json(r, field) for r in obj["relations"]]
-        return SmoothPresentation(field, gens, rels, int(obj["base"]))
+        rels = [Poly.from_json(r, field, group) for r in obj["relations"]]
+        return SmoothPresentation(field, group, gens, rels, int(obj["base"]))
 
 
-def sm_check(pres: SmoothPresentation, delta: GroupElement) -> None:
-    """Verify the two presentation invariants; raises VerificationError."""
+def sm_check(pres: SmoothPresentation, delta) -> None:
+    """Verify the two presentation invariants; raises VerificationError,
+    also when the presentation's own data cannot decide one of them."""
+    enc = pres.group.to_json
     assignment = pres.assignment()
     for i, rel in enumerate(pres.relations):
         residual = rel.eval_series(assignment)
-        if not residual.is_small(delta):
+        try:
+            small = residual.is_small(delta)
+        except IndeterminateValError as exc:
+            raise VerificationError(f"relation-{i}", str(exc))
+        if not small:
             raise VerificationError(
                 f"relation-{i}",
-                f"residual val {residual.val_lower().to_json()} not past {delta.to_json()}")
+                f"residual val {enc(residual.val_lower())} not past {enc(delta)}")
     if pres.relations:
-        minor = pres.jacobian_minor()
-        v = minor.val()
-        if not v.is_zero():
+        try:
+            v = pres.jacobian_minor().val()
+        except IndeterminateValError as exc:
+            raise VerificationError("jacobian-minor", str(exc))
+        if v != pres.group.zero():
             raise VerificationError(
-                "jacobian-minor", f"minor has val {v.to_json()}, expected 0 (unit)")
+                "jacobian-minor", f"minor has val {v!r}, expected 0 (unit)")
 
 
 class Witness:
@@ -124,17 +111,17 @@ class Witness:
                 "den": self.den.to_json() if self.den is not None else None}
 
     @staticmethod
-    def from_json(obj, field: Field) -> "Witness":
+    def from_json(obj, field: Field, group: ValueGroup) -> "Witness":
         den = obj.get("den")
         return Witness(obj["name"], obj["kind"], int(obj.get("e", 0)),
-                       Poly.from_json(obj["num"], field),
-                       Poly.from_json(den, field) if den is not None else None)
+                       Poly.from_json(obj["num"], field, group),
+                       Poly.from_json(den, field, group) if den is not None else None)
 
 
 class SmoothCert:
     def __init__(self, kind: str, field: Field, problem: dict,
                  pres: SmoothPresentation, witnesses: Sequence[Witness],
-                 rewrites: Sequence[RewriteCert], delta: GroupElement,
+                 rewrites: Sequence[RewriteCert], delta,
                  branch: str = ""):
         self.kind = kind
         self.field = field
@@ -152,7 +139,7 @@ class SmoothCert:
             "problem": self.problem,
             "witnesses": [w.to_json() for w in self.witnesses],
             "rewrites": [c.to_json() for c in self.rewrites],
-            "delta": self.delta.to_json(),
+            "delta": self.pres.group.to_json(self.delta),
             "branch": self.branch,
         }
         out.update(self.pres.to_json())
@@ -164,22 +151,22 @@ class SmoothCert:
         if obj.get("cert") != "smooth":
             raise InputError("not a smooth certificate")
         field = field_from_json(obj)
-        pres = SmoothPresentation.from_json(obj, field)
-        wits = [Witness.from_json(w, field) for w in obj["witnesses"]]
+        delta = element_from_json(obj["delta"])
+        pres = SmoothPresentation.from_json(obj, field, group_of(delta))
+        wits = [Witness.from_json(w, field, pres.group) for w in obj["witnesses"]]
         rewrites = [RewriteCert.from_json(c) for c in obj.get("rewrites", [])]
         return SmoothCert(obj["kind"], field, obj["problem"], pres, wits,
-                          rewrites, GroupElement.from_json(obj["delta"]),
-                          obj.get("branch", ""))
+                          rewrites, delta, obj.get("branch", ""))
 
 
 # -- shared helpers ----------------------------------------------------
 
-def _eval_at_limit(f: Poly, seq: PseudoSequence, delta: GroupElement) -> ValuedSeries:
+def _eval_at_limit(f: Poly, seq: PseudoSequence, delta) -> ValuedSeries:
     y0 = seq.limit(delta)
     return f.eval_series({VarTag.orig(0): y0})
 
 
-def _val_at_limit(f: Poly, seq: PseudoSequence, seed: GroupElement) -> Tuple[GroupElement, ValuedSeries]:
+def _val_at_limit(f: Poly, seq: PseudoSequence, seed) -> Tuple[object, ValuedSeries]:
     """val(f(y0)) with automatic window growth on cancellation."""
     delta = seed
     for _ in range(64):
@@ -187,7 +174,7 @@ def _val_at_limit(f: Poly, seq: PseudoSequence, seed: GroupElement) -> Tuple[Gro
         try:
             return fv.val(), fv
         except IndeterminateValError:
-            delta = delta.scale(2)
+            delta = seq.group.scale(delta, 2)
     raise HorizonError("val(f(y0)) cancels below every tried truncation")
 
 
@@ -195,24 +182,23 @@ def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
     """d = (leading coefficient) * t^val(f(y0)), so f(y0)/d has lead term 1."""
     seed = seq.gamma(4)
     v, fv = _val_at_limit(f, seq, seed)
-    exp, lead = fv.leading()
-    return ValuedSeries(seq.field, [(exp, lead)])
+    return ValuedSeries(seq.field, seq.group, [fv.leading()])
 
 
 def _derived_unit_sequence(f: Poly, d: ValuedSeries, seq0: PseudoSequence) -> DerivedSequence:
     """Partial-sum pseudo-sequence of the unit y = f(y0)/d."""
     dv = d.val()
 
-    def materialize(delta: GroupElement) -> ValuedSeries:
-        return _eval_at_limit(f, seq0, delta + dv).div(d)
+    def materialize(delta) -> ValuedSeries:
+        return _eval_at_limit(f, seq0, seq0.group.add(delta, dv)).div(d)
 
     return DerivedSequence(seq0.field, materialize, seq0.gamma(4), horizon=seq0.horizon)
 
 
-def _stage_poly(field: Field, seq: PseudoSequence, e: int, t: int) -> Poly:
+def _stage_poly(seq: PseudoSequence, e: int, t: int) -> Poly:
     """y_e as a polynomial in its stage generator: v_{t} + s_{t} * Y_{e,t}."""
     return (Poly.const(seq.term(t))
-            + Poly.var(field, VarTag.stage(e, t)).scale(seq.scale(t)))
+            + Poly.var(seq.field, seq.group, VarTag.stage(e, t)).scale(seq.scale(t)))
 
 
 def _designates_earlier(rcert: RewriteCert) -> bool:
@@ -221,14 +207,13 @@ def _designates_earlier(rcert: RewriteCert) -> bool:
     return len(m) == 1 and m[0][1] == 1 and m[0][0].e == 0
 
 
-def _choose_base(field: Field, gens, rels) -> int:
+def _choose_base(field: Field, group: ValueGroup, gens, rels) -> int:
     """Pick the base generator by minor search, preferring the last one."""
     pres_err = None
     for base in range(len(gens) - 1, -1, -1):
-        pres = SmoothPresentation(field, gens, rels, base)
+        pres = SmoothPresentation(field, group, gens, rels, base)
         try:
-            minor = pres.jacobian_minor()
-            if minor.val().is_zero():
+            if pres.jacobian_minor().is_unit():
                 return base
         except IndeterminateValError as exc:
             pres_err = exc
@@ -241,33 +226,33 @@ def _choose_base(field: Field, gens, rels) -> int:
 
 def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
             nu: int = 0, W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES,
-            delta: Optional[GroupElement] = None) -> SmoothCert:
+            delta=None) -> SmoothCert:
     """Smooth subalgebra containing y (pseudo-limit of seq0) and z = f(y)/d."""
     if f.is_zero():
         raise InputError("f must be nonzero")
     tag0 = VarTag.orig(0)
     if any(v != tag0 for v in f.variables()):
         raise InputError("f must be univariate in Y_0")
-    field = f.field
+    field, group = f.field, seq0.group
     fval, _ = _val_at_limit(f, seq0, seq0.gamma(4))
     if d is None:
         d = _canonical_d(f, seq0)
     if d.val() != fval:
         raise InputError(
-            f"val(f(y)) = {fval.to_json()} differs from val(d) = {d.val().to_json()}; "
+            f"val(f(y)) = {fval!r} differs from val(d) = {d.val()!r}; "
             "z would not be a unit")
 
     if f.total_degree() < 1:
         # Constant f: z is a scalar unit; the algebra is V[y_{0,t}].
         t = nu + 1
-        dlt = seq0.gamma(t).scale(2) if delta is None else delta
-        deltaw = dlt.scale(2)
+        dlt = group.scale(seq0.gamma(t), 2) if delta is None else delta
+        deltaw = group.scale(dlt, 2)
         gens = [(VarTag.stage(0, t), seq0.stage(t, deltaw))]
-        ypoly = _stage_poly(field, seq0, 0, t)
+        ypoly = _stage_poly(seq0, 0, t)
         z_num = Poly.const(f.constant_term().div_to(d, deltaw))
         wits = [Witness("y", "y0", 0, ypoly, None),
                 Witness("z", "z", 0, z_num, None)]
-        pres = SmoothPresentation(field, gens, [], 0)
+        pres = SmoothPresentation(field, group, gens, [], 0)
         problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json()}
         cert = SmoothCert("pair", field, problem, pres, wits, [], dlt, "constant")
         sm_verify(cert)
@@ -279,17 +264,17 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
     else:
         rcert = rw_univariate_pfree(f, seq0, nu=nu, W=W, R=R)
     case2 = bool(rcert.multiplier)
-    if case2 and not seq0.gamma(0).is_zero():
+    if case2 and seq0.gamma(0) != group.zero():
         raise InputError(
             "the rewrite multiplied by Y, so dividing back out needs the "
             "pseudo-limit to be a unit (first exponent 0); this sequence "
-            f"starts at val {seq0.gamma(0).to_json()}")
+            f"starts at val {group.to_json(seq0.gamma(0))}")
     t = rcert.indices[0]
     h = rcert.G1
     c = rcert.c
-    dlt = seq0.gamma(t).scale(2) if delta is None else delta
-    deltaw = dlt.scale(2)
-    ypoly = _stage_poly(field, seq0, 0, t)
+    dlt = group.scale(seq0.gamma(t), 2) if delta is None else delta
+    deltaw = group.scale(dlt, 2)
+    ypoly = _stage_poly(seq0, 0, t)
     gen0 = (VarTag.stage(0, t), seq0.stage(t, deltaw))
     problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json(),
                "case2": case2}
@@ -299,25 +284,25 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         hd = h.map_coeffs(lambda co: co.div_to(d, deltaw))
         wits = [Witness("y", "y0", 0, ypoly, None),
                 Witness("z", "z", 0, hd, ypoly if case2 else None)]
-        pres = SmoothPresentation(field, [gen0], [], 0)
+        pres = SmoothPresentation(field, group, [gen0], [], 0)
         branch = "d-divides-c"
     else:
         # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries y^k * z.
         ztag = VarTag.dup(0, "z")
-        zval = _eval_at_limit(f, seq0, deltaw.scale(2)).div_to(d, deltaw)
+        zval = _eval_at_limit(f, seq0, group.scale(deltaw, 2)).div_to(d, deltaw)
         if case2:
             y_full = seq0.limit(deltaw)
             zgen_image = (y_full * zval).truncate(deltaw)
         else:
             zgen_image = zval.truncate(deltaw)
-        rel = h - Poly.var(field, ztag).scale(d)
+        rel = h - Poly.var(field, group, ztag).scale(d)
         rel = rel.map_coeffs(lambda co: co.div_to(c, deltaw))
         gens = [gen0, (ztag, zgen_image)]
-        base = _choose_base(field, gens, [rel])
+        base = _choose_base(field, group, gens, [rel])
         wits = [Witness("y", "y0", 0, ypoly, None),
-                Witness("z", "z", 0, Poly.var(field, ztag),
+                Witness("z", "z", 0, Poly.var(field, group, ztag),
                         ypoly if case2 else None)]
-        pres = SmoothPresentation(field, gens, [rel], base)
+        pres = SmoothPresentation(field, group, gens, [rel], base)
         branch = "c-divides-d"
     cert = SmoothCert("pair", field, problem, pres, wits, [rcert], dlt, branch)
     sm_verify(cert)
@@ -344,26 +329,30 @@ def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
                          d_cur: ValuedSeries, first: bool) -> Poly:
     """Bivariate relation g(A, B) with g(y_prev, y_cur) = 0 exactly,
     A = Orig(0) (previous element), B = Orig(1) (current element)."""
-    field = f_cur.field
+    field, group = f_cur.field, f_cur.group
     A, B, Yelim = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
+
+    def var(tag):
+        return Poly.var(field, group, tag)
+
     if first:
         # Previous element is y0 itself: g = f_cur(A) - d_cur * B.
-        return _clear_content(f_cur - Poly.var(field, B).scale(d_cur))
+        return _clear_content(f_cur - var(B).scale(d_cur))
     # Affine dependence: when the nonconstant parts of f_prev and f_cur
     # are proportional, the resultant degenerates to a power of the true
     # linear relation, so emit that relation directly (cross-multiplied,
     # no division).
-    k1 = f_prev.monos.get((), ValuedSeries.zero(field))
-    k2 = f_cur.monos.get((), ValuedSeries.zero(field))
+    k1 = f_prev.constant_term()
+    k2 = f_cur.constant_term()
     prop = _proportional_factor(f_prev - Poly.const(k1), f_cur - Poly.const(k2))
     if prop is not None:
         c1, c2 = prop  # c1 * (f_cur - k2) == c2 * (f_prev - k1)
-        g = (Poly.var(field, B).scale(c1 * d_cur)
-             - Poly.var(field, A).scale(c2 * d_prev)
+        g = (var(B).scale(c1 * d_cur)
+             - var(A).scale(c2 * d_prev)
              - Poly.const(c1 * k2 - c2 * k1))
         return _clear_content(g)
-    p1 = f_prev.rename({VarTag.orig(0): Yelim}) - Poly.var(field, A).scale(d_prev)
-    p2 = f_cur.rename({VarTag.orig(0): Yelim}) - Poly.var(field, B).scale(d_cur)
+    p1 = f_prev.rename({VarTag.orig(0): Yelim}) - var(A).scale(d_prev)
+    p2 = f_cur.rename({VarTag.orig(0): Yelim}) - var(B).scale(d_cur)
     g = sylvester_resultant(p1, p2, Yelim)
     if g.is_zero():
         prop = _proportional_factor(f_prev, f_cur)
@@ -372,8 +361,7 @@ def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
                 "resultant vanished for a non-proportional pair; cannot "
                 "derive a chain relation")
         c1, c2 = prop
-        g = (Poly.var(field, B).scale(c1 * d_cur)
-             - Poly.var(field, A).scale(c2 * d_prev))
+        g = var(B).scale(c1 * d_cur) - var(A).scale(c2 * d_prev)
     return _clear_content(g)
 
 
@@ -382,13 +370,13 @@ def _clear_content(g: Poly) -> Poly:
     if not vals:
         return g
     vmin = min(vals)
-    if vmin.is_zero():
+    if vmin == g.group.zero():
         return g
-    return g.map_coeffs(lambda co: co.shift(-vmin))
+    return g.map_coeffs(lambda co: co.shift(g.group.neg(vmin)))
 
 
 def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
-              delta: Optional[GroupElement] = None, W: int = DEFAULT_WINDOW,
+              delta=None, W: int = DEFAULT_WINDOW,
               R: int = DEFAULT_RETRIES) -> SmoothCert:
     """Smooth subalgebra containing y0 and every y_e = f_e(y0)/d_e."""
     if not fs:
@@ -404,6 +392,7 @@ def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
     p = characteristic(field)
     for f in fs:
         f.field.check_same(field)
+        f.group.check_same(seq0.group)
     if any(f.total_degree() < 1 for f in fs):
         raise InputError("family members must be nonconstant "
                          "(constant members are units already in V)")
@@ -462,16 +451,18 @@ def _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset):
             old = VarTag.stage(e - 1, cur[e - 1])
             dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
             rels_raw[e - 2] = rels_raw[e - 2].subs_poly(
-                old, Poly.const(dd) + Poly.var(field, VarTag.stage(e - 1, a)).scale(bb))
+                old, Poly.const(dd)
+                + Poly.var(field, seq0.group, VarTag.stage(e - 1, a)).scale(bb))
         cur[e - 1] = a
         cur[e] = b
         rels_raw.append(rel)
         rewrites.append(rcert)
         norm_cs.append(rcert.c)
 
+    group = seq0.group
     gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
-    dlt = gamma_max.scale(2) if delta is None else delta
-    deltaw = dlt.scale(2)
+    dlt = group.scale(gamma_max, 2) if delta is None else delta
+    deltaw = group.scale(dlt, 2)
     # Divide each relation by its designated coefficient (every other
     # coefficient has strictly larger value, so the quotients stay in V
     # and the earlier-variable Jacobian entry becomes a unit).  With the
@@ -482,11 +473,10 @@ def _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset):
     base = n
     gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
             for e in range(n + 1)]
-    wits = [Witness("y0", "y0", 0, _stage_poly(field, seqs[0], 0, cur[0]), None)]
+    wits = [Witness("y0", "y0", 0, _stage_poly(seqs[0], 0, cur[0]), None)]
     for e in range(1, n + 1):
-        wits.append(Witness(f"y{e}", "ye", e,
-                            _stage_poly(field, seqs[e], e, cur[e]), None))
-    pres = SmoothPresentation(field, gens, rels, base)
+        wits.append(Witness(f"y{e}", "ye", e, _stage_poly(seqs[e], e, cur[e]), None))
+    pres = SmoothPresentation(field, group, gens, rels, base)
     problem = {"fs": [f.to_json() for f in fs],
                "ds": [d.to_json() for d in ds],
                "seq0": seq0.to_json()}
@@ -496,7 +486,7 @@ def _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset):
 
 
 def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
-                delta: Optional[GroupElement] = None, W: int = DEFAULT_WINDOW,
+                delta=None, W: int = DEFAULT_WINDOW,
                 R: int = DEFAULT_RETRIES) -> SmoothCert:
     """sm_family on {f1, f2} plus a witness for f1(y0)/f2(y0) as
     (d1/d2) * y1 * y2^{-1}."""
@@ -504,11 +494,11 @@ def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
     v2, _ = _val_at_limit(f2, seq0, seq0.gamma(4))
     if v1 < v2:
         raise InputError(
-            f"val(f1(y0)) = {v1.to_json()} < val(f2(y0)) = {v2.to_json()}; "
+            f"val(f1(y0)) = {v1!r} < val(f2(y0)) = {v2!r}; "
             "the fraction lies outside V'")
     base_cert = sm_family([f1, f2], seq0, delta=delta, W=W, R=R)
     field = base_cert.field
-    ds = [ValuedSeries.from_json(d, field) for d in base_cert.problem["ds"]]
+    ds = [ValuedSeries.from_json(d, field, seq0.group) for d in base_cert.problem["ds"]]
     dratio = ds[0].div(ds[1])  # exact monomial ratio, val >= 0
     gen_tags = [tag for tag, _ in base_cert.pres.generators]
     y1poly = None
@@ -530,53 +520,55 @@ def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
 
 # -- Independent verification ------------------------------------------
 
-def _witness_target(w: Witness, cert: SmoothCert, deltaw: GroupElement) -> ValuedSeries:
+def _witness_target(w: Witness, cert: SmoothCert, deltaw) -> ValuedSeries:
     field = cert.field
     seq0 = sequence_from_json(cert.problem["seq0"])
+    group = seq0.group
+    deep = group.scale(deltaw, 2)
     if w.kind == "y0":
         return seq0.limit(deltaw)
     if w.kind == "z":
-        f = Poly.from_json(cert.problem["f"], field)
-        d = ValuedSeries.from_json(cert.problem["d"], field)
-        return _eval_at_limit(f, seq0, deltaw.scale(2)).div_to(d, deltaw)
+        f = Poly.from_json(cert.problem["f"], field, group)
+        d = ValuedSeries.from_json(cert.problem["d"], field, group)
+        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
     if w.kind == "ye":
-        f = Poly.from_json(cert.problem["fs"][w.e - 1], field)
-        d = ValuedSeries.from_json(cert.problem["ds"][w.e - 1], field)
-        return _eval_at_limit(f, seq0, deltaw.scale(2)).div_to(d, deltaw)
+        f = Poly.from_json(cert.problem["fs"][w.e - 1], field, group)
+        d = ValuedSeries.from_json(cert.problem["ds"][w.e - 1], field, group)
+        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
     if w.kind == "fraction":
-        f1 = Poly.from_json(cert.problem["fs"][0], field)
-        f2 = Poly.from_json(cert.problem["fs"][1], field)
-        f2v = _eval_at_limit(f2, seq0, deltaw.scale(2))
-        f1v = _eval_at_limit(f1, seq0, deltaw.scale(2))
+        f1 = Poly.from_json(cert.problem["fs"][0], field, group)
+        f2 = Poly.from_json(cert.problem["fs"][1], field, group)
+        f2v = _eval_at_limit(f2, seq0, deep)
+        f1v = _eval_at_limit(f1, seq0, deep)
         return f1v.div_to(f2v, deltaw)
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 
-def sm_verify(cert: SmoothCert, delta: Optional[GroupElement] = None) -> None:
+def sm_verify(cert: SmoothCert, delta=None) -> None:
     """Re-check presentation invariants, membership witnesses and embedded
     rewrite certificates; raises VerificationError at the first failure."""
+    group = cert.pres.group
     dlt = cert.delta if delta is None else delta
-    deltaw = dlt.scale(2)
+    deltaw = group.scale(dlt, 2)
     sm_check(cert.pres, dlt)
     assignment = cert.pres.assignment()
     for w in cert.witnesses:
         value = w.num.eval_series(assignment)
-        if w.den is not None:
-            den_val = w.den.eval_series(assignment)
-            if not den_val.val().is_zero():
-                raise VerificationError(
-                    f"witness-{w.name}", "denominator is not a unit")
-            value = value.div(den_val)
-        target = _witness_target(w, cert, deltaw)
-        diff = value - target
         try:
+            if w.den is not None:
+                den_val = w.den.eval_series(assignment)
+                if not den_val.is_unit():
+                    raise VerificationError(
+                        f"witness-{w.name}", "denominator is not a unit")
+                value = value.div(den_val)
+            diff = value - _witness_target(w, cert, deltaw)
             small = diff.is_small(dlt)
         except IndeterminateValError as exc:
             raise VerificationError(f"witness-{w.name}", str(exc))
         if not small:
             raise VerificationError(
                 f"witness-{w.name}",
-                f"expression differs from target at val {diff.val_lower().to_json()}")
+                f"expression differs from target at val {group.to_json(diff.val_lower())}")
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()

@@ -1,4 +1,4 @@
-"""Acceptance gate: six desk-scale criteria, one pass/fail line each.
+"""Acceptance gate: seven desk-scale criteria, one pass/fail line each.
 
 Each test prints a single ``criterion N: PASS/FAIL`` line (visible with
 ``pytest -s`` or on failure) and then asserts the same condition, so the
@@ -18,7 +18,7 @@ from valcert.cli import main as cli_main
 from valcert.errors import (HorizonError, InputError, NotStabilizedError,
                             UndecidedError)
 from valcert.fields import GF, QQ
-from valcert.group import GroupElement
+from valcert.group import INTEGERS as ZZ, Lex
 from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import (rw_bivariate_charp, rw_bivariate_pfree,
@@ -30,8 +30,6 @@ from valcert.separation import (sep_cross_pair, sep_multi, sep_shifted_pair,
 from valcert.series import ValuedSeries
 from valcert.smooth import sm_family, sm_fraction, sm_verify
 
-Z = GroupElement.of_int
-L = GroupElement.of_lex
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
 
 
@@ -43,10 +41,14 @@ def report(n, label, ok, detail=""):
 
 # -- shared random generators ------------------------------------------
 
+def group_for(kind):
+    return ZZ if kind == "Z" else Lex(2)
+
+
 def rand_group(rng, kind):
     if kind == "Z":
-        return Z(rng.randint(-20, 20))
-    return L(rng.randint(-20, 20), rng.randint(-20, 20))
+        return rng.randint(-20, 20)
+    return (rng.randint(-20, 20), rng.randint(-20, 20))
 
 
 def rand_stream(rng, kind, H):
@@ -54,12 +56,12 @@ def rand_stream(rng, kind, H):
     if kind == "Z":
         cur = rng.randint(1, 3)
         for _ in range(H):
-            out.append(Z(cur))
+            out.append(cur)
             cur += rng.randint(1, 3)
     else:
         a, b = 1, 1
         for _ in range(H):
-            out.append(L(a, b))
+            out.append((a, b))
             if rng.random() < 0.5:
                 a += rng.randint(1, 2)
                 b = rng.randint(-3, 3)
@@ -76,11 +78,11 @@ def rand_unit(rng, field):
 
 
 def rand_series(rng, field, nterms=(1, 2), exps=(0, 3)):
-    terms = [(Z(rng.randint(*exps)), rand_unit(rng, field))
+    terms = [(rng.randint(*exps), rand_unit(rng, field))
              for _ in range(rng.randint(*nterms))]
     if not terms:
-        terms = [(Z(0), field.from_int(1))]
-    return ValuedSeries(field, terms)
+        terms = [(0, field.from_int(1))]
+    return ValuedSeries(field, ZZ, terms)
 
 
 RETRYABLE = (InputError, HorizonError, NotStabilizedError)
@@ -120,15 +122,16 @@ class TestCriterion1:
             gamma = rand_stream(rng, kind, H)
             cert = sep_tail(betas, ts, gamma)
             nu, r = cert.data["nu"], cert.data["r"]
+            G = group_for(kind)
             # independent brute force: claims hold past nu, break at nu
             for s in range(nu + 1, H + 1):
-                vals = [betas[i] + gamma[s - 1].scale(ts[i]) for i in range(m)]
-                assert len({str(v.to_json()) for v in vals}) == m
+                vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
+                assert len(set(vals)) == m
                 if r is not None:
                     assert all(vals[r] < vals[i] for i in range(m) if i != r)
             if nu > 0:
-                vals = [betas[i] + gamma[nu - 1].scale(ts[i]) for i in range(m)]
-                collision = len({str(v.to_json()) for v in vals}) < m
+                vals = [G.add(betas[i], G.scale(gamma[nu - 1], ts[i])) for i in range(m)]
+                collision = len(set(vals)) < m
                 min_fails = (r is not None and any(
                     i != r and not vals[r] < vals[i] for i in range(m)))
                 assert collision or min_fails, "nu is not minimal"
@@ -141,7 +144,8 @@ class TestCriterion1:
                 # engineer collisions: shift equals a stream difference
                 a, b = sorted(rng.sample(range(H), 2))
                 c = rand_group(rng, kind)
-                beta1 = beta0 - c - (gamma0[b] - gamma0[a])
+                G = group_for(kind)
+                beta1 = G.sub(G.sub(beta0, c), G.sub(gamma0[b], gamma0[a]))
             else:
                 beta1, c = rand_group(rng, kind), rand_group(rng, kind)
             return sep_shifted_pair(beta0, beta1, c, gamma0)
@@ -187,7 +191,7 @@ class TestCriterion2:
             e1 = rng.randint(0, maxdeg - e0) if nvars == 2 else 0
             key = tuple(p for p in [(Y0, e0), (Y1, e1)] if p[1] > 0)
             monos[key] = rand_series(rng, field)
-        return Poly(field, monos)
+        return Poly(field, ZZ, monos)
 
     def test_recentring_kernel(self):
         rng = random.Random(7)
@@ -199,8 +203,7 @@ class TestCriterion2:
             g = self.rand_poly(rng, field, nvars, 6)
             tags = [Y0, Y1][:nvars]
             centers = {t: rand_series(rng, field, (0, 2)) for t in tags}
-            scales = {t: ValuedSeries.t_power(
-                field, Z(rng.randint(0, 2)), rand_unit(rng, field))
+            scales = {t: ValuedSeries.t_power(field, ZZ, rng.randint(0, 2), rand_unit(rng, field))
                 for t in tags}
             newtags = {t: VarTag.stage(e, 1) for e, t in enumerate(tags)}
             direct = taylor_recenter(g, centers, scales, newtags)
@@ -215,7 +218,7 @@ class TestCriterion2:
                 for _ in range(n):
                     iterated = iterated.derivative(tag)
                 scaled = g.hasse_derivative({tag: n}).scale(
-                    ValuedSeries.scalar(QQ, Fraction(math.factorial(n))))
+                    ValuedSeries.scalar(QQ, ZZ, Fraction(math.factorial(n))))
                 assert scaled.same_known(iterated)
                 fact_checked += 1
         assert checked == 200 and fact_checked >= 40
@@ -231,7 +234,7 @@ class TestCriterion3:
         ratios = [1, 2, 3]
         out = [lacunary_sequence(field, 300)]
         for a in ratios[1:m]:
-            out.append(RuleSequence(field, {"kind": "geom", "a": Z(a + 1)},
+            out.append(RuleSequence(field, {"kind": "geom", "a": (a + 1)},
                                     {"kind": "const", "c": 1}, horizon=300))
         return out[:m]
 
@@ -244,7 +247,7 @@ class TestCriterion3:
                     monos[key] = rand_series(rng, field, (1, 2), (0, 2))
         if not monos:
             monos[()] = rand_series(rng, field, (1, 1), (0, 2))
-        return Poly(field, monos)
+        return Poly(field, ZZ, monos)
 
     def rand_dense(self, rng, field, nvars, maxdeg):
         monos = {}
@@ -255,7 +258,7 @@ class TestCriterion3:
             monos[key] = rand_series(rng, field, (1, 2), (0, 2))
         if all(m == () for m in monos):
             monos[((Y0, 1),)] = rand_series(rng, field, (1, 1), (0, 2))
-        return Poly(field, monos)
+        return Poly(field, ZZ, monos)
 
     def test_rewrite_certificates(self):
         rng = random.Random(13)
@@ -305,7 +308,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_case_logic_fixtures(self):
         f2 = GF(2)
-        Y = Poly.var(f2, Y0)
+        Y = Poly.var(f2, ZZ, Y0)
         seq = lacunary_sequence(f2, 300)
         cases = {}
         for name, g in [("Y", Y), ("Y2", Y ** 2), ("Y+Y2", Y + Y ** 2)]:
@@ -316,9 +319,9 @@ class TestCriterion4:
         # exponents divisible by 2, the Y-multiplier decides it (case2);
         # Y+Y^2 has the admissible exponent 1, decided directly (case1).
         tags_ok = cases == {"Y": "case1", "Y2": "case2", "Y+Y2": "case1"}
-        seqs = [seq, RuleSequence(f2, {"kind": "geom", "a": Z(3)},
+        seqs = [seq, RuleSequence(f2, {"kind": "geom", "a": 3},
                                   {"kind": "const", "c": 1}, horizon=300)]
-        B = Poly.var(f2, Y1)
+        B = Poly.var(f2, ZZ, Y1)
         mults = {}
         for name, f in [("Y1", Y), ("Y1^2", Y ** 2), ("Y1^2Y2^2", Y ** 2 * B ** 2)]:
             cert = rw_bivariate_charp(f, seqs)
@@ -337,12 +340,12 @@ class TestCriterion4:
 
 class TestCriterion5:
     def rand_f(self, rng, field):
-        mono = Poly.zero(field)
+        mono = Poly.zero(field, ZZ)
         for _ in range(rng.randint(1, 4)):
             d = rng.randint(0, 3)
-            coeff = ValuedSeries(field, [(Z(rng.randint(0, 2)),
+            coeff = ValuedSeries(field, ZZ, [(rng.randint(0, 2),
                                           field.from_int(rng.randint(1, 4)))])
-            mono = mono + (Poly.var(field, Y0) ** d).scale(coeff)
+            mono = mono + (Poly.var(field, ZZ, Y0) ** d).scale(coeff)
         return mono
 
     def fraction_reproduces(self, cert, f1, f2, seq0):
@@ -395,29 +398,29 @@ class TestCriterion5:
 # -- criterion 6: negative controls ------------------------------------
 
 def tpow(field, e):
-    return ValuedSeries.t_power(field, Z(e))
+    return ValuedSeries.t_power(field, ZZ, e)
 
 
 class TestCriterion6:
     def build_bases(self):
         """Genuine certificates to tamper with, as plain JSON dicts."""
         bases = {}
-        gamma = [Z(s) for s in range(1, 201)]
-        bases["tail"] = sep_tail([Z(0), Z(3)], [2, 1], gamma).to_json()
-        bases["shifted"] = sep_shifted_pair(Z(0), Z(0), Z(3), gamma).to_json()
-        bases["cross"] = sep_cross_pair(Z(0), Z(5), Z(0), gamma,
-                                        [Z(2 * s) for s in range(1, 201)]).to_json()
-        bases["multi"] = sep_multi([[0], [1], [0, 1]], [Z(1), Z(4), Z(0)],
+        gamma = [s for s in range(1, 201)]
+        bases["tail"] = sep_tail([0, 3], [2, 1], gamma).to_json()
+        bases["shifted"] = sep_shifted_pair(0, 0, 3, gamma).to_json()
+        bases["cross"] = sep_cross_pair(0, 5, 0, gamma,
+                                        [2 * s for s in range(1, 201)]).to_json()
+        bases["multi"] = sep_multi([[0], [1], [0, 1]], [1, 4, 0],
                                    [1, 2], [gamma, gamma], [0, 0]).to_json()
         sq = lacunary_sequence(QQ, 300)
-        g1 = Poly.var(QQ, Y0) ** 2 + Poly.var(QQ, Y0).scale(tpow(QQ, 1))
+        g1 = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
         bases["rw_uni"] = rw_univariate_pfree(g1, sq).to_json()
-        seqs = [sq, RuleSequence(QQ, {"kind": "geom", "a": Z(3)},
+        seqs = [sq, RuleSequence(QQ, {"kind": "geom", "a": 3},
                                  {"kind": "const", "c": 1}, horizon=300)]
-        g2 = Poly.var(QQ, Y0) * Poly.var(QQ, Y1) + Poly.var(QQ, Y0)
+        g2 = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
         bases["rw_bi"] = rw_bivariate_pfree(g2, seqs).to_json()
         f5 = GF(5)
-        V = Poly.var(f5, Y0)
+        V = Poly.var(f5, ZZ, Y0)
         bases["smooth"] = sm_family(
             [V, V ** 2 + V.scale(tpow(f5, 1))],
             lacunary_sequence(f5, 300)).to_json()
@@ -545,3 +548,71 @@ class TestCriterion6:
         report(6, "negative controls", rejected == 30,
                f"{rejected}/30 tampered certificates rejected with exit 4"
                + (f"; wrong: {wrong}" if wrong else ""))
+
+
+# -- criterion 7: value groups other than Z ----------------------------
+
+def _series(p, terms):
+    return {"trunc": "inf",
+            "terms": [[e, f"{c}/1" if p == 0 else c % p] for e, c in terms]}
+
+
+def _rule(p, exp, horizon=300):
+    out = {"seq": "rule", "exp": exp, "horizon": horizon,
+           "coeff": {"kind": "const", "c": "1/1" if p == 0 else 1}}
+    out.update({"field": "Q"} if p == 0 else {"field": "Fp", "p": p})
+    return out
+
+
+def _mono(*exps):
+    return [[{"tag": "orig", "e": e}, k] for e, k in exps]
+
+
+def other_group_configs():
+    """Rewrites with Q exponents (arith a=1/2, b=1/3) and lex Z^2 exponents,
+    and [V, V^2] families over F5 at H=100 along geometric Q and lex
+    pseudo-limits (an arithmetic seq0 does not reach the truncation there)."""
+    q_seq = _rule(0, {"kind": "arith", "a": "1/2", "b": "1/3"})
+    lex0 = _rule(0, {"kind": "arith", "a": [1, 0], "b": [0, 1]})
+    lex1 = _rule(0, {"kind": "arith", "a": [1, 1], "b": [1, 0]})
+    out = [
+        ("Q univariate", "rewrite", {
+            "field": "Q", "op": "univariate", "seqs": [q_seq],
+            "g": [[_mono((0, 2)), _series(0, [["0/1", 1]])],
+                  [_mono((0, 1)), _series(0, [["1/2", 1]])]]}),
+        ("Q bivariate", "rewrite", {
+            "field": "Q", "op": "bivariate",
+            "seqs": [q_seq, _rule(0, {"kind": "arith", "a": "1/3", "b": "1/2"})],
+            "g": [[_mono((0, 1), (1, 1)), _series(0, [["0/1", 1]])],
+                  [_mono((0, 1)), _series(0, [["1/3", 2]])]]}),
+        ("lex univariate", "rewrite", {
+            "field": "Q", "op": "univariate", "seqs": [lex0],
+            "g": [[_mono((0, 2)), _series(0, [[[0, 0], 1]])],
+                  [_mono((0, 1)), _series(0, [[[0, 1], 1]])]]}),
+        ("lex bivariate", "rewrite", {
+            "field": "Q", "op": "bivariate", "seqs": [lex0, lex1],
+            "g": [[_mono((0, 1), (1, 1)), _series(0, [[[0, 0], 1]])],
+                  [_mono((1, 1)), _series(0, [[[1, 0], 3]])]]}),
+    ]
+    for name, a, zero in (("Q", "1/2", "0/1"), ("lex", [1, 1], [0, 0])):
+        out.append((f"{name} family", "smooth", {
+            "field": "Fp", "p": 5, "op": "family",
+            "seq0": _rule(5, {"kind": "geom", "a": a}, horizon=100),
+            "fs": [[[_mono((0, 1)), _series(5, [[zero, 1]])]],
+                   [[_mono((0, 2)), _series(5, [[zero, 1]])]]]}))
+    return out
+
+
+class TestCriterion7:
+    def test_other_value_groups(self, tmp_path):
+        built = []
+        for i, (name, cmd, cfg) in enumerate(other_group_configs()):
+            cfg_path, out = tmp_path / f"c{i}.json", tmp_path / f"o{i}.json"
+            cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+            code = cli_main([cmd, str(cfg_path), "--out", str(out)])
+            vcode = cli_main(["verify", str(out)]) if code == 0 else None
+            built.append((name, code, vcode))
+        ok = all(code == 0 and vcode == 0 for _, code, vcode in built)
+        report(7, "Q and lex exponents in rewrite and smooth", ok,
+               f"{sum(c == 0 and v == 0 for _, c, v in built)}/{len(built)} "
+               f"built and verified" + ("" if ok else f"; {built}"))

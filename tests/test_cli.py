@@ -1,16 +1,16 @@
 """Command-line front end: exit codes, determinism, verify round-trips."""
+import hashlib
 import json
 
 import pytest
 
 from valcert.cli import main
 from valcert.fields import GF, QQ
-from valcert.group import GroupElement
+from valcert.group import INTEGERS as ZZ
 from valcert.pcs import lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
 Y0 = VarTag.orig(0)
 
 
@@ -24,13 +24,68 @@ def run(argv):
     return main(argv)
 
 
+# -- configs shared by the tests and the golden digests ----------------
+
+def tail_cfg(betas=(0, 3), ts=(2, 1), H=200):
+    return {"op": "tail", "betas": list(betas), "ts": list(ts),
+            "gamma": list(range(1, H + 1))}
+
+
+def univariate_cfg(field, degree):
+    cfg = {"field": "Q"} if field is QQ else {"field": "Fp", "p": field.p}
+    cfg.update({"op": "univariate", "g": (Poly.var(field, ZZ, Y0) ** degree).to_json(),
+                "seqs": [lacunary_sequence(field, 300).to_json()]})
+    return cfg
+
+
+def family_cfg(horizon=300):
+    f5 = GF(5)
+    t = ValuedSeries.t_power(f5, ZZ, 1)
+    V = Poly.var(f5, ZZ, Y0)
+    return {"field": "Fp", "p": 5, "op": "family",
+            "fs": [V.to_json(), (V ** 2 + V.scale(t)).to_json()],
+            "seq0": lacunary_sequence(f5, horizon).to_json()}
+
+
+def batch_cfgs():
+    return [tail_cfg((0, 5), (1, 2), 100), tail_cfg((0, 3), (2, 1), 100)]
+
+
+# sha256 of the canonical JSON each config gives, recorded while
+# exponents were still wrapped in element objects; a change of internal
+# representation must keep every certificate byte-identical.
+GOLDEN = {
+    "separate-tail": ("separate", tail_cfg,
+                      "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
+    "separate-batch": ("separate", batch_cfgs,
+                       "df8f428a1f0a66590f7f2a320918f6229c59bb672ae75f53ec5bf90e4ed78ceb"),
+    "separate-batch-worst": ("separate", lambda: batch_cfgs()[:1] + [{"op": "tail"}],
+                             "9e4768e57a6a354cd78ddb139f475b9a1b76634a7aec190e896c5cc37a7ef8a4"),
+    "rewrite-linear-Q": ("rewrite", lambda: univariate_cfg(QQ, 1),
+                         "921929462226f2790cfed02bd81ff96924e261750226daa1c9eef89581dfc8f4"),
+    "rewrite-square-F2": ("rewrite", lambda: univariate_cfg(GF(2), 2),
+                          "4a92f7cdf1f7f3a47a09ff4fe14e27d11a534fbfb7a4ec45be5da7cb5c70f445"),
+    "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
+                         "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
+    "smooth-family-F5": ("smooth", family_cfg,
+                         "2318a0f0d96d88bfe908d786f8858358a26e9eb8acb8c3d9d1f21a600b941b92"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_digest(self, tmp_path, capsys, name):
+        command, cfg, digest = GOLDEN[name]
+        out = tmp_path / "out.json"
+        run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestSeparate:
     def test_tail_example(self, tmp_path, capsys):
         # [DERIVED] the nu=3, r=1 instance through the CLI
-        cfg = {"op": "tail", "betas": [0, 3], "ts": [2, 1],
-               "gamma": list(range(1, 201))}
         out = str(tmp_path / "cert.json")
-        assert run(["separate", write(tmp_path, "c.json", cfg), "--out", out]) == 0
+        assert run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out]) == 0
         cert = json.loads(open(out).read())
         assert cert["nu"] == 3 and cert["r"] == 1
         assert run(["verify", out]) == 0
@@ -46,58 +101,45 @@ class TestSeparate:
 
     def test_stalled_stream(self, tmp_path, capsys):
         # collision target beyond the declared window -> horizon exit
-        cfg = {"op": "tail", "betas": [0, 1000], "ts": [2, 1],
-               "gamma": list(range(1, 51))}
-        assert run(["separate", write(tmp_path, "c.json", cfg)]) == 2
+        assert run(["separate", write(tmp_path, "c.json", tail_cfg((0, 1000), H=50))]) == 2
 
 
 class TestRewrite:
     def test_linear_over_Q(self, tmp_path, capsys):
-        cfg = {"field": "Q", "op": "univariate",
-               "g": Poly.var(QQ, Y0).to_json(),
-               "seqs": [lacunary_sequence(QQ, 300).to_json()]}
         out = str(tmp_path / "cert.json")
+        cfg = univariate_cfg(QQ, 1)
         assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
         assert json.loads(open(out).read())["case"] == "case1"
         assert run(["verify", out]) == 0
 
     def test_square_over_F2_case2(self, tmp_path, capsys):
-        f2 = GF(2)
-        cfg = {"field": "Fp", "p": 2, "op": "univariate",
-               "g": (Poly.var(f2, Y0) ** 2).to_json(),
-               "seqs": [lacunary_sequence(f2, 300).to_json()]}
         out = str(tmp_path / "cert.json")
+        cfg = univariate_cfg(GF(2), 2)
         assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
         assert json.loads(open(out).read())["case"] == "case2"
 
     def test_zero_polynomial(self, tmp_path, capsys):
-        cfg = {"field": "Q", "op": "univariate", "g": Poly.zero(QQ).to_json(),
-               "seqs": [lacunary_sequence(QQ, 300).to_json()]}
+        cfg = univariate_cfg(QQ, 1)
+        cfg["g"] = Poly.zero(QQ, ZZ).to_json()
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
 
 
 class TestSmooth:
     def test_family_roundtrip(self, tmp_path, capsys):
-        f5 = GF(5)
-        t = ValuedSeries.t_power(f5, Z(1))
-        V = Poly.var(f5, Y0)
-        cfg = {"field": "Fp", "p": 5, "op": "family",
-               "fs": [V.to_json(), (V ** 2 + V.scale(t)).to_json()],
-               "seq0": lacunary_sequence(f5, 300).to_json()}
         out = str(tmp_path / "cert.json")
-        assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", out]) == 0
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", out]) == 0
         assert run(["verify", out]) == 0
 
     def test_fraction_bad_vals(self, tmp_path, capsys):
         cfg = {"field": "Q", "op": "fraction",
-               "f1": Poly.var(QQ, Y0).to_json(),
-               "f2": (Poly.var(QQ, Y0) ** 2).to_json(),
+               "f1": Poly.var(QQ, ZZ, Y0).to_json(),
+               "f2": (Poly.var(QQ, ZZ, Y0) ** 2).to_json(),
                "seq0": lacunary_sequence(QQ, 300).to_json()}
         assert run(["smooth", write(tmp_path, "c.json", cfg)]) == 1
 
     def test_horizon_too_small(self, tmp_path, capsys):
         cfg = {"field": "Q", "op": "pair",
-               "f": Poly.var(QQ, Y0).to_json(),
+               "f": Poly.var(QQ, ZZ, Y0).to_json(),
                "seq0": lacunary_sequence(QQ, 300).to_json()}
         assert run(["smooth", write(tmp_path, "c.json", cfg),
                     "--horizon", "3"]) == 2
@@ -105,10 +147,8 @@ class TestSmooth:
 
 class TestVerify:
     def test_tampered_cert(self, tmp_path, capsys):
-        cfg = {"op": "tail", "betas": [0, 3], "ts": [2, 1],
-               "gamma": list(range(1, 201))}
         out = str(tmp_path / "cert.json")
-        run(["separate", write(tmp_path, "c.json", cfg), "--out", out])
+        run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out])
         cert = json.loads(open(out).read())
         cert["nu"] = 0
         bad = write(tmp_path, "bad.json", cert)
@@ -122,13 +162,88 @@ class TestVerify:
         p.write_text('{"cert": "sep', encoding="utf-8")
         assert run(["verify", str(p)]) == 1
 
+    def test_unknown_rewrite_kind(self, tmp_path, capsys):
+        # shift_min certificates are no longer produced and never accepted
+        out = str(tmp_path / "cert.json")
+        run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 1)), "--out", out])
+        cert = json.loads(open(out).read())
+        cert["kind"] = "shift_min"
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) in (1, 4)
+
+    def unreadable_relation(self, tmp_path):
+        """A valid [V, V^2] family certificate (F5, H=100) and a copy whose
+        first relation coefficient is emptied to O(t^0), so no residual
+        value can be read from it."""
+        out = tmp_path / "cert.json"
+        cfg = family_cfg(horizon=100)
+        cfg["fs"][1] = (Poly.var(GF(5), ZZ, Y0) ** 2).to_json()
+        assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        bad = json.loads(out.read_text())
+        coeff = bad["relations"][0][0][1]
+        coeff["terms"], coeff["trunc"] = [], 0
+        return cert, bad
+
+    def test_unreadable_relation_rejected(self, tmp_path, capsys):
+        _, bad = self.unreadable_relation(tmp_path)
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+
+    def test_unreadable_witness_denominator_rejected(self, tmp_path, capsys):
+        f5 = GF(5)
+        V = Poly.var(f5, ZZ, Y0)
+        cfg = {"field": "Fp", "p": 5, "op": "fraction", "f1": (V ** 2).to_json(),
+               "f2": V.to_json(), "seq0": lacunary_sequence(f5, 100).to_json()}
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        bad = json.loads(out.read_text())
+        coeff = bad["witnesses"][-1]["den"][0][1]
+        coeff["terms"], coeff["trunc"] = [], 0
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+
+    def test_unreadable_relation_in_batch(self, tmp_path, capsys):
+        cert, bad = self.unreadable_relation(tmp_path)
+        capsys.readouterr()
+        path = write(tmp_path, "batch.json", [bad, cert])
+        assert run(["verify", path, "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4
+        assert results[1] == {"cert": "smooth", "verified": True}
+
+
+class TestMixedGroups:
+    """Every element of one input must lie in one value group."""
+
+    @pytest.mark.parametrize("betas, gamma", [
+        ([0, 3], [[0, s] for s in range(1, 51)]),   # int beta, lex gammas
+        ([[0, 1], [0, 2]], [[0, s, 1] for s in range(1, 51)]),  # ragged lex
+        ([[], []], [[s] for s in range(1, 51)]),    # empty lex tuples
+        ([True, 3], list(range(1, 51))),            # booleans
+        (["0/1", 3], [f"{s}/1" for s in range(1, 51)]),  # int among "n/d"
+    ])
+    def test_separate_rejects(self, tmp_path, capsys, betas, gamma):
+        cfg = {"op": "tail", "betas": betas, "ts": [2, 1], "gamma": gamma}
+        assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
+
+    def test_int_exponent_in_rational_config(self, tmp_path, capsys):
+        seq = {"seq": "rule", "field": "Q", "horizon": 300,
+               "exp": {"kind": "arith", "a": "1/2", "b": "1/3"},
+               "coeff": {"kind": "const", "c": "1/1"}}
+        g = [[[[{"tag": "orig", "e": 0}, 1]], {"trunc": "inf", "terms": [[0, "1/1"]]}]]
+        cfg = {"field": "Q", "op": "univariate", "g": g, "seqs": [seq]}
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        seq["exp"]["b"] = 1
+        g[0][1]["terms"][0][0] = "0/1"
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+
+    @pytest.mark.parametrize("delta", ["3/2", "[1,0]", "true", "x"])
+    def test_delta_in_wrong_group(self, tmp_path, capsys, delta):
+        cfg = write(tmp_path, "c.json", family_cfg(horizon=100))
+        assert run(["smooth", cfg, "--delta", delta]) == 1
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
-        cfg = {"field": "Q", "op": "univariate",
-               "g": (Poly.var(QQ, Y0) ** 2).to_json(),
-               "seqs": [lacunary_sequence(QQ, 300).to_json()]}
-        c = write(tmp_path, "c.json", cfg)
+        c = write(tmp_path, "c.json", univariate_cfg(QQ, 2))
         o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert run(["rewrite", c, "--out", o1]) == 0
         assert run(["rewrite", c, "--out", o2]) == 0
@@ -137,17 +252,11 @@ class TestDeterminism:
 
 class TestBatch:
     def test_array_config(self, tmp_path, capsys):
-        cfgs = [{"op": "tail", "betas": [0, 5], "ts": [1, 2],
-                 "gamma": list(range(1, 101))},
-                {"op": "tail", "betas": [0, 3], "ts": [2, 1],
-                 "gamma": list(range(1, 101))}]
         out = str(tmp_path / "batch.json")
-        assert run(["separate", write(tmp_path, "c.json", cfgs), "--out", out]) == 0
+        assert run(["separate", write(tmp_path, "c.json", batch_cfgs()), "--out", out]) == 0
         results = json.loads(open(out).read())
         assert [r["nu"] for r in results] == [0, 3]
 
     def test_batch_reports_worst_exit(self, tmp_path, capsys):
-        cfgs = [{"op": "tail", "betas": [0, 5], "ts": [1, 2],
-                 "gamma": list(range(1, 101))},
-                {"op": "tail"}]
+        cfgs = batch_cfgs()[:1] + [{"op": "tail"}]
         assert run(["separate", write(tmp_path, "c.json", cfgs)]) == 1

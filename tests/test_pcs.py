@@ -1,123 +1,130 @@
 """Pseudo-convergent sequences: partial sums, stages, restaging, classification."""
+from fractions import Fraction
+
 import pytest
 
 from valcert.errors import HorizonError, InconclusiveError, InputError
 from valcert.fields import QQ
-from valcert.group import GroupElement
+from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.pcs import (RuleSequence, TableSequence, lacunary_sequence,
-                         pcs_classify, pcs_gamma, pcs_restage_coeffs,
-                         pcs_stable_val, pcs_stage, pcs_term,
                          sequence_from_json)
 from valcert.poly import Poly, VarTag
+from valcert.rewrite import stable_val_multi
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
 T = VarTag.orig(0)
 
 
 def arith_seq(horizon=300):
     # exponents e_j = j + 1, coefficients 1
-    return RuleSequence(QQ, {"kind": "arith", "a": Z(1), "b": Z(1)},
+    return RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                         {"kind": "const", "c": 1}, horizon=horizon)
 
 
 def S(*pairs, trunc=None):
-    tr = trunc if trunc is not None else GroupElement("inf", None)
-    return ValuedSeries(QQ, [(Z(e), QQ.from_int(c)) for e, c in pairs], tr)
+    tr = trunc if trunc is not None else INF
+    return ValuedSeries(QQ, ZZ, [(e, QQ.from_int(c)) for e, c in pairs], tr)
 
 
 class TestTerms:
     def test_partial_sum(self):
         # [TRIVIAL] e_j = j+1: v_3 = t + t^2 + t^3
-        assert pcs_term(arith_seq(), 3).same_known(S((1, 1), (2, 1), (3, 1)))
+        assert arith_seq().term(3).same_known(S((1, 1), (2, 1), (3, 1)))
 
     def test_empty_sum(self):
         # [TRIVIAL] v_0 = 0
-        assert pcs_term(arith_seq(), 0).is_zero_exact()
+        assert arith_seq().term(0).is_zero_exact()
 
     def test_geometric(self):
         # [TRIVIAL] e_j = 2^j: v_2 = t + t^2
-        assert pcs_term(lacunary_sequence(QQ), 2).same_known(S((1, 1), (2, 1)))
+        assert lacunary_sequence(QQ).term(2).same_known(S((1, 1), (2, 1)))
 
     def test_gamma(self):
         # [TRIVIAL] gammas
-        assert pcs_gamma(arith_seq(), 4) == Z(5)
-        assert pcs_gamma(lacunary_sequence(QQ), 3) == Z(8)
+        assert arith_seq().gamma(4) == 5
+        assert lacunary_sequence(QQ).gamma(3) == 8
 
     def test_gamma_monotone(self):
         for seq in (arith_seq(), lacunary_sequence(QQ)):
-            assert pcs_gamma(seq, 2) < pcs_gamma(seq, 3)
+            assert seq.gamma(2) < seq.gamma(3)
 
     def test_horizon_enforced(self):
         with pytest.raises(HorizonError):
-            pcs_term(arith_seq(horizon=5), 7)
+            arith_seq(horizon=5).term(7)
 
 
 class TestStage:
     def test_arith_stage(self):
         # [DERIVED] j=0: (y - 0)/t = 1 + t + t^2 below delta 3
-        st = pcs_stage(arith_seq(), 0, Z(3))
+        st = arith_seq().stage(0, 3)
         assert st.terms == S((0, 1), (1, 1), (2, 1)).terms
 
     def test_geom_stage(self):
         # [DERIVED] e_j = 2^j, j=1: (t^2 + t^4 + t^8 + ...)/t^2 known below 7
         # is 1 + t^2 + t^6 (the quotient itself is truncated at delta)
-        st = pcs_stage(lacunary_sequence(QQ), 1, Z(7))
+        st = lacunary_sequence(QQ).stage(1, 7)
         assert st.terms == S((0, 1), (2, 1), (6, 1)).terms
-        assert st.trunc == Z(7)
+        assert st.trunc == 7
 
     def test_stage_is_unit(self):
         for seq in (arith_seq(), lacunary_sequence(QQ)):
-            assert pcs_stage(seq, 2, Z(40)).is_unit()
+            assert seq.stage(2, 40).is_unit()
 
 
 class TestRestage:
     def test_arith_restage(self):
         # [DERIVED] j=0, t=1: d = 1, b = t
-        d, b = pcs_restage_coeffs(arith_seq(), 0, 1)
+        d, b = arith_seq().restage_coeffs(0, 1)
         assert d.same_known(S((0, 1)))
         assert b.same_known(S((1, 1)))
 
     def test_order_precondition(self):
         # [TRIVIAL] j < t required
         with pytest.raises(InputError):
-            pcs_restage_coeffs(arith_seq(), 2, 2)
+            arith_seq().restage_coeffs(2, 2)
 
     def test_restage_identity(self):
         # [DERIVED] stage_j = d + b * stage_t on the common window
         seq = lacunary_sequence(QQ)
-        delta = Z(40)
-        d, b = pcs_restage_coeffs(seq, 1, 3)
-        lhs = pcs_stage(seq, 1, delta)
-        rhs = d + b * pcs_stage(seq, 3, delta)
-        assert (lhs - rhs).is_small(Z(30))
+        delta = 40
+        d, b = seq.restage_coeffs(1, 3)
+        lhs = seq.stage(1, delta)
+        rhs = d + b * seq.stage(3, delta)
+        assert (lhs - rhs).is_small(30)
 
 
 class TestClassify:
     def test_linear_transcendental(self):
         # [DERIVED] f = T: val(v_j) = 1 for all j >= 1
-        assert pcs_classify(arith_seq(), Poly.var(QQ, T)) == "transcendental-like"
+        assert arith_seq().classify(Poly.var(QQ, ZZ, T)) == "transcendental-like"
 
     def test_algebraic_like_before_tail(self):
         # [DERIVED] f = T - v_50: vals increase below 50, re-stabilize past it
         seq = arith_seq()
-        f = Poly.var(QQ, T) - Poly.const(seq.term(50))
+        f = Poly.var(QQ, ZZ, T) - Poly.const(seq.term(50))
         assert seq.classify(f, W=8) == "transcendental-like"  # window sits past 50
-        short = RuleSequence(QQ, {"kind": "arith", "a": Z(1), "b": Z(1)},
+        short = RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                              {"kind": "const", "c": 1}, horizon=40)
         # a window entirely below 50 sees strictly increasing values
         assert short.classify(f, W=8) == "algebraic-like"
 
     def test_constant_rejected(self):
         with pytest.raises(InputError):
-            pcs_classify(arith_seq(), Poly.const(ValuedSeries.one(QQ)))
+            arith_seq().classify(Poly.const(ValuedSeries.one(QQ, ZZ)))
 
     def test_stable_vals(self):
         # [DERIVED] f=T -> 1; f=1+T -> 0; f=T^2 -> 2
-        seq = arith_seq()
-        assert pcs_stable_val(seq, Poly.var(QQ, T)) == Z(1)
-        assert pcs_stable_val(seq, Poly.var(QQ, T) + Poly.const(ValuedSeries.one(QQ))) == Z(0)
-        assert pcs_stable_val(seq, Poly.var(QQ, T) ** 2) == Z(2)
+        # (a single sequence is a list of one)
+        seq = [arith_seq()]
+        assert stable_val_multi(Poly.var(QQ, ZZ, T), seq)[0] == 1
+        assert stable_val_multi(Poly.var(QQ, ZZ, T) + Poly.const(ValuedSeries.one(QQ, ZZ)),
+                                seq)[0] == 0
+        assert stable_val_multi(Poly.var(QQ, ZZ, T) ** 2, seq)[0] == 2
+
+    def test_any_variable_name(self):
+        # classify reads the polynomial's single variable, whatever its tag
+        f = Poly.var(QQ, ZZ, VarTag.stage(0, 3))
+        assert arith_seq().classify(f) == "transcendental-like"
 
 
 class TestPseudoConvergence:
@@ -137,8 +144,8 @@ class TestSerialization:
             assert back.term(j).same_known(seq.term(j))
 
     def test_table_roundtrip(self):
-        tab = TableSequence(QQ, [(Z(1), QQ.one()), (Z(3), QQ.from_int(2)),
-                                 (Z(4), QQ.one())])
+        tab = TableSequence(QQ, [(1, QQ.one()), (3, QQ.from_int(2)),
+                                 (4, QQ.one())])
         back = sequence_from_json(tab.to_json())
         assert back.term(2).same_known(tab.term(2))
         with pytest.raises(HorizonError):
@@ -147,8 +154,36 @@ class TestSerialization:
     def test_validation(self):
         with pytest.raises(InputError):
             # exponents must strictly increase
-            TableSequence(QQ, [(Z(3), QQ.one()), (Z(1), QQ.one())])
+            TableSequence(QQ, [(3, QQ.one()), (1, QQ.one())])
         with pytest.raises(InputError):
             # coefficients must be nonzero
-            RuleSequence(QQ, {"kind": "arith", "a": Z(1), "b": Z(1)},
+            RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                          {"kind": "const", "c": 0})
+
+
+class TestOtherGroups:
+    def test_rational_exponents(self):
+        # e_j = 1/2 + j/3: partial sums, gammas and stages live in Q
+        seq = RuleSequence(QQ, {"kind": "arith", "a": Fraction(1, 2), "b": Fraction(1, 3)},
+                           {"kind": "const", "c": 1}, horizon=60)
+        assert seq.group is RATIONALS
+        assert seq.gamma(3) == Fraction(3, 2)
+        assert seq.stage(2, Fraction(3)).is_unit()
+        assert stable_val_multi(Poly.var(QQ, RATIONALS, T) ** 2, [seq])[0] == 1
+        assert sequence_from_json(seq.to_json()).term(4).same_known(seq.term(4))
+
+    def test_lex_exponents(self):
+        seq = RuleSequence(QQ, {"kind": "geom", "a": (1, 1)}, {"kind": "const", "c": 1})
+        assert seq.group is Lex(2)
+        assert seq.gamma(2) == (4, 4)
+        assert seq.classify(Poly.var(QQ, Lex(2), T)) == "transcendental-like"
+
+    def test_mixed_rule_rejected(self):
+        with pytest.raises(InputError):
+            RuleSequence(QQ, {"kind": "arith", "a": 1, "b": Fraction(1, 2)},
+                         {"kind": "const", "c": 1})
+        with pytest.raises(InputError):
+            sequence_from_json({"seq": "rule", "field": "Q", "exp": {"kind": "arith", "a": 0, "b": "1/2"},
+                                "coeff": {"kind": "const", "c": "1/1"}})
+        with pytest.raises(InputError):
+            TableSequence(QQ, [((0, 1), QQ.one()), ((0, 1, 2), QQ.one())])

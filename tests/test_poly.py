@@ -2,77 +2,76 @@
 import pytest
 
 from valcert.fields import GF, QQ
-from valcert.group import GroupElement
+from valcert.group import INTEGERS as ZZ
 from valcert.poly import Poly, VarTag, sylvester_resultant
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
 Y0, Y1, Y2 = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
 
 
 def one(field=QQ):
-    return ValuedSeries.one(field)
+    return ValuedSeries.one(field, ZZ)
 
 
 class TestHasse:
     def test_second_of_square_char2(self):
         # [TRIVIAL] D^(2)(Y^2) = binom(2,2) = 1, valid over F2
         f2 = GF(2)
-        g = Poly.var(f2, Y0) ** 2
+        g = Poly.var(f2, ZZ, Y0) ** 2
         d = g.hasse_derivative({Y0: 2})
-        assert d.same_known(Poly.const(ValuedSeries.one(f2)))
+        assert d.same_known(Poly.const(ValuedSeries.one(f2, ZZ)))
 
     def test_first_of_cube(self):
         # [TRIVIAL] D^(1)(Y^3) = 3 Y^2
-        g = Poly.var(QQ, Y0) ** 3
+        g = Poly.var(QQ, ZZ, Y0) ** 3
         d = g.hasse_derivative({Y0: 1})
-        assert d.same_known((Poly.var(QQ, Y0) ** 2).scale(
-            ValuedSeries.scalar(QQ, QQ.from_int(3))))
+        assert d.same_known((Poly.var(QQ, ZZ, Y0) ** 2).scale(
+            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(3))))
 
     def test_mixed_bilinear(self):
         # [TRIVIAL] D^(1,1)(Y1*Y2) = 1
-        g = Poly.var(QQ, Y0) * Poly.var(QQ, Y1)
+        g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1)
         d = g.hasse_derivative({Y0: 1, Y1: 1})
         assert d.same_known(Poly.const(one()))
 
     def test_factorial_relation_over_Q(self):
         # n! * D^(n) equals the n-fold ordinary derivative over Q
-        g = Poly.var(QQ, Y0) ** 5 + (Poly.var(QQ, Y0) ** 2).scale(
-            ValuedSeries.t_power(QQ, Z(1)))
+        g = Poly.var(QQ, ZZ, Y0) ** 5 + (Poly.var(QQ, ZZ, Y0) ** 2).scale(
+            ValuedSeries.t_power(QQ, ZZ, 1))
         it = g
         for _ in range(3):
             it = it.derivative(Y0)
         hd = g.hasse_derivative({Y0: 3}).scale(
-            ValuedSeries.scalar(QQ, QQ.from_int(6)))
+            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(6)))
         assert hd.same_known(it)
 
 
 class TestAlgebra:
     def test_subs_poly(self):
-        g = Poly.var(QQ, Y0) ** 2
-        sub = Poly.var(QQ, Y1) + Poly.const(one())
+        g = Poly.var(QQ, ZZ, Y0) ** 2
+        sub = Poly.var(QQ, ZZ, Y1) + Poly.const(one())
         out = g.subs_poly(Y0, sub)
-        expect = (Poly.var(QQ, Y1) ** 2
-                  + Poly.var(QQ, Y1).scale(ValuedSeries.scalar(QQ, QQ.from_int(2)))
+        expect = (Poly.var(QQ, ZZ, Y1) ** 2
+                  + Poly.var(QQ, ZZ, Y1).scale(ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2)))
                   + Poly.const(one()))
         assert out.same_known(expect)
 
     def test_rename_merges(self):
-        g = Poly.var(QQ, Y0) + Poly.var(QQ, Y1)
+        g = Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1)
         out = g.rename({Y1: Y0})
-        assert out.same_known(Poly.var(QQ, Y0).scale(
-            ValuedSeries.scalar(QQ, QQ.from_int(2))))
+        assert out.same_known(Poly.var(QQ, ZZ, Y0).scale(
+            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2))))
 
     def test_eval_series(self):
-        g = Poly.var(QQ, Y0) ** 2 + Poly.const(one())
-        t = ValuedSeries.t_power(QQ, Z(1))
+        g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.const(one())
+        t = ValuedSeries.t_power(QQ, ZZ, 1)
         assert g.eval_series({Y0: t}).same_known(
-            ValuedSeries(QQ, [(Z(0), QQ.one()), (Z(2), QQ.one())]))
+            ValuedSeries(QQ, ZZ, [(0, QQ.one()), (2, QQ.one())]))
 
     def test_json_roundtrip(self):
-        g = (Poly.var(QQ, Y0) * Poly.var(QQ, Y1)
-             + Poly.var(QQ, Y0).scale(ValuedSeries.t_power(QQ, Z(2))))
-        assert Poly.from_json(g.to_json(), QQ).same_known(g)
+        g = (Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1)
+             + Poly.var(QQ, ZZ, Y0).scale(ValuedSeries.t_power(QQ, ZZ, 2)))
+        assert Poly.from_json(g.to_json(), QQ, ZZ).same_known(g)
 
     def test_vartag_sorting_and_json(self):
         tags = [VarTag.stage(1, 3), VarTag.orig(0), VarTag.dup(2, "z")]
@@ -85,17 +84,17 @@ class TestResultant:
         # [DERIVED] Res_Y(Y^2 - A, Y^3 - B) vanishes iff A^3 = B^2:
         # check it equals +/-(B^2 - A^3) coefficientwise.
         A, B, Y = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
-        p = Poly.var(QQ, Y) ** 2 - Poly.var(QQ, A)
-        q = Poly.var(QQ, Y) ** 3 - Poly.var(QQ, B)
+        p = Poly.var(QQ, ZZ, Y) ** 2 - Poly.var(QQ, ZZ, A)
+        q = Poly.var(QQ, ZZ, Y) ** 3 - Poly.var(QQ, ZZ, B)
         r = sylvester_resultant(p, q, Y)
-        target = Poly.var(QQ, B) ** 2 - Poly.var(QQ, A) ** 3
+        target = Poly.var(QQ, ZZ, B) ** 2 - Poly.var(QQ, ZZ, A) ** 3
         assert r.same_known(target) or r.same_known(-target)
 
     def test_linear_pair(self):
         # Res_Y(Y - A, Y - B) = +/-(A - B)
         Y = VarTag.orig(2)
-        p = Poly.var(QQ, Y) - Poly.var(QQ, Y0)
-        q = Poly.var(QQ, Y) - Poly.var(QQ, Y1)
+        p = Poly.var(QQ, ZZ, Y) - Poly.var(QQ, ZZ, Y0)
+        q = Poly.var(QQ, ZZ, Y) - Poly.var(QQ, ZZ, Y1)
         r = sylvester_resultant(p, q, Y)
-        t = Poly.var(QQ, Y0) - Poly.var(QQ, Y1)
+        t = Poly.var(QQ, ZZ, Y0) - Poly.var(QQ, ZZ, Y1)
         assert r.same_known(t) or r.same_known(-t)

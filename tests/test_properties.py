@@ -6,53 +6,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcert.fields import GF, QQ
-from valcert.group import INF, GroupElement, gv_solve_scalar
+from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.pcs import RuleSequence
 from valcert.poly import Poly, VarTag
 from valcert.separation import sep_multi, sep_tail
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
-L = GroupElement.of_lex
-
 ints = st.integers(min_value=-50, max_value=50)
-group_elems = st.one_of(
-    ints.map(Z),
-    st.tuples(ints, ints).map(lambda t: L(*t)),
-    st.fractions(min_value=-20, max_value=20).map(GroupElement.of_fraction),
-)
+# each value group with a strategy for its raw elements
+GROUPS = [(ZZ, ints),
+          (RATIONALS, st.fractions(min_value=-20, max_value=20)),
+          (Lex(2), st.tuples(ints, ints))]
 
 
-def same_variant(a, b):
-    return a.kind == b.kind and (a.kind != "lex" or len(a.value) == len(b.value))
+def in_one_group(n):
+    """A group and n of its elements."""
+    return st.sampled_from(GROUPS).flatmap(
+        lambda ge: st.tuples(st.just(ge[0]), *[ge[1]] * n))
 
 
 class TestGroupLaws:
-    @given(ints, ints, ints)
-    def test_associative_commutative(self, a, b, c):
-        x, y, z = Z(a), Z(b), Z(c)
-        assert (x + y) + z == x + (y + z)
-        assert x + y == y + x
-        assert x + Z(0) == x
+    @given(in_one_group(3))
+    def test_associative_commutative(self, gxyz):
+        G, x, y, z = gxyz
+        assert G.add(G.add(x, y), z) == G.add(x, G.add(y, z))
+        assert G.add(x, y) == G.add(y, x)
+        assert G.add(x, G.zero()) == x
+        assert G.add(x, G.neg(x)) == G.zero()
+        assert G.sub(G.add(x, y), y) == x
 
-    @given(ints, ints)
-    def test_order_translation_invariant(self, a, b):
-        # a <= b iff a + c <= b + c
-        x, y, c = Z(a), Z(b), Z(17)
-        assert (x < y) == (x + c < y + c)
+    @given(in_one_group(3))
+    def test_order_translation_invariant(self, gxyz):
+        # x < y iff x + c < y + c, lexicographically for tuples
+        G, x, y, c = gxyz
+        assert (x < y) == (G.add(x, c) < G.add(y, c))
 
-    @given(st.integers(min_value=-6, max_value=6).filter(bool), ints)
-    def test_solve_scalar_solves(self, t, d):
-        sol = gv_solve_scalar(t, Z(d))
+    @given(st.integers(min_value=-6, max_value=6).filter(bool), ints, ints)
+    def test_solve_scalar_solves(self, t, d, d2):
+        sol = ZZ.solve_scalar(t, d)
         if sol is not None:
-            assert sol.scale(t) == Z(d)
+            assert ZZ.scale(sol, t) == d
         else:
             assert d % t != 0
+        sol = Lex(2).solve_scalar(t, (d, d2))
+        if sol is not None:
+            assert Lex(2).scale(sol, t) == (d, d2)
+        else:
+            assert d % t or d2 % t
+        assert RATIONALS.scale(RATIONALS.solve_scalar(t, Fraction(d)), t) == d
 
-    @given(group_elems)
-    def test_infinity_tops(self, x):
-        assert x < INF
-        assert (x + INF).is_infinity
+    @given(in_one_group(1))
+    def test_infinity_tops(self, gx):
+        _, x = gx
+        assert x < INF and INF > x and x <= INF and INF >= x
+        assert not INF < x and x != INF and min(x, INF) == x
 
 
 series_terms = st.lists(
@@ -62,7 +69,7 @@ series_terms = st.lists(
 
 
 def mk_series(pairs):
-    return ValuedSeries(QQ, [(Z(e), Fraction(c)) for e, c in pairs])
+    return ValuedSeries(QQ, ZZ, [(e, Fraction(c)) for e, c in pairs])
 
 
 class TestUltrametric:
@@ -71,8 +78,8 @@ class TestUltrametric:
         x, y = mk_series(xs), mk_series(ys)
         s = x + y
         vx, vy, vs = x.val_lower(), y.val_lower(), s.val_lower()
-        assert vs >= min(vx, vy) or vs.is_infinity
-        if not vx.is_infinity and not vy.is_infinity and vx != vy:
+        assert vs >= min(vx, vy)
+        if vx is not INF and vy is not INF and vx != vy:
             assert s.val() == min(vx, vy)
 
     @given(series_terms, series_terms)
@@ -87,7 +94,7 @@ class TestUltrametric:
         x = mk_series(xs)
         if not x.terms:
             return
-        t3 = ValuedSeries.t_power(QQ, Z(3))
+        t3 = ValuedSeries.t_power(QQ, ZZ, 3)
         assert (x * t3).div(t3).same_known(x)
 
 
@@ -97,7 +104,7 @@ class TestPseudoConvergence:
            st.permutations([0, 1, 2, 3]))
     @settings(max_examples=30)
     def test_gap_inequality(self, a, b, _perm):
-        seq = RuleSequence(QQ, {"kind": "arith", "a": Z(a), "b": Z(b)},
+        seq = RuleSequence(QQ, {"kind": "arith", "a": a, "b": b},
                            {"kind": "const", "c": 1}, horizon=60)
         for (i, j, k) in [(0, 1, 2), (3, 7, 11), (2, 10, 20)]:
             vi, vj, vk = seq.term(i), seq.term(j), seq.term(k)
@@ -117,9 +124,9 @@ class TestSeparationBruteForce:
         pairs = list(zip(betas, ts))
         if len(set(pairs)) != len(pairs):
             return  # hypothesis of the lemma violated
-        gamma = [Z(s) for s in range(1, 101)]
+        gamma = [s for s in range(1, 101)]
         try:
-            cert = sep_tail([Z(b) for b in betas], ts, gamma)
+            cert = sep_tail([b for b in betas], ts, gamma)
         except Exception:
             return  # horizon/hypothesis failures are allowed, not wrong answers
         nu, r = cert.data["nu"], cert.data["r"]
@@ -141,8 +148,8 @@ class TestSeparationBruteForce:
            st.integers(min_value=0, max_value=5))
     @settings(max_examples=25, deadline=None)
     def test_multi_distinctness(self, b0, b1):
-        g = [Z(s) for s in range(1, 61)]
-        cert = sep_multi([[0], [1], [0, 1]], [Z(b0), Z(b1), Z(0)],
+        g = [s for s in range(1, 61)]
+        cert = sep_multi([[0], [1], [0, 1]], [b0, b1, 0],
                          [1, 2], [g, g], [0, 0])
         j0, j1 = cert.data["js"]
         vals = {b0 + j0, b1 + 2 * j1, j0 + 2 * j1}
@@ -160,10 +167,10 @@ class TestHasseLeibniz:
         from math import comb
         for field in (QQ, GF(2), GF(3)):
             tag = VarTag.orig(0)
-            g = (Poly.var(field, tag) ** n).scale(
-                ValuedSeries.scalar(field, field.from_int(c)))
+            g = (Poly.var(field, ZZ, tag) ** n).scale(
+                ValuedSeries.scalar(field, ZZ, field.from_int(c)))
             d = g.hasse_derivative({tag: k})
-            expect = (Poly.var(field, tag) ** (n - k)).scale(
-                ValuedSeries.scalar(field, field.from_int(c * comb(n, k)))) \
-                if k <= n else Poly.zero(field)
+            expect = (Poly.var(field, ZZ, tag) ** (n - k)).scale(
+                ValuedSeries.scalar(field, ZZ, field.from_int(c * comb(n, k)))) \
+                if k <= n else Poly.zero(field, ZZ)
             assert d.same_known(expect)

@@ -13,7 +13,7 @@ import pytest
 
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
-from valcert.group import GroupElement
+from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import (RewriteCert, rw_bivariate_charp,
@@ -24,12 +24,11 @@ from valcert.rewrite import (RewriteCert, rw_bivariate_charp,
                              verify_rewrite)
 from valcert.series import ValuedSeries
 
-Z = GroupElement.of_int
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
 
 
 def tpow(field, e, c=1):
-    return ValuedSeries(field, [(Z(e), field.from_int(c))])
+    return ValuedSeries(field, ZZ, [(e, field.from_int(c))])
 
 
 class TestTaylor:
@@ -37,10 +36,10 @@ class TestTaylor:
         # [TRIVIAL] (v + s Y')^2 = v^2 + 2vs Y' + s^2 Y'^2
         v, s = tpow(QQ, 1), tpow(QQ, 2)
         new = VarTag.stage(0, 0)
-        out = taylor_recenter(Poly.var(QQ, Y0) ** 2, {Y0: v}, {Y0: s}, {Y0: new})
+        out = taylor_recenter(Poly.var(QQ, ZZ, Y0) ** 2, {Y0: v}, {Y0: s}, {Y0: new})
         expect = (Poly.const(v * v)
-                  + Poly.var(QQ, new).scale(v * s * ValuedSeries.scalar(QQ, QQ.from_int(2)))
-                  + (Poly.var(QQ, new) ** 2).scale(s * s))
+                  + Poly.var(QQ, ZZ, new).scale(v * s * ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2)))
+                  + (Poly.var(QQ, ZZ, new) ** 2).scale(s * s))
         assert out.same_known(expect)
 
     def test_constant_unchanged(self):
@@ -52,12 +51,12 @@ class TestTaylor:
         # [TRIVIAL] (v0+s0A)(v1+s1B) expands to four terms
         v0, s0, v1, s1 = tpow(QQ, 1), tpow(QQ, 2), tpow(QQ, 3), tpow(QQ, 4)
         a, b = VarTag.stage(0, 0), VarTag.stage(1, 0)
-        out = taylor_recenter(Poly.var(QQ, Y0) * Poly.var(QQ, Y1),
+        out = taylor_recenter(Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1),
                               {Y0: v0, Y1: v1}, {Y0: s0, Y1: s1},
                               {Y0: a, Y1: b})
-        expect = (Poly.const(v0 * v1) + Poly.var(QQ, a).scale(s0 * v1)
-                  + Poly.var(QQ, b).scale(v0 * s1)
-                  + (Poly.var(QQ, a) * Poly.var(QQ, b)).scale(s0 * s1))
+        expect = (Poly.const(v0 * v1) + Poly.var(QQ, ZZ, a).scale(s0 * v1)
+                  + Poly.var(QQ, ZZ, b).scale(v0 * s1)
+                  + (Poly.var(QQ, ZZ, a) * Poly.var(QQ, ZZ, b)).scale(s0 * s1))
         assert out.same_known(expect)
 
     @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)])
@@ -80,17 +79,17 @@ def _char_or(field):
 
 def _random_poly(rng, field, nvars, deg):
     tags = [Y0, Y1][:nvars]
-    g = Poly.zero(field)
+    g = Poly.zero(field, ZZ)
     for _ in range(rng.randint(1, 5)):
-        mono = Poly.const(ValuedSeries.scalar(field, field.from_int(rng.randint(1, 6))))
+        mono = Poly.const(ValuedSeries.scalar(field, ZZ, field.from_int(rng.randint(1, 6))))
         total = 0
         for tag in tags:
             k = rng.randint(0, deg - total)
             total += k
-            mono = mono * (Poly.var(field, tag) ** k)
+            mono = mono * (Poly.var(field, ZZ, tag) ** k)
         g = g + mono.scale(tpow(field, rng.randint(0, 2)))
     if g.is_zero():
-        g = Poly.const(ValuedSeries.one(field))
+        g = Poly.const(ValuedSeries.one(field, ZZ))
     return g
 
 
@@ -99,7 +98,7 @@ class TestMultilinear:
         # [TRIVIAL] deg_{Y0} = 2 is outside the multilinear fragment
         seq = lacunary_sequence(QQ)
         with pytest.raises(InputError):
-            rw_pair_square(Poly.var(QQ, Y1) - Poly.var(QQ, Y0) ** 2, [seq, seq])
+            rw_pair_square(Poly.var(QQ, ZZ, Y1) - Poly.var(QQ, ZZ, Y0) ** 2, [seq, seq])
 
     def test_pair_square_constant(self):
         # [TRIVIAL] constant g: c = g, g1 = 1
@@ -111,7 +110,7 @@ class TestMultilinear:
     def test_pair_square_linear(self):
         # [DERIVED] g = Y0 + t*Y1 over geometric partial sums
         seq = lacunary_sequence(QQ)
-        g = Poly.var(QQ, Y0) + Poly.var(QQ, Y1).scale(tpow(QQ, 1))
+        g = Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1).scale(tpow(QQ, 1))
         cert = rw_pair_square(g, [seq, seq])
         cert.verify()
         RewriteCert.from_json(json.loads(json.dumps(cert.to_json()))).verify()
@@ -119,36 +118,36 @@ class TestMultilinear:
     def test_mono_triple_product(self):
         # [DERIVED] g = Y0*Y1*Y2 over three lacunary sequences
         seqs = [lacunary_sequence(QQ) for _ in range(3)]
-        g = Poly.var(QQ, Y0) * Poly.var(QQ, Y1) * Poly.var(QQ, VarTag.orig(2))
+        g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) * Poly.var(QQ, ZZ, VarTag.orig(2))
         cert = rw_multilinear_mono(g, seqs, nus=[0, 0, 0])
         cert.verify()
 
     def test_mono_affine(self):
         # [DERIVED] g = 1 + t*Y0
         seq = lacunary_sequence(QQ)
-        g = Poly.const(ValuedSeries.one(QQ)) + Poly.var(QQ, Y0).scale(tpow(QQ, 1))
+        g = Poly.const(ValuedSeries.one(QQ, ZZ)) + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
         rw_multilinear_mono(g, [seq], nus=[0]).verify()
 
     def test_full_multilinear(self):
         # [DERIVED] g = 1 + Y0 + Y1 + Y0Y1 over two lacunary sequences
         seqs = [lacunary_sequence(QQ),
-                RuleSequence(QQ, {"kind": "geom", "a": Z(3)},
+                RuleSequence(QQ, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
-        g = (Poly.const(ValuedSeries.one(QQ)) + Poly.var(QQ, Y0)
-             + Poly.var(QQ, Y1) + Poly.var(QQ, Y0) * Poly.var(QQ, Y1))
+        g = (Poly.const(ValuedSeries.one(QQ, ZZ)) + Poly.var(QQ, ZZ, Y0)
+             + Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1))
         cert = rw_multilinear(g, seqs, nus=[0, 0])
         cert.verify()
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
-            rw_multilinear(Poly.zero(QQ), [lacunary_sequence(QQ)], nus=[0])
+            rw_multilinear(Poly.zero(QQ, ZZ), [lacunary_sequence(QQ)], nus=[0])
 
 
 class TestUnivariate:
     def test_linear_identity(self):
         # [TRIVIAL] g = Y: G1 = v_t + s_t*Y_t, c = scale s_t
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate_pfree(Poly.var(QQ, Y0), seq)
+        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0), seq)
         t = cert.indices[0]
         assert cert.c.same_known(seq.scale(t))
         cert.verify()
@@ -157,19 +156,19 @@ class TestUnivariate:
         # [DERIVED] exponents 1, 3 both odd: admissible over F2
         f2 = GF(2)
         seq = lacunary_sequence(f2)
-        g = Poly.var(f2, Y0) ** 3 + Poly.var(f2, Y0)
+        g = Poly.var(f2, ZZ, Y0) ** 3 + Poly.var(f2, ZZ, Y0)
         rw_univariate_pfree(g, seq).verify()
 
     def test_pfree_rejects_square_char2(self):
         # [TRIVIAL] exponent 2 is divisible by p = 2
         f2 = GF(2)
         with pytest.raises(InputError):
-            rw_univariate_pfree(Poly.var(f2, Y0) ** 2, lacunary_sequence(f2))
+            rw_univariate_pfree(Poly.var(f2, ZZ, Y0) ** 2, lacunary_sequence(f2))
 
     def test_quadratic_domination(self):
         # [DERIVED] every degree->=2 coefficient of G1 has val > val(c)
         seq = lacunary_sequence(QQ)
-        g = Poly.var(QQ, Y0) ** 2 + Poly.var(QQ, Y0).scale(tpow(QQ, 1))
+        g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
         cert = rw_univariate_pfree(g, seq)
         cv = cert.c.val()
         for mono, coeff in cert.G1.monos.items():
@@ -197,7 +196,7 @@ class TestCharPFixtures:
     def setup_method(self):
         self.f2 = GF(2)
         self.seq = lacunary_sequence(self.f2)
-        self.Y = Poly.var(self.f2, Y0)
+        self.Y = Poly.var(self.f2, ZZ, Y0)
 
     def test_co_case_tags(self):
         cases = {}
@@ -210,9 +209,9 @@ class TestCharPFixtures:
 
     def test_co_prime_multipliers(self):
         seqs = [lacunary_sequence(self.f2),
-                RuleSequence(self.f2, {"kind": "geom", "a": Z(3)},
+                RuleSequence(self.f2, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
-        B = Poly.var(self.f2, Y1)
+        B = Poly.var(self.f2, ZZ, Y1)
         mults = {}
         for name, f in [("Y1", self.Y), ("Y1^2", self.Y ** 2),
                         ("Y1^2Y2^2", self.Y ** 2 * B ** 2)]:
@@ -228,15 +227,15 @@ class TestBivariate:
     def test_pfree_product_plus_linear(self):
         # [DERIVED] g = Y1*Y2 + Y1 over Q
         seqs = [lacunary_sequence(QQ),
-                RuleSequence(QQ, {"kind": "geom", "a": Z(3)},
+                RuleSequence(QQ, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
-        g = Poly.var(QQ, Y0) * Poly.var(QQ, Y1) + Poly.var(QQ, Y0)
+        g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
         rw_bivariate_pfree(g, seqs).verify()
 
     def test_pfree_rejects_divisible_exponent(self):
         # [TRIVIAL] Y1^2*Y2 over F2
         f2 = GF(2)
-        g = Poly.var(f2, Y0) ** 2 * Poly.var(f2, Y1)
+        g = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1)
         with pytest.raises(InputError):
             rw_bivariate_pfree(g, [lacunary_sequence(f2)] * 2)
 
@@ -244,7 +243,7 @@ class TestBivariate:
 class TestTamper:
     def test_swapped_index(self):
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate_pfree(Poly.var(QQ, Y0) ** 2, seq)
+        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
         bad = copy.deepcopy(cert.to_json())
         bad["indices"][0] += 1
         with pytest.raises(VerificationError):
@@ -252,7 +251,7 @@ class TestTamper:
 
     def test_perturbed_coefficient(self):
         seq = lacunary_sequence(QQ)
-        g = Poly.var(QQ, Y0) ** 2 + Poly.var(QQ, Y0).scale(tpow(QQ, 1))
+        g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
         cert = rw_univariate_pfree(g, seq)
         bad = copy.deepcopy(cert.to_json())
         mono, coeff = bad["G1"][0]

@@ -6,19 +6,18 @@ import pytest
 
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
-from valcert.group import GroupElement
+from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
 from valcert.smooth import (SmoothCert, SmoothPresentation, sm_check,
                             sm_family, sm_fraction, sm_pair, sm_verify)
 
-Z = GroupElement.of_int
 Y0 = VarTag.orig(0)
 
 
 def tpow(field, e, c=1):
-    return ValuedSeries(field, [(Z(e), field.from_int(c))])
+    return ValuedSeries(field, ZZ, [(e, field.from_int(c))])
 
 
 def roundtrip_verify(cert):
@@ -29,19 +28,18 @@ class TestPresentationCheck:
     def test_polynomial_algebra_passes(self):
         # [TRIVIAL] one generator, no relations: empty minor is a unit
         seq = lacunary_sequence(QQ)
-        pres = SmoothPresentation(QQ, [(VarTag.stage(0, 1), seq.stage(1, Z(30)))],
-                                  [], 0)
-        sm_check(pres, Z(10))
+        pres = SmoothPresentation(QQ, ZZ, [(VarTag.stage(0, 1), seq.stage(1, 30))], [], 0)
+        sm_check(pres, 10)
 
     def test_nonunit_minor_fails(self):
         # [TRIVIAL] relation t*Y0' - t*Y1' has Jacobian entries of val 1
         seq = lacunary_sequence(QQ)
         a, b = VarTag.stage(0, 1), VarTag.stage(1, 1)
-        img = seq.stage(1, Z(30))
-        rel = Poly.var(QQ, a).scale(tpow(QQ, 1)) - Poly.var(QQ, b).scale(tpow(QQ, 1))
-        pres = SmoothPresentation(QQ, [(a, img), (b, img)], [rel], 0)
+        img = seq.stage(1, 30)
+        rel = Poly.var(QQ, ZZ, a).scale(tpow(QQ, 1)) - Poly.var(QQ, ZZ, b).scale(tpow(QQ, 1))
+        pres = SmoothPresentation(QQ, ZZ, [(a, img), (b, img)], [rel], 0)
         with pytest.raises(VerificationError) as exc:
-            sm_check(pres, Z(10))
+            sm_check(pres, 10)
         assert "jacobian" in str(exc.value)
 
 
@@ -49,27 +47,26 @@ class TestPair:
     def test_identity_polynomial(self):
         # [DERIVED] f = Y, canonical d: z = y/d unit; polynomial branch
         for field in (QQ, GF(5)):
-            cert = sm_pair(Poly.var(field, Y0), lacunary_sequence(field))
+            cert = sm_pair(Poly.var(field, ZZ, Y0), lacunary_sequence(field))
             assert cert.branch == "d-divides-c"
             roundtrip_verify(cert)
 
     def test_explicit_unit_d(self):
         # [DERIVED] f = Y, d = t: z = y/t is a unit for val(y) = 1
-        cert = sm_pair(Poly.var(QQ, Y0), lacunary_sequence(QQ), d=tpow(QQ, 1))
+        cert = sm_pair(Poly.var(QQ, ZZ, Y0), lacunary_sequence(QQ), d=tpow(QQ, 1))
         roundtrip_verify(cert)
 
     def test_val_mismatch_rejected(self):
         # [TRIVIAL] val(f(y)) = 1 < val(d) = 5: z not in V'
         with pytest.raises(InputError):
-            sm_pair(Poly.var(QQ, Y0), lacunary_sequence(QQ), d=tpow(QQ, 5))
+            sm_pair(Poly.var(QQ, ZZ, Y0), lacunary_sequence(QQ), d=tpow(QQ, 5))
 
     def test_adjoined_generator_branch(self):
         # [DERIVED] f = Y - (t + t^2): val(f(y0)) = 4 while the recentring
         # constant has val 2, so z must be adjoined with a relation
         for field in (QQ, GF(5)):
-            approx = Poly.const(ValuedSeries(
-                field, [(Z(1), field.one()), (Z(2), field.one())]))
-            cert = sm_pair(Poly.var(field, Y0) - approx, lacunary_sequence(field))
+            approx = Poly.const(ValuedSeries(field, ZZ, [(1, field.one()), (2, field.one())]))
+            cert = sm_pair(Poly.var(field, ZZ, Y0) - approx, lacunary_sequence(field))
             assert cert.branch == "c-divides-d"
             assert len(cert.pres.generators) == 2
             assert len(cert.pres.relations) == 1
@@ -79,10 +76,10 @@ class TestPair:
         # [DERIVED] f = Y^2 over F2 goes through the case2 rewrite; the
         # divide-back-out step needs a unit pseudo-limit (first exponent 0)
         f2 = GF(2)
-        unit_seq = RuleSequence(f2, {"kind": "list", "values": [Z(0)],
-                                     "step": Z(2)},
+        unit_seq = RuleSequence(f2, {"kind": "list", "values": [0],
+                                     "step": 2},
                                 {"kind": "const", "c": f2.one()}, horizon=300)
-        cert = sm_pair(Poly.var(f2, Y0) ** 2, unit_seq)
+        cert = sm_pair(Poly.var(f2, ZZ, Y0) ** 2, unit_seq)
         assert cert.problem["case2"] is True
         roundtrip_verify(cert)
 
@@ -91,7 +88,7 @@ class TestPair:
         # unit hypothesis and is refused rather than silently mis-witnessed
         f2 = GF(2)
         with pytest.raises(InputError):
-            sm_pair(Poly.var(f2, Y0) ** 2, lacunary_sequence(f2))
+            sm_pair(Poly.var(f2, ZZ, Y0) ** 2, lacunary_sequence(f2))
 
     def test_constant_f(self):
         # constant f: z is a scalar unit, algebra is V[y_t]
@@ -101,19 +98,19 @@ class TestPair:
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
-            sm_pair(Poly.zero(QQ), lacunary_sequence(QQ))
+            sm_pair(Poly.zero(QQ, ZZ), lacunary_sequence(QQ))
 
 
 class TestFamily:
     def test_single_delegates_to_pair(self):
-        cert = sm_family([Poly.var(QQ, Y0)], lacunary_sequence(QQ))
+        cert = sm_family([Poly.var(QQ, ZZ, Y0)], lacunary_sequence(QQ))
         assert cert.kind == "pair"
 
     def test_spec_pair_family(self):
         # [DERIVED] n=2, f1 = Y, f2 = Y + t: two relations, check passes
         for field in (QQ, GF(5)):
-            fs = [Poly.var(field, Y0),
-                  Poly.var(field, Y0) + Poly.const(tpow(field, 1))]
+            fs = [Poly.var(field, ZZ, Y0),
+                  Poly.var(field, ZZ, Y0) + Poly.const(tpow(field, 1))]
             cert = sm_family(fs, lacunary_sequence(field))
             assert len(cert.pres.relations) == 2
             sm_check(cert.pres, cert.delta)
@@ -123,14 +120,14 @@ class TestFamily:
         # quadratic second member forces a genuine resultant relation
         field = GF(5)
         t = tpow(field, 1)
-        fs = [Poly.var(field, Y0),
-              Poly.var(field, Y0) ** 2 + Poly.var(field, Y0).scale(t)]
+        fs = [Poly.var(field, ZZ, Y0),
+              Poly.var(field, ZZ, Y0) ** 2 + Poly.var(field, ZZ, Y0).scale(t)]
         cert = sm_family(fs, lacunary_sequence(field))
         roundtrip_verify(cert)
 
     def test_three_members(self):
         field = GF(5)
-        V = Poly.var(field, Y0)
+        V = Poly.var(field, ZZ, Y0)
         t = tpow(field, 1)
         cert = sm_family([V, V ** 2 + V.scale(t), V ** 3 + Poly.const(t) * V],
                          lacunary_sequence(field))
@@ -141,21 +138,21 @@ class TestFamily:
     def test_proportional_pair(self):
         # f2 = 3*f1: the resultant degenerates; a linear relation is used
         field = QQ
-        V = Poly.var(field, Y0)
-        three = ValuedSeries.scalar(field, field.from_int(3))
+        V = Poly.var(field, ZZ, Y0)
+        three = ValuedSeries.scalar(field, ZZ, field.from_int(3))
         cert = sm_family([V, V.scale(three)], lacunary_sequence(field))
         roundtrip_verify(cert)
 
     def test_zero_member_rejected(self):
         with pytest.raises(InputError):
-            sm_family([Poly.var(QQ, Y0), Poly.zero(QQ)], lacunary_sequence(QQ))
+            sm_family([Poly.var(QQ, ZZ, Y0), Poly.zero(QQ, ZZ)], lacunary_sequence(QQ))
 
 
 class TestFraction:
     def test_square_over_linear(self):
         # [DERIVED] f1 = Y^2, f2 = Y: the fraction is y0 itself
         for field in (QQ, GF(5)):
-            V = Poly.var(field, Y0)
+            V = Poly.var(field, ZZ, Y0)
             cert = sm_fraction(V ** 2, V, lacunary_sequence(field))
             names = [w.name for w in cert.witnesses]
             assert "f1/f2" in names
@@ -163,7 +160,7 @@ class TestFraction:
 
     def test_bad_valuations_rejected(self):
         # [TRIVIAL] val(y0) = 1 > 0: y0/y0^2 leaves V'
-        V = Poly.var(QQ, Y0)
+        V = Poly.var(QQ, ZZ, Y0)
         with pytest.raises(InputError):
             sm_fraction(V, V ** 2, lacunary_sequence(QQ))
 
@@ -171,7 +168,7 @@ class TestFraction:
 class TestTamper:
     def _cert_json(self):
         field = GF(5)
-        V = Poly.var(field, Y0)
+        V = Poly.var(field, ZZ, Y0)
         cert = sm_family([V, V ** 2 + V.scale(tpow(field, 1))],
                          lacunary_sequence(field))
         return json.loads(json.dumps(cert.to_json()))
