@@ -17,7 +17,7 @@ from .errors import (HorizonError, InconclusiveError, InputError,
                      UndecidedError, VerificationError)
 from .fields import characteristic, field_from_json
 from .group import element_from_json
-from .pcs import sequence_from_json
+from .pcs import TableSequence, sequence_from_json
 from .poly import Poly
 from .rewrite import (rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
                       rw_multilinear_mono, rw_pair_square, rw_univariate_charp,
@@ -51,7 +51,9 @@ def _load_stream(spec, horizon: int):
 def _load_seq(spec, horizon):
     seq = sequence_from_json(spec)
     if horizon is not None:
-        seq.horizon = horizon
+        # A term table has no terms past its length, whatever --horizon says.
+        seq.horizon = (min(horizon, seq.horizon) if isinstance(seq, TableSequence)
+                       else horizon)
     return seq
 
 

@@ -150,10 +150,13 @@ class RuleSequence(PseudoSequence):
             elements = [rule["a"], rule["b"]] if kind == "arith" else [rule["a"]]
         self.group = group_of(elements[0])
         self.group.check(*elements)
-        e0, e1 = self._exp(0), self._exp(1)
-        if e0 < self.group.zero():
+        # Every later step is a positive multiple of the last step checked
+        # here: b for arith, a * 2^j for geom, step for a list's tail.
+        count = len(rule["values"]) + 1 if kind == "list" else 2
+        exps = [self._exp(j) for j in range(count)]
+        if exps[0] < self.group.zero():
             raise InputError("exponents must be >= 0")
-        if not e0 < e1:
+        if not all(a < b for a, b in zip(exps, exps[1:])):
             raise InputError("exponent rule must be strictly increasing")
 
     def _exp(self, j: int):
@@ -286,7 +289,9 @@ class DerivedSequence(PseudoSequence):
     """Partial-sum sequence of a series given by a materialization callback.
 
     materialize(delta) must return the series known below delta (exact
-    results are accepted and simply bound the available terms).
+    results are accepted and simply bound the available terms).  Terms
+    are materialized only as far as they are read; a certificate embeds
+    a `snapshot` of the prefix it needs.
     """
 
     def __init__(self, field: Field, materialize: Callable[[object], ValuedSeries],
@@ -314,9 +319,6 @@ class DerivedSequence(PseudoSequence):
         """Freeze the first `count` terms into a serializable table sequence."""
         self.term_pair(count - 1)
         return TableSequence(self.field, list(self._series.terms[:count]))
-
-    def to_json(self):
-        return self.snapshot(min(self.horizon, max(2, len(self._series.terms)))).to_json()
 
 
 def lacunary_sequence(field: Field, horizon: int = DEFAULT_HORIZON,

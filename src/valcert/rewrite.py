@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import (InputError, NotStabilizedError, UndecidedError,
-                     VerificationError)
+from .errors import (HorizonError, InputError, NotStabilizedError,
+                     UndecidedError, VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
-from .pcs import DEFAULT_WINDOW, PseudoSequence, sequence_from_json, val_at_index
+from .pcs import (DEFAULT_WINDOW, DerivedSequence, PseudoSequence,
+                  sequence_from_json, val_at_index)
 from .poly import Poly, VarTag
 from .separation import separate_indices
 from .series import ValuedSeries
@@ -186,7 +187,11 @@ class RewriteCert:
                            self.seqs, self.indices)
 
     def verify(self) -> None:
-        recomputed = self._recompute()
+        try:
+            recomputed = self._recompute()
+        except HorizonError as exc:
+            # Recentring at index t reads t + 2 terms of the sequence.
+            raise VerificationError("indices", f"sequence too short: {exc}")
         if not recomputed.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
         vals = {}
@@ -241,14 +246,20 @@ def verify_rewrite(obj) -> None:
 
 # -- The certification engine ------------------------------------------
 
-def _build_streams(seqs: Sequence[PseudoSequence]):
-    """Separation streams: stream[e][s-1] = gamma_{e, s-1} (sep index s maps
-    to sequence index s-1); capped one below the horizon so the scale at
-    the chosen index is always available."""
-    out = []
-    for seq in seqs:
-        out.append([seq.gamma(j) for j in range(seq.horizon - 1)])
-    return out
+class _GammaStream:
+    """Separation stream of one sequence: stream[s-1] = gamma_{s-1} (sep
+    index s maps to sequence index s-1), read from the sequence only when
+    asked for; capped one below the horizon so the scale at the chosen
+    index is always available."""
+
+    def __init__(self, seq: PseudoSequence):
+        self._seq = seq
+
+    def __len__(self) -> int:
+        return self._seq.horizon - 1
+
+    def __getitem__(self, i: int):
+        return self._seq.gamma(i)
 
 
 def _case_tag(vals: Dict[tuple, object]) -> str:
@@ -269,7 +280,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
     if h.is_zero():
         raise InputError("polynomial must be nonzero")
     betas = _stable_betas(h, seqs, W)
-    streams = _build_streams(seqs)
+    streams = [_GammaStream(seq) for seq in seqs]
     min_idx = []
     for e, nu in enumerate(nus):
         starts = [start for k, (_, start) in betas.items() if k[e]]
@@ -295,7 +306,10 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
                 c_mono = _argmin(nonconst)
             table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
             tag = case if case else _case_tag(vals)
-            cert = RewriteCert(kind, g.field, g, multiplier, seqs, indices,
+            # Verification reads term(t) and scale(t): t + 2 terms.
+            frozen = [seq.snapshot(t + 2) if isinstance(seq, DerivedSequence) else seq
+                      for seq, t in zip(seqs, indices)]
+            cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
                                G1, c_mono, mode, tag, table)
             cert.verify()
             return cert

@@ -18,15 +18,22 @@ from .errors import HorizonError, InputError, VerificationError
 from .group import ValueGroup, element_from_json, group_of
 
 
-def _common_group(streams: Sequence[Sequence], *values) -> ValueGroup:
-    """The value group of the first stream, which every stream entry and
-    every value must share."""
+def _head_group(streams: Sequence[Sequence], *values) -> ValueGroup:
+    """The value group of the first stream, which the first entry of every
+    stream and every value must share; reads no other stream entry."""
     if not streams or not all(streams):
         raise InputError("gamma stream is empty")
     group = group_of(streams[0][0])
+    group.check(*(stream[0] for stream in streams), *values)
+    return group
+
+
+def _common_group(streams: Sequence[Sequence], *values) -> ValueGroup:
+    """The value group of the first stream, which every stream entry and
+    every value must share."""
+    group = _head_group(streams, *values)
     for stream in streams:
         group.check(*stream)
-    group.check(*values)
     return group
 
 
@@ -293,15 +300,18 @@ def separate_indices(entries: Sequence[Entry], gammas: Sequence[Sequence],
     multipliers at the peeled position (mixed pairs are separated by the
     tail step on the last index).  Multipliers may be any integers.
     Returns the lexicographically least tuple in that search order.
+
+    The streams must already be validated (one value group, strictly
+    increasing): only the entries the search reaches are read, so a
+    stream may be a lazy view whose entries are computed on demand.
+    Only each stream's first entry is checked against the betas' group.
     """
     n = len(gammas)
     if len(rhos) != n:
         raise InputError("rhos must match the number of streams")
     if not entries:
         raise InputError("no entries to separate")
-    G = _common_group(gammas, *(beta for _, _, beta in entries))
-    for g in gammas:
-        _check_stream(g)
+    G = _head_group(gammas, *(beta for _, _, beta in entries))
     required = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
     return _separate_rec(G, entries, required, gammas, rhos, n - 1)
 
@@ -354,8 +364,13 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence,
         raise InputError("empty subset family")
     if len(subsets) != len(betas):
         raise InputError("need one beta per subset")
+    if len(ts) != len(gammas):
+        raise InputError("need one multiplier per stream")
     if any(t < 1 for t in ts):
         raise InputError("position multipliers must be positive")
+    G = _common_group(gammas, *betas)
+    for g in gammas:
+        _check_stream(g)
     seen = set()
     entries: List[Entry] = []
     for sub, beta in zip(subsets, betas):
@@ -369,7 +384,6 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence,
             raise InputError(f"subset {key} names a position without a stream")
         entries.append((list(key), {e: ts[e] for e in key}, beta))
     js = separate_indices(entries, gammas, rhos)
-    G = group_of(gammas[0][0])
     cert = SeparationCert("multi", {
         "entries": [[label, sorted((e, t) for e, t in mult.items()), G.to_json(beta)]
                     for label, mult, beta in entries],
@@ -387,14 +401,18 @@ def _verify_multi(data: dict) -> None:
     G = _common_group(gammas, *betas)
     js = data["js"]
     rhos = data["rhos"]
-    if len(js) != len(gammas):
-        raise VerificationError("multi-shape", "index tuple does not match streams")
+    if len(js) != len(gammas) or len(rhos) != len(gammas):
+        raise VerificationError(
+            "multi-shape", "index tuple or bounds do not match streams")
     for e, j in enumerate(js):
         if not (rhos[e] < j <= len(gammas[e])):
             raise VerificationError("multi-bounds", f"index j_{e}={j} out of range")
     values = []
     for (label, mult, _), total in zip(data["entries"], betas):
         for e, t in mult:
+            if not 0 <= e < len(gammas):
+                raise VerificationError(
+                    "multi-shape", f"entry {label!r} names position {e} without a stream")
             if t != 0:
                 total = G.add(total, G.scale(gammas[e][js[e] - 1], t))
         values.append((label, total))

@@ -1,17 +1,21 @@
 """Command-line front end: exit codes, determinism, verify round-trips."""
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from valcert.cli import main
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
-from valcert.pcs import lacunary_sequence
+from valcert.pcs import TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
 
 Y0 = VarTag.orig(0)
+
+
+FULL_TABLES = Path(__file__).parent / "fixtures" / "smooth_family_F5_full_tables.json"
 
 
 def write(tmp_path, name, obj):
@@ -53,7 +57,10 @@ def batch_cfgs():
 
 # sha256 of the canonical JSON each config gives, recorded while
 # exponents were still wrapped in element objects; a change of internal
-# representation must keep every certificate byte-identical.
+# representation must keep every certificate byte-identical.  The smooth
+# digest was renewed when embedded derived-sequence tables were cut to
+# the chosen index + 2 terms; FULL_TABLES holds the certificate with the
+# full 299/300-term tables, and TestGolden shows the two agree otherwise.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -68,7 +75,7 @@ GOLDEN = {
     "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
                          "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
     "smooth-family-F5": ("smooth", family_cfg,
-                         "2318a0f0d96d88bfe908d786f8858358a26e9eb8acb8c3d9d1f21a600b941b92"),
+                         "67a61495585f8ee9a312198502412c288118a521eb450cee113686096897485b"),
 }
 
 
@@ -79,6 +86,23 @@ class TestGolden:
         out = tmp_path / "out.json"
         run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_full_table_certificate(self, tmp_path, capsys):
+        # The certificate with full tables still verifies, and cutting its
+        # tables to index + 2 terms gives the certificate built today.
+        assert run(["verify", str(FULL_TABLES)]) == 0
+        old = json.loads(FULL_TABLES.read_text())
+        cut = 0
+        for rewrite in old["rewrites"]:
+            for seq, t in zip(rewrite["seqs"], rewrite["indices"]):
+                if seq["seq"] == "table":
+                    assert len(seq["terms"]) > t + 2
+                    seq["terms"] = seq["terms"][:t + 2]
+                    cut += 1
+        assert cut == 3
+        out = tmp_path / "out.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == old
 
 
 class TestSeparate:
@@ -117,6 +141,16 @@ class TestRewrite:
         cfg = univariate_cfg(GF(2), 2)
         assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
         assert json.loads(open(out).read())["case"] == "case2"
+
+    def test_horizon_flag_stops_at_table_end(self, tmp_path, capsys):
+        # --horizon cannot reach past the terms a table sequence has
+        cfg = univariate_cfg(QQ, 1)
+        cfg["seqs"] = [TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(12)]).to_json()]
+        c = write(tmp_path, "c.json", cfg)
+        o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["rewrite", c, "--out", str(o1)]) == 0
+        assert run(["rewrite", c, "--horizon", "300", "--out", str(o2)]) == 0
+        assert o1.read_bytes() == o2.read_bytes()
 
     def test_zero_polynomial(self, tmp_path, capsys):
         cfg = univariate_cfg(QQ, 1)
@@ -208,6 +242,87 @@ class TestVerify:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["exit"] == 4
         assert results[1] == {"cert": "smooth", "verified": True}
+
+
+def list_rule(values, step):
+    return {"seq": "rule", "field": "Q", "horizon": 100,
+            "exp": {"kind": "list", "values": values, "step": step},
+            "coeff": {"kind": "const", "c": "1/1"}}
+
+
+class TestListRules:
+    """A list exponent rule must increase through every listed value and
+    its tail step, whichever command reads it."""
+
+    BAD = [([1, 5, 3], 1), ([1, 2], 0), ([1, 2], -1)]
+
+    @pytest.mark.parametrize("values, step", BAD)
+    def test_rewrite(self, tmp_path, capsys, values, step):
+        cfg = univariate_cfg(QQ, 1)
+        cfg["seqs"] = [list_rule(values, step)]
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+
+    @pytest.mark.parametrize("values, step", BAD)
+    def test_smooth(self, tmp_path, capsys, values, step):
+        cfg = {"field": "Q", "op": "pair", "f": Poly.var(QQ, ZZ, Y0).to_json(),
+               "seq0": list_rule(values, step)}
+        assert run(["smooth", write(tmp_path, "c.json", cfg)]) == 1
+
+    @pytest.mark.parametrize("values, step", BAD)
+    def test_separate(self, tmp_path, capsys, values, step):
+        cfg = {"op": "tail", "betas": [0, 3], "ts": [2, 1],
+               "gamma": list_rule(values, step)}
+        assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
+
+    def test_increasing_list_accepted(self, tmp_path, capsys):
+        cfg = univariate_cfg(QQ, 1)
+        cfg["seqs"] = [list_rule([0, 1, 3], 2)]
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 0
+
+
+class TestShortData:
+    """A certificate whose data stops short of its claims exits 4."""
+
+    def test_rewrite_table_cut(self, tmp_path, capsys):
+        cert = json.loads(FULL_TABLES.read_text())
+        rewrite = cert["rewrites"][1]
+        seq, t = rewrite["seqs"][0], rewrite["indices"][0]
+        seq["terms"] = seq["terms"][:t + 2]
+        assert run(["verify", write(tmp_path, "ok.json", rewrite)]) == 0
+        seq["terms"] = seq["terms"][:t + 1]
+        assert run(["verify", write(tmp_path, "bad.json", rewrite)]) == 4
+
+    def test_smooth_table_cut(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        seq = cert["rewrites"][1]["seqs"][1]
+        assert len(seq["terms"]) == cert["rewrites"][1]["indices"][1] + 2
+        seq["terms"].pop()
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+
+    @staticmethod
+    def multi_cfg():
+        return {"op": "multi", "subsets": [[0], [1], [0, 1]], "betas": [0, 0, 0],
+                "ts": [1, 1], "gammas": [list(range(1, 51))] * 2}
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(rhos=[0]),
+        lambda c: c["entries"][0].__setitem__(1, [[5, 1]]),
+        lambda c: c["entries"][0].__setitem__(1, [[-1, 1]]),
+    ], ids=["rhos-cut", "position-past-streams", "negative-position"])
+    def test_multi_shape(self, tmp_path, capsys, edit):
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", self.multi_cfg()),
+                    "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        edit(cert)
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+
+    def test_multi_ts_cut(self, tmp_path, capsys):
+        cfg = self.multi_cfg()
+        cfg["ts"] = [1]
+        assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
 
 
 class TestMixedGroups:

@@ -159,6 +159,14 @@ class TestSerialization:
             # coefficients must be nonzero
             RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                          {"kind": "const", "c": 0})
+        for values, step in (([1, 5, 3], 1), ([1, 2], 0), ([1, 2], -1), ([3], 0)):
+            with pytest.raises(InputError):
+                # every listed value and the tail step must increase
+                RuleSequence(QQ, {"kind": "list", "values": values, "step": step},
+                             {"kind": "const", "c": 1})
+        seq = RuleSequence(QQ, {"kind": "list", "values": [0, 1, 3], "step": 2},
+                           {"kind": "const", "c": 1})
+        assert [seq.gamma(j) for j in range(5)] == [0, 1, 3, 5, 7]
 
 
 class TestOtherGroups:

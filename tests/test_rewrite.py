@@ -14,7 +14,7 @@ import pytest
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
-from valcert.pcs import RuleSequence, lacunary_sequence
+from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import (RewriteCert, rw_bivariate_charp,
                              rw_bivariate_pfree, rw_multilinear,
@@ -238,6 +238,37 @@ class TestBivariate:
         g = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1)
         with pytest.raises(InputError):
             rw_bivariate_pfree(g, [lacunary_sequence(f2)] * 2)
+
+
+class CountingSequence(RuleSequence):
+    """A rule sequence that records every gamma index read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def gamma(self, j):
+        self.read.add(j)
+        return super().gamma(j)
+
+
+class TestLazyStreams:
+    def test_gammas_read_up_to_chosen_index(self):
+        seq = CountingSequence(QQ, {"kind": "geom", "a": 1},
+                               {"kind": "const", "c": 1}, horizon=300)
+        g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
+        cert = rw_univariate_pfree(g, seq)
+        assert seq.read and max(seq.read) == cert.indices[0]
+
+    def test_short_table_rejected(self):
+        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, lacunary_sequence(QQ))
+        t = cert.indices[0]
+        bad = cert.to_json()
+        bad["seqs"][0] = TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(t + 1)]).to_json()
+        with pytest.raises(VerificationError):
+            verify_rewrite(bad)
+        bad["seqs"][0] = TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(t + 2)]).to_json()
+        verify_rewrite(bad)
 
 
 class TestTamper:

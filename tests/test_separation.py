@@ -140,10 +140,38 @@ class TestMulti:
             verify_separation(bad)
 
 
+class GuardedStream:
+    """gamma_s = s over a long window whose entries past `last` (0-based)
+    must not be read."""
+
+    def __init__(self, last, H=10 ** 6):
+        self.last, self.H = last, H
+
+    def __len__(self):
+        return self.H
+
+    def __getitem__(self, i):
+        assert i <= self.last, f"entry {i} read past the chosen index"
+        return i + 1
+
+
 class TestStreamChecks:
     def test_monotonicity_required(self):
         with pytest.raises(InputError):
             sep_shifted_pair(0, 0, 0, [2, 1])
+
+    def test_search_reads_only_what_it_needs(self):
+        # [DERIVED] as test_three_subsets: js = [1, 2] reads gamma_1, gamma_2
+        entries = [(sub, {e: 1 for e in sub}, 0) for sub in ([0], [1], [0, 1])]
+        js = separate_indices(entries, [GuardedStream(0), GuardedStream(1)], [0, 0])
+        assert js == [1, 2]
+
+    def test_multi_checks_whole_streams(self):
+        # the entries past the chosen index are still validated
+        with pytest.raises(InputError):
+            sep_multi([[0]], [0], [1], [[1, 3, 2]], [0])
+        with pytest.raises(InputError):
+            sep_multi([[0]], [0], [1], [[1, 2, (0, 3)]], [0])
 
     def test_json_roundtrip(self):
         cert = sep_tail([0, 3], [2, 1], stream())

@@ -7,7 +7,7 @@ import pytest
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
-from valcert.pcs import RuleSequence, lacunary_sequence
+from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
 from valcert.smooth import (SmoothCert, SmoothPresentation, sm_check,
@@ -134,6 +134,14 @@ class TestFamily:
         assert len(cert.pres.generators) == 4
         assert len(cert.pres.relations) == 3
         roundtrip_verify(cert)
+        # The derived y1, y2, y3 enter the three chain rewrites as tables of
+        # exactly the index + 2 terms that recentring reads; seq0 stays a rule.
+        derived = [(seq, t) for rewrite in cert.rewrites
+                   for seq, t in zip(rewrite.seqs, rewrite.indices)
+                   if not isinstance(seq, RuleSequence)]
+        assert len(derived) == 5
+        assert all(isinstance(seq, TableSequence) and seq.horizon == t + 2
+                   for seq, t in derived)
 
     def test_proportional_pair(self):
         # f2 = 3*f1: the resultant degenerates; a linear relation is used
