@@ -4,15 +4,20 @@ Four procedures locate tails or index tuples past which linear
 value-combinations beta + sum(t_e * gamma_{e,j_e}) are pairwise
 distinct, together with explicit collision structure where collisions
 are unavoidable.  Every certificate embeds the gamma windows it used, so
-verification is an exhaustive exact scan that needs no recomputation of
-the search.
+verification is an exhaustive exact check that needs no recomputation of
+the search.  The two pair verifiers cover every index pair of the window
+without forming all of them: each value is hashed to the indices taking
+it, so a collision map is checked by lookup in time linear in the window
+(repeated or non-monotone streams in a hostile certificate included), and
+each reports the lexicographically least pair at which the claim fails.
 
 Streams are 1-indexed: a stream list g represents gamma_s = g[s-1] for
 s = 1..H (matching the source statements that range indices over [1, λ)).
 """
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HorizonError, InputError, VerificationError
 from .group import ValueGroup, element_from_json, group_of
@@ -199,6 +204,25 @@ def sep_shifted_pair(beta0, beta1, c, gamma0: Sequence) -> SeparationCert:
     return cert
 
 
+def _is_index(j, H: int) -> bool:
+    return type(j) is int and 1 <= j <= H
+
+
+def _index_by_value(values) -> Dict[object, List[int]]:
+    """Each value mapped to the ascending 1-based indices that take it."""
+    index: Dict[object, List[int]] = {}
+    for j, v in enumerate(values, 1):
+        index.setdefault(v, []).append(j)
+    return index
+
+
+def _check_window(claim: str, sigma, H0: int, H1: int) -> None:
+    for a, b in sigma:
+        if not (_is_index(a, H0) and _is_index(b, H1)):
+            raise VerificationError(
+                claim, f"sigma pair ({a},{b}) lies outside [1,{H0}]x[1,{H1}]")
+
+
 def _verify_shifted(data: dict) -> None:
     beta0, beta1, c = (element_from_json(data[k]) for k in ("beta0", "beta1", "c"))
     gamma0 = [element_from_json(g) for g in data["gamma0"]]
@@ -209,15 +233,19 @@ def _verify_shifted(data: dict) -> None:
         raise VerificationError("shifted-A", "A does not match sigma's domain")
     if len({b for _, b in pairs}) != len(pairs):
         raise VerificationError("shifted-injective", "sigma is not injective")
-    # Each side's value depends on one index only; the scan over every
-    # pair (j0, j1) then only compares.
-    p0s = [G.add(beta0, g) for g in gamma0]
-    p1s = [G.add(G.add(beta1, g), c) for g in gamma0]
-    for j0, p0 in enumerate(p0s, 1):
-        for j1, p1 in enumerate(p1s, 1):
-            if (p0 == p1) != ((j0, j1) in pairs):
-                raise VerificationError(
-                    "shifted-exhaustive", f"collision map wrong at ({j0},{j1})")
+    _check_window("shifted-window", data["sigma"], H, H)
+    # The real collisions beta0 + gamma_{j0} = beta1 + gamma_{j1} + c, row
+    # by row, must be exactly the listed ones.
+    hits = _index_by_value(G.add(G.add(beta1, g), c) for g in gamma0)
+    listed: Dict[int, List[int]] = {}
+    for a, b in sorted(pairs):
+        listed.setdefault(a, []).append(b)
+    for j0, g in enumerate(gamma0, 1):
+        real, claimed = hits.get(G.add(beta0, g), []), listed.get(j0, [])
+        if real != claimed:
+            j1 = min(set(real).symmetric_difference(claimed))
+            raise VerificationError(
+                "shifted-exhaustive", f"collision map wrong at ({j0},{j1})")
 
 
 # -- Cross pair (two streams and a cross term) --------------------------
@@ -263,26 +291,53 @@ def sep_cross_pair(beta0, beta1, beta01, gamma0: Sequence,
     return cert
 
 
+def _least_above(indices: Sequence[int], lo: int, skip) -> Optional[int]:
+    """The least of the ascending indices above lo other than skip."""
+    i = bisect_right(indices, lo)
+    return next((j for j in indices[i:i + 2] if j != skip), None)
+
+
 def _verify_cross(data: dict) -> None:
     beta0, beta1, beta01 = (element_from_json(data[k]) for k in ("beta0", "beta1", "beta01"))
     gamma0, gamma1 = ([element_from_json(g) for g in data[k]] for k in ("gamma0", "gamma1"))
     G = _common_group([gamma0, gamma1], beta0, beta1, beta01)
+    H0, H1 = len(gamma0), len(gamma1)
     rho0, rho1 = data["rho0"], data["rho1"]
+    if not all(type(rho) is int and rho >= 0 for rho in (rho0, rho1)):
+        raise VerificationError("cross-bounds", "rho0 and rho1 must be integers >= 0")
     pairs = {(a, b) for a, b in data["sigma"]}
-    # Per-index values, computed once; only the cross term needs the pair.
+    sigma = dict(pairs)
+    if set(data["A"]) != set(sigma):
+        raise VerificationError("cross-A", "A does not match sigma's domain")
+    if not len(pairs) == len(sigma) == len(set(sigma.values())):
+        raise VerificationError("cross-injective", "sigma is not an injective partial map")
+    _check_window("cross-window", data["sigma"], H0, H1)
     p0s = [G.add(beta0, g) for g in gamma0]
     p1s = [G.add(beta1, g) for g in gamma1]
-    q0s = [G.add(beta01, g) for g in gamma0]
-    for j0 in range(rho0 + 1, len(gamma0) + 1):
-        p0, q0 = p0s[j0 - 1], q0s[j0 - 1]
-        for j1 in range(rho1 + 1, len(gamma1) + 1):
-            if (j0, j1) in pairs:
-                continue
-            p1 = p1s[j1 - 1]
-            p01 = G.add(q0, gamma1[j1 - 1])
-            if p0 == p1 or p0 == p01 or p1 == p01:
-                raise VerificationError(
-                    "cross-distinct", f"families collide at ({j0},{j1})")
+    for a, b in data["sigma"]:
+        if p0s[a - 1] != p1s[b - 1]:
+            raise VerificationError(
+                "cross-sigma", f"({a},{b}) is not a collision of the first two families")
+    # Past the bounds and off sigma, the families collide only where
+    # P0 = P1 (a lookup of P0 among the P1 values), where
+    # gamma1 = beta0 - beta01 (P0 = P01, whatever j0) or where
+    # gamma0 = beta1 - beta01 (P1 = P01, whatever j1): cancellation is
+    # exact in the group.  Each row's least colliding j1 is read off.
+    hits = _index_by_value(p1s)
+    col_value = G.sub(beta0, beta01)
+    cols = [j for j, g in enumerate(gamma1, 1) if g == col_value]
+    row_value = G.sub(beta1, beta01)
+    every = range(1, H1 + 1)
+    for j0 in range(rho0 + 1, H0 + 1):
+        skip = sigma.get(j0)
+        candidates = [cols, hits.get(p0s[j0 - 1], [])]
+        if gamma0[j0 - 1] == row_value:
+            candidates.append(every)
+        found = [j for j in (_least_above(c, rho1, skip) for c in candidates)
+                 if j is not None]
+        if found:
+            raise VerificationError(
+                "cross-distinct", f"families collide at ({j0},{min(found)})")
 
 
 # -- Multi-index separation (the inductive lemma) -----------------------

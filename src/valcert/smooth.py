@@ -563,7 +563,8 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
                 value = value.div(den_val)
             diff = value - _witness_target(w, cert, deltaw)
             small = diff.is_small(dlt)
-        except IndeterminateValError as exc:
+        except (IndeterminateValError, ZeroDivisionError) as exc:
+            # an unreadable value, or a target over an exact-zero denominator
             raise VerificationError(f"witness-{w.name}", str(exc))
         if not small:
             raise VerificationError(

@@ -243,6 +243,71 @@ class TestVerify:
         assert results[0]["exit"] == 4
         assert results[1] == {"cert": "smooth", "verified": True}
 
+    def zero_denominator(self, tmp_path, op):
+        """A valid certificate of the op (F5, H=100) and a copy whose first
+        problem denominator is an exact zero series."""
+        f5 = GF(5)
+        V = Poly.var(f5, ZZ, Y0)
+        cfg = {"field": "Fp", "p": 5, "op": op, "seq0": lacunary_sequence(f5, 100).to_json()}
+        if op == "family":
+            cfg["fs"] = [V.to_json(), (V ** 2).to_json()]
+        else:
+            cfg["f1"], cfg["f2"] = (V ** 2).to_json(), V.to_json()
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        bad = json.loads(out.read_text())
+        bad["problem"]["ds"][0]["terms"] = []
+        return cert, bad
+
+    @pytest.mark.parametrize("op", ["family", "fraction"])
+    def test_zero_denominator_rejected(self, tmp_path, capsys, op):
+        _, bad = self.zero_denominator(tmp_path, op)
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "division by exact zero" in capsys.readouterr().err
+
+    def test_zero_denominator_in_batch(self, tmp_path, capsys):
+        cert, bad = self.zero_denominator(tmp_path, "fraction")
+        capsys.readouterr()
+        path = write(tmp_path, "batch.json", [bad, cert])
+        assert run(["verify", path, "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4
+        assert results[1] == {"cert": "smooth", "verified": True}
+
+
+class TestSeparationMaps:
+    """A separation certificate's sigma must be what it claims to be, not
+    merely a superset of the collisions."""
+
+    def certificate(self, tmp_path, cfg):
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_cross_sigma_listing_every_pair(self, tmp_path, capsys):
+        H = 50
+        cert = self.certificate(tmp_path, {"op": "cross", "beta0": 5, "beta1": 0, "beta01": 0,
+                                           "gamma0": list(range(1, H + 1)),
+                                           "gamma1": list(range(1, H + 1))})
+        cert["beta01"] = -3  # P0 = P01 at gamma1 = 8, past rho1 = 5
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "cross-distinct: families collide at (1,8)" in capsys.readouterr().err
+        cert["sigma"] = [[j0, j1] for j0 in range(1, H + 1) for j1 in range(1, H + 1)]
+        cert["A"] = list(range(1, H + 1))
+        assert run(["verify", write(tmp_path, "all.json", cert)]) == 4
+        assert "cross-injective" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [[500, 600], [4, 1.0], [True, 198]])
+    def test_shifted_sigma_outside_window(self, tmp_path, capsys, pair):
+        cert = self.certificate(tmp_path, {"op": "shifted", "beta0": 0, "beta1": 2, "c": 1,
+                                           "gamma0": list(range(1, 201))})
+        assert run(["verify", write(tmp_path, "ok.json", cert)]) == 0
+        cert["sigma"].append(pair)
+        cert["A"].append(pair[0])
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "shifted-window" in capsys.readouterr().err
+
 
 def list_rule(values, step):
     return {"seq": "rule", "field": "Q", "horizon": 100,

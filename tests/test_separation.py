@@ -1,10 +1,13 @@
-"""Index-separation certificates, all verified by exhaustive exact scans."""
+"""Index-separation certificates, all verified by exhaustive exact checks."""
 import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valcert.errors import HorizonError, InputError, VerificationError
+from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
 from valcert.separation import (SeparationCert, sep_cross_pair, sep_multi,
                                 sep_shifted_pair, sep_tail, separate_indices,
                                 verify_separation)
@@ -202,3 +205,180 @@ class TestOtherGroups:
         bad["betas"][0] = 0
         with pytest.raises(InputError):
             verify_separation(bad)
+
+
+# -- the hash-indexed pair verifiers against the pair-by-pair scans ------
+
+def scan_shifted(data):
+    """The O(H^2) scan the shifted verifier once was, kept as an oracle."""
+    beta0, beta1, c = (element_from_json(data[k]) for k in ("beta0", "beta1", "c"))
+    gamma0 = [element_from_json(g) for g in data["gamma0"]]
+    G = group_of(beta0)
+    pairs = {(a, b) for a, b in data["sigma"]}
+    if set(data["A"]) != {a for a, _ in pairs}:
+        raise VerificationError("shifted-A", "A does not match sigma's domain")
+    if len({b for _, b in pairs}) != len(pairs):
+        raise VerificationError("shifted-injective", "sigma is not injective")
+    p0s = [G.add(beta0, g) for g in gamma0]
+    p1s = [G.add(G.add(beta1, g), c) for g in gamma0]
+    for j0, p0 in enumerate(p0s, 1):
+        for j1, p1 in enumerate(p1s, 1):
+            if (p0 == p1) != ((j0, j1) in pairs):
+                raise VerificationError(
+                    "shifted-exhaustive", f"collision map wrong at ({j0},{j1})")
+
+
+def scan_cross(data):
+    """The O(H^2) scan the cross verifier once was, kept as an oracle."""
+    beta0, beta1, beta01 = (element_from_json(data[k]) for k in ("beta0", "beta1", "beta01"))
+    gamma0, gamma1 = ([element_from_json(g) for g in data[k]] for k in ("gamma0", "gamma1"))
+    G = group_of(beta0)
+    rho0, rho1 = data["rho0"], data["rho1"]
+    pairs = {(a, b) for a, b in data["sigma"]}
+    for j0 in range(rho0 + 1, len(gamma0) + 1):
+        p0, q0 = G.add(beta0, gamma0[j0 - 1]), G.add(beta01, gamma0[j0 - 1])
+        for j1 in range(rho1 + 1, len(gamma1) + 1):
+            if (j0, j1) in pairs:
+                continue
+            p1, p01 = G.add(beta1, gamma1[j1 - 1]), G.add(q0, gamma1[j1 - 1])
+            if p0 == p1 or p0 == p01 or p1 == p01:
+                raise VerificationError(
+                    "cross-distinct", f"families collide at ({j0},{j1})")
+
+
+# each group with a map from small ints into it: drawing from few small
+# ints makes repeated values and collisions common
+EMBEDDINGS = [(ZZ, lambda v: v), (RATIONALS, lambda v: Fraction(v, 2)),
+              (Lex(2), lambda v: (v % 2, v // 2))]
+small = st.integers(-3, 4)
+# indices a mutation may write into sigma: in and out of the window, and
+# values that equal an index without being an integer
+loose_index = st.one_of(st.integers(-1, 9), st.sampled_from([True, 1.0, 1.5]))
+
+
+def is_index(j, H):
+    return type(j) is int and 1 <= j <= H
+
+
+@st.composite
+def raw_stream(draw, embed):
+    values = draw(st.lists(small, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        values = sorted(set(values))  # the honest shape: strictly increasing
+    return [embed(v) for v in values]
+
+
+def outcome(check, data):
+    try:
+        check(data)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@st.composite
+def shifted_certificates(draw):
+    """A shifted certificate with the true collision map, then mutated."""
+    G, embed = draw(st.sampled_from(EMBEDDINGS))
+    gamma = draw(raw_stream(embed))
+    beta0, beta1, c = (embed(draw(small)) for _ in range(3))
+    H = len(gamma)
+    sigma = [[j0, j1] for j0 in range(1, H + 1) for j1 in range(1, H + 1)
+             if G.add(beta0, gamma[j0 - 1]) == G.add(G.add(beta1, gamma[j1 - 1]), c)]
+    A = [a for a, _ in sigma]
+    mutation = draw(st.sampled_from(["none", "drop", "add", "move", "A", "c", "beta0"]))
+    if mutation == "drop" and sigma:
+        sigma.pop(draw(st.integers(0, len(sigma) - 1)))
+    elif mutation == "add":
+        pair = [draw(loose_index), draw(loose_index)]
+        sigma.append(pair)
+        if draw(st.booleans()):
+            A.append(pair[0])
+    elif mutation == "move" and sigma:
+        sigma[draw(st.integers(0, len(sigma) - 1))][1] += draw(st.sampled_from([-1, 1]))
+    elif mutation == "A":
+        A.append(draw(st.integers(0, H + 1)))
+    elif mutation == "c":
+        c = embed(draw(small))
+    elif mutation == "beta0":
+        beta0 = embed(draw(small))
+    data = {"beta0": G.to_json(beta0), "beta1": G.to_json(beta1), "c": G.to_json(c),
+            "gamma0": [G.to_json(g) for g in gamma], "A": A, "sigma": sigma}
+    return data, not all(is_index(a, H) and is_index(b, H) for a, b in sigma)
+
+
+@st.composite
+def cross_certificates(draw):
+    """A cross certificate built as sep_cross_pair builds it, from streams
+    that may repeat or fall, then mutated."""
+    G, embed = draw(st.sampled_from(EMBEDDINGS))
+    gamma0, gamma1 = draw(raw_stream(embed)), draw(raw_stream(embed))
+    beta0, beta1, beta01 = (embed(draw(small)) for _ in range(3))
+    H0, H1 = len(gamma0), len(gamma1)
+    rho0 = max((j for j, g in enumerate(gamma0, 1) if g == G.sub(beta1, beta01)), default=0)
+    rho1 = max((j for j, g in enumerate(gamma1, 1) if g == G.sub(beta0, beta01)), default=0)
+    last1 = {g: j for j, g in enumerate(gamma1, 1)}
+    sigma = [[j0, last1[G.add(g, G.sub(beta0, beta1))]] for j0, g in enumerate(gamma0, 1)
+             if G.add(g, G.sub(beta0, beta1)) in last1]
+    A = [a for a, _ in sigma]
+    mutation = draw(st.sampled_from(
+        ["none", "drop", "drop-with-A", "add", "move", "rho", "beta", "every-pair"]))
+    if mutation in ("drop", "drop-with-A") and sigma:
+        a, _ = sigma.pop(draw(st.integers(0, len(sigma) - 1)))
+        if mutation == "drop-with-A":
+            A.remove(a)
+    elif mutation == "add":
+        sigma.append([draw(loose_index), draw(loose_index)])
+        A.append(sigma[-1][0])
+    elif mutation == "move" and sigma:
+        sigma[draw(st.integers(0, len(sigma) - 1))][1] += draw(st.sampled_from([-1, 1]))
+    elif mutation == "rho":
+        rho0 += draw(st.integers(-2, 2))
+        rho1 += draw(st.integers(-2, 2))
+    elif mutation == "beta":
+        beta01 = embed(draw(small))
+    elif mutation == "every-pair":
+        sigma = [[j0, j1] for j0 in range(1, H0 + 1) for j1 in range(1, H1 + 1)]
+        A = list(range(1, H0 + 1))
+    data = {"beta0": G.to_json(beta0), "beta1": G.to_json(beta1),
+            "beta01": G.to_json(beta01), "gamma0": [G.to_json(g) for g in gamma0],
+            "gamma1": [G.to_json(g) for g in gamma1], "rho0": rho0, "rho1": rho1,
+            "A": A, "sigma": sigma}
+    # the shapes the scan let through and the verifier now rejects
+    pairs = {(a, b) for a, b in sigma}
+    domain = {a for a, _ in pairs}
+    newly_rejected = (
+        min(rho0, rho1) < 0 or set(A) != domain
+        or not len(pairs) == len(domain) == len({b for _, b in pairs})
+        or not all(is_index(a, H0) and is_index(b, H1) for a, b in sigma)
+        or any(G.add(beta0, gamma0[a - 1]) != G.add(beta1, gamma1[b - 1]) for a, b in pairs))
+    return data, newly_rejected
+
+
+def same_verdict(kind, scan, case):
+    data, newly_rejected = case
+    cert = {"cert": "separation", "kind": kind, **data}
+    if newly_rejected:
+        with pytest.raises(VerificationError):
+            verify_separation(cert)
+    else:
+        assert outcome(verify_separation, cert) == outcome(scan, data)
+
+
+class TestAgainstPairScan:
+    """The hash-indexed verifiers give the pair-by-pair scan's verdict and
+    message (the least failing pair first) on honest and mutated
+    certificates over Z, Q and lex Z^2, and reject the sigma shapes the scan
+    let through: pairs outside the window or not made of integers, and in
+    the cross case negative bounds, an A off sigma's domain, a sigma that is
+    not an injective partial map, or one listing a non-collision."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(shifted_certificates())
+    def test_shifted(self, case):
+        same_verdict("shifted", scan_shifted, case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(cross_certificates())
+    def test_cross(self, case):
+        same_verdict("cross", scan_cross, case)
