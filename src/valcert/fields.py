@@ -2,9 +2,13 @@
 
 Scalars are stored raw (Fraction for Q, small ints for F_p); a Field
 object supplies the operations so series and polynomials stay agnostic.
+The lift/reduce pair lets a series product accumulate plain integers:
+lift writes a factor's coefficients over one common denominator, and
+reduce turns each accumulated sum back into a scalar once.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError, VariantMismatchError
@@ -54,6 +58,15 @@ class Field:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    def lift(self, terms) -> tuple:
+        """For (key, c_i) pairs: (key, n_i) pairs of integers and one
+        denominator d with c_i == n_i / d."""
+        raise NotImplementedError
+
+    def reduce(self, sums: dict, d: int) -> list:
+        """The (key, n / d) pairs of a dict of integer sums, zeros dropped."""
+        raise NotImplementedError
+
     def coeff_to_json(self, a):
         raise NotImplementedError
 
@@ -96,6 +109,13 @@ class RationalField(Field):
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def lift(self, terms):
+        d = math.lcm(*[c.denominator for _, c in terms])
+        return [(k, c.numerator * (d // c.denominator)) for k, c in terms], d
+
+    def reduce(self, sums, d):
+        return [(k, Fraction(n, d)) for k, n in sums.items() if n]
 
     def coeff_to_json(self, a):
         a = Fraction(a)
@@ -156,6 +176,14 @@ class PrimeField(Field):
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def lift(self, terms):
+        # residues are integers already, over the denominator 1
+        return terms, 1
+
+    def reduce(self, sums, d):
+        p = self.p
+        return [(k, r) for k, n in sums.items() if (r := n % p)]
 
     def coeff_to_json(self, a):
         return int(a % self.p)

@@ -120,17 +120,6 @@ class Poly:
     def var(field: Field, group: ValueGroup, tag: VarTag) -> "Poly":
         return Poly(field, group, {((tag, 1),): ValuedSeries.one(field, group)})
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[ValuedSeries], tag: VarTag) -> "Poly":
-        """Univariate polynomial sum coeffs[k] * tag^k."""
-        if not coeffs:
-            raise InputError("empty coefficient list")
-        monos = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_zero_exact():
-                monos[((tag, k),) if k else ()] = c
-        return Poly(coeffs[0].field, coeffs[0].group, monos)
-
     # -- structure ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.monos
@@ -155,10 +144,6 @@ class Poly:
         for mono in self.monos:
             best = max(best, sum(k for _, k in mono))
         return best
-
-    def coeff(self, mono) -> ValuedSeries:
-        mono = _mono_sorted(mono)
-        return self.monos.get(mono, ValuedSeries.zero(self.field, self.group))
 
     def constant_term(self) -> ValuedSeries:
         return self.monos.get((), ValuedSeries.zero(self.field, self.group))
@@ -237,12 +222,17 @@ class Poly:
     # -- substitution -------------------------------------------------
     def eval_series(self, assignment: Mapping[VarTag, ValuedSeries]) -> ValuedSeries:
         total = ValuedSeries.zero(self.field, self.group)
+        powers: Dict[Tuple[VarTag, int], ValuedSeries] = {}
         for mono, coeff in self.monos.items():
             term = coeff
-            for v, k in mono:
-                if v not in assignment:
-                    raise InputError(f"no value for variable {v}")
-                term = term * (assignment[v] ** k)
+            for vk in mono:
+                power = powers.get(vk)
+                if power is None:
+                    v, k = vk
+                    if v not in assignment:
+                        raise InputError(f"no value for variable {v}")
+                    power = powers[vk] = assignment[v] ** k
+                term = term * power
             total = total + term
         return total
 

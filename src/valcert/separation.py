@@ -148,6 +148,12 @@ def _verify_tail(data: dict) -> None:
     G = _common_group([gamma], *betas)
     nu, r = data["nu"], data["r"]
     m, H = len(betas), len(gamma)
+    if not (isinstance(ts, list) and len(ts) == m and all(type(t) is int for t in ts)):
+        raise VerificationError("tail-bounds", f"ts must list {m} integers, one per beta")
+    if not (type(nu) is int and 0 <= nu <= H):
+        raise VerificationError("tail-bounds", f"nu={nu!r} lies outside [0,{H}]")
+    if not (r is None or type(r) is int and 0 <= r < m):
+        raise VerificationError("tail-bounds", f"r={r!r} is neither null nor in [0,{m})")
     for s in range(nu + 1, H + 1):
         vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
         for i in range(m):

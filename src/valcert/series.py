@@ -6,6 +6,13 @@ delta are unknown unless the series is flagged exact.  Exponents are raw
 elements of the series' value group.  Arithmetic never fabricates terms
 past the reliable window; the window shrinks under multiplication and
 division exactly as the error analysis dictates.
+
+A product is computed by integer accumulation: each factor's
+coefficients are lifted once to integers over one common denominator
+(Field.lift), the products of those integers are summed per exponent,
+and each sum is reduced once (Field.reduce).  Terms are sorted and the
+group order is compatible with addition, so each row of term products
+stops at its first exponent at or past the product's truncation.
 """
 from __future__ import annotations
 
@@ -83,6 +90,13 @@ class ValuedSeries:
     def _new(self, terms, trunc=INF) -> "ValuedSeries":
         return ValuedSeries(self.field, self.group, terms, trunc)
 
+    @staticmethod
+    def _normal(field: Field, group: ValueGroup, terms: tuple, trunc) -> "ValuedSeries":
+        """A series from terms already merged, nonzero, sorted and below trunc."""
+        out = ValuedSeries.__new__(ValuedSeries)
+        out.field, out.group, out.terms, out.trunc = field, group, terms, trunc
+        return out
+
     def __add__(self, other: "ValuedSeries") -> "ValuedSeries":
         self._check(other)
         return self._new(self.terms + other.terms, min(self.trunc, other.trunc))
@@ -101,10 +115,25 @@ class ValuedSeries:
         bounds = [add(x.trunc, y.val_lower()) for x, y in ((self, other), (other, self))
                   if not x.exact and y.val_lower() is not INF]
         trunc = min(bounds) if bounds else INF
-        mul = self.field.mul
-        out = [(add(e1, e2), mul(c1, c2))
-               for e1, c1 in self.terms for e2, c2 in other.terms]
-        return self._new(out, trunc)
+        field = self.field
+        if not (self.terms and other.terms):
+            return ValuedSeries._normal(field, self.group, (), trunc)
+        xs, dx = field.lift(self.terms)
+        ys, dy = field.lift(other.terms)
+        capped = trunc is not INF
+        sums: dict = {}
+        get = sums.get
+        for e1, n1 in xs:
+            for e2, n2 in ys:
+                e = add(e1, e2)
+                # Rows are sorted and the order is compatible with addition,
+                # so the rest of the row lies past the truncation too.
+                if capped and not e < trunc:
+                    break
+                sums[e] = get(e, 0) + n1 * n2
+        terms = field.reduce(sums, dx * dy)
+        terms.sort()
+        return ValuedSeries._normal(field, self.group, tuple(terms), trunc)
 
     def scalar_mul(self, c) -> "ValuedSeries":
         if self.field.is_zero(c):

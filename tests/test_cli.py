@@ -309,6 +309,37 @@ class TestSeparationMaps:
         assert "shifted-window" in capsys.readouterr().err
 
 
+class TestTailBounds:
+    """r, nu and ts of a tail certificate are checked claims: a value out of
+    range exits 4 with claim tail-bounds, never a traceback or a read of
+    wrapped-around stream entries."""
+
+    def certificate(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", tail_cfg(H=50)), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert (cert["nu"], cert["r"]) == (3, 1)
+        return cert
+
+    @pytest.mark.parametrize("key, value", [
+        ("r", 5), ("r", -1), ("r", True), ("nu", 60), ("nu", -3), ("nu", 2.0),
+        ("ts", [2]), ("ts", [2, 1, 1]), ("ts", [2, "1"]), ("ts", 2)])
+    def test_out_of_range_rejected(self, tmp_path, capsys, key, value):
+        cert = self.certificate(tmp_path)
+        cert[key] = value
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "tail-bounds" in capsys.readouterr().err
+
+    def test_out_of_range_in_batch(self, tmp_path, capsys):
+        cert = self.certificate(tmp_path)
+        capsys.readouterr()
+        path = write(tmp_path, "batch.json", [dict(cert, r=5), cert])
+        assert run(["verify", path, "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4 and "tail-bounds" in results[0]["error"]
+        assert results[1] == {"cert": "separation", "verified": True}
+
+
 def list_rule(values, step):
     return {"seq": "rule", "field": "Q", "horizon": 100,
             "exp": {"kind": "list", "values": values, "step": step},

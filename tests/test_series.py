@@ -1,5 +1,7 @@
 """Truncated valued series: valuation, arithmetic, division, units."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valcert.errors import IndeterminateValError, InputError
 from valcert.fields import GF, QQ
@@ -7,6 +9,7 @@ from fractions import Fraction
 
 from valcert.errors import VariantMismatchError
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
+from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
 
 
@@ -140,3 +143,100 @@ class TestOtherGroups:
             ValuedSeries.from_json({"terms": [[0, "1/1"]]}, QQ, RATIONALS)
         with pytest.raises(InputError):
             ValuedSeries.from_json({"terms": [["1/2", "1/1"]]}, QQ, ZZ)
+
+
+def all_pairs_product(x, y):
+    """The product term by term: every pair of terms through Field.mul,
+    then merged, zeros dropped and cut at the truncation by __init__."""
+    add = x.group.add
+    bounds = [add(a.trunc, b.val_lower()) for a, b in ((x, y), (y, x))
+              if not a.exact and b.val_lower() is not INF]
+    trunc = min(bounds) if bounds else INF
+    mul = x.field.mul
+    return ValuedSeries(x.field, x.group, [(add(e1, e2), mul(c1, c2))
+                                           for e1, c1 in x.terms for e2, c2 in y.terms], trunc)
+
+
+EXPONENTS = {
+    ZZ: st.integers(min_value=-3, max_value=8),
+    RATIONALS: st.builds(Fraction, st.integers(min_value=-6, max_value=16),
+                         st.sampled_from((1, 2, 3))),
+    Lex(2): st.tuples(st.integers(min_value=-2, max_value=3),
+                      st.integers(min_value=-2, max_value=3)),
+}
+
+
+def scalars(field):
+    if field is QQ:
+        # pairwise-coprime denominators, so a common denominator is a real lcm
+        return st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                         st.sampled_from((1, 2, 3, 5, 7)))
+    return st.integers(min_value=0, max_value=field.p - 1)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two series over one field and group; few exponents and small
+    coefficients, so merges and cancellations are common.  An empty term
+    list gives an exact zero (no truncation) or an inexact one."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    group = draw(st.sampled_from(list(EXPONENTS)))
+    exps = EXPONENTS[group]
+
+    def factor():
+        terms = draw(st.lists(st.tuples(exps, scalars(field)), max_size=6))
+        return ValuedSeries(field, group, terms, draw(st.one_of(st.just(INF), exps)))
+
+    return factor(), factor()
+
+
+class TestProductKernel:
+    """The capped, integer-accumulating product gives the term-by-term
+    product's terms and window, and the same JSON."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(factor_pairs())
+    def test_against_all_pairs(self, xy):
+        x, y = xy
+        new, old = x * y, all_pairs_product(x, y)
+        assert new.terms == old.terms and new.trunc == old.trunc
+        assert new.to_json() == old.to_json()
+
+    @pytest.mark.parametrize("field, x, y, known", [
+        (GF(2), [(0, 1), (1, 1)], [(0, 1), (1, 1)], [(0, 1), (2, 1)]),
+        (QQ, [(0, 1), (1, 1)], [(0, 1), (1, -1)], [(0, 1), (2, -1)]),
+        (GF(5), [(0, 2), (1, 1)], [(0, 3), (1, 1)], [(0, 1), (2, 1)]),
+    ])
+    def test_cancelling_terms(self, field, x, y, known):
+        # (1+t)^2 over F2, (1+t)(1-t) over Q, (2+t)(3+t) over F5: the t term cancels
+        x, y = S(*x, field=field), S(*y, field=field)
+        assert (x * y).same_known(S(*known, field=field))
+        assert (x * y).same_known(all_pairs_product(x, y))
+
+    def test_zero_factors(self):
+        x = S((0, 1), (1, 1), trunc=5)
+        assert (x * ValuedSeries.zero(QQ, ZZ)).same_known(ValuedSeries.zero(QQ, ZZ))
+        # an inexact zero: no known term survives, the window is its own
+        assert (x * S(trunc=3)).same_known(S(trunc=3))
+
+
+class TestEvalSeries:
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_against_per_monomial_powers(self, field):
+        Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
+        x = ValuedSeries(field, ZZ, [(1, field.from_int(2)), (2, field.from_int(-1))], 9)
+        y = ValuedSeries(field, ZZ, [(0, field.from_int(3)), (3, field.from_int(1))])
+        if field is QQ:
+            y = y.scalar_mul(Fraction(1, 7))
+        V0, V1 = Poly.var(field, ZZ, Y0), Poly.var(field, ZZ, Y1)
+        t = Poly.const(ValuedSeries.t_power(field, ZZ, 1))
+        # Y0^2 and Y1^3 each occur in several monomials
+        p = V0 ** 2 * V1 + V0 ** 2 + V0 * V1 ** 3 + t * V1 ** 3 + t + V0 ** 3
+        values = {Y0: x, Y1: y}
+        expected = ValuedSeries.zero(field, ZZ)
+        for mono, coeff in p.monos.items():
+            term = coeff
+            for v, k in mono:
+                term = term * (values[v] ** k)
+            expected = expected + term
+        assert p.eval_series(values).same_known(expected)
