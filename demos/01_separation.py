@@ -8,8 +8,8 @@ the certified data and the verification round trip.
 """
 import json
 
-from valcert import (sep_cross_pair, sep_multi, sep_shifted_pair, sep_tail,
-                     verify_separation)
+from valcert import (SeparationCert, sep_cross_pair, sep_multi,
+                     sep_shifted_pair, sep_tail)
 
 
 def show(title, cert):
@@ -17,7 +17,7 @@ def show(title, cert):
     data = {k: v for k, v in cert.to_json().items()
             if k not in ("gamma", "gamma0", "gamma1", "gammas")}
     print(json.dumps(data, default=str)[:200])
-    verify_separation(cert.to_json())
+    SeparationCert.from_json(cert.to_json()).verify()
     print("   verified by exhaustive window scan\n")
 
 

@@ -8,22 +8,21 @@ presentations with unit-Jacobian certificates.  Every certificate
 carries enough data for independent re-verification.
 """
 
-from .errors import (HorizonError, InconclusiveError, IndeterminateValError,
-                     InputError, NotStabilizedError, UndecidedError,
-                     ValcertError, VariantMismatchError, VerificationError)
+from .errors import (HorizonError, IndeterminateValError, InputError,
+                     NotStabilizedError, UndecidedError, ValcertError,
+                     VariantMismatchError, VerificationError)
 from .fields import GF, QQ, Field, characteristic
 from .group import INF, INTEGERS, RATIONALS, Lex, ValueGroup
-from .pcs import (DEFAULT_HORIZON, DEFAULT_WINDOW, DerivedSequence,
-                  PseudoSequence, RuleSequence, TableSequence,
-                  lacunary_sequence, sequence_from_json)
+from .pcs import (DEFAULT_HORIZON, DerivedSequence, PseudoSequence,
+                  RuleSequence, TableSequence, lacunary_sequence,
+                  sequence_from_json)
 from .poly import Monomial, Poly, VarTag, sylvester_resultant
-from .rewrite import (RewriteCert, recenter_at, rw_bivariate_charp,
-                      rw_bivariate_pfree, rw_multilinear, rw_multilinear_mono,
-                      rw_pair_square, rw_univariate_charp, rw_univariate_pfree,
-                      taylor_recenter, taylor_via_hasse, verify_rewrite)
+from .rewrite import (DEFAULT_WINDOW, RewriteCert, recenter_at,
+                      rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
+                      rw_multilinear_mono, rw_pair_square, rw_univariate_charp,
+                      rw_univariate_pfree, taylor_recenter)
 from .separation import (SeparationCert, sep_cross_pair, sep_multi,
-                         sep_shifted_pair, sep_tail, separate_indices,
-                         verify_separation)
+                         sep_shifted_pair, sep_tail, separate_indices)
 from .series import ValuedSeries
 from .smooth import (SmoothCert, SmoothPresentation, Witness, sm_check,
                      sm_family, sm_fraction, sm_pair, sm_verify)

@@ -13,17 +13,18 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import (HorizonError, InconclusiveError, InputError,
-                     UndecidedError, VerificationError)
+from .errors import (HorizonError, InputError, UndecidedError,
+                     VerificationError)
 from .fields import characteristic, field_from_json
 from .group import element_from_json
 from .pcs import TableSequence, sequence_from_json
 from .poly import Poly
-from .rewrite import (rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
+from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
+                      rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
                       rw_multilinear_mono, rw_pair_square, rw_univariate_charp,
-                      rw_univariate_pfree, verify_rewrite)
-from .separation import (sep_cross_pair, sep_multi, sep_shifted_pair,
-                         sep_tail, verify_separation)
+                      rw_univariate_pfree)
+from .separation import (SeparationCert, sep_cross_pair, sep_multi,
+                         sep_shifted_pair, sep_tail)
 from .smooth import SmoothCert, sm_family, sm_fraction, sm_pair, sm_verify
 from .series import ValuedSeries
 
@@ -102,8 +103,8 @@ def cmd_rewrite(cfg, opts):
     if not seqs:
         raise InputError("a rewrite needs at least one sequence")
     g = Poly.from_json(g_json, field, seqs[0].group)
-    W = opts.get("window") or cfg.get("window", 8)
-    R = opts.get("retries") or cfg.get("retries", 16)
+    W = opts.get("window") or cfg.get("window", DEFAULT_WINDOW)
+    R = opts.get("retries") or cfg.get("retries", DEFAULT_RETRIES)
     op = _require(cfg, "op")
     p = characteristic(field)
     if op == "pair_square":
@@ -127,8 +128,8 @@ def cmd_smooth(cfg, opts):
     field = field_from_json(cfg)
     seq0 = _load_seq(_require(cfg, "seq0"), opts.get("horizon"))
     group = seq0.group
-    W = opts.get("window") or cfg.get("window", 8)
-    R = opts.get("retries") or cfg.get("retries", 16)
+    W = opts.get("window") or cfg.get("window", DEFAULT_WINDOW)
+    R = opts.get("retries") or cfg.get("retries", DEFAULT_RETRIES)
     delta = opts.get("delta")
     if delta is not None:
         delta = group.from_json(delta)
@@ -155,9 +156,9 @@ def cmd_smooth(cfg, opts):
 def cmd_verify(cfg, opts):
     kind = cfg.get("cert")
     if kind == "separation":
-        verify_separation(cfg)
+        SeparationCert.from_json(cfg).verify()
     elif kind == "rewrite":
-        verify_rewrite(cfg)
+        RewriteCert.from_json(cfg).verify()
     elif kind == "smooth":
         cert = SmoothCert.from_json(cfg)
         delta = opts.get("delta")
@@ -174,10 +175,12 @@ _COMMANDS = {"separate": cmd_separate, "rewrite": cmd_rewrite,
 def run_single(command: str, cfg: dict, opts: dict):
     """Run one config; returns (exit_code, result-or-error-message)."""
     try:
+        if not isinstance(cfg, dict):
+            raise InputError(f"a config must be a JSON object, not {type(cfg).__name__}")
         return EXIT_OK, _COMMANDS[command](cfg, opts)
     except (InputError, KeyError, TypeError, ValueError) as exc:
         return EXIT_INPUT, f"input error: {exc}"
-    except (HorizonError, InconclusiveError) as exc:
+    except HorizonError as exc:
         return EXIT_HORIZON, f"horizon/stabilization: {exc}"
     except UndecidedError as exc:
         return EXIT_UNDECIDED, f"undecided after retries: {exc}"

@@ -30,10 +30,6 @@ class NotStabilizedError(HorizonError):
     """A value that must become constant did not stabilize within H."""
 
 
-class InconclusiveError(ValcertError):
-    """A classification window matched neither expected pattern."""
-
-
 class UndecidedError(ValcertError):
     """Branch logic exhausted its retry budget without a verified branch."""
 

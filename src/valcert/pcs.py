@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import HorizonError, InconclusiveError, InputError
+from .errors import HorizonError, InputError
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
-from .poly import Poly, VarTag
 from .series import ValuedSeries
 
 DEFAULT_HORIZON = 300
-DEFAULT_WINDOW = 8
 
 
 class PseudoSequence:
@@ -43,10 +41,6 @@ class PseudoSequence:
     def gamma(self, j: int):
         self._check_index(j)
         return self.term_pair(j)[0]
-
-    def coeff(self, j: int):
-        self._check_index(j)
-        return self.term_pair(j)[1]
 
     def term(self, j: int) -> ValuedSeries:
         """Partial sum v_j = sum_{i<j} c_i t^{e_i} (exact)."""
@@ -90,31 +84,6 @@ class PseudoSequence:
         d = (self.term(t) - self.term(j)).div(sj)
         b = self.scale(t).div(sj)
         return d, b
-
-    # -- classification -----------------------------------------------
-    def classify(self, f: Poly, W: int = DEFAULT_WINDOW) -> str:
-        """Tail behaviour of val(f(v_j)) over the last W indices below the horizon."""
-        if W < 2:
-            raise InputError("window must be >= 2")
-        fvars = f.variables()
-        if len(fvars) > 1:
-            raise InputError("classification polynomial must be univariate")
-        if not fvars or f.total_degree() < 1:
-            raise InputError("classification polynomial must be nonconstant")
-        f = f.rename({fvars[0]: VarTag.orig(0)})
-        vals = [val_at_index(f, [self], j) for j in range(self.horizon - W, self.horizon)]
-        if all(v == vals[0] for v in vals):
-            return "transcendental-like"
-        if all(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            return "algebraic-like"
-        raise InconclusiveError(
-            f"tail window is neither constant nor strictly increasing: {vals}")
-
-
-def val_at_index(poly: Poly, seqs: Sequence[PseudoSequence], j: int):
-    """val(poly(v_{0,j}, ..., v_{m,j})), where Orig(e) stands for sequence e."""
-    assignment = {VarTag.orig(e): seq.term(j) for e, seq in enumerate(seqs)}
-    return poly.eval_series(assignment).val()
 
 
 class RuleSequence(PseudoSequence):

@@ -4,7 +4,8 @@ Variables carry a tag naming their role: an original generator, a stage
 variable recentred at index j, or a duplicated working variable used by
 the rewrite pipelines.  The Hasse derivative is computed with integer
 binomials before reduction into the base field, so it is correct in any
-characteristic.
+characteristic.  Poly.__init__ is where monomials are sorted and merged:
+every operation hands it raw (monomial, coefficient) pairs.
 """
 from __future__ import annotations
 
@@ -81,11 +82,12 @@ def _mono_sorted(items: Iterable[Tuple[VarTag, int]]) -> Monomial:
     return tuple(kept)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def _mono_mul(a: Iterable[Tuple[VarTag, int]], b: Monomial):
+    """The product's (variable, exponent) pairs, unsorted."""
     acc: Dict[VarTag, int] = dict(a)
     for v, k in b:
         acc[v] = acc.get(v, 0) + k
-    return _mono_sorted(acc.items())
+    return acc.items()
 
 
 class Poly:
@@ -150,17 +152,10 @@ class Poly:
 
     def coeffs_in(self, tag: VarTag) -> list:
         """Coefficients of powers of tag, as Polys in the other variables."""
-        d = self.degree_in(tag)
-        buckets: list = [dict() for _ in range(d + 1)]
+        buckets: list = [[] for _ in range(self.degree_in(tag) + 1)]
         for mono, coeff in self.monos.items():
-            k = 0
-            rest = []
-            for v, kk in mono:
-                if v == tag:
-                    k = kk
-                else:
-                    rest.append((v, kk))
-            buckets[k][_mono_sorted(rest)] = coeff
+            exps = dict(mono)
+            buckets[exps.pop(tag, 0)].append((exps.items(), coeff))
         return [self._new(b) for b in buckets]
 
     # -- arithmetic ---------------------------------------------------
@@ -176,13 +171,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self.monos)
-        for mono, coeff in other.monos.items():
-            if mono in out:
-                out[mono] = out[mono] + coeff
-            else:
-                out[mono] = coeff
-        return self._new(out)
+        return self._new([*self.monos.items(), *other.monos.items()])
 
     def __neg__(self) -> "Poly":
         return self._new({m: -c for m, c in self.monos.items()})
@@ -192,16 +181,9 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: Dict[Monomial, ValuedSeries] = {}
-        for m1, c1 in self.monos.items():
-            for m2, c2 in other.monos.items():
-                m = _mono_mul(m1, m2)
-                prod = c1 * c2
-                if m in out:
-                    out[m] = out[m] + prod
-                else:
-                    out[m] = prod
-        return self._new(out)
+        return self._new([(_mono_mul(m1, m2), c1 * c2)
+                          for m1, c1 in self.monos.items()
+                          for m2, c2 in other.monos.items()])
 
     def scale(self, coeff: ValuedSeries) -> "Poly":
         return self._new({m: c * coeff for m, c in self.monos.items()})
@@ -239,7 +221,6 @@ class Poly:
     def subs_poly(self, tag: VarTag, replacement: "Poly") -> "Poly":
         """Substitute a polynomial for one variable."""
         self._check(replacement)
-        out = Poly.zero(self.field, self.group)
         powers: Dict[int, Poly] = {0: self._one()}
 
         def power(k: int) -> Poly:
@@ -247,31 +228,23 @@ class Poly:
                 powers[k] = power(k - 1) * replacement
             return powers[k]
 
+        out = []
         for mono, coeff in self.monos.items():
-            k = 0
-            rest = []
-            for v, kk in mono:
-                if v == tag:
-                    k = kk
-                else:
-                    rest.append((v, kk))
-            base = self._new({_mono_sorted(rest): coeff})
-            out = out + base * power(k)
-        return out
+            rest = dict(mono)
+            k = rest.pop(tag, 0)
+            out += [(_mono_mul(rest.items(), m), coeff * c)
+                    for m, c in power(k).monos.items()]
+        return self._new(out)
 
     def rename(self, mapping: Mapping[VarTag, VarTag]) -> "Poly":
         """Rename/collapse variables; merged monomials add up."""
-        out: Dict[Monomial, ValuedSeries] = {}
+        out = []
         for mono, coeff in self.monos.items():
             acc: Dict[VarTag, int] = {}
             for v, k in mono:
                 w = mapping.get(v, v)
                 acc[w] = acc.get(w, 0) + k
-            m = _mono_sorted(acc.items())
-            if m in out:
-                out[m] = out[m] + coeff
-            else:
-                out[m] = coeff
+            out.append((acc.items(), coeff))
         return self._new(out)
 
     def map_coeffs(self, fn) -> "Poly":
@@ -280,7 +253,7 @@ class Poly:
     # -- calculus -----------------------------------------------------
     def hasse_derivative(self, orders: Mapping[VarTag, int]) -> "Poly":
         """D^(orders): Y^k -> binomial(k, n) Y^(k-n), binomials over Z."""
-        out: Dict[Monomial, ValuedSeries] = {}
+        out = []
         for mono, coeff in self.monos.items():
             exps = dict(mono)
             factor = 1
@@ -297,38 +270,8 @@ class Poly:
                     exps.pop(v)
                 else:
                     exps[v] = k - n
-            if not ok:
-                continue
-            scaled = coeff.scalar_mul(self.field.from_int(factor))
-            if scaled.is_zero_exact():
-                continue
-            m = _mono_sorted(exps.items())
-            if m in out:
-                out[m] = out[m] + scaled
-            else:
-                out[m] = scaled
-        return self._new(out)
-
-    def derivative(self, tag: VarTag) -> "Poly":
-        """Ordinary partial derivative (k * Y^(k-1))."""
-        out: Dict[Monomial, ValuedSeries] = {}
-        for mono, coeff in self.monos.items():
-            exps = dict(mono)
-            k = exps.get(tag, 0)
-            if k == 0:
-                continue
-            scaled = coeff.scalar_mul(self.field.from_int(k))
-            if scaled.is_zero_exact():
-                continue
-            if k == 1:
-                exps.pop(tag)
-            else:
-                exps[tag] = k - 1
-            m = _mono_sorted(exps.items())
-            if m in out:
-                out[m] = out[m] + scaled
-            else:
-                out[m] = scaled
+            if ok:
+                out.append((exps.items(), coeff.scalar_mul(self.field.from_int(factor))))
         return self._new(out)
 
     # -- comparison / output ------------------------------------------

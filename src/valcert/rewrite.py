@@ -18,12 +18,12 @@ from .errors import (HorizonError, InputError, NotStabilizedError,
                      UndecidedError, VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
-from .pcs import (DEFAULT_WINDOW, DerivedSequence, PseudoSequence,
-                  sequence_from_json, val_at_index)
+from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag
 from .separation import separate_indices
 from .series import ValuedSeries
 
+DEFAULT_WINDOW = 8
 DEFAULT_RETRIES = 16
 
 
@@ -44,28 +44,6 @@ def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
     return out
 
 
-def taylor_via_hasse(g: Poly, centers: Mapping[VarTag, ValuedSeries],
-                     scales: Mapping[VarTag, ValuedSeries],
-                     newtags: Mapping[VarTag, VarTag]) -> Poly:
-    """Independent oracle: sum_n D^(n)g(centers) * prod s^n * Y_new^n."""
-    tags = list(centers)
-    ranges = [range(g.degree_in(t) + 1) for t in tags]
-    total = Poly.zero(g.field, g.group)
-    for combo in itertools.product(*ranges):
-        orders = {t: n for t, n in zip(tags, combo)}
-        deriv = g.hasse_derivative(orders)
-        if deriv.is_zero():
-            continue
-        coeff = deriv.eval_series(centers)
-        mono = []
-        for t, n in zip(tags, combo):
-            coeff = coeff * (scales[t] ** n)
-            if n:
-                mono.append((newtags[t], n))
-        total = total + Poly(g.field, g.group, {tuple(mono): coeff})
-    return total
-
-
 def recenter_at(h: Poly, seqs: Sequence[PseudoSequence],
                 indices: Sequence[int]) -> Poly:
     """Recentre each Orig(e) variable at sequence index indices[e]."""
@@ -81,6 +59,12 @@ def recenter_at(h: Poly, seqs: Sequence[PseudoSequence],
 
 
 # -- Stabilized coefficient values -------------------------------------
+
+def val_at_index(poly: Poly, seqs: Sequence[PseudoSequence], j: int):
+    """val(poly(v_{0,j}, ..., v_{m,j})), where Orig(e) stands for sequence e."""
+    assignment = {VarTag.orig(e): seq.term(j) for e, seq in enumerate(seqs)}
+    return poly.eval_series(assignment).val()
+
 
 def stable_val_multi(poly: Poly, seqs: Sequence[PseudoSequence],
                      W: int = DEFAULT_WINDOW) -> Tuple[object, int]:
@@ -235,13 +219,6 @@ class RewriteCert:
     @property
     def c(self) -> ValuedSeries:
         return self.G1.monos[self.c_mono]
-
-    def c_val(self):
-        return self.c.val()
-
-
-def verify_rewrite(obj) -> None:
-    RewriteCert.from_json(obj).verify()
 
 
 # -- The certification engine ------------------------------------------

@@ -492,7 +492,3 @@ _VERIFIERS = {
     "multi": _verify_multi,
 }
 
-
-def verify_separation(obj) -> None:
-    """Re-check a separation certificate from its JSON form."""
-    SeparationCert.from_json(obj).verify()

@@ -76,12 +76,6 @@ class ValuedSeries:
             raise InputError("zero series has no leading term")
         return self.terms[0]
 
-    def coeff_at(self, exp):
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.field.zero()
-
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "ValuedSeries") -> None:
         self.field.check_same(other.field)
@@ -208,9 +202,6 @@ class ValuedSeries:
         if other.is_zero_exact():
             raise ZeroDivisionError("series division by exact zero")
         return self.truncate(self.group.add(delta, other.val())).div(other)
-
-    def inverse(self) -> "ValuedSeries":
-        return ValuedSeries.one(self.field, self.group).div(self)
 
     def truncate(self, delta) -> "ValuedSeries":
         return self._new(self.terms, min(self.trunc, delta))

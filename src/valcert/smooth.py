@@ -16,11 +16,11 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
-from .pcs import DEFAULT_WINDOW, DerivedSequence, PseudoSequence, sequence_from_json
+from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag, det, sylvester_resultant
-from .rewrite import (DEFAULT_RETRIES, RewriteCert, rw_bivariate_charp,
-                      rw_bivariate_pfree, rw_univariate_charp,
-                      rw_univariate_pfree)
+from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
+                      rw_bivariate_charp, rw_bivariate_pfree,
+                      rw_univariate_charp, rw_univariate_pfree)
 from .series import ValuedSeries
 
 OUTER_RETRIES = 4
@@ -45,12 +45,13 @@ class SmoothPresentation:
     def assignment(self) -> Dict[VarTag, ValuedSeries]:
         return {tag: img for tag, img in self.generators}
 
-    def jacobian_minor(self, base: Optional[int] = None) -> ValuedSeries:
-        base = self.base if base is None else base
+    def jacobian_minor(self) -> ValuedSeries:
         assignment = self.assignment()
-        cols = [tag for i, (tag, _) in enumerate(self.generators) if i != base]
-        # Entries are evaluated first and enter the expansion as constants.
-        rows = [[Poly.const(rel.derivative(tag).eval_series(assignment)) for tag in cols]
+        cols = [tag for i, (tag, _) in enumerate(self.generators) if i != self.base]
+        # Entries are evaluated first and enter the expansion as constants;
+        # the first Hasse derivative is the ordinary one.
+        rows = [[Poly.const(rel.hasse_derivative({tag: 1}).eval_series(assignment))
+                 for tag in cols]
                 for rel in self.relations]
         one = Poly.const(ValuedSeries.one(self.field, self.group))
         return det(rows, one).constant_term()

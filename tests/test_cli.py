@@ -471,3 +471,23 @@ class TestBatch:
     def test_batch_reports_worst_exit(self, tmp_path, capsys):
         cfgs = batch_cfgs()[:1] + [{"op": "tail"}]
         assert run(["separate", write(tmp_path, "c.json", cfgs)]) == 1
+
+    @pytest.mark.parametrize("payload", [1, "tail", None, True])
+    def test_non_object_config(self, tmp_path, capsys, payload):
+        assert run(["separate", write(tmp_path, "c.json", payload)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["separate", "verify"])
+    def test_non_object_entry(self, tmp_path, capsys, command, jobs):
+        # the bad entry exits 1 and the valid one still gets its result
+        out = str(tmp_path / "cert.json")
+        assert run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out]) == 0
+        cert = json.loads(open(out).read())
+        valid = tail_cfg() if command == "separate" else cert
+        capsys.readouterr()
+        assert run([command, write(tmp_path, "b.json", [valid, 1]), "--jobs", jobs]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0] == (cert if command == "separate"
+                              else {"cert": "separation", "verified": True})
+        assert results[1]["exit"] == 1 and "must be a JSON object" in results[1]["error"]

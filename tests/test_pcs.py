@@ -1,9 +1,9 @@
-"""Pseudo-convergent sequences: partial sums, stages, restaging, classification."""
+"""Pseudo-convergent sequences: partial sums, stages, restaging, stable values."""
 from fractions import Fraction
 
 import pytest
 
-from valcert.errors import HorizonError, InconclusiveError, InputError
+from valcert.errors import HorizonError, InputError
 from valcert.fields import QQ
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.pcs import (RuleSequence, TableSequence, lacunary_sequence,
@@ -94,24 +94,6 @@ class TestRestage:
 
 
 class TestClassify:
-    def test_linear_transcendental(self):
-        # [DERIVED] f = T: val(v_j) = 1 for all j >= 1
-        assert arith_seq().classify(Poly.var(QQ, ZZ, T)) == "transcendental-like"
-
-    def test_algebraic_like_before_tail(self):
-        # [DERIVED] f = T - v_50: vals increase below 50, re-stabilize past it
-        seq = arith_seq()
-        f = Poly.var(QQ, ZZ, T) - Poly.const(seq.term(50))
-        assert seq.classify(f, W=8) == "transcendental-like"  # window sits past 50
-        short = RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
-                             {"kind": "const", "c": 1}, horizon=40)
-        # a window entirely below 50 sees strictly increasing values
-        assert short.classify(f, W=8) == "algebraic-like"
-
-    def test_constant_rejected(self):
-        with pytest.raises(InputError):
-            arith_seq().classify(Poly.const(ValuedSeries.one(QQ, ZZ)))
-
     def test_stable_vals(self):
         # [DERIVED] f=T -> 1; f=1+T -> 0; f=T^2 -> 2
         # (a single sequence is a list of one)
@@ -120,11 +102,6 @@ class TestClassify:
         assert stable_val_multi(Poly.var(QQ, ZZ, T) + Poly.const(ValuedSeries.one(QQ, ZZ)),
                                 seq)[0] == 0
         assert stable_val_multi(Poly.var(QQ, ZZ, T) ** 2, seq)[0] == 2
-
-    def test_any_variable_name(self):
-        # classify reads the polynomial's single variable, whatever its tag
-        f = Poly.var(QQ, ZZ, VarTag.stage(0, 3))
-        assert arith_seq().classify(f) == "transcendental-like"
 
 
 class TestPseudoConvergence:
@@ -184,7 +161,7 @@ class TestOtherGroups:
         seq = RuleSequence(QQ, {"kind": "geom", "a": (1, 1)}, {"kind": "const", "c": 1})
         assert seq.group is Lex(2)
         assert seq.gamma(2) == (4, 4)
-        assert seq.classify(Poly.var(QQ, Lex(2), T)) == "transcendental-like"
+        assert stable_val_multi(Poly.var(QQ, Lex(2), T), [seq])[0] == (1, 1)
 
     def test_mixed_rule_rejected(self):
         with pytest.raises(InputError):

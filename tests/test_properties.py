@@ -174,3 +174,117 @@ class TestHasseLeibniz:
                 ValuedSeries.scalar(field, ZZ, field.from_int(c * comb(n, k)))) \
                 if k <= n else Poly.zero(field, ZZ)
             assert d.same_known(expect)
+
+
+# -- one normalisation point: Poly against a naive dict oracle -----------
+#
+# The oracle is a polynomial in the variables and t together: a dict from
+# (frozenset of (variable, exponent), t-exponent) to a nonzero field
+# coefficient.  A frozenset key needs no variable order, so the oracle
+# never sorts or merges a monomial the way Poly.__init__ does.
+
+TAGS = [VarTag.orig(0), VarTag.orig(1), VarTag.stage(0, 1)]
+FIELDS = [QQ, GF(2)]
+raw_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(min_value=0, max_value=3)] * len(TAGS)),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=-3, max_value=3)),
+    max_size=6)
+
+
+def naive_add(field, out, key, c):
+    c = field.add(out.pop(key, field.zero()), c)
+    if not field.is_zero(c):
+        out[key] = c
+
+
+def from_terms(field, terms):
+    """The same raw terms as a Poly and as an oracle dict."""
+    pairs, naive = [], {}
+    for exps, e, c in terms:
+        mono = [(v, k) for v, k in zip(TAGS, exps) if k]
+        coeff = field.from_int(c)
+        pairs.append((mono[::-1], ValuedSeries(field, ZZ, [(e, coeff)])))
+        naive_add(field, naive, (frozenset(mono), e), coeff)
+    return Poly(field, ZZ, pairs), naive
+
+
+def as_naive(p):
+    """A Poly in oracle form, after checking its normal-form invariants."""
+    out = {}
+    for mono, coeff in p.monos.items():
+        assert [v.sort_key() for v, _ in mono] == sorted(v.sort_key() for v, _ in mono)
+        assert len({v for v, _ in mono}) == len(mono) and all(k >= 1 for _, k in mono)
+        assert coeff.exact and coeff.terms
+        for e, c in coeff.terms:
+            naive_add(p.field, out, (frozenset(mono), e), c)
+    return out
+
+
+def naive_map(field, a, fn):
+    out = {}
+    for (mono, e), c in a.items():
+        image = fn(dict(mono), c)
+        if image is not None:
+            exps, c2 = image
+            naive_add(field, out, (frozenset((v, k) for v, k in exps.items() if k), e), c2)
+    return out
+
+
+class TestNormalisation:
+    @given(st.sampled_from(FIELDS), raw_terms, raw_terms)
+    @settings(max_examples=150, deadline=None)
+    def test_add_and_mul(self, field, xs, ys):
+        (p, a), (q, b) = from_terms(field, xs), from_terms(field, ys)
+        assert as_naive(p) == a and as_naive(q) == b
+        total = dict(a)
+        for key, c in b.items():
+            naive_add(field, total, key, c)
+        assert as_naive(p + q) == total
+        product = {}
+        for (m1, e1), c1 in a.items():
+            for (m2, e2), c2 in b.items():
+                exps = dict(m1)
+                for v, k in m2:
+                    exps[v] = exps.get(v, 0) + k
+                naive_add(field, product, (frozenset(exps.items()), e1 + e2), field.mul(c1, c2))
+        assert as_naive(p * q) == product
+
+    @given(st.sampled_from(FIELDS), raw_terms,
+           st.lists(st.sampled_from(TAGS), min_size=len(TAGS), max_size=len(TAGS)))
+    @settings(max_examples=150, deadline=None)
+    def test_rename(self, field, xs, images):
+        p, a = from_terms(field, xs)
+        mapping = dict(zip(TAGS, images))
+
+        def rename(exps, c):
+            out = {}
+            for v, k in exps.items():
+                out[mapping[v]] = out.get(mapping[v], 0) + k
+            return out, c
+        assert as_naive(p.rename(mapping)) == naive_map(field, a, rename)
+
+    @given(st.sampled_from(FIELDS), raw_terms, st.sampled_from(TAGS),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_hasse_derivative(self, field, xs, tag, n):
+        from math import comb
+        p, a = from_terms(field, xs)
+
+        def derive(exps, c):
+            k = exps.get(tag, 0)
+            if k < n:
+                return None
+            exps[tag] = k - n
+            return exps, field.mul(field.from_int(comb(k, n)), c)
+        assert as_naive(p.hasse_derivative({tag: n})) == naive_map(field, a, derive)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rename_collapses_and_cancels(self, field):
+        y0, y1 = (Poly.var(field, ZZ, tag) for tag in TAGS[:2])
+        collapsed = (y0 * y1).rename({TAGS[1]: TAGS[0]})
+        assert collapsed.same_known(y0 ** 2)
+        assert list(collapsed.monos) == [((TAGS[0], 2),)]
+        # Y0*Y1 - Y0^2 collapses to the exact zero polynomial
+        cancelled = (y0 * y1 - y0 ** 2).rename({TAGS[1]: TAGS[0]})
+        assert cancelled.is_zero() and cancelled.monos == {}

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from valcert.errors import HorizonError, InputError, VerificationError
 from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
 from valcert.separation import (SeparationCert, sep_cross_pair, sep_multi,
-                                sep_shifted_pair, sep_tail, separate_indices,
-                                verify_separation)
+                                sep_shifted_pair, sep_tail, separate_indices)
 
 
 
@@ -56,7 +55,7 @@ class TestTail:
         bad = copy.deepcopy(cert.to_json())
         bad["nu"] = 2  # claims separation already from s=3, but 6 == 6 there
         with pytest.raises(VerificationError):
-            verify_separation(bad)
+            SeparationCert.from_json(bad).verify()
 
 
 class TestShiftedPair:
@@ -140,7 +139,7 @@ class TestMulti:
         bad = copy.deepcopy(cert.to_json())
         bad["js"] = [1, 1]  # values 1, 1, 2: not pairwise distinct
         with pytest.raises(VerificationError):
-            verify_separation(bad)
+            SeparationCert.from_json(bad).verify()
 
 
 class GuardedStream:
@@ -189,7 +188,7 @@ class TestOtherGroups:
         gamma = [Fraction(s, 2) for s in range(1, 101)]
         cert = sep_tail([Fraction(0), Fraction(3, 2)], [2, 1], gamma)
         assert cert.data["nu"] == 3 and cert.data["betas"] == ["0/1", "3/2"]
-        verify_separation(cert.to_json())
+        SeparationCert.from_json(cert.to_json()).verify()
 
     def test_mixed_groups_rejected(self):
         lex = [(0, s) for s in range(1, 51)]
@@ -204,7 +203,7 @@ class TestOtherGroups:
         bad = sep_tail([(0, 0), (1, 0)], [1, 3], lex_stream()).to_json()
         bad["betas"][0] = 0
         with pytest.raises(InputError):
-            verify_separation(bad)
+            SeparationCert.from_json(bad).verify()
 
 
 # -- the hash-indexed pair verifiers against the pair-by-pair scans ------
@@ -360,9 +359,10 @@ def same_verdict(kind, scan, case):
     cert = {"cert": "separation", "kind": kind, **data}
     if newly_rejected:
         with pytest.raises(VerificationError):
-            verify_separation(cert)
+            SeparationCert.from_json(cert).verify()
     else:
-        assert outcome(verify_separation, cert) == outcome(scan, data)
+        verify = lambda obj: SeparationCert.from_json(obj).verify()
+        assert outcome(verify, cert) == outcome(scan, data)
 
 
 class TestAgainstPairScan:

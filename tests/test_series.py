@@ -101,8 +101,8 @@ class TestWindows:
     def test_char_p_coefficients(self):
         f5 = GF(5)
         x = ValuedSeries(f5, ZZ, [(0, f5.from_int(3))])
-        assert (x + x + x).coeff_at(0) == f5.from_int(4)
-        assert (x + x).coeff_at(0) == f5.from_int(1)
+        assert dict((x + x + x).terms)[0] == f5.from_int(4)
+        assert dict((x + x).terms)[0] == f5.from_int(1)
 
     def test_json_roundtrip(self):
         x = S((1, 2), (3, -1), trunc=7)
@@ -120,10 +120,10 @@ class TestOtherGroups:
         x = ValuedSeries(QQ, group, [(group.zero(), QQ.one()), (e, QQ.one())])
         cube = x ** 3
         assert cube.val() == group.zero()
-        assert cube.coeff_at(group.scale(e, 2)) == 3
+        assert dict(cube.terms)[group.scale(e, 2)] == 3
         inv = one.div_to(x, group.scale(e, 3))
         assert (inv * x - one).is_small(group.scale(e, 2))
-        assert ValuedSeries.t_power(QQ, group, e).inverse().val() == group.neg(e)
+        assert one.div(ValuedSeries.t_power(QQ, group, e)).val() == group.neg(e)
 
     def test_shift_and_truncation(self):
         x = ValuedSeries(QQ, RATIONALS, [(Fraction(1, 3), QQ.one())], Fraction(2))
