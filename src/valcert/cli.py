@@ -1,10 +1,10 @@
 """Batch front end: run separation/rewrite/smooth pipelines from JSON
 configs and verify certificate files.
 
-Exit codes: 0 ok, 1 input error, 2 horizon/stabilization, 3 undecided
-after retries, 4 verification failure.  Output is canonical JSON
-(sorted keys, compact separators) so identical configs yield
-byte-identical certificates.
+Exit codes: 0 ok, 1 input error, 2 horizon/stabilization or unreadable
+valuation, 3 undecided after retries, 4 verification failure.  Output is
+canonical JSON (sorted keys, compact separators) so identical configs
+yield byte-identical certificates.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import (HorizonError, InputError, UndecidedError,
-                     VerificationError)
+from .errors import (HorizonError, IndeterminateValError, InputError,
+                     UndecidedError, VerificationError)
 from .fields import characteristic, field_from_json
 from .group import element_from_json
 from .pcs import TableSequence, sequence_from_json
@@ -178,9 +178,9 @@ def run_single(command: str, cfg: dict, opts: dict):
         if not isinstance(cfg, dict):
             raise InputError(f"a config must be a JSON object, not {type(cfg).__name__}")
         return EXIT_OK, _COMMANDS[command](cfg, opts)
-    except (InputError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, InputError, KeyError, TypeError, ValueError) as exc:
         return EXIT_INPUT, f"input error: {exc}"
-    except HorizonError as exc:
+    except (HorizonError, IndeterminateValError) as exc:
         return EXIT_HORIZON, f"horizon/stabilization: {exc}"
     except UndecidedError as exc:
         return EXIT_UNDECIDED, f"undecided after retries: {exc}"

@@ -302,6 +302,8 @@ class Poly:
         monos = {}
         for mono_json, coeff_json in obj:
             mono = _mono_sorted((VarTag.from_json(v), int(k)) for v, k in mono_json)
+            if mono in monos:
+                raise InputError("repeated monomial")
             monos[mono] = ValuedSeries.from_json(coeff_json, field, group)
         return Poly(field, group, monos)
 

@@ -1,21 +1,22 @@
 """Certified polynomial rewrites over pseudo-convergent sequences.
 
 Every operation recentres a polynomial through the stage substitutions
-y_e = v_{e,t} + s_{e,t} * Y_{e,t} at indices chosen so that the
-coefficient value table of the result satisfies the advertised normal
-form (pairwise distinct values; unique strictly minimal linear
-coefficient; quadratic-part domination).  Index choice runs through the
-separation machinery on stabilized coefficient values; the emitted
-certificate stores the exact recentred polynomial, so verification is an
-exact recomputation plus direct value checks -- no searches re-run.
+y_e = v_{e,t} + s_{e,t} * Y_{e,t} at indices chosen so that the value
+table of the result's coefficients has the advertised normal form
+(values in V, nonconstant values distinct, a designated coefficient
+least, or linear and strictly least).  Index choice runs through the
+separation machinery on stabilized coefficient values, and the builder
+decides each attempt with its verifier's normal-form check.  The
+certificate stores the exact recentred polynomial, so verification is
+an exact recomputation plus direct value checks -- no searches re-run.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .errors import (HorizonError, InputError, NotStabilizedError,
-                     UndecidedError, VerificationError)
+from .errors import (HorizonError, IndeterminateValError, InputError,
+                     NotStabilizedError, UndecidedError, VerificationError)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
@@ -178,42 +179,14 @@ class RewriteCert:
             raise VerificationError("indices", f"sequence too short: {exc}")
         if not recomputed.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
-        vals = {}
-        for mono, coeff in self.G1.monos.items():
-            vals[mono] = coeff.val()
+        try:
+            vals = {mono: coeff.val() for mono, coeff in self.G1.monos.items()}
+        except IndeterminateValError as exc:
+            raise VerificationError("value-table", str(exc))
         table = {mono: v for mono, v in self.table}
         if set(table) != set(vals) or any(table[m] != vals[m] for m in vals):
             raise VerificationError("value-table", "embedded value table is wrong")
-        group = self.g.group
-        for v in vals.values():
-            if v < group.zero():
-                raise VerificationError(
-                    "coeffs-in-V", f"coefficient val {group.to_json(v)} < 0")
-        nonconst = {m: v for m, v in vals.items() if m != ()}
-        seen = list(nonconst.values())
-        for i in range(len(seen)):
-            for j in range(i + 1, len(seen)):
-                if seen[i] == seen[j]:
-                    raise VerificationError(
-                        "distinct-nonconstant", "two coefficient values coincide")
-        if self.c_mono not in vals:
-            raise VerificationError("c-mono", "designated coefficient is absent")
-        cval = vals[self.c_mono]
-        if self.mode == "content":
-            for v in vals.values():
-                if v < cval:
-                    raise VerificationError(
-                        "content-min", "designated coefficient is not minimal")
-        elif self.mode == "min-linear":
-            if sum(k for _, k in self.c_mono) != 1:
-                raise VerificationError("min-linear", "designated coefficient is not linear")
-            for m, v in nonconst.items():
-                if m != self.c_mono and not cval < v:
-                    raise VerificationError(
-                        "min-linear",
-                        "designated linear coefficient is not strictly minimal")
-        else:
-            raise VerificationError("mode", f"unknown mode {self.mode!r}")
+        _check_normal_form(vals, self.c_mono, self.mode, self.g.group)
 
     # -- convenience --------------------------------------------------
     @property
@@ -274,13 +247,8 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
             indices = list(rhos)
         G1 = recenter_at(h, seqs, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
-        nonconst = {m: v for m, v in vals.items() if m != ()}
-        ok, failure = _claims_hold(vals, nonconst, mode, h.group.zero())
-        if ok:
-            if mode == "content":
-                c_mono = _argmin(vals)
-            else:
-                c_mono = _argmin(nonconst)
+        c_mono, failure = _claims_hold(vals, mode, h.group)
+        if not failure:
             table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
             tag = case if case else _case_tag(vals)
             # Verification reads term(t) and scale(t): t + 2 terms.
@@ -312,24 +280,43 @@ def _argmin(vals: Dict[tuple, object]):
     return min(candidates, key=_mono_key)
 
 
-def _claims_hold(vals, nonconst, mode, zero):
-    if mode == "content":
-        if not vals:
-            return False, "empty polynomial"
-    elif not nonconst:
-        return False, "no nonconstant coefficients survive"
-    seen = sorted(nonconst.values())
-    for a, b in zip(seen, seen[1:]):
-        if a == b:
-            return False, "coefficient values collide"
+def _check_normal_form(vals: Dict[tuple, object], c_mono, mode: str, group) -> None:
+    """The normal-form claims on a value table, each a VerificationError:
+    values in V, nonconstant values distinct, c_mono present and least
+    ("content") or linear and strictly least among nonconstant ("min-linear")."""
     for v in vals.values():
-        if v < zero:
-            return False, "a coefficient lies outside V"
-    if mode == "min-linear":
-        m = _argmin(nonconst)
-        if sum(k for _, k in m) != 1:
-            return False, "minimal coefficient is not linear"
-    return True, ""
+        if v < group.zero():
+            raise VerificationError(
+                "coeffs-in-V", f"coefficient val {group.to_json(v)} < 0")
+    seen = sorted(v for m, v in vals.items() if m != ())
+    if any(a == b for a, b in zip(seen, seen[1:])):
+        raise VerificationError("distinct-nonconstant", "two coefficient values coincide")
+    if c_mono not in vals:
+        raise VerificationError("c-mono", "designated coefficient is absent")
+    cval = vals[c_mono]
+    if mode == "content":
+        if any(v < cval for v in vals.values()):
+            raise VerificationError("content-min", "designated coefficient is not minimal")
+    elif mode == "min-linear":
+        if sum(k for _, k in c_mono) != 1:
+            raise VerificationError("min-linear", "designated coefficient is not linear")
+        if any(m not in (c_mono, ()) and not cval < v for m, v in vals.items()):
+            raise VerificationError(
+                "min-linear", "designated linear coefficient is not strictly minimal")
+    else:
+        raise VerificationError("mode", f"unknown mode {mode!r}")
+
+
+def _claims_hold(vals: Dict[tuple, object], mode: str, group):
+    """One attempt's designated monomial, its least coefficient (nonconstant
+    unless mode is "content"), and why the normal-form check rejects it."""
+    pool = vals if mode == "content" else {m: v for m, v in vals.items() if m != ()}
+    c_mono = _argmin(pool) if pool else None
+    try:
+        _check_normal_form(vals, c_mono, mode, group)
+    except VerificationError as exc:
+        return c_mono, f"{exc.claim}: {exc.detail}"
+    return c_mono, ""
 
 
 # -- Public operations -------------------------------------------------

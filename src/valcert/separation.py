@@ -5,11 +5,15 @@ value-combinations beta + sum(t_e * gamma_{e,j_e}) are pairwise
 distinct, together with explicit collision structure where collisions
 are unavoidable.  Every certificate embeds the gamma windows it used, so
 verification is an exhaustive exact check that needs no recomputation of
-the search.  The two pair verifiers cover every index pair of the window
-without forming all of them: each value is hashed to the indices taking
-it, so a collision map is checked by lookup in time linear in the window
-(repeated or non-monotone streams in a hostile certificate included), and
-each reports the lexicographically least pair at which the claim fails.
+the search.  Each constructor keeps only its search and decides with its
+verifier's check: the tail's per-index check, the shifted and cross
+collision maps, and the multi entry values.  The two pair verifiers
+cover every index pair of the window without forming all of them: each
+raw stream value is hashed to the indices taking it and each row looks
+up its shifted value, so a collision map is checked in time linear in
+the window (repeated or non-monotone streams in a hostile certificate
+included), and each reports the lexicographically least pair at which
+the claim fails.
 
 Streams are 1-indexed: a stream list g represents gamma_s = g[s-1] for
 s = 1..H (matching the source statements that range indices over [1, λ)).
@@ -73,14 +77,31 @@ class SeparationCert:
 
 # -- Tail separation (single stream, integer multipliers) --------------
 
+def _tail_fault(G: ValueGroup, betas, ts, g, r) -> Optional[Tuple[str, str]]:
+    """The claim that fails at the stream value g: two of the values
+    beta_i + t_i*g coincide ("tail-distinct"), or entry r is not strictly
+    the least ("tail-minimum"); None when both hold."""
+    vals = [G.add(b, G.scale(g, t)) for b, t in zip(betas, ts)]
+    if len(set(vals)) < len(vals):
+        i, j = next((i, j) for i, v in enumerate(vals) for j in range(i + 1, len(vals))
+                    if v == vals[j])
+        return "tail-distinct", f"collision of entries {i},{j}"
+    # With the values distinct, r is strictly least unless a value lies below.
+    if r is not None and min(vals) < vals[r]:
+        return "tail-minimum", f"entry {r} not strictly minimal"
+    return None
+
+
 def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationCert:
     """Least nu with beta_i + t_i*gamma_s pairwise distinct for all s > nu.
 
     When every t_i is positive, also reports the index r whose value is
-    strictly minimal past nu; nu is then additionally raised past any
-    index where that minimality fails without an on-stream collision
-    (a pair's crossover value can fall between stream points), so the
-    certified claims hold for every s > nu and break at s = nu.
+    least at the window's end, and the claims include that r is strictly
+    minimal: a pair's ordering can flip between stream points without an
+    on-stream collision (the crossover value is skipped or is not
+    solvable in the group).  nu is the last index at which the
+    verifier's per-index check fails, so the claims hold for every
+    s > nu and break at s = nu.
     """
     m = len(betas)
     if m != len(ts) or m < 1:
@@ -88,48 +109,26 @@ def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationC
     G = _common_group([gamma], *betas)
     _check_stream(gamma)
     H = len(gamma)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if ts[i] == ts[j] and betas[i] == betas[j]:
-                raise InputError(
-                    f"hypothesis violated: entries {i} and {j} coincide (equal t and beta)")
-    nu = 0
+    beyond = False
     for i in range(m):
         for j in range(i + 1, m):
             dt = ts[j] - ts[i]
-            if dt == 0:
-                continue
-            target = G.solve_scalar(dt, G.sub(betas[i], betas[j]))
-            if target is None:
-                continue
-            if gamma[-1] < target:
-                raise HorizonError(
-                    "a collision target lies beyond the stream window; "
-                    "extend the horizon")
-            for s in range(1, H + 1):
-                if gamma[s - 1] == target:
-                    nu = max(nu, s)
-                    break
-                if target < gamma[s - 1]:
-                    break
+            if dt == 0 and betas[i] == betas[j]:
+                raise InputError(
+                    f"hypothesis violated: entries {i} and {j} coincide (equal t and beta)")
+            target = G.solve_scalar(dt, G.sub(betas[i], betas[j])) if dt else None
+            beyond |= target is not None and gamma[-1] < target
+    if beyond:
+        raise HorizonError(
+            "a collision target lies beyond the stream window; extend the horizon")
     r: Optional[int] = None
     if all(t > 0 for t in ts):
-        if nu >= H:
-            raise HorizonError("no indices remain past nu within the window")
-        end = [G.add(betas[i], G.scale(gamma[H - 1], ts[i])) for i in range(m)]
+        end = [G.add(b, G.scale(gamma[-1], t)) for b, t in zip(betas, ts)]
         r = end.index(min(end))
-        # A pair's ordering can flip between stream points without an
-        # on-stream collision (the crossover value is skipped or is not
-        # solvable in the group), so the minimality claim needs nu to
-        # also dominate the last index where r fails to be strictly
-        # minimal.
-        for s in range(H - 1, nu, -1):
-            vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
-            if any(i != r and not vals[r] < vals[i] for i in range(m)):
-                nu = s
-                break
-        if nu >= H:
-            raise HorizonError("no indices remain past nu within the window")
+    nu = next((s for s in range(H, 0, -1)
+               if _tail_fault(G, betas, ts, gamma[s - 1], r)), 0)
+    if r is not None and nu >= H:
+        raise HorizonError("no indices remain past nu within the window")
     cert = SeparationCert("tail", {
         "betas": [G.to_json(b) for b in betas],
         "ts": list(ts),
@@ -155,60 +154,16 @@ def _verify_tail(data: dict) -> None:
     if not (r is None or type(r) is int and 0 <= r < m):
         raise VerificationError("tail-bounds", f"r={r!r} is neither null nor in [0,{m})")
     for s in range(nu + 1, H + 1):
-        vals = [G.add(betas[i], G.scale(gamma[s - 1], ts[i])) for i in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if vals[i] == vals[j]:
-                    raise VerificationError(
-                        "tail-distinct", f"collision of entries {i},{j} at s={s}")
-        if r is not None:
-            for i in range(m):
-                if i != r and not vals[r] < vals[i]:
-                    raise VerificationError(
-                        "tail-minimum", f"entry {r} not strictly minimal at s={s}")
-    if nu > 0:
-        vals = [G.add(betas[i], G.scale(gamma[nu - 1], ts[i])) for i in range(m)]
-        collision = len(set(vals)) < len(vals)
-        # nu is minimal when at s=nu the certified claims break: either
-        # two values collide, or the reported entry fails strict minimality.
-        min_fails = (r is not None
-                     and any(i != r and not vals[r] < vals[i] for i in range(m)))
-        if not collision and not min_fails:
-            raise VerificationError(
-                "tail-minimal-nu",
-                f"claims hold at s={nu} already; nu is not minimal")
+        fault = _tail_fault(G, betas, ts, gamma[s - 1], r)
+        if fault:
+            raise VerificationError(fault[0], f"{fault[1]} at s={s}")
+    # nu is minimal when at s=nu the certified claims break.
+    if nu > 0 and not _tail_fault(G, betas, ts, gamma[nu - 1], r):
+        raise VerificationError(
+            "tail-minimal-nu", f"claims hold at s={nu} already; nu is not minimal")
 
 
-# -- Shifted pair (one stream, second shifted by a constant) ------------
-
-def sep_shifted_pair(beta0, beta1, c, gamma0: Sequence) -> SeparationCert:
-    """Collision structure of beta0+gamma_{j0} versus beta1+gamma_{j1}+c.
-
-    Returns the set A and injective map sigma with equality exactly at
-    j1 = sigma(j0), j0 in A, within the stream window.
-    """
-    G = _common_group([gamma0], beta0, beta1, c)
-    _check_stream(gamma0)
-    H = len(gamma0)
-    index_of = {gamma0[j - 1]: j for j in range(1, H + 1)}
-    shift = G.sub(G.sub(beta0, beta1), c)
-    sigma: List[Tuple[int, int]] = []
-    for j0 in range(1, H + 1):
-        target = G.add(gamma0[j0 - 1], shift)
-        j1 = index_of.get(target)
-        if j1 is not None:
-            sigma.append((j0, j1))
-    cert = SeparationCert("shifted", {
-        "beta0": G.to_json(beta0),
-        "beta1": G.to_json(beta1),
-        "c": G.to_json(c),
-        "gamma0": [G.to_json(g) for g in gamma0],
-        "A": [p[0] for p in sigma],
-        "sigma": [list(p) for p in sigma],
-    })
-    cert.verify()
-    return cert
-
+# -- Pair collision maps (shifted and cross) ---------------------------
 
 def _is_index(j, H: int) -> bool:
     return type(j) is int and 1 <= j <= H
@@ -222,11 +177,68 @@ def _index_by_value(values) -> Dict[object, List[int]]:
     return index
 
 
+def _row_hits(G: ValueGroup, gamma0, shift, gamma1) -> Dict[int, List[int]]:
+    """Each row j0 mapped to the ascending j1 with gamma1_{j1} =
+    gamma0_{j0} + shift, the rows without one left out: one lookup of the
+    shifted value per row in the index of the raw gamma1 values."""
+    index = _index_by_value(gamma1)
+    hits = {}
+    for j0, g in enumerate(gamma0, 1):
+        found = index.get(G.add(g, shift))
+        if found:
+            hits[j0] = found
+    return hits
+
+
+def _shifted_hits(G: ValueGroup, beta0, beta1, c, gamma0) -> Dict[int, List[int]]:
+    """The collisions beta0 + gamma_{j0} = beta1 + gamma_{j1} + c, by row."""
+    return _row_hits(G, gamma0, G.sub(G.sub(beta0, beta1), c), gamma0)
+
+
+def _cross_maps(G: ValueGroup, beta0, beta1, beta01, gamma0, gamma1):
+    """Where the families P0 = beta0 + gamma_{0,j0}, P1 = beta1 + gamma_{1,j1}
+    and P01 = beta01 + gamma_{0,j0} + gamma_{1,j1} collide, cancellation
+    being exact in the group: the rows j0 with gamma0 = beta1 - beta01
+    (P1 = P01, whatever j1), the columns j1 with gamma1 = beta0 - beta01
+    (P0 = P01, whatever j0), and the P0 = P1 collisions by row."""
+    row, col = G.sub(beta1, beta01), G.sub(beta0, beta01)
+    rows = [j for j, g in enumerate(gamma0, 1) if g == row]
+    cols = [j for j, g in enumerate(gamma1, 1) if g == col]
+    return rows, cols, _row_hits(G, gamma0, G.sub(beta0, beta1), gamma1)
+
+
+def _sigma_fields(hits: Dict[int, List[int]]) -> dict:
+    """The A and sigma a certificate lists for a collision map."""
+    sigma = [[j0, j1] for j0, found in hits.items() for j1 in found]
+    return {"A": [j0 for j0, _ in sigma], "sigma": sigma}
+
+
 def _check_window(claim: str, sigma, H0: int, H1: int) -> None:
     for a, b in sigma:
         if not (_is_index(a, H0) and _is_index(b, H1)):
             raise VerificationError(
                 claim, f"sigma pair ({a},{b}) lies outside [1,{H0}]x[1,{H1}]")
+
+
+# -- Shifted pair (one stream, second shifted by a constant) ------------
+
+def sep_shifted_pair(beta0, beta1, c, gamma0: Sequence) -> SeparationCert:
+    """Collision structure of beta0+gamma_{j0} versus beta1+gamma_{j1}+c.
+
+    Returns the set A and injective map sigma with equality exactly at
+    j1 = sigma(j0), j0 in A, within the stream window.
+    """
+    G = _common_group([gamma0], beta0, beta1, c)
+    _check_stream(gamma0)
+    cert = SeparationCert("shifted", {
+        "beta0": G.to_json(beta0),
+        "beta1": G.to_json(beta1),
+        "c": G.to_json(c),
+        "gamma0": [G.to_json(g) for g in gamma0],
+        **_sigma_fields(_shifted_hits(G, beta0, beta1, c, gamma0)),
+    })
+    cert.verify()
+    return cert
 
 
 def _verify_shifted(data: dict) -> None:
@@ -240,14 +252,13 @@ def _verify_shifted(data: dict) -> None:
     if len({b for _, b in pairs}) != len(pairs):
         raise VerificationError("shifted-injective", "sigma is not injective")
     _check_window("shifted-window", data["sigma"], H, H)
-    # The real collisions beta0 + gamma_{j0} = beta1 + gamma_{j1} + c, row
-    # by row, must be exactly the listed ones.
-    hits = _index_by_value(G.add(G.add(beta1, g), c) for g in gamma0)
+    # The real collisions, row by row, must be exactly the listed ones.
+    hits = _shifted_hits(G, beta0, beta1, c, gamma0)
     listed: Dict[int, List[int]] = {}
     for a, b in sorted(pairs):
         listed.setdefault(a, []).append(b)
-    for j0, g in enumerate(gamma0, 1):
-        real, claimed = hits.get(G.add(beta0, g), []), listed.get(j0, [])
+    for j0 in range(1, H + 1):
+        real, claimed = hits.get(j0, []), listed.get(j0, [])
         if real != claimed:
             j1 = min(set(real).symmetric_difference(claimed))
             raise VerificationError(
@@ -264,34 +275,16 @@ def sep_cross_pair(beta0, beta1, beta01, gamma0: Sequence,
     G = _common_group([gamma0, gamma1], beta0, beta1, beta01)
     _check_stream(gamma0, "gamma0")
     _check_stream(gamma1, "gamma1")
-    H0, H1 = len(gamma0), len(gamma1)
-    rho0 = 0
-    t0 = G.sub(beta1, beta01)
-    for j0 in range(1, H0 + 1):
-        if gamma0[j0 - 1] == t0:
-            rho0 = j0
-    rho1 = 0
-    t1 = G.sub(beta0, beta01)
-    for j1 in range(1, H1 + 1):
-        if gamma1[j1 - 1] == t1:
-            rho1 = j1
-    index1 = {gamma1[j - 1]: j for j in range(1, H1 + 1)}
-    shift = G.sub(beta0, beta1)
-    sigma: List[Tuple[int, int]] = []
-    for j0 in range(1, H0 + 1):
-        j1 = index1.get(G.add(gamma0[j0 - 1], shift))
-        if j1 is not None:
-            sigma.append((j0, j1))
+    rows, cols, hits = _cross_maps(G, beta0, beta1, beta01, gamma0, gamma1)
     cert = SeparationCert("cross", {
         "beta0": G.to_json(beta0),
         "beta1": G.to_json(beta1),
         "beta01": G.to_json(beta01),
         "gamma0": [G.to_json(g) for g in gamma0],
         "gamma1": [G.to_json(g) for g in gamma1],
-        "rho0": rho0,
-        "rho1": rho1,
-        "A": [p[0] for p in sigma],
-        "sigma": [list(p) for p in sigma],
+        "rho0": rows[-1] if rows else 0,
+        "rho1": cols[-1] if cols else 0,
+        **_sigma_fields(hits),
     })
     cert.verify()
     return cert
@@ -318,27 +311,17 @@ def _verify_cross(data: dict) -> None:
     if not len(pairs) == len(sigma) == len(set(sigma.values())):
         raise VerificationError("cross-injective", "sigma is not an injective partial map")
     _check_window("cross-window", data["sigma"], H0, H1)
-    p0s = [G.add(beta0, g) for g in gamma0]
-    p1s = [G.add(beta1, g) for g in gamma1]
+    rows, cols, hits = _cross_maps(G, beta0, beta1, beta01, gamma0, gamma1)
     for a, b in data["sigma"]:
-        if p0s[a - 1] != p1s[b - 1]:
+        if b not in hits.get(a, ()):
             raise VerificationError(
                 "cross-sigma", f"({a},{b}) is not a collision of the first two families")
-    # Past the bounds and off sigma, the families collide only where
-    # P0 = P1 (a lookup of P0 among the P1 values), where
-    # gamma1 = beta0 - beta01 (P0 = P01, whatever j0) or where
-    # gamma0 = beta1 - beta01 (P1 = P01, whatever j1): cancellation is
-    # exact in the group.  Each row's least colliding j1 is read off.
-    hits = _index_by_value(p1s)
-    col_value = G.sub(beta0, beta01)
-    cols = [j for j, g in enumerate(gamma1, 1) if g == col_value]
-    row_value = G.sub(beta1, beta01)
-    every = range(1, H1 + 1)
+    # Past the bounds and off sigma, each row's least colliding j1 is read
+    # off the three maps.
+    rows, every = set(rows), range(1, H1 + 1)
     for j0 in range(rho0 + 1, H0 + 1):
         skip = sigma.get(j0)
-        candidates = [cols, hits.get(p0s[j0 - 1], [])]
-        if gamma0[j0 - 1] == row_value:
-            candidates.append(every)
+        candidates = [cols, hits.get(j0, [])] + ([every] if j0 in rows else [])
         found = [j for j in (_least_above(c, rho1, skip) for c in candidates)
                  if j is not None]
         if found:
@@ -469,14 +452,14 @@ def _verify_multi(data: dict) -> None:
         if not (rhos[e] < j <= len(gammas[e])):
             raise VerificationError("multi-bounds", f"index j_{e}={j} out of range")
     values = []
-    for (label, mult, _), total in zip(data["entries"], betas):
-        for e, t in mult:
+    for (label, pairs, _), beta in zip(data["entries"], betas):
+        mult: Dict[int, int] = {}
+        for e, t in pairs:
             if not 0 <= e < len(gammas):
                 raise VerificationError(
                     "multi-shape", f"entry {label!r} names position {e} without a stream")
-            if t != 0:
-                total = G.add(total, G.scale(gammas[e][js[e] - 1], t))
-        values.append((label, total))
+            mult[e] = mult.get(e, 0) + t
+        values.append((label, _entry_value(G, (label, mult, beta), gammas, js, len(js))))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if values[i][1] == values[j][1]:

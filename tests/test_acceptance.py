@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from valcert.cli import main as cli_main
 from valcert.errors import (HorizonError, InputError, NotStabilizedError,
                             UndecidedError)

@@ -298,6 +298,17 @@ class TestSeparationMaps:
         assert run(["verify", write(tmp_path, "all.json", cert)]) == 4
         assert "cross-injective" in capsys.readouterr().err
 
+    def test_cross_row_below_rho0(self, tmp_path, capsys):
+        # gamma0 = 5 = beta1 - beta01 makes row 5 collide (P1 = P01) at every
+        # j1, no P0 = P1 or P0 = P01 collision lying there; rho0 = 5 covers it
+        cert = self.certificate(tmp_path, {"op": "cross", "beta0": 0, "beta1": 5, "beta01": 0,
+                                           "gamma0": list(range(1, 51)),
+                                           "gamma1": list(range(1, 51))})
+        assert (cert["rho0"], cert["rho1"]) == (5, 0) and [5, 0] not in cert["sigma"]
+        cert["rho0"] = 4
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "cross-distinct: families collide at (5,1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pair", [[500, 600], [4, 1.0], [True, 198]])
     def test_shifted_sigma_outside_window(self, tmp_path, capsys, pair):
         cert = self.certificate(tmp_path, {"op": "shifted", "beta0": 0, "beta1": 2, "c": 1,
@@ -419,6 +430,80 @@ class TestShortData:
         cfg = self.multi_cfg()
         cfg["ts"] = [1]
         assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
+
+
+class TestUnreadableRewrite:
+    """A rewrite config or certificate whose values cannot be read, or that
+    holds a list or number where an object belongs, gets an exit code and
+    never a traceback, also beside a valid entry in a --jobs 2 batch."""
+
+    UNKNOWN = {"terms": [], "trunc": 3}  # no known term below t^3
+
+    def certificate(self, tmp_path, degree=1):
+        out = tmp_path / "cert.json"
+        cfg = univariate_cfg(QQ, degree)
+        assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_unreadable_g_build(self, tmp_path, capsys):
+        cfg = univariate_cfg(QQ, 1)
+        cfg["g"][0][1] = self.UNKNOWN
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 2
+        assert "series vanishes below truncation 3" in capsys.readouterr().err
+
+    def test_unreadable_g_build_in_batch(self, tmp_path, capsys):
+        bad = univariate_cfg(QQ, 1)
+        bad["g"][0][1] = self.UNKNOWN
+        path = write(tmp_path, "batch.json", [bad, univariate_cfg(QQ, 1)])
+        assert run(["rewrite", path, "--jobs", "2"]) == 2
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 2
+        assert results[1] == self.certificate(tmp_path)
+
+    def test_unreadable_g_verify(self, tmp_path, capsys):
+        # g = O(t^3)*Y0 recentres to O(t^3)*(v_t + s_t*Y), whose coefficients
+        # are known only below t^(3 + their honest value)
+        cert = self.certificate(tmp_path)
+        cert["g"][0][1] = self.UNKNOWN
+        for _, coeff in cert["G1"]:
+            coeff["terms"], coeff["trunc"] = [], 3 + coeff["terms"][0][0]
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "value-table: series vanishes below truncation 4" in capsys.readouterr().err
+
+    @staticmethod
+    def non_object(cert, edit):
+        if edit == "seq-list":
+            cert["seqs"][0] = [1]
+        elif edit == "seq-number":
+            cert["seqs"][0] = 3
+        else:
+            cert["c_mono"][0][0] = 1
+        return cert
+
+    @pytest.mark.parametrize("edit", ["seq-list", "seq-number", "c-mono-tag"])
+    def test_non_object_field(self, tmp_path, capsys, edit):
+        bad = self.non_object(self.certificate(tmp_path), edit)
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 1
+        assert "has no attribute 'get'" in capsys.readouterr().err
+
+    def test_non_object_field_in_batch(self, tmp_path, capsys):
+        cert = self.certificate(tmp_path)
+        bad = self.non_object(json.loads(json.dumps(cert)), "c-mono-tag")
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "batch.json", [bad, cert]), "--jobs", "2"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 1
+        assert results[1] == {"cert": "rewrite", "verified": True}
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_repeated_monomial(self, tmp_path, capsys, position):
+        # a repeat of G1's first monomial with coefficient 5, before or after
+        # every honest entry
+        cert = self.certificate(tmp_path, degree=2)
+        repeat = [cert["G1"][0][0], {"terms": [[0, "5/1"]], "trunc": "inf"}]
+        cert["G1"].insert(0 if position == "first" else len(cert["G1"]), repeat)
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "repeated monomial" in capsys.readouterr().err
 
 
 class TestMixedGroups:

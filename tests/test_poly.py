@@ -1,6 +1,4 @@
 """Sparse multivariate polynomials, Hasse derivatives, resultants."""
-import pytest
-
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
 from valcert.poly import Poly, VarTag, sylvester_resultant

@@ -5,7 +5,6 @@ hand-traced derivations; every certificate is additionally re-verified
 through its own exact symbolic expansion (RewriteCert.verify).
 """
 import copy
-import itertools
 import json
 import random
 

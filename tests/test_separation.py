@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valcert.errors import HorizonError, InputError, VerificationError
+from valcert.errors import InputError, VerificationError
 from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
 from valcert.separation import (SeparationCert, sep_cross_pair, sep_multi,
                                 sep_shifted_pair, sep_tail, separate_indices)

@@ -1,5 +1,4 @@
 """Smooth-subalgebra presentations: construction, verification, tampering."""
-import copy
 import json
 
 import pytest
