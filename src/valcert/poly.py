@@ -90,6 +90,22 @@ def _mono_mul(a: Iterable[Tuple[VarTag, int]], b: Monomial):
     return acc.items()
 
 
+class Powers(dict):
+    """(tag, n) -> values[tag]^n, each power computed once, from the one below."""
+
+    def __init__(self, values: Mapping[VarTag, ValuedSeries]):
+        super().__init__()
+        self._values = values
+
+    def __missing__(self, key):
+        tag, n = key
+        if tag not in self._values:
+            raise InputError(f"no value for variable {tag}")
+        base = self._values[tag]
+        power = self[key] = base if n == 1 else self[tag, n - 1] * base
+        return power
+
+
 class Poly:
     __slots__ = ("field", "group", "monos")
 
@@ -202,20 +218,15 @@ class Poly:
         return result
 
     # -- substitution -------------------------------------------------
-    def eval_series(self, assignment: Mapping[VarTag, ValuedSeries]) -> ValuedSeries:
+    def eval_series(self, values) -> ValuedSeries:
+        """self at the values of the variables: a mapping tag -> series, or
+        a Powers table of them shared with other evaluations."""
+        powers = values if isinstance(values, Powers) else Powers(values)
         total = ValuedSeries.zero(self.field, self.group)
-        powers: Dict[Tuple[VarTag, int], ValuedSeries] = {}
         for mono, coeff in self.monos.items():
-            term = coeff
             for vk in mono:
-                power = powers.get(vk)
-                if power is None:
-                    v, k = vk
-                    if v not in assignment:
-                        raise InputError(f"no value for variable {v}")
-                    power = powers[vk] = assignment[v] ** k
-                term = term * power
-            total = total + term
+                coeff = coeff * powers[vk]
+            total = total + coeff
         return total
 
     def subs_poly(self, tag: VarTag, replacement: "Poly") -> "Poly":

@@ -9,10 +9,15 @@ separation machinery on stabilized coefficient values, and the builder
 decides each attempt with its verifier's normal-form check.  The
 certificate stores the exact recentred polynomial, so verification is
 an exact recomputation plus direct value checks -- no searches re-run.
+
+Recentring is computed in Hasse form, from one power table of the
+centres and one of the scales.  The stabilized values of all Hasse
+derivatives come from a single walk over the partial sums.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
@@ -20,7 +25,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
-from .poly import Poly, VarTag
+from .poly import Poly, Powers, VarTag
 from .separation import separate_indices
 from .series import ValuedSeries
 
@@ -33,16 +38,36 @@ DEFAULT_RETRIES = 16
 def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
                     scales: Mapping[VarTag, ValuedSeries],
                     newtags: Mapping[VarTag, VarTag]) -> Poly:
-    """Exact polynomial with g(..., v_e + s_e*Y_new, ...) = result(Y_new)."""
-    out = g
-    for tag, center in centers.items():
-        scale = scales[tag]
-        if scale.is_zero_exact():
+    """Exact polynomial with g(..., v_e + s_e*Y_new, ...) = result(Y_new).
+
+    In Hasse form: the Y_new^k coefficient is the sum over the monomials
+    C_a Y^a of g of binomial(a, k) C_a v^(a-k) s^k; a term whose integer
+    binomial vanishes in the field is skipped.
+    """
+    for tag in centers:
+        if scales[tag].is_zero_exact():
             raise InputError("recentring scale must be nonzero")
-        replacement = (Poly.const(center)
-                       + Poly.var(g.field, g.group, newtags[tag]).scale(scale))
-        out = out.subs_poly(tag, replacement)
-    return out
+    field = g.field
+    vpow, spow = Powers(centers), Powers(scales)
+    out = []
+    for mono, coeff in g.monos.items():
+        rest = dict(mono)
+        moved = [(tag, rest.pop(tag)) for tag in centers if tag in rest]
+        for ks in itertools.product(*(range(a + 1) for _, a in moved)):
+            binom = field.from_int(math.prod(math.comb(a, k) for (_, a), k in zip(moved, ks)))
+            if field.is_zero(binom):
+                continue
+            term = coeff.scalar_mul(binom)
+            exps = dict(rest)
+            for (tag, a), k in zip(moved, ks):
+                if k < a:
+                    term = term * vpow[tag, a - k]
+                if k:
+                    term = term * spow[tag, k]
+                    new = newtags[tag]
+                    exps[new] = exps.get(new, 0) + k
+            out.append((exps.items(), term))
+    return Poly(field, g.group, out)
 
 
 def recenter_at(h: Poly, seqs: Sequence[PseudoSequence],
@@ -61,44 +86,44 @@ def recenter_at(h: Poly, seqs: Sequence[PseudoSequence],
 
 # -- Stabilized coefficient values -------------------------------------
 
-def val_at_index(poly: Poly, seqs: Sequence[PseudoSequence], j: int):
-    """val(poly(v_{0,j}, ..., v_{m,j})), where Orig(e) stands for sequence e."""
-    assignment = {VarTag.orig(e): seq.term(j) for e, seq in enumerate(seqs)}
-    return poly.eval_series(assignment).val()
-
-
-def stable_val_multi(poly: Poly, seqs: Sequence[PseudoSequence],
-                     W: int = DEFAULT_WINDOW) -> Tuple[object, int]:
-    """Stable value of val(poly(v_{0,j},...,v_{m,j})) along the common index;
-    a single sequence is a list of one.
-
-    Returns (value, first index of the W-long certifying window).
-    """
-    horizon = min(s.horizon for s in seqs)
-    prev = None
-    run_start = 0
-    for j in range(horizon - 1):
-        v = val_at_index(poly, seqs, j)
-        if prev is None or v != prev:
-            prev, run_start = v, j
-        if j - run_start + 1 >= W:
-            return prev, run_start
-    raise NotStabilizedError(
-        f"coefficient value did not stabilize over {W} indices below the horizon")
-
-
 def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
-    """beta_k and window start for every nonzero Hasse derivative D^(k)h, k != 0."""
+    """beta_k and window start for every nonzero Hasse derivative D^(k)h, k != 0.
+
+    beta_k is the value of val(D^(k)h(v_{0,j}, ..., v_{m,j})) that holds
+    for W indices in a row, and the start is the first index of that run.
+    One walk over j serves every derivative: v_j is v_{j-1} plus one
+    term, all derivatives share the powers of the centres at j, and a
+    derivative leaves the walk when its window closes.
+    """
     tags = [VarTag.orig(e) for e in range(len(seqs))]
     ranges = [range(h.degree_in(t) + 1) for t in tags]
-    betas: Dict[Tuple[int, ...], Tuple[object, int]] = {}
+    live: Dict[Tuple[int, ...], Poly] = {}
     for combo in itertools.product(*ranges):
-        if not any(combo):
-            continue
-        deriv = h.hasse_derivative({t: n for t, n in zip(tags, combo)})
-        if deriv.is_zero():
-            continue
-        betas[combo] = stable_val_multi(deriv, seqs, W)
+        if any(combo):
+            deriv = h.hasse_derivative(dict(zip(tags, combo)))
+            if not deriv.is_zero():
+                live[combo] = deriv
+    runs: Dict[Tuple[int, ...], Tuple[object, int]] = {}
+    betas = dict.fromkeys(live)  # in derivative order
+    centers = {t: ValuedSeries.zero(h.field, h.group) for t in tags}
+    horizon = min(s.horizon for s in seqs)
+    for j in range(horizon - 1):
+        if not live:
+            break
+        if j:
+            centers = {t: centers[t] + seq.scale(j - 1) for t, seq in zip(tags, seqs)}
+        powers = Powers(centers)
+        for k, deriv in list(live.items()):
+            value = deriv.eval_series(powers).val()
+            run = runs.get(k)
+            if run is None or value != run[0]:
+                run = runs[k] = (value, j)
+            if j - run[1] + 1 >= W:
+                betas[k] = run
+                del live[k]
+    if live:
+        raise NotStabilizedError(
+            f"coefficient value did not stabilize over {W} indices below the horizon")
     return betas
 
 

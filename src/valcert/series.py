@@ -92,8 +92,33 @@ class ValuedSeries:
         return out
 
     def __add__(self, other: "ValuedSeries") -> "ValuedSeries":
+        """Sum by one merge of the two sorted term lists; cancelled terms and
+        terms at or past the sum's truncation are dropped."""
         self._check(other)
-        return self._new(self.terms + other.terms, min(self.trunc, other.trunc))
+        trunc = min(self.trunc, other.trunc)
+        field = self.field
+        xs, ys = self.terms, other.terms
+        nx, ny = len(xs), len(ys)
+        out = []
+        i = k = 0
+        while i < nx and k < ny:
+            ex, ey = xs[i][0], ys[k][0]
+            if ex < ey:
+                out.append(xs[i])
+                i += 1
+            elif ey < ex:
+                out.append(ys[k])
+                k += 1
+            else:
+                c = field.add(xs[i][1], ys[k][1])
+                if not field.is_zero(c):
+                    out.append((ex, c))
+                i += 1
+                k += 1
+        out += xs[i:] or ys[k:]
+        while out and not out[-1][0] < trunc:
+            out.pop()
+        return ValuedSeries._normal(field, self.group, tuple(out), trunc)
 
     def __neg__(self) -> "ValuedSeries":
         return self._new([(e, self.field.neg(c)) for e, c in self.terms], self.trunc)
@@ -131,7 +156,7 @@ class ValuedSeries:
 
     def scalar_mul(self, c) -> "ValuedSeries":
         if self.field.is_zero(c):
-            return self._new([], self.trunc)
+            return ValuedSeries.zero(self.field, self.group)
         return self._new([(e, self.field.mul(c, k)) for e, k in self.terms], self.trunc)
 
     def shift(self, g) -> "ValuedSeries":

@@ -533,8 +533,12 @@ def _witness_target(w: Witness, cert: SmoothCert, deltaw) -> ValuedSeries:
         d = ValuedSeries.from_json(cert.problem["d"], field, group)
         return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
     if w.kind == "ye":
-        f = Poly.from_json(cert.problem["fs"][w.e - 1], field, group)
-        d = ValuedSeries.from_json(cert.problem["ds"][w.e - 1], field, group)
+        fs, ds = cert.problem["fs"], cert.problem["ds"]
+        if not 1 <= w.e <= min(len(fs), len(ds)):
+            raise VerificationError(
+                f"witness-{w.name}", f"index e={w.e} names no problem member")
+        f = Poly.from_json(fs[w.e - 1], field, group)
+        d = ValuedSeries.from_json(ds[w.e - 1], field, group)
         return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
     if w.kind == "fraction":
         f1 = Poly.from_json(cert.problem["fs"][0], field, group)

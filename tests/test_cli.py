@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, determinism, verify round-trips."""
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -273,6 +274,40 @@ class TestVerify:
         assert run(["verify", path, "--jobs", "2"]) == 4
         results = json.loads(capsys.readouterr().out)
         assert results[0]["exit"] == 4
+        assert results[1] == {"cert": "smooth", "verified": True}
+
+
+class TestWitnessIndex:
+    """A "ye" witness names problem member e, 1 <= e <= len(fs); any other
+    e exits 4 at its witness, never a traceback or a read of fs[-1]."""
+
+    def certificate(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg(horizon=100)),
+                    "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert [w["e"] for w in cert["witnesses"] if w["kind"] == "ye"] == [1, 2]
+        return cert
+
+    @staticmethod
+    def with_e(cert, e):
+        bad = copy.deepcopy(cert)
+        bad["witnesses"][-1]["e"] = e
+        return bad
+
+    @pytest.mark.parametrize("e", [3, 0])
+    def test_out_of_range_rejected(self, tmp_path, capsys, e):
+        bad = self.with_e(self.certificate(tmp_path), e)
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "witness-y2" in capsys.readouterr().err
+
+    def test_out_of_range_in_batch(self, tmp_path, capsys):
+        cert = self.certificate(tmp_path)
+        capsys.readouterr()
+        path = write(tmp_path, "batch.json", [self.with_e(cert, 3), cert])
+        assert run(["verify", path, "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4 and "witness-y2" in results[0]["error"]
         assert results[1] == {"cert": "smooth", "verified": True}
 
 

@@ -9,7 +9,7 @@ from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.pcs import (RuleSequence, TableSequence, lacunary_sequence,
                          sequence_from_json)
 from valcert.poly import Poly, VarTag
-from valcert.rewrite import stable_val_multi
+from valcert.rewrite import DEFAULT_WINDOW, _stable_betas
 from valcert.series import ValuedSeries
 
 T = VarTag.orig(0)
@@ -19,6 +19,15 @@ def arith_seq(horizon=300):
     # exponents e_j = j + 1, coefficients 1
     return RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                         {"kind": "const", "c": 1}, horizon=horizon)
+
+
+def walk_value(poly, seqs, W=DEFAULT_WINDOW):
+    """Stable value of val(poly(v_{0,j}, ..., v_{m,j})) read off the
+    stabilization walk: poly is the Hasse derivative D^(0,...,0,1) of
+    poly * Y_m, a fresh variable given a copy of the first sequence."""
+    m = len(seqs)
+    h = poly * Poly.var(poly.field, poly.group, VarTag.orig(m))
+    return _stable_betas(h, list(seqs) + [seqs[0]], W)[(0,) * m + (1,)]
 
 
 def S(*pairs, trunc=None):
@@ -96,12 +105,12 @@ class TestRestage:
 class TestClassify:
     def test_stable_vals(self):
         # [DERIVED] f=T -> 1; f=1+T -> 0; f=T^2 -> 2
-        # (a single sequence is a list of one)
+        # through the walk (a single sequence is a list of one)
         seq = [arith_seq()]
-        assert stable_val_multi(Poly.var(QQ, ZZ, T), seq)[0] == 1
-        assert stable_val_multi(Poly.var(QQ, ZZ, T) + Poly.const(ValuedSeries.one(QQ, ZZ)),
-                                seq)[0] == 0
-        assert stable_val_multi(Poly.var(QQ, ZZ, T) ** 2, seq)[0] == 2
+        assert walk_value(Poly.var(QQ, ZZ, T), seq)[0] == 1
+        assert walk_value(Poly.var(QQ, ZZ, T) + Poly.const(ValuedSeries.one(QQ, ZZ)),
+                          seq)[0] == 0
+        assert walk_value(Poly.var(QQ, ZZ, T) ** 2, seq)[0] == 2
 
 
 class TestPseudoConvergence:
@@ -154,14 +163,14 @@ class TestOtherGroups:
         assert seq.group is RATIONALS
         assert seq.gamma(3) == Fraction(3, 2)
         assert seq.stage(2, Fraction(3)).is_unit()
-        assert stable_val_multi(Poly.var(QQ, RATIONALS, T) ** 2, [seq])[0] == 1
+        assert walk_value(Poly.var(QQ, RATIONALS, T) ** 2, [seq])[0] == 1
         assert sequence_from_json(seq.to_json()).term(4).same_known(seq.term(4))
 
     def test_lex_exponents(self):
         seq = RuleSequence(QQ, {"kind": "geom", "a": (1, 1)}, {"kind": "const", "c": 1})
         assert seq.group is Lex(2)
         assert seq.gamma(2) == (4, 4)
-        assert stable_val_multi(Poly.var(QQ, Lex(2), T), [seq])[0] == (1, 1)
+        assert walk_value(Poly.var(QQ, Lex(2), T), [seq])[0] == (1, 1)
 
     def test_mixed_rule_rejected(self):
         with pytest.raises(InputError):

@@ -289,3 +289,22 @@ class TestTamper:
         coeff["terms"][0][1] = "7/1" if "/" in str(coeff["terms"][0][1]) else 7
         with pytest.raises(VerificationError):
             RewriteCert.from_json(bad).verify()
+
+    def test_g_holding_the_new_variable(self):
+        # g = Y0 * S with S the stage variable: at Y0 = v + s*S the identity
+        # holds for v*S + s*S^2 only, never for the collapsed (v + s)*S.
+        seq = lacunary_sequence(QQ)
+        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+        t = cert.indices[0]
+        S = VarTag.stage(0, t)
+        v, s = seq.term(t), seq.scale(t)
+        bad = cert.to_json()
+        bad["g"] = (Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, S)).to_json()
+        bad["G1"] = Poly(QQ, ZZ, {((S, 1),): v + s}).to_json()
+        with pytest.raises(VerificationError) as exc:
+            RewriteCert.from_json(bad).verify()
+        assert exc.value.claim == "identity"
+        bad["G1"] = Poly(QQ, ZZ, {((S, 1),): v, ((S, 2),): s}).to_json()
+        with pytest.raises(VerificationError) as exc:
+            RewriteCert.from_json(bad).verify()
+        assert exc.value.claim != "identity"

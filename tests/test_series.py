@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from valcert.errors import VariantMismatchError
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
-from valcert.poly import Poly, VarTag
+from valcert.poly import Poly, Powers, VarTag
 from valcert.series import ValuedSeries
 
 
@@ -45,6 +45,12 @@ class TestArith:
         x = S((1, 1), (3, 1), trunc=4)
         out = x * ValuedSeries.one(QQ, ZZ)
         assert out.same_known(x)
+
+    def test_zero_scalar_gives_exact_zero(self):
+        # 0 * (1 + O(t^3)) is exactly 0, as the product by an exact zero is
+        x = S((0, 1), trunc=3, field=GF(2))
+        assert x.scalar_mul(0).is_zero_exact()
+        assert x.scalar_mul(0).same_known(x * ValuedSeries.zero(GF(2), ZZ))
 
     def test_ultrametric_strict_case(self):
         x, y = S((1, 1)), S((2, 1))
@@ -220,6 +226,26 @@ class TestProductKernel:
         assert (x * S(trunc=3)).same_known(S(trunc=3))
 
 
+class TestSum:
+    """The one-pass merge gives what merging both term lists through the
+    constructor's dict gives: same terms, window and JSON."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(factor_pairs())
+    def test_against_dict_merge(self, xy):
+        x, y = xy
+        new = x + y
+        old = ValuedSeries(x.field, x.group, x.terms + y.terms, min(x.trunc, y.trunc))
+        assert new.terms == old.terms and new.trunc == old.trunc
+        assert new.to_json() == old.to_json()
+
+    def test_cancellation_and_window(self):
+        # (1 + t + t^4, O(t^6)) + (-t + t^2, O(t^3)) = 1 + t^2 + O(t^3)
+        x = S((0, 1), (1, 1), (4, 1), trunc=6)
+        y = S((1, -1), (2, 1), trunc=3)
+        assert (x + y).same_known(S((0, 1), (2, 1), trunc=3))
+
+
 class TestEvalSeries:
     @pytest.mark.parametrize("field", [QQ, GF(5)])
     def test_against_per_monomial_powers(self, field):
@@ -240,3 +266,15 @@ class TestEvalSeries:
                 term = term * (values[v] ** k)
             expected = expected + term
         assert p.eval_series(values).same_known(expected)
+
+    def test_shared_power_table(self):
+        # two polynomials evaluated through one table give what each gives
+        # alone, and the table holds every power either one read
+        Y0 = VarTag.orig(0)
+        x = ValuedSeries(GF(3), ZZ, [(1, 1), (2, 2)], 7)
+        V = Poly.var(GF(3), ZZ, Y0)
+        table = Powers({Y0: x})
+        for p in (V ** 3 + V, V ** 2):
+            assert p.eval_series(table).same_known(p.eval_series({Y0: x}))
+        assert sorted(table) == [(Y0, 1), (Y0, 2), (Y0, 3)]
+        assert table[Y0, 3].same_known(x ** 3)
