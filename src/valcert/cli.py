@@ -2,7 +2,8 @@
 configs and verify certificate files.
 
 Exit codes: 0 ok, 1 input error, 2 horizon/stabilization or unreadable
-valuation, 3 undecided after retries, 4 verification failure.  Output is
+valuation, 3 undecided after retries, 4 verification failure, 5 internal
+error (any other exception, so one item cannot sink a batch).  Output is
 canonical JSON (sorted keys, compact separators) so identical configs
 yield byte-identical certificates.
 """
@@ -33,6 +34,7 @@ EXIT_INPUT = 1
 EXIT_HORIZON = 2
 EXIT_UNDECIDED = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 def canonical_json(obj) -> str:
@@ -186,6 +188,8 @@ def run_single(command: str, cfg: dict, opts: dict):
         return EXIT_UNDECIDED, f"undecided after retries: {exc}"
     except VerificationError as exc:
         return EXIT_VERIFY, f"verification failed: {exc}"
+    except Exception as exc:
+        return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
 
 
 def _parse_delta(text):

@@ -127,7 +127,10 @@ class RationalField(Field):
         if isinstance(obj, int):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError as exc:
+                raise InputError(f"cannot read rational {obj!r}: {exc}")
         raise InputError(f"cannot decode rational from {obj!r}")
 
     def __eq__(self, other):

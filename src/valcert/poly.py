@@ -10,7 +10,7 @@ every operation hands it raw (monomial, coefficient) pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import InputError
@@ -21,17 +21,27 @@ from .series import ValuedSeries
 _KIND_RANK = {"orig": 0, "stage": 1, "dup": 2}
 
 
-@dataclass(frozen=True)
-class VarTag:
-    """Identity of a polynomial variable: Orig(e), Stage(e, j) or Dup(e, key)."""
+class VarTag(tuple):
+    """Identity of a polynomial variable: Orig(e), Stage(e, j) or Dup(e, key).
 
-    kind: str
-    e: int
-    extra: object = None
+    A (kind, e, extra) tuple, so hashing and equality run in C."""
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise InputError(f"unknown variable kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, e: int, extra: object = None):
+        if kind not in _KIND_RANK:
+            raise InputError(f"unknown variable kind {kind!r}")
+        return tuple.__new__(cls, (kind, e, extra))
+
+    kind = property(operator.itemgetter(0))
+    e = property(operator.itemgetter(1))
+    extra = property(operator.itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"VarTag(kind={self.kind!r}, e={self.e!r}, extra={self.extra!r})"
 
     @staticmethod
     def orig(e: int) -> "VarTag":

@@ -229,7 +229,9 @@ class ValuedSeries:
         return self.truncate(self.group.add(delta, other.val())).div(other)
 
     def truncate(self, delta) -> "ValuedSeries":
-        return self._new(self.terms, min(self.trunc, delta))
+        trunc = min(self.trunc, delta)
+        return ValuedSeries._normal(self.field, self.group,
+                                    tuple(t for t in self.terms if t[0] < trunc), trunc)
 
     # -- window queries ----------------------------------------------
     def is_small(self, delta) -> bool:

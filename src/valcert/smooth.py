@@ -7,6 +7,16 @@ remaining generators is a unit.  Constructions emit certificates with
 membership witnesses (polynomial expressions, optionally over a unit
 denominator) for every element they claim to contain; sm_verify
 re-derives the targets from the problem data and re-checks everything.
+
+The verifier reads each value only below the window its verdict needs,
+so it evaluates below a cap: relations and witnesses below a C with
+delta < C <= 2*delta, the Jacobian minor (a unit is a term at exponent
+0) below the least positive image exponent under C.  Inexact images,
+coefficients and the pseudo-limit are truncated at the cap first.  Each
+capped value is a truncation of the uncapped one, so a check the capped
+values pass is passed uncapped too; a check they do not pass is run
+again uncapped, and its verdict and message are the ones the
+certificate gets.
 """
 from __future__ import annotations
 
@@ -42,15 +52,16 @@ class SmoothPresentation:
         if len(self.relations) != len(self.generators) - 1:
             raise InputError("need exactly (generators - 1) relations")
 
-    def assignment(self) -> Dict[VarTag, ValuedSeries]:
-        return {tag: img for tag, img in self.generators}
+    def assignment(self, cap=None) -> Dict[VarTag, ValuedSeries]:
+        return {tag: _cap(img, cap) for tag, img in self.generators}
 
-    def jacobian_minor(self) -> ValuedSeries:
-        assignment = self.assignment()
+    def jacobian_minor(self, cap=None) -> ValuedSeries:
+        assignment = self.assignment(cap)
         cols = [tag for i, (tag, _) in enumerate(self.generators) if i != self.base]
         # Entries are evaluated first and enter the expansion as constants;
         # the first Hasse derivative is the ordinary one.
-        rows = [[Poly.const(rel.hasse_derivative({tag: 1}).eval_series(assignment))
+        rows = [[Poly.const(_capped(rel, cap).hasse_derivative({tag: 1})
+                            .eval_series(assignment))
                  for tag in cols]
                 for rel in self.relations]
         one = Poly.const(ValuedSeries.one(self.field, self.group))
@@ -71,29 +82,87 @@ class SmoothPresentation:
         return SmoothPresentation(field, group, gens, rels, int(obj["base"]))
 
 
+def _cap(s: ValuedSeries, cap) -> ValuedSeries:
+    """s truncated at cap; exact series are kept, so that a capped value is
+    exact, and then equal to the uncapped one, exactly when that one is."""
+    return s if cap is None or s.exact else s.truncate(cap)
+
+
+def _capped(poly: Poly, cap) -> Poly:
+    return poly if cap is None else poly.map_coeffs(lambda c: _cap(c, cap))
+
+
+def _least_above(pres: SmoothPresentation, floor, ceiling):
+    """The least exponent or truncation of a generator image above floor,
+    at most ceiling.  Truncated below it, the images keep exactly their
+    terms at or below floor."""
+    bounds = [ceiling]
+    for _, img in pres.generators:
+        bounds += [e for e, _ in img.terms if e > floor]
+        if not img.exact and img.trunc > floor:
+            bounds.append(img.trunc)
+    return min(bounds)
+
+
+def _verify_cap(pres: SmoothPresentation, delta):
+    """The cap C the relations and witnesses are evaluated below at delta:
+    the least image exponent or truncation above delta, at most 2*delta.
+    None when delta <= 0 leaves no room for a cap."""
+    group = pres.group
+    if not delta > group.zero():
+        return None
+    return _least_above(pres, delta, group.scale(delta, 2))
+
+
+def _decide(check, cap) -> None:
+    """check(cap), and unless that passes, check(None), whose verdict stands.
+
+    A check raises when it fails.  Capped values are truncations of the
+    uncapped ones and an exception is not a pass, so check(cap) passes
+    only where check(None) does."""
+    if cap is not None:
+        try:
+            check(cap)
+            return
+        except Exception:  # not a pass: the uncapped check decides
+            pass
+    check(None)
+
+
+def _check_relation(pres: SmoothPresentation, i: int, delta, cap) -> None:
+    residual = _capped(pres.relations[i], cap).eval_series(pres.assignment(cap))
+    try:
+        small = residual.is_small(delta)
+    except IndeterminateValError as exc:
+        raise VerificationError(f"relation-{i}", str(exc))
+    if not small:
+        raise VerificationError(
+            f"relation-{i}",
+            f"residual val {pres.group.to_json(residual.val_lower())} "
+            f"not past {pres.group.to_json(delta)}")
+
+
+def _check_minor(pres: SmoothPresentation, cap) -> None:
+    try:
+        v = pres.jacobian_minor(cap).val()
+    except IndeterminateValError as exc:
+        raise VerificationError("jacobian-minor", str(exc))
+    if v != pres.group.zero():
+        raise VerificationError(
+            "jacobian-minor", f"minor has val {v!r}, expected 0 (unit)")
+
+
 def sm_check(pres: SmoothPresentation, delta) -> None:
     """Verify the two presentation invariants; raises VerificationError,
     also when the presentation's own data cannot decide one of them."""
-    enc = pres.group.to_json
-    assignment = pres.assignment()
-    for i, rel in enumerate(pres.relations):
-        residual = rel.eval_series(assignment)
-        try:
-            small = residual.is_small(delta)
-        except IndeterminateValError as exc:
-            raise VerificationError(f"relation-{i}", str(exc))
-        if not small:
-            raise VerificationError(
-                f"relation-{i}",
-                f"residual val {enc(residual.val_lower())} not past {enc(delta)}")
+    cap = _verify_cap(pres, delta)
+    for i in range(len(pres.relations)):
+        _decide(lambda c: _check_relation(pres, i, delta, c), cap)
     if pres.relations:
-        try:
-            v = pres.jacobian_minor().val()
-        except IndeterminateValError as exc:
-            raise VerificationError("jacobian-minor", str(exc))
-        if v != pres.group.zero():
-            raise VerificationError(
-                "jacobian-minor", f"minor has val {v!r}, expected 0 (unit)")
+        # A unit minor is one with a term at exponent 0, which any positive
+        # cap shows; the least positive image exponent keeps the fewest terms.
+        minor_cap = None if cap is None else _least_above(pres, pres.group.zero(), cap)
+        _decide(lambda c: _check_minor(pres, c), minor_cap)
 
 
 class Witness:
@@ -521,32 +590,92 @@ def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
 
 # -- Independent verification ------------------------------------------
 
-def _witness_target(w: Witness, cert: SmoothCert, deltaw) -> ValuedSeries:
-    field = cert.field
-    seq0 = sequence_from_json(cert.problem["seq0"])
-    group = seq0.group
-    deep = group.scale(deltaw, 2)
-    if w.kind == "y0":
-        return seq0.limit(deltaw)
-    if w.kind == "z":
-        f = Poly.from_json(cert.problem["f"], field, group)
-        d = ValuedSeries.from_json(cert.problem["d"], field, group)
-        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
-    if w.kind == "ye":
-        fs, ds = cert.problem["fs"], cert.problem["ds"]
-        if not 1 <= w.e <= min(len(fs), len(ds)):
-            raise VerificationError(
-                f"witness-{w.name}", f"index e={w.e} names no problem member")
-        f = Poly.from_json(fs[w.e - 1], field, group)
-        d = ValuedSeries.from_json(ds[w.e - 1], field, group)
-        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
-    if w.kind == "fraction":
-        f1 = Poly.from_json(cert.problem["fs"][0], field, group)
-        f2 = Poly.from_json(cert.problem["fs"][1], field, group)
-        f2v = _eval_at_limit(f2, seq0, deep)
-        f1v = _eval_at_limit(f1, seq0, deep)
-        return f1v.div_to(f2v, deltaw)
-    raise InputError(f"unknown witness kind {w.kind!r}")
+class _Problem:
+    """A certificate's problem echo, each part decoded on first use and
+    once per verification, and the witness targets it defines."""
+
+    def __init__(self, cert: SmoothCert, deltaw):
+        self.cert = cert
+        self.deltaw = deltaw
+        self._memo: dict = {}
+
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def seq0(self) -> PseudoSequence:
+        return self._once("seq0", lambda: sequence_from_json(self.cert.problem["seq0"]))
+
+    def _decode(self, from_json, *path):
+        if path not in self._memo:
+            obj = self.cert.problem
+            for key in path:
+                obj = obj[key]
+            self._memo[path] = from_json(obj, self.cert.field, self.seq0().group)
+        return self._memo[path]
+
+    def limit(self, delta) -> ValuedSeries:
+        return self._once(("limit", delta), lambda: self.seq0().limit(delta))
+
+    def target(self, w: Witness, cap) -> ValuedSeries:
+        """The element w claims, known below cap, or below deltaw when cap
+        is None; y0 goes only as far as the value below cap needs."""
+        group = self.seq0().group
+        deep = group.scale(self.deltaw, 2)
+        window = self.deltaw if cap is None else cap
+
+        def at_limit(f: Poly, depth) -> ValuedSeries:
+            """f(y0), y0 known to deep and truncated at depth."""
+            return f.eval_series({VarTag.orig(0): _cap(self.limit(deep), depth)})
+
+        if w.kind == "y0":
+            return _cap(self.limit(self.deltaw), cap)
+        if w.kind == "z":
+            f = self._decode(Poly.from_json, "f")
+            d = self._decode(ValuedSeries.from_json, "d")
+        elif w.kind == "ye":
+            fs, ds = self.cert.problem["fs"], self.cert.problem["ds"]
+            if not 1 <= w.e <= min(len(fs), len(ds)):
+                raise VerificationError(
+                    f"witness-{w.name}", f"index e={w.e} names no problem member")
+            f = self._decode(Poly.from_json, "fs", w.e - 1)
+            d = self._decode(ValuedSeries.from_json, "ds", w.e - 1)
+        elif w.kind == "fraction":
+            f1 = self._decode(Poly.from_json, "fs", 0)
+            f2 = self._decode(Poly.from_json, "fs", 1)
+            # the quotient below cap reads f1(y0), f2(y0) below cap + val(f2(y0))
+            f2v = at_limit(f2, cap)
+            depth = None if cap is None else group.add(cap, f2v.val())
+            if depth != cap:
+                f2v = at_limit(f2, depth)
+            return at_limit(f1, depth).div_to(f2v, window)
+        else:
+            raise InputError(f"unknown witness kind {w.kind!r}")
+        depth = None if cap is None else group.add(cap, d.val())
+        return at_limit(f, depth).div_to(d, window)
+
+
+def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
+                   delta, cap) -> None:
+    assignment = pres.assignment(cap)
+    value = _capped(w.num, cap).eval_series(assignment)
+    try:
+        if w.den is not None:
+            den_val = _capped(w.den, cap).eval_series(assignment)
+            if not den_val.is_unit():
+                raise VerificationError(
+                    f"witness-{w.name}", "denominator is not a unit")
+            value = value.div(den_val)
+        diff = value - problem.target(w, cap)
+        small = diff.is_small(delta)
+    except (IndeterminateValError, ZeroDivisionError) as exc:
+        # an unreadable value, or a target over an exact-zero denominator
+        raise VerificationError(f"witness-{w.name}", str(exc))
+    if not small:
+        raise VerificationError(
+            f"witness-{w.name}",
+            f"expression differs from target at val {pres.group.to_json(diff.val_lower())}")
 
 
 def sm_verify(cert: SmoothCert, delta=None) -> None:
@@ -554,27 +683,11 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
     rewrite certificates; raises VerificationError at the first failure."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
-    deltaw = group.scale(dlt, 2)
     sm_check(cert.pres, dlt)
-    assignment = cert.pres.assignment()
+    problem = _Problem(cert, group.scale(dlt, 2))
+    cap = _verify_cap(cert.pres, dlt)
     for w in cert.witnesses:
-        value = w.num.eval_series(assignment)
-        try:
-            if w.den is not None:
-                den_val = w.den.eval_series(assignment)
-                if not den_val.is_unit():
-                    raise VerificationError(
-                        f"witness-{w.name}", "denominator is not a unit")
-                value = value.div(den_val)
-            diff = value - _witness_target(w, cert, deltaw)
-            small = diff.is_small(dlt)
-        except (IndeterminateValError, ZeroDivisionError) as exc:
-            # an unreadable value, or a target over an exact-zero denominator
-            raise VerificationError(f"witness-{w.name}", str(exc))
-        if not small:
-            raise VerificationError(
-                f"witness-{w.name}",
-                f"expression differs from target at val {group.to_json(diff.val_lower())}")
+        _decide(lambda c: _check_witness(w, cert.pres, problem, dlt, c), cap)
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()

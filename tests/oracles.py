@@ -3,12 +3,16 @@
 Each computes its result a second, independent way: Taylor recentring as
 the sum of Hasse derivatives and by substituting one variable at a time,
 the stable values of the Hasse derivatives by one scan per derivative,
-and the ordinary partial derivative monomial by monomial.
+the ordinary partial derivative monomial by monomial, and the smooth
+presentation checks on the full, uncapped values.
 """
 import itertools
 
-from valcert.errors import InputError, NotStabilizedError
-from valcert.poly import Poly, VarTag
+from valcert.errors import (IndeterminateValError, InputError,
+                            NotStabilizedError, VerificationError)
+from valcert.pcs import sequence_from_json
+from valcert.poly import Poly, VarTag, det
+from valcert.series import ValuedSeries
 
 
 def taylor_via_hasse(g, centers, scales, newtags):
@@ -86,3 +90,106 @@ def derivative(g, tag):
         if k:
             out.append((tuple(exps.items()), coeff.scalar_mul(g.field.from_int(k))))
     return Poly(g.field, g.group, out)
+
+
+def jacobian_minor(pres):
+    """The minor of the Jacobian without the base column, each entry
+    evaluated at the full images."""
+    assignment = pres.assignment()
+    cols = [tag for i, (tag, _) in enumerate(pres.generators) if i != pres.base]
+    rows = [[Poly.const(rel.hasse_derivative({tag: 1}).eval_series(assignment))
+             for tag in cols]
+            for rel in pres.relations]
+    one = Poly.const(ValuedSeries.one(pres.field, pres.group))
+    return det(rows, one).constant_term()
+
+
+def sm_check(pres, delta):
+    """The presentation checks on the full images; equal to smooth.sm_check
+    in verdict and message."""
+    enc = pres.group.to_json
+    assignment = pres.assignment()
+    for i, rel in enumerate(pres.relations):
+        residual = rel.eval_series(assignment)
+        try:
+            small = residual.is_small(delta)
+        except IndeterminateValError as exc:
+            raise VerificationError(f"relation-{i}", str(exc))
+        if not small:
+            raise VerificationError(
+                f"relation-{i}",
+                f"residual val {enc(residual.val_lower())} not past {enc(delta)}")
+    if pres.relations:
+        try:
+            v = jacobian_minor(pres).val()
+        except IndeterminateValError as exc:
+            raise VerificationError("jacobian-minor", str(exc))
+        if v != pres.group.zero():
+            raise VerificationError(
+                "jacobian-minor", f"minor has val {v!r}, expected 0 (unit)")
+
+
+def _eval_at_limit(f, seq, delta):
+    return f.eval_series({VarTag.orig(0): seq.limit(delta)})
+
+
+def witness_target(w, cert, deltaw):
+    """The element w claims: y0 to deltaw, f(y0)/d with y0 known to
+    2*deltaw, each part of the problem echo decoded afresh."""
+    field = cert.field
+    seq0 = sequence_from_json(cert.problem["seq0"])
+    group = seq0.group
+    deep = group.scale(deltaw, 2)
+    if w.kind == "y0":
+        return seq0.limit(deltaw)
+    if w.kind == "z":
+        f = Poly.from_json(cert.problem["f"], field, group)
+        d = ValuedSeries.from_json(cert.problem["d"], field, group)
+        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
+    if w.kind == "ye":
+        fs, ds = cert.problem["fs"], cert.problem["ds"]
+        if not 1 <= w.e <= min(len(fs), len(ds)):
+            raise VerificationError(
+                f"witness-{w.name}", f"index e={w.e} names no problem member")
+        f = Poly.from_json(fs[w.e - 1], field, group)
+        d = ValuedSeries.from_json(ds[w.e - 1], field, group)
+        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
+    if w.kind == "fraction":
+        f1 = Poly.from_json(cert.problem["fs"][0], field, group)
+        f2 = Poly.from_json(cert.problem["fs"][1], field, group)
+        f2v = _eval_at_limit(f2, seq0, deep)
+        f1v = _eval_at_limit(f1, seq0, deep)
+        return f1v.div_to(f2v, deltaw)
+    raise InputError(f"unknown witness kind {w.kind!r}")
+
+
+def sm_verify(cert, delta=None):
+    """Presentation, witnesses and rewrites checked on the full values;
+    equal to smooth.sm_verify in verdict and message."""
+    group = cert.pres.group
+    dlt = cert.delta if delta is None else delta
+    deltaw = group.scale(dlt, 2)
+    sm_check(cert.pres, dlt)
+    assignment = cert.pres.assignment()
+    for w in cert.witnesses:
+        value = w.num.eval_series(assignment)
+        try:
+            if w.den is not None:
+                den_val = w.den.eval_series(assignment)
+                if not den_val.is_unit():
+                    raise VerificationError(
+                        f"witness-{w.name}", "denominator is not a unit")
+                value = value.div(den_val)
+            diff = value - witness_target(w, cert, deltaw)
+            small = diff.is_small(dlt)
+        except (IndeterminateValError, ZeroDivisionError) as exc:
+            raise VerificationError(f"witness-{w.name}", str(exc))
+        if not small:
+            raise VerificationError(
+                f"witness-{w.name}",
+                f"expression differs from target at val {group.to_json(diff.val_lower())}")
+    for i, rc in enumerate(cert.rewrites):
+        try:
+            rc.verify()
+        except VerificationError as exc:
+            raise VerificationError(f"rewrite-{i}", str(exc))

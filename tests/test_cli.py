@@ -3,9 +3,11 @@ import copy
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from valcert import smooth
 from valcert.cli import main
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
@@ -309,6 +311,114 @@ class TestWitnessIndex:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["exit"] == 4 and "witness-y2" in results[0]["error"]
         assert results[1] == {"cert": "smooth", "verified": True}
+
+
+class TestVerifyDelta:
+    """`verify --delta` checks a smooth certificate at the delta given, and
+    every relation and witness is decided below a cap just past that delta."""
+
+    def certificate(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg(horizon=100)),
+                    "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["delta"] == 16
+        return str(out)
+
+    @pytest.mark.parametrize("delta", [16, 15, 1, 31])
+    def test_supported_delta_verifies(self, tmp_path, capsys, delta):
+        path = self.certificate(tmp_path)
+        caps = []
+        real = smooth._decide
+
+        def spy(check, cap):
+            caps.append(cap)
+            real(check, cap)
+
+        with mock.patch.object(smooth, "_decide", spy):
+            assert run(["verify", path, "--delta", str(delta)]) == 0
+        # relations and witnesses below a cap past delta, the minor lower
+        assert None not in caps
+        assert max(caps) <= 2 * delta and sum(cap <= delta for cap in caps) <= 1
+
+    @pytest.mark.parametrize("delta, window", [(32, 32), (100, 32)])
+    def test_delta_past_the_images_rejected(self, tmp_path, capsys, delta, window):
+        path = self.certificate(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", path, "--delta", str(delta)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "verification failed: verification failed at relation-0: window "
+            f"{window} does not certify vanishing past {delta}")
+
+
+class TestBadRational:
+    """A rational coefficient "n/0" exits 1, in a build, a verify and a batch."""
+
+    def certificate(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 2)),
+                    "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_verify(self, tmp_path, capsys):
+        bad = self.certificate(tmp_path)
+        bad["G1"][0][1]["terms"][0][1] = "1/0"
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 1
+        assert "cannot read rational '1/0'" in capsys.readouterr().err
+
+    def test_build(self, tmp_path, capsys):
+        cfg = univariate_cfg(QQ, 2)
+        cfg["g"][0][1]["terms"][0][1] = "3/0"
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert "cannot read rational '3/0'" in capsys.readouterr().err
+
+    def test_batch(self, tmp_path, capsys):
+        cert = self.certificate(tmp_path)
+        bad = copy.deepcopy(cert)
+        bad["G1"][0][1]["terms"][0][1] = "1/0"
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "b.json", [bad, cert]), "--jobs", "2"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 1 and "1/0" in results[0]["error"]
+        assert results[1] == {"cert": "rewrite", "verified": True}
+
+
+class TestInternalError:
+    """An exception outside the exit-code map exits 5, and the rest of a
+    batch still gets its results.  Here: a rewrite certificate whose g
+    raises Y0 to the power 2000 overflows the recursion of the power table."""
+
+    CFG = {"field": "Q", "op": "univariate",
+           "g": [[[[{"tag": "orig", "e": 0}, 1]], {"trunc": "inf", "terms": [[0, "3/1"]]}],
+                 [[], {"trunc": "inf", "terms": [[2, "2/1"]]}]],
+           "seqs": [{"seq": "rule", "field": "Q", "horizon": 300,
+                     "exp": {"kind": "geom", "a": 1},
+                     "coeff": {"kind": "const", "c": "4/1"}}]}
+
+    def certificates(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", self.CFG), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        bad = copy.deepcopy(cert)
+        (mono, _), = [m for m in bad["g"] if m[0]]
+        assert mono == [[{"tag": "orig", "e": 0}, 1]]
+        mono[0][1] = 2000
+        return bad, cert
+
+    def test_alone(self, tmp_path, capsys):
+        bad, _ = self.certificates(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 5
+        assert capsys.readouterr().err.startswith("internal error: RecursionError")
+
+    def test_in_batch(self, tmp_path, capsys):
+        bad, cert = self.certificates(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "b.json", [bad, cert]), "--jobs", "2"]) == 5
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 5 and "RecursionError" in results[0]["error"]
+        assert results[1] == {"cert": "rewrite", "verified": True}
 
 
 class TestSeparationMaps:

@@ -1,4 +1,9 @@
 """Sparse multivariate polynomials, Hasse derivatives, resultants."""
+import pickle
+
+import pytest
+
+from valcert.errors import InputError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
 from valcert.poly import Poly, VarTag, sylvester_resultant
@@ -98,3 +103,34 @@ class TestResultant:
         r = sylvester_resultant(p, q, Y)
         t = Poly.var(QQ, ZZ, Y0) - Poly.var(QQ, ZZ, Y1)
         assert r.same_known(t) or r.same_known(-t)
+
+
+class TestVarTag:
+    TAGS = [VarTag.orig(0), VarTag.stage(1, 3), VarTag.dup(0, "z"), VarTag.dup(2, ("z", 1))]
+
+    def test_fields_and_repr(self):
+        tag = VarTag.stage(1, 3)
+        assert (tag.kind, tag.e, tag.extra) == ("stage", 1, 3)
+        assert repr(VarTag.orig(0)) == "VarTag(kind='orig', e=0, extra=None)"
+        assert f"{VarTag.dup(2, ('z', 1))}" == "VarTag(kind='dup', e=2, extra=('z', 1))"
+
+    def test_value_semantics(self):
+        assert VarTag.stage(1, 3) == VarTag("stage", 1, 3)
+        assert hash(VarTag.stage(1, 3)) == hash(VarTag("stage", 1, 3))
+        assert VarTag.stage(1, 3) != VarTag.stage(1, 4)
+        with pytest.raises(AttributeError):
+            VarTag.orig(0).e = 1
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError):
+            VarTag("mystery", 0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for tag in self.TAGS:
+            back = pickle.loads(pickle.dumps(tag, protocol))
+            assert back == tag and type(back) is VarTag and back.extra == tag.extra
+
+    def test_json_round_trip(self):
+        for tag in self.TAGS:
+            assert VarTag.from_json(tag.to_json()) == tag
