@@ -1,15 +1,22 @@
 """Exact base-field scalars: the rationals, or a prime field F_p.
 
 Scalars are stored raw (Fraction for Q, small ints for F_p); a Field
-object supplies the operations so series and polynomials stay agnostic.
-The lift/reduce pair lets a series product accumulate plain integers:
-lift writes a factor's coefficients over one common denominator, and
-reduce turns each accumulated sum back into a scalar once.
+object supplies what series and polynomials need so they stay agnostic.
+Series keep their coefficients in integer-normal form -- integer
+numerators over one positive denominator, in lowest terms -- and a Field
+supplies the three hooks of that form: `fold` maps an accumulated integer
+numerator to its representative (itself over Q, its residue mod p over
+F_p), `normalise` brings numerators over a denominator to lowest terms
+(over F_p the denominator is then 1), and `scalars` turns them back into
+field scalars at the boundary.  A scalar enters through its `numerator`
+and `denominator`, which Fractions and ints both have.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from typing import Callable
 
 from .errors import InputError, VariantMismatchError
 
@@ -27,27 +34,9 @@ def _is_prime(p: int) -> bool:
 
 class Field:
     name: str
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def zero(self):
-        raise NotImplementedError
+    # fold(n): the representative of an integer numerator; a builtin
+    # callable, since series arithmetic calls it once per term.
+    fold: Callable[[int], int]
 
     def one(self):
         raise NotImplementedError
@@ -58,13 +47,13 @@ class Field:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    def lift(self, terms) -> tuple:
-        """For (key, c_i) pairs: (key, n_i) pairs of integers and one
-        denominator d with c_i == n_i / d."""
+    def normalise(self, nums: list, den: int) -> tuple:
+        """(nums, den) in lowest terms, den > 0, for (key, n) pairs of
+        folded nonzero integers over a nonzero denominator."""
         raise NotImplementedError
 
-    def reduce(self, sums: dict, d: int) -> list:
-        """The (key, n / d) pairs of a dict of integer sums, zeros dropped."""
+    def scalars(self, nums: tuple, den: int) -> tuple:
+        """The (key, n / den) pairs of a normal form, as field scalars."""
         raise NotImplementedError
 
     def coeff_to_json(self, a):
@@ -80,26 +69,7 @@ class Field:
 
 class RationalField(Field):
     name = "Q"
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
-    def zero(self):
-        return Fraction(0)
+    fold = operator.pos
 
     def one(self):
         return Fraction(1)
@@ -110,15 +80,22 @@ class RationalField(Field):
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def lift(self, terms):
-        d = math.lcm(*[c.denominator for _, c in terms])
-        return [(k, c.numerator * (d // c.denominator)) for k, c in terms], d
+    def normalise(self, nums, den):
+        g = abs(den)
+        for _, n in nums:
+            g = math.gcd(g, n)
+            if g == 1:
+                break
+        if den < 0:
+            g = -g
+        if g == 1:
+            return nums, den
+        return [(k, n // g) for k, n in nums], den // g
 
-    def reduce(self, sums, d):
-        return [(k, Fraction(n, d)) for k, n in sums.items() if n]
+    def scalars(self, nums, den):
+        return tuple((k, Fraction(n, den)) for k, n in nums)
 
     def coeff_to_json(self, a):
-        a = Fraction(a)
         return f"{a.numerator}/{a.denominator}"
 
     def coeff_from_json(self, obj):
@@ -149,27 +126,7 @@ class PrimeField(Field):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def zero(self):
-        return 0
+        self.fold = p.__rmod__  # n -> n % p
 
     def one(self):
         return 1
@@ -180,13 +137,14 @@ class PrimeField(Field):
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def lift(self, terms):
-        # residues are integers already, over the denominator 1
-        return terms, 1
-
-    def reduce(self, sums, d):
+    def normalise(self, nums, den):
         p = self.p
-        return [(k, r) for k, n in sums.items() if (r := n % p)]
+        u = pow(den, -1, p)
+        return [(k, n * u % p) for k, n in nums], 1
+
+    def scalars(self, nums, den):
+        # the numerators are the residues, over the denominator 1
+        return nums
 
     def coeff_to_json(self, a):
         return int(a % self.p)

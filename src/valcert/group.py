@@ -64,6 +64,10 @@ class ValueGroup:
         """The integer multiple t*a (t may be negative)."""
         raise NotImplementedError
 
+    def coords(self, a) -> tuple:
+        """The coordinates of an element: (a,) in Z and Q, a in lex Z^n."""
+        raise NotImplementedError
+
     def solve_scalar(self, t: int, delta) -> Optional[object]:
         """x with t*x == delta; None when the group has no such x."""
         if t == 0:
@@ -100,6 +104,9 @@ class _Numeric(ValueGroup):
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     sub = staticmethod(operator.sub)
+
+    def coords(self, a):
+        return (a,)
 
     def scale(self, a, t: int):
         return t * a
@@ -163,6 +170,9 @@ class LexGroup(ValueGroup):
 
     def scale(self, a, t: int):
         return tuple(t * c for c in a)
+
+    def coords(self, a):
+        return a
 
     def _divide(self, delta, t):
         if any(c % t for c in delta):

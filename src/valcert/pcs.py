@@ -273,13 +273,13 @@ class DerivedSequence(PseudoSequence):
         self._series = materialize(seed_delta)
 
     def term_pair(self, j: int) -> Tuple[object, object]:
-        while len(self._series.terms) <= j:
+        while len(self._series.nums) <= j:
             if self._series.exact:
                 raise HorizonError(
-                    f"underlying series has only {len(self._series.terms)} terms")
+                    f"underlying series has only {len(self._series.nums)} terms")
             self._delta = self.group.scale(self._delta, 2)
             grown = self._materialize(self._delta)
-            if len(grown.terms) <= len(self._series.terms) and grown.trunc == self._series.trunc:
+            if len(grown.nums) <= len(self._series.nums) and grown.trunc == self._series.trunc:
                 raise HorizonError("materialization stalled while extending the sequence")
             self._series = grown
         return self._series.terms[j]

@@ -98,7 +98,7 @@ def _least_above(pres: SmoothPresentation, floor, ceiling):
     terms at or below floor."""
     bounds = [ceiling]
     for _, img in pres.generators:
-        bounds += [e for e, _ in img.terms if e > floor]
+        bounds += [e for e, _ in img.nums if e > floor]
         if not img.exact and img.trunc > floor:
             bounds.append(img.trunc)
     return min(bounds)

@@ -1,18 +1,145 @@
 """Reference implementations the tests compare the package against.
 
-Each computes its result a second, independent way: Taylor recentring as
-the sum of Hasse derivatives and by substituting one variable at a time,
-the stable values of the Hasse derivatives by one scan per derivative,
-the ordinary partial derivative monomial by monomial, and the smooth
+Each computes its result a second, independent way: series sums, negation,
+scalar multiples, truncation and long division term by term on field
+scalars (Fractions over Q, residues over F_p), where the package computes
+on integer numerators over one denominator; Taylor recentring as the sum
+of Hasse derivatives and by substituting one variable at a time, the
+stable values of the Hasse derivatives by one scan per derivative, the
+ordinary partial derivative monomial by monomial, and the smooth
 presentation checks on the full, uncapped values.
 """
 import itertools
+from fractions import Fraction
 
 from valcert.errors import (IndeterminateValError, InputError,
                             NotStabilizedError, VerificationError)
+from valcert.fields import characteristic
+from valcert.group import INF
 from valcert.pcs import sequence_from_json
 from valcert.poly import Poly, VarTag, det
 from valcert.series import ValuedSeries
+
+
+class Scalars:
+    """Arithmetic on single field scalars: Fractions over Q, residues
+    mod p over F_p."""
+
+    def __init__(self, field):
+        self.p = characteristic(field)
+
+    def norm(self, a):
+        return a % self.p if self.p else Fraction(a)
+
+    def add(self, a, b):
+        return self.norm(a + b)
+
+    def sub(self, a, b):
+        return self.norm(a - b)
+
+    def mul(self, a, b):
+        return self.norm(a * b)
+
+    def div(self, a, b):
+        if self.p:
+            return a * pow(b, -1, self.p) % self.p
+        return Fraction(a) / b
+
+    def is_zero(self, a):
+        return self.norm(a) == 0
+
+
+def known(field, pairs, trunc):
+    """(terms, trunc) of the series with these (exponent, scalar) pairs:
+    merged per exponent, zeros and terms at or past trunc dropped, sorted."""
+    ops = Scalars(field)
+    acc = {}
+    for e, c in pairs:
+        acc[e] = ops.add(acc.get(e, 0), c)
+    return tuple(sorted((e, c) for e, c in acc.items()
+                        if not ops.is_zero(c) and e < trunc)), trunc
+
+
+def series_add(x, y):
+    return known(x.field, x.terms + y.terms, min(x.trunc, y.trunc))
+
+
+def series_neg(x):
+    ops = Scalars(x.field)
+    return known(x.field, [(e, ops.sub(0, c)) for e, c in x.terms], x.trunc)
+
+
+def series_sub(x, y):
+    ops = Scalars(x.field)
+    return known(x.field, x.terms + tuple((e, ops.sub(0, c)) for e, c in y.terms),
+                 min(x.trunc, y.trunc))
+
+
+def series_scalar_mul(x, c):
+    ops = Scalars(x.field)
+    if ops.is_zero(c):
+        return (), INF
+    return known(x.field, [(e, ops.mul(c, k)) for e, k in x.terms], x.trunc)
+
+
+def series_truncate(x, delta):
+    return known(x.field, x.terms, min(x.trunc, delta))
+
+
+def long_division(x, y, max_steps=100000):
+    """(terms, trunc) of x / y by long division on field scalars, one
+    quotient term at a time; a quotient still growing after max_steps
+    terms is taken to have unbounded support (below the window, which in
+    lex Z^n holds infinitely many exponents)."""
+    if y.is_zero_exact():
+        raise ZeroDivisionError("series division by exact zero")
+    g = x.group
+    ops = Scalars(x.field)
+    vy = y.val()  # raises IndeterminateVal on zero-so-far divisor
+    bounds = []
+    if not x.exact:
+        bounds.append(g.sub(x.trunc, vy))
+    if not y.exact and x.val_lower() is not INF:
+        bounds.append(g.sub(g.add(y.trunc, x.val_lower()), g.scale(vy, 2)))
+    qtrunc = min(bounds) if bounds else INF
+    qexact = qtrunc is INF
+    rem_limit = None if qexact else g.add(qtrunc, vy)
+    ylead = y.terms[0][1]
+    rest = y.terms[1:]
+    rem = dict(x.terms)
+    qterms = []
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > max_steps:
+            raise InputError(
+                "exact quotient appears to have unbounded support; use div_to"
+                if qexact else "quotient has unbounded support below "
+                f"its window {g.to_json(qtrunc)}")
+        lead = min(rem)
+        qe = g.sub(lead, vy)
+        if not qexact and not (qe < qtrunc):
+            break
+        qc = ops.div(rem.pop(lead), ylead)
+        qterms.append((qe, qc))
+        for e2, c2 in rest:
+            tgt = g.add(qe, e2)
+            if not qexact and not (tgt < rem_limit):
+                continue
+            cur = ops.sub(rem.get(tgt, 0), ops.mul(qc, c2))
+            if ops.is_zero(cur):
+                rem.pop(tgt, None)
+            else:
+                rem[tgt] = cur
+    return known(x.field, qterms, qtrunc)
+
+
+def long_division_to(x, y, delta, max_steps=100000):
+    """long_division of x cut at delta + val(y): the quotient below delta."""
+    if y.is_zero_exact():
+        raise ZeroDivisionError("series division by exact zero")
+    cut = min(x.trunc, x.group.add(delta, y.val()))
+    return long_division(ValuedSeries(x.field, x.group, x.terms, cut), y, max_steps)
 
 
 def taylor_via_hasse(g, centers, scales, newtags):

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -54,6 +55,26 @@ def family_cfg(horizon=300):
             "seq0": lacunary_sequence(f5, horizon).to_json()}
 
 
+def q_smooth_cfg(op):
+    """A smooth config over Q whose coefficients have numerators and
+    denominators other than 1: a [V, V^2 + (3/2)tV] family, or the fraction
+    ((3/2)V^2 + tV) / (-(2/5)V^2 + t), whose witness goes through division."""
+    t = ValuedSeries.t_power(QQ, ZZ, 1)
+    V = Poly.var(QQ, ZZ, Y0)
+
+    def c(x):
+        return Poly.const(ValuedSeries.scalar(QQ, ZZ, Fraction(x)))
+
+    cfg = {"field": "Q", "op": op,
+           "seq0": lacunary_sequence(QQ, 300, [Fraction(2, 3)]).to_json()}
+    if op == "family":
+        cfg["fs"] = [V.to_json(), (V ** 2 + V.scale(t) * c("3/2")).to_json()]
+    else:
+        cfg["f1"] = (c("3/2") * V ** 2 + V.scale(t)).to_json()
+        cfg["f2"] = (c("-2/5") * V ** 2 + c(1).scale(t)).to_json()
+    return cfg
+
+
 def batch_cfgs():
     return [tail_cfg((0, 5), (1, 2), 100), tail_cfg((0, 3), (2, 1), 100)]
 
@@ -64,6 +85,8 @@ def batch_cfgs():
 # digest was renewed when embedded derived-sequence tables were cut to
 # the chosen index + 2 terms; FULL_TABLES holds the certificate with the
 # full 299/300-term tables, and TestGolden shows the two agree otherwise.
+# The two Q smooth digests were recorded while series coefficients were
+# Fractions, before they became integer numerators over one denominator.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -79,6 +102,10 @@ GOLDEN = {
                          "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
     "smooth-family-F5": ("smooth", family_cfg,
                          "67a61495585f8ee9a312198502412c288118a521eb450cee113686096897485b"),
+    "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
+                        "2e45661264ea8e7a08bb89c12071f820a9eb934c58043d67e2c7e3ccd74afbbc"),
+    "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
+                          "5e7ca85afdd1c5404580af58a87687ba373e2712fe37f5f31bfef881418f20f2"),
 }
 
 

@@ -53,7 +53,7 @@ def units(field):
 
 
 def scalars(field):
-    return st.just(field.zero()) | units(field)
+    return st.just(field.from_int(0)) | units(field)
 
 
 @st.composite

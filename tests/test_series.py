@@ -1,16 +1,19 @@
 """Truncated valued series: valuation, arithmetic, division, units."""
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from valcert.errors import IndeterminateValError, InputError
-from valcert.fields import GF, QQ
+import math
+import operator
 from fractions import Fraction
 
-from valcert.errors import VariantMismatchError
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from valcert.errors import IndeterminateValError, InputError, VariantMismatchError
+from valcert.fields import GF, QQ
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.poly import Poly, Powers, VarTag
 from valcert.series import ValuedSeries
+
+import oracles
 
 
 def S(*pairs, trunc=INF, field=QQ):
@@ -88,6 +91,54 @@ class TestDiv:
         with pytest.raises(ZeroDivisionError):
             S((1, 1)).div(ValuedSeries.zero(QQ, ZZ))
 
+    def test_lead_numerator_not_one(self):
+        # (1 + t)/(3/2 - (2/5)t) = (2/3)(1 + t) * sum (4/15)^k t^k, below t^4
+        # over the one denominator 3^4 * 5^3
+        x = S((0, 1), (1, 1))
+        y = ValuedSeries(QQ, ZZ, [(0, Fraction(3, 2)), (1, Fraction(-2, 5))])
+        q = x.div_to(y, 4)
+        assert q.terms == ((0, Fraction(2, 3)), (1, Fraction(38, 45)),
+                           (2, Fraction(152, 675)), (3, Fraction(608, 10125)))
+        assert q.nums == ((0, 6750), (1, 8550), (2, 2280), (3, 608)) and q.den == 10125
+        assert (q.terms, q.trunc) == oracles.long_division_to(x, y, 4)
+
+    def test_exact_quotient_with_lead_numerator_not_one(self):
+        y = ValuedSeries(QQ, ZZ, [(0, Fraction(-2, 5)), (1, Fraction(3, 2))])
+        q = ValuedSeries(QQ, ZZ, [(0, Fraction(3, 2)), (2, QQ.one()), (3, Fraction(-1, 7))])
+        assert (q * y).div(y).same_known(q)
+
+    @pytest.mark.parametrize("num, den", [
+        # (1 + t^(1,0)) * sum t^(0,k): every (0, k) lies below the top (1, -1)
+        ([((0, 0), 1), ((1, 0), 1)], [((0, 0), 1), ((0, 1), -1)]),
+        # sum t^(k,-k): the first coordinate passes 0 - 1 at once
+        ([((0, 0), 1)], [((0, 0), 1), ((1, -1), -1)]),
+    ])
+    def test_lex_unbounded_support_rejected_at_once(self, num, den):
+        x = ValuedSeries(QQ, Lex(2), [(e, Fraction(c)) for e, c in num])
+        y = ValuedSeries(QQ, Lex(2), [(e, Fraction(c)) for e, c in den])
+        with pytest.raises(InputError, match="unbounded support"):
+            x.div(y)
+        with pytest.raises(InputError, match="unbounded support"):
+            oracles.long_division(x, y, max_steps=200)
+
+    def test_lex_window_with_unbounded_support(self):
+        # (1 + O(t^(2,0))) / (1 - t^(0,1)) needs every t^(0,k) below (2, 0)
+        x = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one())], (2, 0))
+        y = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one()), ((0, 1), -QQ.one())])
+        with pytest.raises(InputError, match=r"unbounded support below its window \[2, 0\]"):
+            x.div(y)
+        # with (1 - t^(0,2)) on top each block's quotient is finite
+        x = x - ValuedSeries(QQ, Lex(2), [((0, 2), QQ.one())])
+        q = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one()), ((0, 1), QQ.one())], (2, 0))
+        assert x.div(y).same_known(q)
+
+    def test_lex_exact_quotient(self):
+        # (1 - t^(0,2)) / (1 - t^(0,1)) = 1 + t^(0,1)
+        x = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one()), ((0, 2), -QQ.one())])
+        y = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one()), ((0, 1), -QQ.one())])
+        q = ValuedSeries(QQ, Lex(2), [((0, 0), QQ.one()), ((0, 1), QQ.one())])
+        assert x.div(y).same_known(q)
+
 
 class TestUnit:
     def test_unit(self):
@@ -152,13 +203,14 @@ class TestOtherGroups:
 
 
 def all_pairs_product(x, y):
-    """The product term by term: every pair of terms through Field.mul,
-    then merged, zeros dropped and cut at the truncation by __init__."""
+    """The product term by term: every pair of terms multiplied as field
+    scalars, then merged, zeros dropped and cut at the truncation by
+    __init__."""
     add = x.group.add
     bounds = [add(a.trunc, b.val_lower()) for a, b in ((x, y), (y, x))
               if not a.exact and b.val_lower() is not INF]
     trunc = min(bounds) if bounds else INF
-    mul = x.field.mul
+    mul = oracles.Scalars(x.field).mul
     return ValuedSeries(x.field, x.group, [(add(e1, e2), mul(c1, c2))
                                            for e1, c1 in x.terms for e2, c2 in y.terms], trunc)
 
@@ -181,19 +233,24 @@ def scalars(field):
 
 
 @st.composite
-def factor_pairs(draw):
-    """Two series over one field and group; few exponents and small
+def factor_lists(draw, count, min_terms=0):
+    """count series over one field and group; few exponents and small
     coefficients, so merges and cancellations are common.  An empty term
-    list gives an exact zero (no truncation) or an inexact one."""
+    list gives an exact zero (no truncation) or an inexact one.  The last
+    series has at least min_terms terms before they merge."""
     field = draw(st.sampled_from([QQ, GF(2), GF(5)]))
     group = draw(st.sampled_from(list(EXPONENTS)))
     exps = EXPONENTS[group]
 
-    def factor():
-        terms = draw(st.lists(st.tuples(exps, scalars(field)), max_size=6))
+    def factor(least=0):
+        terms = draw(st.lists(st.tuples(exps, scalars(field)), min_size=least, max_size=6))
         return ValuedSeries(field, group, terms, draw(st.one_of(st.just(INF), exps)))
 
-    return factor(), factor()
+    return tuple(factor() for _ in range(count - 1)) + (factor(min_terms),)
+
+
+def factor_pairs():
+    return factor_lists(2)
 
 
 class TestProductKernel:
@@ -278,3 +335,119 @@ class TestEvalSeries:
             assert p.eval_series(table).same_known(p.eval_series({Y0: x}))
         assert sorted(table) == [(Y0, 1), (Y0, 2), (Y0, 3)]
         assert table[Y0, 3].same_known(x ** 3)
+
+
+def assert_normal(s):
+    """The integer-normal form: sorted distinct exponents below the window,
+    nonzero numerators, den > 0 and gcd(den, numerators) = 1; over F_p,
+    residues over den = 1."""
+    nums = s.nums
+    assert all(a[0] < b[0] for a, b in zip(nums, nums[1:]))
+    assert all(n and e < s.trunc for e, n in nums)
+    assert s.den > 0 and math.gcd(s.den, *[n for _, n in nums]) == 1
+    if s.field is not QQ:
+        assert s.den == 1 and all(0 < n < s.field.p for _, n in nums)
+
+
+def outcome(fn, *args):
+    """("ok", terms, trunc) of fn's result, a series in normal form or an
+    oracle's (terms, trunc); or the type and message of the error raised."""
+    try:
+        got = fn(*args)
+    except (IndeterminateValError, InputError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, ValuedSeries):
+        assert_normal(got)
+        got = got.terms, got.trunc
+    return ("ok",) + tuple(got)
+
+
+def lex(*pairs, trunc=INF):
+    return ValuedSeries(QQ, Lex(2), [(e, Fraction(c)) for e, c in pairs], trunc)
+
+
+# An exact quotient of finite support of the drawn operands lies in an
+# exponent box of under 400 points, so an oracle division still growing
+# after 1000 terms has unbounded support.
+DIV_STEPS = 1000
+
+
+@st.composite
+def division_cases(draw):
+    """Dividend, divisor and a delta; half the time the dividend is a
+    product by the divisor, so exact quotients of finite support occur."""
+    x, y = draw(factor_lists(2, min_terms=2))
+    if draw(st.booleans()):
+        x = x * y
+    return x, y, draw(EXPONENTS[x.group])
+
+
+class TestAgainstScalarOracles:
+    """Each operation on integer numerators gives the terms, window or
+    error that the same operation on field scalars, term by term, gives,
+    and a result in normal form.  Over Q, divisor leads such as 3/2 and
+    -2/5 exercise the powers of the leading numerator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_pairs())
+    def test_add_neg_sub(self, xy):
+        x, y = xy
+        assert outcome(operator.add, x, y) == outcome(oracles.series_add, x, y)
+        assert outcome(operator.neg, x) == outcome(oracles.series_neg, x)
+        assert outcome(operator.sub, x, y) == outcome(oracles.series_sub, x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_pairs(), st.data())
+    def test_scalar_mul_and_truncate(self, xy, data):
+        x, _ = xy
+        c = data.draw(scalars(x.field))
+        delta = data.draw(EXPONENTS[x.group])
+        assert outcome(x.scalar_mul, c) == outcome(oracles.series_scalar_mul, x, c)
+        assert outcome(x.truncate, delta) == outcome(oracles.series_truncate, x, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(division_cases())
+    # lex Z^2: below the window (2, 0) lie all (0, k) and (1, k); the first
+    # quotient, 1 + t^(0,1) + t^(0,2) + ..., has unbounded support there
+    @example((lex(((0, 0), 1), trunc=(2, 0)), lex(((0, 0), 1), ((0, 1), -1)), (1, 0)))
+    @example((lex(((0, 0), 1), ((0, 2), -1), trunc=(2, 0)),
+              lex(((0, 0), 1), ((0, 1), -1)), (1, 0)))
+    @example((lex(((0, 0), 1), ((1, 0), 1), trunc=(2, 0)),
+              lex(((0, 0), Fraction(3, 2)), ((1, 0), 1), ((1, 2), Fraction(-2, 5))), (1, 0)))
+    def test_div_and_div_to(self, case):
+        x, y, delta = case
+        assert outcome(x.div, y) == outcome(oracles.long_division, x, y, DIV_STEPS)
+        assert outcome(x.div_to, y, delta) == outcome(
+            oracles.long_division_to, x, y, delta, DIV_STEPS)
+
+
+def same_form(a, b):
+    return (a.nums, a.den, a.trunc) == (b.nums, b.den, b.trunc)
+
+
+class TestNormalForm:
+    """The form is canonical: two routes to one value give one (nums, den)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_lists(3))
+    def test_routes_to_one_value(self, xyz):
+        x, y, z = xyz
+        for s in xyz:
+            assert_normal(s)
+        assert same_form((x + y) + z, x + (y + z))
+        assert (x - x).nums == () and (x - x).den == 1
+        x, y, z = (ValuedSeries(s.field, s.group, s.terms) for s in xyz)
+        assert same_form((x * y) * z, x * (y * z))
+        assert same_form(x * (y + z), x * y + x * z)
+        if y.nums:
+            assert same_form((x * y).div(y), x)
+
+    def test_lowest_terms_after_cancellation_and_cut(self):
+        # 1/2 + 1/2 t, plus 1/2 t, is 1/2 + t: over 2; cut below t, 1/2 alone
+        x = ValuedSeries(QQ, ZZ, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+        y = x + ValuedSeries(QQ, ZZ, [(1, Fraction(1, 2))])
+        assert y.nums == ((0, 1), (1, 2)) and y.den == 2
+        assert (y - ValuedSeries(QQ, ZZ, [(0, Fraction(1, 2))])).nums == ((1, 1),)
+        assert y.truncate(1).nums == ((0, 1),) and y.truncate(1).den == 2
+        assert y.scalar_mul(Fraction(4, 3)).nums == ((0, 2), (1, 4))
+        assert y.scalar_mul(Fraction(4, 3)).den == 3

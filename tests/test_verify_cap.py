@@ -91,7 +91,7 @@ def edited_series(draw, s, exps, field):
         i = draw(st.integers(min_value=0, max_value=len(terms) - 1))
         e, c = terms.pop(i)
         if op == "scale":
-            terms.append((e, field.mul(c, draw(units(field)))))
+            terms.append((e, oracles.Scalars(field).mul(c, draw(units(field)))))
     return ValuedSeries(field, s.group, terms, s.trunc)
 
 
