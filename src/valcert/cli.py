@@ -66,6 +66,17 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _positive(opts, cfg, key, default):
+    """The --key flag when given, else the config's key, else the default;
+    it must be a positive integer (a bool is not one)."""
+    value = opts.get(key)
+    if value is None:
+        value = cfg.get(key, default)
+    if type(value) is not int or value < 1:
+        raise InputError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 # -- command implementations -------------------------------------------
 
 def cmd_separate(cfg, opts):
@@ -105,8 +116,8 @@ def cmd_rewrite(cfg, opts):
     if not seqs:
         raise InputError("a rewrite needs at least one sequence")
     g = Poly.from_json(g_json, field, seqs[0].group)
-    W = opts.get("window") or cfg.get("window", DEFAULT_WINDOW)
-    R = opts.get("retries") or cfg.get("retries", DEFAULT_RETRIES)
+    W = _positive(opts, cfg, "window", DEFAULT_WINDOW)
+    R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)
     op = _require(cfg, "op")
     p = characteristic(field)
     if op == "pair_square":
@@ -130,8 +141,8 @@ def cmd_smooth(cfg, opts):
     field = field_from_json(cfg)
     seq0 = _load_seq(_require(cfg, "seq0"), opts.get("horizon"))
     group = seq0.group
-    W = opts.get("window") or cfg.get("window", DEFAULT_WINDOW)
-    R = opts.get("retries") or cfg.get("retries", DEFAULT_RETRIES)
+    W = _positive(opts, cfg, "window", DEFAULT_WINDOW)
+    R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)
     delta = opts.get("delta")
     if delta is not None:
         delta = group.from_json(delta)

@@ -12,7 +12,12 @@ an exact recomputation plus direct value checks -- no searches re-run.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
-derivatives come from a single walk over the partial sums.
+derivatives come from a single walk over the partial sums, which
+evaluates a derivative only where the Hasse-Taylor bound cannot decide
+its value: a value that is a known term below the least possible value
+of the step's change is carried, and it lies below the window of the
+evaluated series too, since that window is fixed from j = 1 on (see
+_stable_betas).
 """
 from __future__ import annotations
 
@@ -91,40 +96,102 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
 
     beta_k is the value of val(D^(k)h(v_{0,j}, ..., v_{m,j})) that holds
     for W indices in a row, and the start is the first index of that run.
-    One walk over j serves every derivative: v_j is v_{j-1} plus one
-    term, all derivatives share the powers of the centres at j, and a
-    derivative leaves the walk when its window closes.
+    One walk over j serves every derivative, and it evaluates a
+    derivative only where its value can change.  By the Hasse-Taylor
+    identity D^(k)h(v_j) = sum_i binomial(k+i, k) D^(k+i)h(v_{j-1}) s^i,
+    s_e = v_{e,j} - v_{e,j-1} of value gamma_{e,j-1}, the step changes
+    D^(k)h by a series of value at least
+
+        B_k = min over nonzero D^(k')h, k' >= k, k' != k, of
+              L_k' + sum_e (k'_e - k_e) * gamma_{e,j-1},
+
+    where L_k' is a lower bound on val D^(k')h(v_{j-1}) (an INF bound,
+    an exact zero, is skipped).  A known term strictly below B_k is
+    therefore the value at v_j too, and a live derivative keeps it
+    without evaluation; every other live derivative is evaluated, in
+    derivative order.  A derivative whose window has closed is no
+    longer evaluated but keeps a bound: its value while that is a known
+    term below B_k, else min(L_k, B_k).
+
+    Evaluation would read the carried value too, because it lies below
+    the window of the computed D^(k)h(v_j).  With val v_{e,j} = gamma_{e,0}
+    for j >= 1, that window is the same at every j >= 1: the minimum over
+    the inexact coefficients C_a Y^a of D^(k)h of trunc C_a + sum_e
+    a_e * gamma_{e,0}.  At j = 0 the centres are 0 and the window is
+    trunc C_0.  Every derivative is evaluated at j = 0, and there
+    D^(k+a)h(0) is C_a up to a nonzero integer factor; so for an inexact
+    C_a, a != 0, the bound L_(k+a) at j = 0 is a known term below
+    trunc C_a.  The window at j = 1 is therefore at least
+    min(trunc C_0, B_k), above the carried value.
     """
     tags = [VarTag.orig(e) for e in range(len(seqs))]
     ranges = [range(h.degree_in(t) + 1) for t in tags]
-    live: Dict[Tuple[int, ...], Poly] = {}
+    derivs: Dict[Tuple[int, ...], Poly] = {}
     for combo in itertools.product(*ranges):
         if any(combo):
             deriv = h.hasse_derivative(dict(zip(tags, combo)))
             if not deriv.is_zero():
-                live[combo] = deriv
+                derivs[combo] = deriv
+    # the derivatives above each one, with the difference of orders
+    above = {k: [(k2, tuple(b - a for a, b in zip(k, k2))) for k2 in derivs
+                 if k2 != k and all(a <= b for a, b in zip(k, k2))]
+             for k in derivs}
+    diffs = {d for pairs in above.values() for _, d in pairs}
+    group = h.group
+    bound = dict.fromkeys(derivs, INF)    # L_k at v_{j-1}
+    known = dict.fromkeys(derivs, False)  # whether L_k is a known term
+    live = dict(derivs)
     runs: Dict[Tuple[int, ...], Tuple[object, int]] = {}
-    betas = dict.fromkeys(live)  # in derivative order
-    centers = {t: ValuedSeries.zero(h.field, h.group) for t in tags}
+    betas = dict.fromkeys(derivs)  # in derivative order
     horizon = min(s.horizon for s in seqs)
     for j in range(horizon - 1):
         if not live:
             break
         if j:
-            centers = {t: centers[t] + seq.scale(j - 1) for t, seq in zip(tags, seqs)}
-        powers = Powers(centers)
+            gammas = [seq.term_pair(j - 1)[0] for seq in seqs]
+            shifts = {}
+            for d in diffs:
+                shift = group.zero()
+                for g, n in zip(gammas, d):
+                    if n:
+                        shift = group.add(shift, group.scale(g, n))
+                shifts[d] = shift
+            taylor = {k: min((group.add(bound[k2], shifts[d]) for k2, d in pairs
+                              if bound[k2] is not INF), default=INF)
+                      for k, pairs in above.items()}
+            for k, b in taylor.items():
+                if not (known[k] and bound[k] < b):
+                    bound[k], known[k] = min(bound[k], b), False
+        powers = None
         for k, deriv in list(live.items()):
-            value = deriv.eval_series(powers).val()
+            if not known[k]:
+                if j == 0:
+                    value = deriv.constant_term().val()
+                else:
+                    if powers is None:
+                        powers = Powers({t: seq.term(j) for t, seq in zip(tags, seqs)})
+                    value = deriv.eval_series(powers).val()
+                bound[k], known[k] = value, True
             run = runs.get(k)
-            if run is None or value != run[0]:
-                run = runs[k] = (value, j)
+            if run is None or bound[k] != run[0]:
+                run = runs[k] = (bound[k], j)
             if j - run[1] + 1 >= W:
                 betas[k] = run
                 del live[k]
     if live:
         raise NotStabilizedError(
-            f"coefficient value did not stabilize over {W} indices below the horizon")
+            f"coefficient value did not stabilize over {W} indices below the "
+            f"horizon {horizon}: " + ", ".join(_moving(k, runs.get(k), group) for k in live))
     return betas
+
+
+def _moving(k: Tuple[int, ...], run, group) -> str:
+    """A derivative whose window is still open, with its current run."""
+    order = "D^(" + ",".join(map(str, k)) + ")"
+    if run is None:
+        return order + " not evaluated"
+    value = "INF" if run[0] is INF else group.to_json(run[0])
+    return f"{order} at val {value} since j={run[1]}"
 
 
 # -- Certificates ------------------------------------------------------

@@ -140,7 +140,7 @@ class TestSeparate:
         # [DERIVED] the nu=3, r=1 instance through the CLI
         out = str(tmp_path / "cert.json")
         assert run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out]) == 0
-        cert = json.loads(open(out).read())
+        cert = json.loads(Path(out).read_text())
         assert cert["nu"] == 3 and cert["r"] == 1
         assert run(["verify", out]) == 0
 
@@ -163,14 +163,14 @@ class TestRewrite:
         out = str(tmp_path / "cert.json")
         cfg = univariate_cfg(QQ, 1)
         assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
-        assert json.loads(open(out).read())["case"] == "case1"
+        assert json.loads(Path(out).read_text())["case"] == "case1"
         assert run(["verify", out]) == 0
 
     def test_square_over_F2_case2(self, tmp_path, capsys):
         out = str(tmp_path / "cert.json")
         cfg = univariate_cfg(GF(2), 2)
         assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
-        assert json.loads(open(out).read())["case"] == "case2"
+        assert json.loads(Path(out).read_text())["case"] == "case2"
 
     def test_horizon_flag_stops_at_table_end(self, tmp_path, capsys):
         # --horizon cannot reach past the terms a table sequence has
@@ -186,6 +186,61 @@ class TestRewrite:
         cfg = univariate_cfg(QQ, 1)
         cfg["g"] = Poly.zero(QQ, ZZ).to_json()
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+
+
+class TestWindowRetries:
+    """window and retries are positive integers, from the flag when it is
+    given, else from the config, else the default."""
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("key", ["window", "retries"])
+    @pytest.mark.parametrize("command, cfg", [("rewrite", lambda: univariate_cfg(QQ, 2)),
+                                              ("smooth", family_cfg)])
+    def test_bad_config_value(self, tmp_path, capsys, command, cfg, key, value):
+        bad = dict(cfg(), **{key: value})
+        assert run([command, write(tmp_path, "c.json", bad)]) == 1
+        assert f"{key} must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("key", ["window", "retries"])
+    @pytest.mark.parametrize("command, cfg", [("rewrite", lambda: univariate_cfg(QQ, 2)),
+                                              ("smooth", family_cfg)])
+    def test_bad_flag(self, tmp_path, capsys, command, cfg, key, value):
+        # the flag wins over a valid config value, even when it is 0
+        good = dict(cfg(), **{key: 8})
+        assert run([command, write(tmp_path, "c.json", good), f"--{key}", value]) == 1
+        assert f"{key} must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    def test_bad_value_in_batch(self, tmp_path, capsys, value):
+        good = univariate_cfg(QQ, 2)
+        cfgs = [good, dict(good, window=value), dict(good, retries=value)]
+        assert run(["rewrite", write(tmp_path, "c.json", cfgs), "--jobs", "2"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["cert"] == "rewrite"
+        for key, result in zip(["window", "retries"], results[1:]):
+            assert result["exit"] == 1 and f"{key} must be a positive integer" in result["error"]
+
+    @pytest.mark.parametrize("value", [1, 8])
+    @pytest.mark.parametrize("key", ["window", "retries"])
+    def test_small_and_default_values_build(self, tmp_path, capsys, key, value):
+        c = write(tmp_path, "c.json", dict(univariate_cfg(QQ, 2), **{key: value}))
+        assert run(["rewrite", c]) == 0
+        assert run(["rewrite", c, f"--{key}", str(value)]) == 0
+
+    def test_zero_window_flag_is_not_ignored(self, tmp_path, capsys):
+        # --window 0 is rejected, not replaced by the default 8, under which
+        # this horizon-6 config does not stabilize
+        cfg = univariate_cfg(QQ, 2)
+        cfg["seqs"] = [lacunary_sequence(QQ, 6).to_json()]
+        c = write(tmp_path, "c.json", cfg)
+        assert run(["rewrite", c, "--window", "0"]) == 1
+        capsys.readouterr()
+        assert run(["rewrite", c]) == 2
+        assert capsys.readouterr().err == (
+            "horizon/stabilization: coefficient value did not stabilize over 8 "
+            "indices below the horizon 6: D^(1) at val 1 since j=1, "
+            "D^(2) at val 0 since j=0\n")
 
 
 class TestSmooth:
@@ -213,7 +268,7 @@ class TestVerify:
     def test_tampered_cert(self, tmp_path, capsys):
         out = str(tmp_path / "cert.json")
         run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out])
-        cert = json.loads(open(out).read())
+        cert = json.loads(Path(out).read_text())
         cert["nu"] = 0
         bad = write(tmp_path, "bad.json", cert)
         assert run(["verify", bad]) == 4
@@ -230,7 +285,7 @@ class TestVerify:
         # shift_min certificates are no longer produced and never accepted
         out = str(tmp_path / "cert.json")
         run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 1)), "--out", out])
-        cert = json.loads(open(out).read())
+        cert = json.loads(Path(out).read_text())
         cert["kind"] = "shift_min"
         assert run(["verify", write(tmp_path, "bad.json", cert)]) in (1, 4)
 
@@ -715,14 +770,14 @@ class TestDeterminism:
         o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert run(["rewrite", c, "--out", o1]) == 0
         assert run(["rewrite", c, "--out", o2]) == 0
-        assert open(o1, "rb").read() == open(o2, "rb").read()
+        assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
 
 class TestBatch:
     def test_array_config(self, tmp_path, capsys):
         out = str(tmp_path / "batch.json")
         assert run(["separate", write(tmp_path, "c.json", batch_cfgs()), "--out", out]) == 0
-        results = json.loads(open(out).read())
+        results = json.loads(Path(out).read_text())
         assert [r["nu"] for r in results] == [0, 3]
 
     def test_batch_reports_worst_exit(self, tmp_path, capsys):
@@ -740,7 +795,7 @@ class TestBatch:
         # the bad entry exits 1 and the valid one still gets its result
         out = str(tmp_path / "cert.json")
         assert run(["separate", write(tmp_path, "c.json", tail_cfg()), "--out", out]) == 0
-        cert = json.loads(open(out).read())
+        cert = json.loads(Path(out).read_text())
         valid = tail_cfg() if command == "separate" else cert
         capsys.readouterr()
         assert run([command, write(tmp_path, "b.json", [valid, 1]), "--jobs", jobs]) == 1

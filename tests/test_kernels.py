@@ -1,11 +1,13 @@
 """Differential tests of the rewrite kernels against the reference oracles.
 
 The stabilization walk (rewrite._stable_betas) must give the per-derivative
-scan's (beta, start) dict, or fail with the same exit code; Taylor
+scan's (beta, start) dict, or fail with the same exit code, while it
+evaluates a derivative only where the Taylor bound cannot decide; Taylor
 recentring in Hasse form must give what the Hasse-derivative sum and
 one-variable-at-a-time substitution give, truncation windows included.
 """
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from valcert.errors import HorizonError, IndeterminateValError, InputError
 from valcert.fields import GF, QQ
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
-from valcert.pcs import RuleSequence
+from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import _stable_betas, taylor_recenter
 from valcert.series import ValuedSeries
@@ -136,6 +138,43 @@ class TestWalk:
         for h in (V ** 3 + V.scale(t), (V - root) * (V - root) * V, V ** 2):
             for W in (1, 4, 8):
                 assert outcome(_stable_betas, h, [seq], W) == outcome(stable_betas, h, [seq], W)
+
+    def test_evaluates_only_where_the_bound_cannot_decide(self):
+        # Y^3 + tY along t + t^2 + t^4 + ...: past j = 0 the bound decides
+        # every value but that of D^(2) = 3Y at j = 1, which was an exact
+        # zero at v_0, and an exact zero is never carried.
+        V = Poly.var(QQ, ZZ, Y0)
+        h = V ** 3 + V.scale(ValuedSeries.t_power(QQ, ZZ, 1))
+        seq = lacunary_sequence(QQ)
+        evaluate = Poly.eval_series
+        with mock.patch.object(Poly, "eval_series", autospec=True,
+                               side_effect=evaluate) as spy:
+            betas = _stable_betas(h, [seq], 8)
+        assert betas == stable_betas(h, [seq], 8) == {(1,): (1, 0), (2,): (1, 1), (3,): (0, 0)}
+        assert spy.call_count == 1
+
+    def test_closed_window_stays_in_the_bound(self):
+        # gamma_j = 2^j.  D^(2)h is (Y - A)(Y - B), A, B = v_3, v_2 + t^20:
+        # its value climbs to 24 at j = 2, its W = 2 window closes at j = 3,
+        # and it falls to 12 at j = 4.  D^(1)h is t^30 at v_4; only a bound
+        # on D^(2)h that takes the fall (its min with the Taylor bound)
+        # lets the walk see D^(1)h fall to 28 at j = 5.  A bound frozen at
+        # 24 carries 30 and gives (30, 4).
+        seq = RuleSequence(QQ, {"kind": "geom", "a": 1}, {"kind": "const", "c": QQ.one()})
+        V = Poly.var(QQ, ZZ, Y0)
+        t20 = ValuedSeries.t_power(QQ, ZZ, 20)
+        A, B = seq.term(3) + t20, seq.term(2) + t20
+
+        def c(x):
+            return Poly.const(x if isinstance(x, ValuedSeries)
+                              else ValuedSeries.scalar(QQ, ZZ, Fraction(x)))
+
+        core = c("1/6") * V ** 4 - c("1/3") * c(A + B) * V ** 3 + c(A * B) * V ** 2
+        d1 = core.hasse_derivative({Y0: 1}).eval_series({Y0: seq.term(4)})
+        h = core + V.scale(ValuedSeries.t_power(QQ, ZZ, 30) - d1)
+        betas = _stable_betas(h, [seq], 2)
+        assert betas == stable_betas(h, [seq], 2)
+        assert betas[(1,)] == (28, 5) and betas[(2,)] == (24, 2)
 
 
 @st.composite
