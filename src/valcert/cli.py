@@ -51,9 +51,10 @@ def _load_stream(spec, horizon: int):
     return [seq.gamma(j) for j in range(hi)]
 
 
-def _load_seq(spec, horizon):
+def _load_seq(spec, opts):
     seq = sequence_from_json(spec)
-    if horizon is not None:
+    if opts.get("horizon") is not None:
+        horizon = _positive(opts, {}, "horizon", None)
         # A term table has no terms past its length, whatever --horizon says.
         seq.horizon = (min(horizon, seq.horizon) if isinstance(seq, TableSequence)
                        else horizon)
@@ -80,7 +81,7 @@ def _positive(opts, cfg, key, default):
 # -- command implementations -------------------------------------------
 
 def cmd_separate(cfg, opts):
-    H = opts.get("horizon") or cfg.get("horizon", 200)
+    H = _positive(opts, cfg, "horizon", 200)
     op = _require(cfg, "op")
     if op == "tail":
         cert = sep_tail([element_from_json(b) for b in _require(cfg, "betas")],
@@ -112,7 +113,7 @@ def cmd_separate(cfg, opts):
 def cmd_rewrite(cfg, opts):
     field = field_from_json(cfg)
     g_json = _require(cfg, "g")
-    seqs = [_load_seq(s, opts.get("horizon")) for s in _require(cfg, "seqs")]
+    seqs = [_load_seq(s, opts) for s in _require(cfg, "seqs")]
     if not seqs:
         raise InputError("a rewrite needs at least one sequence")
     g = Poly.from_json(g_json, field, seqs[0].group)
@@ -139,7 +140,7 @@ def cmd_rewrite(cfg, opts):
 
 def cmd_smooth(cfg, opts):
     field = field_from_json(cfg)
-    seq0 = _load_seq(_require(cfg, "seq0"), opts.get("horizon"))
+    seq0 = _load_seq(_require(cfg, "seq0"), opts)
     group = seq0.group
     W = _positive(opts, cfg, "window", DEFAULT_WINDOW)
     R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)

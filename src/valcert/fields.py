@@ -41,9 +41,6 @@ class Field:
     def one(self):
         raise NotImplementedError
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -73,9 +70,6 @@ class RationalField(Field):
 
     def one(self):
         return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -130,9 +124,6 @@ class PrimeField(Field):
 
     def one(self):
         return 1
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

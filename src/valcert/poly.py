@@ -292,7 +292,7 @@ class Poly:
                 else:
                     exps[v] = k - n
             if ok:
-                out.append((exps.items(), coeff.scalar_mul(self.field.from_int(factor))))
+                out.append((exps.items(), coeff if factor == 1 else coeff.scalar_mul(factor)))
         return self._new(out)
 
     # -- comparison / output ------------------------------------------

@@ -9,6 +9,9 @@ separation machinery on stabilized coefficient values, and the builder
 decides each attempt with its verifier's normal-form check.  The
 certificate stores the exact recentred polynomial, so verification is
 an exact recomputation plus direct value checks -- no searches re-run.
+The builder recentres each attempt once, on the frozen sequences the
+certificate would carry, so its G1 is the verifier's recomputation; it
+checks the verifier's value-table and normal-form claims on that G1.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
@@ -47,7 +50,8 @@ def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
 
     In Hasse form: the Y_new^k coefficient is the sum over the monomials
     C_a Y^a of g of binomial(a, k) C_a v^(a-k) s^k; a term whose integer
-    binomial vanishes in the field is skipped.
+    binomial vanishes in the field is skipped, and the integer scales the
+    coefficient directly (not at all when it is 1).
     """
     for tag in centers:
         if scales[tag].is_zero_exact():
@@ -59,10 +63,10 @@ def taylor_recenter(g: Poly, centers: Mapping[VarTag, ValuedSeries],
         rest = dict(mono)
         moved = [(tag, rest.pop(tag)) for tag in centers if tag in rest]
         for ks in itertools.product(*(range(a + 1) for _, a in moved)):
-            binom = field.from_int(math.prod(math.comb(a, k) for (_, a), k in zip(moved, ks)))
+            binom = math.prod(math.comb(a, k) for (_, a), k in zip(moved, ks))
             if field.is_zero(binom):
                 continue
-            term = coeff.scalar_mul(binom)
+            term = coeff if binom == 1 else coeff.scalar_mul(binom)
             exps = dict(rest)
             for (tag, a), k in zip(moved, ks):
                 if k < a:
@@ -271,6 +275,11 @@ class RewriteCert:
             raise VerificationError("indices", f"sequence too short: {exc}")
         if not recomputed.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
+        self.check_table()
+
+    def check_table(self) -> None:
+        """Every claim but identity: the embedded value table is G1's, and
+        it has the normal form of the certificate's mode."""
         try:
             vals = {mono: coeff.val() for mono, coeff in self.G1.monos.items()}
         except IndeterminateValError as exc:
@@ -337,18 +346,21 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
             indices = [j - 1 for j in js_sep]
         else:
             indices = list(rhos)
-        G1 = recenter_at(h, seqs, indices)
+        # Recentring reads term(t) and scale(t): t + 2 terms.  G1 is
+        # computed once, from the g, multiplier, frozen sequences and
+        # indices the certificate carries, so it is the recomputation
+        # RewriteCert.verify compares G1 with; the build checks the rest.
+        frozen = [seq.snapshot(t + 2) if isinstance(seq, DerivedSequence) else seq
+                  for seq, t in zip(seqs, indices)]
+        G1 = recenter_at(h, frozen, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
         c_mono, failure = _claims_hold(vals, mode, h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
             tag = case if case else _case_tag(vals)
-            # Verification reads term(t) and scale(t): t + 2 terms.
-            frozen = [seq.snapshot(t + 2) if isinstance(seq, DerivedSequence) else seq
-                      for seq, t in zip(seqs, indices)]
             cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
                                G1, c_mono, mode, tag, table)
-            cert.verify()
+            cert.check_table()
             return cert
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
     raise UndecidedError(

@@ -49,6 +49,11 @@ class Scalars:
         return self.norm(a) == 0
 
 
+def from_int(field, n):
+    """The integer n as a field scalar."""
+    return Scalars(field).norm(n)
+
+
 def known(field, pairs, trunc):
     """(terms, trunc) of the series with these (exponent, scalar) pairs:
     merged per exponent, zeros and terms at or past trunc dropped, sorted."""
@@ -215,7 +220,7 @@ def derivative(g, tag):
         if k > 1:
             exps[tag] = k - 1
         if k:
-            out.append((tuple(exps.items()), coeff.scalar_mul(g.field.from_int(k))))
+            out.append((tuple(exps.items()), coeff.scalar_mul(from_int(g.field, k))))
     return Poly(g.field, g.group, out)
 
 

@@ -243,6 +243,41 @@ class TestWindowRetries:
             "D^(2) at val 0 since j=0\n")
 
 
+class TestHorizon:
+    """--horizon, and a separate config's horizon, is a positive integer:
+    0 is rejected, not replaced by the config's or the default horizon."""
+
+    def tail_rule_cfg(self, horizon=200):
+        gamma = {"seq": "rule", "field": "Q", "horizon": 300,
+                 "exp": {"kind": "arith", "a": 1, "b": 1},
+                 "coeff": {"kind": "const", "c": 1}}
+        return dict(tail_cfg(), gamma=gamma, horizon=horizon)
+
+    def test_zero_flag_separate(self, tmp_path, capsys):
+        c = write(tmp_path, "c.json", self.tail_rule_cfg())
+        assert run(["separate", c]) == 0
+        assert run(["separate", c, "--horizon", "0"]) == 1
+        assert "horizon must be a positive integer" in capsys.readouterr().err
+
+    def test_zero_in_config_separate(self, tmp_path, capsys):
+        c = write(tmp_path, "c.json", self.tail_rule_cfg(horizon=0))
+        assert run(["separate", c]) == 1
+        assert "horizon must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg", [("rewrite", lambda: univariate_cfg(QQ, 2)),
+                                              ("smooth", family_cfg)])
+    def test_zero_flag_rewrite_smooth(self, tmp_path, capsys, command, cfg):
+        assert run([command, write(tmp_path, "c.json", cfg()), "--horizon", "0"]) == 1
+        assert "horizon must be a positive integer" in capsys.readouterr().err
+
+    def test_one_is_too_short(self, tmp_path, capsys):
+        # a horizon of 1 is accepted, and stops the stream at its first term
+        c = write(tmp_path, "c.json", self.tail_rule_cfg())
+        assert run(["separate", c, "--horizon", "1"]) == 2
+        c = write(tmp_path, "r.json", univariate_cfg(QQ, 2))
+        assert run(["rewrite", c, "--horizon", "1"]) == 2
+
+
 class TestSmooth:
     def test_family_roundtrip(self, tmp_path, capsys):
         out = str(tmp_path / "cert.json")

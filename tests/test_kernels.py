@@ -21,7 +21,7 @@ from valcert.poly import Poly, VarTag
 from valcert.rewrite import _stable_betas, taylor_recenter
 from valcert.series import ValuedSeries
 
-from oracles import stable_betas, taylor_via_hasse, taylor_via_subs
+from oracles import from_int, stable_betas, taylor_via_hasse, taylor_via_subs
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
@@ -55,7 +55,7 @@ def units(field):
 
 
 def scalars(field):
-    return st.just(field.from_int(0)) | units(field)
+    return st.just(from_int(field, 0)) | units(field)
 
 
 @st.composite

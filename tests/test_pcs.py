@@ -12,6 +12,8 @@ from valcert.poly import Poly, VarTag
 from valcert.rewrite import DEFAULT_WINDOW, _stable_betas
 from valcert.series import ValuedSeries
 
+from oracles import from_int
+
 T = VarTag.orig(0)
 
 
@@ -32,7 +34,7 @@ def walk_value(poly, seqs, W=DEFAULT_WINDOW):
 
 def S(*pairs, trunc=None):
     tr = trunc if trunc is not None else INF
-    return ValuedSeries(QQ, ZZ, [(e, QQ.from_int(c)) for e, c in pairs], tr)
+    return ValuedSeries(QQ, ZZ, [(e, from_int(QQ, c)) for e, c in pairs], tr)
 
 
 class TestTerms:
@@ -130,7 +132,7 @@ class TestSerialization:
             assert back.term(j).same_known(seq.term(j))
 
     def test_table_roundtrip(self):
-        tab = TableSequence(QQ, [(1, QQ.one()), (3, QQ.from_int(2)),
+        tab = TableSequence(QQ, [(1, QQ.one()), (3, from_int(QQ, 2)),
                                  (4, QQ.one())])
         back = sequence_from_json(tab.to_json())
         assert back.term(2).same_known(tab.term(2))

@@ -9,7 +9,7 @@ from valcert.group import INTEGERS as ZZ
 from valcert.poly import Poly, VarTag, sylvester_resultant
 from valcert.series import ValuedSeries
 
-from oracles import derivative
+from oracles import derivative, from_int
 
 Y0, Y1, Y2 = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
 
@@ -31,7 +31,7 @@ class TestHasse:
         g = Poly.var(QQ, ZZ, Y0) ** 3
         d = g.hasse_derivative({Y0: 1})
         assert d.same_known((Poly.var(QQ, ZZ, Y0) ** 2).scale(
-            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(3))))
+            ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 3))))
 
     def test_mixed_bilinear(self):
         # [TRIVIAL] D^(1,1)(Y1*Y2) = 1
@@ -47,7 +47,7 @@ class TestHasse:
         for _ in range(3):
             it = derivative(it, Y0)
         hd = g.hasse_derivative({Y0: 3}).scale(
-            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(6)))
+            ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 6)))
         assert hd.same_known(it)
 
 
@@ -57,7 +57,7 @@ class TestAlgebra:
         sub = Poly.var(QQ, ZZ, Y1) + Poly.const(one())
         out = g.subs_poly(Y0, sub)
         expect = (Poly.var(QQ, ZZ, Y1) ** 2
-                  + Poly.var(QQ, ZZ, Y1).scale(ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2)))
+                  + Poly.var(QQ, ZZ, Y1).scale(ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 2)))
                   + Poly.const(one()))
         assert out.same_known(expect)
 
@@ -65,7 +65,7 @@ class TestAlgebra:
         g = Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1)
         out = g.rename({Y1: Y0})
         assert out.same_known(Poly.var(QQ, ZZ, Y0).scale(
-            ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2))))
+            ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 2))))
 
     def test_eval_series(self):
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.const(one())

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from valcert import rewrite
+from valcert.cli import canonical_json
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
@@ -22,13 +24,33 @@ from valcert.rewrite import (RewriteCert, rw_bivariate_charp,
                              taylor_recenter)
 from valcert.series import ValuedSeries
 
-from oracles import taylor_via_hasse
+from oracles import from_int, taylor_via_hasse
 
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
 
 
 def tpow(field, e, c=1):
-    return ValuedSeries(field, ZZ, [(e, field.from_int(c))])
+    return ValuedSeries(field, ZZ, [(e, from_int(field, c))])
+
+
+@pytest.fixture(autouse=True)
+def round_trip_every_certificate(monkeypatch):
+    """Every certificate a rw_* builder returns here verifies again from
+    its canonical JSON, since the build itself does not recompute G1.
+    The JSON is taken as the certificate is built, before a test can
+    tamper with it, and verified after the test."""
+    built = []
+    certify = rewrite._certify
+
+    def recording(*args, **kwargs):
+        cert = certify(*args, **kwargs)
+        built.append(canonical_json(cert.to_json()))
+        return cert
+
+    monkeypatch.setattr(rewrite, "_certify", recording)
+    yield
+    for text in built:
+        RewriteCert.from_json(json.loads(text)).verify()
 
 
 class TestTaylor:
@@ -38,7 +60,7 @@ class TestTaylor:
         new = VarTag.stage(0, 0)
         out = taylor_recenter(Poly.var(QQ, ZZ, Y0) ** 2, {Y0: v}, {Y0: s}, {Y0: new})
         expect = (Poly.const(v * v)
-                  + Poly.var(QQ, ZZ, new).scale(v * s * ValuedSeries.scalar(QQ, ZZ, QQ.from_int(2)))
+                  + Poly.var(QQ, ZZ, new).scale(v * s * ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 2)))
                   + (Poly.var(QQ, ZZ, new) ** 2).scale(s * s))
         assert out.same_known(expect)
 
@@ -81,7 +103,7 @@ def _random_poly(rng, field, nvars, deg):
     tags = [Y0, Y1][:nvars]
     g = Poly.zero(field, ZZ)
     for _ in range(rng.randint(1, 5)):
-        mono = Poly.const(ValuedSeries.scalar(field, ZZ, field.from_int(rng.randint(1, 6))))
+        mono = Poly.const(ValuedSeries.scalar(field, ZZ, from_int(field, rng.randint(1, 6))))
         total = 0
         for tag in tags:
             k = rng.randint(0, deg - total)
@@ -308,3 +330,28 @@ class TestTamper:
         with pytest.raises(VerificationError) as exc:
             RewriteCert.from_json(bad).verify()
         assert exc.value.claim != "identity"
+
+
+class TestOneRecentring:
+    def test_build_and_verify_recentre_once_each(self, monkeypatch):
+        # Accepted at its first attempt, the build recentres once, on the
+        # frozen sequences; verifying the JSON round trip recentres once.
+        calls = {"recenter": 0, "attempts": 0}
+        recenter, claims_hold = rewrite.taylor_recenter, rewrite._claims_hold
+
+        def counted_recenter(*args):
+            calls["recenter"] += 1
+            return recenter(*args)
+
+        def counted_attempt(*args):
+            calls["attempts"] += 1
+            return claims_hold(*args)
+
+        monkeypatch.setattr(rewrite, "taylor_recenter", counted_recenter)
+        monkeypatch.setattr(rewrite, "_claims_hold", counted_attempt)
+        g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
+        cert = rw_univariate_pfree(g, lacunary_sequence(QQ))
+        assert calls == {"recenter": 1, "attempts": 1}
+        text = canonical_json(cert.to_json())
+        RewriteCert.from_json(json.loads(text)).verify()
+        assert calls["recenter"] == 2

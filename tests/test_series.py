@@ -17,7 +17,7 @@ import oracles
 
 
 def S(*pairs, trunc=INF, field=QQ):
-    return ValuedSeries(field, ZZ, [(e, field.from_int(c)) for e, c in pairs], trunc)
+    return ValuedSeries(field, ZZ, [(e, oracles.from_int(field, c)) for e, c in pairs], trunc)
 
 
 class TestVal:
@@ -157,9 +157,9 @@ class TestWindows:
 
     def test_char_p_coefficients(self):
         f5 = GF(5)
-        x = ValuedSeries(f5, ZZ, [(0, f5.from_int(3))])
-        assert dict((x + x + x).terms)[0] == f5.from_int(4)
-        assert dict((x + x).terms)[0] == f5.from_int(1)
+        x = ValuedSeries(f5, ZZ, [(0, oracles.from_int(f5, 3))])
+        assert dict((x + x + x).terms)[0] == oracles.from_int(f5, 4)
+        assert dict((x + x).terms)[0] == oracles.from_int(f5, 1)
 
     def test_json_roundtrip(self):
         x = S((1, 2), (3, -1), trunc=7)
@@ -307,8 +307,8 @@ class TestEvalSeries:
     @pytest.mark.parametrize("field", [QQ, GF(5)])
     def test_against_per_monomial_powers(self, field):
         Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
-        x = ValuedSeries(field, ZZ, [(1, field.from_int(2)), (2, field.from_int(-1))], 9)
-        y = ValuedSeries(field, ZZ, [(0, field.from_int(3)), (3, field.from_int(1))])
+        x = ValuedSeries(field, ZZ, [(1, oracles.from_int(field, 2)), (2, oracles.from_int(field, -1))], 9)
+        y = ValuedSeries(field, ZZ, [(0, oracles.from_int(field, 3)), (3, oracles.from_int(field, 1))])
         if field is QQ:
             y = y.scalar_mul(Fraction(1, 7))
         V0, V1 = Poly.var(field, ZZ, Y0), Poly.var(field, ZZ, Y1)

@@ -9,14 +9,17 @@ from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
-from valcert.smooth import (SmoothCert, SmoothPresentation, sm_check,
-                            sm_family, sm_fraction, sm_pair, sm_verify)
+from valcert.smooth import (SmoothCert, SmoothPresentation, _canonical_d,
+                            _derived_unit_sequence, sm_check, sm_family,
+                            sm_fraction, sm_pair, sm_verify)
+
+from oracles import from_int
 
 Y0 = VarTag.orig(0)
 
 
 def tpow(field, e, c=1):
-    return ValuedSeries(field, ZZ, [(e, field.from_int(c))])
+    return ValuedSeries(field, ZZ, [(e, from_int(field, c))])
 
 
 def roundtrip_verify(cert):
@@ -142,11 +145,29 @@ class TestFamily:
         assert all(isinstance(seq, TableSequence) and seq.horizon == t + 2
                    for seq, t in derived)
 
+    @pytest.mark.parametrize("field", [GF(5), QQ])
+    def test_frozen_links_read_the_live_terms(self, field):
+        # Each link rewrite recentres once, on the tables it carries: at
+        # its index t they must give the live derived sequence's v_t, s_t.
+        seq0 = lacunary_sequence(field)
+        V = Poly.var(field, ZZ, Y0)
+        fs = [V, V ** 2 + V.scale(tpow(field, 1, 3))]
+        cert = sm_family(fs, seq0)
+        live = [seq0] + [_derived_unit_sequence(f, _canonical_d(f, seq0), seq0) for f in fs]
+        assert len(cert.rewrites) == len(fs)
+        frozen = 0
+        for e, rewrite in enumerate(cert.rewrites, start=1):
+            for seq, t, truth in zip(rewrite.seqs, rewrite.indices, live[e - 1:e + 1]):
+                frozen += isinstance(seq, TableSequence)
+                assert seq.term(t).same_known(truth.term(t))
+                assert seq.scale(t).same_known(truth.scale(t))
+        assert frozen == 3
+
     def test_proportional_pair(self):
         # f2 = 3*f1: the resultant degenerates; a linear relation is used
         field = QQ
         V = Poly.var(field, ZZ, Y0)
-        three = ValuedSeries.scalar(field, ZZ, field.from_int(3))
+        three = ValuedSeries.scalar(field, ZZ, from_int(field, 3))
         cert = sm_family([V, V.scale(three)], lacunary_sequence(field))
         roundtrip_verify(cert)
 
