@@ -7,8 +7,11 @@ table of the result's coefficients has the advertised normal form
 least, or linear and strictly least).  Index choice runs through the
 separation machinery on stabilized coefficient values, and the builder
 decides each attempt with its verifier's normal-form check.  The
-certificate stores the exact recentred polynomial, so verification is
-an exact recomputation plus direct value checks -- no searches re-run.
+verifier recentres g at the certified indices itself and checks the
+normal form on that G1's values -- no searches re-run.  A top-level
+certificate also stores G1, the exact answer a rewrite gives, and its
+value table, which the verifier compares with its own; a rewrite
+embedded in a smooth certificate stores neither.
 The builder recentres each attempt once, on the frozen sequences the
 certificate would carry, so its G1 is the verifier's recomputation; it
 checks the verifier's value-table and normal-form claims on that G1.
@@ -205,12 +208,17 @@ _KINDS = ("pair_square", "multilinear_mono", "multilinear", "univariate_pfree",
 
 
 class RewriteCert:
-    """Exact, self-verifying record of one rewrite."""
+    """Exact, self-verifying record of one rewrite.
+
+    verify recomputes the recentred polynomial G1 from the claim fields
+    (claims_json).  to_json adds G1, a top-level rewrite's answer, and its
+    value table; a smooth certificate embeds the claim fields only, and
+    from_json leaves G1 and table None where the JSON omits them."""
 
     def __init__(self, kind: str, field: Field, g: Poly,
                  multiplier: Mapping[int, int], seqs: Sequence[PseudoSequence],
-                 indices: Sequence[int], G1: Poly, c_mono, mode: str, case: str,
-                 table: Sequence[Tuple[object, object]]):
+                 indices: Sequence[int], G1: Optional[Poly], c_mono, mode: str,
+                 case: str, table: Optional[Sequence[Tuple[object, object]]]):
         self.kind = kind
         self.field = field
         self.g = g
@@ -221,10 +229,11 @@ class RewriteCert:
         self.c_mono = c_mono  # canonical monomial (tuple of [tag, exp])
         self.mode = mode
         self.case = case
-        self.table = list(table)
+        self.table = None if table is None else list(table)
 
     # -- serialization ------------------------------------------------
-    def to_json(self):
+    def claims_json(self):
+        """Every field but G1 and its value table."""
         out = {
             "cert": "rewrite",
             "kind": self.kind,
@@ -232,14 +241,18 @@ class RewriteCert:
             "multiplier": sorted([e, k] for e, k in self.multiplier.items()),
             "seqs": [s.to_json() for s in self.seqs],
             "indices": self.indices,
-            "G1": self.G1.to_json(),
             "c_mono": [[v.to_json(), k] for v, k in self.c_mono],
             "mode": self.mode,
             "case": self.case,
-            "table": [[[[v.to_json(), k] for v, k in mono], self.g.group.to_json(val)]
-                      for mono, val in self.table],
         }
         out.update(field_to_json(self.field))
+        return out
+
+    def to_json(self):
+        out = self.claims_json()
+        out["G1"] = self.G1.to_json()
+        out["table"] = [[[[v.to_json(), k] for v, k in mono], self.g.group.to_json(val)]
+                        for mono, val in self.table]
         return out
 
     @staticmethod
@@ -254,10 +267,11 @@ class RewriteCert:
             raise InputError("a rewrite needs at least one sequence")
         group = seqs[0].group
         g = Poly.from_json(obj["g"], field, group)
-        G1 = Poly.from_json(obj["G1"], field, group)
+        G1 = Poly.from_json(obj["G1"], field, group) if "G1" in obj else None
         mono = tuple((VarTag.from_json(v), int(k)) for v, k in obj["c_mono"])
-        table = [(tuple((VarTag.from_json(v), int(k)) for v, k in m),
-                  group.from_json(val)) for m, val in obj["table"]]
+        table = ([(tuple((VarTag.from_json(v), int(k)) for v, k in m),
+                   group.from_json(val)) for m, val in obj["table"]]
+                 if "table" in obj else None)
         return RewriteCert(
             obj["kind"], field, g, {int(e): int(k) for e, k in obj["multiplier"]},
             seqs, obj["indices"], G1, mono, obj["mode"], obj["case"], table)
@@ -269,24 +283,26 @@ class RewriteCert:
 
     def verify(self) -> None:
         try:
-            recomputed = self._recompute()
+            G1 = self._recompute()
         except HorizonError as exc:
             # Recentring at index t reads t + 2 terms of the sequence.
             raise VerificationError("indices", f"sequence too short: {exc}")
-        if not recomputed.same_known(self.G1):
+        if self.G1 is not None and not G1.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
-        self.check_table()
+        self.check_table(G1)
 
-    def check_table(self) -> None:
-        """Every claim but identity: the embedded value table is G1's, and
-        it has the normal form of the certificate's mode."""
+    def check_table(self, G1: Poly) -> None:
+        """Every claim but identity, on the recentred polynomial G1: the
+        embedded value table, if any, is G1's, and G1's values have the
+        normal form of the certificate's mode."""
         try:
-            vals = {mono: coeff.val() for mono, coeff in self.G1.monos.items()}
+            vals = {mono: coeff.val() for mono, coeff in G1.monos.items()}
         except IndeterminateValError as exc:
             raise VerificationError("value-table", str(exc))
-        table = {mono: v for mono, v in self.table}
-        if set(table) != set(vals) or any(table[m] != vals[m] for m in vals):
-            raise VerificationError("value-table", "embedded value table is wrong")
+        if self.table is not None:
+            table = {mono: v for mono, v in self.table}
+            if set(table) != set(vals) or any(table[m] != vals[m] for m in vals):
+                raise VerificationError("value-table", "embedded value table is wrong")
         _check_normal_form(vals, self.c_mono, self.mode, self.g.group)
 
     # -- convenience --------------------------------------------------
@@ -360,7 +376,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
             tag = case if case else _case_tag(vals)
             cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
                                G1, c_mono, mode, tag, table)
-            cert.check_table()
+            cert.check_table(G1)
             return cert
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
     raise UndecidedError(

@@ -189,6 +189,12 @@ class Witness:
 
 
 class SmoothCert:
+    """A presentation, its witnesses and one rewrite per chain link.
+
+    An embedded rewrite carries its claim fields only: sm_verify
+    recomputes its G1, and compares a G1 or value table that an older
+    certificate embeds."""
+
     def __init__(self, kind: str, field: Field, problem: dict,
                  pres: SmoothPresentation, witnesses: Sequence[Witness],
                  rewrites: Sequence[RewriteCert], delta,
@@ -208,7 +214,7 @@ class SmoothCert:
             "kind": self.kind,
             "problem": self.problem,
             "witnesses": [w.to_json() for w in self.witnesses],
-            "rewrites": [c.to_json() for c in self.rewrites],
+            "rewrites": [c.claims_json() for c in self.rewrites],
             "delta": self.pres.group.to_json(self.delta),
             "branch": self.branch,
         }
@@ -669,8 +675,9 @@ def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
             value = value.div(den_val)
         diff = value - problem.target(w, cap)
         small = diff.is_small(delta)
-    except (IndeterminateValError, ZeroDivisionError) as exc:
-        # an unreadable value, or a target over an exact-zero denominator
+    except (HorizonError, IndeterminateValError, ZeroDivisionError) as exc:
+        # an unreadable value, a target over an exact-zero denominator, or
+        # a pseudo-limit past the end of the echoed seq0
         raise VerificationError(f"witness-{w.name}", str(exc))
     if not small:
         raise VerificationError(

@@ -87,6 +87,9 @@ def batch_cfgs():
 # full 299/300-term tables, and TestGolden shows the two agree otherwise.
 # The two Q smooth digests were recorded while series coefficients were
 # Fractions, before they became integer numerators over one denominator.
+# Smooth certificates then stopped embedding each rewrite's G1 and value
+# table; each smooth digest is the sha256 of the earlier output with those
+# two keys removed from its embedded rewrites, computed from that output.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -101,11 +104,11 @@ GOLDEN = {
     "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
                          "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
     "smooth-family-F5": ("smooth", family_cfg,
-                         "67a61495585f8ee9a312198502412c288118a521eb450cee113686096897485b"),
+                         "e5bf3c9c1d6d0d429c2395b10f42ed4ba549956cd630398d55d6e2bd91cecd37"),
     "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
-                        "2e45661264ea8e7a08bb89c12071f820a9eb934c58043d67e2c7e3ccd74afbbc"),
+                        "1658a4d3c3e46ffabac920f6c8726f8c5bd0d0a72eca92da9610adb40f490bcb"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
-                          "5e7ca85afdd1c5404580af58a87687ba373e2712fe37f5f31bfef881418f20f2"),
+                          "220e18232b1ede6d1cd2f53abdaadf6a85b787f2923498f980636f94b2c30faa"),
 }
 
 
@@ -118,8 +121,10 @@ class TestGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_full_table_certificate(self, tmp_path, capsys):
-        # The certificate with full tables still verifies, and cutting its
-        # tables to index + 2 terms gives the certificate built today.
+        # The certificate with full tables, whose embedded rewrites carry
+        # G1 and a value table, still verifies; cutting its tables to
+        # index + 2 terms and removing G1 and table from each embedded
+        # rewrite gives the certificate built today.
         assert run(["verify", str(FULL_TABLES)]) == 0
         old = json.loads(FULL_TABLES.read_text())
         cut = 0
@@ -129,10 +134,92 @@ class TestGolden:
                     assert len(seq["terms"]) > t + 2
                     seq["terms"] = seq["terms"][:t + 2]
                     cut += 1
+            del rewrite["G1"], rewrite["table"]
         assert cut == 3
         out = tmp_path / "out.json"
         assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == old
+
+
+def _built_smooth(op):
+    """A [V, V^2 + tV] family over F5, or the fraction of q_smooth_cfg over
+    Q, built in-process at H=100."""
+    if op == "family":
+        f5 = GF(5)
+        V = Poly.var(f5, ZZ, Y0)
+        return smooth.sm_family([V, V ** 2 + V.scale(ValuedSeries.t_power(f5, ZZ, 1))],
+                                lacunary_sequence(f5, 100))
+    cfg = q_smooth_cfg("fraction")
+    f1, f2 = (Poly.from_json(cfg[k], QQ, ZZ) for k in ("f1", "f2"))
+    return smooth.sm_fraction(f1, f2, lacunary_sequence(QQ, 100, [Fraction(2, 3)]))
+
+
+@pytest.fixture(scope="module", params=["family", "fraction"])
+def old_and_new(request):
+    """A smooth certificate's JSON as written today, and as written while
+    each embedded rewrite carried its G1 and value table."""
+    cert = _built_smooth(request.param)
+    new = json.loads(json.dumps(cert.to_json()))
+    old = json.loads(json.dumps(dict(cert.to_json(),
+                                     rewrites=[rc.to_json() for rc in cert.rewrites])))
+    return old, new
+
+
+class TestEmbeddedRewriteSchema:
+    """Embedded rewrites no longer carry G1 and table; a certificate that
+    does still verifies, and a wrong G1 or table in it is still caught."""
+
+    @staticmethod
+    def bumped(cert, coeff):
+        c = Fraction(coeff) + 1
+        return c.numerator % cert["p"] if "p" in cert else f"{c.numerator}/{c.denominator}"
+
+    def test_old_schema_verifies(self, tmp_path, capsys, old_and_new):
+        old, _ = old_and_new
+        assert run(["verify", write(tmp_path, "old.json", old)]) == 0
+
+    def test_old_schema_wrong_G1(self, tmp_path, capsys, old_and_new):
+        old, _ = old_and_new
+        for i in range(len(old["rewrites"])):
+            bad = copy.deepcopy(old)
+            terms = bad["rewrites"][i]["G1"][0][1]["terms"]
+            terms[0][1] = self.bumped(bad, terms[0][1])
+            capsys.readouterr()
+            assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+            assert f"rewrite-{i}: verification failed at identity" in capsys.readouterr().err
+
+    def test_old_schema_wrong_table(self, tmp_path, capsys, old_and_new):
+        old, _ = old_and_new
+        for i in range(len(old["rewrites"])):
+            bad = copy.deepcopy(old)
+            bad["rewrites"][i]["table"][0][1] += 1
+            capsys.readouterr()
+            assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+            assert f"rewrite-{i}: verification failed at value-table" in capsys.readouterr().err
+
+    def test_new_schema(self, tmp_path, capsys, old_and_new):
+        _, new = old_and_new
+        assert run(["verify", write(tmp_path, "new.json", new)]) == 0
+        assert len(new["rewrites"]) == 2
+        for rewrite in new["rewrites"]:
+            assert "G1" not in rewrite and "table" not in rewrite
+            assert run(["verify", write(tmp_path, "rewrite.json", rewrite)]) == 0
+
+    def test_new_schema_shifted_index(self, tmp_path, capsys, old_and_new):
+        _, new = old_and_new
+        for i, rewrite in enumerate(new["rewrites"]):
+            for k in range(len(rewrite["indices"])):
+                bad = copy.deepcopy(new)
+                bad["rewrites"][i]["indices"][k] += 1
+                capsys.readouterr()
+                assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+                assert f"rewrite-{i}" in capsys.readouterr().err
+
+    def test_new_is_old_without_G1_and_table(self, old_and_new):
+        old, new = copy.deepcopy(old_and_new)
+        for rewrite in old["rewrites"]:
+            del rewrite["G1"], rewrite["table"]
+        assert new == old
 
 
 class TestSeparate:
@@ -669,6 +756,35 @@ class TestShortData:
         assert len(seq["terms"]) == cert["rewrites"][1]["indices"][1] + 2
         seq["terms"].pop()
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+
+    @staticmethod
+    def seq0_cut(tmp_path, horizon):
+        """A valid [V, V^2 + tV] family certificate (F5, H=100) and a copy
+        whose seq0 echo stops at the horizon given."""
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg(horizon=100)),
+                    "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        bad = copy.deepcopy(cert)
+        bad["problem"]["seq0"]["horizon"] = horizon
+        return cert, bad
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_seq0_horizon_cut(self, tmp_path, capsys, horizon):
+        _, bad = self.seq0_cut(tmp_path, horizon)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "witness-y0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_seq0_horizon_cut_in_batch(self, tmp_path, capsys, horizon):
+        cert, bad = self.seq0_cut(tmp_path, horizon)
+        capsys.readouterr()
+        path = write(tmp_path, "batch.json", [bad, cert])
+        assert run(["verify", path, "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4 and "witness-y0" in results[0]["error"]
+        assert results[1] == {"cert": "smooth", "verified": True}
 
     @staticmethod
     def multi_cfg():
