@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer check every
+JSON decoder applies to its integer fields.
 
 Exit-code mapping used by the CLI lives in cli.py; the classes here only
 classify failure kinds.
@@ -41,3 +42,10 @@ class VerificationError(ValcertError):
         self.claim = claim
         self.detail = detail
         super().__init__(f"verification failed at {claim}" + (f": {detail}" if detail else ""))
+
+
+def require_int(obj, name: str) -> int:
+    """obj, if it is a JSON integer; a float, a bool or a string is not."""
+    if type(obj) is not int:
+        raise InputError(f"{name} must be an integer, got {obj!r}")
+    return obj

@@ -4,21 +4,30 @@ Scalars are stored raw (Fraction for Q, small ints for F_p); a Field
 object supplies what series and polynomials need so they stay agnostic.
 Series keep their coefficients in integer-normal form -- integer
 numerators over one positive denominator, in lowest terms -- and a Field
-supplies the three hooks of that form: `fold` maps an accumulated integer
+supplies the hooks of that form: `fold` maps an accumulated integer
 numerator to its representative (itself over Q, its residue mod p over
 F_p), `normalise` brings numerators over a denominator to lowest terms
 (over F_p the denominator is then 1), and `scalars` turns them back into
-field scalars at the boundary.  A scalar enters through its `numerator`
-and `denominator`, which Fractions and ints both have.
+field scalars for the `terms` view.  A scalar enters through its
+`numerator` and `denominator`, which Fractions and ints both have.
+
+Series JSON is read and written in that form too, without Fractions:
+`ratio_from_json` reads a canonical "n/d" or an int as two ints, and any
+other spelling through `coeff_from_json`; `terms_to_json` writes
+numerators over a denominator.
 """
 from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Callable
 
-from .errors import InputError, VariantMismatchError
+from .errors import InputError, VariantMismatchError, require_int
+
+# The canonical spelling of a rational scalar: ASCII digits only.
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _is_prime(p: int) -> bool:
@@ -57,6 +66,15 @@ class Field:
         raise NotImplementedError
 
     def coeff_from_json(self, obj):
+        raise NotImplementedError
+
+    def ratio_from_json(self, obj) -> tuple:
+        """(numerator, denominator) ints of the scalar coeff_from_json reads
+        from obj, with its exceptions."""
+        raise NotImplementedError
+
+    def terms_to_json(self, nums: tuple, den: int, exp_to_json) -> list:
+        """The [exponent, scalar] JSON terms of a normal form."""
         raise NotImplementedError
 
     def check_same(self, other: "Field") -> None:
@@ -104,6 +122,24 @@ class RationalField(Field):
                 raise InputError(f"cannot read rational {obj!r}: {exc}")
         raise InputError(f"cannot decode rational from {obj!r}")
 
+    def ratio_from_json(self, obj):
+        if type(obj) is int:
+            return obj, 1
+        m = _RATIO.fullmatch(obj) if type(obj) is str else None
+        if m:
+            # not reduced here: the series' normal form is brought to
+            # lowest terms once, as a whole
+            n, d = int(m[1]), int(m[2])
+            if d:
+                return n, d
+        c = self.coeff_from_json(obj)
+        return c.numerator, c.denominator
+
+    def terms_to_json(self, nums, den, exp_to_json):
+        gcd = math.gcd
+        return [[exp_to_json(e), f"{n // (g := gcd(n, den))}/{den // g}"]
+                for e, n in nums]
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -145,6 +181,13 @@ class PrimeField(Field):
             raise InputError(f"cannot decode residue from {obj!r}")
         return obj % self.p
 
+    def ratio_from_json(self, obj):
+        return (obj % self.p if type(obj) is int else self.coeff_from_json(obj)), 1
+
+    def terms_to_json(self, nums, den, exp_to_json):
+        # the numerators are the residues, over the denominator 1
+        return [[exp_to_json(e), n] for e, n in nums]
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -176,7 +219,7 @@ def field_from_json(obj) -> Field:
     if obj.get("field") == "Q":
         return QQ
     if obj.get("field") == "Fp":
-        return GF(int(obj["p"]))
+        return GF(require_int(obj["p"], "p"))
     raise InputError(f"unknown field spec {obj!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import HorizonError, InputError
+from .errors import HorizonError, InputError, require_int
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .series import ValuedSeries
@@ -192,7 +192,8 @@ class RuleSequence(PseudoSequence):
                      "values": [field.coeff_from_json(c) for c in coeff_json["values"]]}
         else:
             raise InputError(f"unknown coefficient rule {coeff_json['kind']!r}")
-        return RuleSequence(field, exp, coeff, int(obj.get("horizon", DEFAULT_HORIZON)))
+        return RuleSequence(field, exp, coeff,
+                            require_int(obj.get("horizon", DEFAULT_HORIZON), "horizon"))
 
 
 class TableSequence(PseudoSequence):

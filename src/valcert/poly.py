@@ -5,7 +5,8 @@ variable recentred at index j, or a duplicated working variable used by
 the rewrite pipelines.  The Hasse derivative is computed with integer
 binomials before reduction into the base field, so it is correct in any
 characteristic.  Poly.__init__ is where monomials are sorted and merged:
-every operation hands it raw (monomial, coefficient) pairs.
+every operation hands it raw (monomial, coefficient) pairs.  Only
+Poly.from_json fills its dict itself, sorting each decoded monomial once.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import operator
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .fields import Field
 from .group import ValueGroup
 from .series import ValuedSeries
@@ -56,7 +57,8 @@ class VarTag(tuple):
         return VarTag("dup", e, key)
 
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.e, repr(self.extra))
+        # a sort calls this once per element; the slots are read directly
+        return (_KIND_RANK[self[0]], self[1], repr(self[2]))
 
     def to_json(self):
         if self.kind == "orig":
@@ -69,14 +71,14 @@ class VarTag(tuple):
     def from_json(obj) -> "VarTag":
         kind = obj.get("tag")
         if kind == "orig":
-            return VarTag.orig(int(obj["e"]))
+            return VarTag.orig(require_int(obj["e"], "tag e"))
         if kind == "stage":
-            return VarTag.stage(int(obj["e"]), int(obj["j"]))
+            return VarTag.stage(require_int(obj["e"], "tag e"), require_int(obj["j"], "tag j"))
         if kind == "dup":
             key = obj.get("key")
             if isinstance(key, list):
                 key = tuple(key)
-            return VarTag.dup(int(obj["e"]), key)
+            return VarTag.dup(require_int(obj["e"], "tag e"), key)
         raise InputError(f"cannot decode variable tag from {obj!r}")
 
 
@@ -84,11 +86,12 @@ Monomial = Tuple[Tuple[VarTag, int], ...]  # sorted, exponents >= 1
 
 
 def _mono_sorted(items: Iterable[Tuple[VarTag, int]]) -> Monomial:
-    kept = [(v, int(k)) for v, k in items if k != 0]
+    kept = [(v, k) for v, k in items if k != 0]
     for v, k in kept:
         if k < 0:
             raise InputError("negative exponents are not allowed in polynomials")
-    kept.sort(key=lambda p: p[0].sort_key())
+    if len(kept) > 1:
+        kept.sort(key=lambda p: p[0].sort_key())
     return tuple(kept)
 
 
@@ -120,11 +123,11 @@ class Poly:
     __slots__ = ("field", "group", "monos")
 
     def __init__(self, field: Field, group: ValueGroup,
-                 monos: Mapping[Monomial, ValuedSeries] = ()):
+                 monos: Dict[Monomial, ValuedSeries] | Iterable = ()):
         self.field = field
         self.group = group
         clean: Dict[Monomial, ValuedSeries] = {}
-        items = monos.items() if isinstance(monos, Mapping) else monos
+        items = monos.items() if isinstance(monos, dict) else monos
         for mono, coeff in items:
             mono = _mono_sorted(mono)
             if mono in clean:
@@ -322,11 +325,15 @@ class Poly:
     def from_json(obj, field: Field, group: ValueGroup) -> "Poly":
         monos = {}
         for mono_json, coeff_json in obj:
-            mono = _mono_sorted((VarTag.from_json(v), int(k)) for v, k in mono_json)
+            mono = _mono_sorted((VarTag.from_json(v), require_int(k, "monomial exponent"))
+                                for v, k in mono_json)
             if mono in monos:
                 raise InputError("repeated monomial")
             monos[mono] = ValuedSeries.from_json(coeff_json, field, group)
-        return Poly(field, group, monos)
+        out = Poly.__new__(Poly)
+        out.field, out.group = field, group
+        out.monos = {m: c for m, c in monos.items() if not c.is_zero_exact()}
+        return out
 
 
 def det(rows: Sequence[Sequence[Poly]], one: Poly) -> Poly:

@@ -32,7 +32,8 @@ import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
-                     NotStabilizedError, UndecidedError, VerificationError)
+                     NotStabilizedError, UndecidedError, VerificationError,
+                     require_int)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
@@ -268,13 +269,16 @@ class RewriteCert:
         group = seqs[0].group
         g = Poly.from_json(obj["g"], field, group)
         G1 = Poly.from_json(obj["G1"], field, group) if "G1" in obj else None
-        mono = tuple((VarTag.from_json(v), int(k)) for v, k in obj["c_mono"])
-        table = ([(tuple((VarTag.from_json(v), int(k)) for v, k in m),
+        mono = tuple((VarTag.from_json(v), require_int(k, "c_mono exponent"))
+                     for v, k in obj["c_mono"])
+        table = ([(tuple((VarTag.from_json(v), require_int(k, "table exponent")) for v, k in m),
                    group.from_json(val)) for m, val in obj["table"]]
                  if "table" in obj else None)
-        return RewriteCert(
-            obj["kind"], field, g, {int(e): int(k) for e, k in obj["multiplier"]},
-            seqs, obj["indices"], G1, mono, obj["mode"], obj["case"], table)
+        multiplier = {require_int(e, "multiplier variable"): require_int(k, "multiplier exponent")
+                      for e, k in obj["multiplier"]}
+        indices = [require_int(j, "indices") for j in obj["indices"]]
+        return RewriteCert(obj["kind"], field, g, multiplier, seqs, indices, G1, mono,
+                           obj["mode"], obj["case"], table)
 
     # -- verification -------------------------------------------------
     def _recompute(self) -> Poly:

@@ -13,10 +13,12 @@ denominator, with gcd(den, every numerator) = 1; over F_p the numerators
 are residues and den is 1.  The form is canonical, so equal series have
 equal (nums, den).  Sums, products and long division run on plain
 integers, and each result is brought to lowest terms once
-(Field.normalise).  Field scalars appear only at the boundary: the
-constructor from (exponent, scalar) pairs, and the read-only `terms`
-view, built at most once per series, that JSON, `leading` and the
-sequences read.
+(Field.normalise).  Field scalars appear only where a caller hands them
+in or asks for them: the constructor from (exponent, scalar) pairs, and
+the read-only `terms` view, built at most once per series, that
+`leading` and the sequences read.  JSON is read and written in the
+normal form itself (Field.ratio_from_json, Field.terms_to_json); the
+constructor and the decoder share one merging routine (_merged).
 
 A product sums the integer products of its factors' terms per exponent;
 terms are sorted and the group order is compatible with addition, so each
@@ -48,26 +50,34 @@ def _block_top(rem: dict, ynums: tuple, block: tuple, vyc: tuple, coords) -> tup
     return tuple(map(operator.sub, map(max, zip(*num)), map(max, zip(*den))))
 
 
+def _merged(field: Field, parts: list, trunc) -> tuple:
+    """(nums, den) of (exponent, numerator, denominator) parts, not yet in
+    lowest terms: merged per exponent over the lcm of the denominators,
+    folded, with zeros and terms at or past trunc dropped, sorted."""
+    den = math.lcm(*[d for _, _, d in parts])
+    merged: dict = {}
+    for e, n, d in parts:
+        merged[e] = merged.get(e, 0) + n * (den // d)
+    fold = field.fold
+    exact = trunc is INF
+    nums = [(e, r) for e, n in merged.items()
+            if (r := fold(n)) and (exact or e < trunc)]
+    nums.sort()
+    return nums, den
+
+
 class ValuedSeries:
     __slots__ = ("field", "group", "nums", "den", "trunc", "_terms")
 
     def __init__(self, field: Field, group: ValueGroup, terms: Iterable, trunc=INF):
         """Build a normalized series from (exponent, scalar) pairs; trunc =
         INF means exact."""
-        pairs = []
+        parts = []
         for exp, c in terms:
             if exp is INF:
                 raise InputError("term exponent cannot be Infinity")
-            pairs.append((exp, c.numerator, c.denominator))
-        den = math.lcm(*[d for _, _, d in pairs])
-        merged: dict = {}
-        for e, n, d in pairs:
-            merged[e] = merged.get(e, 0) + n * (den // d)
-        fold = field.fold
-        exact = trunc is INF
-        nums = [(e, r) for e, n in merged.items()
-                if (r := fold(n)) and (exact or e < trunc)]
-        nums.sort()
+            parts.append((exp, c.numerator, c.denominator))
+        nums, den = _merged(field, parts, trunc)
         if den != 1:
             nums, den = field.normalise(nums, den)
         self.field, self.group, self.trunc = field, group, trunc
@@ -364,8 +374,7 @@ class ValuedSeries:
 
     def to_json(self):
         return {
-            "terms": [[self.group.to_json(e), self.field.coeff_to_json(c)]
-                      for e, c in self.terms],
+            "terms": self.field.terms_to_json(self.nums, self.den, self.group.to_json),
             "trunc": self._trunc_json(),
             "exact": self.exact,
         }
@@ -374,6 +383,6 @@ class ValuedSeries:
     def from_json(obj, field: Field, group: ValueGroup) -> "ValuedSeries":
         trunc = obj.get("trunc", "inf")
         trunc = INF if trunc == "inf" else group.from_json(trunc)
-        terms = [(group.from_json(e), field.coeff_from_json(c))
-                 for e, c in obj.get("terms", [])]
-        return ValuedSeries(field, group, terms, trunc)
+        exp, ratio = group.from_json, field.ratio_from_json
+        parts = [(exp(e), *ratio(c)) for e, c in obj.get("terms", [])]
+        return ValuedSeries._normal(field, group, *_merged(field, parts, trunc), trunc)

@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
-                     NotStabilizedError, UndecidedError, VerificationError)
+                     NotStabilizedError, UndecidedError, VerificationError,
+                     require_int)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
@@ -79,7 +80,7 @@ class SmoothPresentation:
         gens = [(VarTag.from_json(t), ValuedSeries.from_json(s, field, group))
                 for t, s in obj["generators"]]
         rels = [Poly.from_json(r, field, group) for r in obj["relations"]]
-        return SmoothPresentation(field, group, gens, rels, int(obj["base"]))
+        return SmoothPresentation(field, group, gens, rels, require_int(obj["base"], "base"))
 
 
 def _cap(s: ValuedSeries, cap) -> ValuedSeries:
@@ -183,7 +184,7 @@ class Witness:
     @staticmethod
     def from_json(obj, field: Field, group: ValueGroup) -> "Witness":
         den = obj.get("den")
-        return Witness(obj["name"], obj["kind"], int(obj.get("e", 0)),
+        return Witness(obj["name"], obj["kind"], require_int(obj.get("e", 0), "witness e"),
                        Poly.from_json(obj["num"], field, group),
                        Poly.from_json(den, field, group) if den is not None else None)
 

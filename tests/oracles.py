@@ -6,8 +6,9 @@ scalars (Fractions over Q, residues over F_p), where the package computes
 on integer numerators over one denominator; Taylor recentring as the sum
 of Hasse derivatives and by substituting one variable at a time, the
 stable values of the Hasse derivatives by one scan per derivative, the
-ordinary partial derivative monomial by monomial, and the smooth
-presentation checks on the full, uncapped values.
+ordinary partial derivative monomial by monomial, the smooth
+presentation checks on the full, uncapped values, and a series' JSON
+through one Fraction (or residue) per coefficient.
 """
 import itertools
 from fractions import Fraction
@@ -145,6 +146,25 @@ def long_division_to(x, y, delta, max_steps=100000):
         raise ZeroDivisionError("series division by exact zero")
     cut = min(x.trunc, x.group.add(delta, y.val()))
     return long_division(ValuedSeries(x.field, x.group, x.terms, cut), y, max_steps)
+
+
+def series_from_json(obj, field, group):
+    """A series read from JSON scalar by scalar: each coefficient through
+    Field.coeff_from_json, then the (exponent, scalar) constructor."""
+    trunc = obj.get("trunc", "inf")
+    trunc = INF if trunc == "inf" else group.from_json(trunc)
+    terms = [(group.from_json(e), field.coeff_from_json(c))
+             for e, c in obj.get("terms", [])]
+    return ValuedSeries(field, group, terms, trunc)
+
+
+def series_to_json(x):
+    """A series' JSON written scalar by scalar from its `terms` view."""
+    return {
+        "terms": [[x.group.to_json(e), x.field.coeff_to_json(c)] for e, c in x.terms],
+        "trunc": "inf" if x.exact else x.group.to_json(x.trunc),
+        "exact": x.exact,
+    }
 
 
 def taylor_via_hasse(g, centers, scales, newtags):

@@ -20,6 +20,11 @@ Y0 = VarTag.orig(0)
 
 
 FULL_TABLES = Path(__file__).parent / "fixtures" / "smooth_family_F5_full_tables.json"
+# Certificates written while series JSON went through one Fraction per
+# coefficient: the outputs of the rewrite-square-Q and smooth-fraction-Q
+# golden configs (below).
+OLD_Q_CERTS = {"rewrite-square-Q": Path(__file__).parent / "fixtures" / "rewrite_square_Q.json",
+               "smooth-fraction-Q": Path(__file__).parent / "fixtures" / "smooth_fraction_Q.json"}
 
 
 def write(tmp_path, name, obj):
@@ -139,6 +144,17 @@ class TestGolden:
         out = tmp_path / "out.json"
         assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == old
+
+
+    @pytest.mark.parametrize("name", sorted(OLD_Q_CERTS))
+    def test_old_q_certificate(self, tmp_path, capsys, name):
+        # it verifies, and today's build of its config writes the same bytes
+        path = OLD_Q_CERTS[name]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name][2]
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == 0
+        cert = json.loads(path.read_text())
+        assert json.loads(capsys.readouterr().out) == {"cert": cert["cert"], "verified": True}
 
 
 def _built_smooth(op):
@@ -882,6 +898,66 @@ class TestUnreadableRewrite:
         cert["G1"].insert(0 if position == "first" else len(cert["G1"]), repeat)
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
         assert "repeated monomial" in capsys.readouterr().err
+
+
+class TestIntegerFields:
+    """An integer field of a certificate that holds a float, a bool or a
+    string exits 1 and names the field, alone and beside a valid certificate
+    in a --jobs 2 batch.  Each edit here once verified (exit 0): int() read
+    1.0, true and "1" as 1, and 0.9 and false as 0."""
+
+    REWRITE_EDITS = {
+        "g-exponent-1.0": (lambda c: c["g"][0][0][0].__setitem__(1, 1.0), "monomial exponent"),
+        "g-exponent-true": (lambda c: c["g"][0][0][0].__setitem__(1, True), "monomial exponent"),
+        "g-exponent-str": (lambda c: c["g"][0][0][0].__setitem__(1, "1"), "monomial exponent"),
+        "tag-e-0.9": (lambda c: c["g"][0][0][0][0].__setitem__("e", 0.9), "tag e"),
+        "tag-e-false": (lambda c: c["g"][0][0][0][0].__setitem__("e", False), "tag e"),
+        "c-mono-exponent": (lambda c: c["c_mono"][0].__setitem__(1, 1.2), "c_mono exponent"),
+        "multiplier": (lambda c: c.__setitem__("multiplier", [[0.0, 0.5]]),
+                       "multiplier variable"),
+        "indices": (lambda c: c["indices"].__setitem__(0, True), "indices"),
+    }
+    SMOOTH_EDITS = {
+        "base": (lambda c: c.__setitem__("base", 2.0), "base"),
+        "witness-e": (lambda c: c["witnesses"][0].__setitem__("e", False), "witness e"),
+        "seq0-horizon": (lambda c: c["problem"]["seq0"].__setitem__("horizon", 300.0),
+                         "horizon"),
+        "p": (lambda c: c.__setitem__("p", 5.0), "p"),
+    }
+
+    @staticmethod
+    def certificate(tmp_path, kind):
+        if kind == "smooth":
+            return json.loads(FULL_TABLES.read_text())
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 1)),
+                    "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @classmethod
+    def edited(cls, tmp_path, name):
+        kind = "rewrite" if name in cls.REWRITE_EDITS else "smooth"
+        edit, field = {**cls.REWRITE_EDITS, **cls.SMOOTH_EDITS}[name]
+        cert = cls.certificate(tmp_path, kind)
+        bad = copy.deepcopy(cert)
+        edit(bad)
+        return cert, bad, field
+
+    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS])
+    def test_alone(self, tmp_path, capsys, name):
+        _, bad, field = self.edited(tmp_path, name)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS])
+    def test_in_batch(self, tmp_path, capsys, name):
+        cert, bad, field = self.edited(tmp_path, name)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "batch.json", [bad, cert]), "--jobs", "2"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 1 and f"{field} must be an integer" in results[0]["error"]
+        assert results[1] == {"cert": cert["cert"], "verified": True}
 
 
 class TestMixedGroups:

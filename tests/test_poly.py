@@ -78,6 +78,30 @@ class TestAlgebra:
              + Poly.var(QQ, ZZ, Y0).scale(ValuedSeries.t_power(QQ, ZZ, 2)))
         assert Poly.from_json(g.to_json(), QQ, ZZ).same_known(g)
 
+    def test_json_zero_coefficients_dropped(self):
+        zero = {"terms": [], "trunc": "inf"}
+        unknown = {"terms": [], "trunc": 2}
+        one_json = {"terms": [[0, "1/1"]], "trunc": "inf"}
+        obj = [[[[Y1.to_json(), 1], [Y0.to_json(), 2]], one_json],
+               [[[Y0.to_json(), 1]], zero], [[[Y1.to_json(), 0]], unknown]]
+        p = Poly.from_json(obj, QQ, ZZ)
+        # the exact zero goes, an inexact zero stays; Y1^0 is the constant monomial
+        assert list(p.monos) == [((Y0, 2), (Y1, 1)), ()]
+        assert p.same_known(Poly(QQ, ZZ, [(((Y1, 1), (Y0, 2)), one()),
+                                          ((), ValuedSeries(QQ, ZZ, [], 2))]))
+
+    @pytest.mark.parametrize("first", [{"terms": [], "trunc": "inf"},
+                                       {"terms": [[0, "1/1"]], "trunc": "inf"}],
+                             ids=["after-zero", "after-nonzero"])
+    def test_json_repeated_monomial(self, first):
+        # the repeat is found also when the first copy is an exact zero that
+        # the polynomial drops; the order of the variables does not matter
+        one_json = {"terms": [[0, "1/1"]], "trunc": "inf"}
+        obj = [[[[Y0.to_json(), 1], [Y1.to_json(), 1]], first],
+               [[[Y1.to_json(), 1], [Y0.to_json(), 1]], one_json]]
+        with pytest.raises(InputError, match="repeated monomial"):
+            Poly.from_json(obj, QQ, ZZ)
+
     def test_vartag_sorting_and_json(self):
         tags = [VarTag.stage(1, 3), VarTag.orig(0), VarTag.dup(2, "z")]
         for t in tags:
@@ -120,6 +144,17 @@ class TestVarTag:
         assert VarTag.stage(1, 3) != VarTag.stage(1, 4)
         with pytest.raises(AttributeError):
             VarTag.orig(0).e = 1
+
+    def test_sort_key(self):
+        # equal tags whose extras print differently keep their own keys
+        for tag in self.TAGS:
+            assert tag.sort_key() == (("orig", "stage", "dup").index(tag.kind), tag.e,
+                                      repr(tag.extra))
+        assert VarTag.dup(5, 1).sort_key() == (2, 5, "1")
+        assert VarTag.dup(5, True).sort_key() == (2, 5, "True")
+        assert VarTag.dup(5, 1.0).sort_key() == (2, 5, "1.0")
+        assert VarTag.dup(5, (1,)).sort_key() == (2, 5, "(1,)")
+        assert VarTag.dup(5, (True,)).sort_key() == (2, 5, "(True,)")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):

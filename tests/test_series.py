@@ -1,4 +1,5 @@
-"""Truncated valued series: valuation, arithmetic, division, units."""
+"""Truncated valued series: valuation, arithmetic, division, units, JSON."""
+import json
 import math
 import operator
 from fractions import Fraction
@@ -451,3 +452,59 @@ class TestNormalForm:
         assert y.truncate(1).nums == ((0, 1),) and y.truncate(1).den == 2
         assert y.scalar_mul(Fraction(4, 3)).nums == ((0, 2), (1, 4))
         assert y.scalar_mul(Fraction(4, 3)).den == 3
+
+
+def decoded(decode, obj, field, group=ZZ):
+    """(nums, den, trunc) of a decoded series, or the class and message of
+    the exception the decoder raises."""
+    try:
+        x = decode(obj, field, group)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.nums, x.den, x.trunc
+
+
+def canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestJsonBoundary:
+    """Series JSON is read and written in integer-normal form; it gives what
+    reading and writing one Fraction (or residue) per coefficient gives:
+    the same bytes out, and the same series, or the same error, in."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(factor_lists(1))
+    def test_against_scalar_json(self, xs):
+        (x,) = xs
+        out = x.to_json()
+        assert canonical(out) == canonical(oracles.series_to_json(x))
+        back = ValuedSeries.from_json(out, x.field, x.group)
+        assert back.same_known(x)
+        assert back.same_known(oracles.series_from_json(out, x.field, x.group))
+
+    SPELLINGS = ["2/4", "+1/2", " 1/2 ", "1/2\n", "1.5", "1e3", "1_0/3", "\u0663/\u0664",
+                 "\u00b2/3", "-0/5", "0/7", "-6/4", "1/0", "0/0", "-1/-2", "1/", "/2", "", "-",
+                 "abc", "1" * 5000 + "/3", "1/" + "7" * 5000,
+                 0, 3, -7, 10 ** 30, True, False, 1.0, 0.5, None, [1, 2], {"n": 1}]
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("spelling", SPELLINGS, ids=repr)
+    def test_spelling(self, field, spelling):
+        # alone, and beside terms whose denominators it must share
+        for terms in ([[0, spelling]], [[0, "1/3"], [1, spelling], [2, 4]]):
+            obj = {"terms": terms, "trunc": "inf"}
+            assert (decoded(ValuedSeries.from_json, obj, field)
+                    == decoded(oracles.series_from_json, obj, field))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([QQ, GF(5)]),
+           st.lists(st.one_of(st.text(alphabet="0123456789-+/ ._e\u0663", max_size=7),
+                              st.integers(min_value=-30, max_value=30)),
+                    min_size=1, max_size=4),
+           st.one_of(st.just("inf"), st.integers(min_value=0, max_value=4)))
+    def test_spellings_generated(self, field, scalars, trunc):
+        # repeated exponents too, so merging and cancellation are exercised
+        obj = {"terms": [[k % 3, c] for k, c in enumerate(scalars)], "trunc": trunc}
+        assert (decoded(ValuedSeries.from_json, obj, field)
+                == decoded(oracles.series_from_json, obj, field))
