@@ -9,9 +9,8 @@ replay the recentring exactly.
     python3 demos/02_rewrite.py
 """
 from valcert import (GF, INTEGERS, QQ, Poly, RewriteCert, RuleSequence,
-                     VarTag, lacunary_sequence, rw_bivariate_charp,
-                     rw_multilinear, rw_univariate_charp, rw_univariate_pfree,
-                     taylor_recenter)
+                     VarTag, lacunary_sequence, rw_bivariate, rw_multilinear,
+                     rw_univariate, taylor_recenter)
 from valcert.series import ValuedSeries
 
 ZZ = INTEGERS  # the value group: exponents are plain ints
@@ -33,7 +32,7 @@ def main():
     #    recentred polynomial is strictly minimal; c is the factored
     #    content and the certificate's value table is rechecked exactly.
     seq = lacunary_sequence(QQ, 300)
-    cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+    cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
     print("univariate over Q: designated index", cert.indices,
           "case", cert.case)
     RewriteCert.from_json(cert.to_json()).verify()
@@ -43,7 +42,7 @@ def main():
     #    decided directly (case1).
     seq2 = lacunary_sequence(f2, 300)
     for g2 in (Poly.var(f2, ZZ, Y0), Poly.var(f2, ZZ, Y0) ** 2):
-        cert = rw_univariate_charp(g2, seq2)
+        cert = rw_univariate(g2, seq2)
         cert.verify()
         print(f"char-2 univariate {g2}: {cert.case}")
     print()
@@ -54,7 +53,7 @@ def main():
             RuleSequence(f2, {"kind": "geom", "a": 3},
                          {"kind": "const", "c": 1}, horizon=300)]
     gb = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1) ** 2
-    cert = rw_bivariate_charp(gb, seqs)
+    cert = rw_bivariate(gb, seqs)
     cert.verify()
     print("bivariate char-2 multiplier:", cert.case, "\n")
 

@@ -15,15 +15,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
-                     UndecidedError, VerificationError)
-from .fields import characteristic, field_from_json
+                     UndecidedError, VerificationError, require_int)
+from .fields import field_from_json
 from .group import element_from_json
 from .pcs import TableSequence, sequence_from_json
 from .poly import Poly
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
-                      rw_bivariate_charp, rw_bivariate_pfree, rw_multilinear,
-                      rw_multilinear_mono, rw_pair_square, rw_univariate_charp,
-                      rw_univariate_pfree)
+                      rw_bivariate, rw_multilinear, rw_multilinear_mono,
+                      rw_pair_square, rw_univariate)
 from .separation import (SeparationCert, sep_cross_pair, sep_multi,
                          sep_shifted_pair, sep_tail)
 from .smooth import SmoothCert, sm_family, sm_fraction, sm_pair, sm_verify
@@ -67,6 +66,13 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _ints(value, key):
+    """value, which must be a JSON list of integers; key names it."""
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a list of integers, got {value!r}")
+    return [require_int(v, key) for v in value]
+
+
 def _positive(opts, cfg, key, default):
     """The --key flag when given, else the config's key, else the default;
     it must be a positive integer (a bool is not one)."""
@@ -85,7 +91,7 @@ def cmd_separate(cfg, opts):
     op = _require(cfg, "op")
     if op == "tail":
         cert = sep_tail([element_from_json(b) for b in _require(cfg, "betas")],
-                        [int(t) for t in _require(cfg, "ts")],
+                        _ints(_require(cfg, "ts"), "ts"),
                         _load_stream(_require(cfg, "gamma"), H))
     elif op == "shifted":
         cert = sep_shifted_pair(element_from_json(_require(cfg, "beta0")),
@@ -100,11 +106,11 @@ def cmd_separate(cfg, opts):
                               _load_stream(_require(cfg, "gamma1"), H))
     elif op == "multi":
         gammas = [_load_stream(g, H) for g in _require(cfg, "gammas")]
-        cert = sep_multi([list(map(int, s)) for s in _require(cfg, "subsets")],
+        cert = sep_multi([_ints(s, "subsets") for s in _require(cfg, "subsets")],
                          [element_from_json(b) for b in _require(cfg, "betas")],
-                         [int(t) for t in _require(cfg, "ts")],
+                         _ints(_require(cfg, "ts"), "ts"),
                          gammas,
-                         [int(r) for r in cfg.get("rhos", [0] * len(gammas))])
+                         _ints(cfg.get("rhos", [0] * len(gammas)), "rhos"))
     else:
         raise InputError(f"unknown separate op {op!r}")
     return cert.to_json()
@@ -120,19 +126,18 @@ def cmd_rewrite(cfg, opts):
     W = _positive(opts, cfg, "window", DEFAULT_WINDOW)
     R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)
     op = _require(cfg, "op")
-    p = characteristic(field)
+    nus = None if cfg.get("nus") is None else _ints(cfg["nus"], "nus")
     if op == "pair_square":
-        cert = rw_pair_square(g, seqs, nus=tuple(cfg.get("nus", (0, 0))), W=W, R=R)
+        cert = rw_pair_square(g, seqs, nus=nus, W=W, R=R)
     elif op == "multilinear_mono":
-        cert = rw_multilinear_mono(g, seqs, nus=cfg.get("nus"), W=W, R=R)
+        cert = rw_multilinear_mono(g, seqs, nus=nus, W=W, R=R)
     elif op == "multilinear":
-        cert = rw_multilinear(g, seqs, nus=cfg.get("nus"), W=W, R=R)
+        cert = rw_multilinear(g, seqs, nus=nus, W=W, R=R)
     elif op == "univariate":
-        fn = rw_univariate_charp if p > 0 else rw_univariate_pfree
-        cert = fn(g, seqs[0], nu=int(cfg.get("nu", 0)), W=W, R=R)
+        cert = rw_univariate(g, seqs[0], nu=require_int(cfg.get("nu", 0), "nu"),
+                             W=W, R=R)
     elif op == "bivariate":
-        fn = rw_bivariate_charp if p > 0 else rw_bivariate_pfree
-        cert = fn(g, seqs, nus=tuple(cfg.get("nus", (0, 0))), W=W, R=R)
+        cert = rw_bivariate(g, seqs, nus=nus, W=W, R=R)
     else:
         raise InputError(f"unknown rewrite op {op!r}")
     return cert.to_json()
@@ -153,7 +158,7 @@ def cmd_smooth(cfg, opts):
     if op == "pair":
         f = Poly.from_json(_require(cfg, "f"), field, group)
         d = (ValuedSeries.from_json(cfg["d"], field, group) if "d" in cfg else None)
-        cert = sm_pair(f, seq0, d=d, nu=int(cfg.get("nu", 0)), W=W, R=R,
+        cert = sm_pair(f, seq0, d=d, nu=require_int(cfg.get("nu", 0), "nu"), W=W, R=R,
                        delta=delta)
     elif op == "family":
         fs = [Poly.from_json(f, field, group) for f in _require(cfg, "fs")]
@@ -221,8 +226,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("path", nargs="?",
                         help="config (or certificate) file; - for stdin")
-    parser.add_argument("--config", help="config file path (same as the "
-                        "positional argument)")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--horizon", type=int)
     parser.add_argument("--window", type=int)
@@ -233,7 +236,7 @@ def main(argv=None) -> int:
                         help="worker processes for an array config")
     args = parser.parse_args(argv)
 
-    path = args.config or args.path
+    path = args.path
     if path is None:
         print("error: no config file given", file=sys.stderr)
         return EXIT_INPUT

@@ -224,13 +224,6 @@ class TableSequence(PseudoSequence):
     def term_pair(self, j: int) -> Tuple[object, object]:
         return self._terms[j]
 
-    def limit(self, delta) -> ValuedSeries:
-        if self._terms[-1][0] < delta:
-            raise HorizonError(
-                "term table does not reach the requested truncation")
-        return ValuedSeries(self.field, self.group,
-                            [(e, c) for e, c in self._terms if e < delta], delta)
-
     def to_json(self):
         out = {"seq": "table",
                "terms": [[self.group.to_json(e), self.field.coeff_to_json(c)]

@@ -327,6 +327,8 @@ class Poly:
         for mono_json, coeff_json in obj:
             mono = _mono_sorted((VarTag.from_json(v), require_int(k, "monomial exponent"))
                                 for v, k in mono_json)
+            if any(a[0] == b[0] for a, b in zip(mono, mono[1:])):
+                raise InputError("a monomial lists one variable twice")
             if mono in monos:
                 raise InputError("repeated monomial")
             monos[mono] = ValuedSeries.from_json(coeff_json, field, group)

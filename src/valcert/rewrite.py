@@ -16,6 +16,13 @@ The builder recentres each attempt once, on the frozen sequences the
 certificate would carry, so its G1 is the verifier's recomputation; it
 checks the verifier's value-table and normal-form claims on that G1.
 
+What a rewrite kind means lives in one place, the rules under "Rewrite
+kinds": _shape_fault (the g, multiplier and sequences it accepts), _mode
+and _case.  _certify refuses an input by the first and records what the
+other two give; RewriteCert.verify applies all three after the identity
+and normal-form checks.  Each shape has one builder, and the field's
+characteristic picks its kind.
+
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
 derivatives come from a single walk over the partial sums, which
@@ -202,10 +209,105 @@ def _moving(k: Tuple[int, ...], run, group) -> str:
     return f"{order} at val {value} since j={run[1]}"
 
 
-# -- Certificates ------------------------------------------------------
+# -- Rewrite kinds -----------------------------------------------------
 
-_KINDS = ("pair_square", "multilinear_mono", "multilinear", "univariate_pfree",
-          "univariate_charp", "bivariate_pfree", "bivariate_charp")
+_MULTILINEAR_KINDS = ("pair_square", "multilinear_mono", "multilinear")
+_KINDS = _MULTILINEAR_KINDS + ("univariate_pfree", "univariate_charp",
+                               "bivariate_pfree", "bivariate_charp")
+# The bivariate characteristic-p multipliers, in the order they are tried.
+_MULTIPLIER_CASCADE = ({}, {0: 1}, {1: 1}, {0: 1, 1: 1})
+_ORIG = (VarTag.orig(0), VarTag.orig(1))
+
+
+def _admissible(g: Poly, multiplier: Mapping[int, int], p: int) -> bool:
+    """Some monomial of g * prod_e Y_e^k_e has an exponent prime to p,
+    read off the exponents; g lives in the Orig variables."""
+    for mono in g.monos:
+        exps = dict(multiplier)
+        for v, k in mono:
+            exps[v.e] = exps.get(v.e, 0) + k
+        if any(k % p for k in exps.values()):
+            return True
+    return False
+
+
+def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> str:
+    """Why g, the multiplier and n sequences do not fit the kind, or ""."""
+    p = characteristic(g.field)
+    charp = kind.endswith("_charp")
+    if multiplier and not charp:
+        return f"a {kind} rewrite takes no multiplier"
+    if kind in _MULTILINEAR_KINDS:
+        if kind == "multilinear" and g.is_zero():
+            return "polynomial must be nonzero"
+        squared = {v for mono in g.monos for v, k in mono if k > 1}
+        for e in range(2 if kind == "pair_square" else n):
+            if VarTag.orig(e) in squared:
+                return f"polynomial must be multilinear; degree > 1 in Y_{e}"
+        if kind == "pair_square" and n != 2:
+            return "exactly two sequences expected"
+        for e in range(n if kind == "multilinear_mono" else 0):
+            occupied = [m for m in g.monos if any(v == VarTag.orig(e) for v, _ in m)]
+            if len(occupied) > 1:
+                return (f"variable Y_{e} occurs in {len(occupied)} monomials; "
+                        "at most one allowed")
+        return "polynomial must be nonzero" if g.is_zero() else ""
+    nvars = 1 if kind.startswith("univariate") else 2
+    if charp and p == 0:
+        return "this operation requires positive characteristic"
+    if g.is_zero():
+        return "polynomial must be nonzero"
+    tags = _ORIG[:nvars]
+    if any(v not in tags for mono in g.monos for v, _ in mono):
+        return ("polynomial must be univariate in Y_0" if nvars == 1
+                else "polynomial must live in Y_0, Y_1")
+    if not charp:
+        for mono in g.monos:
+            for v, k in mono:
+                if p and k % p == 0:
+                    return f"exponent {k} of Y_{v.e} is divisible by the characteristic {p}"
+        if g.total_degree() < 1:
+            return "polynomial must be nonconstant"
+    if n != nvars:
+        return f"exactly {('one sequence', 'two sequences')[nvars - 1]} expected"
+    if charp:
+        allowed = ([{} if _admissible(g, {}, p) else {0: 1}] if nvars == 1 else
+                   [m for m in _MULTIPLIER_CASCADE if _admissible(g, m, p)])
+        if multiplier not in allowed:
+            return f"multiplier {multiplier} where the case split allows {allowed}"
+    return ""
+
+
+def _mode(kind: str, g: Poly) -> str:
+    """Content extraction for the multilinear kinds, except that a
+    nonconstant g of kind multilinear reaches a strictly least linear
+    coefficient, as every other kind does."""
+    if kind in ("pair_square", "multilinear_mono") or (
+            kind == "multilinear" and g.total_degree() < 1):
+        return "content"
+    return "min-linear"
+
+
+def _case(kind: str, multiplier: Mapping[int, int], vals: Dict[tuple, object]) -> str:
+    """bivariate_charp names its multiplier; the other univariate and
+    bivariate kinds are case1, or case2 with a multiplier; a multilinear
+    kind is star when G1's constant or nothing is least, else gamma-min
+    with the variables of the least nonconstant monomial."""
+    if kind == "bivariate_charp":
+        return "multiplier:" + ("".join(f"y{e + 1}" for e in sorted(multiplier)) or "1")
+    if kind not in _MULTILINEAR_KINDS:
+        return "case2" if multiplier else "case1"
+    nonconst = {m: v for m, v in vals.items() if m != ()}
+    if not nonconst:
+        return "star"
+    cmin = min(nonconst.values())
+    if () in vals and vals[()] < cmin:
+        return "star"
+    sigma = sorted(v.e for v, _ in _argmin(nonconst))
+    return "gamma-min:" + ",".join(str(e) for e in sigma)
+
+
+# -- Certificates ------------------------------------------------------
 
 
 class RewriteCert:
@@ -286,6 +388,9 @@ class RewriteCert:
                            self.seqs, self.indices)
 
     def verify(self) -> None:
+        if len(self.indices) != len(self.seqs):
+            raise VerificationError(
+                "indices", f"{len(self.indices)} indices for {len(self.seqs)} sequences")
         try:
             G1 = self._recompute()
         except HorizonError as exc:
@@ -293,12 +398,21 @@ class RewriteCert:
             raise VerificationError("indices", f"sequence too short: {exc}")
         if self.G1 is not None and not G1.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
-        self.check_table(G1)
+        vals = self.check_table(G1)
+        mode = _mode(self.kind, self.g)
+        if self.mode != mode:
+            raise VerificationError("mode", f"{self.mode!r} where {mode!r} is due")
+        case = _case(self.kind, self.multiplier, vals)
+        if self.case != case:
+            raise VerificationError("case", f"{self.case!r} where {case!r} is due")
+        fault = _shape_fault(self.kind, self.g, self.multiplier, len(self.seqs))
+        if fault:
+            raise VerificationError("kind", fault)
 
-    def check_table(self, G1: Poly) -> None:
-        """Every claim but identity, on the recentred polynomial G1: the
-        embedded value table, if any, is G1's, and G1's values have the
-        normal form of the certificate's mode."""
+    def check_table(self, G1: Poly) -> Dict[tuple, object]:
+        """The value and normal-form claims on the recentred polynomial G1:
+        the embedded value table, if any, is G1's, and G1's values have the
+        normal form of the certificate's mode.  Returns those values."""
         try:
             vals = {mono: coeff.val() for mono, coeff in G1.monos.items()}
         except IndeterminateValError as exc:
@@ -308,6 +422,7 @@ class RewriteCert:
             if set(table) != set(vals) or any(table[m] != vals[m] for m in vals):
                 raise VerificationError("value-table", "embedded value table is wrong")
         _check_normal_form(vals, self.c_mono, self.mode, self.g.group)
+        return vals
 
     # -- convenience --------------------------------------------------
     @property
@@ -333,27 +448,18 @@ class _GammaStream:
         return self._seq.gamma(i)
 
 
-def _case_tag(vals: Dict[tuple, object]) -> str:
-    nonconst = {m: v for m, v in vals.items() if m != ()}
-    if not nonconst:
-        return "star"
-    cmin = min(nonconst.values())
-    if () in vals and vals[()] < cmin:
-        return "star"
-    sigma = sorted(v.e for v, _ in _argmin(nonconst))
-    return "gamma-min:" + ",".join(str(e) for e in sigma)
-
-
 def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
-             seqs: Sequence[PseudoSequence], nus: Sequence[int],
-             mode: str, case: str, W: int, R: int) -> RewriteCert:
+             seqs: Sequence[PseudoSequence], nus: Optional[Sequence[int]],
+             W: int, R: int) -> RewriteCert:
+    fault = _shape_fault(kind, g, multiplier, len(seqs))
+    if fault:
+        raise InputError(fault)
     h = _with_multiplier(g, multiplier)
-    if h.is_zero():
-        raise InputError("polynomial must be nonzero")
+    mode = _mode(kind, g)
     betas = _stable_betas(h, seqs, W)
     streams = [_GammaStream(seq) for seq in seqs]
     min_idx = []
-    for e, nu in enumerate(nus):
+    for e, nu in enumerate([0] * len(seqs) if nus is None else nus):
         starts = [start for k, (_, start) in betas.items() if k[e]]
         min_idx.append(max([nu + 1] + starts))
     rhos = list(min_idx)
@@ -377,9 +483,8 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
         c_mono, failure = _claims_hold(vals, mode, h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
-            tag = case if case else _case_tag(vals)
             cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
-                               G1, c_mono, mode, tag, table)
+                               G1, c_mono, mode, _case(kind, multiplier, vals), table)
             cert.check_table(G1)
             return cert
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
@@ -444,22 +549,15 @@ def _claims_hold(vals: Dict[tuple, object], mode: str, group):
 
 
 # -- Public operations -------------------------------------------------
-
-def _check_multilinear(g: Poly, nvars: int) -> None:
-    for e in range(nvars):
-        if g.degree_in(VarTag.orig(e)) > 1:
-            raise InputError(f"polynomial must be multilinear; degree > 1 in Y_{e}")
-
+#
+# Each takes nus, the least stage index per sequence, 0 by default.
 
 def rw_pair_square(g: Poly, seqs: Sequence[PseudoSequence],
-                   nus: Sequence[int] = (0, 0), W: int = DEFAULT_WINDOW,
+                   nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
                    R: int = DEFAULT_RETRIES) -> RewriteCert:
     """Content-extraction rewrite for a multilinear polynomial in two
     coupled elements (the second squares the first)."""
-    _check_multilinear(g, 2)
-    if len(seqs) != 2:
-        raise InputError("exactly two sequences expected")
-    return _certify("pair_square", g, {}, seqs, list(nus), "content", "", W, R)
+    return _certify("pair_square", g, {}, seqs, nus, W, R)
 
 
 def rw_multilinear_mono(g: Poly, seqs: Sequence[PseudoSequence],
@@ -467,132 +565,43 @@ def rw_multilinear_mono(g: Poly, seqs: Sequence[PseudoSequence],
                         W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
     """Content-extraction rewrite when every variable occurs in at most
     one monomial (single-monomial partial derivatives)."""
-    n = len(seqs)
-    _check_multilinear(g, n)
-    for e in range(n):
-        tag = VarTag.orig(e)
-        occupied = [m for m in g.monos if any(v == tag for v, _ in m)]
-        if len(occupied) > 1:
-            raise InputError(
-                f"variable Y_{e} occurs in {len(occupied)} monomials; at most one allowed")
-    nus = list(nus) if nus is not None else [0] * n
-    return _certify("multilinear_mono", g, {}, seqs, nus, "content", "", W, R)
+    return _certify("multilinear_mono", g, {}, seqs, nus, W, R)
 
 
 def rw_multilinear(g: Poly, seqs: Sequence[PseudoSequence],
                    nus: Optional[Sequence[int]] = None,
                    W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Full multilinear rewrite: unique strictly minimal linear coefficient."""
-    n = len(seqs)
-    if g.is_zero():
-        raise InputError("polynomial must be nonzero")
-    _check_multilinear(g, n)
-    nus = list(nus) if nus is not None else [0] * n
-    if g.total_degree() < 1:
-        # Constant polynomial: c = g, g1 = 1; nothing to recenter.
-        return _certify("multilinear", g, {}, seqs, nus, "content", "", W, R)
-    return _certify("multilinear", g, {}, seqs, nus, "min-linear", "", W, R)
+    """Full multilinear rewrite: unique strictly minimal linear
+    coefficient, or the content of a constant g."""
+    return _certify("multilinear", g, {}, seqs, nus, W, R)
 
 
-def _charp_exponent_check(g: Poly, p: int, tags: Sequence[VarTag]) -> None:
-    if p == 0:
-        return
-    for mono in g.monos:
-        for v, k in mono:
-            if v in tags and k > 0 and k % p == 0:
-                raise InputError(
-                    f"exponent {k} of Y_{v.e} is divisible by the characteristic {p}")
-
-
-def _has_admissible(g: Poly, p: int, tags: Sequence[VarTag]) -> bool:
-    """Some monomial has a positive exponent not divisible by p in one of tags."""
-    for mono in g.monos:
-        for v, k in mono:
-            if v in tags and k > 0 and (p == 0 or k % p != 0):
-                return True
-    return False
-
-
-def rw_univariate_pfree(g: Poly, seq: PseudoSequence, nu: int = 0,
-                        W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Univariate normal form when no positive exponent is divisible by
-    the characteristic."""
-    if g.is_zero():
-        raise InputError("polynomial must be nonzero")
-    tag = VarTag.orig(0)
-    if any(v != tag for v in g.variables()):
-        raise InputError("polynomial must be univariate in Y_0")
+def rw_univariate(g: Poly, seq: PseudoSequence, nu: int = 0,
+                  W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
+    """Univariate minimal-linear normal form.  In characteristic p, g is
+    rewritten itself (case1) when it has an exponent prime to p, else
+    Y*g is (case2)."""
     p = characteristic(g.field)
-    _charp_exponent_check(g, p, [tag])
-    if g.total_degree() < 1:
-        raise InputError("polynomial must be nonconstant")
-    return _certify("univariate_pfree", g, {}, [seq], [nu], "min-linear", "case1", W, R)
+    multiplier = {} if not p or _admissible(g, {}, p) else {0: 1}
+    kind = "univariate_charp" if p else "univariate_pfree"
+    return _certify(kind, g, multiplier, [seq], [nu], W, R)
 
 
-def rw_univariate_charp(g: Poly, seq: PseudoSequence, nu: int = 0,
-                        W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Characteristic-p univariate case split: rewrite g itself (case1) or
-    Y*g (case2) into the minimal-linear normal form."""
-    p = characteristic(g.field)
-    if p == 0:
-        raise InputError("this operation requires positive characteristic")
-    if g.is_zero():
-        raise InputError("polynomial must be nonzero")
-    tag = VarTag.orig(0)
-    if any(v != tag for v in g.variables()):
-        raise InputError("polynomial must be univariate in Y_0")
-    if _has_admissible(g, p, [tag]):
-        return _certify("univariate_charp", g, {}, [seq], [nu],
-                        "min-linear", "case1", W, R)
-    return _certify("univariate_charp", g, {0: 1}, [seq], [nu],
-                    "min-linear", "case2", W, R)
-
-
-def rw_bivariate_pfree(g: Poly, seqs: Sequence[PseudoSequence],
-                       nus: Sequence[int] = (0, 0), W: int = DEFAULT_WINDOW,
-                       R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Bivariate normal form when no positive exponent is divisible by
-    the characteristic."""
-    if g.is_zero():
-        raise InputError("polynomial must be nonzero")
-    tags = [VarTag.orig(0), VarTag.orig(1)]
-    if any(v not in tags for v in g.variables()):
-        raise InputError("polynomial must live in Y_0, Y_1")
-    p = characteristic(g.field)
-    _charp_exponent_check(g, p, tags)
-    if g.total_degree() < 1:
-        raise InputError("polynomial must be nonconstant")
-    return _certify("bivariate_pfree", g, {}, seqs, list(nus),
-                    "min-linear", "case1", W, R)
-
-
-_MULTIPLIER_CASCADE = ({}, {0: 1}, {1: 1}, {0: 1, 1: 1})
-_MULTIPLIER_NAMES = {(): "1", ((0, 1),): "y1", ((1, 1),): "y2",
-                     ((0, 1), (1, 1)): "y1y2"}
-
-
-def rw_bivariate_charp(f: Poly, seqs: Sequence[PseudoSequence],
-                       nus: Sequence[int] = (0, 0), W: int = DEFAULT_WINDOW,
-                       R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Characteristic-p bivariate cascade: multiply f by 1, Y_1, Y_2 or
-    Y_1*Y_2 until the product admits the minimal-linear normal form."""
-    p = characteristic(f.field)
-    if p == 0:
-        raise InputError("this operation requires positive characteristic")
-    if f.is_zero():
-        raise InputError("polynomial must be nonzero")
-    tags = [VarTag.orig(0), VarTag.orig(1)]
-    if any(v not in tags for v in f.variables()):
-        raise InputError("polynomial must live in Y_0, Y_1")
+def rw_bivariate(g: Poly, seqs: Sequence[PseudoSequence],
+                 nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
+                 R: int = DEFAULT_RETRIES) -> RewriteCert:
+    """Bivariate minimal-linear normal form.  In characteristic p, g is
+    multiplied by 1, Y_0, Y_1 or Y_0*Y_1, the first product with an
+    exponent prime to p that reaches the normal form."""
+    if not characteristic(g.field):
+        return _certify("bivariate_pfree", g, {}, seqs, nus, W, R)
+    # A g that fits no multiplier raises its shape fault at the first.
+    mults = [m for m in _MULTIPLIER_CASCADE
+             if not _shape_fault("bivariate_charp", g, m, len(seqs))]
     last_failure: Optional[Exception] = None
-    for mult in _MULTIPLIER_CASCADE:
-        h = _with_multiplier(f, mult)
-        if not _has_admissible(h, p, tags):
-            continue
-        name = _MULTIPLIER_NAMES[tuple(sorted(mult.items()))]
+    for mult in mults or _MULTIPLIER_CASCADE[:1]:
         try:
-            return _certify("bivariate_charp", f, mult, seqs, list(nus),
-                            "min-linear", "multiplier:" + name, W, R)
+            return _certify("bivariate_charp", g, mult, seqs, nus, W, R)
         except UndecidedError as exc:
             last_failure = exc
     raise UndecidedError(

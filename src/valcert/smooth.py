@@ -25,13 +25,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, VerificationError,
                      require_int)
-from .fields import Field, characteristic, field_from_json, field_to_json
+from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag, det, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
-                      rw_bivariate_charp, rw_bivariate_pfree,
-                      rw_univariate_charp, rw_univariate_pfree)
+                      rw_bivariate, rw_univariate)
 from .series import ValuedSeries
 
 OUTER_RETRIES = 4
@@ -335,11 +334,7 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         sm_verify(cert)
         return cert
 
-    p = characteristic(field)
-    if p > 0:
-        rcert = rw_univariate_charp(f, seq0, nu=nu, W=W, R=R)
-    else:
-        rcert = rw_univariate_pfree(f, seq0, nu=nu, W=W, R=R)
+    rcert = rw_univariate(f, seq0, nu=nu, W=W, R=R)
     case2 = bool(rcert.multiplier)
     if case2 and seq0.gamma(0) != group.zero():
         raise InputError(
@@ -432,13 +427,9 @@ def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
     p2 = f_cur.rename({VarTag.orig(0): Yelim}) - var(B).scale(d_cur)
     g = sylvester_resultant(p1, p2, Yelim)
     if g.is_zero():
-        prop = _proportional_factor(f_prev, f_cur)
-        if prop is None:
-            raise NotStabilizedError(
-                "resultant vanished for a non-proportional pair; cannot "
-                "derive a chain relation")
-        c1, c2 = prop
-        g = var(B).scale(c1 * d_cur) - var(A).scale(c2 * d_prev)
+        raise NotStabilizedError(
+            "resultant vanished for a non-proportional pair; cannot "
+            "derive a chain relation")
     return _clear_content(g)
 
 
@@ -466,7 +457,6 @@ def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
     if len(fs) == 1:
         return sm_pair(fs[0], seq0, delta=delta, W=W, R=R)
     field = fs[0].field
-    p = characteristic(field)
     for f in fs:
         f.field.check_same(field)
         f.group.check_same(seq0.group)
@@ -482,13 +472,13 @@ def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
     for attempt in range(OUTER_RETRIES):
         offset = attempt * 2
         try:
-            return _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset)
+            return _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset)
         except (NotStabilizedError, UndecidedError, VerificationError) as exc:
             last_error = exc
     raise NotStabilizedError(f"family construction failed: {last_error}")
 
 
-def _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset):
+def _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset):
     n = len(fs)
     cur = [None] * (n + 1)  # current stage index per element (0 = y0)
     rels_raw: List[Poly] = []
@@ -506,12 +496,11 @@ def _family_attempt(fs, ds, seqs, seq0, field, p, delta, W, R, offset):
         # the earlier side.  Earlier-side designation is what makes the
         # chain Jacobian triangular with unit diagonal (and it survives
         # restaging, which only raises later-side values).
-        rw = rw_bivariate_charp if p > 0 else rw_bivariate_pfree
         rcert = None
         for bump in range(8):
             nus = (cur[e - 1], offset + 3 * bump)
             try:
-                cand = rw(g, pair, nus=nus, W=W, R=R)
+                cand = rw_bivariate(g, pair, nus=nus, W=W, R=R)
             except UndecidedError:
                 continue
             if _designates_earlier(cand):
@@ -653,6 +642,8 @@ class _Problem:
             f2 = self._decode(Poly.from_json, "fs", 1)
             # the quotient below cap reads f1(y0), f2(y0) below cap + val(f2(y0))
             f2v = at_limit(f2, cap)
+            if cap is not None and not f2v.nums:  # val f2(y0) >= cap
+                f2v = at_limit(f2, None)
             depth = None if cap is None else group.add(cap, f2v.val())
             if depth != cap:
                 f2v = at_limit(f2, depth)

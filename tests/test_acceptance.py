@@ -19,9 +19,8 @@ from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ, Lex
 from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
-from valcert.rewrite import (rw_bivariate_charp, rw_bivariate_pfree,
-                             rw_multilinear, rw_univariate_charp,
-                             rw_univariate_pfree, taylor_recenter)
+from valcert.rewrite import (rw_bivariate, rw_multilinear, rw_univariate,
+                             taylor_recenter)
 from valcert.separation import (sep_cross_pair, sep_multi, sep_shifted_pair,
                                 sep_tail)
 from valcert.series import ValuedSeries
@@ -284,12 +283,8 @@ class TestCriterion3:
                 g = self.rand_dense(rng, field, nvars, 5)
             seqs = self.seqs_for(field, nvars)
             try:
-                if field is QQ:
-                    cert = (rw_univariate_pfree(g, seqs[0]) if nvars == 1
-                            else rw_bivariate_pfree(g, seqs))
-                else:
-                    cert = (rw_univariate_charp(g, seqs[0]) if nvars == 1
-                            else rw_bivariate_charp(g, seqs))
+                cert = (rw_univariate(g, seqs[0]) if nvars == 1
+                        else rw_bivariate(g, seqs))
                 cert.verify()
                 completed += 1
             except (HorizonError, NotStabilizedError, UndecidedError):
@@ -311,7 +306,7 @@ class TestCriterion4:
         seq = lacunary_sequence(f2, 300)
         cases = {}
         for name, g in [("Y", Y), ("Y2", Y ** 2), ("Y+Y2", Y + Y ** 2)]:
-            cert = rw_univariate_charp(g, seq)
+            cert = rw_univariate(g, seq)
             cert.verify()
             cases[name] = cert.case
         # hand-traced: Y has an admissible exponent (case1); Y^2 has only
@@ -323,7 +318,7 @@ class TestCriterion4:
         B = Poly.var(f2, ZZ, Y1)
         mults = {}
         for name, f in [("Y1", Y), ("Y1^2", Y ** 2), ("Y1^2Y2^2", Y ** 2 * B ** 2)]:
-            cert = rw_bivariate_charp(f, seqs)
+            cert = rw_bivariate(f, seqs)
             cert.verify()
             mults[name] = cert.case.split(":", 1)[1]
         # hand-traced: Y1 needs no multiplier; Y1^2 needs the y1 factor to
@@ -413,11 +408,11 @@ class TestCriterion6:
                                    [1, 2], [gamma, gamma], [0, 0]).to_json()
         sq = lacunary_sequence(QQ, 300)
         g1 = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        bases["rw_uni"] = rw_univariate_pfree(g1, sq).to_json()
+        bases["rw_uni"] = rw_univariate(g1, sq).to_json()
         seqs = [sq, RuleSequence(QQ, {"kind": "geom", "a": 3},
                                  {"kind": "const", "c": 1}, horizon=300)]
         g2 = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
-        bases["rw_bi"] = rw_bivariate_pfree(g2, seqs).to_json()
+        bases["rw_bi"] = rw_bivariate(g2, seqs).to_json()
         f5 = GF(5)
         V = Poly.var(f5, ZZ, Y0)
         bases["smooth"] = sm_family(

@@ -290,6 +290,15 @@ class TestRewrite:
         cfg["g"] = Poly.zero(QQ, ZZ).to_json()
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
 
+    @pytest.mark.parametrize("field", [QQ, GF(2)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bivariate_sequence_count(self, tmp_path, capsys, field, n):
+        # one sequence used to end in an IndexError (exit 5)
+        cfg = univariate_cfg(field, 1)
+        cfg.update(op="bivariate", seqs=cfg["seqs"] * n)
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert "exactly two sequences expected" in capsys.readouterr().err
+
 
 class TestWindowRetries:
     """window and retries are positive integers, from the flag when it is
@@ -898,6 +907,93 @@ class TestUnreadableRewrite:
         cert["G1"].insert(0 if position == "first" else len(cert["G1"]), repeat)
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
         assert "repeated monomial" in capsys.readouterr().err
+
+
+class TestRepeatedVariable:
+    """A monomial that lists one variable twice exits 1.  On a rewrite
+    certificate, g = Y0 written [[Y0, 1], [Y0, 1]] used to verify: it was
+    evaluated as Y0^2 and recentred as Y0."""
+
+    @staticmethod
+    def repeat_first(mono):
+        mono.append(copy.deepcopy(mono[0]))
+
+    def test_rewrite_g(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 1)),
+                    "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        self.repeat_first(cert["g"][0][0])
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "a monomial lists one variable twice" in capsys.readouterr().err
+
+    def test_smooth_witness(self, tmp_path, capsys):
+        cert = json.loads(FULL_TABLES.read_text())
+        mono = next(m for m, _ in cert["witnesses"][0]["num"] if m)
+        self.repeat_first(mono)
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "a monomial lists one variable twice" in capsys.readouterr().err
+
+
+def multi_cfg():
+    gamma = list(range(1, 201))
+    return {"op": "multi", "subsets": [[0], [1], [0, 1]], "betas": [1, 4, 0],
+            "ts": [1, 2], "gammas": [gamma, gamma], "rhos": [0, 0]}
+
+
+def pair_cfg():
+    f5 = GF(5)
+    return {"field": "Fp", "p": 5, "op": "pair",
+            "f": Poly.var(f5, ZZ, Y0).to_json(),
+            "seq0": lacunary_sequence(f5, 100).to_json()}
+
+
+def bivariate_cfg():
+    cfg = univariate_cfg(QQ, 1)
+    cfg.update(op="bivariate", seqs=cfg["seqs"] * 2)
+    return cfg
+
+
+class TestConfigIntegerFields:
+    """An integer field of a build config that holds a float, a bool or a
+    string exits 1 and names the field, alone and beside a valid config in
+    a --jobs 2 batch.  These fields were read with int() (or not at all),
+    so 4.9 became 4 and true became 1."""
+
+    EDITS = {
+        "tail-ts": ("separate", tail_cfg, "ts", [4.9, True]),
+        "multi-ts": ("separate", multi_cfg, "ts", [1, 2.0]),
+        "multi-subsets": ("separate", multi_cfg, "subsets", [[0], [1.0], [0, 1]]),
+        "multi-rhos": ("separate", multi_cfg, "rhos", [0, "1"]),
+        "rewrite-nu": ("rewrite", lambda: univariate_cfg(QQ, 1), "nu", 4.9),
+        "rewrite-nus": ("rewrite", bivariate_cfg, "nus", [0, True]),
+        "rewrite-nus-number": ("rewrite", bivariate_cfg, "nus", 3),
+        "smooth-nu": ("smooth", pair_cfg, "nu", True),
+    }
+
+    @classmethod
+    def edited(cls, name):
+        command, make, field, value = cls.EDITS[name]
+        bad = make()
+        bad[field] = value
+        return command, make(), bad, field
+
+    @pytest.mark.parametrize("name", EDITS)
+    def test_alone(self, tmp_path, capsys, name):
+        command, _, bad, field = self.edited(name)
+        assert run([command, write(tmp_path, "bad.json", bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer" in err or f"{field} must be a list" in err
+
+    @pytest.mark.parametrize("name", EDITS)
+    def test_in_batch(self, tmp_path, capsys, name):
+        command, valid, bad, field = self.edited(name)
+        path = write(tmp_path, "batch.json", [bad, valid])
+        assert run([command, path, "--jobs", "2"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 1 and f"{field} must be" in results[0]["error"]
+        assert "exit" not in results[1] and "cert" in results[1]
 
 
 class TestIntegerFields:

@@ -102,6 +102,18 @@ class TestAlgebra:
         with pytest.raises(InputError, match="repeated monomial"):
             Poly.from_json(obj, QQ, ZZ)
 
+    @pytest.mark.parametrize("mono", [[[Y0, 1], [Y0, 1]], [[Y0, 2], [Y1, 1], [Y0, 1]]],
+                             ids=["adjacent", "apart"])
+    def test_json_repeated_variable(self, mono):
+        # Y0 twice would read as one power of Y0 in one place and another
+        # elsewhere; a zero exponent is no listing, so [[Y0, 0], [Y0, 1]] is Y0
+        one_json = {"terms": [[0, "1/1"]], "trunc": "inf"}
+        obj = [[[[v.to_json(), k] for v, k in mono], one_json]]
+        with pytest.raises(InputError, match="a monomial lists one variable twice"):
+            Poly.from_json(obj, QQ, ZZ)
+        obj = [[[[Y0.to_json(), 0], [Y0.to_json(), 1]], one_json]]
+        assert list(Poly.from_json(obj, QQ, ZZ).monos) == [((Y0, 1),)]
+
     def test_vartag_sorting_and_json(self):
         tags = [VarTag.stage(1, 3), VarTag.orig(0), VarTag.dup(2, "z")]
         for t in tags:

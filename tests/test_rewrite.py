@@ -5,28 +5,31 @@ hand-traced derivations; every certificate is additionally re-verified
 through its own exact symbolic expansion (RewriteCert.verify).
 """
 import copy
+import functools
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from valcert import rewrite
-from valcert.cli import canonical_json
+from valcert.cli import canonical_json, run_single
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
-from valcert.rewrite import (RewriteCert, rw_bivariate_charp,
-                             rw_bivariate_pfree, rw_multilinear,
+from valcert.rewrite import (RewriteCert, rw_bivariate, rw_multilinear,
                              rw_multilinear_mono, rw_pair_square,
-                             rw_univariate_charp, rw_univariate_pfree,
-                             taylor_recenter)
+                             rw_univariate, taylor_recenter)
 from valcert.series import ValuedSeries
+from valcert.smooth import sm_pair
 
 from oracles import from_int, taylor_via_hasse
 
 Y0, Y1 = VarTag.orig(0), VarTag.orig(1)
+OPTS = {"horizon": None, "window": None, "retries": None, "delta": None}
 
 
 def tpow(field, e, c=1):
@@ -165,33 +168,50 @@ class TestMultilinear:
             rw_multilinear(Poly.zero(QQ, ZZ), [lacunary_sequence(QQ)], nus=[0])
 
 
+def _verdict(cert, **relabel):
+    """valcert verify's exit code and failed claim on the certificate's
+    JSON with the given fields replaced."""
+    obj = json.loads(canonical_json(cert.to_json()))
+    obj.update(relabel)
+    code, result = run_single("verify", obj, OPTS)
+    return code, "" if code == 0 else result.split(" at ", 1)[1]
+
+
 class TestUnivariate:
     def test_linear_identity(self):
         # [TRIVIAL] g = Y: G1 = v_t + s_t*Y_t, c = scale s_t
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0), seq)
+        cert = rw_univariate(Poly.var(QQ, ZZ, Y0), seq)
         t = cert.indices[0]
         assert cert.c.same_known(seq.scale(t))
         cert.verify()
 
     def test_pfree_cube_plus_linear_char2(self):
-        # [DERIVED] exponents 1, 3 both odd: admissible over F2
+        # [DERIVED] exponents 1, 3 both odd: admissible over F2, so g is
+        # rewritten itself, and the p-free label is true of it too
         f2 = GF(2)
         seq = lacunary_sequence(f2)
         g = Poly.var(f2, ZZ, Y0) ** 3 + Poly.var(f2, ZZ, Y0)
-        rw_univariate_pfree(g, seq).verify()
+        cert = rw_univariate(g, seq)
+        assert (cert.kind, cert.case) == ("univariate_charp", "case1")
+        cert.verify()
+        assert _verdict(cert, kind="univariate_pfree") == (0, "")
 
     def test_pfree_rejects_square_char2(self):
-        # [TRIVIAL] exponent 2 is divisible by p = 2
+        # [TRIVIAL] exponent 2 is divisible by p = 2: a univariate_pfree
+        # certificate over F2 is refused at its kind
         f2 = GF(2)
-        with pytest.raises(InputError):
-            rw_univariate_pfree(Poly.var(f2, ZZ, Y0) ** 2, lacunary_sequence(f2))
+        Y = Poly.var(f2, ZZ, Y0)
+        cert = rw_univariate(Y ** 2 + Y ** 3, lacunary_sequence(f2))
+        assert (cert.kind, cert.case) == ("univariate_charp", "case1")
+        assert _verdict(cert, kind="univariate_pfree") == (
+            4, "kind: exponent 2 of Y_0 is divisible by the characteristic 2")
 
     def test_quadratic_domination(self):
         # [DERIVED] every degree->=2 coefficient of G1 has val > val(c)
         seq = lacunary_sequence(QQ)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate_pfree(g, seq)
+        cert = rw_univariate(g, seq)
         cv = cert.c.val()
         for mono, coeff in cert.G1.monos.items():
             degree = sum(k for _, k in mono)
@@ -224,7 +244,7 @@ class TestCharPFixtures:
         cases = {}
         for name, g in [("Y", self.Y), ("Y2", self.Y ** 2),
                         ("Y+Y2", self.Y + self.Y ** 2)]:
-            cert = rw_univariate_charp(g, self.seq)
+            cert = rw_univariate(g, self.seq)
             cert.verify()
             cases[name] = cert.case
         assert cases == {"Y": "case1", "Y2": "case2", "Y+Y2": "case1"}
@@ -237,7 +257,7 @@ class TestCharPFixtures:
         mults = {}
         for name, f in [("Y1", self.Y), ("Y1^2", self.Y ** 2),
                         ("Y1^2Y2^2", self.Y ** 2 * B ** 2)]:
-            cert = rw_bivariate_charp(f, seqs)
+            cert = rw_bivariate(f, seqs)
             cert.verify()
             mults[name] = cert.case.split(":", 1)[1]
         assert mults["Y1"] == "1"
@@ -252,14 +272,20 @@ class TestBivariate:
                 RuleSequence(QQ, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
         g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
-        rw_bivariate_pfree(g, seqs).verify()
+        rw_bivariate(g, seqs).verify()
 
     def test_pfree_rejects_divisible_exponent(self):
-        # [TRIVIAL] Y1^2*Y2 over F2
+        # [TRIVIAL] Y1^2*Y2 + Y1 over F2: a bivariate_pfree certificate is
+        # refused at its kind
         f2 = GF(2)
-        g = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1)
-        with pytest.raises(InputError):
-            rw_bivariate_pfree(g, [lacunary_sequence(f2)] * 2)
+        g = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1) + Poly.var(f2, ZZ, Y0)
+        seqs = [lacunary_sequence(f2),
+                RuleSequence(f2, {"kind": "geom", "a": 3},
+                             {"kind": "const", "c": 1}, horizon=300)]
+        cert = rw_bivariate(g, seqs)
+        assert (cert.kind, cert.case) == ("bivariate_charp", "multiplier:1")
+        assert _verdict(cert, kind="bivariate_pfree", case="case1") == (
+            4, "kind: exponent 2 of Y_0 is divisible by the characteristic 2")
 
 
 class CountingSequence(RuleSequence):
@@ -279,11 +305,11 @@ class TestLazyStreams:
         seq = CountingSequence(QQ, {"kind": "geom", "a": 1},
                                {"kind": "const", "c": 1}, horizon=300)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate_pfree(g, seq)
+        cert = rw_univariate(g, seq)
         assert seq.read and max(seq.read) == cert.indices[0]
 
     def test_short_table_rejected(self):
-        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, lacunary_sequence(QQ))
+        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, lacunary_sequence(QQ))
         t = cert.indices[0]
         bad = cert.to_json()
         bad["seqs"][0] = TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(t + 1)]).to_json()
@@ -296,16 +322,28 @@ class TestLazyStreams:
 class TestTamper:
     def test_swapped_index(self):
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
         bad = copy.deepcopy(cert.to_json())
         bad["indices"][0] += 1
         with pytest.raises(VerificationError):
             RewriteCert.from_json(bad).verify()
 
+    @pytest.mark.parametrize("indices", [lambda ts: ts + [3], lambda ts: ts[:1]],
+                             ids=["extra", "missing"])
+    def test_index_count(self, indices):
+        # an index past the last sequence used to be read by nothing
+        seqs = [lacunary_sequence(QQ),
+                RuleSequence(QQ, {"kind": "geom", "a": 3},
+                             {"kind": "const", "c": 1}, horizon=300)]
+        g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
+        cert = rw_bivariate(g, seqs)
+        assert _verdict(cert, indices=indices(cert.indices)) == (
+            4, f"indices: {len(indices(cert.indices))} indices for 2 sequences")
+
     def test_perturbed_coefficient(self):
         seq = lacunary_sequence(QQ)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate_pfree(g, seq)
+        cert = rw_univariate(g, seq)
         bad = copy.deepcopy(cert.to_json())
         mono, coeff = bad["G1"][0]
         coeff["terms"][0][1] = "7/1" if "/" in str(coeff["terms"][0][1]) else 7
@@ -316,7 +354,7 @@ class TestTamper:
         # g = Y0 * S with S the stage variable: at Y0 = v + s*S the identity
         # holds for v*S + s*S^2 only, never for the collapsed (v + s)*S.
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate_pfree(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
         t = cert.indices[0]
         S = VarTag.stage(0, t)
         v, s = seq.term(t), seq.scale(t)
@@ -350,8 +388,118 @@ class TestOneRecentring:
         monkeypatch.setattr(rewrite, "taylor_recenter", counted_recenter)
         monkeypatch.setattr(rewrite, "_claims_hold", counted_attempt)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate_pfree(g, lacunary_sequence(QQ))
+        cert = rw_univariate(g, lacunary_sequence(QQ))
         assert calls == {"recenter": 1, "attempts": 1}
         text = canonical_json(cert.to_json())
         RewriteCert.from_json(json.loads(text)).verify()
         assert calls["recenter"] == 2
+
+
+# -- each kind's rules, applied by the verifier --------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# Relabels of one field; kind relabels are refused at the first rule the
+# new kind breaks, mode relabels possibly by the normal form of the
+# forged mode.
+RELABELS = [("kind", "multilinear"), ("kind", "bivariate_charp"),
+            ("kind", "univariate_pfree"), ("case", "star"), ("case", "case2"),
+            ("mode", "content"), ("mode", "min-linear")]
+CLAIMS = {"kind": {"mode", "case", "kind"}, "case": {"case"},
+          "mode": {"mode", "content-min", "min-linear"}}
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_certs():
+    """One top-level rewrite of each kind, then the old rewrite fixture,
+    as JSON."""
+    Y, Z = Poly.var(QQ, ZZ, Y0), Poly.var(QQ, ZZ, Y1)
+    f2 = GF(2)
+    A = Poly.var(f2, ZZ, Y0)
+    lac = lacunary_sequence(QQ)
+    q2 = [lac, RuleSequence(QQ, {"kind": "geom", "a": 3},
+                            {"kind": "const", "c": 1}, horizon=300)]
+    f2s = [lacunary_sequence(f2), RuleSequence(f2, {"kind": "geom", "a": 3},
+                                               {"kind": "const", "c": 1}, horizon=300)]
+    near = Poly.const(lac.term(30))  # a constant that leaves G1's constant high
+    certs = [rw_pair_square(Y - near + Z.scale(tpow(QQ, 1)), q2),
+             rw_multilinear_mono(Y * Z - Poly.const(lac.term(30) * q2[1].term(30)), q2),
+             rw_multilinear(Y - near, [lac]),
+             rw_univariate(Y ** 2, lac),
+             rw_univariate(A ** 2, f2s[0]),
+             rw_bivariate(Y * Z + Y, q2),
+             rw_bivariate(A ** 2, f2s)]
+    out = [json.loads(canonical_json(c.to_json())) for c in certs]
+    return out + [json.loads((FIXTURES / "rewrite_square_Q.json").read_text())]
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_certs():
+    """Smooth certificates embedding rewrites of the four univariate and
+    bivariate kinds, the two old smooth fixtures among them, as JSON."""
+    f2 = GF(2)
+    V, W = Poly.var(QQ, ZZ, Y0), Poly.var(f2, ZZ, Y0)
+    built = [sm_pair(V ** 2, lacunary_sequence(QQ)),
+             sm_pair(W ** 2 + W.scale(tpow(f2, 1)), lacunary_sequence(f2))]
+    out = [json.loads(canonical_json(c.to_json())) for c in built]
+    return out + [json.loads((FIXTURES / name).read_text())
+                  for name in ("smooth_family_F5_full_tables.json",
+                               "smooth_fraction_Q.json")]
+
+
+def _claims(message: str):
+    return re.findall(r"verification failed at ([\w-]+)", message)
+
+
+class TestKindRules:
+    def test_each_kind_and_fixture_verifies(self):
+        kinds = [obj["kind"] for obj in _kind_certs()]
+        assert kinds[:7] == list(rewrite._KINDS)
+        embedded = {rw["kind"] for obj in _smooth_certs() for rw in obj["rewrites"]}
+        assert embedded == {"univariate_pfree", "univariate_charp",
+                            "bivariate_pfree", "bivariate_charp"}
+        for obj in _kind_certs() + _smooth_certs():
+            assert run_single("verify", obj, OPTS) == (
+                0, {"verified": True, "cert": obj["cert"]})
+
+    @pytest.mark.parametrize("kind, g, multiplier, allowed", [
+        ("univariate_charp", "Y^2", {}, "[{0: 1}]"),
+        ("univariate_charp", "Y^3", {0: 1}, "[{}]"),
+        ("bivariate_charp", "Y^2", {}, "[{0: 1}, {1: 1}, {0: 1, 1: 1}]"),
+        ("bivariate_charp", "Y^3", {0: 1}, "[{}, {1: 1}, {0: 1, 1: 1}]"),
+    ])
+    def test_multiplier_rule(self, kind, g, multiplier, allowed):
+        # over F2: Y^2 and Y^3 * Y have no exponent prime to 2; Y^3 and Y^2 * Y_1 have
+        Y = Poly.var(GF(2), ZZ, Y0)
+        g = Y ** 2 if g == "Y^2" else Y ** 3
+        n = 1 if kind == "univariate_charp" else 2
+        assert rewrite._shape_fault(kind, g, multiplier, n) == (
+            f"multiplier {multiplier} where the case split allows {allowed}")
+
+    @pytest.mark.parametrize("field, value", RELABELS)
+    def test_top_level_relabel_refused(self, field, value):
+        changed = 0
+        for obj in _kind_certs():
+            if obj[field] == value:
+                continue
+            changed += 1
+            code, message = run_single("verify", dict(obj, **{field: value}), OPTS)
+            assert code == 4, (obj["kind"], message)
+            assert _claims(message)[-1] in CLAIMS[field], message
+        assert changed
+
+    # every embedded rewrite is min-linear already
+    @pytest.mark.parametrize("field, value", RELABELS[:-1])
+    def test_embedded_relabel_refused(self, field, value):
+        changed = 0
+        for obj in _smooth_certs():
+            for i, rw in enumerate(obj["rewrites"]):
+                if rw[field] == value:
+                    continue
+                changed += 1
+                bad = copy.deepcopy(obj)
+                bad["rewrites"][i][field] = value
+                code, message = run_single("verify", bad, OPTS)
+                assert code == 4, (rw["kind"], message)
+                claims = _claims(message)
+                assert claims[0] == f"rewrite-{i}" and claims[-1] in CLAIMS[field], message
+        assert changed

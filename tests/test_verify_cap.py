@@ -211,6 +211,18 @@ class TestCappedVerifier:
         cap = smooth._verify_cap(cert.pres, cert.delta)
         assert cert.delta < cap <= group.scale(cert.delta, 2)
 
+    @pytest.mark.parametrize("field, group, obj", [
+        b for b in BASES if b[1] is RATIONALS and b[2]["kind"] == "fraction"])
+    def test_fraction_decided_below_the_cap_where_f2_vanishes(self, field, group, obj):
+        # At delta 1/4 the cap is 1/2 = val f2(y0), so f2(y0) below the cap
+        # has no known term; the witness reads that valuation uncapped.
+        cert = SmoothCert.from_json(obj)
+        delta = Fraction(1, 4)
+        assert smooth._verify_cap(cert.pres, delta) == Fraction(1, 2)
+        got, caps = capped_outcome(cert, delta)
+        assert got == outcome(oracles.sm_verify, cert, delta) == ("ok", "")
+        assert caps and None not in caps
+
     def test_exact_quotient_kept_exact(self):
         # A y0 witness num/den with exact num and den whose quotient has
         # infinite support: the full evaluation gives up with an InputError.
