@@ -394,7 +394,7 @@ class RewriteCert:
         try:
             G1 = self._recompute()
         except HorizonError as exc:
-            # Recentring at index t reads t + 2 terms of the sequence.
+            # Recentring at index t reads terms 0..t and range-checks t + 1.
             raise VerificationError("indices", f"sequence too short: {exc}")
         if self.G1 is not None and not G1.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
@@ -472,7 +472,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
             indices = [j - 1 for j in js_sep]
         else:
             indices = list(rhos)
-        # Recentring reads term(t) and scale(t): t + 2 terms.  G1 is
+        # Recentring reads terms 0..t and range-checks t + 1.  G1 is
         # computed once, from the g, multiplier, frozen sequences and
         # indices the certificate carries, so it is the recomputation
         # RewriteCert.verify compares G1 with; the build checks the rest.

@@ -8,6 +8,11 @@ membership witnesses (polynomial expressions, optionally over a unit
 denominator) for every element they claim to contain; sm_verify
 re-derives the targets from the problem data and re-checks everything.
 
+Each kind has one build path, which assembles one certificate and
+verifies it once.  A fraction f1/f2 is the family {f1, f2} plus one
+witness, y1 * (d1/d2) over y2.  sm_verify also checks the shape of the
+certificate's kind (_check_shape).
+
 The verifier reads each value only below the window its verdict needs,
 so it evaluates below a cap: relations and witnesses below a C with
 delta < C <= 2*delta, the Jacobian minor (a unit is a term at exponent
@@ -242,23 +247,19 @@ def _eval_at_limit(f: Poly, seq: PseudoSequence, delta) -> ValuedSeries:
     return f.eval_series({VarTag.orig(0): y0})
 
 
-def _val_at_limit(f: Poly, seq: PseudoSequence, seed) -> Tuple[object, ValuedSeries]:
-    """val(f(y0)) with automatic window growth on cancellation."""
-    delta = seed
+def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
+    """d = (leading coefficient) * t^val(f(y0)), so f(y0)/d has lead term 1
+    and val d = val f(y0).  f(y0) is evaluated from seq.gamma(4) on, the
+    window doubling while f(y0) cancels below it."""
+    delta = seq.gamma(4)
     for _ in range(64):
         fv = _eval_at_limit(f, seq, delta)
         try:
-            return fv.val(), fv
+            fv.val()
+            return ValuedSeries(seq.field, seq.group, [fv.leading()])
         except IndeterminateValError:
             delta = seq.group.scale(delta, 2)
     raise HorizonError("val(f(y0)) cancels below every tried truncation")
-
-
-def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
-    """d = (leading coefficient) * t^val(f(y0)), so f(y0)/d has lead term 1."""
-    seed = seq.gamma(4)
-    v, fv = _val_at_limit(f, seq, seed)
-    return ValuedSeries(seq.field, seq.group, [fv.leading()])
 
 
 def _derived_unit_sequence(f: Poly, d: ValuedSeries, seq0: PseudoSequence) -> DerivedSequence:
@@ -283,100 +284,67 @@ def _designates_earlier(rcert: RewriteCert) -> bool:
     return len(m) == 1 and m[0][1] == 1 and m[0][0].e == 0
 
 
-def _choose_base(field: Field, group: ValueGroup, gens, rels) -> int:
-    """Pick the base generator by minor search, preferring the last one."""
-    pres_err = None
-    for base in range(len(gens) - 1, -1, -1):
-        pres = SmoothPresentation(field, group, gens, rels, base)
-        try:
-            if pres.jacobian_minor().is_unit():
-                return base
-        except IndeterminateValError as exc:
-            pres_err = exc
-    raise NotStabilizedError(
-        "no base generator yields a unit Jacobian minor"
-        + (f" ({pres_err})" if pres_err else ""))
-
-
 # -- Lemma-1 pair construction -----------------------------------------
 
 def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
             nu: int = 0, W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES,
             delta=None) -> SmoothCert:
-    """Smooth subalgebra containing y (pseudo-limit of seq0) and z = f(y)/d."""
+    """Smooth subalgebra containing y (pseudo-limit of seq0) and z = f(y)/d.
+
+    z = h/d, h the rewrite's G1 in y_{0,t} (f itself when constant).  The
+    last generator is the base: with Z adjoined, the minor is h'(y_{0,t})/c,
+    a unit by the min-linear normal form."""
     if f.is_zero():
         raise InputError("f must be nonzero")
     tag0 = VarTag.orig(0)
     if any(v != tag0 for v in f.variables()):
         raise InputError("f must be univariate in Y_0")
     field, group = f.field, seq0.group
-    fval, _ = _val_at_limit(f, seq0, seq0.gamma(4))
+    lead = _canonical_d(f, seq0)
     if d is None:
-        d = _canonical_d(f, seq0)
-    if d.val() != fval:
+        d = lead
+    if d.val() != lead.val():
         raise InputError(
-            f"val(f(y)) = {fval!r} differs from val(d) = {d.val()!r}; "
+            f"val(f(y)) = {lead.val()!r} differs from val(d) = {d.val()!r}; "
             "z would not be a unit")
+    problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json()}
 
     if f.total_degree() < 1:
         # Constant f: z is a scalar unit; the algebra is V[y_{0,t}].
-        t = nu + 1
-        dlt = group.scale(seq0.gamma(t), 2) if delta is None else delta
-        deltaw = group.scale(dlt, 2)
-        gens = [(VarTag.stage(0, t), seq0.stage(t, deltaw))]
-        ypoly = _stage_poly(seq0, 0, t)
-        z_num = Poly.const(f.constant_term().div_to(d, deltaw))
-        wits = [Witness("y", "y0", 0, ypoly, None),
-                Witness("z", "z", 0, z_num, None)]
-        pres = SmoothPresentation(field, group, gens, [], 0)
-        problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json()}
-        cert = SmoothCert("pair", field, problem, pres, wits, [], dlt, "constant")
-        sm_verify(cert)
-        return cert
-
-    rcert = rw_univariate(f, seq0, nu=nu, W=W, R=R)
-    case2 = bool(rcert.multiplier)
-    if case2 and seq0.gamma(0) != group.zero():
-        raise InputError(
-            "the rewrite multiplied by Y, so dividing back out needs the "
-            "pseudo-limit to be a unit (first exponent 0); this sequence "
-            f"starts at val {group.to_json(seq0.gamma(0))}")
-    t = rcert.indices[0]
-    h = rcert.G1
-    c = rcert.c
+        rewrites, h, case2, t = [], f, False, nu + 1
+    else:
+        rcert = rw_univariate(f, seq0, nu=nu, W=W, R=R)
+        case2 = bool(rcert.multiplier)
+        if case2 and seq0.gamma(0) != group.zero():
+            raise InputError(
+                "the rewrite multiplied by Y, so dividing back out needs the "
+                "pseudo-limit to be a unit (first exponent 0); this sequence "
+                f"starts at val {group.to_json(seq0.gamma(0))}")
+        rewrites, h, t = [rcert], rcert.G1, rcert.indices[0]
+        problem["case2"] = case2
     dlt = group.scale(seq0.gamma(t), 2) if delta is None else delta
     deltaw = group.scale(dlt, 2)
+    gens = [(VarTag.stage(0, t), seq0.stage(t, deltaw))]
     ypoly = _stage_poly(seq0, 0, t)
-    gen0 = (VarTag.stage(0, t), seq0.stage(t, deltaw))
-    problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json(),
-               "case2": case2}
-
-    if not c.val() < d.val():
-        # d | c: z (or y*z) is already a polynomial in the stage generator.
-        hd = h.map_coeffs(lambda co: co.div_to(d, deltaw))
-        wits = [Witness("y", "y0", 0, ypoly, None),
-                Witness("z", "z", 0, hd, ypoly if case2 else None)]
-        pres = SmoothPresentation(field, group, [gen0], [], 0)
-        branch = "d-divides-c"
+    rels = []
+    if not rewrites or not rcert.c.val() < d.val():
+        # f constant, or d | c: z (or y*z) is a polynomial in the stage generator.
+        znum = h.map_coeffs(lambda co: co.div_to(d, deltaw))
+        branch = "d-divides-c" if rewrites else "constant"
     else:
         # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries y^k * z.
         ztag = VarTag.dup(0, "z")
         zval = _eval_at_limit(f, seq0, group.scale(deltaw, 2)).div_to(d, deltaw)
         if case2:
-            y_full = seq0.limit(deltaw)
-            zgen_image = (y_full * zval).truncate(deltaw)
-        else:
-            zgen_image = zval.truncate(deltaw)
+            zval = seq0.limit(deltaw) * zval
+        gens.append((ztag, zval.truncate(deltaw)))
         rel = h - Poly.var(field, group, ztag).scale(d)
-        rel = rel.map_coeffs(lambda co: co.div_to(c, deltaw))
-        gens = [gen0, (ztag, zgen_image)]
-        base = _choose_base(field, group, gens, [rel])
-        wits = [Witness("y", "y0", 0, ypoly, None),
-                Witness("z", "z", 0, Poly.var(field, group, ztag),
-                        ypoly if case2 else None)]
-        pres = SmoothPresentation(field, group, gens, [rel], base)
-        branch = "c-divides-d"
-    cert = SmoothCert("pair", field, problem, pres, wits, [rcert], dlt, branch)
+        rels.append(rel.map_coeffs(lambda co: co.div_to(rcert.c, deltaw)))
+        znum, branch = Poly.var(field, group, ztag), "c-divides-d"
+    wits = [Witness("y", "y0", 0, ypoly, None),
+            Witness("z", "z", 0, znum, ypoly if case2 else None)]
+    pres = SmoothPresentation(field, group, gens, rels, len(gens) - 1)
+    cert = SmoothCert("pair", field, problem, pres, wits, rewrites, dlt, branch)
     sm_verify(cert)
     return cert
 
@@ -447,6 +415,20 @@ def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
               delta=None, W: int = DEFAULT_WINDOW,
               R: int = DEFAULT_RETRIES) -> SmoothCert:
     """Smooth subalgebra containing y0 and every y_e = f_e(y0)/d_e."""
+    return _chain("family", fs, seq0, delta, W, R)
+
+
+def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
+                delta=None, W: int = DEFAULT_WINDOW,
+                R: int = DEFAULT_RETRIES) -> SmoothCert:
+    """The family {f1, f2} with one witness more, f1(y0)/f2(y0) as
+    (d1/d2) * y1 * y2^{-1}, built and verified as one certificate."""
+    return _chain("fraction", [f1, f2], seq0, delta, W, R)
+
+
+def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
+           delta, W: int, R: int) -> SmoothCert:
+    """The family induction over fs, for a family or fraction certificate."""
     if not fs:
         raise InputError("empty polynomial family")
     for f in fs:
@@ -464,26 +446,28 @@ def sm_family(fs: Sequence[Poly], seq0: PseudoSequence,
         raise InputError("family members must be nonconstant "
                          "(constant members are units already in V)")
 
-    n = len(fs)
     ds = [_canonical_d(f, seq0) for f in fs]
+    if kind == "fraction" and ds[0].val() < ds[1].val():
+        raise InputError(
+            f"val(f1(y0)) = {ds[0].val()!r} < val(f2(y0)) = {ds[1].val()!r}; "
+            "the fraction lies outside V'")
     seqs = [seq0] + [_derived_unit_sequence(f, d, seq0) for f, d in zip(fs, ds)]
 
     last_error: Optional[Exception] = None
     for attempt in range(OUTER_RETRIES):
         offset = attempt * 2
         try:
-            return _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset)
+            return _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset)
         except (NotStabilizedError, UndecidedError, VerificationError) as exc:
             last_error = exc
     raise NotStabilizedError(f"family construction failed: {last_error}")
 
 
-def _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset):
+def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset):
     n = len(fs)
     cur = [None] * (n + 1)  # current stage index per element (0 = y0)
     rels_raw: List[Poly] = []
     rewrites: List[RewriteCert] = []
-    norm_cs: List[ValuedSeries] = []
     cur[0] = offset
     for e in range(1, n + 1):
         g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
@@ -523,7 +507,6 @@ def _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset):
         cur[e] = b
         rels_raw.append(rel)
         rewrites.append(rcert)
-        norm_cs.append(rcert.c)
 
     group = seq0.group
     gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
@@ -534,52 +517,23 @@ def _family_attempt(fs, ds, seqs, seq0, field, delta, W, R, offset):
     # and the earlier-variable Jacobian entry becomes a unit).  With the
     # last generator as base, the minor is lower triangular with these
     # units on the diagonal.
-    rels = [rel.map_coeffs(lambda co, c0=c: co.div_to(c0, deltaw))
-            for rel, c in zip(rels_raw, norm_cs)]
+    rels = [rel.map_coeffs(lambda co, c0=rc.c: co.div_to(c0, deltaw))
+            for rel, rc in zip(rels_raw, rewrites)]
     base = n
     gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
             for e in range(n + 1)]
     wits = [Witness("y0", "y0", 0, _stage_poly(seqs[0], 0, cur[0]), None)]
     for e in range(1, n + 1):
         wits.append(Witness(f"y{e}", "ye", e, _stage_poly(seqs[e], e, cur[e]), None))
+    if kind == "fraction":
+        # f1/f2 = (d1/d2) * y1 / y2; d1/d2 is an exact monomial of val >= 0.
+        wits.append(Witness("f1/f2", "fraction", 0,
+                            wits[1].num.scale(ds[0].div(ds[1])), wits[2].num))
     pres = SmoothPresentation(field, group, gens, rels, base)
     problem = {"fs": [f.to_json() for f in fs],
                "ds": [d.to_json() for d in ds],
                "seq0": seq0.to_json()}
-    cert = SmoothCert("family", field, problem, pres, wits, rewrites, dlt)
-    sm_verify(cert)
-    return cert
-
-
-def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
-                delta=None, W: int = DEFAULT_WINDOW,
-                R: int = DEFAULT_RETRIES) -> SmoothCert:
-    """sm_family on {f1, f2} plus a witness for f1(y0)/f2(y0) as
-    (d1/d2) * y1 * y2^{-1}."""
-    v1, _ = _val_at_limit(f1, seq0, seq0.gamma(4))
-    v2, _ = _val_at_limit(f2, seq0, seq0.gamma(4))
-    if v1 < v2:
-        raise InputError(
-            f"val(f1(y0)) = {v1!r} < val(f2(y0)) = {v2!r}; "
-            "the fraction lies outside V'")
-    base_cert = sm_family([f1, f2], seq0, delta=delta, W=W, R=R)
-    field = base_cert.field
-    ds = [ValuedSeries.from_json(d, field, seq0.group) for d in base_cert.problem["ds"]]
-    dratio = ds[0].div(ds[1])  # exact monomial ratio, val >= 0
-    gen_tags = [tag for tag, _ in base_cert.pres.generators]
-    y1poly = None
-    y2poly = None
-    for w in base_cert.witnesses:
-        if w.kind == "ye" and w.e == 1:
-            y1poly = w.num
-        if w.kind == "ye" and w.e == 2:
-            y2poly = w.num
-    num = y1poly.scale(dratio)
-    cert = SmoothCert("fraction", field, dict(base_cert.problem),
-                      base_cert.pres,
-                      list(base_cert.witnesses)
-                      + [Witness("f1/f2", "fraction", 0, num, y2poly)],
-                      base_cert.rewrites, base_cert.delta, base_cert.branch)
+    cert = SmoothCert(kind, field, problem, pres, wits, rewrites, dlt)
     sm_verify(cert)
     return cert
 
@@ -677,9 +631,43 @@ def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
             f"expression differs from target at val {pres.group.to_json(diff.val_lower())}")
 
 
+def _check_shape(cert: SmoothCert) -> None:
+    """The shape cert.kind defines: its problem echo, the witnesses it
+    claims, and one rewrite per chain link at the stage indices of the
+    generators the link joins (see the README)."""
+    kind, problem = cert.kind, cert.problem
+    n = len(problem["fs"]) if "fs" in problem else 0
+    # (rewrite, index, generator): the rewrite's index is the generator's stage
+    if kind == "pair" and "f" in problem:
+        required = {("y0", 0), ("z", 0)}
+        links = 0 if cert.branch == "constant" else 1
+        sites = [(0, 0, 0)] * links
+    elif kind == "family" and n >= 1 or kind == "fraction" and n == 2:
+        required = {("y0", 0)} | {("ye", e) for e in range(1, n + 1)}
+        if kind == "fraction":
+            required.add(("fraction", 0))
+        links = n
+        sites = [(e, 0, e) for e in range(n)] + [(n - 1, 1, n)]
+    else:
+        raise VerificationError("kind", f"kind {kind!r} does not fit the problem echo")
+    present = {(w.kind, w.e if w.kind == "ye" else 0) for w in cert.witnesses}
+    if not required <= present:
+        raise VerificationError("witnesses", f"missing {sorted(required - present)}")
+    if len(cert.rewrites) != links:
+        raise VerificationError(
+            "rewrites", f"{len(cert.rewrites)} rewrites for {links} chain links")
+    tags = [tag for tag, _ in cert.pres.generators]
+    for i, k, e in sites:
+        indices = cert.rewrites[i].indices
+        if not (k < len(indices) and e < len(tags) and tags[e] == VarTag.stage(e, indices[k])):
+            raise VerificationError(
+                f"rewrite-{i}", f"indices {indices} miss the stage index of generator {e}")
+
+
 def sm_verify(cert: SmoothCert, delta=None) -> None:
-    """Re-check presentation invariants, membership witnesses and embedded
-    rewrite certificates; raises VerificationError at the first failure."""
+    """Re-check presentation invariants, membership witnesses, embedded
+    rewrite certificates and the shape of the certificate's kind; raises
+    VerificationError at the first failure."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     sm_check(cert.pres, dlt)
@@ -692,3 +680,4 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
             rc.verify()
         except VerificationError as exc:
             raise VerificationError(f"rewrite-{i}", str(exc))
+    _check_shape(cert)

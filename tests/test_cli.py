@@ -80,6 +80,19 @@ def q_smooth_cfg(op):
     return cfg
 
 
+def q_pair_cfg(branch):
+    """A pair config over Q for each branch of sm_pair: the constant
+    f = t^3; f = V, where d divides c; and f = V - (t + t^2), where val
+    f(y0) = 4 passes the val 2 of the recentring constant, so c divides d."""
+    t = ValuedSeries.t_power(QQ, ZZ, 1)
+    V = Poly.var(QQ, ZZ, Y0)
+    f = {"constant": Poly.const(ValuedSeries.t_power(QQ, ZZ, 3)),
+         "d-divides-c": V,
+         "c-divides-d": V - Poly.const(t + ValuedSeries.t_power(QQ, ZZ, 2))}[branch]
+    return {"field": "Q", "op": "pair", "f": f.to_json(),
+            "seq0": lacunary_sequence(QQ, 300).to_json()}
+
+
 def batch_cfgs():
     return [tail_cfg((0, 5), (1, 2), 100), tail_cfg((0, 3), (2, 1), 100)]
 
@@ -95,6 +108,8 @@ def batch_cfgs():
 # Smooth certificates then stopped embedding each rewrite's G1 and value
 # table; each smooth digest is the sha256 of the earlier output with those
 # two keys removed from its embedded rewrites, computed from that output.
+# The smooth-pair digests, one per branch of sm_pair, were recorded before
+# its three branches shared one tail and its base stopped being searched.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -114,6 +129,12 @@ GOLDEN = {
                         "1658a4d3c3e46ffabac920f6c8726f8c5bd0d0a72eca92da9610adb40f490bcb"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
                           "220e18232b1ede6d1cd2f53abdaadf6a85b787f2923498f980636f94b2c30faa"),
+    "smooth-pair-constant": ("smooth", lambda: q_pair_cfg("constant"),
+                             "2e7a966e4b7d863daa36755fd7105698c02935670e9579aba1d58a27737fb33b"),
+    "smooth-pair-d-divides-c": ("smooth", lambda: q_pair_cfg("d-divides-c"),
+                                "c3f6f74755220b1d19ec855b60e08f3848a881dd82e9d0e043b606c4041a538a"),
+    "smooth-pair-c-divides-d": ("smooth", lambda: q_pair_cfg("c-divides-d"),
+                                "200777627aeac73816fb8f566ff605f97d3fba0d7bd970aac16f60c9bfde320e"),
 }
 
 

@@ -400,12 +400,19 @@ class TestOneRecentring:
 FIXTURES = Path(__file__).parent / "fixtures"
 # Relabels of one field; kind relabels are refused at the first rule the
 # new kind breaks, mode relabels possibly by the normal form of the
-# forged mode.
+# forged mode, an unknown mode and a designated monomial that G1 lacks by
+# the normal form.
+ABSENT = [[{"tag": "stage", "e": 0, "j": 1}, 99]]
 RELABELS = [("kind", "multilinear"), ("kind", "bivariate_charp"),
             ("kind", "univariate_pfree"), ("case", "star"), ("case", "case2"),
-            ("mode", "content"), ("mode", "min-linear")]
+            ("mode", "content"), ("mode", "star"), ("c_mono", ABSENT),
+            ("mode", "min-linear")]
 CLAIMS = {"kind": {"mode", "case", "kind"}, "case": {"case"},
-          "mode": {"mode", "content-min", "min-linear"}}
+          "mode": {"mode", "content-min", "min-linear"}, "c_mono": {"c-mono"}}
+
+
+def _relabel_id(value):
+    return "absent" if value is ABSENT else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -475,7 +482,7 @@ class TestKindRules:
         assert rewrite._shape_fault(kind, g, multiplier, n) == (
             f"multiplier {multiplier} where the case split allows {allowed}")
 
-    @pytest.mark.parametrize("field, value", RELABELS)
+    @pytest.mark.parametrize("field, value", RELABELS, ids=_relabel_id)
     def test_top_level_relabel_refused(self, field, value):
         changed = 0
         for obj in _kind_certs():
@@ -488,7 +495,7 @@ class TestKindRules:
         assert changed
 
     # every embedded rewrite is min-linear already
-    @pytest.mark.parametrize("field, value", RELABELS[:-1])
+    @pytest.mark.parametrize("field, value", RELABELS[:-1], ids=_relabel_id)
     def test_embedded_relabel_refused(self, field, value):
         changed = 0
         for obj in _smooth_certs():
@@ -503,3 +510,28 @@ class TestKindRules:
                 claims = _claims(message)
                 assert claims[0] == f"rewrite-{i}" and claims[-1] in CLAIMS[field], message
         assert changed
+
+    @staticmethod
+    def below_V(obj):
+        """g times t^-10, so G1 has coefficients of negative value; without
+        G1 and table, which would differ from the recomputation first."""
+        for _, coeff in obj["g"]:
+            for term in coeff["terms"]:
+                term[0] -= 10
+        del obj["G1"], obj["table"]
+
+    @staticmethod
+    def other_linear(obj):
+        """The designated monomial moved to the other, larger linear one."""
+        obj["c_mono"] = next(m for m, _ in obj["table"]
+                             if m != obj["c_mono"] and sum(k for _, k in m) == 1)
+
+    @pytest.mark.parametrize("edit, claim", [("below_V", "coeffs-in-V"),
+                                             ("other_linear", "min-linear")])
+    def test_normal_form_refused(self, edit, claim):
+        obj = _kind_certs()[5]  # bivariate_pfree: two linear monomials
+        assert obj["kind"] == "bivariate_pfree"
+        bad = copy.deepcopy(obj)
+        getattr(self, edit)(bad)
+        code, message = run_single("verify", bad, OPTS)
+        assert code == 4 and _claims(message)[-1] == claim, message

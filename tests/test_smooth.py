@@ -1,8 +1,15 @@
 """Smooth-subalgebra presentations: construction, verification, tampering."""
+import copy
+import functools
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from valcert import smooth
+from valcert.cli import canonical_json, run_single
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
@@ -137,7 +144,7 @@ class TestFamily:
         assert len(cert.pres.relations) == 3
         roundtrip_verify(cert)
         # The derived y1, y2, y3 enter the three chain rewrites as tables of
-        # exactly the index + 2 terms that recentring reads; seq0 stays a rule.
+        # the index + 2 terms that recentring range-checks; seq0 stays a rule.
         derived = [(seq, t) for rewrite in cert.rewrites
                    for seq, t in zip(rewrite.seqs, rewrite.indices)
                    if not isinstance(seq, RuleSequence)]
@@ -228,3 +235,103 @@ class TestTamper:
         bad["witnesses"][0]["num"][0][1]["terms"].append([1, 1])
         with pytest.raises(VerificationError):
             sm_verify(SmoothCert.from_json(bad))
+
+
+class TestOneVerifyPerBuild:
+    """Each build assembles one certificate and verifies it once."""
+
+    @pytest.mark.parametrize("build", [
+        lambda V: smooth.sm_pair(V, lacunary_sequence(QQ)),
+        lambda V: smooth.sm_pair(V - Poly.const(tpow(QQ, 1) + tpow(QQ, 2)),
+                                 lacunary_sequence(QQ)),
+        lambda V: smooth.sm_pair(Poly.const(tpow(QQ, 3)), lacunary_sequence(QQ)),
+        lambda V: smooth.sm_family([V, V ** 2 + V.scale(tpow(QQ, 1))], lacunary_sequence(QQ)),
+        lambda V: smooth.sm_fraction(V ** 2, V, lacunary_sequence(QQ)),
+    ], ids=["pair-d-divides-c", "pair-c-divides-d", "pair-constant", "family", "fraction"])
+    def test_one_sm_verify_call(self, monkeypatch, build):
+        verify, kinds = smooth.sm_verify, []
+
+        def counted(cert, delta=None):
+            kinds.append(cert.kind)
+            return verify(cert, delta)
+
+        monkeypatch.setattr(smooth, "sm_verify", counted)
+        cert = build(Poly.var(QQ, ZZ, Y0))
+        assert kinds == [cert.kind]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+OPTS = {"horizon": None, "window": None, "retries": None, "delta": None}
+
+
+@functools.lru_cache(maxsize=None)
+def _workload_certs():
+    """The smooth certificates of the benchmark's smooth workload at seeds 1
+    and 7919 (4 pair, 20 family, 6 fraction), as JSON."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    certs = []
+    for seed in (1, 7919):
+        for command, cfg in workloads.smooth_items(seed):
+            code, cert = run_single(command, cfg, OPTS)
+            assert code == 0, cert
+            certs.append(json.loads(canonical_json(cert)))
+    return certs
+
+
+def _linked(cert):
+    return cert["kind"] in ("family", "fraction")
+
+
+def _index_shifts(cert):
+    for i, rewrite in enumerate(cert["rewrites"]):
+        for k in range(len(rewrite["indices"])):
+            for step in (1, -1):
+                bad = copy.deepcopy(cert)
+                bad["rewrites"][i]["indices"][k] += step
+                yield f"rewrite-{i}", bad
+
+
+# name: (mutants of one certificate as (claim, copy), expected count)
+SHAPE_MUTANTS = {
+    "witnesses-emptied": (lambda c: [("witnesses", dict(c, witnesses=[]))], 30),
+    "all-but-y0": (lambda c: [("witnesses", dict(c, witnesses=[
+        w for w in c["witnesses"] if w["kind"] == "y0"]))], 30),
+    "rewrites-emptied": (lambda c: [("rewrites", dict(c, rewrites=[]))], 30),
+    "family-to-pair": (lambda c: [("kind", dict(c, kind="pair"))]
+                       if c["kind"] == "family" else [], 20),
+    # a two-member family is a fraction's shape but for the f1/f2 witness
+    "family-to-fraction": (lambda c: [("kind" if len(c["problem"]["fs"]) != 2
+                                       else "witnesses", dict(c, kind="fraction"))]
+                           if c["kind"] == "family" else [], 20),
+    "last-rewrite-dropped": (lambda c: [("rewrites", dict(c, rewrites=c["rewrites"][:-1]))]
+                             if _linked(c) else [], 26),
+    "rewrites-reversed": (lambda c: [("rewrite-0", dict(c, rewrites=c["rewrites"][::-1]))]
+                          if _linked(c) else [], 26),
+    "fraction-witness-deleted": (lambda c: [("witnesses", dict(c, witnesses=[
+        w for w in c["witnesses"] if w["kind"] != "fraction"]))]
+        if c["kind"] == "fraction" else [], 6),
+    "index-shifted": (lambda c: list(_index_shifts(c)), 248),
+}
+
+
+class TestShape:
+    """verify checks the shape each kind defines: the mutants below of the
+    benchmark's smooth certificates all verified before it did."""
+
+    def test_honest_certificates_verify(self):
+        certs = _workload_certs()
+        assert [c["kind"] for c in certs].count("pair") == 4
+        for cert in certs:
+            assert run_single("verify", cert, OPTS) == (0, {"verified": True, "cert": "smooth"})
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_MUTANTS))
+    def test_mutant_refused(self, name):
+        mutate, expected = SHAPE_MUTANTS[name]
+        mutants = [m for cert in _workload_certs() for m in mutate(cert)]
+        assert len(mutants) == expected
+        for claim, bad in mutants:
+            code, message = run_single("verify", json.loads(json.dumps(bad)), OPTS)
+            assert code == 4, message
+            assert re.findall(r"verification failed at ([\w-]+)", message)[0] == claim, message
