@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      UndecidedError, VerificationError, require_int)
@@ -257,8 +258,8 @@ def main(argv=None) -> int:
     if isinstance(payload, list):
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_pool_entry,
-                                        [(args.command, cfg, opts) for cfg in payload]))
+                results = list(pool.map(run_single, repeat(args.command), payload,
+                                        repeat(opts)))
         else:
             results = [run_single(args.command, cfg, opts) for cfg in payload]
         code = max((c for c, _ in results), default=EXIT_OK)
@@ -277,11 +278,6 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return code
-
-
-def _pool_entry(item):
-    command, cfg, opts = item
-    return run_single(command, cfg, opts)
 
 
 if __name__ == "__main__":

@@ -11,17 +11,20 @@ re-derives the targets from the problem data and re-checks everything.
 Each kind has one build path, which assembles one certificate and
 verifies it once.  A fraction f1/f2 is the family {f1, f2} plus one
 witness, y1 * (d1/d2) over y2.  sm_verify also checks the shape of the
-certificate's kind (_check_shape).
+certificate's kind and a pair's branch (_check_shape).
 
-The verifier reads each value only below the window its verdict needs,
-so it evaluates below a cap: relations and witnesses below a C with
-delta < C <= 2*delta, the Jacobian minor (a unit is a term at exponent
-0) below the least positive image exponent under C.  Inexact images,
-coefficients and the pseudo-limit are truncated at the cap first.  Each
-capped value is a truncation of the uncapped one, so a check the capped
-values pass is passed uncapped too; a check they do not pass is run
-again uncapped, and its verdict and message are the ones the
-certificate gets.
+The verifier first checks that the data lies over V: every generator
+image, relation coefficient, witness coefficient and problem series has
+a value >= 0, and delta > 0.  Then it reads each value only below the
+window its verdict needs, so it evaluates below a cap: relations and
+witnesses below a C with delta < C <= 2*delta, the Jacobian minor (a
+unit is a term at exponent 0) below the least positive image exponent
+under C.  Inexact images, coefficients and the pseudo-limit are
+truncated at the cap first.  Over V a capped value is known at least as
+far as min(C, the uncapped value's window), so each check runs once, at
+its cap, and decides as it would on the full values.  delta must also
+reach the floor 2*gamma of every stage generator (_check_floor), which
+the builders certify at unless a larger delta is asked for.
 """
 from __future__ import annotations
 
@@ -57,10 +60,10 @@ class SmoothPresentation:
         if len(self.relations) != len(self.generators) - 1:
             raise InputError("need exactly (generators - 1) relations")
 
-    def assignment(self, cap=None) -> Dict[VarTag, ValuedSeries]:
+    def assignment(self, cap) -> Dict[VarTag, ValuedSeries]:
         return {tag: _cap(img, cap) for tag, img in self.generators}
 
-    def jacobian_minor(self, cap=None) -> ValuedSeries:
+    def jacobian_minor(self, cap) -> ValuedSeries:
         assignment = self.assignment(cap)
         cols = [tag for i, (tag, _) in enumerate(self.generators) if i != self.base]
         # Entries are evaluated first and enter the expansion as constants;
@@ -90,11 +93,11 @@ class SmoothPresentation:
 def _cap(s: ValuedSeries, cap) -> ValuedSeries:
     """s truncated at cap; exact series are kept, so that a capped value is
     exact, and then equal to the uncapped one, exactly when that one is."""
-    return s if cap is None or s.exact else s.truncate(cap)
+    return s if s.exact else s.truncate(cap)
 
 
 def _capped(poly: Poly, cap) -> Poly:
-    return poly if cap is None else poly.map_coeffs(lambda c: _cap(c, cap))
+    return poly.map_coeffs(lambda c: _cap(c, cap))
 
 
 def _least_above(pres: SmoothPresentation, floor, ceiling):
@@ -111,27 +114,18 @@ def _least_above(pres: SmoothPresentation, floor, ceiling):
 
 def _verify_cap(pres: SmoothPresentation, delta):
     """The cap C the relations and witnesses are evaluated below at delta:
-    the least image exponent or truncation above delta, at most 2*delta.
-    None when delta <= 0 leaves no room for a cap."""
-    group = pres.group
-    if not delta > group.zero():
-        return None
-    return _least_above(pres, delta, group.scale(delta, 2))
+    the least image exponent or truncation above delta, at most 2*delta."""
+    return _least_above(pres, delta, pres.group.scale(delta, 2))
 
 
-def _decide(check, cap) -> None:
-    """check(cap), and unless that passes, check(None), whose verdict stands.
-
-    A check raises when it fails.  Capped values are truncations of the
-    uncapped ones and an exception is not a pass, so check(cap) passes
-    only where check(None) does."""
-    if cap is not None:
-        try:
-            check(cap)
-            return
-        except Exception:  # not a pass: the uncapped check decides
-            pass
-    check(None)
+def _check_over_V(group: ValueGroup, named) -> None:
+    """Every named series, and every coefficient of a named polynomial,
+    has a value >= 0: the data lies over V."""
+    for name, data in named:
+        for s in data.monos.values() if isinstance(data, Poly) else [data]:
+            if s.val_lower() < group.zero():
+                raise VerificationError(
+                    "in-V", f"{name} has val {group.to_json(s.val_lower())} below 0")
 
 
 def _check_relation(pres: SmoothPresentation, i: int, delta, cap) -> None:
@@ -159,15 +153,22 @@ def _check_minor(pres: SmoothPresentation, cap) -> None:
 
 def sm_check(pres: SmoothPresentation, delta) -> None:
     """Verify the two presentation invariants; raises VerificationError,
-    also when the presentation's own data cannot decide one of them."""
+    also for data outside V, a delta <= 0, or when the presentation's own
+    data cannot decide one of them."""
+    group = pres.group
+    _check_over_V(group, [(f"generator {i} image", img)
+                          for i, (_, img) in enumerate(pres.generators)]
+                  + [(f"relation {i}", rel)
+                     for i, rel in enumerate(pres.relations)])
+    if not delta > group.zero():
+        raise VerificationError("delta", f"delta {group.to_json(delta)} is not positive")
     cap = _verify_cap(pres, delta)
     for i in range(len(pres.relations)):
-        _decide(lambda c: _check_relation(pres, i, delta, c), cap)
+        _check_relation(pres, i, delta, cap)
     if pres.relations:
         # A unit minor is one with a term at exponent 0, which any positive
         # cap shows; the least positive image exponent keeps the fewest terms.
-        minor_cap = None if cap is None else _least_above(pres, pres.group.zero(), cap)
-        _decide(lambda c: _check_minor(pres, c), minor_cap)
+        _check_minor(pres, _least_above(pres, group.zero(), cap))
 
 
 class Witness:
@@ -278,6 +279,19 @@ def _stage_poly(seq: PseudoSequence, e: int, t: int) -> Poly:
             + Poly.var(seq.field, seq.group, VarTag.stage(e, t)).scale(seq.scale(t)))
 
 
+def _delta(group: ValueGroup, gamma_max, delta):
+    """The delta a build certifies at: the requested one, which must be
+    positive and at least the verifier's floor 2*gamma_max, or the floor."""
+    floor = group.scale(gamma_max, 2)
+    if delta is None:
+        return floor
+    if not (delta > group.zero() and not delta < floor):
+        raise InputError(
+            f"delta {group.to_json(delta)} must be positive and at least "
+            f"{group.to_json(floor)}, twice the largest stage gamma")
+    return delta
+
+
 def _designates_earlier(rcert: RewriteCert) -> bool:
     """True when the rewrite's designated monomial is the earlier pair variable."""
     m = rcert.c_mono
@@ -322,7 +336,7 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
                 f"starts at val {group.to_json(seq0.gamma(0))}")
         rewrites, h, t = [rcert], rcert.G1, rcert.indices[0]
         problem["case2"] = case2
-    dlt = group.scale(seq0.gamma(t), 2) if delta is None else delta
+    dlt = _delta(group, seq0.gamma(t), delta)
     deltaw = group.scale(dlt, 2)
     gens = [(VarTag.stage(0, t), seq0.stage(t, deltaw))]
     ypoly = _stage_poly(seq0, 0, t)
@@ -510,7 +524,7 @@ def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset):
 
     group = seq0.group
     gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
-    dlt = group.scale(gamma_max, 2) if delta is None else delta
+    dlt = _delta(group, gamma_max, delta)
     deltaw = group.scale(dlt, 2)
     # Divide each relation by its designated coefficient (every other
     # coefficient has strictly larger value, so the quotients stay in V
@@ -546,7 +560,9 @@ class _Problem:
 
     def __init__(self, cert: SmoothCert, deltaw):
         self.cert = cert
+        self.group = cert.pres.group
         self.deltaw = deltaw
+        self.deep = self.group.scale(deltaw, 2)
         self._memo: dict = {}
 
     def _once(self, key, make):
@@ -557,55 +573,74 @@ class _Problem:
     def seq0(self) -> PseudoSequence:
         return self._once("seq0", lambda: sequence_from_json(self.cert.problem["seq0"]))
 
-    def _decode(self, from_json, *path):
+    def decode(self, *path):
+        """The polynomial f or fs[k], or the series d or ds[k], at path."""
         if path not in self._memo:
             obj = self.cert.problem
             for key in path:
                 obj = obj[key]
-            self._memo[path] = from_json(obj, self.cert.field, self.seq0().group)
+            from_json = Poly.from_json if path[0][0] == "f" else ValuedSeries.from_json
+            self._memo[path] = from_json(obj, self.cert.field, self.group)
         return self._memo[path]
+
+    def named(self):
+        """(name, polynomial or series) of each f, d, fs[k] and ds[k] it echoes."""
+        problem = self.cert.problem
+        out = [(f"problem {key}", self.decode(key)) for key in ("f", "d") if key in problem]
+        for key in ("fs", "ds"):
+            out += [(f"problem {key}[{k}]", self.decode(key, k))
+                    for k in range(len(problem.get(key, [])))]
+        return out
 
     def limit(self, delta) -> ValuedSeries:
         return self._once(("limit", delta), lambda: self.seq0().limit(delta))
 
+    def _at_limit(self, f: Poly, depth) -> ValuedSeries:
+        """f(y0), y0 known to 2*deltaw and truncated at depth."""
+        return f.eval_series({VarTag.orig(0): _cap(self.limit(self.deep), depth)})
+
+    def _quotient(self, f: Poly, d: ValuedSeries, cap) -> ValuedSeries:
+        """f(y0)/d below cap, which reads f(y0) below cap + val d."""
+        if d.is_zero_exact():
+            raise ZeroDivisionError("series division by exact zero")
+        depth = self.group.add(cap, d.val())
+        return self._at_limit(f, depth).div_to(d, cap)
+
+    def member(self, e: int, cap) -> Optional[ValuedSeries]:
+        """y_e = f_e(y0)/d_e below cap, computed once; None when e names no
+        problem member."""
+        fs, ds = self.cert.problem.get("fs", []), self.cert.problem.get("ds", [])
+        if not 1 <= e <= min(len(fs), len(ds)):
+            return None
+        return self._once(("member", e, cap), lambda: self._quotient(
+            self.decode("fs", e - 1), self.decode("ds", e - 1), cap))
+
     def target(self, w: Witness, cap) -> ValuedSeries:
-        """The element w claims, known below cap, or below deltaw when cap
-        is None; y0 goes only as far as the value below cap needs."""
-        group = self.seq0().group
-        deep = group.scale(self.deltaw, 2)
-        window = self.deltaw if cap is None else cap
-
-        def at_limit(f: Poly, depth) -> ValuedSeries:
-            """f(y0), y0 known to deep and truncated at depth."""
-            return f.eval_series({VarTag.orig(0): _cap(self.limit(deep), depth)})
-
+        """The element w claims, known below cap; y0 goes only as far as
+        the value below cap needs."""
         if w.kind == "y0":
             return _cap(self.limit(self.deltaw), cap)
         if w.kind == "z":
-            f = self._decode(Poly.from_json, "f")
-            d = self._decode(ValuedSeries.from_json, "d")
-        elif w.kind == "ye":
-            fs, ds = self.cert.problem["fs"], self.cert.problem["ds"]
-            if not 1 <= w.e <= min(len(fs), len(ds)):
+            return self._quotient(self.decode("f"), self.decode("d"), cap)
+        if w.kind == "ye":
+            member = self.member(w.e, cap)
+            if member is None:
                 raise VerificationError(
                     f"witness-{w.name}", f"index e={w.e} names no problem member")
-            f = self._decode(Poly.from_json, "fs", w.e - 1)
-            d = self._decode(ValuedSeries.from_json, "ds", w.e - 1)
-        elif w.kind == "fraction":
-            f1 = self._decode(Poly.from_json, "fs", 0)
-            f2 = self._decode(Poly.from_json, "fs", 1)
+            return member
+        if w.kind == "fraction":
+            f1, f2 = self.decode("fs", 0), self.decode("fs", 1)
             # the quotient below cap reads f1(y0), f2(y0) below cap + val(f2(y0))
-            f2v = at_limit(f2, cap)
-            if cap is not None and not f2v.nums:  # val f2(y0) >= cap
-                f2v = at_limit(f2, None)
-            depth = None if cap is None else group.add(cap, f2v.val())
+            f2v = self._at_limit(f2, cap)
+            if not f2v.nums:  # val f2(y0) >= cap
+                f2v = self._at_limit(f2, self.deep)
+            if f2v.is_zero_exact():
+                raise ZeroDivisionError("series division by exact zero")
+            depth = self.group.add(cap, f2v.val())
             if depth != cap:
-                f2v = at_limit(f2, depth)
-            return at_limit(f1, depth).div_to(f2v, window)
-        else:
-            raise InputError(f"unknown witness kind {w.kind!r}")
-        depth = None if cap is None else group.add(cap, d.val())
-        return at_limit(f, depth).div_to(d, window)
+                f2v = self._at_limit(f2, depth)
+            return self._at_limit(f1, depth).div_to(f2v, cap)
+        raise InputError(f"unknown witness kind {w.kind!r}")
 
 
 def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
@@ -631,16 +666,53 @@ def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
             f"expression differs from target at val {pres.group.to_json(diff.val_lower())}")
 
 
-def _check_shape(cert: SmoothCert) -> None:
+def _check_floor(cert: SmoothCert, problem: _Problem, delta, cap) -> None:
+    """delta >= 2*gamma for every stage generator Y_{e,j}: gamma_j of seq0
+    for e = 0, else the exponent of term j of y_e = f_e(y0)/d_e, read off
+    the target its witness check computed."""
+    group = cert.pres.group
+    for i, (tag, _) in enumerate(cert.pres.generators):
+        if tag.kind != "stage":
+            continue
+        e, j = tag.e, tag.extra
+        try:
+            if e == 0:
+                gamma = problem.seq0().gamma(j)
+            else:
+                member = problem.member(e, cap)
+                if member is None:
+                    raise VerificationError("delta", f"generator {i} names no problem member")
+                # a term j at or past the cap has gamma > delta
+                gamma = member.nums[j][0] if 0 <= j < len(member.nums) else cap
+        except (HorizonError, IndeterminateValError, ZeroDivisionError) as exc:
+            raise VerificationError("delta", f"generator {i}: {exc}")
+        if delta < group.scale(gamma, 2):
+            raise VerificationError(
+                "delta", f"delta {group.to_json(delta)} is below twice the "
+                f"gamma of generator {i}")
+
+
+def _pair_branch(links: int, tags) -> str:
+    """The sm_pair branch a pair presentation has: constant f (no rewrite,
+    one generator), d | c (one generator) or c | d (a Z generator)."""
+    if [tag[:2] for tag in tags[:1]] == [("stage", 0)]:
+        if len(tags) == 1:
+            return "d-divides-c" if links else "constant"
+        if tags[1:] == [VarTag.dup(0, "z")] and links:
+            return "c-divides-d"
+    return "none"
+
+
+def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
     """The shape cert.kind defines: its problem echo, the witnesses it
-    claims, and one rewrite per chain link at the stage indices of the
-    generators the link joins (see the README)."""
-    kind, problem = cert.kind, cert.problem
-    n = len(problem["fs"]) if "fs" in problem else 0
+    claims, one rewrite per chain link at the stage indices of the
+    generators the link joins, and a pair's branch (see the README)."""
+    kind, echo = cert.kind, cert.problem
+    n = len(echo["fs"]) if "fs" in echo else 0
     # (rewrite, index, generator): the rewrite's index is the generator's stage
-    if kind == "pair" and "f" in problem:
+    if kind == "pair" and "f" in echo:
         required = {("y0", 0), ("z", 0)}
-        links = 0 if cert.branch == "constant" else 1
+        links = 0 if problem.decode("f").total_degree() < 1 else 1
         sites = [(0, 0, 0)] * links
     elif kind == "family" and n >= 1 or kind == "fraction" and n == 2:
         required = {("y0", 0)} | {("ye", e) for e in range(1, n + 1)}
@@ -662,6 +734,10 @@ def _check_shape(cert: SmoothCert) -> None:
         if not (k < len(indices) and e < len(tags) and tags[e] == VarTag.stage(e, indices[k])):
             raise VerificationError(
                 f"rewrite-{i}", f"indices {indices} miss the stage index of generator {e}")
+    branch = _pair_branch(links, tags) if kind == "pair" else ""
+    if cert.branch != branch:
+        raise VerificationError(
+            "branch", f"branch {cert.branch!r}, but the presentation has branch {branch!r}")
 
 
 def sm_verify(cert: SmoothCert, delta=None) -> None:
@@ -672,12 +748,16 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
     dlt = cert.delta if delta is None else delta
     sm_check(cert.pres, dlt)
     problem = _Problem(cert, group.scale(dlt, 2))
+    _check_over_V(group, [(f"witness {w.name} {part}", poly) for w in cert.witnesses
+                          for part, poly in (("num", w.num), ("den", w.den))
+                          if poly is not None] + problem.named())
     cap = _verify_cap(cert.pres, dlt)
     for w in cert.witnesses:
-        _decide(lambda c: _check_witness(w, cert.pres, problem, dlt, c), cap)
+        _check_witness(w, cert.pres, problem, dlt, cap)
+    _check_floor(cert, problem, dlt, cap)
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()
         except VerificationError as exc:
             raise VerificationError(f"rewrite-{i}", str(exc))
-    _check_shape(cert)
+    _check_shape(cert, problem)

@@ -13,7 +13,7 @@ through one Fraction (or residue) per coefficient.
 import itertools
 from fractions import Fraction
 
-from valcert.errors import (IndeterminateValError, InputError,
+from valcert.errors import (HorizonError, IndeterminateValError, InputError,
                             NotStabilizedError, VerificationError)
 from valcert.fields import characteristic
 from valcert.group import INF
@@ -247,7 +247,7 @@ def derivative(g, tag):
 def jacobian_minor(pres):
     """The minor of the Jacobian without the base column, each entry
     evaluated at the full images."""
-    assignment = pres.assignment()
+    assignment = dict(pres.generators)
     cols = [tag for i, (tag, _) in enumerate(pres.generators) if i != pres.base]
     rows = [[Poly.const(rel.hasse_derivative({tag: 1}).eval_series(assignment))
              for tag in cols]
@@ -256,11 +256,27 @@ def jacobian_minor(pres):
     return det(rows, one).constant_term()
 
 
+def over_V(group, named):
+    """Each (name, polynomial or series) whose lowest known exponent over
+    its terms (or its truncation, with no term) is below 0 fails in-V."""
+    for name, data in named:
+        for s in data.monos.values() if isinstance(data, Poly) else [data]:
+            low = s.terms[0][0] if s.terms else s.trunc
+            if low < group.zero():
+                raise VerificationError("in-V", f"{name} has val {group.to_json(low)} below 0")
+
+
 def sm_check(pres, delta):
-    """The presentation checks on the full images; equal to smooth.sm_check
-    in verdict and message."""
+    """The presentation checks on the full images, after the data is
+    checked to lie over V with delta > 0; equal to smooth.sm_check in
+    verdict and claim."""
     enc = pres.group.to_json
-    assignment = pres.assignment()
+    over_V(pres.group, [(f"generator {i} image", img)
+                        for i, (_, img) in enumerate(pres.generators)]
+           + [(f"relation {i}", rel) for i, rel in enumerate(pres.relations)])
+    if not delta > pres.group.zero():
+        raise VerificationError("delta", f"delta {enc(delta)} is not positive")
+    assignment = dict(pres.generators)
     for i, rel in enumerate(pres.relations):
         residual = rel.eval_series(assignment)
         try:
@@ -285,6 +301,44 @@ def _eval_at_limit(f, seq, delta):
     return f.eval_series({VarTag.orig(0): seq.limit(delta)})
 
 
+def member_target(cert, e, deltaw):
+    """y_e = f_e(y0)/d_e to deltaw, y0 known to 2*deltaw; None when e names
+    no problem member."""
+    fs, ds = cert.problem.get("fs", []), cert.problem.get("ds", [])
+    if not 1 <= e <= min(len(fs), len(ds)):
+        return None
+    seq0 = sequence_from_json(cert.problem["seq0"])
+    f = Poly.from_json(fs[e - 1], cert.field, seq0.group)
+    d = ValuedSeries.from_json(ds[e - 1], cert.field, seq0.group)
+    return _eval_at_limit(f, seq0, seq0.group.scale(deltaw, 2)).div_to(d, deltaw)
+
+
+def check_floor(cert, delta, deltaw):
+    """delta >= 2*gamma_j for every stage generator Y_{e,j}, gamma_j read
+    off seq0 (e = 0) or off y_e = f_e(y0)/d_e known to deltaw; a term j
+    not known there has gamma >= deltaw."""
+    group = cert.pres.group
+    seq0 = sequence_from_json(cert.problem["seq0"])
+    for i, (tag, _) in enumerate(cert.pres.generators):
+        if tag.kind != "stage":
+            continue
+        e, j = tag.e, tag.extra
+        try:
+            if e == 0:
+                gamma = seq0.gamma(j)
+            else:
+                member = member_target(cert, e, deltaw)
+                if member is None:
+                    raise VerificationError("delta", f"generator {i} names no problem member")
+                gamma = member.terms[j][0] if 0 <= j < len(member.terms) else deltaw
+        except (HorizonError, IndeterminateValError, ZeroDivisionError) as exc:
+            raise VerificationError("delta", f"generator {i}: {exc}")
+        if group.add(gamma, gamma) > delta:
+            raise VerificationError(
+                "delta", f"delta {group.to_json(delta)} is below twice the "
+                f"gamma of generator {i}")
+
+
 def witness_target(w, cert, deltaw):
     """The element w claims: y0 to deltaw, f(y0)/d with y0 known to
     2*deltaw, each part of the problem echo decoded afresh."""
@@ -299,13 +353,11 @@ def witness_target(w, cert, deltaw):
         d = ValuedSeries.from_json(cert.problem["d"], field, group)
         return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
     if w.kind == "ye":
-        fs, ds = cert.problem["fs"], cert.problem["ds"]
-        if not 1 <= w.e <= min(len(fs), len(ds)):
+        member = member_target(cert, w.e, deltaw)
+        if member is None:
             raise VerificationError(
                 f"witness-{w.name}", f"index e={w.e} names no problem member")
-        f = Poly.from_json(fs[w.e - 1], field, group)
-        d = ValuedSeries.from_json(ds[w.e - 1], field, group)
-        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
+        return member
     if w.kind == "fraction":
         f1 = Poly.from_json(cert.problem["fs"][0], field, group)
         f2 = Poly.from_json(cert.problem["fs"][1], field, group)
@@ -315,14 +367,40 @@ def witness_target(w, cert, deltaw):
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 
+def problem_named(cert):
+    """(name, polynomial or series) of each f, d, fs[k] and ds[k] the
+    problem echo holds, decoded afresh."""
+    group = sequence_from_json(cert.problem["seq0"]).group
+
+    def poly(obj):
+        return Poly.from_json(obj, cert.field, group)
+
+    def series(obj):
+        return ValuedSeries.from_json(obj, cert.field, group)
+
+    problem, out = cert.problem, []
+    if "f" in problem:
+        out.append(("problem f", poly(problem["f"])))
+    if "d" in problem:
+        out.append(("problem d", series(problem["d"])))
+    out += [(f"problem fs[{k}]", poly(f)) for k, f in enumerate(problem.get("fs", []))]
+    out += [(f"problem ds[{k}]", series(d)) for k, d in enumerate(problem.get("ds", []))]
+    return out
+
+
 def sm_verify(cert, delta=None):
-    """Presentation, witnesses and rewrites checked on the full values;
-    equal to smooth.sm_verify in verdict and message."""
+    """Presentation, witnesses, the delta floor and rewrites checked on
+    the full values, after the data is checked to lie over V with
+    delta > 0; equal to smooth.sm_verify in verdict and claim (without the
+    shape of the certificate's kind)."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     deltaw = group.scale(dlt, 2)
     sm_check(cert.pres, dlt)
-    assignment = cert.pres.assignment()
+    over_V(group, [(f"witness {w.name} {part}", poly) for w in cert.witnesses
+                   for part, poly in (("num", w.num), ("den", w.den)) if poly is not None]
+           + problem_named(cert))
+    assignment = dict(cert.pres.generators)
     for w in cert.witnesses:
         value = w.num.eval_series(assignment)
         try:
@@ -340,6 +418,7 @@ def sm_verify(cert, delta=None):
             raise VerificationError(
                 f"witness-{w.name}",
                 f"expression differs from target at val {group.to_json(diff.val_lower())}")
+    check_floor(cert, dlt, deltaw)
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()

@@ -344,7 +344,7 @@ class TestCriterion5:
 
     def fraction_reproduces(self, cert, f1, f2, seq0):
         fw = [w for w in cert.witnesses if w.kind == "fraction"][0]
-        assign = cert.pres.assignment()
+        assign = dict(cert.pres.generators)
         wval = fw.num.eval_series(assign).div_to(
             fw.den.eval_series(assign), cert.delta)
         # independent target: quotient at a deep partial sum of y0

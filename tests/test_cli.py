@@ -4,7 +4,6 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -15,6 +14,8 @@ from valcert.group import INTEGERS as ZZ
 from valcert.pcs import TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.series import ValuedSeries
+
+from test_verify_cap import recorded_caps
 
 Y0 = VarTag.orig(0)
 
@@ -563,6 +564,98 @@ class TestWitnessIndex:
         assert results[1] == {"cert": "smooth", "verified": True}
 
 
+def _built(tmp_path, cfg):
+    """The certificate cfg builds, as JSON."""
+    out = tmp_path / "cert.json"
+    assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _below_zero(series):
+    """series (its JSON) with a term t^-1 put in front."""
+    series["terms"].insert(0, [-1, 1])
+
+
+class TestOverV:
+    """Data outside V exits 4 at in-V, at each site that carries a series:
+    a generator image, a relation coefficient, a witness numerator or
+    denominator coefficient, and the problem's f and d."""
+
+    SITES = {
+        "image": ("c-divides-d", lambda c: c["generators"][1][1], "generator 1 image"),
+        "relation": ("c-divides-d", lambda c: c["relations"][0][0][1], "relation 0"),
+        "witness-num": ("c-divides-d", lambda c: c["witnesses"][0]["num"][0][1], "witness y num"),
+        "witness-den": ("fraction", lambda c: c["witnesses"][-1]["den"][0][1], "witness f1/f2 den"),
+        "problem-f": ("c-divides-d", lambda c: c["problem"]["f"][0][1], "problem f"),
+        "problem-d": ("c-divides-d", lambda c: c["problem"]["d"], "problem d"),
+    }
+
+    def certificates(self, tmp_path, site):
+        branch, part, name = self.SITES[site]
+        cert = _built(tmp_path, q_smooth_cfg(branch) if branch == "fraction" else q_pair_cfg(branch))
+        bad = copy.deepcopy(cert)
+        _below_zero(part(bad))
+        return cert, bad, f"verification failed at in-V: {name} has val -1 below 0"
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_rejected(self, tmp_path, capsys, site):
+        _, bad, message = self.certificates(tmp_path, site)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert capsys.readouterr().err.strip() == f"verification failed: {message}"
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_rejected_in_batch(self, tmp_path, capsys, site):
+        cert, bad, message = self.certificates(tmp_path, site)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "batch.json", [bad, cert]), "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0] == {"exit": 4, "error": f"verification failed: {message}"}
+        assert results[1] == {"cert": "smooth", "verified": True}
+
+    def test_exact_zero_d_fails_at_its_witness(self, tmp_path, capsys):
+        bad = _built(tmp_path, q_pair_cfg("c-divides-d"))
+        bad["problem"]["d"]["terms"] = []
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "verification failed: verification failed at witness-z: "
+            "series division by exact zero")
+
+
+class TestPairBranch:
+    """A pair's branch is the one its presentation has: no rewrite and one
+    generator for a constant f, one generator for d | c, and a Z generator
+    with one relation for c | d.  The rewrite count follows from f."""
+
+    def test_constant_without_its_rewrite_rejected(self, tmp_path, capsys):
+        bad = _built(tmp_path, q_pair_cfg("d-divides-c"))
+        bad["branch"], bad["rewrites"] = "constant", []
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "at rewrites: 0 rewrites for 1 chain links" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("branch, swapped", [("d-divides-c", "c-divides-d"),
+                                                 ("c-divides-d", "d-divides-c"),
+                                                 ("constant", "d-divides-c")])
+    def test_relabelled_branch_rejected(self, tmp_path, capsys, branch, swapped):
+        bad = _built(tmp_path, q_pair_cfg(branch))
+        bad["branch"] = swapped
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            f"verification failed: verification failed at branch: branch {swapped!r}, "
+            f"but the presentation has branch {branch!r}")
+
+    def test_family_has_no_branch(self, tmp_path, capsys):
+        bad = _built(tmp_path, family_cfg(horizon=100))
+        assert bad["branch"] == ""
+        bad["branch"] = "d-divides-c"
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "at branch" in capsys.readouterr().err
+
+
 class TestVerifyDelta:
     """`verify --delta` checks a smooth certificate at the delta given, and
     every relation and witness is decided below a cap just past that delta."""
@@ -575,21 +668,49 @@ class TestVerifyDelta:
         assert cert["delta"] == 16
         return str(out)
 
-    @pytest.mark.parametrize("delta", [16, 15, 1, 31])
+    @pytest.mark.parametrize("delta", [16, 31])
     def test_supported_delta_verifies(self, tmp_path, capsys, delta):
         path = self.certificate(tmp_path)
-        caps = []
-        real = smooth._decide
-
-        def spy(check, cap):
-            caps.append(cap)
-            real(check, cap)
-
-        with mock.patch.object(smooth, "_decide", spy):
+        with recorded_caps() as checks:
             assert run(["verify", path, "--delta", str(delta)]) == 0
         # relations and witnesses below a cap past delta, the minor lower
-        assert None not in caps
+        caps = [cap for _, cap in checks]
+        assert caps and None not in caps
         assert max(caps) <= 2 * delta and sum(cap <= delta for cap in caps) <= 1
+
+    @pytest.mark.parametrize("delta, generator", [(15, 2), (1, 0)])
+    def test_delta_below_the_floor_rejected(self, tmp_path, capsys, delta, generator):
+        # The stage generators are Y_{0,1}, Y_{1,3} and Y_{2,7}, of gammas
+        # 2, 7 and 8 (the exponents of term 1 of y0, term 3 of y1 and term
+        # 7 of y2): the floor is 16.
+        path = self.certificate(tmp_path)
+        capsys.readouterr()
+        assert run(["verify", path, "--delta", str(delta)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "verification failed: verification failed at delta: "
+            f"delta {delta} is below twice the gamma of generator {generator}")
+
+    @pytest.mark.parametrize("cfg", [family_cfg(horizon=100), q_pair_cfg("d-divides-c")],
+                             ids=["family", "pair"])
+    def test_build_below_the_floor_rejected(self, tmp_path, capsys, cfg):
+        path = write(tmp_path, "c.json", cfg)
+        assert run(["smooth", path, "--delta", "15" if cfg["op"] == "family" else "1"]) == 1
+        assert "twice the largest stage gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [family_cfg(horizon=100), q_pair_cfg("d-divides-c"),
+                                     q_smooth_cfg("fraction")],
+                             ids=["family", "pair", "fraction"])
+    def test_weakened_copy_rejected(self, tmp_path, capsys, cfg):
+        # delta lowered to 1 and every generator image cut to O(t^2)
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        bad = json.loads(out.read_text())
+        bad["delta"] = 1
+        for _, image in bad["generators"]:
+            image.update(terms=[t for t in image["terms"] if t[0] < 2], trunc=2, exact=False)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert "verification failed at delta: delta 1 is below twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delta, window", [(32, 32), (100, 32)])
     def test_delta_past_the_images_rejected(self, tmp_path, capsys, delta, window):
