@@ -18,7 +18,7 @@ from itertools import repeat
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      UndecidedError, VerificationError, require_int)
 from .fields import field_from_json
-from .group import element_from_json
+from .group import element_from_json, group_of
 from .pcs import TableSequence, sequence_from_json
 from .poly import Poly
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
@@ -45,7 +45,10 @@ def _load_stream(spec, horizon: int):
     """A gamma stream: either an explicit JSON list of group elements or a
     sequence spec whose gamma values are materialized up to the horizon."""
     if isinstance(spec, list):
-        return [element_from_json(x) for x in spec]
+        try:
+            return group_of(element_from_json(spec[0])).stream_from_json(spec)
+        except (IndexError, InputError):  # the builder names the fault
+            return [element_from_json(x) for x in spec]
     seq = sequence_from_json(spec)
     hi = min(horizon, seq.horizon)
     return [seq.gamma(j) for j in range(hi)]

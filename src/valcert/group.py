@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import InputError, VariantMismatchError
@@ -77,13 +78,14 @@ class ValueGroup:
     def _divide(self, delta, t: int):
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
+    def members(self, xs) -> bool:
+        """Whether every one of xs is an element of the group."""
         raise NotImplementedError
 
     def check(self, *xs) -> None:
-        for x in xs:
-            if not self.contains(x):
-                raise VariantMismatchError(f"{x!r} is not an element of {self}")
+        if not self.members(xs):
+            x = next(x for x in xs if not self.members((x,)))
+            raise VariantMismatchError(f"{x!r} is not an element of {self}")
 
     def check_same(self, other: "ValueGroup") -> None:
         if self is not other:
@@ -94,6 +96,14 @@ class ValueGroup:
 
     def from_json(self, obj):
         """Decode an element of this group; anything else is an InputError."""
+        raise NotImplementedError
+
+    def stream_from_json(self, objs) -> list:
+        """Decode a list of elements of this group, as from_json does each."""
+        return [self.from_json(x) for x in objs]
+
+    def shifts(self, betas, ts, g) -> list:
+        """The values beta_i + t_i*g, for integers t_i."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -111,6 +121,9 @@ class _Numeric(ValueGroup):
     def scale(self, a, t: int):
         return t * a
 
+    def shifts(self, betas, ts, g):
+        return [b + t * g for b, t in zip(betas, ts)]
+
 
 class Integers(_Numeric):
     name = "Z"
@@ -119,8 +132,8 @@ class Integers(_Numeric):
     def _divide(self, delta, t):
         return delta // t if delta % t == 0 else None
 
-    def contains(self, x) -> bool:
-        return type(x) is int
+    def members(self, xs) -> bool:
+        return all(type(x) is int for x in xs)
 
     def to_json(self, a):
         return a
@@ -130,6 +143,9 @@ class Integers(_Numeric):
             raise InputError(f"{obj!r} is not an integer exponent")
         return obj
 
+    def stream_from_json(self, objs):
+        return list(objs) if self.members(objs) else super().stream_from_json(objs)
+
 
 class Rationals(_Numeric):
     name = "Q"
@@ -138,8 +154,8 @@ class Rationals(_Numeric):
     def _divide(self, delta, t):
         return delta / t
 
-    def contains(self, x) -> bool:
-        return type(x) is Fraction
+    def members(self, xs) -> bool:
+        return all(type(x) is Fraction for x in xs)
 
     def to_json(self, a):
         return f"{a.numerator}/{a.denominator}"
@@ -171,6 +187,9 @@ class LexGroup(ValueGroup):
     def scale(self, a, t: int):
         return tuple(t * c for c in a)
 
+    def shifts(self, betas, ts, g):
+        return [tuple([c + t * d for c, d in zip(b, g)]) for b, t in zip(betas, ts)]
+
     def coords(self, a):
         return a
 
@@ -179,9 +198,13 @@ class LexGroup(ValueGroup):
             return None
         return tuple(c // t for c in delta)
 
-    def contains(self, x) -> bool:
-        return (type(x) is tuple and len(x) == self.n
-                and all(type(c) is int for c in x))
+    def _all_of(self, xs, kind) -> bool:
+        """Whether every one of xs is a `kind` (tuple or list) of n ints."""
+        return (set(map(type, xs)) <= {kind} and set(map(len, xs)) <= {self.n}
+                and set(map(type, chain.from_iterable(xs))) <= {int})
+
+    def members(self, xs) -> bool:
+        return self._all_of(xs, tuple)
 
     def to_json(self, a):
         return list(a)
@@ -191,6 +214,11 @@ class LexGroup(ValueGroup):
                 and all(type(c) is int for c in obj)):
             raise InputError(f"{obj!r} is not a lex exponent of width {self.n}")
         return tuple(obj)
+
+    def stream_from_json(self, objs):
+        if self._all_of(objs, list):
+            return list(map(tuple, objs))
+        return super().stream_from_json(objs)
 
 
 INTEGERS = Integers()

@@ -13,7 +13,9 @@ raw stream value is hashed to the indices taking it and each row looks
 up its shifted value, so a collision map is checked in time linear in
 the window (repeated or non-monotone streams in a hostile certificate
 included), and each reports the lexicographically least pair at which
-the claim fails.
+the claim fails.  A verifier decodes each JSON stream once, in the value
+group of the first stream's first entry, and evaluates the tail values
+beta_i + t_i*gamma_s with the group's one shifts kernel.
 
 Streams are 1-indexed: a stream list g represents gamma_s = g[s-1] for
 s = 1..H (matching the source statements that range indices over [1, λ)).
@@ -23,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import HorizonError, InputError, VerificationError
+from .errors import HorizonError, InputError, VerificationError, require_int
 from .group import ValueGroup, element_from_json, group_of
 
 
@@ -44,6 +46,21 @@ def _common_group(streams: Sequence[Sequence], *values) -> ValueGroup:
     for stream in streams:
         group.check(*stream)
     return group
+
+
+def _decode(streams, values):
+    """The value group of the first stream's first entry, with the JSON
+    streams and values decoded in it, one pass per list.  On any fault the
+    per-element decode runs instead, so the error is the one it raises."""
+    try:
+        if streams and all(isinstance(s, list) and s for s in streams):
+            G = group_of(element_from_json(streams[0][0]))
+            return G, [G.stream_from_json(s) for s in streams], G.stream_from_json(values)
+    except (InputError, TypeError):
+        pass
+    values = [element_from_json(x) for x in values]
+    streams = [[element_from_json(x) for x in s] for s in streams]
+    return _common_group(streams, *values), streams, values
 
 
 def _check_stream(g: Sequence, name: str = "gamma") -> None:
@@ -81,7 +98,7 @@ def _tail_fault(G: ValueGroup, betas, ts, g, r) -> Optional[Tuple[str, str]]:
     """The claim that fails at the stream value g: two of the values
     beta_i + t_i*g coincide ("tail-distinct"), or entry r is not strictly
     the least ("tail-minimum"); None when both hold."""
-    vals = [G.add(b, G.scale(g, t)) for b, t in zip(betas, ts)]
+    vals = G.shifts(betas, ts, g)
     if len(set(vals)) < len(vals):
         i, j = next((i, j) for i, v in enumerate(vals) for j in range(i + 1, len(vals))
                     if v == vals[j])
@@ -123,7 +140,7 @@ def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationC
             "a collision target lies beyond the stream window; extend the horizon")
     r: Optional[int] = None
     if all(t > 0 for t in ts):
-        end = [G.add(b, G.scale(gamma[-1], t)) for b, t in zip(betas, ts)]
+        end = G.shifts(betas, ts, gamma[-1])
         r = end.index(min(end))
     nu = next((s for s in range(H, 0, -1)
                if _tail_fault(G, betas, ts, gamma[s - 1], r)), 0)
@@ -141,10 +158,8 @@ def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationC
 
 
 def _verify_tail(data: dict) -> None:
-    betas = [element_from_json(b) for b in data["betas"]]
+    G, (gamma,), betas = _decode([data["gamma"]], data["betas"])
     ts = data["ts"]
-    gamma = [element_from_json(g) for g in data["gamma"]]
-    G = _common_group([gamma], *betas)
     nu, r = data["nu"], data["r"]
     m, H = len(betas), len(gamma)
     if not (isinstance(ts, list) and len(ts) == m and all(type(t) is int for t in ts)):
@@ -153,6 +168,12 @@ def _verify_tail(data: dict) -> None:
         raise VerificationError("tail-bounds", f"nu={nu!r} lies outside [0,{H}]")
     if not (r is None or type(r) is int and 0 <= r < m):
         raise VerificationError("tail-bounds", f"r={r!r} is neither null nor in [0,{m})")
+    # The builder sets r exactly when every t is positive, and then needs
+    # an index past nu for r to be least at.
+    if (r is None) != any(t <= 0 for t in ts):
+        raise VerificationError("tail-bounds", f"r={r!r}, but r is null exactly when some t <= 0")
+    if r is not None and nu == H:
+        raise VerificationError("tail-bounds", f"r={r}, but nu={H} leaves no index past it")
     for s in range(nu + 1, H + 1):
         fault = _tail_fault(G, betas, ts, gamma[s - 1], r)
         if fault:
@@ -242,9 +263,8 @@ def sep_shifted_pair(beta0, beta1, c, gamma0: Sequence) -> SeparationCert:
 
 
 def _verify_shifted(data: dict) -> None:
-    beta0, beta1, c = (element_from_json(data[k]) for k in ("beta0", "beta1", "c"))
-    gamma0 = [element_from_json(g) for g in data["gamma0"]]
-    G = _common_group([gamma0], beta0, beta1, c)
+    G, (gamma0,), (beta0, beta1, c) = _decode(
+        [data["gamma0"]], [data[k] for k in ("beta0", "beta1", "c")])
     H = len(gamma0)
     pairs = {(a, b) for a, b in data["sigma"]}
     if set(data["A"]) != {a for a, _ in pairs}:
@@ -282,12 +302,17 @@ def sep_cross_pair(beta0, beta1, beta01, gamma0: Sequence,
         "beta01": G.to_json(beta01),
         "gamma0": [G.to_json(g) for g in gamma0],
         "gamma1": [G.to_json(g) for g in gamma1],
-        "rho0": rows[-1] if rows else 0,
-        "rho1": cols[-1] if cols else 0,
+        "rho0": _last(rows),
+        "rho1": _last(cols),
         **_sigma_fields(hits),
     })
     cert.verify()
     return cert
+
+
+def _last(indices: Sequence[int]) -> int:
+    """The last of the ascending indices, 0 when there is none."""
+    return indices[-1] if indices else 0
 
 
 def _least_above(indices: Sequence[int], lo: int, skip) -> Optional[int]:
@@ -297,9 +322,8 @@ def _least_above(indices: Sequence[int], lo: int, skip) -> Optional[int]:
 
 
 def _verify_cross(data: dict) -> None:
-    beta0, beta1, beta01 = (element_from_json(data[k]) for k in ("beta0", "beta1", "beta01"))
-    gamma0, gamma1 = ([element_from_json(g) for g in data[k]] for k in ("gamma0", "gamma1"))
-    G = _common_group([gamma0, gamma1], beta0, beta1, beta01)
+    G, (gamma0, gamma1), (beta0, beta1, beta01) = _decode(
+        [data["gamma0"], data["gamma1"]], [data[k] for k in ("beta0", "beta1", "beta01")])
     H0, H1 = len(gamma0), len(gamma1)
     rho0, rho1 = data["rho0"], data["rho1"]
     if not all(type(rho) is int and rho >= 0 for rho in (rho0, rho1)):
@@ -312,6 +336,7 @@ def _verify_cross(data: dict) -> None:
         raise VerificationError("cross-injective", "sigma is not an injective partial map")
     _check_window("cross-window", data["sigma"], H0, H1)
     rows, cols, hits = _cross_maps(G, beta0, beta1, beta01, gamma0, gamma1)
+    bounds = _last(rows), _last(cols)
     for a, b in data["sigma"]:
         if b not in hits.get(a, ()):
             raise VerificationError(
@@ -327,6 +352,11 @@ def _verify_cross(data: dict) -> None:
         if found:
             raise VerificationError(
                 "cross-distinct", f"families collide at ({j0},{min(found)})")
+    # The bounds are the builder's: the last row and column whose cross
+    # value meets another family at every index of the other stream.
+    if (rho0, rho1) != bounds:
+        raise VerificationError(
+            "cross-bounds", f"(rho0,rho1)=({rho0},{rho1}), but the maps give {bounds}")
 
 
 # -- Multi-index separation (the inductive lemma) -----------------------
@@ -412,6 +442,8 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence,
         raise InputError("need one multiplier per stream")
     if any(t < 1 for t in ts):
         raise InputError("position multipliers must be positive")
+    if any(rho < 0 for rho in rhos):
+        raise InputError("rhos must be nonnegative")
     G = _common_group(gammas, *betas)
     for g in gammas:
         _check_stream(g)
@@ -440,14 +472,14 @@ def sep_multi(subsets: Sequence[Sequence[int]], betas: Sequence,
 
 
 def _verify_multi(data: dict) -> None:
-    gammas = [[element_from_json(g) for g in stream] for stream in data["gammas"]]
-    betas = [element_from_json(beta) for _, _, beta in data["entries"]]
-    G = _common_group(gammas, *betas)
-    js = data["js"]
-    rhos = data["rhos"]
+    G, gammas, betas = _decode(data["gammas"], [beta for _, _, beta in data["entries"]])
+    js = [require_int(j, "js") for j in data["js"]]
+    rhos = [require_int(rho, "rhos") for rho in data["rhos"]]
     if len(js) != len(gammas) or len(rhos) != len(gammas):
         raise VerificationError(
             "multi-shape", "index tuple or bounds do not match streams")
+    if any(rho < 0 for rho in rhos):
+        raise VerificationError("multi-bounds", f"rhos={rhos} has a negative bound")
     for e, j in enumerate(js):
         if not (rhos[e] < j <= len(gammas[e])):
             raise VerificationError("multi-bounds", f"index j_{e}={j} out of range")
@@ -455,9 +487,12 @@ def _verify_multi(data: dict) -> None:
     for (label, pairs, _), beta in zip(data["entries"], betas):
         mult: Dict[int, int] = {}
         for e, t in pairs:
-            if not 0 <= e < len(gammas):
+            if not 0 <= require_int(e, "entry position") < len(gammas):
                 raise VerificationError(
                     "multi-shape", f"entry {label!r} names position {e} without a stream")
+            if require_int(t, "entry multiplier") < 1:
+                raise VerificationError(
+                    "multi-shape", f"entry {label!r} has multiplier {t} < 1")
             mult[e] = mult.get(e, 0) + t
         values.append((label, _entry_value(G, (label, mult, beta), gammas, js, len(js))))
     for i in range(len(values)):

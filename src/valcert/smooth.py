@@ -650,7 +650,8 @@ def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
     try:
         if w.den is not None:
             den_val = _capped(w.den, cap).eval_series(assignment)
-            if not den_val.is_unit():
+            # a value above 0, even one known only as a truncation, is no unit
+            if den_val.val_lower() > pres.group.zero() or not den_val.is_unit():
                 raise VerificationError(
                     f"witness-{w.name}", "denominator is not a unit")
             value = value.div(den_val)

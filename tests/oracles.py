@@ -406,7 +406,7 @@ def sm_verify(cert, delta=None):
         try:
             if w.den is not None:
                 den_val = w.den.eval_series(assignment)
-                if not den_val.is_unit():
+                if den_val.val_lower() > group.zero() or not den_val.is_unit():
                     raise VerificationError(
                         f"witness-{w.name}", "denominator is not a unit")
                 value = value.div(den_val)

@@ -1162,33 +1162,45 @@ class TestIntegerFields:
                          "horizon"),
         "p": (lambda c: c.__setitem__("p", 5.0), "p"),
     }
+    MULTI_EDITS = {
+        "js-true": (lambda c: c["js"].__setitem__(0, True), "js"),
+        "rhos-0.5": (lambda c: c["rhos"].__setitem__(0, 0.5), "rhos"),
+        "position-true": (lambda c: c["entries"][2][1][1].__setitem__(0, True),
+                          "entry position"),
+        "multiplier-1.0": (lambda c: c["entries"][0][1][0].__setitem__(1, 1.0),
+                           "entry multiplier"),
+        "multiplier-true": (lambda c: c["entries"][0][1][0].__setitem__(1, True),
+                            "entry multiplier"),
+    }
 
     @staticmethod
     def certificate(tmp_path, kind):
         if kind == "smooth":
             return json.loads(FULL_TABLES.read_text())
+        command, cfg = (("rewrite", univariate_cfg(QQ, 1)) if kind == "rewrite"
+                        else ("separate", multi_cfg()))
         out = tmp_path / "cert.json"
-        assert run(["rewrite", write(tmp_path, "c.json", univariate_cfg(QQ, 1)),
-                    "--out", str(out)]) == 0
+        assert run([command, write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
     @classmethod
     def edited(cls, tmp_path, name):
-        kind = "rewrite" if name in cls.REWRITE_EDITS else "smooth"
-        edit, field = {**cls.REWRITE_EDITS, **cls.SMOOTH_EDITS}[name]
+        kind = ("rewrite" if name in cls.REWRITE_EDITS
+                else "multi" if name in cls.MULTI_EDITS else "smooth")
+        edit, field = {**cls.REWRITE_EDITS, **cls.SMOOTH_EDITS, **cls.MULTI_EDITS}[name]
         cert = cls.certificate(tmp_path, kind)
         bad = copy.deepcopy(cert)
         edit(bad)
         return cert, bad, field
 
-    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS])
+    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS, *MULTI_EDITS])
     def test_alone(self, tmp_path, capsys, name):
         _, bad, field = self.edited(tmp_path, name)
         capsys.readouterr()
         assert run(["verify", write(tmp_path, "bad.json", bad)]) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS])
+    @pytest.mark.parametrize("name", [*REWRITE_EDITS, *SMOOTH_EDITS, *MULTI_EDITS])
     def test_in_batch(self, tmp_path, capsys, name):
         cert, bad, field = self.edited(tmp_path, name)
         capsys.readouterr()
@@ -1196,6 +1208,76 @@ class TestIntegerFields:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["exit"] == 1 and f"{field} must be an integer" in results[0]["error"]
         assert results[1] == {"cert": cert["cert"], "verified": True}
+
+
+def lex_cross_cfg():
+    """A cross problem over lex Z^2 with rho1 = 5: beta0 - beta01 = (0, 5)
+    is gamma1 at j1 = 5."""
+    gamma = [[0, s] for s in range(1, 51)]
+    return {"op": "cross", "beta0": [0, 5], "beta1": [0, 0], "beta01": [0, 0],
+            "gamma0": gamma, "gamma1": gamma}
+
+
+class TestSeparationBounds:
+    """The bounds a separation builder sets are checked claims: rho0 and
+    rho1 of a cross certificate are the last row and column its maps give,
+    a tail's r is null exactly when some t <= 0 and names an entry only
+    with an index past nu, and a multi certificate's rhos are >= 0 and its
+    multipliers >= 1.  Each edit here once verified (exit 0) and now exits 4."""
+
+    EDITS = {
+        "cross-rho0-H": (lex_cross_cfg, lambda c: c.update(rho0=50), "cross-bounds"),
+        "cross-rho1-up": (lex_cross_cfg, lambda c: c.update(rho1=6), "cross-bounds"),
+        "tail-r-null": (lambda: tail_cfg(H=50), lambda c: c.update(r=None), "tail-bounds"),
+        "multi-rhos-negative": (multi_cfg, lambda c: c["rhos"].__setitem__(0, -1),
+                                "multi-bounds"),
+        "tail-r-with-t-0": (lambda: tail_cfg(ts=(0, 1), H=50), lambda c: c.update(r=0),
+                            "tail-bounds"),
+        "multi-multiplier-0": (multi_cfg, lambda c: c["entries"][0][1][0].__setitem__(1, 0),
+                               "multi-shape"),
+        "multi-multiplier-negative": (
+            multi_cfg, lambda c: c["entries"][0][1][0].__setitem__(1, -1), "multi-shape"),
+    }
+
+    @classmethod
+    def edited(cls, tmp_path, name):
+        make, edit, claim = cls.EDITS[name]
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", make()), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        bad = copy.deepcopy(cert)
+        edit(bad)
+        return cert, bad, claim
+
+    @pytest.mark.parametrize("name", EDITS)
+    def test_alone(self, tmp_path, capsys, name):
+        cert, bad, claim = self.edited(tmp_path, name)
+        assert run(["verify", write(tmp_path, "ok.json", cert)]) == 0
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert f"verification failed at {claim}" in capsys.readouterr().err
+
+    def test_in_batch(self, tmp_path, capsys):
+        cert, bad, _ = self.edited(tmp_path, "cross-rho0-H")
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "batch.json", [bad, cert]), "--jobs", "2"]) == 4
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 4 and "cross-bounds" in results[0]["error"]
+        assert results[1] == {"cert": "separation", "verified": True}
+
+    def test_r_with_no_index_past_nu(self, tmp_path, capsys):
+        # beta + t*gamma = 2s, 3 + s collide at s = 3 = H, so no index lies
+        # past nu = 3 for r to be least at
+        cert = {"cert": "separation", "kind": "tail", "betas": [0, 3], "ts": [2, 1],
+                "gamma": [1, 2, 3], "nu": 3, "r": 0}
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "tail-bounds" in capsys.readouterr().err
+        assert run(["separate", write(tmp_path, "c.json", tail_cfg(H=3))]) == 2
+
+    def test_negative_rho_in_config(self, tmp_path, capsys):
+        cfg = multi_cfg()
+        cfg["rhos"] = [-1, 0]
+        assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
+        assert "rhos must be nonnegative" in capsys.readouterr().err
 
 
 class TestMixedGroups:

@@ -131,3 +131,31 @@ class TestJson:
             ZZ.from_json(False)
         with pytest.raises(InputError):
             group_of(True)
+
+    @pytest.mark.parametrize("group, objs", [
+        (ZZ, [1, True]), (ZZ, [1, "2/1"]), (RATIONALS, ["1/2", 1]),
+        (L2, [[1, 0], [1, 0, 0]]), (L2, [[1, 0], [0, False]]), (L2, [[1, 0], (1, 1)])])
+    def test_stream_decoding_is_strict(self, group, objs):
+        with pytest.raises(InputError):
+            group.stream_from_json(objs)
+
+    def test_stream_decoding(self):
+        assert ZZ.stream_from_json([3, -1]) == [3, -1]
+        assert RATIONALS.stream_from_json(["1/2", "4/2"]) == [Fraction(1, 2), Fraction(2)]
+        assert L2.stream_from_json([[1, 0], [0, -2]]) == [(1, 0), (0, -2)]
+        assert ZZ.stream_from_json([]) == L2.stream_from_json([]) == []
+
+
+class TestShifts:
+    """shifts(betas, ts, g) is beta_i + t_i*g, as add and scale give it."""
+
+    @pytest.mark.parametrize("group, betas, g", [
+        (ZZ, [0, -3, 7, 2], 5),
+        (RATIONALS, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 4)], Fraction(2, 3)),
+        (L2, [(0, 1), (-1, 4), (2, -2), (0, 0)], (3, -1)),
+    ])
+    def test_matches_add_and_scale(self, group, betas, g):
+        ts = [2, -3, 0, 1]
+        got = group.shifts(betas, ts, g)
+        assert got == [group.add(b, group.scale(g, t)) for b, t in zip(betas, ts)]
+        group.check(*got)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from valcert.errors import InputError, VerificationError
 from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
-from valcert.separation import (SeparationCert, sep_cross_pair, sep_multi,
-                                sep_shifted_pair, sep_tail, separate_indices)
+from valcert.separation import (SeparationCert, _common_group, _decode, sep_cross_pair,
+                                sep_multi, sep_shifted_pair, sep_tail, separate_indices)
 
 
 
@@ -314,8 +314,13 @@ def cross_certificates(draw):
     gamma0, gamma1 = draw(raw_stream(embed)), draw(raw_stream(embed))
     beta0, beta1, beta01 = (embed(draw(small)) for _ in range(3))
     H0, H1 = len(gamma0), len(gamma1)
-    rho0 = max((j for j, g in enumerate(gamma0, 1) if g == G.sub(beta1, beta01)), default=0)
-    rho1 = max((j for j, g in enumerate(gamma1, 1) if g == G.sub(beta0, beta01)), default=0)
+
+    def bounds():
+        # the last row and column the cross family meets another family at
+        return (max((j for j, g in enumerate(gamma0, 1) if g == G.sub(beta1, beta01)), default=0),
+                max((j for j, g in enumerate(gamma1, 1) if g == G.sub(beta0, beta01)), default=0))
+
+    rho0, rho1 = bounds()
     last1 = {g: j for j, g in enumerate(gamma1, 1)}
     sigma = [[j0, last1[G.add(g, G.sub(beta0, beta1))]] for j0, g in enumerate(gamma0, 1)
              if G.add(g, G.sub(beta0, beta1)) in last1]
@@ -347,7 +352,7 @@ def cross_certificates(draw):
     pairs = {(a, b) for a, b in sigma}
     domain = {a for a, _ in pairs}
     newly_rejected = (
-        min(rho0, rho1) < 0 or set(A) != domain
+        min(rho0, rho1) < 0 or (rho0, rho1) != bounds() or set(A) != domain
         or not len(pairs) == len(domain) == len({b for _, b in pairs})
         or not all(is_index(a, H0) and is_index(b, H1) for a, b in sigma)
         or any(G.add(beta0, gamma0[a - 1]) != G.add(beta1, gamma1[b - 1]) for a, b in pairs))
@@ -370,8 +375,9 @@ class TestAgainstPairScan:
     message (the least failing pair first) on honest and mutated
     certificates over Z, Q and lex Z^2, and reject the sigma shapes the scan
     let through: pairs outside the window or not made of integers, and in
-    the cross case negative bounds, an A off sigma's domain, a sigma that is
-    not an injective partial map, or one listing a non-collision."""
+    the cross case bounds other than the builder's (negative ones among
+    them), an A off sigma's domain, a sigma that is not an injective
+    partial map, or one listing a non-collision."""
 
     @settings(max_examples=400, deadline=None)
     @given(shifted_certificates())
@@ -382,3 +388,50 @@ class TestAgainstPairScan:
     @given(cross_certificates())
     def test_cross(self, case):
         same_verdict("cross", scan_cross, case)
+
+
+# -- the one-pass stream decode against the per-element decode -------------
+
+def per_element_decode(streams, values):
+    """Each entry decoded on its own, then checked against the first
+    stream's group: the decode the verifiers ran before streams were
+    decoded in one pass."""
+    values = [element_from_json(x) for x in values]
+    streams = [[element_from_json(x) for x in s] for s in streams]
+    return _common_group(streams, *values), streams, values
+
+
+# JSON entries of every shape a certificate may hold: mostly elements of
+# one group, so that whole inputs are often accepted, and junk besides
+json_int = st.integers(-5, 5)
+json_entry = st.one_of(
+    json_int, json_int.map(lambda v: f"{v}/2"), st.lists(json_int, min_size=2, max_size=2),
+    st.booleans(), st.sampled_from(["1/0", "x", "", 1.0, None, {}, [[1, 2]], [True, 1]]),
+    st.lists(json_int, max_size=3))
+json_stream = st.one_of(st.lists(json_entry, max_size=5), json_entry)
+
+
+@st.composite
+def json_inputs(draw):
+    """Streams and values drawn in one form (one group, or any entry), half
+    of the time with junk entries and streams mixed in."""
+    form = draw(st.sampled_from([json_int, json_int.map(lambda v: f"{v}/3"),
+                                 st.lists(json_int, min_size=2, max_size=2), json_entry]))
+    stream, entry = st.lists(form, min_size=1, max_size=5), form
+    if draw(st.booleans()):
+        stream, entry = st.one_of(stream, json_stream), st.one_of(form, json_entry)
+    return draw(st.lists(stream, max_size=3)), draw(st.lists(entry, max_size=3))
+
+
+class TestDecode:
+    """_decode accepts exactly what the per-element decode accepts, with
+    equal values, and otherwise raises its exception and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_inputs())
+    def test_against_per_element_decode(self, case):
+        streams, values = case
+        want = outcome(lambda c: per_element_decode(*c), case)
+        assert outcome(lambda c: _decode(*c), case) == want
+        if want is None:
+            assert repr(_decode(streams, values)) == repr(per_element_decode(streams, values))
