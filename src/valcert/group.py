@@ -144,7 +144,9 @@ class Integers(_Numeric):
         return obj
 
     def stream_from_json(self, objs):
-        return list(objs) if self.members(objs) else super().stream_from_json(objs)
+        if not self.members(objs):
+            raise InputError("not a stream of integer exponents")
+        return list(objs)
 
 
 class Rationals(_Numeric):
@@ -216,9 +218,9 @@ class LexGroup(ValueGroup):
         return tuple(obj)
 
     def stream_from_json(self, objs):
-        if self._all_of(objs, list):
-            return list(map(tuple, objs))
-        return super().stream_from_json(objs)
+        if not self._all_of(objs, list):
+            raise InputError(f"not a stream of lex exponents of width {self.n}")
+        return list(map(tuple, objs))
 
 
 INTEGERS = Integers()

@@ -352,10 +352,13 @@ def cross_certificates(draw):
     pairs = {(a, b) for a, b in sigma}
     domain = {a for a, _ in pairs}
     newly_rejected = (
-        min(rho0, rho1) < 0 or (rho0, rho1) != bounds() or set(A) != domain
+        min(rho0, rho1) < 0 or set(A) != domain
         or not len(pairs) == len(domain) == len({b for _, b in pairs})
         or not all(is_index(a, H0) and is_index(b, H1) for a, b in sigma)
-        or any(G.add(beta0, gamma0[a - 1]) != G.add(beta1, gamma1[b - 1]) for a, b in pairs))
+        or any(G.add(beta0, gamma0[a - 1]) != G.add(beta1, gamma1[b - 1]) for a, b in pairs)
+        # bounds other than the builder's that the scan accepts: the
+        # verifier's collision loop passes them too and stops at cross-bounds
+        or ((rho0, rho1) != bounds() and outcome(scan_cross, data) is None))
     return data, newly_rejected
 
 
@@ -375,9 +378,9 @@ class TestAgainstPairScan:
     message (the least failing pair first) on honest and mutated
     certificates over Z, Q and lex Z^2, and reject the sigma shapes the scan
     let through: pairs outside the window or not made of integers, and in
-    the cross case bounds other than the builder's (negative ones among
-    them), an A off sigma's domain, a sigma that is not an injective
-    partial map, or one listing a non-collision."""
+    the cross case negative bounds, bounds other than the builder's that
+    the scan accepts, an A off sigma's domain, a sigma that is not an
+    injective partial map, or one listing a non-collision."""
 
     @settings(max_examples=400, deadline=None)
     @given(shifted_certificates())

@@ -15,7 +15,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valcert import smooth
@@ -173,6 +173,32 @@ def known_difference(got, want):
     return got[0] == "InputError" and all("unbounded support" in m for m in (got[2], want[2]))
 
 
+def _series(c, trunc="inf"):
+    return {"terms": [[c, 1]], "trunc": trunc, "exact": trunc == "inf"}
+
+
+_SEQ = {"seq": "rule", "exp": {"kind": "geom", "a": "1/2"}, "coeff": {"kind": "const", "c": 1},
+        "horizon": 60, "field": "Fp", "p": 5}
+_X, _S = {"tag": "orig", "e": 0}, {"tag": "stage", "e": 0, "j": 1}
+# A pair over F5 whose y0 witness divides by the generator's image
+# t^3 + O(t^4): at its cap that truncation once read "series vanishes
+# below truncation", where the full evaluation says the denominator is not
+# a unit.
+DENOMINATOR_ABOVE_ZERO = {
+    "cert": "smooth", "kind": "pair", "branch": "d-divides-c", "delta": "2/1", "base": 0,
+    "field": "Fp", "p": 5, "relations": [], "generators": [[_S, _series("3/1", "4/1")]],
+    "problem": {"f": [[[[_X, 1]], _series("0/1")]], "d": _series("1/2"), "seq0": _SEQ,
+                "case2": False},
+    "witnesses": [
+        {"name": "y", "kind": "y0", "e": 0, "num": [[[], _series("1/2")], [[[_S, 1]], _series("1/1")]],
+         "den": [[[[_S, 1]], _series("0/1")]]},
+        {"name": "z", "kind": "z", "e": 0, "den": None,
+         "num": [[[], _series("0/1", "4/1")], [[[_S, 1]], _series("1/2", "4/1")]]}],
+    "rewrites": [{"cert": "rewrite", "kind": "univariate_charp", "g": [[[[_X, 1]], _series("0/1")]],
+                  "multiplier": [], "seqs": [_SEQ], "indices": [1], "c_mono": [[_S, 1]],
+                  "mode": "min-linear", "case": "case1", "field": "Fp", "p": 5}]}
+
+
 CHECKS = ("_check_relation", "_check_minor", "_check_witness")
 
 
@@ -216,6 +242,7 @@ def assert_capped(cert, delta, caps):
 class TestCappedVerifier:
     @settings(max_examples=400, deadline=None)
     @given(cases())
+    @example((SmoothCert.from_json(DENOMINATOR_ABOVE_ZERO), None))
     def test_against_uncapped_oracle(self, case):
         cert, delta = case
         got, caps = capped_outcome(cert, delta)
