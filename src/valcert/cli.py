@@ -45,10 +45,8 @@ def _load_stream(spec, horizon: int):
     """A gamma stream: either an explicit JSON list of group elements or a
     sequence spec whose gamma values are materialized up to the horizon."""
     if isinstance(spec, list):
-        try:
-            return group_of(element_from_json(spec[0])).stream_from_json(spec)
-        except (IndexError, InputError):  # the builder names the fault
-            return [element_from_json(x) for x in spec]
+        # an empty stream is the builder's to name
+        return group_of(element_from_json(spec[0])).stream_from_json(spec) if spec else []
     seq = sequence_from_json(spec)
     hi = min(horizon, seq.horizon)
     return [seq.gamma(j) for j in range(hi)]

@@ -99,7 +99,10 @@ class ValueGroup:
         raise NotImplementedError
 
     def stream_from_json(self, objs) -> list:
-        """Decode a list of elements of this group, as from_json does each."""
+        """Decode a JSON list of elements of this group.  Anything else is
+        an InputError: the one from_json raises for the first bad entry."""
+        if not isinstance(objs, list):
+            raise InputError(f"{objs!r} is not a JSON list of {self} elements")
         return [self.from_json(x) for x in objs]
 
     def shifts(self, betas, ts, g) -> list:
@@ -144,9 +147,9 @@ class Integers(_Numeric):
         return obj
 
     def stream_from_json(self, objs):
-        if not self.members(objs):
-            raise InputError("not a stream of integer exponents")
-        return list(objs)
+        if isinstance(objs, list) and self.members(objs):
+            return list(objs)
+        return super().stream_from_json(objs)
 
 
 class Rationals(_Numeric):
@@ -218,9 +221,9 @@ class LexGroup(ValueGroup):
         return tuple(obj)
 
     def stream_from_json(self, objs):
-        if not self._all_of(objs, list):
-            raise InputError(f"not a stream of lex exponents of width {self.n}")
-        return list(map(tuple, objs))
+        if isinstance(objs, list) and self._all_of(objs, list):
+            return list(map(tuple, objs))
+        return super().stream_from_json(objs)
 
 
 INTEGERS = Integers()

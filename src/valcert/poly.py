@@ -95,6 +95,11 @@ def _mono_sorted(items: Iterable[Tuple[VarTag, int]]) -> Monomial:
     return tuple(kept)
 
 
+def mono_key(m: Monomial) -> tuple:
+    """The order monomials are listed in: by variable, then by exponent."""
+    return tuple(v.sort_key() + (k,) for v, k in m)
+
+
 def _mono_mul(a: Iterable[Tuple[VarTag, int]], b: Monomial):
     """The product's (variable, exponent) pairs, unsorted."""
     acc: Dict[VarTag, int] = dict(a)
@@ -308,7 +313,7 @@ class Poly:
         if not self.monos:
             return "Poly(0)"
         parts = []
-        for mono in sorted(self.monos, key=lambda m: tuple(p[0].sort_key() + (p[1],) for p in m)):
+        for mono in sorted(self.monos, key=mono_key):
             coeff = self.monos[mono]
             vars_txt = "".join(f"*{v.kind}{v.e}" + (f"^{k}" if k > 1 else "") for v, k in mono)
             parts.append(f"({coeff!r}){vars_txt}")
@@ -316,7 +321,7 @@ class Poly:
 
     def to_json(self):
         out = []
-        for mono in sorted(self.monos, key=lambda m: tuple(p[0].sort_key() + (p[1],) for p in m)):
+        for mono in sorted(self.monos, key=mono_key):
             coeff = self.monos[mono]
             out.append([[ [v.to_json(), k] for v, k in mono], coeff.to_json()])
         return out

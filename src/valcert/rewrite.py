@@ -44,7 +44,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
-from .poly import Poly, Powers, VarTag
+from .poly import Poly, Powers, VarTag, mono_key
 from .separation import separate_indices
 from .series import ValuedSeries
 
@@ -482,7 +482,7 @@ def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
         vals = {m: c.val() for m, c in G1.monos.items()}
         c_mono, failure = _claims_hold(vals, mode, h.group)
         if not failure:
-            table = sorted(vals.items(), key=lambda kv: _mono_key(kv[0]))
+            table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
             cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
                                G1, c_mono, mode, _case(kind, multiplier, vals), table)
             cert.check_table(G1)
@@ -499,14 +499,10 @@ def _with_multiplier(g: Poly, multiplier: Mapping[int, int]) -> Poly:
     return g
 
 
-def _mono_key(m):
-    return tuple(v.sort_key() + (k,) for v, k in m)
-
-
 def _argmin(vals: Dict[tuple, object]):
     best = min(vals.values())
     candidates = [m for m, v in vals.items() if v == best]
-    return min(candidates, key=_mono_key)
+    return min(candidates, key=mono_key)
 
 
 def _check_normal_form(vals: Dict[tuple, object], c_mono, mode: str, group) -> None:

@@ -13,9 +13,9 @@ raw stream value is hashed to the indices taking it and each row looks
 up its shifted value, so a collision map is checked in time linear in
 the window (repeated or non-monotone streams in a hostile certificate
 included), and each reports the lexicographically least pair at which
-the claim fails.  A verifier decodes each JSON stream once, in the value
-group of the first stream's first entry, and evaluates the tail values
-beta_i + t_i*gamma_s with the group's one shifts kernel.
+the claim fails.  A verifier decodes each stream, a JSON list, once, in
+the value group of the first stream's first entry, and evaluates the
+tail values beta_i + t_i*gamma_s with the group's one shifts kernel.
 
 Streams are 1-indexed: a stream list g represents gamma_s = g[s-1] for
 s = 1..H (matching the source statements that range indices over [1, λ)).
@@ -50,17 +50,14 @@ def _common_group(streams: Sequence[Sequence], *values) -> ValueGroup:
 
 def _decode(streams, values):
     """The value group of the first stream's first entry, with the JSON
-    streams and values decoded in it, one pass per list.  On any fault the
-    per-element decode runs instead, so the error is the one it raises."""
-    try:
-        if streams and all(isinstance(s, list) and s for s in streams):
-            G = group_of(element_from_json(streams[0][0]))
-            return G, [G.stream_from_json(s) for s in streams], G.stream_from_json(values)
-    except (InputError, TypeError):
-        pass
-    values = [element_from_json(x) for x in values]
-    streams = [[element_from_json(x) for x in s] for s in streams]
-    return _common_group(streams, *values), streams, values
+    streams and values decoded in it, one pass per list.  A stream or the
+    values that is no JSON list, an empty stream, and an entry outside the
+    group are InputErrors."""
+    if not (isinstance(streams, list) and streams
+            and all(isinstance(s, list) and s for s in streams)):
+        raise InputError("gamma streams must be nonempty JSON lists")
+    G = group_of(element_from_json(streams[0][0]))
+    return G, [G.stream_from_json(s) for s in streams], G.stream_from_json(values)
 
 
 def _check_stream(g: Sequence, name: str = "gamma") -> None:

@@ -9,9 +9,12 @@ denominator) for every element they claim to contain; sm_verify
 re-derives the targets from the problem data and re-checks everything.
 
 Each kind has one build path, which assembles one certificate and
-verifies it once.  A fraction f1/f2 is the family {f1, f2} plus one
-witness, y1 * (d1/d2) over y2.  sm_verify also checks the shape of the
-certificate's kind and a pair's branch (_check_shape).
+verifies it once; a family is built in one attempt.  A fraction f1/f2
+is the family {f1, f2} plus one witness, y1 * (d1/d2) over y2.
+sm_verify also checks the shape of the certificate's kind, a pair's
+branch and its case2 echo (_check_shape).  Every f(y0)/d below a cap,
+in a build or a witness target, comes from _f_over_d, which reads y0
+below cap + val d.
 
 The verifier first checks that the data lies over V: every generator
 image, relation coefficient, witness coefficient and problem series has
@@ -28,7 +31,7 @@ the builders certify at unless a larger delta is asked for.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, VerificationError,
@@ -40,8 +43,6 @@ from .poly import Poly, VarTag, det, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
                       rw_bivariate, rw_univariate)
 from .series import ValuedSeries
-
-OUTER_RETRIES = 4
 
 
 # -- presentation and certificate data ---------------------------------
@@ -243,9 +244,14 @@ class SmoothCert:
 
 # -- shared helpers ----------------------------------------------------
 
-def _eval_at_limit(f: Poly, seq: PseudoSequence, delta) -> ValuedSeries:
-    y0 = seq.limit(delta)
-    return f.eval_series({VarTag.orig(0): y0})
+def _f_over_d(f: Poly, d: ValuedSeries, limit: Callable, cap) -> ValuedSeries:
+    """f(y0)/d known below cap.  Over V that needs f(y0), so y0, only below
+    cap + val d; y0 is read there from limit(depth), which must know it
+    below depth.  An exact-zero d raises ZeroDivisionError."""
+    if d.is_zero_exact():
+        raise ZeroDivisionError("series division by exact zero")
+    y0 = limit(d.group.add(cap, d.val()))
+    return f.eval_series({VarTag.orig(0): y0}).div_to(d, cap)
 
 
 def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
@@ -254,7 +260,7 @@ def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
     window doubling while f(y0) cancels below it."""
     delta = seq.gamma(4)
     for _ in range(64):
-        fv = _eval_at_limit(f, seq, delta)
+        fv = f.eval_series({VarTag.orig(0): seq.limit(delta)})
         try:
             fv.val()
             return ValuedSeries(seq.field, seq.group, [fv.leading()])
@@ -265,12 +271,8 @@ def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
 
 def _derived_unit_sequence(f: Poly, d: ValuedSeries, seq0: PseudoSequence) -> DerivedSequence:
     """Partial-sum pseudo-sequence of the unit y = f(y0)/d."""
-    dv = d.val()
-
-    def materialize(delta) -> ValuedSeries:
-        return _eval_at_limit(f, seq0, seq0.group.add(delta, dv)).div(d)
-
-    return DerivedSequence(seq0.field, materialize, seq0.gamma(4), horizon=seq0.horizon)
+    return DerivedSequence(seq0.field, lambda delta: _f_over_d(f, d, seq0.limit, delta),
+                           seq0.gamma(4), horizon=seq0.horizon)
 
 
 def _stage_poly(seq: PseudoSequence, e: int, t: int) -> Poly:
@@ -348,7 +350,8 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
     else:
         # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries y^k * z.
         ztag = VarTag.dup(0, "z")
-        zval = _eval_at_limit(f, seq0, group.scale(deltaw, 2)).div_to(d, deltaw)
+        zval = _f_over_d(f, d, lambda depth: seq0.limit(max(group.scale(deltaw, 2), depth)),
+                         deltaw)
         if case2:
             zval = seq0.limit(deltaw) * zval
         gens.append((ztag, zval.truncate(deltaw)))
@@ -466,23 +469,17 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
             f"val(f1(y0)) = {ds[0].val()!r} < val(f2(y0)) = {ds[1].val()!r}; "
             "the fraction lies outside V'")
     seqs = [seq0] + [_derived_unit_sequence(f, d, seq0) for f, d in zip(fs, ds)]
-
-    last_error: Optional[Exception] = None
-    for attempt in range(OUTER_RETRIES):
-        offset = attempt * 2
-        try:
-            return _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset)
-        except (NotStabilizedError, UndecidedError, VerificationError) as exc:
-            last_error = exc
-    raise NotStabilizedError(f"family construction failed: {last_error}")
+    try:
+        return _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R)
+    except (NotStabilizedError, UndecidedError, VerificationError) as exc:
+        raise NotStabilizedError(f"family construction failed: {exc}")
 
 
-def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset):
+def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R):
     n = len(fs)
-    cur = [None] * (n + 1)  # current stage index per element (0 = y0)
+    cur = [0] * (n + 1)  # current stage index per element (0 = y0)
     rels_raw: List[Poly] = []
     rewrites: List[RewriteCert] = []
-    cur[0] = offset
     for e in range(1, n + 1):
         g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
                                  ds[e - 2] if e >= 2 else None,
@@ -496,7 +493,7 @@ def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R, offset):
         # restaging, which only raises later-side values).
         rcert = None
         for bump in range(8):
-            nus = (cur[e - 1], offset + 3 * bump)
+            nus = (cur[e - 1], 3 * bump)
             try:
                 cand = rw_bivariate(g, pair, nus=nus, W=W, R=R)
             except UndecidedError:
@@ -595,16 +592,9 @@ class _Problem:
     def limit(self, delta) -> ValuedSeries:
         return self._once(("limit", delta), lambda: self.seq0().limit(delta))
 
-    def _at_limit(self, f: Poly, depth) -> ValuedSeries:
-        """f(y0), y0 known to 2*deltaw and truncated at depth."""
-        return f.eval_series({VarTag.orig(0): _cap(self.limit(self.deep), depth)})
-
-    def _quotient(self, f: Poly, d: ValuedSeries, cap) -> ValuedSeries:
-        """f(y0)/d below cap, which reads f(y0) below cap + val d."""
-        if d.is_zero_exact():
-            raise ZeroDivisionError("series division by exact zero")
-        depth = self.group.add(cap, d.val())
-        return self._at_limit(f, depth).div_to(d, cap)
+    def _y0(self, depth) -> ValuedSeries:
+        """y0 below depth, cut from the limit below max(2*deltaw, depth)."""
+        return _cap(self.limit(max(self.deep, depth)), depth)
 
     def member(self, e: int, cap) -> Optional[ValuedSeries]:
         """y_e = f_e(y0)/d_e below cap, computed once; None when e names no
@@ -612,8 +602,8 @@ class _Problem:
         fs, ds = self.cert.problem.get("fs", []), self.cert.problem.get("ds", [])
         if not 1 <= e <= min(len(fs), len(ds)):
             return None
-        return self._once(("member", e, cap), lambda: self._quotient(
-            self.decode("fs", e - 1), self.decode("ds", e - 1), cap))
+        return self._once(("member", e, cap), lambda: _f_over_d(
+            self.decode("fs", e - 1), self.decode("ds", e - 1), self._y0, cap))
 
     def target(self, w: Witness, cap) -> ValuedSeries:
         """The element w claims, known below cap; y0 goes only as far as
@@ -621,7 +611,7 @@ class _Problem:
         if w.kind == "y0":
             return _cap(self.limit(self.deltaw), cap)
         if w.kind == "z":
-            return self._quotient(self.decode("f"), self.decode("d"), cap)
+            return _f_over_d(self.decode("f"), self.decode("d"), self._y0, cap)
         if w.kind == "ye":
             member = self.member(w.e, cap)
             if member is None:
@@ -629,17 +619,20 @@ class _Problem:
                     f"witness-{w.name}", f"index e={w.e} names no problem member")
             return member
         if w.kind == "fraction":
-            f1, f2 = self.decode("fs", 0), self.decode("fs", 1)
-            # the quotient below cap reads f1(y0), f2(y0) below cap + val(f2(y0))
-            f2v = self._at_limit(f2, cap)
-            if not f2v.nums:  # val f2(y0) >= cap
-                f2v = self._at_limit(f2, self.deep)
-            if f2v.is_zero_exact():
-                raise ZeroDivisionError("series division by exact zero")
-            depth = self.group.add(cap, f2v.val())
-            if depth != cap:
-                f2v = self._at_limit(f2, depth)
-            return self._at_limit(f1, depth).div_to(f2v, cap)
+            # f1(y0)/f2(y0) reads the divisor f2(y0) below cap + val f2(y0),
+            # a value read off f2(y0) below cap, or below 2*deltaw when
+            # that shows no term
+            f2 = self.decode("fs", 1)
+
+            def f2_below(depth):
+                return f2.eval_series({VarTag.orig(0): self._y0(depth)})
+
+            f2v = f2_below(cap)
+            if not f2v.nums:
+                f2v = f2_below(self.deep)
+            if f2v.nums and f2v.val() != self.group.zero():
+                f2v = f2_below(self.group.add(cap, f2v.val()))
+            return _f_over_d(self.decode("fs", 0), f2v, self._y0, cap)
         raise InputError(f"unknown witness kind {w.kind!r}")
 
 
@@ -739,6 +732,13 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
     if cert.branch != branch:
         raise VerificationError(
             "branch", f"branch {cert.branch!r}, but the presentation has branch {branch!r}")
+    # a pair with a rewrite echoes case2: whether the rewrite multiplied by Y
+    if kind == "pair":
+        case2 = bool(cert.rewrites[0].multiplier) if links else None
+        if ("case2" in echo) != bool(links) or links and echo["case2"] is not case2:
+            raise VerificationError(
+                "case2", f"case2 is {echo.get('case2', 'absent')!r}, but the "
+                f"pair's rewrite gives {'no case2' if case2 is None else case2}")
 
 
 def sm_verify(cert: SmoothCert, delta=None) -> None:

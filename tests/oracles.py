@@ -301,16 +301,24 @@ def _eval_at_limit(f, seq, delta):
     return f.eval_series({VarTag.orig(0): seq.limit(delta)})
 
 
+def _f_over_d(f, d, seq, deltaw):
+    """f(y0)/d to deltaw, y0 known below 2*deltaw and at least as far as
+    the deltaw + val d the quotient reads."""
+    if d.is_zero_exact():
+        raise ZeroDivisionError("series division by exact zero")
+    depth = max(seq.group.scale(deltaw, 2), seq.group.add(deltaw, d.val()))
+    return _eval_at_limit(f, seq, depth).div_to(d, deltaw)
+
+
 def member_target(cert, e, deltaw):
-    """y_e = f_e(y0)/d_e to deltaw, y0 known to 2*deltaw; None when e names
-    no problem member."""
+    """y_e = f_e(y0)/d_e to deltaw; None when e names no problem member."""
     fs, ds = cert.problem.get("fs", []), cert.problem.get("ds", [])
     if not 1 <= e <= min(len(fs), len(ds)):
         return None
     seq0 = sequence_from_json(cert.problem["seq0"])
     f = Poly.from_json(fs[e - 1], cert.field, seq0.group)
     d = ValuedSeries.from_json(ds[e - 1], cert.field, seq0.group)
-    return _eval_at_limit(f, seq0, seq0.group.scale(deltaw, 2)).div_to(d, deltaw)
+    return _f_over_d(f, d, seq0, deltaw)
 
 
 def check_floor(cert, delta, deltaw):
@@ -340,8 +348,9 @@ def check_floor(cert, delta, deltaw):
 
 
 def witness_target(w, cert, deltaw):
-    """The element w claims: y0 to deltaw, f(y0)/d with y0 known to
-    2*deltaw, each part of the problem echo decoded afresh."""
+    """The element w claims: y0 to deltaw, f(y0)/d with y0 known below
+    2*deltaw and below deltaw + val d, each part of the problem echo
+    decoded afresh."""
     field = cert.field
     seq0 = sequence_from_json(cert.problem["seq0"])
     group = seq0.group
@@ -351,7 +360,7 @@ def witness_target(w, cert, deltaw):
     if w.kind == "z":
         f = Poly.from_json(cert.problem["f"], field, group)
         d = ValuedSeries.from_json(cert.problem["d"], field, group)
-        return _eval_at_limit(f, seq0, deep).div_to(d, deltaw)
+        return _f_over_d(f, d, seq0, deltaw)
     if w.kind == "ye":
         member = member_target(cert, w.e, deltaw)
         if member is None:
@@ -362,8 +371,12 @@ def witness_target(w, cert, deltaw):
         f1 = Poly.from_json(cert.problem["fs"][0], field, group)
         f2 = Poly.from_json(cert.problem["fs"][1], field, group)
         f2v = _eval_at_limit(f2, seq0, deep)
-        f1v = _eval_at_limit(f1, seq0, deep)
-        return f1v.div_to(f2v, deltaw)
+        if f2v.is_zero_exact():
+            raise ZeroDivisionError("series division by exact zero")
+        depth = max(deep, group.add(deltaw, f2v.val()))
+        if depth != deep:
+            f2v = _eval_at_limit(f2, seq0, depth)
+        return _eval_at_limit(f1, seq0, depth).div_to(f2v, deltaw)
     raise InputError(f"unknown witness kind {w.kind!r}")
 
 

@@ -1294,6 +1294,20 @@ class TestMixedGroups:
         cfg = {"op": "tail", "betas": betas, "ts": [2, 1], "gamma": gamma}
         assert run(["separate", write(tmp_path, "c.json", cfg)]) == 1
 
+    def test_string_stream_certificate(self, tmp_path, capsys):
+        # a stream must be a JSON list: the string "123456789" is iterable,
+        # but it is not the Q stream 1, ..., 9 of the certificate it replaces
+        cfg = {"op": "tail", "betas": ["0/1", "3/1"], "ts": [2, 1],
+               "gamma": [f"{s}/1" for s in range(1, 10)]}
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        assert run(["verify", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        cert["gamma"] = "123456789"
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "gamma streams must be nonempty JSON lists" in capsys.readouterr().err
+
     def test_int_exponent_in_rational_config(self, tmp_path, capsys):
         seq = {"seq": "rule", "field": "Q", "horizon": 300,
                "exp": {"kind": "arith", "a": "1/2", "b": "1/3"},

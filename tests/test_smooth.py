@@ -33,6 +33,23 @@ def roundtrip_verify(cert):
     sm_verify(SmoothCert.from_json(json.loads(json.dumps(cert.to_json()))))
 
 
+def square_pair_f2():
+    """Y^2 over F2 and a unit pseudo-limit: a pair through the case2 rewrite."""
+    f2 = GF(2)
+    unit_seq = RuleSequence(f2, {"kind": "list", "values": [0], "step": 2},
+                            {"kind": "const", "c": f2.one()}, horizon=300)
+    return sm_pair(Poly.var(f2, ZZ, Y0) ** 2, unit_seq)
+
+
+@functools.lru_cache(maxsize=None)
+def case2_pairs():
+    """JSON of a case2 pair, a case1 pair (c | d) and a constant pair."""
+    V, seq = Poly.var(QQ, ZZ, Y0), lacunary_sequence(QQ)
+    return {"case2": square_pair_f2().to_json(),
+            "case1": sm_pair(V - Poly.const(seq.term(2)), seq).to_json(),
+            "constant": sm_pair(Poly.const(tpow(QQ, 3)), seq).to_json()}
+
+
 class TestPresentationCheck:
     def test_polynomial_algebra_passes(self):
         # [TRIVIAL] one generator, no relations: empty minor is a unit
@@ -84,13 +101,39 @@ class TestPair:
     def test_charp_case2_routing(self):
         # [DERIVED] f = Y^2 over F2 goes through the case2 rewrite; the
         # divide-back-out step needs a unit pseudo-limit (first exponent 0)
-        f2 = GF(2)
-        unit_seq = RuleSequence(f2, {"kind": "list", "values": [0],
-                                     "step": 2},
-                                {"kind": "const", "c": f2.one()}, horizon=300)
-        cert = sm_pair(Poly.var(f2, ZZ, Y0) ** 2, unit_seq)
+        cert = square_pair_f2()
         assert cert.problem["case2"] is True
         roundtrip_verify(cert)
+
+    @pytest.mark.parametrize("pair, case2", [
+        ("case2", False), ("case2", "yes"), ("case2", None), ("case2", 3), ("case2", "deleted"),
+        ("case1", True), ("case1", 0), ("case1", "deleted"), ("constant", False)])
+    def test_case2_echo_checked(self, pair, case2):
+        # a pair with a rewrite echoes case2 as the JSON boolean "the
+        # rewrite multiplied by Y"; a pair without one echoes no case2
+        bad = copy.deepcopy(case2_pairs()[pair])
+        assert run_single("verify", bad, OPTS) == (0, {"verified": True, "cert": "smooth"})
+        if case2 == "deleted":
+            del bad["problem"]["case2"]
+        else:
+            bad["problem"]["case2"] = case2
+        code, message = run_single("verify", bad, OPTS)
+        assert code == 4, message
+        assert message.startswith("verification failed: verification failed at case2: "), message
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_val_d_past_twice_deltaw(self, field, k):
+        # f = Y - (t + t^2 + ... + t^(2^(k-1))): val f(y0) = 2^k lies past
+        # seq0.gamma(4) = 16 for k = 5, and f(y0) cancels below it for k = 4,
+        # so the canonical d doubles its window.  z = f(y0)/d, with
+        # deltaw = 8 < val d, reads y0 below deltaw + val d.
+        seq = lacunary_sequence(field)
+        f = Poly.var(field, ZZ, Y0) - Poly.const(seq.term(k))
+        assert _canonical_d(f, seq).val() == 2 ** k
+        for cert in (sm_pair(f, seq), sm_family([f], seq)):
+            assert cert.kind == "pair" and cert.branch == "c-divides-d"
+            assert run_single("verify", cert.to_json(), OPTS)[0] == 0
 
     def test_charp_case2_nonunit_rejected(self):
         # [TRIVIAL] same input over a val-1 pseudo-limit violates the
@@ -177,6 +220,18 @@ class TestFamily:
         three = ValuedSeries.scalar(field, ZZ, from_int(field, 3))
         cert = sm_family([V, V.scale(three)], lacunary_sequence(field))
         roundtrip_verify(cert)
+
+    def test_unsteerable_chain_fails_after_one_attempt(self, monkeypatch):
+        # no start index puts Y^2's rewrite on the earlier variable y1
+        seq, V = lacunary_sequence(QQ), Poly.var(QQ, ZZ, Y0)
+        attempt, attempts = smooth._family_attempt, []
+        monkeypatch.setattr(smooth, "_family_attempt",
+                            lambda *args: attempts.append(1) or attempt(*args))
+        cfg = {"field": "Q", "op": "family", "seq0": seq.to_json(),
+               "fs": [(V - Poly.const(seq.term(5))).to_json(), (V ** 2).to_json()]}
+        code, message = run_single("smooth", cfg, OPTS)
+        assert (code, attempts) == (2, [1])
+        assert "family construction failed: could not steer" in message
 
     def test_zero_member_rejected(self):
         with pytest.raises(InputError):
