@@ -75,6 +75,13 @@ def _ints(value, key):
     return [require_int(v, key) for v in value]
 
 
+def _elements(value, key):
+    """value, which must be a JSON list of group elements; key names it."""
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a list of group elements, got {value!r}")
+    return [element_from_json(v) for v in value]
+
+
 def _positive(opts, cfg, key, default):
     """The --key flag when given, else the config's key, else the default;
     it must be a positive integer (a bool is not one)."""
@@ -92,7 +99,7 @@ def cmd_separate(cfg, opts):
     H = _positive(opts, cfg, "horizon", 200)
     op = _require(cfg, "op")
     if op == "tail":
-        cert = sep_tail([element_from_json(b) for b in _require(cfg, "betas")],
+        cert = sep_tail(_elements(_require(cfg, "betas"), "betas"),
                         _ints(_require(cfg, "ts"), "ts"),
                         _load_stream(_require(cfg, "gamma"), H))
     elif op == "shifted":
@@ -109,7 +116,7 @@ def cmd_separate(cfg, opts):
     elif op == "multi":
         gammas = [_load_stream(g, H) for g in _require(cfg, "gammas")]
         cert = sep_multi([_ints(s, "subsets") for s in _require(cfg, "subsets")],
-                         [element_from_json(b) for b in _require(cfg, "betas")],
+                         _elements(_require(cfg, "betas"), "betas"),
                          _ints(_require(cfg, "ts"), "ts"),
                          gammas,
                          _ints(cfg.get("rhos", [0] * len(gammas)), "rhos"))

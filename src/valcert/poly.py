@@ -120,8 +120,13 @@ class Powers(dict):
         if tag not in self._values:
             raise InputError(f"no value for variable {tag}")
         base = self._values[tag]
-        power = self[key] = base if n == 1 else self[tag, n - 1] * base
-        return power
+        # from the highest power below n already known, up, in a loop
+        low = n
+        while low > 1 and (tag, low - 1) not in self:
+            low -= 1
+        for k in range(low, n + 1):
+            self[tag, k] = base if k == 1 else self[tag, k - 1] * base
+        return self[key]
 
 
 class Poly:
@@ -253,8 +258,8 @@ class Poly:
         powers: Dict[int, Poly] = {0: self._one()}
 
         def power(k: int) -> Poly:
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
+            while len(powers) <= k:
+                powers[len(powers)] = powers[len(powers) - 1] * replacement
             return powers[k]
 
         out = []

@@ -379,6 +379,9 @@ class RewriteCert:
         multiplier = {require_int(e, "multiplier variable"): require_int(k, "multiplier exponent")
                       for e, k in obj["multiplier"]}
         indices = [require_int(j, "indices") for j in obj["indices"]]
+        if any(j < 0 for j in indices):
+            # also at a sequence g does not read, which no check reaches
+            raise InputError("negative sequence index")
         return RewriteCert(obj["kind"], field, g, multiplier, seqs, indices, G1, mono,
                            obj["mode"], obj["case"], table)
 

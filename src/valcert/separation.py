@@ -366,10 +366,11 @@ def separate_indices(entries: Sequence[Entry], gammas: Sequence[Sequence],
     """Choose indices (j_e), rho_e < j_e <= H_e, making all entry values
     beta + sum(mult_e * gamma_{e,j_e}) pairwise distinct.
 
-    Implements the inductive proof: recurse on positions below the last,
-    requiring distinctness only for entry pairs that carry equal
-    multipliers at the peeled position (mixed pairs are separated by the
-    tail step on the last index).  Multipliers may be any integers.
+    Implements the inductive proof in a loop: the positions below the
+    last are separated first, requiring distinctness only for entry pairs
+    that carry equal multipliers at the peeled position (mixed pairs are
+    separated by the tail step on the last index).  Multipliers may be any
+    integers.
     Returns the lexicographically least tuple in that search order.
 
     The streams must already be validated (one value group, strictly
@@ -383,8 +384,26 @@ def separate_indices(entries: Sequence[Entry], gammas: Sequence[Sequence],
     if not entries:
         raise InputError("no entries to separate")
     G = _head_group(gammas, *(beta for _, _, beta in entries))
+    # Peel positions from the last: the pairs with unequal multipliers at
+    # position m are separated there, the rest below it.
     required = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
-    return _separate_rec(G, entries, required, gammas, rhos, n - 1)
+    mixed_at = []
+    for m in range(n - 1, -1, -1):
+        mixed_at.append([(i, j) for i, j in required
+                         if entries[i][1].get(m, 0) != entries[j][1].get(m, 0)])
+        required = [(i, j) for i, j in required
+                    if entries[i][1].get(m, 0) == entries[j][1].get(m, 0)]
+    for i, j in required:
+        if entries[i][2] == entries[j][2]:
+            raise InputError(
+                f"entries {entries[i][0]!r} and {entries[j][0]!r} cannot be "
+                "separated: identical multipliers and equal offsets")
+    # Then choose j_0, j_1, ... in turn, each the least one past rho_m that
+    # separates its position's mixed pairs given the indices below it.
+    js: List[int] = []
+    for m, mixed in enumerate(reversed(mixed_at)):
+        js.append(_least_index(G, entries, mixed, gammas, rhos, js, m))
+    return js
 
 
 def _entry_value(G: ValueGroup, entry: Entry, gammas, js, upto: int):
@@ -396,21 +415,8 @@ def _entry_value(G: ValueGroup, entry: Entry, gammas, js, upto: int):
     return total
 
 
-def _separate_rec(G: ValueGroup, entries, required, gammas, rhos, m: int) -> List[int]:
-    if m < 0:
-        for i, j in required:
-            if entries[i][2] == entries[j][2]:
-                raise InputError(
-                    f"entries {entries[i][0]!r} and {entries[j][0]!r} cannot be "
-                    "separated: identical multipliers and equal offsets")
-        return []
-    child_required = [(i, j) for i, j in required
-                      if entries[i][1].get(m, 0) == entries[j][1].get(m, 0)]
-    js = _separate_rec(G, entries, child_required, gammas, rhos, m - 1)
-    mixed = [(i, j) for i, j in required
-             if entries[i][1].get(m, 0) != entries[j][1].get(m, 0)]
-    H = len(gammas[m])
-    for jm in range(rhos[m] + 1, H + 1):
+def _least_index(G: ValueGroup, entries, mixed, gammas, rhos, js, m: int) -> int:
+    for jm in range(rhos[m] + 1, len(gammas[m]) + 1):
         g = gammas[m][jm - 1]
         ok = True
         for i, j in mixed:
@@ -421,7 +427,7 @@ def _separate_rec(G: ValueGroup, entries, required, gammas, rhos, m: int) -> Lis
                 ok = False
                 break
         if ok:
-            return js + [jm]
+            return jm
     raise HorizonError(
         f"no admissible index for position {m} within the stream window")
 

@@ -25,9 +25,11 @@ unit is a term at exponent 0) below the least positive image exponent
 under C.  Inexact images, coefficients and the pseudo-limit are
 truncated at the cap first.  Over V a capped value is known at least as
 far as min(C, the uncapped value's window), so each check runs once, at
-its cap, and decides as it would on the full values.  delta must also
-reach the floor 2*gamma of every stage generator (_check_floor), which
-the builders certify at unless a larger delta is asked for.
+its cap, and decides as it would on the full values.  The claims are
+decided in one order: data over V and delta > 0, relations and minor
+(sm_check), witness and problem data over V, the delta floor 2*gamma of
+every stage generator (_check_floor; builders certify at it unless
+asked for more), then witnesses, rewrites and shape.
 """
 from __future__ import annotations
 
@@ -662,8 +664,8 @@ def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
 
 def _check_floor(cert: SmoothCert, problem: _Problem, delta, cap) -> None:
     """delta >= 2*gamma for every stage generator Y_{e,j}: gamma_j of seq0
-    for e = 0, else the exponent of term j of y_e = f_e(y0)/d_e, read off
-    the target its witness check computed."""
+    for e = 0, else the exponent of term j of y_e = f_e(y0)/d_e below cap,
+    the member the y_e witness check then reuses as its target."""
     group = cert.pres.group
     for i, (tag, _) in enumerate(cert.pres.generators):
         if tag.kind != "stage":
@@ -742,9 +744,9 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
 
 
 def sm_verify(cert: SmoothCert, delta=None) -> None:
-    """Re-check presentation invariants, membership witnesses, embedded
-    rewrite certificates and the shape of the certificate's kind; raises
-    VerificationError at the first failure."""
+    """Re-check presentation invariants, the delta floor, membership
+    witnesses, embedded rewrites and the shape of the certificate's kind,
+    in the module's order; raises VerificationError at the first failure."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     sm_check(cert.pres, dlt)
@@ -753,9 +755,9 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
                           for part, poly in (("num", w.num), ("den", w.den))
                           if poly is not None] + problem.named())
     cap = _verify_cap(cert.pres, dlt)
+    _check_floor(cert, problem, dlt, cap)
     for w in cert.witnesses:
         _check_witness(w, cert.pres, problem, dlt, cap)
-    _check_floor(cert, problem, dlt, cap)
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()

@@ -402,10 +402,9 @@ def problem_named(cert):
 
 
 def sm_verify(cert, delta=None):
-    """Presentation, witnesses, the delta floor and rewrites checked on
-    the full values, after the data is checked to lie over V with
-    delta > 0; equal to smooth.sm_verify in verdict and claim (without the
-    shape of the certificate's kind)."""
+    """smooth.sm_verify's claims in its order (see the smooth module),
+    checked on the full values; equal to it in verdict and claim (without
+    the shape of the certificate's kind)."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     deltaw = group.scale(dlt, 2)
@@ -413,6 +412,7 @@ def sm_verify(cert, delta=None):
     over_V(group, [(f"witness {w.name} {part}", poly) for w in cert.witnesses
                    for part, poly in (("num", w.num), ("den", w.den)) if poly is not None]
            + problem_named(cert))
+    check_floor(cert, dlt, deltaw)
     assignment = dict(cert.pres.generators)
     for w in cert.witnesses:
         value = w.num.eval_series(assignment)
@@ -431,7 +431,6 @@ def sm_verify(cert, delta=None):
             raise VerificationError(
                 f"witness-{w.name}",
                 f"expression differs from target at val {group.to_json(diff.val_lower())}")
-    check_floor(cert, dlt, deltaw)
     for i, rc in enumerate(cert.rewrites):
         try:
             rc.verify()

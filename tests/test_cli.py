@@ -13,6 +13,7 @@ from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
+from valcert.separation import SeparationCert
 from valcert.series import ValuedSeries
 
 from test_verify_cap import recorded_caps
@@ -757,8 +758,44 @@ class TestBadRational:
 
 class TestInternalError:
     """An exception outside the exit-code map exits 5, and the rest of a
-    batch still gets its results.  Here: a rewrite certificate whose g
-    raises Y0 to the power 2000 overflows the recursion of the power table."""
+    batch still gets its results.  No input is known to raise one, so once
+    the certificates are built the separation verifier is patched to raise
+    ZeroDivisionError; forked batch workers inherit the patch."""
+
+    @staticmethod
+    def certificates(tmp_path, monkeypatch):
+        """A tail separation certificate, which now fails to verify, and a
+        rewrite certificate."""
+        certs = []
+        for command, cfg in (("separate", tail_cfg()), ("rewrite", univariate_cfg(QQ, 1))):
+            out = tmp_path / f"{command}.json"
+            assert run([command, write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+            certs.append(json.loads(out.read_text()))
+
+        def verify(cert):
+            raise ZeroDivisionError("injected")
+        monkeypatch.setattr(SeparationCert, "verify", verify)
+        return certs
+
+    def test_alone(self, tmp_path, capsys, monkeypatch):
+        bad, _ = self.certificates(tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 5
+        assert capsys.readouterr().err.startswith("internal error: ZeroDivisionError")
+
+    def test_in_batch(self, tmp_path, capsys, monkeypatch):
+        bad, cert = self.certificates(tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "b.json", [bad, cert]), "--jobs", "2"]) == 5
+        results = json.loads(capsys.readouterr().out)
+        assert results[0]["exit"] == 5 and "ZeroDivisionError" in results[0]["error"]
+        assert results[1] == {"cert": "rewrite", "verified": True}
+
+
+class TestDeepInput:
+    """Inputs past Python's recursion depth: Y0 raised to 1000 and 2000 in
+    a rewrite's g, and a multi separation over 1,200 streams.  Each reaches
+    a verdict, not exit 5."""
 
     CFG = {"field": "Q", "op": "univariate",
            "g": [[[[{"tag": "orig", "e": 0}, 1]], {"trunc": "inf", "terms": [[0, "3/1"]]}],
@@ -767,29 +804,56 @@ class TestInternalError:
                      "exp": {"kind": "geom", "a": 1},
                      "coeff": {"kind": "const", "c": "4/1"}}]}
 
-    def certificates(self, tmp_path):
+    @pytest.mark.parametrize("power", [1000, 2000])
+    def test_high_power_in_g(self, tmp_path, capsys, power):
+        # g's Y0 raised to the power: G1 no longer recentres g, so exit 4
         out = tmp_path / "cert.json"
         assert run(["rewrite", write(tmp_path, "c.json", self.CFG), "--out", str(out)]) == 0
         cert = json.loads(out.read_text())
-        bad = copy.deepcopy(cert)
-        (mono, _), = [m for m in bad["g"] if m[0]]
+        (mono, _), = [m for m in cert["g"] if m[0]]
         assert mono == [[{"tag": "orig", "e": 0}, 1]]
-        mono[0][1] = 2000
-        return bad, cert
-
-    def test_alone(self, tmp_path, capsys):
-        bad, _ = self.certificates(tmp_path)
+        mono[0][1] = power
         capsys.readouterr()
-        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 5
-        assert capsys.readouterr().err.startswith("internal error: RecursionError")
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "verification failed at identity" in capsys.readouterr().err
 
-    def test_in_batch(self, tmp_path, capsys):
-        bad, cert = self.certificates(tmp_path)
+    def test_many_streams(self, tmp_path, capsys):
+        n = 1200
+        cfg = {"op": "multi", "subsets": [[0], [n - 1]], "betas": [0, 0], "ts": [1] * n,
+               "gammas": [[1, 2, 3]] * n}
+        out = tmp_path / "cert.json"
+        assert run(["separate", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        # every index but the last is free; the last makes the values 1 and 2
+        assert json.loads(out.read_text())["js"] == [1] * (n - 1) + [2]
+        assert run(["verify", str(out)]) == 0
+
+
+class TestNegativeIndices:
+    """A rewrite index below 0 exits 1, also at a sequence g does not read
+    (which once verified, exit 0), and in a rewrite embedded in a smooth
+    certificate."""
+
+    def test_unread_sequence(self, tmp_path, capsys):
+        cfg = univariate_cfg(QQ, 1)
+        g = Poly.var(QQ, ZZ, Y0) + Poly.const(ValuedSeries.t_power(QQ, ZZ, 1))
+        cfg.update(op="multilinear", g=g.to_json(), seqs=cfg["seqs"] * 2)
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        cert["indices"][1] = -1
         capsys.readouterr()
-        assert run(["verify", write(tmp_path, "b.json", [bad, cert]), "--jobs", "2"]) == 5
-        results = json.loads(capsys.readouterr().out)
-        assert results[0]["exit"] == 5 and "RecursionError" in results[0]["error"]
-        assert results[1] == {"cert": "rewrite", "verified": True}
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "negative sequence index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_embedded(self, tmp_path, capsys, k):
+        out = tmp_path / "cert.json"
+        assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        cert["rewrites"][1]["indices"][k] = -1
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "negative sequence index" in capsys.readouterr().err
 
 
 class TestSeparationMaps:
@@ -936,12 +1000,17 @@ class TestShortData:
         bad["problem"]["seq0"]["horizon"] = horizon
         return cert, bad
 
+    # the delta floor, checked before the witnesses, is the first to read
+    # past the cut
+    SEQ0_CUT = {1: "at delta: generator 0: index 1 >= horizon 1",
+                2: "at delta: generator 1: pseudo-limit support does not reach"}
+
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_seq0_horizon_cut(self, tmp_path, capsys, horizon):
         _, bad = self.seq0_cut(tmp_path, horizon)
         capsys.readouterr()
         assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
-        assert "witness-y0" in capsys.readouterr().err
+        assert self.SEQ0_CUT[horizon] in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_seq0_horizon_cut_in_batch(self, tmp_path, capsys, horizon):
@@ -950,7 +1019,7 @@ class TestShortData:
         path = write(tmp_path, "batch.json", [bad, cert])
         assert run(["verify", path, "--jobs", "2"]) == 4
         results = json.loads(capsys.readouterr().out)
-        assert results[0]["exit"] == 4 and "witness-y0" in results[0]["error"]
+        assert results[0]["exit"] == 4 and self.SEQ0_CUT[horizon] in results[0]["error"]
         assert results[1] == {"cert": "smooth", "verified": True}
 
     @staticmethod
@@ -1097,17 +1166,29 @@ def bivariate_cfg():
     return cfg
 
 
+def q_exponents(cfg, key):
+    """cfg with its betas and its gamma list (or lists) as Q exponents."""
+    def q(xs):
+        return [f"{x}/1" for x in xs]
+    cfg["betas"] = q(cfg["betas"])
+    cfg[key] = q(cfg[key]) if key == "gamma" else [q(g) for g in cfg[key]]
+    return cfg
+
+
 class TestConfigIntegerFields:
     """An integer field of a build config that holds a float, a bool or a
     string exits 1 and names the field, alone and beside a valid config in
     a --jobs 2 batch.  These fields were read with int() (or not at all),
-    so 4.9 became 4 and true became 1."""
+    so 4.9 became 4 and true became 1.  So does a betas list that is a
+    string, which was read as a list of one-character exponents."""
 
     EDITS = {
         "tail-ts": ("separate", tail_cfg, "ts", [4.9, True]),
         "multi-ts": ("separate", multi_cfg, "ts", [1, 2.0]),
         "multi-subsets": ("separate", multi_cfg, "subsets", [[0], [1.0], [0, 1]]),
         "multi-rhos": ("separate", multi_cfg, "rhos", [0, "1"]),
+        "tail-betas": ("separate", lambda: q_exponents(tail_cfg(), "gamma"), "betas", "03"),
+        "multi-betas": ("separate", lambda: q_exponents(multi_cfg(), "gammas"), "betas", "140"),
         "rewrite-nu": ("rewrite", lambda: univariate_cfg(QQ, 1), "nu", 4.9),
         "rewrite-nus": ("rewrite", bivariate_cfg, "nus", [0, True]),
         "rewrite-nus-number": ("rewrite", bivariate_cfg, "nus", 3),

@@ -284,16 +284,55 @@ class TestCappedVerifier:
         b for b in BASES if b[1] is RATIONALS and b[2]["kind"] == "fraction"])
     def test_fraction_decided_below_the_cap_where_f2_vanishes(self, field, group, obj):
         # At delta 1/4 the cap is 1/2 = val f2(y0), so f2(y0) below the cap
-        # has no known term; the witness reads that valuation uncapped.
-        # Every witness passes; the delta floor, checked after them, fails.
+        # has no known term.  The delta floor, checked before any witness,
+        # fails first.
         cert = SmoothCert.from_json(obj)
         delta = Fraction(1, 4)
         assert smooth._verify_cap(cert.pres, delta) == Fraction(1, 2)
         got, caps = capped_outcome(cert, delta)
         assert got == outcome(oracles.sm_verify, cert, delta)
         assert got[:2] == ("VerificationError", "delta")
-        assert [name for name, _ in caps].count("_check_witness") == len(cert.witnesses)
+        assert "_check_witness" not in [name for name, _ in caps]
         assert_capped(cert, delta, caps)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_fraction_reads_f2_deeper_where_it_vanishes_below_the_cap(self, field):
+        # y0 = t + t^2 + t^3 + ... and f2 = V - (t + ... + t^16): val f2(y0)
+        # is 17, past the cap 9 at the certificate's delta 8, while y2 =
+        # f2(y0)/t^17 has small gammas, so the floor passes.  The fraction
+        # witness reads f2(y0) below 4*delta to find its valuation.
+        V = Poly.var(field, ZZ, Y0)
+        seq = RuleSequence(field, {"kind": "arith", "a": 1, "b": 1},
+                           {"kind": "const", "c": field.one()}, 60)
+        f2 = V - Poly.const(ValuedSeries(field, ZZ, [(e, field.one()) for e in range(1, 17)]))
+        cert = sm_fraction(f2 * V, f2, seq)
+        assert (cert.delta, smooth._verify_cap(cert.pres, cert.delta)) == (8, 9)
+        depths = []
+        real = smooth._Problem._y0
+
+        def y0(problem, depth):
+            depths.append(depth)
+            return real(problem, depth)
+
+        with mock.patch.object(smooth._Problem, "_y0", y0):
+            got = outcome(smooth.sm_verify, cert, None)
+        assert got == outcome(oracles.sm_verify, cert, None) == ("ok", None, "")
+        assert 32 in depths
+
+    @pytest.mark.parametrize("field, group, obj", [b for b in BASES if b[1] is LEX2])
+    def test_floor_decided_before_any_witness(self, field, group, obj):
+        # The y0 witness over the exact den Y_{0,1} * (1 + t^(0,1)): below
+        # the cap at delta (0, 1) the quotient is read, in full it has
+        # unbounded lex support.  Both verifiers decide the floor first,
+        # and it fails, before either evaluates a witness.
+        cert = SmoothCert.from_json(obj)
+        w = next(w for w in cert.witnesses if w.kind == "y0")
+        unit = ValuedSeries(field, group, [((0, 0), field.one()), ((0, 1), field.one())])
+        w.den = Poly.var(field, group, cert.pres.generators[0][0]).scale(unit)
+        got, caps = capped_outcome(cert, (0, 1))
+        assert got == outcome(oracles.sm_verify, cert, (0, 1))
+        assert got[:2] == ("VerificationError", "delta")
+        assert "_check_witness" not in [name for name, _ in caps]
 
     def test_exact_quotient_kept_exact(self):
         # A y0 witness num/den with exact num and den whose quotient has
