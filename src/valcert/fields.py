@@ -30,15 +30,22 @@ from .errors import InputError, VariantMismatchError, require_int
 _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
+# Miller-Rabin with the prime bases 2..37 decides primality exactly below
+# PRIME_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether p is prime, for p < PRIME_LIMIT; a larger p is refused."""
+    if p >= PRIME_LIMIT:
+        raise InputError(f"p = {p} is too large: primality is decided below {PRIME_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in _MR_BASES)
 
 
 class Field:

@@ -350,23 +350,35 @@ class Poly:
 
 def det(rows: Sequence[Sequence[Poly]], one: Poly) -> Poly:
     """Determinant by Laplace expansion along the first row, skipping zero
-    entries (matrix sizes here stay small); one is the empty determinant."""
-
-    def expand(row_ids, col_ids):
-        if not row_ids:
-            return one
-        r = row_ids[0]
-        total = Poly.zero(one.field, one.group)
-        for pos, c in enumerate(col_ids):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            term = entry * expand(row_ids[1:], col_ids[:pos] + col_ids[pos + 1:])
-            total = total + term if pos % 2 == 0 else total - term
-        return total
-
+    entries (matrix sizes here stay small); one is the empty determinant.
+    The expansion keeps its own stack, one frame per row of the minor
+    being expanded, so a large matrix meets no recursion limit."""
     n = len(rows)
-    return expand(tuple(range(n)), tuple(range(n)))
+    zero = Poly.zero(one.field, one.group)
+    # a frame: the minor's columns, the position after the column being
+    # expanded, the signed sum so far; the minor's row is n - len(columns)
+    stack, value = [[tuple(range(n)), 0, zero]], None
+    while stack:
+        frame = stack[-1]
+        cols, pos, total = frame
+        if not cols:
+            stack.pop()
+            value = one
+            continue
+        row = rows[n - len(cols)]
+        if value is not None:  # the minor under column pos - 1
+            term = row[cols[pos - 1]] * value
+            total = frame[2] = total + term if pos % 2 else total - term
+            value = None
+        while pos < len(cols) and row[cols[pos]].is_zero():
+            pos += 1
+        if pos == len(cols):
+            stack.pop()
+            value = total
+        else:
+            frame[1] = pos + 1
+            stack.append([cols[:pos] + cols[pos + 1:], 0, zero])
+    return value
 
 
 def sylvester_resultant(p: Poly, q: Poly, tag: VarTag) -> Poly:

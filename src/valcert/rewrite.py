@@ -15,13 +15,19 @@ embedded in a smooth certificate stores neither.
 The builder recentres each attempt once, on the frozen sequences the
 certificate would carry, so its G1 is the verifier's recomputation; it
 checks the verifier's value-table and normal-form claims on that G1.
+A build is a plan (_Plan: what does not depend on the start indices nus,
+the stable betas among it) and an attempt at given nus (_certify).  A
+plan also predicts attempt 0's designated monomial from the betas and
+the gammas at attempt 0's indices, without recentring; rw_bivariate
+takes its plans from a BivariatePlans, which a caller trying several
+nus keeps.
 
 What a rewrite kind means lives in one place, the rules under "Rewrite
 kinds": _shape_fault (the g, multiplier and sequences it accepts), _mode
-and _case.  _certify refuses an input by the first and records what the
-other two give; RewriteCert.verify applies all three after the identity
-and normal-form checks.  Each shape has one builder, and the field's
-characteristic picks its kind.
+and _case.  _Plan refuses an input by the first, and _certify records
+what the other two give; RewriteCert.verify applies all three after the
+identity and normal-form checks.  Each shape has one builder, and the
+field's characteristic picks its kind.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
@@ -36,11 +42,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
-                     NotStabilizedError, UndecidedError, VerificationError,
-                     require_int)
+                     NotStabilizedError, UndecidedError, ValcertError,
+                     VerificationError, require_int)
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
@@ -451,43 +457,97 @@ class _GammaStream:
         return self._seq.gamma(i)
 
 
-def _certify(kind: str, g: Poly, multiplier: Mapping[int, int],
-             seqs: Sequence[PseudoSequence], nus: Optional[Sequence[int]],
-             W: int, R: int) -> RewriteCert:
-    fault = _shape_fault(kind, g, multiplier, len(seqs))
-    if fault:
-        raise InputError(fault)
-    h = _with_multiplier(g, multiplier)
-    mode = _mode(kind, g)
-    betas = _stable_betas(h, seqs, W)
-    streams = [_GammaStream(seq) for seq in seqs]
-    min_idx = []
-    for e, nu in enumerate([0] * len(seqs) if nus is None else nus):
-        starts = [start for k, (_, start) in betas.items() if k[e]]
-        min_idx.append(max([nu + 1] + starts))
-    rhos = list(min_idx)
+class _Plan:
+    """What every attempt at a rewrite of g * multiplier over seqs shares,
+    whatever the start indices: the shape fault (raised here), h, the
+    mode, the stable betas and the gamma streams.  Attempt 0's indices
+    are kept per nus, for the attempt and for predict."""
+
+    def __init__(self, kind: str, g: Poly, multiplier: Mapping[int, int],
+                 seqs: Sequence[PseudoSequence], W: int):
+        fault = _shape_fault(kind, g, multiplier, len(seqs))
+        if fault:
+            raise InputError(fault)
+        self.kind, self.g, self.multiplier, self.seqs = kind, g, multiplier, list(seqs)
+        self.h = _with_multiplier(g, multiplier)
+        self.mode = _mode(kind, g)
+        self.betas = _stable_betas(self.h, seqs, W)
+        self.entries = [(k, {e: ke for e, ke in enumerate(k) if ke}, beta)
+                        for k, (beta, _) in self.betas.items() if beta is not INF]
+        self.streams = [_GammaStream(seq) for seq in seqs]
+        self._first: Dict[Optional[tuple], List[int]] = {}
+
+    def starts(self, nus: Optional[Sequence[int]]) -> List[int]:
+        """Attempt 0's least index per sequence: past nu and past the
+        window start of every beta that reads the sequence."""
+        out = []
+        for e, nu in enumerate([0] * len(self.seqs) if nus is None else nus):
+            starts = [start for k, (_, start) in self.betas.items() if k[e]]
+            out.append(max([nu + 1] + starts))
+        return out
+
+    def indices(self, rhos: Sequence[int]) -> List[int]:
+        """The recentring indices an attempt at least indices rhos takes."""
+        if self.entries:
+            return [j - 1 for j in separate_indices(self.entries, self.streams, rhos)]
+        return list(rhos)
+
+    def first_indices(self, nus: Optional[Sequence[int]]) -> List[int]:
+        """Attempt 0's indices at nus, searched once."""
+        key = None if nus is None else tuple(nus)
+        if key not in self._first:
+            self._first[key] = self.indices(self.starts(nus))
+        return self._first[key]
+
+    def predict(self, nus: Optional[Sequence[int]]):
+        """The monomial attempt 0 at nus designates, when its value table,
+        read without recentring, passes every claim; else None.  The Y^k
+        coefficient has value beta_k + sum_e k_e * gamma_e(t_e), the
+        constant val h(v_t).  None also when a beta is INF or a read
+        raises."""
+        if len(self.entries) != len(self.betas):
+            return None
+        group = self.h.group
+        try:
+            t = self.first_indices(nus)
+            gammas = [seq.gamma(i) for seq, i in zip(self.seqs, t)]
+            for seq, i in zip(self.seqs, t):
+                seq.gamma(i + 1)  # the attempt reads term t + 1 too
+            const = self.h.eval_series({VarTag.orig(e): seq.term(i)
+                                        for e, (seq, i) in enumerate(zip(self.seqs, t))})
+            vals = {} if const.is_zero_exact() else {(): const.val()}
+        except ValcertError:
+            return None
+        for _, exps, beta in self.entries:
+            mono = tuple((VarTag.stage(e, t[e]), ke) for e, ke in exps.items())
+            for e, ke in exps.items():
+                beta = group.add(beta, group.scale(gammas[e], ke))
+            vals[mono] = beta
+        c_mono, failure = _claims_hold(vals, self.mode, group)
+        return None if failure else c_mono
+
+
+def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
+    """The plan's rewrite at nus: attempt 0 at the plan's least indices,
+    each retry past the indices of the one before."""
+    rhos = plan.starts(nus)
     failure = "no attempt"
     for attempt in range(R):
-        entries = [(k, {e: ke for e, ke in enumerate(k) if ke}, beta)
-                   for k, (beta, _) in betas.items() if beta is not INF]
-        if entries:
-            js_sep = separate_indices(entries, streams, rhos)
-            indices = [j - 1 for j in js_sep]
-        else:
-            indices = list(rhos)
+        indices = plan.first_indices(nus) if attempt == 0 else plan.indices(rhos)
         # Recentring reads terms 0..t and range-checks t + 1.  G1 is
         # computed once, from the g, multiplier, frozen sequences and
         # indices the certificate carries, so it is the recomputation
         # RewriteCert.verify compares G1 with; the build checks the rest.
         frozen = [seq.snapshot(t + 2) if isinstance(seq, DerivedSequence) else seq
-                  for seq, t in zip(seqs, indices)]
-        G1 = recenter_at(h, frozen, indices)
+                  for seq, t in zip(plan.seqs, indices)]
+        G1 = recenter_at(plan.h, frozen, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
-        c_mono, failure = _claims_hold(vals, mode, h.group)
+        c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
-            cert = RewriteCert(kind, g.field, g, multiplier, frozen, indices,
-                               G1, c_mono, mode, _case(kind, multiplier, vals), table)
+            cert = RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, frozen,
+                               indices, G1, c_mono, plan.mode,
+                               _case(plan.kind, plan.multiplier, vals), table)
             cert.check_table(G1)
             return cert
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
@@ -556,7 +616,7 @@ def rw_pair_square(g: Poly, seqs: Sequence[PseudoSequence],
                    R: int = DEFAULT_RETRIES) -> RewriteCert:
     """Content-extraction rewrite for a multilinear polynomial in two
     coupled elements (the second squares the first)."""
-    return _certify("pair_square", g, {}, seqs, nus, W, R)
+    return _certify(_Plan("pair_square", g, {}, seqs, W), nus, R)
 
 
 def rw_multilinear_mono(g: Poly, seqs: Sequence[PseudoSequence],
@@ -564,7 +624,7 @@ def rw_multilinear_mono(g: Poly, seqs: Sequence[PseudoSequence],
                         W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
     """Content-extraction rewrite when every variable occurs in at most
     one monomial (single-monomial partial derivatives)."""
-    return _certify("multilinear_mono", g, {}, seqs, nus, W, R)
+    return _certify(_Plan("multilinear_mono", g, {}, seqs, W), nus, R)
 
 
 def rw_multilinear(g: Poly, seqs: Sequence[PseudoSequence],
@@ -572,7 +632,7 @@ def rw_multilinear(g: Poly, seqs: Sequence[PseudoSequence],
                    W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
     """Full multilinear rewrite: unique strictly minimal linear
     coefficient, or the content of a constant g."""
-    return _certify("multilinear", g, {}, seqs, nus, W, R)
+    return _certify(_Plan("multilinear", g, {}, seqs, W), nus, R)
 
 
 def rw_univariate(g: Poly, seq: PseudoSequence, nu: int = 0,
@@ -583,24 +643,54 @@ def rw_univariate(g: Poly, seq: PseudoSequence, nu: int = 0,
     p = characteristic(g.field)
     multiplier = {} if not p or _admissible(g, {}, p) else {0: 1}
     kind = "univariate_charp" if p else "univariate_pfree"
-    return _certify(kind, g, multiplier, [seq], [nu], W, R)
+    return _certify(_Plan(kind, g, multiplier, [seq], W), [nu], R)
+
+
+class BivariatePlans:
+    """rw_bivariate's plans for one g, pair of sequences and W, each made
+    on first use, in cascade order: the bivariate_pfree plan, or one
+    bivariate_charp plan per multiplier of the cascade.  A caller that
+    tries several start indices keeps one, so each plan is made once."""
+
+    def __init__(self, g: Poly, seqs: Sequence[PseudoSequence], W: int):
+        self.charp = bool(characteristic(g.field))
+        if self.charp:
+            # A g that fits no multiplier raises its shape fault at the first.
+            mults = [m for m in _MULTIPLIER_CASCADE
+                     if not _shape_fault("bivariate_charp", g, m, len(seqs))]
+            self._steps = [("bivariate_charp", m) for m in mults or _MULTIPLIER_CASCADE[:1]]
+        else:
+            self._steps = [("bivariate_pfree", {})]
+        self._args = (g, seqs, W)
+        self._plans: List[_Plan] = []
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, i: int) -> _Plan:
+        g, seqs, W = self._args
+        while len(self._plans) <= i:
+            kind, mult = self._steps[len(self._plans)]
+            self._plans.append(_Plan(kind, g, mult, seqs, W))
+        return self._plans[i]
 
 
 def rw_bivariate(g: Poly, seqs: Sequence[PseudoSequence],
                  nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
-                 R: int = DEFAULT_RETRIES) -> RewriteCert:
+                 R: int = DEFAULT_RETRIES,
+                 plans: Optional[BivariatePlans] = None) -> RewriteCert:
     """Bivariate minimal-linear normal form.  In characteristic p, g is
     multiplied by 1, Y_0, Y_1 or Y_0*Y_1, the first product with an
-    exponent prime to p that reaches the normal form."""
-    if not characteristic(g.field):
-        return _certify("bivariate_pfree", g, {}, seqs, nus, W, R)
-    # A g that fits no multiplier raises its shape fault at the first.
-    mults = [m for m in _MULTIPLIER_CASCADE
-             if not _shape_fault("bivariate_charp", g, m, len(seqs))]
+    exponent prime to p that reaches the normal form.  plans, made for
+    the same g, seqs and W, keeps the plans across calls."""
+    if plans is None:
+        plans = BivariatePlans(g, seqs, W)
+    if not plans.charp:
+        return _certify(plans[0], nus, R)
     last_failure: Optional[Exception] = None
-    for mult in mults or _MULTIPLIER_CASCADE[:1]:
+    for i in range(len(plans)):
         try:
-            return _certify("bivariate_charp", g, mult, seqs, nus, W, R)
+            return _certify(plans[i], nus, R)
         except UndecidedError as exc:
             last_failure = exc
     raise UndecidedError(

@@ -9,12 +9,15 @@ denominator) for every element they claim to contain; sm_verify
 re-derives the targets from the problem data and re-checks everything.
 
 Each kind has one build path, which assembles one certificate and
-verifies it once; a family is built in one attempt.  A fraction f1/f2
-is the family {f1, f2} plus one witness, y1 * (d1/d2) over y2.
-sm_verify also checks the shape of the certificate's kind, a pair's
-branch and its case2 echo (_check_shape).  Every f(y0)/d below a cap,
-in a build or a witness target, comes from _f_over_d, which reads y0
-below cap + val d.
+verifies it once; a family is built in one attempt.  Each family link's
+rewrite is steered onto the earlier variable by raising the later
+variable's start index, and a start index whose rewrite the stable
+coefficient values predict to land on the later variable is skipped
+unbuilt (_steer).  A fraction f1/f2 is the family {f1, f2} plus one
+witness, y1 * (d1/d2) over y2.  sm_verify also checks the shape of the
+certificate's kind, a pair's branch and its case2 echo (_check_shape).
+Every f(y0)/d below a cap, in a build or a witness target, comes from
+_f_over_d, which reads y0 below cap + val d.
 
 The verifier first checks that the data lies over V: every generator
 image, relation coefficient, witness coefficient and problem series has
@@ -42,8 +45,8 @@ from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag, det, sylvester_resultant
-from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
-                      rw_bivariate, rw_univariate)
+from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, BivariatePlans,
+                      RewriteCert, rw_bivariate, rw_univariate)
 from .series import ValuedSeries
 
 
@@ -296,10 +299,9 @@ def _delta(group: ValueGroup, gamma_max, delta):
     return delta
 
 
-def _designates_earlier(rcert: RewriteCert) -> bool:
-    """True when the rewrite's designated monomial is the earlier pair variable."""
-    m = rcert.c_mono
-    return len(m) == 1 and m[0][1] == 1 and m[0][0].e == 0
+def _designates_earlier(c_mono) -> bool:
+    """True when a rewrite's designated monomial is the earlier pair variable."""
+    return len(c_mono) == 1 and c_mono[0][1] == 1 and c_mono[0][0].e == 0
 
 
 # -- Lemma-1 pair construction -----------------------------------------
@@ -477,6 +479,33 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
         raise NotStabilizedError(f"family construction failed: {exc}")
 
 
+def _steer(g: Poly, pair: Sequence[PseudoSequence], nu: int, W: int, R: int) -> RewriteCert:
+    """The link rewrite of g over the pair that designates the earlier
+    variable, the earlier one starting past index nu.
+
+    Earlier-side designation is what makes the chain Jacobian triangular
+    with unit diagonal (and it survives restaging, which only raises
+    later-side values).  Raising the later variable's start index raises
+    that side's coefficient values without bound, so the minimal
+    coefficient eventually lands on the earlier side.  A start index
+    whose attempt 0 the cascade's first plan predicts to pass and to
+    designate the later variable is skipped unbuilt; every other one is
+    built and its certificate checked."""
+    plans = BivariatePlans(g, pair, W)
+    for bump in range(8):
+        nus = (nu, 3 * bump)
+        predicted = plans[0].predict(nus)
+        if predicted is not None and not _designates_earlier(predicted):
+            continue
+        try:
+            cand = rw_bivariate(g, pair, nus=nus, W=W, R=R, plans=plans)
+        except UndecidedError:
+            continue
+        if _designates_earlier(cand.c_mono):
+            return cand
+    raise NotStabilizedError("could not steer the rewrite onto the earlier chain variable")
+
+
 def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R):
     n = len(fs)
     cur = [0] * (n + 1)  # current stage index per element (0 = y0)
@@ -486,26 +515,7 @@ def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R):
         g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
                                  ds[e - 2] if e >= 2 else None,
                                  fs[e - 1], ds[e - 1], first=(e == 1))
-        pair = [seqs[e - 1], seqs[e]]
-        # Steer the rewrite onto the earlier variable: raising the later
-        # variable's start index raises that side's coefficient values
-        # without bound, so the minimal coefficient eventually lands on
-        # the earlier side.  Earlier-side designation is what makes the
-        # chain Jacobian triangular with unit diagonal (and it survives
-        # restaging, which only raises later-side values).
-        rcert = None
-        for bump in range(8):
-            nus = (cur[e - 1], 3 * bump)
-            try:
-                cand = rw_bivariate(g, pair, nus=nus, W=W, R=R)
-            except UndecidedError:
-                continue
-            if _designates_earlier(cand):
-                rcert = cand
-                break
-        if rcert is None:
-            raise NotStabilizedError(
-                "could not steer the rewrite onto the earlier chain variable")
+        rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
         a, b = rcert.indices
         rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
                                VarTag.stage(1, b): VarTag.stage(e, b)})

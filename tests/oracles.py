@@ -7,18 +7,20 @@ on integer numerators over one denominator; Taylor recentring as the sum
 of Hasse derivatives and by substituting one variable at a time, the
 stable values of the Hasse derivatives by one scan per derivative, the
 ordinary partial derivative monomial by monomial, the smooth
-presentation checks on the full, uncapped values, and a series' JSON
-through one Fraction (or residue) per coefficient.
+presentation checks on the full, uncapped values, a series' JSON
+through one Fraction (or residue) per coefficient, and the family
+steering loop that builds a link rewrite at every start index it tries.
 """
 import itertools
 from fractions import Fraction
 
 from valcert.errors import (HorizonError, IndeterminateValError, InputError,
-                            NotStabilizedError, VerificationError)
+                            NotStabilizedError, UndecidedError, VerificationError)
 from valcert.fields import characteristic
 from valcert.group import INF
 from valcert.pcs import sequence_from_json
 from valcert.poly import Poly, VarTag, det
+from valcert.rewrite import rw_bivariate
 from valcert.series import ValuedSeries
 
 
@@ -436,3 +438,19 @@ def sm_verify(cert, delta=None):
             rc.verify()
         except VerificationError as exc:
             raise VerificationError(f"rewrite-{i}", str(exc))
+
+
+def steer_reference(g, pair, nu, W, R):
+    """smooth._steer without prediction: a link rewrite built at each
+    start index in turn, the first that designates the earlier variable
+    kept."""
+    for bump in range(8):
+        nus = (nu, 3 * bump)
+        try:
+            cand = rw_bivariate(g, pair, nus=nus, W=W, R=R)
+        except UndecidedError:
+            continue
+        m = cand.c_mono
+        if len(m) == 1 and m[0][1] == 1 and m[0][0].e == 0:
+            return cand
+    raise NotStabilizedError("could not steer the rewrite onto the earlier chain variable")

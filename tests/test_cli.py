@@ -2,6 +2,8 @@
 import copy
 import hashlib
 import json
+import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 
 from valcert import smooth
 from valcert.cli import main
-from valcert.fields import GF, QQ
+from valcert.errors import InputError
+from valcert.fields import GF, PRIME_LIMIT, QQ, _is_prime, field_from_json
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
@@ -826,6 +829,39 @@ class TestDeepInput:
         # every index but the last is free; the last makes the values 1 and 2
         assert json.loads(out.read_text())["js"] == [1] * (n - 1) + [2]
         assert run(["verify", str(out)]) == 0
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+class TestPrimeField:
+    """p is tested by deterministic Miller-Rabin, exact below PRIME_LIMIT;
+    a larger p exits 1."""
+
+    def test_agrees_with_trial_division(self):
+        assert [p for p in range(20000) if _is_prime(p) != _trial_division(p)] == []
+
+    @pytest.mark.parametrize("p", [561, 41041])
+    def test_carmichael_rejected(self, p):
+        assert not _is_prime(p)
+        with pytest.raises(InputError, match="is not prime"):
+            field_from_json({"field": "Fp", "p": p})
+
+    def test_large_prime_decodes_fast(self):
+        start = time.perf_counter()
+        assert field_from_json({"field": "Fp", "p": 2 ** 61 - 1}).p == 2 ** 61 - 1
+        assert time.perf_counter() - start < 0.05
+
+    def test_past_the_limit_exits_1(self, tmp_path, capsys):
+        # 2^89 - 1 is prime, but past the bound below which it is decided
+        p = 2 ** 89 - 1
+        assert p > PRIME_LIMIT
+        cfg = univariate_cfg(GF(5), 1)
+        cfg["p"] = cfg["seqs"][0]["p"] = p
+        capsys.readouterr()
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert "too large" in capsys.readouterr().err
 
 
 class TestNegativeIndices:

@@ -6,7 +6,7 @@ import pytest
 from valcert.errors import InputError
 from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
-from valcert.poly import Poly, VarTag, sylvester_resultant
+from valcert.poly import Poly, VarTag, det, sylvester_resultant
 from valcert.series import ValuedSeries
 
 from oracles import derivative, from_int
@@ -139,6 +139,25 @@ class TestResultant:
         r = sylvester_resultant(p, q, Y)
         t = Poly.var(QQ, ZZ, Y0) - Poly.var(QQ, ZZ, Y1)
         assert r.same_known(t) or r.same_known(-t)
+
+
+class TestDeterminant:
+    def test_two_by_two(self):
+        # [TRIVIAL] det [[A, 1], [2, B]] = AB - 2
+        A, B = Poly.var(QQ, ZZ, Y0), Poly.var(QQ, ZZ, Y1)
+        c = Poly.const(ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 2)))
+        unit = Poly.const(one())
+        assert det([[A, unit], [c, B]], unit).same_known(A * B - c)
+
+    @pytest.mark.parametrize("n, reversed_, sign", [(1100, False, 1), (1099, True, -1)],
+                             ids=["identity", "reversal"])
+    def test_more_rows_than_the_recursion_limit(self, n, reversed_, sign):
+        # one expansion level per row, past Python's recursion limit; the
+        # reversal of 1099 columns has sign (-1)^(1099*1098/2) = -1
+        unit, zero = Poly.const(one()), Poly.zero(QQ, ZZ)
+        rows = [[unit if j == (n - 1 - i if reversed_ else i) else zero for j in range(n)]
+                for i in range(n)]
+        assert det(rows, unit).same_known(unit if sign == 1 else -unit)
 
 
 class TestVarTag:

@@ -5,13 +5,16 @@ import importlib.util
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from valcert import smooth
+from valcert import rewrite, smooth
 from valcert.cli import canonical_json, run_single
 from valcert.errors import InputError, VerificationError
-from valcert.fields import GF, QQ
+from valcert.fields import GF, QQ, characteristic, field_to_json
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
@@ -20,7 +23,7 @@ from valcert.smooth import (SmoothCert, SmoothPresentation, _canonical_d,
                             _derived_unit_sequence, sm_check, sm_family,
                             sm_fraction, sm_pair, sm_verify)
 
-from oracles import from_int
+from oracles import from_int, steer_reference
 
 Y0 = VarTag.orig(0)
 
@@ -320,19 +323,37 @@ OPTS = {"horizon": None, "window": None, "retries": None, "delta": None}
 
 
 @functools.lru_cache(maxsize=None)
-def _workload_certs():
-    """The smooth certificates of the benchmark's smooth workload at seeds 1
-    and 7919 (4 pair, 20 family, 6 fraction), as JSON."""
+def _workload_builds():
+    """The items of the benchmark's smooth workload at seeds 1 and 7919
+    (4 pair, 20 family, 6 fraction), each as (seed, config, certificate
+    JSON, the number of rw_bivariate certificates its build made)."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    certs = []
-    for seed in (1, 7919):
-        for command, cfg in workloads.smooth_items(seed):
-            code, cert = run_single(command, cfg, OPTS)
-            assert code == 0, cert
-            certs.append(json.loads(canonical_json(cert)))
-    return certs
+    builds, built = [], []
+    with mock.patch.object(smooth, "rw_bivariate", _counted(smooth.rw_bivariate, built)):
+        for seed in (1, 7919):
+            for command, cfg in workloads.smooth_items(seed):
+                built.clear()
+                code, cert = run_single(command, cfg, OPTS)
+                assert code == 0, cert
+                builds.append((seed, cfg, json.loads(canonical_json(cert)), len(built)))
+    return builds
+
+
+def _counted(build, built):
+    """build, appending each certificate it returns to built."""
+    def counted(*args, **kwargs):
+        cert = build(*args, **kwargs)
+        built.append(cert)
+        return cert
+    return counted
+
+
+def _workload_certs():
+    """The smooth certificates of the benchmark's smooth workload at seeds 1
+    and 7919, as JSON."""
+    return [cert for _, _, cert, _ in _workload_builds()]
 
 
 def _linked(cert):
@@ -390,3 +411,86 @@ class TestShape:
             code, message = run_single("verify", json.loads(json.dumps(bad)), OPTS)
             assert code == 4, message
             assert re.findall(r"verification failed at ([\w-]+)", message)[0] == claim, message
+
+
+def _outcome(cfg):
+    """A smooth build's exit code and its canonical certificate or message."""
+    code, out = run_single("smooth", cfg, OPTS)
+    return code, canonical_json(out) if code == 0 else out
+
+
+def _unsteerable():
+    """[Y - v_5, Y^2] over Q: no start index puts the second link's rewrite
+    on the earlier variable."""
+    seq, V = lacunary_sequence(QQ), Poly.var(QQ, ZZ, Y0)
+    return {"field": "Q", "op": "family", "seq0": seq.to_json(),
+            "fs": [(V - Poly.const(seq.term(5))).to_json(), (V ** 2).to_json()]}
+
+
+@st.composite
+def families(draw):
+    """A family or fraction config over F2, F3, F5 or Q: two or three
+    members of degree 1 or 2 with monomial coefficients c * t^e, at
+    horizon 60 and 4 retries, so that a link that cannot be steered
+    fails fast."""
+    field = draw(st.sampled_from((GF(2), GF(3), GF(5), QQ)))
+    p = characteristic(field)
+    scalars = st.integers(1, p - 1) if p else st.sampled_from((1, -1, 2, 3))
+    V = Poly.var(field, ZZ, Y0)
+    fs = []
+    for _ in range(draw(st.integers(2, 3))):
+        degree = draw(st.integers(1, 2))
+        f = Poly.zero(field, ZZ)
+        for k in range(degree + 1):
+            if k == degree or draw(st.booleans()):
+                f = f + (V ** k).scale(tpow(field, draw(st.integers(0, 3)), draw(scalars)))
+        fs.append(f)
+    op = draw(st.sampled_from(("family", "fraction"))) if len(fs) == 2 else "family"
+    coeffs = [from_int(field, c) for c in draw(st.lists(scalars, min_size=1, max_size=2))]
+    cfg = {"op": op, "fs": [f.to_json() for f in fs], "retries": 4,
+           "seq0": lacunary_sequence(field, 60, coeffs).to_json()}
+    if op == "fraction":
+        cfg["f1"], cfg["f2"] = cfg.pop("fs")
+    cfg.update(field_to_json(field))
+    return cfg
+
+
+class TestSteering:
+    """A family link is steered onto the earlier variable by building one
+    rewrite per link: a start index whose attempt 0 is predicted to
+    designate the later variable is skipped unbuilt."""
+
+    def test_one_link_certificate_per_chain_link(self):
+        builds = _workload_builds()
+        for _, _, cert, built in builds:
+            assert built == (len(cert["rewrites"]) if _linked(cert) else 0)
+        per_seed = {seed: sum(built for s, _, _, built in builds if s == seed)
+                    for seed in (1, 7919)}
+        assert per_seed == {1: 30, 7919: 30}
+
+    @settings(max_examples=12, deadline=None)
+    @given(families())
+    @example(_unsteerable())
+    def test_against_reference(self, cfg):
+        # the steering loop that builds every start index it tries gives the
+        # same certificate, or the same exit code and message
+        new = _outcome(cfg)
+        with mock.patch.object(smooth, "_steer", steer_reference):
+            assert _outcome(cfg) == new
+
+    @pytest.mark.parametrize("wrong", [lambda plan, nus: None,
+                                       lambda plan, nus: ((VarTag.stage(0, 0), 1),)],
+                             ids=["unknown", "earlier"])
+    def test_wrong_prediction_falls_back(self, monkeypatch, wrong):
+        # a prediction that never skips builds every start index, checks
+        # each certificate, and ends as before: the same certificates at
+        # seed 1, the same failure for the unsteerable family
+        cases = [(cfg, (0, canonical_json(cert))) for seed, cfg, cert, _ in _workload_builds()
+                 if seed == 1 and _linked(cert)]
+        cases.append((_unsteerable(), _outcome(_unsteerable())))
+        monkeypatch.setattr(rewrite._Plan, "predict", wrong)
+        built = []
+        monkeypatch.setattr(smooth, "rw_bivariate", _counted(smooth.rw_bivariate, built))
+        for cfg, expected in cases:
+            assert _outcome(cfg) == expected
+        assert len(built) > 30  # more than one per chain link
