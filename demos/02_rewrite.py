@@ -4,13 +4,14 @@ A rewrite takes a polynomial g and pseudo-convergent sequences for its
 variables, recentres g at chosen partial sums, and factors out the
 designated minimal coefficient: G1 = c * g1 with g1 having unit
 designated coefficient.  The certificate records everything needed to
-replay the recentring exactly.
+replay the recentring exactly.  rw(op, g, seqs) builds every rewrite;
+op names the shape (univariate, bivariate, multilinear, ...) and the
+field's characteristic picks the kind.
 
     python3 demos/02_rewrite.py
 """
 from valcert import (GF, INTEGERS, QQ, Poly, RewriteCert, RuleSequence,
-                     VarTag, lacunary_sequence, rw_bivariate, rw_multilinear,
-                     rw_univariate, taylor_recenter)
+                     VarTag, lacunary_sequence, rw, taylor_recenter)
 from valcert.series import ValuedSeries
 
 ZZ = INTEGERS  # the value group: exponents are plain ints
@@ -32,7 +33,7 @@ def main():
     #    recentred polynomial is strictly minimal; c is the factored
     #    content and the certificate's value table is rechecked exactly.
     seq = lacunary_sequence(QQ, 300)
-    cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+    cert = rw("univariate", Poly.var(QQ, ZZ, Y0) ** 2, [seq])
     print("univariate over Q: designated index", cert.indices,
           "case", cert.case)
     RewriteCert.from_json(cert.to_json()).verify()
@@ -42,7 +43,7 @@ def main():
     #    decided directly (case1).
     seq2 = lacunary_sequence(f2, 300)
     for g2 in (Poly.var(f2, ZZ, Y0), Poly.var(f2, ZZ, Y0) ** 2):
-        cert = rw_univariate(g2, seq2)
+        cert = rw("univariate", g2, [seq2])
         cert.verify()
         print(f"char-2 univariate {g2}: {cert.case}")
     print()
@@ -53,7 +54,7 @@ def main():
             RuleSequence(f2, {"kind": "geom", "a": 3},
                          {"kind": "const", "c": 1}, horizon=300)]
     gb = Poly.var(f2, ZZ, Y0) ** 2 * Poly.var(f2, ZZ, Y1) ** 2
-    cert = rw_bivariate(gb, seqs)
+    cert = rw("bivariate", gb, seqs)
     cert.verify()
     print("bivariate char-2 multiplier:", cert.case, "\n")
 
@@ -63,7 +64,7 @@ def main():
                           {"kind": "const", "c": 1}, horizon=300)]
     gm = (Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1)
           + Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1))
-    cert = rw_multilinear(gm, seqs3)
+    cert = rw("multilinear", gm, seqs3)
     cert.verify()
     print("multilinear designated coefficient value:", cert.c.val())
 

@@ -17,9 +17,8 @@ from .pcs import (DEFAULT_HORIZON, DerivedSequence, PseudoSequence,
                   RuleSequence, TableSequence, lacunary_sequence,
                   sequence_from_json)
 from .poly import Monomial, Poly, VarTag, sylvester_resultant
-from .rewrite import (DEFAULT_WINDOW, RewriteCert, recenter_at, rw_bivariate,
-                      rw_multilinear, rw_multilinear_mono, rw_pair_square,
-                      rw_univariate, taylor_recenter)
+from .rewrite import (DEFAULT_WINDOW, Plans, RewriteCert, recenter_at, rw,
+                      taylor_recenter)
 from .separation import (SeparationCert, sep_cross_pair, sep_multi,
                          sep_shifted_pair, sep_tail, separate_indices)
 from .series import ValuedSeries

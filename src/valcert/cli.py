@@ -21,9 +21,7 @@ from .fields import field_from_json
 from .group import element_from_json, group_of
 from .pcs import TableSequence, sequence_from_json
 from .poly import Poly
-from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert,
-                      rw_bivariate, rw_multilinear, rw_multilinear_mono,
-                      rw_pair_square, rw_univariate)
+from .rewrite import DEFAULT_RETRIES, DEFAULT_WINDOW, RewriteCert, rw
 from .separation import (SeparationCert, sep_cross_pair, sep_multi,
                          sep_shifted_pair, sep_tail)
 from .smooth import SmoothCert, sm_family, sm_fraction, sm_pair, sm_verify
@@ -136,20 +134,9 @@ def cmd_rewrite(cfg, opts):
     R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)
     op = _require(cfg, "op")
     nus = None if cfg.get("nus") is None else _ints(cfg["nus"], "nus")
-    if op == "pair_square":
-        cert = rw_pair_square(g, seqs, nus=nus, W=W, R=R)
-    elif op == "multilinear_mono":
-        cert = rw_multilinear_mono(g, seqs, nus=nus, W=W, R=R)
-    elif op == "multilinear":
-        cert = rw_multilinear(g, seqs, nus=nus, W=W, R=R)
-    elif op == "univariate":
-        cert = rw_univariate(g, seqs[0], nu=require_int(cfg.get("nu", 0), "nu"),
-                             W=W, R=R)
-    elif op == "bivariate":
-        cert = rw_bivariate(g, seqs, nus=nus, W=W, R=R)
-    else:
-        raise InputError(f"unknown rewrite op {op!r}")
-    return cert.to_json()
+    if op == "univariate":
+        nus = [require_int(cfg.get("nu", 0), "nu")]
+    return rw(op, g, seqs, nus=nus, W=W, R=R).to_json()
 
 
 def cmd_smooth(cfg, opts):

@@ -14,20 +14,23 @@ value table, which the verifier compares with its own; a rewrite
 embedded in a smooth certificate stores neither.
 The builder recentres each attempt once, on the frozen sequences the
 certificate would carry, so its G1 is the verifier's recomputation; it
-checks the verifier's value-table and normal-form claims on that G1.
+checks the verifier's normal-form claims on G1's values, once, and
+writes its value table from them.
 A build is a plan (_Plan: what does not depend on the start indices nus,
 the stable betas among it) and an attempt at given nus (_certify).  A
 plan also predicts attempt 0's designated monomial from the betas and
-the gammas at attempt 0's indices, without recentring; rw_bivariate
-takes its plans from a BivariatePlans, which a caller trying several
-nus keeps.
+the gammas at attempt 0's indices, without recentring.  rw(op, ...) is
+the one entry point: it certifies the first of Plans(op, ...), the
+(kind, multiplier) steps the op tries, that reaches the normal form; a
+caller trying several nus keeps one Plans, so each plan is made once.
 
 What a rewrite kind means lives in one place, the rules under "Rewrite
 kinds": _shape_fault (the g, multiplier and sequences it accepts), _mode
 and _case.  _Plan refuses an input by the first, and _certify records
 what the other two give; RewriteCert.verify applies all three after the
-identity and normal-form checks.  Each shape has one builder, and the
-field's characteristic picks its kind.
+identity and normal-form checks.  The field's characteristic picks an
+op's kind, and _multipliers its characteristic-p multipliers, for both
+Plans and _shape_fault.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
@@ -220,8 +223,9 @@ def _moving(k: Tuple[int, ...], run, group) -> str:
 _MULTILINEAR_KINDS = ("pair_square", "multilinear_mono", "multilinear")
 _KINDS = _MULTILINEAR_KINDS + ("univariate_pfree", "univariate_charp",
                                "bivariate_pfree", "bivariate_charp")
-# The bivariate characteristic-p multipliers, in the order they are tried.
-_MULTIPLIER_CASCADE = ({}, {0: 1}, {1: 1}, {0: 1, 1: 1})
+# The characteristic-p multipliers of each op, in the order they are tried.
+_CASCADES = {"univariate": ({}, {0: 1}),
+             "bivariate": ({}, {0: 1}, {1: 1}, {0: 1, 1: 1})}
 _ORIG = (VarTag.orig(0), VarTag.orig(1))
 
 
@@ -235,6 +239,15 @@ def _admissible(g: Poly, multiplier: Mapping[int, int], p: int) -> bool:
         if any(k % p for k in exps.values()):
             return True
     return False
+
+
+def _multipliers(op: str, g: Poly, p: int) -> List[Dict[int, int]]:
+    """The multipliers a characteristic-p op may take, in cascade order:
+    g * multiplier has an exponent prime to p.  A univariate rewrite
+    takes the first (g itself, case1, else Y*g, case2); a bivariate one
+    tries each in turn."""
+    fits = [dict(m) for m in _CASCADES[op] if _admissible(g, m, p)]
+    return fits[:1] if op == "univariate" else fits
 
 
 def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> str:
@@ -258,7 +271,8 @@ def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> s
                 return (f"variable Y_{e} occurs in {len(occupied)} monomials; "
                         "at most one allowed")
         return "polynomial must be nonzero" if g.is_zero() else ""
-    nvars = 1 if kind.startswith("univariate") else 2
+    op = kind.rsplit("_", 1)[0]
+    nvars = 1 if op == "univariate" else 2
     if charp and p == 0:
         return "this operation requires positive characteristic"
     if g.is_zero():
@@ -277,8 +291,7 @@ def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> s
     if n != nvars:
         return f"exactly {('one sequence', 'two sequences')[nvars - 1]} expected"
     if charp:
-        allowed = ([{} if _admissible(g, {}, p) else {0: 1}] if nvars == 1 else
-                   [m for m in _MULTIPLIER_CASCADE if _admissible(g, m, p)])
+        allowed = _multipliers(op, g, p)
         if multiplier not in allowed:
             return f"multiplier {multiplier} where the case split allows {allowed}"
     return ""
@@ -545,11 +558,9 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
         c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
-            cert = RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, frozen,
+            return RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, frozen,
                                indices, G1, c_mono, plan.mode,
                                _case(plan.kind, plan.multiplier, vals), table)
-            cert.check_table(G1)
-            return cert
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
     raise UndecidedError(
         f"claims not reached after {R} retries: {failure}")
@@ -608,91 +619,71 @@ def _claims_hold(vals: Dict[tuple, object], mode: str, group):
 
 
 # -- Public operations -------------------------------------------------
-#
-# Each takes nus, the least stage index per sequence, 0 by default.
 
-def rw_pair_square(g: Poly, seqs: Sequence[PseudoSequence],
-                   nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
-                   R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Content-extraction rewrite for a multilinear polynomial in two
-    coupled elements (the second squares the first)."""
-    return _certify(_Plan("pair_square", g, {}, seqs, W), nus, R)
+class Plans:
+    """The (kind, multiplier) steps op tries for one g, sequences and W,
+    each step's plan made on first use.  The multilinear ops are their
+    own kind.  Univariate and bivariate are min-linear: of kind _pfree in
+    characteristic 0, with no multiplier; of kind _charp in
+    characteristic p, one step per multiplier of _multipliers, which is
+    one step for univariate.  A g that fits no multiplier raises its shape
+    fault at the first step."""
 
-
-def rw_multilinear_mono(g: Poly, seqs: Sequence[PseudoSequence],
-                        nus: Optional[Sequence[int]] = None,
-                        W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Content-extraction rewrite when every variable occurs in at most
-    one monomial (single-monomial partial derivatives)."""
-    return _certify(_Plan("multilinear_mono", g, {}, seqs, W), nus, R)
-
-
-def rw_multilinear(g: Poly, seqs: Sequence[PseudoSequence],
-                   nus: Optional[Sequence[int]] = None,
-                   W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Full multilinear rewrite: unique strictly minimal linear
-    coefficient, or the content of a constant g."""
-    return _certify(_Plan("multilinear", g, {}, seqs, W), nus, R)
-
-
-def rw_univariate(g: Poly, seq: PseudoSequence, nu: int = 0,
-                  W: int = DEFAULT_WINDOW, R: int = DEFAULT_RETRIES) -> RewriteCert:
-    """Univariate minimal-linear normal form.  In characteristic p, g is
-    rewritten itself (case1) when it has an exponent prime to p, else
-    Y*g is (case2)."""
-    p = characteristic(g.field)
-    multiplier = {} if not p or _admissible(g, {}, p) else {0: 1}
-    kind = "univariate_charp" if p else "univariate_pfree"
-    return _certify(_Plan(kind, g, multiplier, [seq], W), [nu], R)
-
-
-class BivariatePlans:
-    """rw_bivariate's plans for one g, pair of sequences and W, each made
-    on first use, in cascade order: the bivariate_pfree plan, or one
-    bivariate_charp plan per multiplier of the cascade.  A caller that
-    tries several start indices keeps one, so each plan is made once."""
-
-    def __init__(self, g: Poly, seqs: Sequence[PseudoSequence], W: int):
-        self.charp = bool(characteristic(g.field))
-        if self.charp:
-            # A g that fits no multiplier raises its shape fault at the first.
-            mults = [m for m in _MULTIPLIER_CASCADE
-                     if not _shape_fault("bivariate_charp", g, m, len(seqs))]
-            self._steps = [("bivariate_charp", m) for m in mults or _MULTIPLIER_CASCADE[:1]]
+    def __init__(self, op: str, g: Poly, seqs: Sequence[PseudoSequence],
+                 W: int = DEFAULT_WINDOW):
+        p = characteristic(g.field)
+        if op in _MULTILINEAR_KINDS:
+            self.steps = [(op, {})]
+        elif op in _CASCADES and not p:
+            self.steps = [(op + "_pfree", {})]
+        elif op in _CASCADES:
+            self.steps = [(op + "_charp", m) for m in _multipliers(op, g, p) or [{}]]
         else:
-            self._steps = [("bivariate_pfree", {})]
+            raise InputError(f"unknown rewrite op {op!r}")
+        self.cascade = op == "bivariate" and bool(p)
         self._args = (g, seqs, W)
         self._plans: List[_Plan] = []
-
-    def __len__(self) -> int:
-        return len(self._steps)
 
     def __getitem__(self, i: int) -> _Plan:
         g, seqs, W = self._args
         while len(self._plans) <= i:
-            kind, mult = self._steps[len(self._plans)]
+            kind, mult = self.steps[len(self._plans)]
             self._plans.append(_Plan(kind, g, mult, seqs, W))
         return self._plans[i]
 
+    def certify(self, nus: Optional[Sequence[int]] = None,
+                R: int = DEFAULT_RETRIES) -> RewriteCert:
+        """The first step's rewrite at nus; in the bivariate
+        characteristic-p cascade, the first step's that is decided."""
+        if not self.cascade:
+            return _certify(self[0], nus, R)
+        last_failure: Optional[Exception] = None
+        for i in range(len(self.steps)):
+            try:
+                return _certify(self[i], nus, R)
+            except UndecidedError as exc:
+                last_failure = exc
+        raise UndecidedError(
+            "no multiplier in the cascade reached the normal form: "
+            + str(last_failure))
 
-def rw_bivariate(g: Poly, seqs: Sequence[PseudoSequence],
-                 nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
-                 R: int = DEFAULT_RETRIES,
-                 plans: Optional[BivariatePlans] = None) -> RewriteCert:
-    """Bivariate minimal-linear normal form.  In characteristic p, g is
-    multiplied by 1, Y_0, Y_1 or Y_0*Y_1, the first product with an
-    exponent prime to p that reaches the normal form.  plans, made for
-    the same g, seqs and W, keeps the plans across calls."""
-    if plans is None:
-        plans = BivariatePlans(g, seqs, W)
-    if not plans.charp:
-        return _certify(plans[0], nus, R)
-    last_failure: Optional[Exception] = None
-    for i in range(len(plans)):
-        try:
-            return _certify(plans[i], nus, R)
-        except UndecidedError as exc:
-            last_failure = exc
-    raise UndecidedError(
-        "no multiplier in the cascade reached the normal form: "
-        + str(last_failure))
+
+def rw(op: str, g: Poly, seqs: Sequence[PseudoSequence],
+       nus: Optional[Sequence[int]] = None, W: int = DEFAULT_WINDOW,
+       R: int = DEFAULT_RETRIES) -> RewriteCert:
+    """The op's rewrite of g over seqs, nus the least stage index per
+    sequence (0 by default).  op is one of
+
+    - pair_square: content extraction for a multilinear g in two coupled
+      elements (the second squares the first);
+    - multilinear_mono: content extraction when every variable occurs in
+      at most one monomial;
+    - multilinear: a strictly least linear coefficient, or the content of
+      a constant g;
+    - univariate: the minimal-linear normal form of g in Y_0; in
+      characteristic p, of g (case1) when it has an exponent prime to p,
+      else of Y*g (case2);
+    - bivariate: the minimal-linear normal form of g in Y_0, Y_1; in
+      characteristic p, of g times 1, Y_0, Y_1 or Y_0*Y_1, the first
+      product with an exponent prime to p that reaches it."""
+    return Plans(op, g, seqs, W).certify(nus, R)

@@ -45,8 +45,7 @@ from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag, det, sylvester_resultant
-from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, BivariatePlans,
-                      RewriteCert, rw_bivariate, rw_univariate)
+from .rewrite import DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw
 from .series import ValuedSeries
 
 
@@ -333,7 +332,7 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         # Constant f: z is a scalar unit; the algebra is V[y_{0,t}].
         rewrites, h, case2, t = [], f, False, nu + 1
     else:
-        rcert = rw_univariate(f, seq0, nu=nu, W=W, R=R)
+        rcert = rw("univariate", f, [seq0], nus=[nu], W=W, R=R)
         case2 = bool(rcert.multiplier)
         if case2 and seq0.gamma(0) != group.zero():
             raise InputError(
@@ -491,14 +490,14 @@ def _steer(g: Poly, pair: Sequence[PseudoSequence], nu: int, W: int, R: int) -> 
     whose attempt 0 the cascade's first plan predicts to pass and to
     designate the later variable is skipped unbuilt; every other one is
     built and its certificate checked."""
-    plans = BivariatePlans(g, pair, W)
+    plans = Plans("bivariate", g, pair, W)
     for bump in range(8):
         nus = (nu, 3 * bump)
         predicted = plans[0].predict(nus)
         if predicted is not None and not _designates_earlier(predicted):
             continue
         try:
-            cand = rw_bivariate(g, pair, nus=nus, W=W, R=R, plans=plans)
+            cand = plans.certify(nus, R)
         except UndecidedError:
             continue
         if _designates_earlier(cand.c_mono):

@@ -20,7 +20,7 @@ from valcert.fields import characteristic
 from valcert.group import INF
 from valcert.pcs import sequence_from_json
 from valcert.poly import Poly, VarTag, det
-from valcert.rewrite import rw_bivariate
+from valcert.rewrite import rw
 from valcert.series import ValuedSeries
 
 
@@ -447,7 +447,7 @@ def steer_reference(g, pair, nu, W, R):
     for bump in range(8):
         nus = (nu, 3 * bump)
         try:
-            cand = rw_bivariate(g, pair, nus=nus, W=W, R=R)
+            cand = rw("bivariate", g, pair, nus=nus, W=W, R=R)
         except UndecidedError:
             continue
         m = cand.c_mono

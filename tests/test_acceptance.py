@@ -19,8 +19,7 @@ from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ, Lex
 from valcert.pcs import RuleSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
-from valcert.rewrite import (rw_bivariate, rw_multilinear, rw_univariate,
-                             taylor_recenter)
+from valcert.rewrite import rw, taylor_recenter
 from valcert.separation import (sep_cross_pair, sep_multi, sep_shifted_pair,
                                 sep_tail)
 from valcert.series import ValuedSeries
@@ -269,7 +268,7 @@ class TestCriterion3:
             while g.is_zero():
                 g = self.rand_multilinear(rng, field, m)
             try:
-                cert = rw_multilinear(g, self.seqs_for(field, m))
+                cert = rw("multilinear", g, self.seqs_for(field, m))
                 cert.verify()
                 completed += 1
             except (HorizonError, NotStabilizedError, UndecidedError):
@@ -283,8 +282,7 @@ class TestCriterion3:
                 g = self.rand_dense(rng, field, nvars, 5)
             seqs = self.seqs_for(field, nvars)
             try:
-                cert = (rw_univariate(g, seqs[0]) if nvars == 1
-                        else rw_bivariate(g, seqs))
+                cert = rw(("univariate", "bivariate")[nvars - 1], g, seqs)
                 cert.verify()
                 completed += 1
             except (HorizonError, NotStabilizedError, UndecidedError):
@@ -306,7 +304,7 @@ class TestCriterion4:
         seq = lacunary_sequence(f2, 300)
         cases = {}
         for name, g in [("Y", Y), ("Y2", Y ** 2), ("Y+Y2", Y + Y ** 2)]:
-            cert = rw_univariate(g, seq)
+            cert = rw("univariate", g, [seq])
             cert.verify()
             cases[name] = cert.case
         # hand-traced: Y has an admissible exponent (case1); Y^2 has only
@@ -318,7 +316,7 @@ class TestCriterion4:
         B = Poly.var(f2, ZZ, Y1)
         mults = {}
         for name, f in [("Y1", Y), ("Y1^2", Y ** 2), ("Y1^2Y2^2", Y ** 2 * B ** 2)]:
-            cert = rw_bivariate(f, seqs)
+            cert = rw("bivariate", f, seqs)
             cert.verify()
             mults[name] = cert.case.split(":", 1)[1]
         # hand-traced: Y1 needs no multiplier; Y1^2 needs the y1 factor to
@@ -408,11 +406,11 @@ class TestCriterion6:
                                    [1, 2], [gamma, gamma], [0, 0]).to_json()
         sq = lacunary_sequence(QQ, 300)
         g1 = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        bases["rw_uni"] = rw_univariate(g1, sq).to_json()
+        bases["rw_uni"] = rw("univariate", g1, [sq]).to_json()
         seqs = [sq, RuleSequence(QQ, {"kind": "geom", "a": 3},
                                  {"kind": "const", "c": 1}, horizon=300)]
         g2 = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
-        bases["rw_bi"] = rw_bivariate(g2, seqs).to_json()
+        bases["rw_bi"] = rw("bivariate", g2, seqs).to_json()
         f5 = GF(5)
         V = Poly.var(f5, ZZ, Y0)
         bases["smooth"] = sm_family(

@@ -325,6 +325,19 @@ class TestRewrite:
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
         assert "exactly two sequences expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [QQ, GF(2)])
+    def test_univariate_sequence_count(self, tmp_path, capsys, field):
+        # a second sequence used to be dropped and the rewrite built
+        cfg = univariate_cfg(field, 2)
+        cfg["seqs"] *= 2
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert "exactly one sequence expected" in capsys.readouterr().err
+
+    def test_unknown_op(self, tmp_path, capsys):
+        cfg = dict(univariate_cfg(QQ, 1), op="trivariate")
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert "unknown rewrite op 'trivariate'" in capsys.readouterr().err
+
 
 class TestWindowRetries:
     """window and retries are positive integers, from the flag when it is

@@ -20,9 +20,7 @@ from valcert.fields import GF, QQ
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
-from valcert.rewrite import (RewriteCert, rw_bivariate, rw_multilinear,
-                             rw_multilinear_mono, rw_pair_square,
-                             rw_univariate, taylor_recenter)
+from valcert.rewrite import Plans, RewriteCert, rw, taylor_recenter
 from valcert.series import ValuedSeries
 from valcert.smooth import sm_pair
 
@@ -38,10 +36,10 @@ def tpow(field, e, c=1):
 
 @pytest.fixture(autouse=True)
 def round_trip_every_certificate(monkeypatch):
-    """Every certificate a rw_* builder returns here verifies again from
-    its canonical JSON, since the build itself does not recompute G1.
-    The JSON is taken as the certificate is built, before a test can
-    tamper with it, and verified after the test."""
+    """Every certificate rw returns here verifies again from its
+    canonical JSON, since the build itself does not recompute G1.  The
+    JSON is taken as the certificate is built, before a test can tamper
+    with it, and verified after the test."""
     built = []
     certify = rewrite._certify
 
@@ -123,12 +121,12 @@ class TestMultilinear:
         # [TRIVIAL] deg_{Y0} = 2 is outside the multilinear fragment
         seq = lacunary_sequence(QQ)
         with pytest.raises(InputError):
-            rw_pair_square(Poly.var(QQ, ZZ, Y1) - Poly.var(QQ, ZZ, Y0) ** 2, [seq, seq])
+            rw("pair_square", Poly.var(QQ, ZZ, Y1) - Poly.var(QQ, ZZ, Y0) ** 2, [seq, seq])
 
     def test_pair_square_constant(self):
         # [TRIVIAL] constant g: c = g, g1 = 1
         seq = lacunary_sequence(QQ)
-        cert = rw_pair_square(Poly.const(tpow(QQ, 3)), [seq, seq])
+        cert = rw("pair_square", Poly.const(tpow(QQ, 3)), [seq, seq])
         assert cert.c.same_known(tpow(QQ, 3))
         cert.verify()
 
@@ -136,7 +134,7 @@ class TestMultilinear:
         # [DERIVED] g = Y0 + t*Y1 over geometric partial sums
         seq = lacunary_sequence(QQ)
         g = Poly.var(QQ, ZZ, Y0) + Poly.var(QQ, ZZ, Y1).scale(tpow(QQ, 1))
-        cert = rw_pair_square(g, [seq, seq])
+        cert = rw("pair_square", g, [seq, seq])
         cert.verify()
         RewriteCert.from_json(json.loads(json.dumps(cert.to_json()))).verify()
 
@@ -144,14 +142,14 @@ class TestMultilinear:
         # [DERIVED] g = Y0*Y1*Y2 over three lacunary sequences
         seqs = [lacunary_sequence(QQ) for _ in range(3)]
         g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) * Poly.var(QQ, ZZ, VarTag.orig(2))
-        cert = rw_multilinear_mono(g, seqs, nus=[0, 0, 0])
+        cert = rw("multilinear_mono", g, seqs, nus=[0, 0, 0])
         cert.verify()
 
     def test_mono_affine(self):
         # [DERIVED] g = 1 + t*Y0
         seq = lacunary_sequence(QQ)
         g = Poly.const(ValuedSeries.one(QQ, ZZ)) + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        rw_multilinear_mono(g, [seq], nus=[0]).verify()
+        rw("multilinear_mono", g, [seq], nus=[0]).verify()
 
     def test_full_multilinear(self):
         # [DERIVED] g = 1 + Y0 + Y1 + Y0Y1 over two lacunary sequences
@@ -160,12 +158,12 @@ class TestMultilinear:
                              {"kind": "const", "c": 1}, horizon=300)]
         g = (Poly.const(ValuedSeries.one(QQ, ZZ)) + Poly.var(QQ, ZZ, Y0)
              + Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1))
-        cert = rw_multilinear(g, seqs, nus=[0, 0])
+        cert = rw("multilinear", g, seqs, nus=[0, 0])
         cert.verify()
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
-            rw_multilinear(Poly.zero(QQ, ZZ), [lacunary_sequence(QQ)], nus=[0])
+            rw("multilinear", Poly.zero(QQ, ZZ), [lacunary_sequence(QQ)], nus=[0])
 
 
 def _verdict(cert, **relabel):
@@ -181,7 +179,7 @@ class TestUnivariate:
     def test_linear_identity(self):
         # [TRIVIAL] g = Y: G1 = v_t + s_t*Y_t, c = scale s_t
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate(Poly.var(QQ, ZZ, Y0), seq)
+        cert = rw("univariate", Poly.var(QQ, ZZ, Y0), [seq])
         t = cert.indices[0]
         assert cert.c.same_known(seq.scale(t))
         cert.verify()
@@ -192,7 +190,7 @@ class TestUnivariate:
         f2 = GF(2)
         seq = lacunary_sequence(f2)
         g = Poly.var(f2, ZZ, Y0) ** 3 + Poly.var(f2, ZZ, Y0)
-        cert = rw_univariate(g, seq)
+        cert = rw("univariate", g, [seq])
         assert (cert.kind, cert.case) == ("univariate_charp", "case1")
         cert.verify()
         assert _verdict(cert, kind="univariate_pfree") == (0, "")
@@ -202,7 +200,7 @@ class TestUnivariate:
         # certificate over F2 is refused at its kind
         f2 = GF(2)
         Y = Poly.var(f2, ZZ, Y0)
-        cert = rw_univariate(Y ** 2 + Y ** 3, lacunary_sequence(f2))
+        cert = rw("univariate", Y ** 2 + Y ** 3, [lacunary_sequence(f2)])
         assert (cert.kind, cert.case) == ("univariate_charp", "case1")
         assert _verdict(cert, kind="univariate_pfree") == (
             4, "kind: exponent 2 of Y_0 is divisible by the characteristic 2")
@@ -211,7 +209,7 @@ class TestUnivariate:
         # [DERIVED] every degree->=2 coefficient of G1 has val > val(c)
         seq = lacunary_sequence(QQ)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate(g, seq)
+        cert = rw("univariate", g, [seq])
         cv = cert.c.val()
         for mono, coeff in cert.G1.monos.items():
             degree = sum(k for _, k in mono)
@@ -244,7 +242,7 @@ class TestCharPFixtures:
         cases = {}
         for name, g in [("Y", self.Y), ("Y2", self.Y ** 2),
                         ("Y+Y2", self.Y + self.Y ** 2)]:
-            cert = rw_univariate(g, self.seq)
+            cert = rw("univariate", g, [self.seq])
             cert.verify()
             cases[name] = cert.case
         assert cases == {"Y": "case1", "Y2": "case2", "Y+Y2": "case1"}
@@ -257,7 +255,7 @@ class TestCharPFixtures:
         mults = {}
         for name, f in [("Y1", self.Y), ("Y1^2", self.Y ** 2),
                         ("Y1^2Y2^2", self.Y ** 2 * B ** 2)]:
-            cert = rw_bivariate(f, seqs)
+            cert = rw("bivariate", f, seqs)
             cert.verify()
             mults[name] = cert.case.split(":", 1)[1]
         assert mults["Y1"] == "1"
@@ -272,7 +270,7 @@ class TestBivariate:
                 RuleSequence(QQ, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
         g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
-        rw_bivariate(g, seqs).verify()
+        rw("bivariate", g, seqs).verify()
 
     def test_pfree_rejects_divisible_exponent(self):
         # [TRIVIAL] Y1^2*Y2 + Y1 over F2: a bivariate_pfree certificate is
@@ -282,7 +280,7 @@ class TestBivariate:
         seqs = [lacunary_sequence(f2),
                 RuleSequence(f2, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
-        cert = rw_bivariate(g, seqs)
+        cert = rw("bivariate", g, seqs)
         assert (cert.kind, cert.case) == ("bivariate_charp", "multiplier:1")
         assert _verdict(cert, kind="bivariate_pfree", case="case1") == (
             4, "kind: exponent 2 of Y_0 is divisible by the characteristic 2")
@@ -305,11 +303,11 @@ class TestLazyStreams:
         seq = CountingSequence(QQ, {"kind": "geom", "a": 1},
                                {"kind": "const", "c": 1}, horizon=300)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate(g, seq)
+        cert = rw("univariate", g, [seq])
         assert seq.read and max(seq.read) == cert.indices[0]
 
     def test_short_table_rejected(self):
-        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, lacunary_sequence(QQ))
+        cert = rw("univariate", Poly.var(QQ, ZZ, Y0) ** 2, [lacunary_sequence(QQ)])
         t = cert.indices[0]
         bad = cert.to_json()
         bad["seqs"][0] = TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(t + 1)]).to_json()
@@ -322,7 +320,7 @@ class TestLazyStreams:
 class TestTamper:
     def test_swapped_index(self):
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+        cert = rw("univariate", Poly.var(QQ, ZZ, Y0) ** 2, [seq])
         bad = copy.deepcopy(cert.to_json())
         bad["indices"][0] += 1
         with pytest.raises(VerificationError):
@@ -336,14 +334,14 @@ class TestTamper:
                 RuleSequence(QQ, {"kind": "geom", "a": 3},
                              {"kind": "const", "c": 1}, horizon=300)]
         g = Poly.var(QQ, ZZ, Y0) * Poly.var(QQ, ZZ, Y1) + Poly.var(QQ, ZZ, Y0)
-        cert = rw_bivariate(g, seqs)
+        cert = rw("bivariate", g, seqs)
         assert _verdict(cert, indices=indices(cert.indices)) == (
             4, f"indices: {len(indices(cert.indices))} indices for 2 sequences")
 
     def test_perturbed_coefficient(self):
         seq = lacunary_sequence(QQ)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate(g, seq)
+        cert = rw("univariate", g, [seq])
         bad = copy.deepcopy(cert.to_json())
         mono, coeff = bad["G1"][0]
         coeff["terms"][0][1] = "7/1" if "/" in str(coeff["terms"][0][1]) else 7
@@ -354,7 +352,7 @@ class TestTamper:
         # g = Y0 * S with S the stage variable: at Y0 = v + s*S the identity
         # holds for v*S + s*S^2 only, never for the collapsed (v + s)*S.
         seq = lacunary_sequence(QQ)
-        cert = rw_univariate(Poly.var(QQ, ZZ, Y0) ** 2, seq)
+        cert = rw("univariate", Poly.var(QQ, ZZ, Y0) ** 2, [seq])
         t = cert.indices[0]
         S = VarTag.stage(0, t)
         v, s = seq.term(t), seq.scale(t)
@@ -388,7 +386,7 @@ class TestOneRecentring:
         monkeypatch.setattr(rewrite, "taylor_recenter", counted_recenter)
         monkeypatch.setattr(rewrite, "_claims_hold", counted_attempt)
         g = Poly.var(QQ, ZZ, Y0) ** 2 + Poly.var(QQ, ZZ, Y0).scale(tpow(QQ, 1))
-        cert = rw_univariate(g, lacunary_sequence(QQ))
+        cert = rw("univariate", g, [lacunary_sequence(QQ)])
         assert calls == {"recenter": 1, "attempts": 1}
         text = canonical_json(cert.to_json())
         RewriteCert.from_json(json.loads(text)).verify()
@@ -428,13 +426,13 @@ def _kind_certs():
     f2s = [lacunary_sequence(f2), RuleSequence(f2, {"kind": "geom", "a": 3},
                                                {"kind": "const", "c": 1}, horizon=300)]
     near = Poly.const(lac.term(30))  # a constant that leaves G1's constant high
-    certs = [rw_pair_square(Y - near + Z.scale(tpow(QQ, 1)), q2),
-             rw_multilinear_mono(Y * Z - Poly.const(lac.term(30) * q2[1].term(30)), q2),
-             rw_multilinear(Y - near, [lac]),
-             rw_univariate(Y ** 2, lac),
-             rw_univariate(A ** 2, f2s[0]),
-             rw_bivariate(Y * Z + Y, q2),
-             rw_bivariate(A ** 2, f2s)]
+    certs = [rw("pair_square", Y - near + Z.scale(tpow(QQ, 1)), q2),
+             rw("multilinear_mono", Y * Z - Poly.const(lac.term(30) * q2[1].term(30)), q2),
+             rw("multilinear", Y - near, [lac]),
+             rw("univariate", Y ** 2, [lac]),
+             rw("univariate", A ** 2, [f2s[0]]),
+             rw("bivariate", Y * Z + Y, q2),
+             rw("bivariate", A ** 2, f2s)]
     out = [json.loads(canonical_json(c.to_json())) for c in certs]
     return out + [json.loads((FIXTURES / "rewrite_square_Q.json").read_text())]
 
@@ -481,6 +479,29 @@ class TestKindRules:
         n = 1 if kind == "univariate_charp" else 2
         assert rewrite._shape_fault(kind, g, multiplier, n) == (
             f"multiplier {multiplier} where the case split allows {allowed}")
+
+    @pytest.mark.parametrize("op", ["univariate", "bivariate"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_plans_take_the_multipliers_the_rule_accepts(self, op, p):
+        # the steps Plans tries are the cascade multipliers _shape_fault
+        # accepts, in cascade order, and a univariate rewrite takes one
+        field = GF(p)
+        Y, Z = Poly.var(field, ZZ, Y0), Poly.var(field, ZZ, Y1)
+        one = Poly.const(ValuedSeries.one(field, ZZ))
+        X = Y if op == "univariate" else Z
+        cascade = [{}, {0: 1}, {1: 1}, {0: 1, 1: 1}]
+        expected = {  # g: (univariate steps, bivariate steps)
+            "prime to p": (Y ** p * X + Y ** 2 * X ** p, cascade[:1], cascade),
+            "all divisible": ((Y * X) ** p, cascade[1:2], cascade[1:]),
+            "constant term": (X ** p + one, cascade[1:2], cascade[1:]),
+        }
+        n = 1 if op == "univariate" else 2
+        seqs = [lacunary_sequence(field)] * n
+        for name, (g, uni, bi) in expected.items():
+            kind = op + "_charp"
+            accepted = [m for m in cascade if not rewrite._shape_fault(kind, g, m, n)]
+            assert accepted == (uni if op == "univariate" else bi), name
+            assert Plans(op, g, seqs).steps == [(kind, m) for m in accepted], name
 
     @pytest.mark.parametrize("field, value", RELABELS, ids=_relabel_id)
     def test_top_level_relabel_refused(self, field, value):

@@ -326,12 +326,12 @@ OPTS = {"horizon": None, "window": None, "retries": None, "delta": None}
 def _workload_builds():
     """The items of the benchmark's smooth workload at seeds 1 and 7919
     (4 pair, 20 family, 6 fraction), each as (seed, config, certificate
-    JSON, the number of rw_bivariate certificates its build made)."""
+    JSON, the number of link certificates its build made)."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     builds, built = [], []
-    with mock.patch.object(smooth, "rw_bivariate", _counted(smooth.rw_bivariate, built)):
+    with _counting_links(built):
         for seed in (1, 7919):
             for command, cfg in workloads.smooth_items(seed):
                 built.clear()
@@ -341,13 +341,17 @@ def _workload_builds():
     return builds
 
 
-def _counted(build, built):
-    """build, appending each certificate it returns to built."""
-    def counted(*args, **kwargs):
-        cert = build(*args, **kwargs)
-        built.append(cert)
+def _counting_links(built):
+    """A patch of Plans.certify that appends each link certificate (each
+    bivariate rewrite) it returns to built."""
+    certify = rewrite.Plans.certify
+
+    def counted(plans, *args, **kwargs):
+        cert = certify(plans, *args, **kwargs)
+        if cert.kind.startswith("bivariate"):
+            built.append(cert)
         return cert
-    return counted
+    return mock.patch.object(rewrite.Plans, "certify", counted)
 
 
 def _workload_certs():
@@ -490,7 +494,7 @@ class TestSteering:
         cases.append((_unsteerable(), _outcome(_unsteerable())))
         monkeypatch.setattr(rewrite._Plan, "predict", wrong)
         built = []
-        monkeypatch.setattr(smooth, "rw_bivariate", _counted(smooth.rw_bivariate, built))
-        for cfg, expected in cases:
-            assert _outcome(cfg) == expected
+        with _counting_links(built):
+            for cfg, expected in cases:
+                assert _outcome(cfg) == expected
         assert len(built) > 30  # more than one per chain link
