@@ -133,9 +133,14 @@ def cmd_rewrite(cfg, opts):
     W = _positive(opts, cfg, "window", DEFAULT_WINDOW)
     R = _positive(opts, cfg, "retries", DEFAULT_RETRIES)
     op = _require(cfg, "op")
-    nus = None if cfg.get("nus") is None else _ints(cfg["nus"], "nus")
     if op == "univariate":
+        if "nus" in cfg:
+            raise InputError("a univariate rewrite reads its start index from 'nu', not 'nus'")
         nus = [require_int(cfg.get("nu", 0), "nu")]
+    elif "nu" in cfg:
+        raise InputError("only a univariate rewrite reads 'nu'; the others read 'nus'")
+    else:
+        nus = None if cfg.get("nus") is None else _ints(cfg["nus"], "nus")
     return rw(op, g, seqs, nus=nus, W=W, R=R).to_json()
 
 

@@ -271,11 +271,13 @@ class DerivedSequence(PseudoSequence):
             if self._series.exact:
                 raise HorizonError(
                     f"underlying series has only {len(self._series.nums)} terms")
-            self._delta = self.group.scale(self._delta, 2)
-            grown = self._materialize(self._delta)
+            # the window doubles only once the wider one is materialized, so
+            # a read that failed fails the same way again
+            delta = self.group.scale(self._delta, 2)
+            grown = self._materialize(delta)
             if len(grown.nums) <= len(self._series.nums) and grown.trunc == self._series.trunc:
                 raise HorizonError("materialization stalled while extending the sequence")
-            self._series = grown
+            self._delta, self._series = delta, grown
         return self._series.terms[j]
 
     def snapshot(self, count: int) -> "TableSequence":

@@ -38,8 +38,11 @@ derivatives come from a single walk over the partial sums, which
 evaluates a derivative only where the Hasse-Taylor bound cannot decide
 its value: a value that is a known term below the least possible value
 of the step's change is carried, and it lies below the window of the
-evaluated series too, since that window is fixed from j = 1 on (see
-_stable_betas).
+evaluated series too, since that window is fixed from j = 1 on.  The walk
+stops at the first step that evaluates nothing and moves no bound: the
+gammas only rise, so the bounds cannot fall after it, every later step
+would be the same, and each open window closes where its run would reach
+W (see _stable_betas).
 """
 from __future__ import annotations
 
@@ -137,6 +140,16 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
     longer evaluated but keeps a bound: its value while that is a known
     term below B_k, else min(L_k, B_k).
 
+    The walk ends at its fixed point: the first step j >= 1 at which the
+    Taylor update evaluates no live derivative (no known flag of a live
+    one falls) and moves no bound.  The bounds are then those of step
+    j - 1, and the gammas only rise, so no B_k falls at a later step: a
+    carried value stays below its B_k, and a min(L_k, B_k) bound stays
+    at L_k.  Every later step is this one again, and each live window
+    closes at once with its run, if that run reaches W indices below the
+    horizon; a window that cannot stays open.  A live derivative at an
+    exact zero is evaluated at every step, so it keeps the walk going.
+
     Evaluation would read the carried value too, because it lies below
     the window of the computed D^(k)h(v_j).  With val v_{e,j} = gamma_{e,0}
     for j >= 1, that window is the same at every j >= 1: the minimum over
@@ -183,9 +196,20 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
             taylor = {k: min((group.add(bound[k2], shifts[d]) for k2, d in pairs
                               if bound[k2] is not INF), default=INF)
                       for k, pairs in above.items()}
+            idle = True
             for k, b in taylor.items():
                 if not (known[k] and bound[k] < b):
+                    if k in live or b < bound[k]:
+                        idle = False
                     bound[k], known[k] = min(bound[k], b), False
+            if idle:
+                # every later step is this one again: close each window
+                # where its run would reach W below the horizon
+                for k in list(live):
+                    if runs[k][1] + W - 1 < horizon - 1:
+                        betas[k] = runs[k]
+                        del live[k]
+                break
         powers = None
         for k, deriv in list(live.items()):
             if not known[k]:

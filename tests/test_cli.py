@@ -338,6 +338,17 @@ class TestRewrite:
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
         assert "unknown rewrite op 'trivariate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make, key, message", [
+        (lambda: univariate_cfg(QQ, 1), "nus", "reads its start index from 'nu', not 'nus'"),
+        (lambda: bivariate_cfg(), "nu", "only a univariate rewrite reads 'nu'")],
+        ids=["univariate-nus", "bivariate-nu"])
+    def test_start_index_key_of_the_other_ops(self, tmp_path, capsys, make, key, message):
+        # the key used to be dropped and the rewrite built from index 0
+        cfg = make()
+        cfg[key] = [5] if key == "nus" else 5
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestWindowRetries:
     """window and retries are positive integers, from the flag when it is

@@ -2,7 +2,8 @@
 
 The stabilization walk (rewrite._stable_betas) must give the per-derivative
 scan's (beta, start) dict, or fail with the same exit code, while it
-evaluates a derivative only where the Taylor bound cannot decide; Taylor
+evaluates a derivative only where the Taylor bound cannot decide and
+stops at the first step that changes nothing; Taylor
 recentring in Hasse form must give what the Hasse-derivative sum and
 one-variable-at-a-time substitution give, truncation windows included.
 """
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valcert.errors import HorizonError, IndeterminateValError, InputError
+from valcert.errors import HorizonError, IndeterminateValError, InputError, NotStabilizedError
 from valcert.fields import GF, QQ
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
 from valcert.pcs import RuleSequence, lacunary_sequence
@@ -152,6 +153,29 @@ class TestWalk:
             betas = _stable_betas(h, [seq], 8)
         assert betas == stable_betas(h, [seq], 8) == {(1,): (1, 0), (2,): (1, 1), (3,): (0, 0)}
         assert spy.call_count == 1
+
+    def test_idle_step_ends_the_walk(self):
+        # The same walk changes nothing at j = 2: the gammas only rise, so
+        # every later step would be the same, and each window closes there.
+        # The walk reads gamma_1 and no later index.
+        V = Poly.var(QQ, ZZ, Y0)
+        h = V ** 3 + V.scale(ValuedSeries.t_power(QQ, ZZ, 1))
+        seq = lacunary_sequence(QQ, horizon=10)
+        with mock.patch.object(RuleSequence, "term_pair", autospec=True,
+                               side_effect=RuleSequence.term_pair) as spy:
+            betas = _stable_betas(h, [seq], 8)
+        assert betas == {(1,): (1, 0), (2,): (1, 1), (3,): (0, 0)}
+        assert max(call.args[1] for call in spy.call_args_list) == 1
+
+    def test_idle_step_leaves_a_window_past_the_horizon_open(self):
+        # At horizon 9 the run of D^(2) from j = 1 would need j = 8, past
+        # the last index 7 the walk may read: it fails as the full walk does.
+        V = Poly.var(QQ, ZZ, Y0)
+        h = V ** 3 + V.scale(ValuedSeries.t_power(QQ, ZZ, 1))
+        with pytest.raises(NotStabilizedError) as err:
+            _stable_betas(h, [lacunary_sequence(QQ, horizon=9)], 8)
+        assert str(err.value) == ("coefficient value did not stabilize over 8 indices "
+                                  "below the horizon 9: D^(2) at val 1 since j=1")
 
     def test_closed_window_stays_in_the_bound(self):
         # gamma_j = 2^j.  D^(2)h is (Y - A)(Y - B), A, B = v_3, v_2 + t^20:

@@ -6,8 +6,8 @@ import pytest
 from valcert.errors import HorizonError, InputError
 from valcert.fields import QQ
 from valcert.group import INF, INTEGERS as ZZ, RATIONALS, Lex
-from valcert.pcs import (RuleSequence, TableSequence, lacunary_sequence,
-                         sequence_from_json)
+from valcert.pcs import (DerivedSequence, RuleSequence, TableSequence,
+                         lacunary_sequence, sequence_from_json)
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import DEFAULT_WINDOW, _stable_betas
 from valcert.series import ValuedSeries
@@ -62,6 +62,28 @@ class TestTerms:
     def test_horizon_enforced(self):
         with pytest.raises(HorizonError):
             arith_seq(horizon=5).term(7)
+
+
+class TestDerived:
+    def test_failed_read_fails_the_same_way_again(self):
+        # the window doubles from 4 until it holds term 5 (exponent 32); the
+        # materialization below 32 fails, and a second read asks for the
+        # same window, not a doubled one
+        seq = lacunary_sequence(QQ)
+        asked = []
+
+        def materialize(delta):
+            asked.append(delta)
+            if delta > 16:
+                raise HorizonError(f"no support below {delta}")
+            return seq.limit(delta)
+
+        derived = DerivedSequence(QQ, materialize, 4)
+        for _ in range(2):
+            with pytest.raises(HorizonError, match="below 32$"):
+                derived.term_pair(5)
+        assert asked == [4, 8, 16, 32, 32]
+        assert derived.term_pair(3) == (8, 1)
 
 
 class TestStage:

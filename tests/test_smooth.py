@@ -431,6 +431,17 @@ def _unsteerable():
             "fs": [(V - Poly.const(seq.term(5))).to_json(), (V ** 2).to_json()]}
 
 
+def _short_derived():
+    """[Y + Y^2, Y] over F2 at horizon 60: the link's derived sequence runs
+    out of pseudo-limit support inside the separation search, which the
+    prediction reaches before the build does."""
+    F2 = GF(2)
+    V = Poly.var(F2, ZZ, Y0)
+    return {"field": "Fp", "p": 2, "op": "family", "retries": 4,
+            "seq0": lacunary_sequence(F2, 60).to_json(),
+            "fs": [(V + V ** 2).to_json(), V.to_json()]}
+
+
 @st.composite
 def families(draw):
     """A family or fraction config over F2, F3, F5 or Q: two or three
@@ -475,6 +486,7 @@ class TestSteering:
     @settings(max_examples=12, deadline=None)
     @given(families())
     @example(_unsteerable())
+    @example(_short_derived())
     def test_against_reference(self, cfg):
         # the steering loop that builds every start index it tries gives the
         # same certificate, or the same exit code and message
