@@ -87,66 +87,64 @@ class PseudoSequence:
 
 
 class RuleSequence(PseudoSequence):
-    """Sequence generated from exponent and coefficient rules."""
+    """Sequence generated from exponent and coefficient rules.
+
+    The rules are read once into one form.  Exponents are a head list
+    followed by an arithmetic tail, e_j = head[-1] + (j - len(head) + 1) *
+    step (arith is the head [a] with step b, list is its values with its
+    step), or geom's doubling a * 2^j past the head [a].  Coefficients are
+    a cycle, c_j = cycle[j % len(cycle)] (const is a cycle of one)."""
 
     def __init__(self, field: Field, exp_rule: dict, coeff_rule: dict,
                  horizon: int = DEFAULT_HORIZON):
         self.field = field
         self.horizon = horizon
-        self.exp_rule = dict(exp_rule)
-        self.coeff_rule = dict(coeff_rule)
-        self._validate()
-
-    def _validate(self) -> None:
-        kind = self.exp_rule.get("kind")
+        self.exp_rule = rule = dict(exp_rule)
+        self.coeff_rule = coeff = dict(coeff_rule)
+        kind, ck = rule.get("kind"), coeff.get("kind")
         if kind not in ("arith", "geom", "list"):
             raise InputError(f"unknown exponent rule {kind!r}")
-        ck = self.coeff_rule.get("kind")
-        if ck not in ("const", "cycle"):
-            raise InputError(f"unknown coefficient rule {ck!r}")
-        if ck == "const" and self.field.is_zero(self.coeff_rule["c"]):
-            raise InputError("coefficient rule must be nonzero")
-        if ck == "cycle":
-            vals = self.coeff_rule["values"]
-            if not vals or any(self.field.is_zero(c) for c in vals):
+        if ck == "const":
+            cycle = [coeff["c"]]
+            if field.is_zero(cycle[0]):
+                raise InputError("coefficient rule must be nonzero")
+        elif ck == "cycle":
+            cycle = coeff["values"]
+            if not cycle or any(field.is_zero(c) for c in cycle):
                 raise InputError("cycle coefficients must be nonzero")
-        rule = self.exp_rule
+        else:
+            raise InputError(f"unknown coefficient rule {ck!r}")
+        self._cycle = list(cycle)
         if kind == "list":
             if not rule["values"]:
                 raise InputError("exponent list must be nonempty")
-            elements = list(rule["values"]) + [rule["step"]]
+            self._head, self._step = list(rule["values"]), rule["step"]
+        elif kind == "arith":
+            self._head, self._step = [rule["a"]], rule["b"]
         else:
-            elements = [rule["a"], rule["b"]] if kind == "arith" else [rule["a"]]
+            self._head, self._step = [rule["a"]], None
+        elements = self._head + ([] if self._step is None else [self._step])
         self.group = group_of(elements[0])
         self.group.check(*elements)
         # Every later step is a positive multiple of the last step checked
-        # here: b for arith, a * 2^j for geom, step for a list's tail.
-        count = len(rule["values"]) + 1 if kind == "list" else 2
-        exps = [self._exp(j) for j in range(count)]
+        # here: the tail's step, or a * 2^j for geom.
+        exps = [self._exp(j) for j in range(len(self._head) + 1)]
         if exps[0] < self.group.zero():
             raise InputError("exponents must be >= 0")
         if not all(a < b for a, b in zip(exps, exps[1:])):
             raise InputError("exponent rule must be strictly increasing")
 
     def _exp(self, j: int):
-        rule, g = self.exp_rule, self.group
-        if rule["kind"] == "arith":
-            return g.add(rule["a"], g.scale(rule["b"], j))
-        if rule["kind"] == "geom":
-            return g.scale(rule["a"], 2 ** j)
-        values = rule["values"]
-        if j < len(values):
-            return values[j]
-        return g.add(values[-1], g.scale(rule["step"], j - len(values) + 1))
+        head, g = self._head, self.group
+        if j < len(head):
+            return head[j]
+        if self._step is None:
+            return g.scale(head[0], 2 ** j)
+        return g.add(head[-1], g.scale(self._step, j - len(head) + 1))
 
     def term_pair(self, j: int) -> Tuple[object, object]:
-        e = self._exp(j)
-        if self.coeff_rule["kind"] == "const":
-            c = self.coeff_rule["c"]
-        else:
-            vals = self.coeff_rule["values"]
-            c = vals[j % len(vals)]
-        return e, c
+        cycle = self._cycle
+        return self._exp(j), cycle[j % len(cycle)]
 
     # -- JSON ----------------------------------------------------------
     def to_json(self):

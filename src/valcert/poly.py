@@ -252,24 +252,6 @@ class Poly:
             total = total + coeff
         return total
 
-    def subs_poly(self, tag: VarTag, replacement: "Poly") -> "Poly":
-        """Substitute a polynomial for one variable."""
-        self._check(replacement)
-        powers: Dict[int, Poly] = {0: self._one()}
-
-        def power(k: int) -> Poly:
-            while len(powers) <= k:
-                powers[len(powers)] = powers[len(powers) - 1] * replacement
-            return powers[k]
-
-        out = []
-        for mono, coeff in self.monos.items():
-            rest = dict(mono)
-            k = rest.pop(tag, 0)
-            out += [(_mono_mul(rest.items(), m), coeff * c)
-                    for m, c in power(k).monos.items()]
-        return self._new(out)
-
     def rename(self, mapping: Mapping[VarTag, VarTag]) -> "Poly":
         """Rename/collapse variables; merged monomials add up."""
         out = []

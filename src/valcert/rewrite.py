@@ -497,8 +497,9 @@ class _GammaStream:
 class _Plan:
     """What every attempt at a rewrite of g * multiplier over seqs shares,
     whatever the start indices: the shape fault (raised here), h, the
-    mode, the stable betas and the gamma streams.  Attempt 0's indices
-    are kept per nus, for the attempt and for predict."""
+    mode, the stable betas and the gamma streams.  Attempt 0's indices,
+    or the error their search raised, are kept per nus, for the attempt
+    and for predict."""
 
     def __init__(self, kind: str, g: Poly, multiplier: Mapping[int, int],
                  seqs: Sequence[PseudoSequence], W: int):
@@ -512,7 +513,7 @@ class _Plan:
         self.entries = [(k, {e: ke for e, ke in enumerate(k) if ke}, beta)
                         for k, (beta, _) in self.betas.items() if beta is not INF]
         self.streams = [_GammaStream(seq) for seq in seqs]
-        self._first: Dict[Optional[tuple], List[int]] = {}
+        self._first: Dict[Optional[tuple], object] = {}
 
     def starts(self, nus: Optional[Sequence[int]]) -> List[int]:
         """Attempt 0's least index per sequence: past nu and past the
@@ -530,11 +531,18 @@ class _Plan:
         return list(rhos)
 
     def first_indices(self, nus: Optional[Sequence[int]]) -> List[int]:
-        """Attempt 0's indices at nus, searched once."""
+        """Attempt 0's indices at nus, searched once: a search that failed
+        raises its error again."""
         key = None if nus is None else tuple(nus)
         if key not in self._first:
-            self._first[key] = self.indices(self.starts(nus))
-        return self._first[key]
+            try:
+                self._first[key] = self.indices(self.starts(nus))
+            except ValcertError as exc:
+                self._first[key] = exc
+        found = self._first[key]
+        if isinstance(found, ValcertError):
+            raise found
+        return found
 
     def predict(self, nus: Optional[Sequence[int]]):
         """The monomial attempt 0 at nus designates, when its value table,

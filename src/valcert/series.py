@@ -223,18 +223,6 @@ class ValuedSeries:
                                     [(add(e, g), n) for e, n in self.nums],
                                     self.den, trunc)
 
-    def __pow__(self, n: int) -> "ValuedSeries":
-        if n < 0:
-            raise InputError("negative powers go through div")
-        result = ValuedSeries.one(self.field, self.group)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def div(self, other: "ValuedSeries") -> "ValuedSeries":
         """Formal series quotient by long division on the reliable window.
 

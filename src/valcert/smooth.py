@@ -45,7 +45,8 @@ from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
 from .poly import Poly, VarTag, det, sylvester_resultant
-from .rewrite import DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw
+from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw,
+                      taylor_recenter)
 from .series import ValuedSeries
 
 
@@ -519,12 +520,12 @@ def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R):
         rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
                                VarTag.stage(1, b): VarTag.stage(e, b)})
         if e >= 2:
-            # Restage the previous relation from the old index of y_{e-1}.
+            # Restage the previous relation from the old index of y_{e-1}:
+            # taylor_recenter puts y_{e-1,old} = d + b*y_{e-1,a} into it.
             old = VarTag.stage(e - 1, cur[e - 1])
             dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
-            rels_raw[e - 2] = rels_raw[e - 2].subs_poly(
-                old, Poly.const(dd)
-                + Poly.var(field, seq0.group, VarTag.stage(e - 1, a)).scale(bb))
+            rels_raw[e - 2] = taylor_recenter(rels_raw[e - 2], {old: dd}, {old: bb},
+                                              {old: VarTag.stage(e - 1, a)})
         cur[e - 1] = a
         cur[e] = b
         rels_raw.append(rel)

@@ -3,8 +3,10 @@
 Each computes its result a second, independent way: series sums, negation,
 scalar multiples, truncation and long division term by term on field
 scalars (Fractions over Q, residues over F_p), where the package computes
-on integer numerators over one denominator; Taylor recentring as the sum
-of Hasse derivatives and by substituting one variable at a time, the
+on integer numerators over one denominator; series powers by repeated
+squaring (series_pow); Taylor recentring as the sum of Hasse derivatives
+and by substituting one variable at a time (subs_poly; the package
+recentres and restages only in Hasse form, through taylor_recenter), the
 stable values of the Hasse derivatives by one scan per derivative, the
 ordinary partial derivative monomial by monomial, the smooth
 presentation checks on the full, uncapped values, a series' JSON
@@ -19,7 +21,7 @@ from valcert.errors import (HorizonError, IndeterminateValError, InputError,
 from valcert.fields import characteristic
 from valcert.group import INF
 from valcert.pcs import sequence_from_json
-from valcert.poly import Poly, VarTag, det
+from valcert.poly import Poly, VarTag, _mono_mul, det
 from valcert.rewrite import rw
 from valcert.series import ValuedSeries
 
@@ -169,6 +171,39 @@ def series_to_json(x):
     }
 
 
+def series_pow(x, n):
+    """x ** n by repeated squaring; n >= 0."""
+    if n < 0:
+        raise InputError("negative powers go through div")
+    result = ValuedSeries.one(x.field, x.group)
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def subs_poly(p, tag, replacement):
+    """p with the polynomial replacement substituted for the variable tag."""
+    p._check(replacement)
+    powers = {0: p._one()}
+
+    def power(k):
+        while len(powers) <= k:
+            powers[len(powers)] = powers[len(powers) - 1] * replacement
+        return powers[k]
+
+    out = []
+    for mono, coeff in p.monos.items():
+        rest = dict(mono)
+        k = rest.pop(tag, 0)
+        out += [(_mono_mul(rest.items(), m), coeff * c)
+                for m, c in power(k).monos.items()]
+    return Poly(p.field, p.group, out)
+
+
 def taylor_via_hasse(g, centers, scales, newtags):
     """sum_n D^(n)g(centers) * prod s^n * Y_new^n, equal to taylor_recenter."""
     tags = list(centers)
@@ -181,7 +216,7 @@ def taylor_via_hasse(g, centers, scales, newtags):
         coeff = deriv.eval_series(centers)
         mono = []
         for t, n in zip(tags, combo):
-            coeff = coeff * (scales[t] ** n)
+            coeff = coeff * series_pow(scales[t], n)
             if n:
                 mono.append((newtags[t], n))
         total = total + Poly(g.field, g.group, {tuple(mono): coeff})
@@ -198,7 +233,7 @@ def taylor_via_subs(g, centers, scales, newtags):
             raise InputError("recentring scale must be nonzero")
         replacement = (Poly.const(center)
                        + Poly.var(g.field, g.group, newtags[tag]).scale(scale))
-        out = out.subs_poly(tag, replacement)
+        out = subs_poly(out, tag, replacement)
     return out
 
 

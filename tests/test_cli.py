@@ -675,6 +675,23 @@ class TestPairBranch:
             f"verification failed: verification failed at branch: branch {swapped!r}, "
             f"but the presentation has branch {branch!r}")
 
+    def test_constant_with_a_z_generator_has_no_branch(self, tmp_path, capsys):
+        # f = 2 with a Z generator of image 1 and relation Z - 1 fits none
+        # of the three branches
+        cfg = {"field": "Q", "op": "pair", "f": Poly.const(ValuedSeries.scalar(QQ, ZZ, Fraction(2))).to_json(),
+               "seq0": lacunary_sequence(QQ, 300).to_json()}
+        bad = _built(tmp_path, cfg)
+        assert bad["branch"] == "constant"
+        Z, one = VarTag.dup(0, "z"), ValuedSeries.one(QQ, ZZ)
+        bad["generators"].append([Z.to_json(), one.to_json()])
+        bad["relations"].append((Poly.var(QQ, ZZ, Z) - Poly.const(one)).to_json())
+        bad["base"] = 0
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "verification failed: verification failed at branch: branch 'constant', "
+            "but the presentation has branch 'none'")
+
     def test_family_has_no_branch(self, tmp_path, capsys):
         bad = _built(tmp_path, family_cfg(horizon=100))
         assert bad["branch"] == ""
@@ -724,6 +741,38 @@ class TestVerifyDelta:
         path = write(tmp_path, "c.json", cfg)
         assert run(["smooth", path, "--delta", "15" if cfg["op"] == "family" else "1"]) == 1
         assert "twice the largest stage gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["config", "option"])
+    def test_build_at_a_requested_delta(self, tmp_path, capsys, how):
+        # the family's floor is 16: a build at 32 carries 32 and verifies,
+        # and one at 15 is refused
+        def build(delta, out):
+            cfg, argv = family_cfg(horizon=100), ["--delta", str(delta)]
+            if how == "config":
+                cfg["delta"], argv = delta, []
+            return run(["smooth", write(tmp_path, "c.json", cfg), "--out", str(out)] + argv)
+
+        out = tmp_path / "cert.json"
+        assert build(32, out) == 0
+        assert json.loads(out.read_text())["delta"] == 32
+        assert run(["verify", str(out)]) == 0
+        capsys.readouterr()
+        assert build(15, tmp_path / "low.json") == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: delta 15 must be positive and at least 16, "
+            "twice the largest stage gamma")
+
+    def test_generator_of_no_member_rejected(self, tmp_path, capsys):
+        # Y_{2,7} renamed Y_{3,7}: the family has no member y3
+        cert = Path(self.certificate(tmp_path)).read_text()
+        stage = '{"e":2,"j":7,"tag":"stage"}'
+        assert stage in cert
+        bad = json.loads(cert.replace(stage, '{"e":3,"j":7,"tag":"stage"}'))
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+        assert capsys.readouterr().err.strip() == (
+            "verification failed: verification failed at delta: "
+            "generator 2 names no problem member")
 
     @pytest.mark.parametrize("cfg", [family_cfg(horizon=100), q_pair_cfg("d-divides-c"),
                                      q_smooth_cfg("fraction")],

@@ -85,6 +85,18 @@ class TestDerived:
         assert asked == [4, 8, 16, 32, 32]
         assert derived.term_pair(3) == (8, 1)
 
+    def test_exact_series_ends_the_sequence(self):
+        derived = DerivedSequence(QQ, lambda delta: S((0, 1), (1, 1), (3, 1)), 4)
+        assert derived.term_pair(2) == (3, 1)
+        with pytest.raises(HorizonError, match="^underlying series has only 3 terms$"):
+            derived.term_pair(3)
+
+    def test_stalled_materialization_raises(self):
+        # every window gives the same two terms known below 4
+        derived = DerivedSequence(QQ, lambda delta: S((0, 1), (1, 1), trunc=4), 4)
+        with pytest.raises(HorizonError, match="^materialization stalled"):
+            derived.term_pair(2)
+
 
 class TestStage:
     def test_arith_stage(self):

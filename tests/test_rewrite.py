@@ -10,6 +10,7 @@ import json
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,7 @@ from valcert import rewrite
 from valcert.cli import canonical_json, run_single
 from valcert.errors import InputError, VerificationError
 from valcert.fields import GF, QQ
-from valcert.group import INTEGERS as ZZ
+from valcert.group import INF, INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import Poly, VarTag
 from valcert.rewrite import Plans, RewriteCert, rw, taylor_recenter
@@ -315,6 +316,19 @@ class TestLazyStreams:
             RewriteCert.from_json(bad).verify()
         bad["seqs"][0] = TableSequence(QQ, [(2 ** j, QQ.one()) for j in range(t + 2)]).to_json()
         RewriteCert.from_json(bad).verify()
+
+
+class TestPredict:
+    def test_inf_beta_predicts_nothing(self):
+        # (Y0 - Y1)^2 over two copies of one sequence: D^(1,0) and D^(0,1)
+        # vanish at every index, so their betas are INF and the prediction
+        # gives up before any separation search
+        g = Poly.var(QQ, ZZ, Y0) - Poly.var(QQ, ZZ, Y1)
+        plan = Plans("bivariate", g * g, [lacunary_sequence(QQ, 100)] * 2)[0]
+        assert [k for k, (beta, _) in plan.betas.items() if beta is INF] == [(0, 1), (1, 0)]
+        with mock.patch.object(rewrite, "separate_indices") as search:
+            assert plan.predict((0, 0)) is None
+        search.assert_not_called()
 
 
 class TestTamper:

@@ -176,7 +176,7 @@ class TestOtherGroups:
         one = ValuedSeries.one(QQ, group)
         assert one.val() == group.zero() and one.is_unit()
         x = ValuedSeries(QQ, group, [(group.zero(), QQ.one()), (e, QQ.one())])
-        cube = x ** 3
+        cube = oracles.series_pow(x, 3)
         assert cube.val() == group.zero()
         assert dict(cube.terms)[group.scale(e, 2)] == 3
         inv = one.div_to(x, group.scale(e, 3))
@@ -321,7 +321,7 @@ class TestEvalSeries:
         for mono, coeff in p.monos.items():
             term = coeff
             for v, k in mono:
-                term = term * (values[v] ** k)
+                term = term * oracles.series_pow(values[v], k)
             expected = expected + term
         assert p.eval_series(values).same_known(expected)
 
@@ -335,7 +335,7 @@ class TestEvalSeries:
         for p in (V ** 3 + V, V ** 2):
             assert p.eval_series(table).same_known(p.eval_series({Y0: x}))
         assert sorted(table) == [(Y0, 1), (Y0, 2), (Y0, 3)]
-        assert table[Y0, 3].same_known(x ** 3)
+        assert table[Y0, 3].same_known(oracles.series_pow(x, 3))
 
 
 def assert_normal(s):

@@ -138,6 +138,19 @@ class TestPair:
             assert cert.kind == "pair" and cert.branch == "c-divides-d"
             assert run_single("verify", cert.to_json(), OPTS)[0] == 0
 
+    @pytest.mark.parametrize("op", ["pair", "family"])
+    def test_canonical_d_stops_doubling(self, op):
+        # y0 = sum t^(2^j) over F2 is a root of Y^2 + Y + t, so f(y0)
+        # cancels below every window: the 64-doubling cap ends the search
+        F2 = GF(2)
+        V = Poly.var(F2, ZZ, Y0)
+        f = V ** 2 + V + Poly.const(tpow(F2, 1))
+        cfg = {"field": "Fp", "p": 2, "op": op,
+               "seq0": lacunary_sequence(F2, 300).to_json()}
+        cfg.update({"f": f.to_json()} if op == "pair" else {"fs": [V.to_json(), f.to_json()]})
+        assert run_single("smooth", cfg, OPTS) == (
+            2, "horizon/stabilization: val(f(y0)) cancels below every tried truncation")
+
     def test_charp_case2_nonunit_rejected(self):
         # [TRIVIAL] same input over a val-1 pseudo-limit violates the
         # unit hypothesis and is refused rather than silently mis-witnessed
@@ -493,6 +506,21 @@ class TestSteering:
         new = _outcome(cfg)
         with mock.patch.object(smooth, "_steer", steer_reference):
             assert _outcome(cfg) == new
+
+    def test_failed_search_runs_once(self):
+        # the prediction's attempt-0 search fails; the build at the same
+        # start indices raises that failure again instead of searching again
+        calls = []
+        search = rewrite.separate_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+        with mock.patch.object(rewrite, "separate_indices", counted):
+            assert _outcome(_short_derived()) == (
+                2, "horizon/stabilization: pseudo-limit support does not reach "
+                "truncation 576460752303423489 within horizon")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("wrong", [lambda plan, nus: None,
                                        lambda plan, nus: ((VarTag.stage(0, 0), 1),)],
