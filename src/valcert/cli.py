@@ -2,8 +2,9 @@
 configs and verify certificate files.
 
 Exit codes: 0 ok, 1 input error, 2 horizon/stabilization or unreadable
-valuation, 3 undecided after retries, 4 verification failure, 5 internal
-error (any other exception, so one item cannot sink a batch).  Output is
+valuation, 3 undecided after the last of the R attempts that --retries
+allows, 4 verification failure, 5 internal error (any other exception, so
+one item cannot sink a batch).  Output is
 canonical JSON (sorted keys, compact separators) so identical configs
 yield byte-identical certificates.
 """
@@ -203,7 +204,7 @@ def run_single(command: str, cfg: dict, opts: dict):
     except (HorizonError, IndeterminateValError) as exc:
         return EXIT_HORIZON, f"horizon/stabilization: {exc}"
     except UndecidedError as exc:
-        return EXIT_UNDECIDED, f"undecided after retries: {exc}"
+        return EXIT_UNDECIDED, f"undecided: {exc}"
     except VerificationError as exc:
         return EXIT_VERIFY, f"verification failed: {exc}"
     except Exception as exc:

@@ -49,17 +49,15 @@ class PseudoSequence:
 
     def scale(self, j: int) -> ValuedSeries:
         """s_j = v_{j+1} - v_j = c_j t^{e_j} (exact monomial)."""
-        self._check_index(j + 1)
+        self._check_index(j)
         return ValuedSeries(self.field, self.group, [self.term_pair(j)])
 
     def limit(self, delta) -> ValuedSeries:
-        """Pseudo-limit y materialized below truncation delta."""
+        """Pseudo-limit y materialized below truncation delta; a
+        HorizonError when the terms run out below it."""
         terms = []
         for j in range(self.horizon):
-            try:
-                e, c = self.term_pair(j)
-            except HorizonError:
-                break
+            e, c = self.term_pair(j)
             if not (e < delta):
                 return ValuedSeries(self.field, self.group, terms, delta)
             terms.append((e, c))
@@ -70,7 +68,6 @@ class PseudoSequence:
     # -- derived elements ---------------------------------------------
     def stage(self, j: int, delta) -> ValuedSeries:
         """Unit stage element y_j = (y - v_j) / (v_{j+1} - v_j), to truncation delta."""
-        self._check_index(j + 1)
         y = self.limit(self.group.add(delta, self.gamma(j)))
         num = y - self.term(j)
         return num.div(self.scale(j))
@@ -79,7 +76,6 @@ class PseudoSequence:
         """Exact (d, b) with y_j = d + b*y_t; d a unit, val(b) > 0."""
         if not j < t:
             raise InputError(f"restage needs j < t, got {j}, {t}")
-        self._check_index(t + 1)
         sj = self.scale(j)
         d = (self.term(t) - self.term(j)).div(sj)
         b = self.scale(t).div(sj)
@@ -203,8 +199,8 @@ class TableSequence(PseudoSequence):
     """
 
     def __init__(self, field: Field, terms: Sequence[Tuple[object, object]]):
-        if len(terms) < 2:
-            raise InputError("term table needs at least two entries")
+        if not terms:
+            raise InputError("term table needs at least one entry")
         group = group_of(terms[0][0])
         group.check(*(e for e, _ in terms))
         for (e0, _), (e1, _) in zip(terms, terms[1:]):

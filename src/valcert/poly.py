@@ -6,7 +6,8 @@ the rewrite pipelines.  The Hasse derivative is computed with integer
 binomials before reduction into the base field, so it is correct in any
 characteristic.  Poly.__init__ is where monomials are sorted and merged:
 every operation hands it raw (monomial, coefficient) pairs.  Only
-Poly.from_json fills its dict itself, sorting each decoded monomial once.
+Poly.from_json fills its dict itself, sorting each decoded monomial once;
+it rejects a monomial of total degree above MAX_JSON_DEGREE.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .group import ValueGroup
 from .series import ValuedSeries
 
 _KIND_RANK = {"orig": 0, "stage": 1, "dup": 2}
+MAX_JSON_DEGREE = 2048  # recentring a higher power would take seconds
 
 
 class VarTag(tuple):
@@ -321,6 +323,9 @@ class Poly:
                                 for v, k in mono_json)
             if any(a[0] == b[0] for a, b in zip(mono, mono[1:])):
                 raise InputError("a monomial lists one variable twice")
+            degree = sum(k for _, k in mono)
+            if degree > MAX_JSON_DEGREE:
+                raise InputError(f"monomial of total degree {degree} exceeds {MAX_JSON_DEGREE}")
             if mono in monos:
                 raise InputError("repeated monomial")
             monos[mono] = ValuedSeries.from_json(coeff_json, field, group)

@@ -440,7 +440,7 @@ class RewriteCert:
         try:
             G1 = self._recompute()
         except HorizonError as exc:
-            # Recentring at index t reads terms 0..t and range-checks t + 1.
+            # Recentring at index t reads terms 0..t.
             raise VerificationError("indices", f"sequence too short: {exc}")
         if self.G1 is not None and not G1.same_known(self.G1):
             raise VerificationError("identity", "recentred polynomial differs from G1")
@@ -481,8 +481,8 @@ class RewriteCert:
 class _GammaStream:
     """Separation stream of one sequence: stream[s-1] = gamma_{s-1} (sep
     index s maps to sequence index s-1), read from the sequence only when
-    asked for; capped one below the horizon so the scale at the chosen
-    index is always available."""
+    asked for.  It stops one below the horizon, where the stabilization
+    walk stops."""
 
     def __init__(self, seq: PseudoSequence):
         self._seq = seq
@@ -545,24 +545,22 @@ class _Plan:
         return found
 
     def predict(self, nus: Optional[Sequence[int]]):
-        """The monomial attempt 0 at nus designates, when its value table,
-        read without recentring, passes every claim; else None.  The Y^k
-        coefficient has value beta_k + sum_e k_e * gamma_e(t_e), the
-        constant val h(v_t).  None also when a beta is INF or a read
-        raises."""
+        """The monomial attempt 0 at nus designates, when the nonconstant
+        part of its value table, read without recentring, passes every
+        claim; else None.  The Y^k coefficient has value beta_k + sum_e
+        k_e * gamma_e(t_e).  In the min-linear plans steering asks, only the
+        over-V claim reads the constant h(v_t), which meets it when h and
+        v_t lie over V, so it is not read.  None also when a beta is INF or
+        a read raises."""
         if len(self.entries) != len(self.betas):
             return None
         group = self.h.group
         try:
             t = self.first_indices(nus)
             gammas = [seq.gamma(i) for seq, i in zip(self.seqs, t)]
-            for seq, i in zip(self.seqs, t):
-                seq.gamma(i + 1)  # the attempt reads term t + 1 too
-            const = self.h.eval_series({VarTag.orig(e): seq.term(i)
-                                        for e, (seq, i) in enumerate(zip(self.seqs, t))})
-            vals = {} if const.is_zero_exact() else {(): const.val()}
         except ValcertError:
             return None
+        vals = {}
         for _, exps, beta in self.entries:
             mono = tuple((VarTag.stage(e, t[e]), ke) for e, ke in exps.items())
             for e, ke in exps.items():
@@ -579,11 +577,12 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
     failure = "no attempt"
     for attempt in range(R):
         indices = plan.first_indices(nus) if attempt == 0 else plan.indices(rhos)
-        # Recentring reads terms 0..t and range-checks t + 1.  G1 is
-        # computed once, from the g, multiplier, frozen sequences and
-        # indices the certificate carries, so it is the recomputation
-        # RewriteCert.verify compares G1 with; the build checks the rest.
-        frozen = [seq.snapshot(t + 2) if isinstance(seq, DerivedSequence) else seq
+        # Recentring at t reads terms 0..t, so a derived sequence is frozen
+        # to t + 1 terms.  G1 is computed once, from the g, multiplier,
+        # frozen sequences and indices the certificate carries, so it is the
+        # recomputation RewriteCert.verify compares G1 with; the build
+        # checks the rest.
+        frozen = [seq.snapshot(t + 1) if isinstance(seq, DerivedSequence) else seq
                   for seq, t in zip(plan.seqs, indices)]
         G1 = recenter_at(plan.h, frozen, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
@@ -595,7 +594,7 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
                                _case(plan.kind, plan.multiplier, vals), table)
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]
     raise UndecidedError(
-        f"claims not reached after {R} retries: {failure}")
+        f"claims not reached after {R} attempts: {failure}")
 
 
 def _with_multiplier(g: Poly, multiplier: Mapping[int, int]) -> Poly:

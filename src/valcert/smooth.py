@@ -348,17 +348,15 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
     ypoly = _stage_poly(seq0, 0, t)
     rels = []
     if not rewrites or not rcert.c.val() < d.val():
-        # f constant, or d | c: z (or y*z) is a polynomial in the stage generator.
+        # f constant, or d | c: z (y*z in case2) is a polynomial in the stage
+        # generator.  Every case2 pair is here: f' = 0 gives c = f(v_t)*s_t, and
+        # val f(v_t) = val f(y0) = val d, so val c = val d + gamma_t.
         znum = h.map_coeffs(lambda co: co.div_to(d, deltaw))
         branch = "d-divides-c" if rewrites else "constant"
     else:
-        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries y^k * z.
+        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z.
         ztag = VarTag.dup(0, "z")
-        zval = _f_over_d(f, d, lambda depth: seq0.limit(max(group.scale(deltaw, 2), depth)),
-                         deltaw)
-        if case2:
-            zval = seq0.limit(deltaw) * zval
-        gens.append((ztag, zval.truncate(deltaw)))
+        gens.append((ztag, _f_over_d(f, d, seq0.limit, deltaw)))
         rel = h - Poly.var(field, group, ztag).scale(d)
         rels.append(rel.map_coeffs(lambda co: co.div_to(rcert.c, deltaw)))
         znum, branch = Poly.var(field, group, ztag), "c-divides-d"
@@ -423,12 +421,7 @@ def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
 
 
 def _clear_content(g: Poly) -> Poly:
-    vals = [c.val() for c in g.monos.values()]
-    if not vals:
-        return g
-    vmin = min(vals)
-    if vmin == g.group.zero():
-        return g
+    vmin = min(c.val() for c in g.monos.values())
     return g.map_coeffs(lambda co: co.shift(g.group.neg(vmin)))
 
 
@@ -449,7 +442,8 @@ def sm_fraction(f1: Poly, f2: Poly, seq0: PseudoSequence,
 
 def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
            delta, W: int, R: int) -> SmoothCert:
-    """The family induction over fs, for a family or fraction certificate."""
+    """The family induction over fs, for a family or fraction certificate:
+    one steered rewrite per chain link, then one certificate, verified once."""
     if not fs:
         raise InputError("empty polynomial family")
     for f in fs:
@@ -473,8 +467,56 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
             f"val(f1(y0)) = {ds[0].val()!r} < val(f2(y0)) = {ds[1].val()!r}; "
             "the fraction lies outside V'")
     seqs = [seq0] + [_derived_unit_sequence(f, d, seq0) for f, d in zip(fs, ds)]
+    n = len(fs)
+    cur = [0] * (n + 1)  # current stage index per element (0 = y0)
+    rels_raw: List[Poly] = []
+    rewrites: List[RewriteCert] = []
     try:
-        return _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R)
+        for e in range(1, n + 1):
+            g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
+                                     ds[e - 2] if e >= 2 else None,
+                                     fs[e - 1], ds[e - 1], first=(e == 1))
+            rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
+            a, b = rcert.indices
+            rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
+                                   VarTag.stage(1, b): VarTag.stage(e, b)})
+            if e >= 2:
+                # Restage the previous relation from the old index of y_{e-1}:
+                # taylor_recenter puts y_{e-1,old} = d + b*y_{e-1,a} into it.
+                old = VarTag.stage(e - 1, cur[e - 1])
+                dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
+                rels_raw[e - 2] = taylor_recenter(rels_raw[e - 2], {old: dd}, {old: bb},
+                                                  {old: VarTag.stage(e - 1, a)})
+            cur[e - 1], cur[e] = a, b
+            rels_raw.append(rel)
+            rewrites.append(rcert)
+
+        group = seq0.group
+        gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
+        dlt = _delta(group, gamma_max, delta)
+        deltaw = group.scale(dlt, 2)
+        # Divide each relation by its designated coefficient (every other
+        # coefficient has strictly larger value, so the quotients stay in V
+        # and the earlier-variable Jacobian entry becomes a unit).  With the
+        # last generator as base, the minor is lower triangular with these
+        # units on the diagonal.
+        rels = [rel.map_coeffs(lambda co, c0=rc.c: co.div_to(c0, deltaw))
+                for rel, rc in zip(rels_raw, rewrites)]
+        gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
+                for e in range(n + 1)]
+        wits = [Witness(f"y{e}", "ye" if e else "y0", e, _stage_poly(seqs[e], e, cur[e]), None)
+                for e in range(n + 1)]
+        if kind == "fraction":
+            # f1/f2 = (d1/d2) * y1 / y2; d1/d2 is an exact monomial of val >= 0.
+            wits.append(Witness("f1/f2", "fraction", 0,
+                                wits[1].num.scale(ds[0].div(ds[1])), wits[2].num))
+        pres = SmoothPresentation(field, group, gens, rels, n)
+        problem = {"fs": [f.to_json() for f in fs],
+                   "ds": [d.to_json() for d in ds],
+                   "seq0": seq0.to_json()}
+        cert = SmoothCert(kind, field, problem, pres, wits, rewrites, dlt)
+        sm_verify(cert)
+        return cert
     except (NotStabilizedError, UndecidedError, VerificationError) as exc:
         raise NotStabilizedError(f"family construction failed: {exc}")
 
@@ -504,61 +546,6 @@ def _steer(g: Poly, pair: Sequence[PseudoSequence], nu: int, W: int, R: int) -> 
         if _designates_earlier(cand.c_mono):
             return cand
     raise NotStabilizedError("could not steer the rewrite onto the earlier chain variable")
-
-
-def _family_attempt(kind, fs, ds, seqs, seq0, field, delta, W, R):
-    n = len(fs)
-    cur = [0] * (n + 1)  # current stage index per element (0 = y0)
-    rels_raw: List[Poly] = []
-    rewrites: List[RewriteCert] = []
-    for e in range(1, n + 1):
-        g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
-                                 ds[e - 2] if e >= 2 else None,
-                                 fs[e - 1], ds[e - 1], first=(e == 1))
-        rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
-        a, b = rcert.indices
-        rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
-                               VarTag.stage(1, b): VarTag.stage(e, b)})
-        if e >= 2:
-            # Restage the previous relation from the old index of y_{e-1}:
-            # taylor_recenter puts y_{e-1,old} = d + b*y_{e-1,a} into it.
-            old = VarTag.stage(e - 1, cur[e - 1])
-            dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
-            rels_raw[e - 2] = taylor_recenter(rels_raw[e - 2], {old: dd}, {old: bb},
-                                              {old: VarTag.stage(e - 1, a)})
-        cur[e - 1] = a
-        cur[e] = b
-        rels_raw.append(rel)
-        rewrites.append(rcert)
-
-    group = seq0.group
-    gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
-    dlt = _delta(group, gamma_max, delta)
-    deltaw = group.scale(dlt, 2)
-    # Divide each relation by its designated coefficient (every other
-    # coefficient has strictly larger value, so the quotients stay in V
-    # and the earlier-variable Jacobian entry becomes a unit).  With the
-    # last generator as base, the minor is lower triangular with these
-    # units on the diagonal.
-    rels = [rel.map_coeffs(lambda co, c0=rc.c: co.div_to(c0, deltaw))
-            for rel, rc in zip(rels_raw, rewrites)]
-    base = n
-    gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
-            for e in range(n + 1)]
-    wits = [Witness("y0", "y0", 0, _stage_poly(seqs[0], 0, cur[0]), None)]
-    for e in range(1, n + 1):
-        wits.append(Witness(f"y{e}", "ye", e, _stage_poly(seqs[e], e, cur[e]), None))
-    if kind == "fraction":
-        # f1/f2 = (d1/d2) * y1 / y2; d1/d2 is an exact monomial of val >= 0.
-        wits.append(Witness("f1/f2", "fraction", 0,
-                            wits[1].num.scale(ds[0].div(ds[1])), wits[2].num))
-    pres = SmoothPresentation(field, group, gens, rels, base)
-    problem = {"fs": [f.to_json() for f in fs],
-               "ds": [d.to_json() for d in ds],
-               "seq0": seq0.to_json()}
-    cert = SmoothCert(kind, field, problem, pres, wits, rewrites, dlt)
-    sm_verify(cert)
-    return cert
 
 
 # -- Independent verification ------------------------------------------

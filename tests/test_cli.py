@@ -14,8 +14,8 @@ from valcert.cli import main
 from valcert.errors import InputError
 from valcert.fields import GF, PRIME_LIMIT, QQ, _is_prime, field_from_json
 from valcert.group import INTEGERS as ZZ
-from valcert.pcs import TableSequence, lacunary_sequence
-from valcert.poly import Poly, VarTag
+from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
+from valcert.poly import MAX_JSON_DEGREE, Poly, VarTag
 from valcert.separation import SeparationCert
 from valcert.series import ValuedSeries
 
@@ -27,7 +27,8 @@ Y0 = VarTag.orig(0)
 FULL_TABLES = Path(__file__).parent / "fixtures" / "smooth_family_F5_full_tables.json"
 # Certificates written while series JSON went through one Fraction per
 # coefficient: the outputs of the rewrite-square-Q and smooth-fraction-Q
-# golden configs (below).
+# golden configs (below), the smooth one while its derived tables held
+# index + 2 terms.
 OLD_Q_CERTS = {"rewrite-square-Q": Path(__file__).parent / "fixtures" / "rewrite_square_Q.json",
                "smooth-fraction-Q": Path(__file__).parent / "fixtures" / "smooth_fraction_Q.json"}
 
@@ -115,6 +116,10 @@ def batch_cfgs():
 # two keys removed from its embedded rewrites, computed from that output.
 # The smooth-pair digests, one per branch of sm_pair, were recorded before
 # its three branches shared one tail and its base stopped being searched.
+# The family and fraction digests were last renewed when the embedded
+# derived tables were cut from index + 2 to index + 1 terms, the terms
+# recentring reads; each is the sha256 of the earlier output with the
+# last term of each such table removed, computed from that output.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -129,11 +134,11 @@ GOLDEN = {
     "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
                          "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
     "smooth-family-F5": ("smooth", family_cfg,
-                         "e5bf3c9c1d6d0d429c2395b10f42ed4ba549956cd630398d55d6e2bd91cecd37"),
+                         "40536790e2ddd533a983d0978b7d00865b09bb4e671231911040cb29cbc39c6a"),
     "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
-                        "1658a4d3c3e46ffabac920f6c8726f8c5bd0d0a72eca92da9610adb40f490bcb"),
+                        "4b3807909d15e8d7934196e6cfc1663f5c9d02edf27b586c26d566c87c2dddcd"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
-                          "220e18232b1ede6d1cd2f53abdaadf6a85b787f2923498f980636f94b2c30faa"),
+                          "a932c34555000f8047500c6cbd3fac80fe56943c872303be9934851233729576"),
     "smooth-pair-constant": ("smooth", lambda: q_pair_cfg("constant"),
                              "2e7a966e4b7d863daa36755fd7105698c02935670e9579aba1d58a27737fb33b"),
     "smooth-pair-d-divides-c": ("smooth", lambda: q_pair_cfg("d-divides-c"),
@@ -154,19 +159,13 @@ class TestGolden:
     def test_full_table_certificate(self, tmp_path, capsys):
         # The certificate with full tables, whose embedded rewrites carry
         # G1 and a value table, still verifies; cutting its tables to
-        # index + 2 terms and removing G1 and table from each embedded
+        # index + 1 terms and removing G1 and table from each embedded
         # rewrite gives the certificate built today.
         assert run(["verify", str(FULL_TABLES)]) == 0
         old = json.loads(FULL_TABLES.read_text())
-        cut = 0
+        assert _cut_tables(old) == 3
         for rewrite in old["rewrites"]:
-            for seq, t in zip(rewrite["seqs"], rewrite["indices"]):
-                if seq["seq"] == "table":
-                    assert len(seq["terms"]) > t + 2
-                    seq["terms"] = seq["terms"][:t + 2]
-                    cut += 1
             del rewrite["G1"], rewrite["table"]
-        assert cut == 3
         out = tmp_path / "out.json"
         assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == old
@@ -174,13 +173,31 @@ class TestGolden:
 
     @pytest.mark.parametrize("name", sorted(OLD_Q_CERTS))
     def test_old_q_certificate(self, tmp_path, capsys, name):
-        # it verifies, and today's build of its config writes the same bytes
+        # it verifies, and today's build of its config writes it again,
+        # with each derived table cut to index + 1 terms
         path = OLD_Q_CERTS[name]
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name][2]
         capsys.readouterr()
         assert run(["verify", str(path)]) == 0
         cert = json.loads(path.read_text())
         assert json.loads(capsys.readouterr().out) == {"cert": cert["cert"], "verified": True}
+        command, cfg, _ = GOLDEN[name]
+        out = tmp_path / "out.json"
+        assert run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)]) == 0
+        assert _cut_tables(cert) == (3 if command == "smooth" else 0)
+        assert json.loads(out.read_text()) == cert
+
+
+def _cut_tables(cert):
+    """Cut each derived table that a smooth certificate's rewrites embed
+    to its index + 1 terms, in place; returns how many were cut."""
+    cut = 0
+    for rewrite in cert.get("rewrites", []):
+        for seq, t in zip(rewrite["seqs"], rewrite["indices"]):
+            if seq["seq"] == "table":
+                assert len(seq["terms"]) > t + 1
+                seq["terms"] = seq["terms"][:t + 1]
+                cut += 1
+    return cut
 
 
 def _built_smooth(op):
@@ -389,6 +406,35 @@ class TestWindowRetries:
         c = write(tmp_path, "c.json", dict(univariate_cfg(QQ, 2), **{key: value}))
         assert run(["rewrite", c]) == 0
         assert run(["rewrite", c, f"--{key}", str(value)]) == 0
+
+    @staticmethod
+    def f2_cfg(op, g):
+        """A rewrite config over F2: g given as {exponents: t-exponents of
+        its coefficient}, over the sequences t^(a*2^j), a = 1, 3, 5, one
+        per exponent."""
+        def series(es):
+            return {"trunc": "inf", "terms": [[e, 1] for e in es]}
+        seqs = [RuleSequence(GF(2), {"kind": "geom", "a": a}, {"kind": "const", "c": 1}).to_json()
+                for a in (1, 3, 5)[:len(next(iter(g)))]]
+        return {"field": "Fp", "p": 2, "op": op, "seqs": seqs,
+                "g": [[[[{"tag": "orig", "e": e}, k] for e, k in enumerate(exps) if k],
+                       series(es)] for exps, es in g.items()]}
+
+    @pytest.mark.parametrize("op, g, message", [
+        ("bivariate", {(2, 0): [0], (1, 1): [0], (0, 1): [1, 2]},
+         "no multiplier in the cascade reached the normal form: claims not reached "
+         "after 1 attempts: distinct-nonconstant: two coefficient values coincide"),
+        ("multilinear", {(1, 0, 0): [2], (1, 1, 0): [0, 1], (1, 0, 1): [2],
+                         (0, 1, 1): [0, 1], (0, 0, 0): [0, 1]},
+         "claims not reached after 1 attempts: distinct-nonconstant: two "
+         "coefficient values coincide")])
+    def test_one_attempt_is_undecided(self, tmp_path, capsys, op, g, message):
+        # retries counts attempts: at 1, attempt 0 is the only one, and its
+        # failure exits 3; the default budget reaches the normal form
+        cfg = self.f2_cfg(op, g)
+        assert run(["rewrite", write(tmp_path, "c.json", dict(cfg, retries=1))]) == 3
+        assert capsys.readouterr().err == f"undecided: {message}\n"
+        assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 0
 
     def test_zero_window_flag_is_not_ignored(self, tmp_path, capsys):
         # --window 0 is rejected, not replaced by the default 8, under which
@@ -871,7 +917,7 @@ class TestInternalError:
 class TestDeepInput:
     """Inputs past Python's recursion depth: Y0 raised to 1000 and 2000 in
     a rewrite's g, and a multi separation over 1,200 streams.  Each reaches
-    a verdict, not exit 5."""
+    a verdict, not exit 5.  A power past MAX_JSON_DEGREE exits 1 at once."""
 
     CFG = {"field": "Q", "op": "univariate",
            "g": [[[[{"tag": "orig", "e": 0}, 1]], {"trunc": "inf", "terms": [[0, "3/1"]]}],
@@ -880,18 +926,32 @@ class TestDeepInput:
                      "exp": {"kind": "geom", "a": 1},
                      "coeff": {"kind": "const", "c": "4/1"}}]}
 
-    @pytest.mark.parametrize("power", [1000, 2000])
-    def test_high_power_in_g(self, tmp_path, capsys, power):
-        # g's Y0 raised to the power: G1 no longer recentres g, so exit 4
+    def raised(self, tmp_path, power):
+        """A rewrite certificate whose g has its Y0 raised to the power."""
         out = tmp_path / "cert.json"
         assert run(["rewrite", write(tmp_path, "c.json", self.CFG), "--out", str(out)]) == 0
         cert = json.loads(out.read_text())
         (mono, _), = [m for m in cert["g"] if m[0]]
         assert mono == [[{"tag": "orig", "e": 0}, 1]]
         mono[0][1] = power
+        return write(tmp_path, "bad.json", cert)
+
+    @pytest.mark.parametrize("power", [1000, 2000])
+    def test_high_power_in_g(self, tmp_path, capsys, power):
+        # G1 no longer recentres g, so exit 4
+        path = self.raised(tmp_path, power)
         capsys.readouterr()
-        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert run(["verify", path]) == 4
         assert "verification failed at identity" in capsys.readouterr().err
+
+    def test_power_past_the_bound_exits_1(self, tmp_path, capsys):
+        assert MAX_JSON_DEGREE == 2048
+        path = self.raised(tmp_path, 8000)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(["verify", path]) == 1
+        assert time.perf_counter() - start < 0.1
+        assert "monomial of total degree 8000 exceeds 2048" in capsys.readouterr().err
 
     def test_many_streams(self, tmp_path, capsys):
         n = 1200
@@ -1083,9 +1143,9 @@ class TestShortData:
         cert = json.loads(FULL_TABLES.read_text())
         rewrite = cert["rewrites"][1]
         seq, t = rewrite["seqs"][0], rewrite["indices"][0]
-        seq["terms"] = seq["terms"][:t + 2]
-        assert run(["verify", write(tmp_path, "ok.json", rewrite)]) == 0
         seq["terms"] = seq["terms"][:t + 1]
+        assert run(["verify", write(tmp_path, "ok.json", rewrite)]) == 0
+        seq["terms"] = seq["terms"][:t]
         assert run(["verify", write(tmp_path, "bad.json", rewrite)]) == 4
 
     def test_smooth_table_cut(self, tmp_path, capsys):
@@ -1093,7 +1153,7 @@ class TestShortData:
         assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
         cert = json.loads(out.read_text())
         seq = cert["rewrites"][1]["seqs"][1]
-        assert len(seq["terms"]) == cert["rewrites"][1]["indices"][1] + 2
+        assert len(seq["terms"]) == cert["rewrites"][1]["indices"][1] + 1
         seq["terms"].pop()
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
 

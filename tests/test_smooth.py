@@ -151,6 +151,30 @@ class TestPair:
         assert run_single("smooth", cfg, OPTS) == (
             2, "horizon/stabilization: val(f(y0)) cancels below every tried truncation")
 
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from((2, 3)), data=st.data())
+    def test_case2_takes_d_divides_c(self, p, data):
+        # f in Y^p over F2 or F3 and a unit pseudo-limit: the rewrite
+        # multiplies by Y, its linear coefficient is f(v_t) * s_t, and
+        # val f(v_t) = val f(y0), so val c = val d + gamma_t >= val d
+        field = GF(p)
+        V, scalars = Poly.var(field, ZZ, Y0), st.integers(1, p - 1)
+        top = data.draw(st.integers(1, 2))
+        f = Poly.zero(field, ZZ)
+        for k in range(top + 1):
+            if k == top or data.draw(st.booleans()):
+                f = f + (V ** (p * k)).scale(
+                    tpow(field, data.draw(st.integers(0, 3)), data.draw(scalars)))
+        seq = RuleSequence(field, {"kind": "list", "values": [0],
+                                   "step": data.draw(st.integers(1, 3))},
+                           {"kind": "cycle",
+                            "values": data.draw(st.lists(scalars, min_size=1, max_size=2))},
+                           horizon=100)
+        cert = sm_pair(f, seq)
+        (rc,) = cert.rewrites
+        assert cert.problem["case2"] is True and cert.branch == "d-divides-c"
+        assert rc.c.val() == _canonical_d(f, seq).val() + seq.gamma(rc.indices[0])
+
     def test_charp_case2_nonunit_rejected(self):
         # [TRIVIAL] same input over a val-1 pseudo-limit violates the
         # unit hypothesis and is refused rather than silently mis-witnessed
@@ -203,12 +227,12 @@ class TestFamily:
         assert len(cert.pres.relations) == 3
         roundtrip_verify(cert)
         # The derived y1, y2, y3 enter the three chain rewrites as tables of
-        # the index + 2 terms that recentring range-checks; seq0 stays a rule.
+        # the index + 1 terms that recentring reads; seq0 stays a rule.
         derived = [(seq, t) for rewrite in cert.rewrites
                    for seq, t in zip(rewrite.seqs, rewrite.indices)
                    if not isinstance(seq, RuleSequence)]
         assert len(derived) == 5
-        assert all(isinstance(seq, TableSequence) and seq.horizon == t + 2
+        assert all(isinstance(seq, TableSequence) and seq.horizon == t + 1
                    for seq, t in derived)
 
     @pytest.mark.parametrize("field", [GF(5), QQ])
@@ -238,15 +262,16 @@ class TestFamily:
         roundtrip_verify(cert)
 
     def test_unsteerable_chain_fails_after_one_attempt(self, monkeypatch):
-        # no start index puts Y^2's rewrite on the earlier variable y1
+        # no start index puts Y^2's rewrite on the earlier variable y1; the
+        # chain steers each of its two links once and stops
         seq, V = lacunary_sequence(QQ), Poly.var(QQ, ZZ, Y0)
-        attempt, attempts = smooth._family_attempt, []
-        monkeypatch.setattr(smooth, "_family_attempt",
-                            lambda *args: attempts.append(1) or attempt(*args))
+        steer, links = smooth._steer, []
+        monkeypatch.setattr(smooth, "_steer",
+                            lambda *args: links.append(1) or steer(*args))
         cfg = {"field": "Q", "op": "family", "seq0": seq.to_json(),
                "fs": [(V - Poly.const(seq.term(5))).to_json(), (V ** 2).to_json()]}
         code, message = run_single("smooth", cfg, OPTS)
-        assert (code, attempts) == (2, [1])
+        assert (code, links) == (2, [1, 1])
         assert "family construction failed: could not steer" in message
 
     def test_zero_member_rejected(self):
