@@ -56,7 +56,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, characteristic, field_from_json, field_to_json
 from .group import INF
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
-from .poly import Poly, Powers, VarTag, mono_key
+from .poly import MAX_JSON_DEGREE, Poly, Powers, VarTag, mono_key
 from .separation import separate_indices
 from .series import ValuedSeries
 
@@ -280,6 +280,11 @@ def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> s
     charp = kind.endswith("_charp")
     if multiplier and not charp:
         return f"a {kind} rewrite takes no multiplier"
+    degree = g.total_degree() + sum(multiplier.values())
+    if degree > MAX_JSON_DEGREE:
+        # G1, the recentred g * multiplier, would not load back
+        return (f"g * multiplier has total degree {degree}; a certificate "
+                f"holds none above {MAX_JSON_DEGREE}")
     if kind in _MULTILINEAR_KINDS:
         if kind == "multilinear" and g.is_zero():
             return "polynomial must be nonzero"

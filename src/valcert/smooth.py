@@ -354,9 +354,12 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         znum = h.map_coeffs(lambda co: co.div_to(d, deltaw))
         branch = "d-divides-c" if rewrites else "constant"
     else:
-        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z.
+        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z; y0 is
+        # read as deep as the z witness check reads it, below 2*deltaw at least.
         ztag = VarTag.dup(0, "z")
-        gens.append((ztag, _f_over_d(f, d, seq0.limit, deltaw)))
+        zval = _f_over_d(f, d, lambda depth: seq0.limit(max(group.scale(deltaw, 2), depth)),
+                         deltaw)
+        gens.append((ztag, zval))
         rel = h - Poly.var(field, group, ztag).scale(d)
         rels.append(rel.map_coeffs(lambda co: co.div_to(rcert.c, deltaw)))
         znum, branch = Poly.var(field, group, ztag), "c-divides-d"

@@ -138,6 +138,19 @@ class TestPair:
             assert cert.kind == "pair" and cert.branch == "c-divides-d"
             assert run_single("verify", cert.to_json(), OPTS)[0] == 0
 
+    def test_short_horizon_z_image_exits_2(self):
+        # f = Y - (t + t^2) over exponents 1..12: c divides d, and seq0
+        # reaches deltaw + val d = 8 + 3 but not 2 * deltaw = 16, where the
+        # z witness check reads y0.  The build reads y0 as deep, so it exits
+        # 2 at its own read rather than emitting a pair its verifier fails.
+        seq = RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
+                           {"kind": "const", "c": QQ.one()}, horizon=12)
+        f = Poly.var(QQ, ZZ, Y0) - Poly.const(seq.term(2))
+        cfg = {"field": "Q", "op": "pair", "f": f.to_json(), "seq0": seq.to_json()}
+        code, message = run_single("smooth", cfg, {})
+        assert code == 2, message
+        assert "does not reach truncation 16" in message, message
+
     @pytest.mark.parametrize("op", ["pair", "family"])
     def test_canonical_d_stops_doubling(self, op):
         # y0 = sum t^(2^j) over F2 is a root of Y^2 + Y + t, so f(y0)
