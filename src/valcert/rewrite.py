@@ -30,7 +30,9 @@ and _case.  _Plan refuses an input by the first, and _certify records
 what the other two give; RewriteCert.verify applies all three after the
 identity and normal-form checks.  The field's characteristic picks an
 op's kind, and _multipliers its characteristic-p multipliers, for both
-Plans and _shape_fault.
+Plans and _shape_fault.  The degree bound on g * multiplier is checked
+where that product is formed (_with_multiplier), by _Plan and
+RewriteCert.verify alike, before any recentring.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
@@ -280,11 +282,6 @@ def _shape_fault(kind: str, g: Poly, multiplier: Mapping[int, int], n: int) -> s
     charp = kind.endswith("_charp")
     if multiplier and not charp:
         return f"a {kind} rewrite takes no multiplier"
-    degree = g.total_degree() + sum(multiplier.values())
-    if degree > MAX_JSON_DEGREE:
-        # G1, the recentred g * multiplier, would not load back
-        return (f"g * multiplier has total degree {degree}; a certificate "
-                f"holds none above {MAX_JSON_DEGREE}")
     if kind in _MULTILINEAR_KINDS:
         if kind == "multilinear" and g.is_zero():
             return "polynomial must be nonzero"
@@ -603,7 +600,12 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
 
 
 def _with_multiplier(g: Poly, multiplier: Mapping[int, int]) -> Poly:
-    """g * prod_e Y_e^k_e."""
+    """g * prod_e Y_e^k_e; an InputError past MAX_JSON_DEGREE, before any
+    product is formed, since G1, the recentred product, would not load back."""
+    degree = g.total_degree() + sum(multiplier.values())
+    if degree > MAX_JSON_DEGREE:
+        raise InputError(f"g * multiplier has total degree {degree}; a certificate "
+                         f"holds none above {MAX_JSON_DEGREE}")
     for e, k in multiplier.items():
         g = g * (Poly.var(g.field, g.group, VarTag.orig(e)) ** k)
     return g

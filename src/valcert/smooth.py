@@ -17,7 +17,8 @@ unbuilt (_steer).  A fraction f1/f2 is the family {f1, f2} plus one
 witness, y1 * (d1/d2) over y2.  sm_verify also checks the shape of the
 certificate's kind, a pair's branch and its case2 echo (_check_shape).
 Every f(y0)/d below a cap, in a build or a witness target, comes from
-_f_over_d, which reads y0 below cap + val d.
+_f_over_d, which reads y0 below cap + val d; the f1/f2 target is
+(d1*y1)/(d2*y2) from the members y1 and y2 below the cap.
 
 The verifier first checks that the data lies over V: every generator
 image, relation coefficient, witness coefficient and problem series has
@@ -30,7 +31,8 @@ truncated at the cap first.  Over V a capped value is known at least as
 far as min(C, the uncapped value's window), so each check runs once, at
 its cap, and decides as it would on the full values.  The claims are
 decided in one order: data over V and delta > 0, relations and minor
-(sm_check), witness and problem data over V, the delta floor 2*gamma of
+(sm_check), the problem echo decoded once (_Problem), witness and
+problem data over V, the delta floor 2*gamma of
 every stage generator (_check_floor; builders certify at it unless
 asked for more), then witnesses, rewrites and shape.
 """
@@ -354,11 +356,10 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         znum = h.map_coeffs(lambda co: co.div_to(d, deltaw))
         branch = "d-divides-c" if rewrites else "constant"
     else:
-        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z; y0 is
-        # read as deep as the z witness check reads it, below 2*deltaw at least.
+        # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z.  y0 is
+        # read below deltaw + val d, which covers any z check at a cap <= deltaw.
         ztag = VarTag.dup(0, "z")
-        zval = _f_over_d(f, d, lambda depth: seq0.limit(max(group.scale(deltaw, 2), depth)),
-                         deltaw)
+        zval = _f_over_d(f, d, seq0.limit, deltaw)
         gens.append((ztag, zval))
         rel = h - Poly.var(field, group, ztag).scale(d)
         rels.append(rel.map_coeffs(lambda co: co.div_to(rcert.c, deltaw)))
@@ -554,14 +555,17 @@ def _steer(g: Poly, pair: Sequence[PseudoSequence], nu: int, W: int, R: int) -> 
 # -- Independent verification ------------------------------------------
 
 class _Problem:
-    """A certificate's problem echo, each part decoded on first use and
-    once per verification, and the witness targets it defines."""
+    """A certificate's problem echo, decoded once per verification, and
+    the witness targets it defines.  A quotient f(y0)/d known below C
+    reads y0 below C + val d, and y0 itself is read below C."""
 
-    def __init__(self, cert: SmoothCert, deltaw):
-        self.cert = cert
-        self.group = cert.pres.group
-        self.deltaw = deltaw
-        self.deep = self.group.scale(deltaw, 2)
+    def __init__(self, cert: SmoothCert):
+        field, group, echo = cert.field, cert.pres.group, cert.problem
+        self.seq0 = sequence_from_json(echo["seq0"])
+        self.f = Poly.from_json(echo["f"], field, group) if "f" in echo else None
+        self.d = ValuedSeries.from_json(echo["d"], field, group) if "d" in echo else None
+        self.fs = [Poly.from_json(f, field, group) for f in echo.get("fs", [])]
+        self.ds = [ValuedSeries.from_json(d, field, group) for d in echo.get("ds", [])]
         self._memo: dict = {}
 
     def _once(self, key, make):
@@ -569,72 +573,46 @@ class _Problem:
             self._memo[key] = make()
         return self._memo[key]
 
-    def seq0(self) -> PseudoSequence:
-        return self._once("seq0", lambda: sequence_from_json(self.cert.problem["seq0"]))
-
-    def decode(self, *path):
-        """The polynomial f or fs[k], or the series d or ds[k], at path."""
-        if path not in self._memo:
-            obj = self.cert.problem
-            for key in path:
-                obj = obj[key]
-            from_json = Poly.from_json if path[0][0] == "f" else ValuedSeries.from_json
-            self._memo[path] = from_json(obj, self.cert.field, self.group)
-        return self._memo[path]
-
     def named(self):
         """(name, polynomial or series) of each f, d, fs[k] and ds[k] it echoes."""
-        problem = self.cert.problem
-        out = [(f"problem {key}", self.decode(key)) for key in ("f", "d") if key in problem]
-        for key in ("fs", "ds"):
-            out += [(f"problem {key}[{k}]", self.decode(key, k))
-                    for k in range(len(problem.get(key, [])))]
+        out = [(f"problem {key}", data) for key, data in (("f", self.f), ("d", self.d))
+               if data is not None]
+        for key, items in (("fs", self.fs), ("ds", self.ds)):
+            out += [(f"problem {key}[{k}]", data) for k, data in enumerate(items)]
         return out
 
     def limit(self, delta) -> ValuedSeries:
-        return self._once(("limit", delta), lambda: self.seq0().limit(delta))
-
-    def _y0(self, depth) -> ValuedSeries:
-        """y0 below depth, cut from the limit below max(2*deltaw, depth)."""
-        return _cap(self.limit(max(self.deep, depth)), depth)
+        return self._once(("limit", delta), lambda: self.seq0.limit(delta))
 
     def member(self, e: int, cap) -> Optional[ValuedSeries]:
         """y_e = f_e(y0)/d_e below cap, computed once; None when e names no
         problem member."""
-        fs, ds = self.cert.problem.get("fs", []), self.cert.problem.get("ds", [])
-        if not 1 <= e <= min(len(fs), len(ds)):
+        if not 1 <= e <= min(len(self.fs), len(self.ds)):
             return None
         return self._once(("member", e, cap), lambda: _f_over_d(
-            self.decode("fs", e - 1), self.decode("ds", e - 1), self._y0, cap))
+            self.fs[e - 1], self.ds[e - 1], self.limit, cap))
+
+    def _member(self, w: Witness, e: int, cap) -> ValuedSeries:
+        member = self.member(e, cap)
+        if member is None:
+            raise VerificationError(
+                f"witness-{w.name}", f"index e={e} names no problem member")
+        return member
 
     def target(self, w: Witness, cap) -> ValuedSeries:
-        """The element w claims, known below cap; y0 goes only as far as
-        the value below cap needs."""
+        """The element w claims, known below cap."""
         if w.kind == "y0":
-            return _cap(self.limit(self.deltaw), cap)
+            return self.limit(cap)
         if w.kind == "z":
-            return _f_over_d(self.decode("f"), self.decode("d"), self._y0, cap)
+            if self.f is None or self.d is None:
+                raise InputError("a z witness needs the problem's f and d")
+            return _f_over_d(self.f, self.d, self.limit, cap)
         if w.kind == "ye":
-            member = self.member(w.e, cap)
-            if member is None:
-                raise VerificationError(
-                    f"witness-{w.name}", f"index e={w.e} names no problem member")
-            return member
+            return self._member(w, w.e, cap)
         if w.kind == "fraction":
-            # f1(y0)/f2(y0) reads the divisor f2(y0) below cap + val f2(y0),
-            # a value read off f2(y0) below cap, or below 2*deltaw when
-            # that shows no term
-            f2 = self.decode("fs", 1)
-
-            def f2_below(depth):
-                return f2.eval_series({VarTag.orig(0): self._y0(depth)})
-
-            f2v = f2_below(cap)
-            if not f2v.nums:
-                f2v = f2_below(self.deep)
-            if f2v.nums and f2v.val() != self.group.zero():
-                f2v = f2_below(self.group.add(cap, f2v.val()))
-            return _f_over_d(self.decode("fs", 0), f2v, self._y0, cap)
+            # f1/f2 = (d1*y1)/(d2*y2), exact for nonzero d1, d2
+            y1, y2 = self._member(w, 1, cap), self._member(w, 2, cap)
+            return (self.ds[0] * y1).div_to(self.ds[1] * y2, cap)
         raise InputError(f"unknown witness kind {w.kind!r}")
 
 
@@ -673,7 +651,7 @@ def _check_floor(cert: SmoothCert, problem: _Problem, delta, cap) -> None:
         e, j = tag.e, tag.extra
         try:
             if e == 0:
-                gamma = problem.seq0().gamma(j)
+                gamma = problem.seq0.gamma(j)
             else:
                 member = problem.member(e, cap)
                 if member is None:
@@ -708,7 +686,7 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
     # (rewrite, index, generator): the rewrite's index is the generator's stage
     if kind == "pair" and "f" in echo:
         required = {("y0", 0), ("z", 0)}
-        links = 0 if problem.decode("f").total_degree() < 1 else 1
+        links = 0 if problem.f.total_degree() < 1 else 1
         sites = [(0, 0, 0)] * links
     elif kind == "family" and n >= 1 or kind == "fraction" and n == 2:
         required = {("y0", 0)} | {("ye", e) for e in range(1, n + 1)}
@@ -750,7 +728,7 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     sm_check(cert.pres, dlt)
-    problem = _Problem(cert, group.scale(dlt, 2))
+    problem = _Problem(cert)
     _check_over_V(group, [(f"witness {w.name} {part}", poly) for w in cert.witnesses
                           for part, poly in (("num", w.num), ("den", w.den))
                           if poly is not None] + problem.named())

@@ -340,7 +340,9 @@ def _eval_at_limit(f, seq, delta):
 
 def _f_over_d(f, d, seq, deltaw):
     """f(y0)/d to deltaw, y0 known below 2*deltaw and at least as far as
-    the deltaw + val d the quotient reads."""
+    the deltaw + val d the quotient reads.  The package reads y0 only
+    below cap + val d; this oracle reads it deeper on purpose, so that
+    the differential compares two routes to the same value."""
     if d.is_zero_exact():
         raise ZeroDivisionError("series division by exact zero")
     depth = max(seq.group.scale(deltaw, 2), seq.group.add(deltaw, d.val()))
@@ -387,7 +389,9 @@ def check_floor(cert, delta, deltaw):
 def witness_target(w, cert, deltaw):
     """The element w claims: y0 to deltaw, f(y0)/d with y0 known below
     2*deltaw and below deltaw + val d, each part of the problem echo
-    decoded afresh."""
+    decoded afresh.  f1/f2 divides f1(y0) by f2(y0) directly, on purpose:
+    the package forms it from the members as (d1*y1)/(d2*y2), so the
+    differential compares two routes."""
     field = cert.field
     seq0 = sequence_from_json(cert.problem["seq0"])
     group = seq0.group

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from valcert import smooth
-from valcert.cli import main
+from valcert.cli import main, run_single
 from valcert.errors import InputError
 from valcert.fields import GF, PRIME_LIMIT, QQ, _is_prime, field_from_json
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import MAX_JSON_DEGREE, Poly, VarTag
-from valcert.separation import SeparationCert
+from valcert.separation import SeparationCert, separate_indices
 from valcert.series import ValuedSeries
 
 from test_verify_cap import recorded_caps
@@ -982,6 +982,27 @@ class TestDeepInput:
         assert "g * multiplier has total degree 2049; a certificate holds none above 2048" \
             in capsys.readouterr().err
 
+    def test_multiplier_past_the_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        # Y0^2 over F2 takes the multiplier Y0; edited to Y0^8000, with no
+        # G1 or table to compare, verify refuses the degree before it
+        # forms g * multiplier or recentres it.
+        f2 = GF(2)
+        unit_seq = RuleSequence(f2, {"kind": "list", "values": [0], "step": 2},
+                                {"kind": "const", "c": f2.one()}, horizon=300).to_json()
+        cfg = {"field": "Fp", "p": 2, "op": "univariate",
+               "g": (Poly.var(f2, ZZ, Y0) ** 2).to_json(), "seqs": [unit_seq]}
+        out = tmp_path / "cert.json"
+        assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["multiplier"] == [[0, 1]]
+        cert["multiplier"] = [[0, 8000]]
+        del cert["G1"], cert["table"]
+        capsys.readouterr()
+        self.no_recentring(monkeypatch)
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 1
+        assert "g * multiplier has total degree 8002; a certificate holds none above 2048" \
+            in capsys.readouterr().err
+
     def test_many_streams(self, tmp_path, capsys):
         n = 1200
         cfg = {"op": "multi", "subsets": [[0], [n - 1]], "betas": [0, 0], "ts": [1] * n,
@@ -991,6 +1012,94 @@ class TestDeepInput:
         # every index but the last is free; the last makes the values 1 and 2
         assert json.loads(out.read_text())["js"] == [1] * (n - 1) + [2]
         assert run(["verify", str(out)]) == 0
+
+
+def _rewrite_cfg(op, g, n):
+    """The Q univariate config with op, g and n copies of its sequence."""
+    cfg = univariate_cfg(QQ, 1)
+    cfg.update(op=op, g=g.to_json(), seqs=cfg["seqs"] * n)
+    return cfg
+
+
+def _edited(command, cfg, edit):
+    """The certificate cfg builds, as JSON, after edit changes it in place."""
+    code, cert = run_single(command, cfg, {})
+    assert code == 0, cert
+    cert = json.loads(json.dumps(cert))
+    edit(cert)
+    return cert
+
+
+def _y(e):
+    return Poly.var(QQ, ZZ, VarTag.orig(e))
+
+
+class TestExitArms:
+    """One config per input, shape or search exit that no other test
+    reaches, each with its exit code and message."""
+
+    ARMS = {
+        "pair-square-three-seqs": (
+            "rewrite", lambda: _rewrite_cfg("pair_square", _y(0) * _y(1), 3),
+            1, "input error: exactly two sequences expected"),
+        "multilinear-mono-Y0-twice": (
+            "rewrite", lambda: _rewrite_cfg("multilinear_mono", _y(0) * _y(1) + _y(0), 2),
+            1, "input error: variable Y_0 occurs in 2 monomials; at most one allowed"),
+        "bivariate-Y2": (
+            "rewrite", lambda: _rewrite_cfg("bivariate", _y(0) + _y(2), 2),
+            1, "input error: polynomial must live in Y_0, Y_1"),
+        "univariate-Q-constant": (
+            "rewrite", lambda: _rewrite_cfg(
+                "univariate", Poly.const(ValuedSeries.t_power(QQ, ZZ, 1)), 1),
+            1, "input error: polynomial must be nonconstant"),
+        "rewrite-no-seqs": (
+            "rewrite", lambda: _rewrite_cfg("univariate", _y(0), 0),
+            1, "input error: a rewrite needs at least one sequence"),
+        "separate-unknown-op": (
+            "separate", lambda: {"op": "nope"},
+            1, "input error: unknown separate op 'nope'"),
+        "smooth-unknown-op": (
+            "smooth", lambda: dict(family_cfg(100), op="nope"),
+            1, "input error: unknown smooth op 'nope'"),
+        "family-base-9": (
+            "verify", lambda: _edited("smooth", family_cfg(), lambda c: c.update(base=9)),
+            1, "input error: base index out of range"),
+        "family-relation-dropped": (
+            "verify", lambda: _edited("smooth", family_cfg(), lambda c: c["relations"].pop()),
+            1, "input error: need exactly (generators - 1) relations"),
+        "malformed-seq0-below-0": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: (
+                _below_zero(c["problem"]["f"][0][1]),
+                c["problem"].update(seq0={"seq": "nope"}))),
+            1, "input error: unknown sequence kind 'nope'"),
+        "z-witness-without-d": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"),
+                                      lambda c: c["problem"].pop("d")),
+            1, "input error: a z witness needs the problem's f and d"),
+        "Q-univariate-as-charp": (
+            "verify", lambda: _edited("rewrite", univariate_cfg(QQ, 1),
+                                      lambda c: c.update(kind="univariate_charp")),
+            4, "verification failed: verification failed at kind: "
+               "this operation requires positive characteristic"),
+        "multi-no-admissible-index": (
+            "separate", lambda: {"op": "multi", "subsets": [[0], [1]], "betas": [0, 0],
+                                 "ts": [1, 1], "gammas": [[1, 2], [1]]},
+            2, "horizon/stabilization: no admissible index for position 1 "
+               "within the stream window"),
+    }
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_exit(self, arm):
+        command, cfg, code, message = self.ARMS[arm]
+        assert run_single(command, cfg(), {}) == (code, message)
+
+    def test_equal_entries_cannot_be_separated(self):
+        # sep_multi never passes two equal entries, so only a direct call
+        # reaches this refusal
+        entries = [("a", {0: 1}, 0), ("b", {0: 1}, 0)]
+        with pytest.raises(InputError, match="entries 'a' and 'b' cannot be separated: "
+                                             "identical multipliers and equal offsets"):
+            separate_indices(entries, [[1, 2]], [0])
 
 
 def _trial_division(p):

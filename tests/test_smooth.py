@@ -129,8 +129,9 @@ class TestPair:
     def test_val_d_past_twice_deltaw(self, field, k):
         # f = Y - (t + t^2 + ... + t^(2^(k-1))): val f(y0) = 2^k lies past
         # seq0.gamma(4) = 16 for k = 5, and f(y0) cancels below it for k = 4,
-        # so the canonical d doubles its window.  z = f(y0)/d, with
-        # deltaw = 8 < val d, reads y0 below deltaw + val d.
+        # so the canonical d doubles its window.  z = f(y0)/d reads y0
+        # below cap + val d: the Z image at deltaw = 8 < val d, and the z
+        # check at its cap C <= deltaw.
         seq = lacunary_sequence(field)
         f = Poly.var(field, ZZ, Y0) - Poly.const(seq.term(k))
         assert _canonical_d(f, seq).val() == 2 ** k
@@ -138,18 +139,20 @@ class TestPair:
             assert cert.kind == "pair" and cert.branch == "c-divides-d"
             assert run_single("verify", cert.to_json(), OPTS)[0] == 0
 
-    def test_short_horizon_z_image_exits_2(self):
+    def test_short_horizon_pair_builds_and_verifies(self):
         # f = Y - (t + t^2) over exponents 1..12: c divides d, and seq0
-        # reaches deltaw + val d = 8 + 3 but not 2 * deltaw = 16, where the
-        # z witness check reads y0.  The build reads y0 as deep, so it exits
-        # 2 at its own read rather than emitting a pair its verifier fails.
+        # reaches deltaw + val d = 8 + 3 but not 2 * deltaw = 16.  The Z
+        # image and the z witness check both read y0 below cap + val d, at
+        # most 11, so the pair builds and its verifier reads no further.
         seq = RuleSequence(QQ, {"kind": "arith", "a": 1, "b": 1},
                            {"kind": "const", "c": QQ.one()}, horizon=12)
         f = Poly.var(QQ, ZZ, Y0) - Poly.const(seq.term(2))
         cfg = {"field": "Q", "op": "pair", "f": f.to_json(), "seq0": seq.to_json()}
-        code, message = run_single("smooth", cfg, {})
-        assert code == 2, message
-        assert "does not reach truncation 16" in message, message
+        code, cert = run_single("smooth", cfg, {})
+        assert code == 0, cert
+        assert (cert["branch"], cert["delta"]) == ("c-divides-d", 4)
+        assert run_single("verify", json.loads(json.dumps(cert)), OPTS) == (
+            0, {"verified": True, "cert": "smooth"})
 
     @pytest.mark.parametrize("op", ["pair", "family"])
     def test_canonical_d_stops_doubling(self, op):

@@ -299,8 +299,10 @@ class TestCappedVerifier:
     def test_fraction_reads_f2_deeper_where_it_vanishes_below_the_cap(self, field):
         # y0 = t + t^2 + t^3 + ... and f2 = V - (t + ... + t^16): val f2(y0)
         # is 17, past the cap 9 at the certificate's delta 8, while y2 =
-        # f2(y0)/t^17 has small gammas, so the floor passes.  The fraction
-        # witness reads f2(y0) below 4*delta to find its valuation.
+        # f2(y0)/t^17 has small gammas, so the floor passes.  Every target
+        # reads y0 below C, or below C + val d for a member y_e = f_e(y0)/d_e
+        # (val d1 = 18, val d2 = 17), and the fraction reuses the members:
+        # nothing reads y0 below 2*deltaw = 32.
         V = Poly.var(field, ZZ, Y0)
         seq = RuleSequence(field, {"kind": "arith", "a": 1, "b": 1},
                            {"kind": "const", "c": field.one()}, 60)
@@ -308,16 +310,16 @@ class TestCappedVerifier:
         cert = sm_fraction(f2 * V, f2, seq)
         assert (cert.delta, smooth._verify_cap(cert.pres, cert.delta)) == (8, 9)
         depths = []
-        real = smooth._Problem._y0
+        real = smooth._Problem.limit
 
-        def y0(problem, depth):
+        def limit(problem, depth):
             depths.append(depth)
             return real(problem, depth)
 
-        with mock.patch.object(smooth._Problem, "_y0", y0):
+        with mock.patch.object(smooth._Problem, "limit", limit):
             got = outcome(smooth.sm_verify, cert, None)
         assert got == outcome(oracles.sm_verify, cert, None) == ("ok", None, "")
-        assert 32 in depths
+        assert set(depths) == {9, 26, 27}
 
     @pytest.mark.parametrize("field, group, obj", [b for b in BASES if b[1] is LEX2])
     def test_floor_decided_before_any_witness(self, field, group, obj):
