@@ -23,18 +23,18 @@ _f_over_d, which reads y0 below cap + val d; the f1/f2 target is
 The verifier first checks that the data lies over V: every generator
 image, relation coefficient, witness coefficient and problem series has
 a value >= 0, and delta > 0.  Then it reads each value only below the
-window its verdict needs, so it evaluates below a cap: relations and
-witnesses below a C with delta < C <= 2*delta, the Jacobian minor (a
-unit is a term at exponent 0) below the least positive image exponent
-under C.  Inexact images, coefficients and the pseudo-limit are
-truncated at the cap first.  Over V a capped value is known at least as
-far as min(C, the uncapped value's window), so each check runs once, at
-its cap, and decides as it would on the full values.  The claims are
-decided in one order: data over V and delta > 0, relations and minor
-(sm_check), the problem echo decoded once (_Problem), witness and
-problem data over V, the delta floor 2*gamma of
-every stage generator (_check_floor; builders certify at it unless
-asked for more), then witnesses, rewrites and shape.
+window its verdict needs: relations and witnesses below a cap C with
+delta < C <= 2*delta, inexact images, coefficients and the pseudo-limit
+truncated at C first.  Over V a capped value is known at least as far
+as min(C, the uncapped value's window), so each check runs once and
+decides as it would on the full values.  The Jacobian minor is a unit
+exactly when its residue is nonzero, so it is decided by Gaussian
+elimination over the residue field (_check_minor).  The claims are
+decided in one order: data over V and delta > 0, relations, then the
+minor (sm_check), the problem echo decoded once (_Problem), witness and
+problem data over V, the delta floor 2*gamma of every stage generator
+(_check_floor; builders certify at it unless asked for more), then
+witnesses, rewrites and shape.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
-from .poly import Poly, VarTag, det, sylvester_resultant
+from .poly import Poly, Powers, VarTag, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw,
                       taylor_recenter)
 from .series import ValuedSeries
@@ -70,18 +70,6 @@ class SmoothPresentation:
 
     def assignment(self, cap) -> Dict[VarTag, ValuedSeries]:
         return {tag: _cap(img, cap) for tag, img in self.generators}
-
-    def jacobian_minor(self, cap) -> ValuedSeries:
-        assignment = self.assignment(cap)
-        cols = [tag for i, (tag, _) in enumerate(self.generators) if i != self.base]
-        # Entries are evaluated first and enter the expansion as constants;
-        # the first Hasse derivative is the ordinary one.
-        rows = [[Poly.const(_capped(rel, cap).hasse_derivative({tag: 1})
-                            .eval_series(assignment))
-                 for tag in cols]
-                for rel in self.relations]
-        one = Poly.const(ValuedSeries.one(self.field, self.group))
-        return det(rows, one).constant_term()
 
     def to_json(self):
         return {
@@ -108,22 +96,16 @@ def _capped(poly: Poly, cap) -> Poly:
     return poly.map_coeffs(lambda c: _cap(c, cap))
 
 
-def _least_above(pres: SmoothPresentation, floor, ceiling):
-    """The least exponent or truncation of a generator image above floor,
-    at most ceiling.  Truncated below it, the images keep exactly their
-    terms at or below floor."""
-    bounds = [ceiling]
+def _verify_cap(pres: SmoothPresentation, delta):
+    """The cap C of the relation and witness checks at delta: the least
+    image exponent or truncation above delta, at most 2*delta, below which
+    the images keep exactly their terms at or below delta."""
+    bounds = [pres.group.scale(delta, 2)]
     for _, img in pres.generators:
-        bounds += [e for e, _ in img.nums if e > floor]
-        if not img.exact and img.trunc > floor:
+        bounds += [e for e, _ in img.nums if e > delta]
+        if not img.exact and img.trunc > delta:
             bounds.append(img.trunc)
     return min(bounds)
-
-
-def _verify_cap(pres: SmoothPresentation, delta):
-    """The cap C the relations and witnesses are evaluated below at delta:
-    the least image exponent or truncation above delta, at most 2*delta."""
-    return _least_above(pres, delta, pres.group.scale(delta, 2))
 
 
 def _check_over_V(group: ValueGroup, named) -> None:
@@ -149,14 +131,35 @@ def _check_relation(pres: SmoothPresentation, i: int, delta, cap) -> None:
             f"not past {pres.group.to_json(delta)}")
 
 
-def _check_minor(pres: SmoothPresentation, cap) -> None:
-    try:
-        v = pres.jacobian_minor(cap).val()
-    except IndeterminateValError as exc:
-        raise VerificationError("jacobian-minor", str(exc))
-    if v != pres.group.zero():
-        raise VerificationError(
-            "jacobian-minor", f"minor has val {v!r}, expected 0 (unit)")
+def _residue(s: ValuedSeries) -> ValuedSeries:
+    """The term of s at exponent 0 as an exact constant, or s itself, known
+    nowhere, when its window does not pass 0: over V, the reduction to the
+    residue field, in which a product with an exact zero is exact."""
+    zero = s.group.zero()
+    if not s.trunc > zero:
+        return s
+    return ValuedSeries(s.field, s.group, [s.leading()] if s.val_lower() == zero else [])
+
+
+def _check_minor(pres: SmoothPresentation) -> None:
+    """The Jacobian minor without the base column is a unit of V: over V,
+    reduction is a ring map, so it is one exactly when the minor of the
+    residues is nonzero, which Gaussian elimination decides with a known
+    nonzero pivot per column (named by its generator)."""
+    powers = Powers({tag: _residue(img) for tag, img in pres.generators})
+    cols = [i for i in range(len(pres.generators)) if i != pres.base]
+    rows = [[rel.hasse_derivative({pres.generators[i][0]: 1}).eval_series(powers) for i in cols]
+            for rel in (r.map_coeffs(_residue) for r in pres.relations)]
+    for k, i in enumerate(cols):
+        p = next((r for r, row in enumerate(rows) if row[k].exact and row[k].nums), None)
+        if p is None:
+            why = "0, not a unit" if all(row[k].exact for row in rows) else "not known at exponent 0"
+            raise VerificationError("jacobian-minor", f"column {i}: the minor's residue is {why}")
+        pivot = rows.pop(p)
+        for row in rows:
+            factor = row[k].div(pivot[k])
+            for m in range(k + 1, len(cols)):
+                row[m] = row[m] - factor * pivot[m]
 
 
 def sm_check(pres: SmoothPresentation, delta) -> None:
@@ -173,10 +176,7 @@ def sm_check(pres: SmoothPresentation, delta) -> None:
     cap = _verify_cap(pres, delta)
     for i in range(len(pres.relations)):
         _check_relation(pres, i, delta, cap)
-    if pres.relations:
-        # A unit minor is one with a term at exponent 0, which any positive
-        # cap shows; the least positive image exponent keeps the fewest terms.
-        _check_minor(pres, _least_above(pres, group.zero(), cap))
+    _check_minor(pres)
 
 
 class Witness:

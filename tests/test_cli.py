@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, determinism, verify round-trips."""
 import copy
 import hashlib
+import io
 import json
 import math
 import time
@@ -13,7 +14,7 @@ from valcert import smooth
 from valcert.cli import main, run_single
 from valcert.errors import InputError
 from valcert.fields import GF, PRIME_LIMIT, QQ, _is_prime, field_from_json
-from valcert.group import INTEGERS as ZZ
+from valcert.group import INF, INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
 from valcert.poly import MAX_JSON_DEGREE, Poly, VarTag
 from valcert.separation import SeparationCert, separate_indices
@@ -770,7 +771,8 @@ class TestVerifyDelta:
         path = self.certificate(tmp_path)
         with recorded_caps() as checks:
             assert run(["verify", path, "--delta", str(delta)]) == 0
-        # relations and witnesses below a cap past delta, the minor lower
+        # relations and witnesses below a cap past delta; the minor, decided
+        # on residues, takes no cap
         caps = [cap for _, cap in checks]
         assert caps and None not in caps
         assert max(caps) <= 2 * delta and sum(cap <= delta for cap in caps) <= 1
@@ -1034,6 +1036,36 @@ def _y(e):
     return Poly.var(QQ, ZZ, VarTag.orig(e))
 
 
+def _over_seq0(seq0):
+    """The Q pair V over the sequence seq0 (its JSON)."""
+    return dict(q_pair_cfg("d-divides-c"), seq0=dict(seq0, field="Q"))
+
+
+def _rule(exp=None, coeff=None):
+    """A rule sequence's JSON: exponents 1, 2, 4, ... and coefficient 1,
+    but for the rules given."""
+    return {"seq": "rule", "exp": exp or {"kind": "geom", "a": 1},
+            "coeff": coeff or {"kind": "const", "c": 1}, "horizon": 10}
+
+
+def _q_family(*fs):
+    """A Q family config of the polynomials fs over the lacunary sequence."""
+    return {"field": "Q", "op": "family", "fs": [f.to_json() for f in fs],
+            "seq0": lacunary_sequence(QQ, 300).to_json()}
+
+
+def _with_f_mono(mono):
+    """The Q pair whose f is the one monomial mono (its JSON), coefficient 1."""
+    return dict(q_pair_cfg("d-divides-c"),
+                f=[[mono, {"terms": [[0, 1]], "trunc": "inf", "exact": True}]])
+
+
+def _multi(**edits):
+    """A multi separation config over two streams, with edits applied."""
+    return dict({"op": "multi", "subsets": [[0], [1]], "betas": [0, 1], "ts": [1, 1],
+                 "gammas": [list(range(1, 20))] * 2}, **edits)
+
+
 class TestExitArms:
     """One config per input, shape or search exit that no other test
     reaches, each with its exit code and message."""
@@ -1086,12 +1118,129 @@ class TestExitArms:
                                  "ts": [1, 1], "gammas": [[1, 2], [1]]},
             2, "horizon/stabilization: no admissible index for position 1 "
                "within the stream window"),
+        "seq0-cycle-empty": (
+            "smooth", lambda: _over_seq0(_rule(coeff={"kind": "cycle", "values": []})),
+            1, "input error: cycle coefficients must be nonzero"),
+        "seq0-list-empty": (
+            "smooth", lambda: _over_seq0(_rule(exp={"kind": "list", "values": [], "step": 1})),
+            1, "input error: exponent list must be nonempty"),
+        "seq0-exponent-below-0": (
+            "smooth", lambda: _over_seq0(_rule(exp={"kind": "arith", "a": -1, "b": 1})),
+            1, "input error: exponents must be >= 0"),
+        "seq0-unknown-exponent-rule": (
+            "smooth", lambda: _over_seq0(_rule(exp={"kind": "nope"})),
+            1, "input error: unknown exponent rule 'nope'"),
+        "seq0-unknown-coefficient-rule": (
+            "smooth", lambda: _over_seq0(_rule(coeff={"kind": "nope"})),
+            1, "input error: unknown coefficient rule 'nope'"),
+        "seq0-table-empty": (
+            "smooth", lambda: _over_seq0({"seq": "table", "terms": []}),
+            1, "input error: term table needs at least one entry"),
+        "seq0-table-below-0": (
+            "smooth", lambda: _over_seq0({"seq": "table", "terms": [[-1, 1], [2, 1]]}),
+            1, "input error: exponents must be >= 0"),
+        "seq0-table-zero-coefficient": (
+            "smooth", lambda: _over_seq0({"seq": "table", "terms": [[1, 1], [2, 0]]}),
+            1, "input error: table coefficients must be nonzero"),
+        "tail-betas-ts-mismatch": (
+            "separate", lambda: {"op": "tail", "betas": [0], "ts": [1, 2], "gamma": [1, 2, 3]},
+            1, "input error: need equally many betas and ts, at least one"),
+        "multi-rhos-mismatch": (
+            "separate", lambda: _multi(rhos=[0]),
+            1, "input error: rhos must match the number of streams"),
+        "multi-no-subsets": (
+            "separate", lambda: _multi(subsets=[], betas=[]),
+            1, "input error: empty subset family"),
+        "multi-betas-mismatch": (
+            "separate", lambda: _multi(betas=[0]),
+            1, "input error: need one beta per subset"),
+        "multi-multiplier-0": (
+            "separate", lambda: _multi(ts=[0, 1]),
+            1, "input error: position multipliers must be positive"),
+        "multi-empty-subset": (
+            "separate", lambda: _multi(subsets=[[0], []]),
+            1, "input error: subsets must be nonempty"),
+        "multi-subset-past-streams": (
+            "separate", lambda: _multi(subsets=[[0], [5]]),
+            1, "input error: subset (5,) names a position without a stream"),
+        "embedded-not-a-rewrite": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
+                                      lambda c: c["rewrites"][0].update(cert="nope")),
+            1, "input error: not a rewrite certificate"),
+        "embedded-rewrite-no-seqs": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
+                                      lambda c: c["rewrites"][0].update(seqs=[])),
+            1, "input error: a rewrite needs at least one sequence"),
+        "pair-f-in-Y1": (
+            "smooth", lambda: dict(q_pair_cfg("d-divides-c"), f=_y(1).to_json()),
+            1, "input error: f must be univariate in Y_0"),
+        "family-empty": (
+            "smooth", lambda: _q_family(),
+            1, "input error: empty polynomial family"),
+        "family-member-in-Y1": (
+            "smooth", lambda: _q_family(_y(1)),
+            1, "input error: family polynomials must be univariate in Y_0"),
+        "family-constant-member": (
+            "smooth", lambda: _q_family(_y(0), Poly.const(ValuedSeries.t_power(QQ, ZZ, 1))),
+            1, "input error: family members must be nonconstant "
+               "(constant members are units already in V)"),
+        "unknown-witness-kind": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
+                                      lambda c: c["witnesses"][0].update(kind="nope")),
+            1, "input error: unknown witness kind 'nope'"),
+        "unknown-variable-tag": (
+            "smooth", lambda: _with_f_mono([[{"tag": "nope", "e": 0}, 1]]),
+            1, "input error: cannot decode variable tag from {'tag': 'nope', 'e': 0}"),
+        "negative-exponent": (
+            "smooth", lambda: _with_f_mono([[{"tag": "orig", "e": 0}, -1]]),
+            1, "input error: negative exponents are not allowed in polynomials"),
+        "unknown-field": (
+            "rewrite", lambda: {"field": "R", "op": "univariate"},
+            1, "input error: unknown field spec {'field': 'R', 'op': 'univariate'}"),
+    }
+
+    # direct calls: each refusal sits behind a check the command line makes first
+    REFUSALS = {
+        "negative-index": (lambda: lacunary_sequence(QQ).term(-1), "negative sequence index"),
+        "rule-unknown-exponent": (
+            lambda: RuleSequence(QQ, {"kind": "nope"}, {"kind": "const", "c": QQ.one()}),
+            "unknown exponent rule 'nope'"),
+        "rule-unknown-coefficient": (
+            lambda: RuleSequence(QQ, {"kind": "geom", "a": 1}, {"kind": "nope"}),
+            "unknown coefficient rule 'nope'"),
+        "not-a-separation": (lambda: SeparationCert.from_json({"cert": "rewrite"}),
+                             "not a separation certificate"),
+        "no-entries": (lambda: separate_indices([], [[1, 2]], [0]), "no entries to separate"),
+        "not-a-smooth": (lambda: smooth.SmoothCert.from_json({"cert": "rewrite"}),
+                         "not a smooth certificate"),
+        "negative-power": (lambda: _y(0) ** -1, "negative polynomial powers"),
+        "infinite-exponent": (lambda: ValuedSeries(QQ, ZZ, [(INF, QQ.one())]),
+                              "term exponent cannot be Infinity"),
+        "zero-leading": (lambda: ValuedSeries.zero(QQ, ZZ).leading(),
+                         "zero series has no leading term"),
     }
 
     @pytest.mark.parametrize("arm", sorted(ARMS))
     def test_exit(self, arm):
         command, cfg, code, message = self.ARMS[arm]
         assert run_single(command, cfg(), {}) == (code, message)
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_direct_refusal(self, refusal):
+        call, message = self.REFUSALS[refusal]
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_no_path(self, capsys):
+        assert run(["verify"]) == 1
+        assert capsys.readouterr().err == "error: no config file given\n"
+
+    def test_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(tail_cfg(H=50))))
+        assert run(["separate", "-"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert run_single("verify", cert, {}) == (0, {"verified": True, "cert": "separation"})
 
     def test_equal_entries_cannot_be_separated(self):
         # sep_multi never passes two equal entries, so only a direct call

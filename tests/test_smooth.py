@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from valcert import rewrite, smooth
 from valcert.cli import canonical_json, run_single
-from valcert.errors import InputError, VerificationError
+from valcert.errors import InputError, UndecidedError, VerificationError
 from valcert.fields import GF, QQ, characteristic, field_to_json
 from valcert.group import INTEGERS as ZZ
 from valcert.pcs import RuleSequence, TableSequence, lacunary_sequence
@@ -23,7 +23,9 @@ from valcert.smooth import (SmoothCert, SmoothPresentation, _canonical_d,
                             _derived_unit_sequence, sm_check, sm_family,
                             sm_fraction, sm_pair, sm_verify)
 
+import oracles
 from oracles import from_int, steer_reference
+from test_verify_cap import BASES
 
 Y0 = VarTag.orig(0)
 
@@ -70,6 +72,73 @@ class TestPresentationCheck:
         with pytest.raises(VerificationError) as exc:
             sm_check(pres, 10)
         assert "jacobian" in str(exc.value)
+
+
+def dense_presentation(n=12, images=None, column=None):
+    """n generators Y_i over Q, of images (i+1) + t^(i+1) but where images
+    names another, and the n - 1 relations sum_j a_ij * c_j * (Y_j - img_j),
+    with a_ij = 2 on the diagonal and 1 elsewhere, c_j = t for j = column
+    and 1 otherwise; the last generator is the base.  Each relation
+    vanishes at the images, and without a column the minor's residue is
+    det(I + J) = n."""
+    tags = [VarTag.stage(i, 0) for i in range(n)]
+    imgs = [(images or {}).get(i, tpow(QQ, 0, i + 1) + tpow(QQ, i + 1)) for i in range(n)]
+    terms = [(Poly.var(QQ, ZZ, tag) - Poly.const(img)).scale(tpow(QQ, int(j == column)))
+             for j, (tag, img) in enumerate(zip(tags, imgs))]
+    rels = [sum((term.scale(tpow(QQ, 0, 2 if i == j else 1)) for j, term in enumerate(terms)),
+                Poly.zero(QQ, ZZ))
+            for i in range(n - 1)]
+    return SmoothPresentation(QQ, ZZ, list(zip(tags, imgs)), rels, n - 1)
+
+
+def unknown_at_0():
+    """O(t^0): over V, a series whose residue is not known."""
+    return ValuedSeries(QQ, ZZ, [], 0)
+
+
+class TestResidueMinor:
+    """The minor is decided on residues by Gaussian elimination, without a
+    Laplace expansion, in time cubic in the generators."""
+
+    def test_bases_verify_without_the_expansion(self):
+        def refuse(*args):
+            raise AssertionError("the verifier expanded a determinant")
+        assert not hasattr(smooth, "det")
+        with mock.patch("valcert.poly.det", refuse):
+            for _, _, obj in BASES:
+                sm_verify(SmoothCert.from_json(obj))
+
+    def test_dense_twelve_generators_pass(self):
+        sm_check(dense_presentation(), 10)
+
+    def test_column_of_zero_residues_fails(self):
+        with pytest.raises(VerificationError, match="jacobian-minor: column 4: the minor's "
+                                                    "residue is 0, not a unit"):
+            sm_check(dense_presentation(column=4), 10)
+
+    def test_entry_known_only_below_0_fails(self):
+        # Y_0's image is t^20, past delta; relation 0 gains O(1) * Y_0 * Y_1,
+        # of value O(t^20), so the residuals stay small, while its Y_0
+        # derivative O(1) * Y_1 has no known residue
+        pres = dense_presentation(images={0: tpow(QQ, 20)})
+        y0, y1 = (Poly.var(QQ, ZZ, tag) for tag, _ in pres.generators[:2])
+        pres.relations[0] = pres.relations[0] + (y0 * y1).scale(unknown_at_0())
+        with pytest.raises(VerificationError, match="the minor's residue is not known at "
+                                                    "exponent 0"):
+            sm_check(pres, 10)
+
+    def test_triangular_minor_with_unknown_entry_passes(self):
+        # relations Y_0 - t^20 and Y_1 - img_1 + O(1) * Y_0 * Y_2, base Y_2:
+        # the minor [[1, 0], [O(1) * (1 + t), 1]] has an entry of unknown
+        # residue whose cofactor is an exact zero
+        tags = [VarTag.stage(i, 0) for i in range(3)]
+        imgs = [tpow(QQ, 20), tpow(QQ, 0) + tpow(QQ, 1), tpow(QQ, 0) + tpow(QQ, 1)]
+        Y = [Poly.var(QQ, ZZ, tag) for tag in tags]
+        rels = [Y[0] - Poly.const(imgs[0]),
+                Y[1] - Poly.const(imgs[1]) + (Y[0] * Y[2]).scale(unknown_at_0())]
+        pres = SmoothPresentation(QQ, ZZ, list(zip(tags, imgs)), rels, 2)
+        sm_check(pres, 10)
+        oracles.sm_check(pres, 10)
 
 
 class TestPair:
@@ -562,6 +631,34 @@ class TestSteering:
                 2, "horizon/stabilization: pseudo-limit support does not reach "
                 "truncation 576460752303423489 within horizon")
         assert len(calls) == 1
+
+    def test_undecided_start_index_skipped(self, monkeypatch):
+        # a link attempt that stays undecided moves steering on to the next
+        # start index, with the certificate a prediction that skips the
+        # undecided start index unbuilt gives
+        cfg = next(cfg for seed, cfg, cert, _ in _workload_builds()
+                   if seed == 1 and cert["kind"] == "family")
+        calls, certify = [], rewrite.Plans.certify
+
+        def undecided_once(plans, nus, R):
+            calls.append(tuple(nus))
+            if len(calls) == 1:
+                raise UndecidedError("undecided at the first start index")
+            return certify(plans, nus, R)
+        with mock.patch.object(rewrite.Plans, "certify", undecided_once):
+            got = _outcome(cfg)
+        assert got[0] == 0
+        first = calls[0]
+        assert calls[1] == (first[0], first[1] + 3)
+        skipped, predict = [], rewrite._Plan.predict
+
+        def skip_first(plan, nus):
+            if tuple(nus) == first and not skipped:
+                skipped.append(nus)
+                return ((VarTag.stage(1, 0), 1),)  # the later variable
+            return predict(plan, nus)
+        monkeypatch.setattr(rewrite._Plan, "predict", skip_first)
+        assert _outcome(cfg) == got and skipped
 
     @pytest.mark.parametrize("wrong", [lambda plan, nus: None,
                                        lambda plan, nus: ((VarTag.stage(0, 0), 1),)],

@@ -1,9 +1,10 @@
 """Differential test of the capped smooth verifier against the uncapped one.
 
 smooth.sm_verify checks that the data lies over V with delta > 0, then
-evaluates relations, Jacobian minor and witnesses once, below a cap C just
-past delta.  oracles.sm_verify applies the same in-V, delta and floor
-rules and evaluates everything on the full values.  On honest
+evaluates relations and witnesses once, below a cap C just past delta,
+and decides the Jacobian minor on residues.  oracles.sm_verify applies
+the same in-V, delta and floor rules and evaluates everything, the minor
+by Laplace expansion, on the full values.  On honest
 certificates over Z, Q and lex Z^2 exponents, over Q and F5, with edited
 images, coefficients, witnesses, problem data, bases and deltas (negative
 exponents, inexact and exact series, delta <= 0 included), both must give
@@ -164,14 +165,14 @@ def outcome(verify, cert, delta):
 
 
 def known_difference(got, want):
-    """The two messages that name a window, which the capped and the full
-    evaluation see at different truncations: a Jacobian minor that
-    vanishes below its cap (in full it has some val > 0, or vanishes below
-    a larger window), and a lex quotient whose unbounded support is
-    reported below its own window."""
+    """The two messages that differ by construction: a Jacobian minor that
+    is no unit, whose residue (0, or not known at exponent 0) the capped
+    verifier reports where the full expansion names a val > 0 or a window,
+    and a lex quotient whose unbounded support is reported below its own
+    window."""
     if got[1] == "jacobian-minor":
-        vanishes = "series vanishes below truncation"
-        return vanishes in got[2] and ("minor has val" in want[2] or vanishes in want[2])
+        return "the minor's residue is" in got[2] and (
+            "minor has val" in want[2] or "series vanishes below truncation" in want[2])
     return got[0] == "InputError" and all("unbounded support" in m for m in (got[2], want[2]))
 
 
@@ -203,8 +204,8 @@ DENOMINATOR_ABOVE_ZERO = {
 
 def _minor_known_to_8():
     """The Q pair Y - (t + t^2) with base 0, its stage image without the
-    t^2 term, and its relation's Z coefficient only O(t^8): the minor
-    vanishes below the cap 4, and in full below 8."""
+    t^2 term, and its relation's Z coefficient only O(t^8): the minor's
+    residue is 0, and in full the minor vanishes below 8."""
     field, group, obj = next(b for b in BASES if b[:2] == (QQ, ZZ)
                              and b[2]["branch"] == "c-divides-d")
     cert = SmoothCert.from_json(obj)
@@ -216,13 +217,13 @@ def _minor_known_to_8():
     return cert
 
 
-CHECKS = ("_check_relation", "_check_minor", "_check_witness")
+CHECKS = ("_check_relation", "_check_witness")
 
 
 @contextmanager
 def recorded_caps():
-    """The (check, cap) of every relation, minor and witness check run,
-    the cap being the last argument each check is passed."""
+    """The (check, cap) of every relation and witness check run, the cap
+    being the last argument each check is passed."""
     caps = []
 
     def spy(name, real):
@@ -244,16 +245,11 @@ def capped_outcome(cert, delta):
 
 
 def assert_capped(cert, delta, caps):
-    """Each check ran below a cap: relations and witnesses at the cap C,
-    delta < C <= 2*delta; the minor at a cap in (0, C]."""
-    group = cert.pres.group
+    """Each check ran below the cap C, delta < C <= 2*delta."""
     cap = smooth._verify_cap(cert.pres, delta)
-    assert delta < cap <= group.scale(delta, 2)
-    for name, c in caps:
-        if name == "_check_minor":
-            assert group.zero() < c <= cap
-        else:
-            assert c == cap
+    assert delta < cap <= cert.pres.group.scale(delta, 2)
+    for _, c in caps:
+        assert c == cap
 
 
 class TestCappedVerifier:
@@ -275,9 +271,8 @@ class TestCappedVerifier:
         cert = SmoothCert.from_json(obj)
         got, caps = capped_outcome(cert, None)
         assert got == ("ok", None, "")
-        # one check per relation, one minor, one per witness, each capped
-        relations = len(cert.pres.relations)
-        assert len(caps) == relations + (relations > 0) + len(cert.witnesses)
+        # one check per relation and one per witness, each capped
+        assert len(caps) == len(cert.pres.relations) + len(cert.witnesses)
         assert_capped(cert, cert.delta, caps)
 
     @pytest.mark.parametrize("field, group, obj", [
