@@ -227,7 +227,7 @@ def field_from_json(obj) -> Field:
         return QQ
     if obj.get("field") == "Fp":
         return GF(require_int(obj["p"], "p"))
-    raise InputError(f"unknown field spec {obj!r}")
+    raise InputError(f"unknown field spec {obj.get('field')!r}")
 
 
 def characteristic(f: Field) -> int:

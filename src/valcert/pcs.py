@@ -193,9 +193,10 @@ class RuleSequence(PseudoSequence):
 class TableSequence(PseudoSequence):
     """Sequence given by an explicit finite term table.
 
-    Used to freeze the prefix of a derived sequence into a certificate:
-    partial sums, gaps and scales up to the table length are exact, and
-    nothing past the table is claimed (the horizon is the table length).
+    The smooth verifier reads a chain member as the table of its terms
+    known below a cap: partial sums, gaps and scales up to the table
+    length are exact, and nothing past the table is claimed (the horizon
+    is the table length).
     """
 
     def __init__(self, field: Field, terms: Sequence[Tuple[object, object]]):
@@ -247,8 +248,8 @@ class DerivedSequence(PseudoSequence):
 
     materialize(delta) must return the series known below delta (exact
     results are accepted and simply bound the available terms).  Terms
-    are materialized only as far as they are read; a certificate embeds
-    a `snapshot` of the prefix it needs.
+    are materialized only as far as they are read.  Nothing serialises
+    one: a certificate echoes the problem it derives from instead.
     """
 
     def __init__(self, field: Field, materialize: Callable[[object], ValuedSeries],
@@ -273,11 +274,6 @@ class DerivedSequence(PseudoSequence):
                 raise HorizonError("materialization stalled while extending the sequence")
             self._delta, self._series = delta, grown
         return self._series.terms[j]
-
-    def snapshot(self, count: int) -> "TableSequence":
-        """Freeze the first `count` terms into a serializable table sequence."""
-        self.term_pair(count - 1)
-        return TableSequence(self.field, list(self._series.terms[:count]))
 
 
 def lacunary_sequence(field: Field, horizon: int = DEFAULT_HORIZON,

@@ -9,13 +9,13 @@ separation machinery on stabilized coefficient values, and the builder
 decides each attempt with its verifier's normal-form check.  The
 verifier recentres g at the certified indices itself and checks the
 normal form on that G1's values -- no searches re-run.  A top-level
-certificate also stores G1, the exact answer a rewrite gives, and its
-value table, which the verifier compares with its own; a rewrite
-embedded in a smooth certificate stores neither.
-The builder recentres each attempt once, on the frozen sequences the
-certificate would carry, so its G1 is the verifier's recomputation; it
-checks the verifier's normal-form claims on G1's values, once, and
-writes its value table from them.
+certificate also stores its sequences, G1 (the exact answer a rewrite
+gives) and G1's value table, which the verifier compares with its own;
+a rewrite embedded in a smooth certificate stores none of them.  The
+builder recentres each attempt once, on the sequences it searched, so
+its G1 is the verifier's recomputation; it checks the verifier's
+normal-form claims on G1's values, once, and writes its value table
+from them.
 A build is a plan (_Plan: what does not depend on the start indices nus,
 the stable betas among it) and an attempt at given nus (_certify).  A
 plan also predicts attempt 0's designated monomial from the betas and
@@ -56,8 +56,8 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, ValcertError,
                      VerificationError, require_int)
 from .fields import Field, characteristic, field_from_json, field_to_json
-from .group import INF
-from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
+from .group import INF, ValueGroup
+from .pcs import PseudoSequence, sequence_from_json
 from .poly import MAX_JSON_DEGREE, Poly, Powers, VarTag, mono_key
 from .separation import separate_indices
 from .series import ValuedSeries
@@ -359,9 +359,12 @@ class RewriteCert:
     """Exact, self-verifying record of one rewrite.
 
     verify recomputes the recentred polynomial G1 from the claim fields
-    (claims_json).  to_json adds G1, a top-level rewrite's answer, and its
-    value table; a smooth certificate embeds the claim fields only, and
-    from_json leaves G1 and table None where the JSON omits them."""
+    (claims_json) over the sequences.  to_json adds the sequences, G1 (a
+    top-level rewrite's answer) and its value table; a smooth certificate
+    embeds the claim fields only, and decodes them in its own group:
+    from_json leaves the sequences empty and G1 and table None where the
+    JSON omits them, and a top-level rewrite's group is its first
+    sequence's."""
 
     def __init__(self, kind: str, field: Field, g: Poly,
                  multiplier: Mapping[int, int], seqs: Sequence[PseudoSequence],
@@ -381,13 +384,12 @@ class RewriteCert:
 
     # -- serialization ------------------------------------------------
     def claims_json(self):
-        """Every field but G1 and its value table."""
+        """Every field but the sequences, G1 and its value table."""
         out = {
             "cert": "rewrite",
             "kind": self.kind,
             "g": self.g.to_json(),
             "multiplier": sorted([e, k] for e, k in self.multiplier.items()),
-            "seqs": [s.to_json() for s in self.seqs],
             "indices": self.indices,
             "c_mono": [[v.to_json(), k] for v, k in self.c_mono],
             "mode": self.mode,
@@ -398,22 +400,24 @@ class RewriteCert:
 
     def to_json(self):
         out = self.claims_json()
+        out["seqs"] = [s.to_json() for s in self.seqs]
         out["G1"] = self.G1.to_json()
         out["table"] = [[[[v.to_json(), k] for v, k in mono], self.g.group.to_json(val)]
                         for mono, val in self.table]
         return out
 
     @staticmethod
-    def from_json(obj) -> "RewriteCert":
+    def from_json(obj, group: Optional[ValueGroup] = None) -> "RewriteCert":
         if obj.get("cert") != "rewrite":
             raise InputError("not a rewrite certificate")
         if obj["kind"] not in _KINDS:
             raise InputError(f"unknown rewrite kind {obj['kind']!r}")
         field = field_from_json(obj)
-        seqs = [sequence_from_json(s) for s in obj["seqs"]]
-        if not seqs:
-            raise InputError("a rewrite needs at least one sequence")
-        group = seqs[0].group
+        seqs = [sequence_from_json(s) for s in obj.get("seqs", [])]
+        if group is None:
+            if not seqs:
+                raise InputError("a rewrite needs at least one sequence")
+            group = seqs[0].group
         g = Poly.from_json(obj["g"], field, group)
         G1 = Poly.from_json(obj["G1"], field, group) if "G1" in obj else None
         mono = tuple((VarTag.from_json(v), require_int(k, "c_mono exponent"))
@@ -431,16 +435,21 @@ class RewriteCert:
                            obj["mode"], obj["case"], table)
 
     # -- verification -------------------------------------------------
-    def _recompute(self) -> Poly:
-        return recenter_at(_with_multiplier(self.g, self.multiplier),
-                           self.seqs, self.indices)
-
-    def verify(self) -> None:
-        if len(self.indices) != len(self.seqs):
+    def verify(self, seqs: Optional[Sequence[PseudoSequence]] = None) -> None:
+        """Every claim over seqs, which each sequence the rewrite carries
+        must match up to its index t; without seqs, over those it carries."""
+        carried, seqs = ([], self.seqs) if seqs is None else (self.seqs, seqs)
+        if len(self.indices) != len(seqs):
             raise VerificationError(
-                "indices", f"{len(self.indices)} indices for {len(self.seqs)} sequences")
+                "indices", f"{len(self.indices)} indices for {len(seqs)} sequences")
+        if carried and len(carried) != len(seqs):
+            raise VerificationError("seqs", f"{len(carried)} sequences for {len(seqs)}")
         try:
-            G1 = self._recompute()
+            G1 = recenter_at(_with_multiplier(self.g, self.multiplier), seqs, self.indices)
+            for k, (seq, old, t) in enumerate(zip(seqs, carried, self.indices)):
+                # v_t + s_t holds the terms 0..t, all that recentring at t reads
+                if not (seq.term(t) + seq.scale(t)).same_known(old.term(t) + old.scale(t)):
+                    raise VerificationError("seqs", f"sequence {k} differs at index {t}")
         except HorizonError as exc:
             # Recentring at index t reads terms 0..t.
             raise VerificationError("indices", f"sequence too short: {exc}")
@@ -453,7 +462,7 @@ class RewriteCert:
         case = _case(self.kind, self.multiplier, vals)
         if self.case != case:
             raise VerificationError("case", f"{self.case!r} where {case!r} is due")
-        fault = _shape_fault(self.kind, self.g, self.multiplier, len(self.seqs))
+        fault = _shape_fault(self.kind, self.g, self.multiplier, len(seqs))
         if fault:
             raise VerificationError("kind", fault)
 
@@ -579,19 +588,12 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
     failure = "no attempt"
     for attempt in range(R):
         indices = plan.first_indices(nus) if attempt == 0 else plan.indices(rhos)
-        # Recentring at t reads terms 0..t, so a derived sequence is frozen
-        # to t + 1 terms.  G1 is computed once, from the g, multiplier,
-        # frozen sequences and indices the certificate carries, so it is the
-        # recomputation RewriteCert.verify compares G1 with; the build
-        # checks the rest.
-        frozen = [seq.snapshot(t + 1) if isinstance(seq, DerivedSequence) else seq
-                  for seq, t in zip(plan.seqs, indices)]
-        G1 = recenter_at(plan.h, frozen, indices)
+        G1 = recenter_at(plan.h, plan.seqs, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
         c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
-            return RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, frozen,
+            return RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, plan.seqs,
                                indices, G1, c_mono, plan.mode,
                                _case(plan.kind, plan.multiplier, vals), table)
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]

@@ -34,7 +34,9 @@ decided in one order: data over V and delta > 0, relations, then the
 minor (sm_check), the problem echo decoded once (_Problem), witness and
 problem data over V, the delta floor 2*gamma of every stage generator
 (_check_floor; builders certify at it unless asked for more), then
-witnesses, rewrites and shape.
+witnesses, shape and the link rewrites, each over the members its link
+joins, derived from the problem echo as the floor and witnesses computed
+them (_check_link).
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
                      require_int)
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
-from .pcs import DerivedSequence, PseudoSequence, sequence_from_json
+from .pcs import DerivedSequence, PseudoSequence, TableSequence, sequence_from_json
 from .poly import Poly, Powers, VarTag, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw,
                       taylor_recenter)
@@ -206,8 +208,8 @@ class SmoothCert:
     """A presentation, its witnesses and one rewrite per chain link.
 
     An embedded rewrite carries its claim fields only: sm_verify
-    recomputes its G1, and compares a G1 or value table that an older
-    certificate embeds."""
+    recomputes its G1 over its link's members, and compares the
+    sequences, G1 or value table an older certificate embeds."""
 
     def __init__(self, kind: str, field: Field, problem: dict,
                  pres: SmoothPresentation, witnesses: Sequence[Witness],
@@ -244,7 +246,7 @@ class SmoothCert:
         delta = element_from_json(obj["delta"])
         pres = SmoothPresentation.from_json(obj, field, group_of(delta))
         wits = [Witness.from_json(w, field, pres.group) for w in obj["witnesses"]]
-        rewrites = [RewriteCert.from_json(c) for c in obj.get("rewrites", [])]
+        rewrites = [RewriteCert.from_json(c, pres.group) for c in obj.get("rewrites", [])]
         return SmoothCert(obj["kind"], field, obj["problem"], pres, wits,
                           rewrites, delta, obj.get("branch", ""))
 
@@ -343,6 +345,7 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
                 "pseudo-limit to be a unit (first exponent 0); this sequence "
                 f"starts at val {group.to_json(seq0.gamma(0))}")
         rewrites, h, t = [rcert], rcert.G1, rcert.indices[0]
+        rcert.seqs = []  # embedded, it carries no sequences, as in its JSON
         problem["case2"] = case2
     dlt = _delta(group, seq0.gamma(t), delta)
     deltaw = group.scale(dlt, 2)
@@ -493,6 +496,7 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
                                                   {old: VarTag.stage(e - 1, a)})
             cur[e - 1], cur[e] = a, b
             rels_raw.append(rel)
+            rcert.seqs = []  # embedded, it carries no sequences, as in its JSON
             rewrites.append(rcert)
 
         group = seq0.group
@@ -592,6 +596,13 @@ class _Problem:
         return self._once(("member", e, cap), lambda: _f_over_d(
             self.fs[e - 1], self.ds[e - 1], self.limit, cap))
 
+    def sequence(self, e: int, cap) -> PseudoSequence:
+        """Chain element e: seq0, or the table of member e's terms below cap."""
+        if e == 0:
+            return self.seq0
+        member = self.member(e, cap)
+        return TableSequence(member.field, member.terms)
+
     def _member(self, w: Witness, e: int, cap) -> ValuedSeries:
         member = self.member(e, cap)
         if member is None:
@@ -680,7 +691,8 @@ def _pair_branch(links: int, tags) -> str:
 def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
     """The shape cert.kind defines: its problem echo, the witnesses it
     claims, one rewrite per chain link at the stage indices of the
-    generators the link joins, and a pair's branch (see the README)."""
+    generators the link joins, each link's second index below the next
+    link's first, and a pair's branch (see the README)."""
     kind, echo = cert.kind, cert.problem
     n = len(echo["fs"]) if "fs" in echo else 0
     # (rewrite, index, generator): the rewrite's index is the generator's stage
@@ -708,6 +720,12 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
         if not (k < len(indices) and e < len(tags) and tags[e] == VarTag.stage(e, indices[k])):
             raise VerificationError(
                 f"rewrite-{i}", f"indices {indices} miss the stage index of generator {e}")
+    for i in range(links - 1):
+        # the builder restages y_(i+1) from link i's index up to link i + 1's
+        second, first = cert.rewrites[i].indices[1:2], cert.rewrites[i + 1].indices[0]
+        if second and not second[0] < first:
+            raise VerificationError(f"rewrite-{i}", f"second index {second[0]} is not "
+                                    f"below link {i + 1}'s first, {first}")
     branch = _pair_branch(links, tags) if kind == "pair" else ""
     if cert.branch != branch:
         raise VerificationError(
@@ -721,9 +739,26 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
                 f"pair's rewrite gives {'no case2' if case2 is None else case2}")
 
 
+def _check_link(cert: SmoothCert, i: int, problem: _Problem, cap) -> None:
+    """Link i's rewrite over the elements it joins, 0 for a pair, else y_i
+    and y_(i+1).  Before any recentring, g is bounded by the problem: a
+    pair's g is f, and link i's degrees in Y_0 and Y_1 are at most the
+    resultant's, deg f_(i+1) = deg fs[i] and deg f_i (1 for i = 0)."""
+    rc, pair = cert.rewrites[i], cert.kind == "pair"
+    if pair and not rc.g.same_known(problem.f):
+        raise VerificationError("g", "g is not the problem's f")
+    bounds = [] if pair else [problem.fs[i].total_degree(),
+                              problem.fs[i - 1].total_degree() if i else 1]
+    for e, bound in enumerate(bounds):
+        if rc.g.degree_in(VarTag.orig(e)) > bound:
+            raise VerificationError("g", f"degree {rc.g.degree_in(VarTag.orig(e))} in "
+                                    f"Y_{e} passes the link's bound {bound}")
+    rc.verify([problem.sequence(e, cap) for e in ([0] if pair else [i, i + 1])])
+
+
 def sm_verify(cert: SmoothCert, delta=None) -> None:
     """Re-check presentation invariants, the delta floor, membership
-    witnesses, embedded rewrites and the shape of the certificate's kind,
+    witnesses, the shape of the certificate's kind and the link rewrites,
     in the module's order; raises VerificationError at the first failure."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
@@ -736,9 +771,9 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
     _check_floor(cert, problem, dlt, cap)
     for w in cert.witnesses:
         _check_witness(w, cert.pres, problem, dlt, cap)
-    for i, rc in enumerate(cert.rewrites):
+    _check_shape(cert, problem)
+    for i in range(len(cert.rewrites)):
         try:
-            rc.verify()
+            _check_link(cert, i, problem, cap)
         except VerificationError as exc:
             raise VerificationError(f"rewrite-{i}", str(exc))
-    _check_shape(cert, problem)

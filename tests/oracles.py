@@ -20,7 +20,7 @@ from valcert.errors import (HorizonError, IndeterminateValError, InputError,
                             NotStabilizedError, UndecidedError, VerificationError)
 from valcert.fields import characteristic
 from valcert.group import INF
-from valcert.pcs import sequence_from_json
+from valcert.pcs import TableSequence, sequence_from_json
 from valcert.poly import Poly, VarTag, _mono_mul, det
 from valcert.rewrite import rw
 from valcert.series import ValuedSeries
@@ -444,8 +444,9 @@ def problem_named(cert):
 
 def sm_verify(cert, delta=None):
     """smooth.sm_verify's claims in its order (see the smooth module),
-    checked on the full values; equal to it in verdict and claim (without
-    the shape of the certificate's kind)."""
+    checked on the full values, each link rewrite over the tables of the
+    members known to 2*delta; equal to it in verdict and claim (without
+    the shape of the certificate's kind and the bound on each link's g)."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
     deltaw = group.scale(dlt, 2)
@@ -472,9 +473,12 @@ def sm_verify(cert, delta=None):
             raise VerificationError(
                 f"witness-{w.name}",
                 f"expression differs from target at val {group.to_json(diff.val_lower())}")
+    seq0 = sequence_from_json(cert.problem["seq0"])
     for i, rc in enumerate(cert.rewrites):
+        seqs = [seq0 if e == 0 else TableSequence(cert.field, member_target(cert, e, deltaw).terms)
+                for e in ([0] if cert.kind == "pair" else [i, i + 1])]
         try:
-            rc.verify()
+            rc.verify(seqs)
         except VerificationError as exc:
             raise VerificationError(f"rewrite-{i}", str(exc))
 

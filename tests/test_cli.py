@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, determinism, verify round-trips."""
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valcert import smooth
 from valcert.cli import main, run_single
@@ -121,6 +124,10 @@ def batch_cfgs():
 # derived tables were cut from index + 2 to index + 1 terms, the terms
 # recentring reads; each is the sha256 of the earlier output with the
 # last term of each such table removed, computed from that output.
+# Embedded rewrites then stopped carrying sequences, which the verifier
+# derives from the problem echo; each smooth digest with a rewrite is the
+# sha256 of the earlier output with the seqs key removed from its embedded
+# rewrites, computed from that output.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -135,17 +142,17 @@ GOLDEN = {
     "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
                          "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
     "smooth-family-F5": ("smooth", family_cfg,
-                         "40536790e2ddd533a983d0978b7d00865b09bb4e671231911040cb29cbc39c6a"),
+                         "dbf13524b35123eef9faf483ce9ce1bb3fddb4b2823c2aa3478b93732015d1a4"),
     "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
-                        "4b3807909d15e8d7934196e6cfc1663f5c9d02edf27b586c26d566c87c2dddcd"),
+                        "d6bb66f81eb6cbb17c2f9ff902264f610ea3df52e9213d1bdb21c3391764e9eb"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
-                          "a932c34555000f8047500c6cbd3fac80fe56943c872303be9934851233729576"),
+                          "b51801373266a77167e06b8984e3909d88298fb56f13a2e2b213104a048b2c04"),
     "smooth-pair-constant": ("smooth", lambda: q_pair_cfg("constant"),
                              "2e7a966e4b7d863daa36755fd7105698c02935670e9579aba1d58a27737fb33b"),
     "smooth-pair-d-divides-c": ("smooth", lambda: q_pair_cfg("d-divides-c"),
-                                "c3f6f74755220b1d19ec855b60e08f3848a881dd82e9d0e043b606c4041a538a"),
+                                "be8be5daecf1e722acce7a02ab8e092c7bb6d6c518b8805c30885729713998ac"),
     "smooth-pair-c-divides-d": ("smooth", lambda: q_pair_cfg("c-divides-d"),
-                                "200777627aeac73816fb8f566ff605f97d3fba0d7bd970aac16f60c9bfde320e"),
+                                "4bc46aa07f78f94ea5a2b50f04a6f355491993ed3f51ed36d13f4e8e0855fecc"),
 }
 
 
@@ -159,12 +166,11 @@ class TestGolden:
 
     def test_full_table_certificate(self, tmp_path, capsys):
         # The certificate with full tables, whose embedded rewrites carry
-        # G1 and a value table, still verifies; cutting its tables to
-        # index + 1 terms and removing G1 and table from each embedded
-        # rewrite gives the certificate built today.
+        # sequences, G1 and a value table, still verifies; removing all
+        # three from each embedded rewrite gives the certificate built today.
         assert run(["verify", str(FULL_TABLES)]) == 0
         old = json.loads(FULL_TABLES.read_text())
-        assert _cut_tables(old) == 3
+        assert _drop_seqs(old) == 2
         for rewrite in old["rewrites"]:
             del rewrite["G1"], rewrite["table"]
         out = tmp_path / "out.json"
@@ -175,12 +181,12 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(OLD_Q_CERTS))
     def test_old_q_certificate(self, tmp_path, capsys, name):
         # it verifies, and today's build of its config writes it again,
-        # with each derived table cut to index + 1 terms; with no table to
-        # cut, it writes the same bytes
+        # with the seqs of each embedded rewrite dropped; with no embedded
+        # rewrite, it writes the same bytes
         path = OLD_Q_CERTS[name]
         command, cfg, digest = GOLDEN[name]
-        cut = 3 if command == "smooth" else 0
-        if not cut:
+        dropped = 2 if command == "smooth" else 0
+        if not dropped:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         capsys.readouterr()
         assert run(["verify", str(path)]) == 0
@@ -188,23 +194,16 @@ class TestGolden:
         assert json.loads(capsys.readouterr().out) == {"cert": cert["cert"], "verified": True}
         out = tmp_path / "out.json"
         assert run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)]) == 0
-        assert _cut_tables(cert) == cut
+        assert _drop_seqs(cert) == dropped
         assert json.loads(out.read_text()) == cert
-        if not cut:
+        if not dropped:
             assert out.read_bytes() == path.read_bytes()
 
 
-def _cut_tables(cert):
-    """Cut each derived table that a smooth certificate's rewrites embed
-    to its index + 1 terms, in place; returns how many were cut."""
-    cut = 0
-    for rewrite in cert.get("rewrites", []):
-        for seq, t in zip(rewrite["seqs"], rewrite["indices"]):
-            if seq["seq"] == "table":
-                assert len(seq["terms"]) > t + 1
-                seq["terms"] = seq["terms"][:t + 1]
-                cut += 1
-    return cut
+def _drop_seqs(cert):
+    """Drop the sequences each rewrite a smooth certificate embeds carries,
+    in place; returns how many rewrites carried them."""
+    return sum(rewrite.pop("seqs", None) is not None for rewrite in cert.get("rewrites", []))
 
 
 def _built_smooth(op):
@@ -220,20 +219,39 @@ def _built_smooth(op):
     return smooth.sm_fraction(f1, f2, lacunary_sequence(QQ, 100, [Fraction(2, 3)]))
 
 
+def _as_once_embedded(cert):
+    """A family or fraction certificate's rewrites as their JSON was once
+    embedded: with G1, its value table and the sequences the link joins,
+    seq0 as its rule and each derived y_e as the table of the index + 1
+    terms that recentring reads."""
+    problem = smooth._Problem(cert)
+    seq0 = problem.seq0
+    live = [seq0] + [smooth._derived_unit_sequence(f, smooth._canonical_d(f, seq0), seq0)
+                     for f in problem.fs]
+    out = []
+    for i, rc in enumerate(cert.rewrites):
+        old = copy.copy(rc)
+        old.seqs = [live[e] if e == 0
+                    else TableSequence(cert.field, [live[e].term_pair(j) for j in range(t + 1)])
+                    for e, t in zip((i, i + 1), rc.indices)]
+        out.append(old.to_json())
+    return out
+
+
 @pytest.fixture(scope="module", params=["family", "fraction"])
 def old_and_new(request):
     """A smooth certificate's JSON as written today, and as written while
-    each embedded rewrite carried its G1 and value table."""
+    each embedded rewrite carried its sequences, G1 and value table."""
     cert = _built_smooth(request.param)
     new = json.loads(json.dumps(cert.to_json()))
-    old = json.loads(json.dumps(dict(cert.to_json(),
-                                     rewrites=[rc.to_json() for rc in cert.rewrites])))
+    old = json.loads(json.dumps(dict(cert.to_json(), rewrites=_as_once_embedded(cert))))
     return old, new
 
 
 class TestEmbeddedRewriteSchema:
-    """Embedded rewrites no longer carry G1 and table; a certificate that
-    does still verifies, and a wrong G1 or table in it is still caught."""
+    """Embedded rewrites no longer carry sequences, G1 and table; a
+    certificate that does still verifies, and a wrong sequence, G1 or
+    table in it is still caught."""
 
     @staticmethod
     def bumped(cert, coeff):
@@ -263,13 +281,36 @@ class TestEmbeddedRewriteSchema:
             assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
             assert f"rewrite-{i}: verification failed at value-table" in capsys.readouterr().err
 
+    def test_old_schema_wrong_table_coefficient(self, tmp_path, capsys, old_and_new):
+        # the coefficient at index t of a carried derived table is the
+        # scale s_t recentring reads; it must be the member's
+        old, _ = old_and_new
+        edited = 0
+        for i, rewrite in enumerate(old["rewrites"]):
+            for k, (seq, t) in enumerate(zip(rewrite["seqs"], rewrite["indices"])):
+                if seq["seq"] != "table":
+                    continue
+                bad = copy.deepcopy(old)
+                term = bad["rewrites"][i]["seqs"][k]["terms"][t]
+                term[1] = self.bumped(bad, term[1])
+                capsys.readouterr()
+                assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+                assert (f"rewrite-{i}: verification failed at seqs: sequence {k} differs "
+                        f"at index {t}") in capsys.readouterr().err
+                edited += 1
+        assert edited == 3
+
     def test_new_schema(self, tmp_path, capsys, old_and_new):
+        # an embedded rewrite carries no sequence, so it does not verify
+        # on its own
         _, new = old_and_new
         assert run(["verify", write(tmp_path, "new.json", new)]) == 0
         assert len(new["rewrites"]) == 2
         for rewrite in new["rewrites"]:
-            assert "G1" not in rewrite and "table" not in rewrite
-            assert run(["verify", write(tmp_path, "rewrite.json", rewrite)]) == 0
+            assert not {"seqs", "G1", "table"} & set(rewrite)
+            capsys.readouterr()
+            assert run(["verify", write(tmp_path, "rewrite.json", rewrite)]) == 1
+            assert "a rewrite needs at least one sequence" in capsys.readouterr().err
 
     def test_new_schema_shifted_index(self, tmp_path, capsys, old_and_new):
         _, new = old_and_new
@@ -282,9 +323,10 @@ class TestEmbeddedRewriteSchema:
                 assert f"rewrite-{i}" in capsys.readouterr().err
 
     def test_new_is_old_without_G1_and_table(self, old_and_new):
+        # and without the sequences
         old, new = copy.deepcopy(old_and_new)
         for rewrite in old["rewrites"]:
-            del rewrite["G1"], rewrite["table"]
+            del rewrite["seqs"], rewrite["G1"], rewrite["table"]
         assert new == old
 
 
@@ -1169,7 +1211,7 @@ class TestExitArms:
             1, "input error: not a rewrite certificate"),
         "embedded-rewrite-no-seqs": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
-                                      lambda c: c["rewrites"][0].update(seqs=[])),
+                                      lambda c: None)["rewrites"][0],
             1, "input error: a rewrite needs at least one sequence"),
         "pair-f-in-Y1": (
             "smooth", lambda: dict(q_pair_cfg("d-divides-c"), f=_y(1).to_json()),
@@ -1196,7 +1238,11 @@ class TestExitArms:
             1, "input error: negative exponents are not allowed in polynomials"),
         "unknown-field": (
             "rewrite", lambda: {"field": "R", "op": "univariate"},
-            1, "input error: unknown field spec {'field': 'R', 'op': 'univariate'}"),
+            1, "input error: unknown field spec 'R'"),
+        # the message names the field only, not the 40 KB object it was in
+        "unknown-field-in-certificate": (
+            "verify", lambda: dict(json.loads(FULL_TABLES.read_text()), field="R"),
+            1, "input error: unknown field spec 'R'"),
     }
 
     # direct calls: each refusal sits behind a check the command line makes first
@@ -1436,13 +1482,18 @@ class TestShortData:
         assert run(["verify", write(tmp_path, "bad.json", rewrite)]) == 4
 
     def test_smooth_table_cut(self, tmp_path, capsys):
-        out = tmp_path / "cert.json"
-        assert run(["smooth", write(tmp_path, "c.json", family_cfg()), "--out", str(out)]) == 0
-        cert = json.loads(out.read_text())
-        seq = cert["rewrites"][1]["seqs"][1]
-        assert len(seq["terms"]) == cert["rewrites"][1]["indices"][1] + 1
+        # a table an older certificate carries, cut to index + 1 terms,
+        # verifies; cut to index terms it exits 4
+        cert = json.loads(FULL_TABLES.read_text())
+        rewrite = cert["rewrites"][1]
+        seq, t = rewrite["seqs"][1], rewrite["indices"][1]
+        seq["terms"] = seq["terms"][:t + 1]
+        assert run(["verify", write(tmp_path, "ok.json", cert)]) == 0
         seq["terms"].pop()
+        capsys.readouterr()
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert "rewrite-1: verification failed at indices: sequence too short" in (
+            capsys.readouterr().err)
 
     @staticmethod
     def seq0_cut(tmp_path, horizon):
@@ -1901,3 +1952,69 @@ class TestBatch:
         assert results[0] == (cert if command == "separate"
                               else {"cert": "separation", "verified": True})
         assert results[1]["exit"] == 1 and "must be a JSON object" in results[1]["error"]
+
+
+@functools.lru_cache(maxsize=None)
+def _edit_inputs():
+    """One certificate of each separation kind, a top-level rewrite, a
+    pair, family and fraction as built today, and the full-tables one."""
+    gamma = list(range(1, 51))
+    built = [("separate", tail_cfg(H=50)),
+             ("separate", {"op": "shifted", "beta0": 0, "beta1": 0, "c": 3, "gamma0": gamma}),
+             ("separate", {"op": "cross", "beta0": 5, "beta1": 0, "beta01": 0,
+                           "gamma0": gamma, "gamma1": gamma}),
+             ("separate", TestShortData.multi_cfg()),
+             ("rewrite", univariate_cfg(QQ, 2)),
+             ("smooth", q_pair_cfg("c-divides-d")),
+             ("smooth", family_cfg(100)),
+             ("smooth", q_smooth_cfg("fraction"))]
+    return tuple(json.dumps(_edited(command, cfg, lambda c: None)) for command, cfg in built) + (
+        FULL_TABLES.read_text(),)
+
+
+def _nodes(obj, path=()):
+    """The path of every node below the root, a key or index per step."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+_REPLACEMENTS = {"null": None, "empty-list": [], "x": "x", "zero": 0, "minus-one": -1,
+                 "true": True}
+
+
+@st.composite
+def _edited_certificates(draw):
+    """A certificate with one node edited: deleted, replaced, moved by +-1
+    or scaled by 10 if it is an integer, or, in a list, duplicated."""
+    cert = json.loads(draw(st.sampled_from(_edit_inputs())))
+    *parent, key = draw(st.sampled_from(list(_nodes(cert))))
+    holder = functools.reduce(lambda node, k: node[k], parent, cert)
+    edits = ["delete", *_REPLACEMENTS]
+    if type(holder[key]) is int:
+        edits += ["plus-one", "minus-one-step", "times-ten"]
+    if isinstance(holder, list):
+        edits.append("duplicate")
+    edit = draw(st.sampled_from(edits))
+    if edit == "delete":
+        del holder[key]
+    elif edit == "duplicate":
+        holder.insert(key, copy.deepcopy(holder[key]))
+    elif edit in _REPLACEMENTS:
+        holder[key] = _REPLACEMENTS[edit]
+    else:
+        holder[key] = {"plus-one": holder[key] + 1, "minus-one-step": holder[key] - 1,
+                       "times-ten": holder[key] * 10}[edit]
+    return cert
+
+
+class TestEditedCertificates:
+    """verify never ends in an internal error (exit 5): a certificate with
+    one node edited verifies, is malformed input, or fails a claim."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edited_certificates())
+    def test_exit_is_0_1_or_4(self, cert):
+        code, message = run_single("verify", cert, {})
+        assert code in (0, 1, 4), message

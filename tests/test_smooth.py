@@ -38,6 +38,23 @@ def roundtrip_verify(cert):
     sm_verify(SmoothCert.from_json(json.loads(json.dumps(cert.to_json()))))
 
 
+def _links_read_the_live_terms(cert, seq0, fs):
+    """At each index t of each link rewrite, _Problem.sequence gives the
+    live sequence's v_t and s_t, for the elements the link joins; returns
+    how many of those sequences are member tables."""
+    live = [seq0] + [_derived_unit_sequence(f, _canonical_d(f, seq0), seq0) for f in fs]
+    problem = smooth._Problem(SmoothCert.from_json(json.loads(json.dumps(cert.to_json()))))
+    cap = smooth._verify_cap(cert.pres, cert.delta)
+    tables = 0
+    for i, rewrite in enumerate(cert.rewrites):
+        for e, t in zip((i, i + 1), rewrite.indices):
+            seq = problem.sequence(e, cap)
+            tables += isinstance(seq, TableSequence)
+            assert seq.term(t).same_known(live[e].term(t))
+            assert seq.scale(t).same_known(live[e].scale(t))
+    return tables
+
+
 def square_pair_f2():
     """Y^2 over F2 and a unit pseudo-limit: a pair through the case2 rewrite."""
     f2 = GF(2)
@@ -306,37 +323,26 @@ class TestFamily:
         field = GF(5)
         V = Poly.var(field, ZZ, Y0)
         t = tpow(field, 1)
-        cert = sm_family([V, V ** 2 + V.scale(t), V ** 3 + Poly.const(t) * V],
-                         lacunary_sequence(field))
+        fs = [V, V ** 2 + V.scale(t), V ** 3 + Poly.const(t) * V]
+        seq0 = lacunary_sequence(field)
+        cert = sm_family(fs, seq0)
         assert len(cert.pres.generators) == 4
         assert len(cert.pres.relations) == 3
         roundtrip_verify(cert)
-        # The derived y1, y2, y3 enter the three chain rewrites as tables of
-        # the index + 1 terms that recentring reads; seq0 stays a rule.
-        derived = [(seq, t) for rewrite in cert.rewrites
-                   for seq, t in zip(rewrite.seqs, rewrite.indices)
-                   if not isinstance(seq, RuleSequence)]
-        assert len(derived) == 5
-        assert all(isinstance(seq, TableSequence) and seq.horizon == t + 1
-                   for seq, t in derived)
+        # The verifier reads the derived y1, y2, y3 of the three chain
+        # links as tables of their terms below the cap; seq0 stays a rule.
+        assert _links_read_the_live_terms(cert, seq0, fs) == 5
 
     @pytest.mark.parametrize("field", [GF(5), QQ])
     def test_frozen_links_read_the_live_terms(self, field):
-        # Each link rewrite recentres once, on the tables it carries: at
-        # its index t they must give the live derived sequence's v_t, s_t.
+        # Each link rewrite is verified over the problem's members: at its
+        # index t they must give the live derived sequence's v_t, s_t.
         seq0 = lacunary_sequence(field)
         V = Poly.var(field, ZZ, Y0)
         fs = [V, V ** 2 + V.scale(tpow(field, 1, 3))]
         cert = sm_family(fs, seq0)
-        live = [seq0] + [_derived_unit_sequence(f, _canonical_d(f, seq0), seq0) for f in fs]
         assert len(cert.rewrites) == len(fs)
-        frozen = 0
-        for e, rewrite in enumerate(cert.rewrites, start=1):
-            for seq, t, truth in zip(rewrite.seqs, rewrite.indices, live[e - 1:e + 1]):
-                frozen += isinstance(seq, TableSequence)
-                assert seq.term(t).same_known(truth.term(t))
-                assert seq.scale(t).same_known(truth.scale(t))
-        assert frozen == 3
+        assert _links_read_the_live_terms(cert, seq0, fs) == 3
 
     def test_proportional_pair(self):
         # f2 = 3*f1: the resultant degenerates; a linear relation is used
@@ -496,6 +502,13 @@ def _index_shifts(cert):
                 yield f"rewrite-{i}", bad
 
 
+def _second_index_at(cert, i):
+    """cert with link i's second index moved up to link i + 1's first."""
+    bad = copy.deepcopy(cert)
+    bad["rewrites"][i]["indices"][1] = bad["rewrites"][i + 1]["indices"][0]
+    return bad
+
+
 # name: (mutants of one certificate as (claim, copy), expected count)
 SHAPE_MUTANTS = {
     "witnesses-emptied": (lambda c: [("witnesses", dict(c, witnesses=[]))], 30),
@@ -516,6 +529,10 @@ SHAPE_MUTANTS = {
         w for w in c["witnesses"] if w["kind"] != "fraction"]))]
         if c["kind"] == "fraction" else [], 6),
     "index-shifted": (lambda c: list(_index_shifts(c)), 248),
+    # the builder restages y_(i+1) forward, from link i's second index to
+    # link i + 1's first
+    "second-index-at-next-first": (lambda c: [
+        (f"rewrite-{i}", _second_index_at(c, i)) for i in range(len(c["rewrites"]) - 1)], 34),
 }
 
 
@@ -538,6 +555,81 @@ class TestShape:
             code, message = run_single("verify", json.loads(json.dumps(bad)), OPTS)
             assert code == 4, message
             assert re.findall(r"verification failed at ([\w-]+)", message)[0] == claim, message
+
+
+def _raised(cert, i, e, power=2000):
+    """cert with Y_e raised to the power in the monomial of link i's g
+    where Y_e has its highest degree; None when g does not read Y_e."""
+    bad = copy.deepcopy(cert)
+    tag = {"tag": "orig", "e": e}
+    degree = lambda mono: sum(k for v, k in mono[0] if v == tag)  # noqa: E731
+    mono = max(bad["rewrites"][i]["g"], key=degree)
+    if not degree(mono):
+        return None
+    mono[0] = [[v, power if v == tag else k] for v, k in mono[0]]
+    return bad
+
+
+def _refusing_recentring(power=2000):
+    """A patch under which recentring a polynomial of that degree or more
+    raises, so it exits 5."""
+    real = rewrite.taylor_recenter
+
+    def refusing(g, *args):
+        if g.total_degree() >= power:
+            raise RuntimeError("recentred")
+        return real(g, *args)
+    return mock.patch.object(rewrite, "taylor_recenter", refusing)
+
+
+class TestLinkBound:
+    """Each link's g is bounded by the problem before any recentring: a
+    pair's g is f, and the g of family link i, joining y_i and y_(i+1),
+    has at most the resultant's degrees, deg f_(i+1) in Y_0 and deg f_i
+    in Y_1 (1 for the first)."""
+
+    def test_raised_degree_refused_before_recentring(self):
+        # the honest certificates, whose 64 links meet the bound, verify
+        # (TestShape); each link with Y_0 raised, and each of the 60 family
+        # links with Y_1 raised, is refused without recentring
+        mutants = [(i, _raised(cert, i, e)) for cert in _workload_certs()
+                   for i in range(len(cert["rewrites"])) for e in range(2)]
+        mutants = [(i, bad) for i, bad in mutants if bad is not None]
+        assert len(mutants) == 64 + 60
+        with _refusing_recentring():
+            for i, bad in mutants:
+                code, message = run_single("verify", bad, OPTS)
+                assert code == 4, message
+                assert f"rewrite-{i}: verification failed at g: " in message, message
+
+    def test_hostile_fraction(self):
+        # V^3 + tV over V^2 + 1 over Q, link 1's g with Y_0^2 raised to
+        # Y_0^2000: recentring that g would take minutes and run out of
+        # memory; the bound refuses it first
+        V = Poly.var(QQ, ZZ, Y0)
+        cfg = {"field": "Q", "op": "fraction", "seq0": lacunary_sequence(QQ).to_json(),
+               "f1": (V ** 3 + V.scale(tpow(QQ, 1))).to_json(),
+               "f2": (V ** 2 + Poly.const(tpow(QQ, 0))).to_json()}
+        code, cert = run_single("smooth", cfg, OPTS)
+        assert code == 0, cert
+        cert = json.loads(canonical_json(cert))
+        bad = _raised(cert, 1, 0)
+        assert any([[{"tag": "orig", "e": 0}, 2000]] == mono for mono, _ in bad["rewrites"][1]["g"])
+        # the patch is live: the honest links are recentred through it
+        with _refusing_recentring(power=3):
+            assert run_single("verify", cert, OPTS)[0] == 5
+        with _refusing_recentring():
+            assert run_single("verify", bad, OPTS) == (
+                4, "verification failed: verification failed at rewrite-1: verification "
+                   "failed at g: degree 2000 in Y_0 passes the link's bound 2")
+
+    def test_pair_g_is_f(self):
+        pair = next(c for c in _workload_certs()
+                    if c["kind"] == "pair" and len(c["problem"]["f"]) > 1)
+        bad = copy.deepcopy(pair)
+        bad["rewrites"][0]["g"] = bad["problem"]["f"][1:]
+        code, message = run_single("verify", bad, OPTS)
+        assert (code, message.split(": ")[-1]) == (4, "g is not the problem's f"), message
 
 
 def _outcome(cfg):
