@@ -6,16 +6,14 @@ distinct, together with explicit collision structure where collisions
 are unavoidable.  Every certificate embeds the gamma windows it used, so
 verification is an exhaustive exact check that needs no recomputation of
 the search.  Each constructor keeps only its search and decides with its
-verifier's check: the tail's per-index check, the shifted and cross
-collision maps, and the multi entry values.  The two pair verifiers
-cover every index pair of the window without forming all of them: each
-raw stream value is hashed to the indices taking it and each row looks
-up its shifted value, so a collision map is checked in time linear in
-the window (repeated or non-monotone streams in a hostile certificate
-included), and each reports the lexicographically least pair at which
-the claim fails.  A verifier decodes each stream, a JSON list, once, in
-the value group of the first stream's first entry, and evaluates the
-tail values beta_i + t_i*gamma_s with the group's one shifts kernel.
+verifier's check.  The tail and pair verifiers check every index exactly
+and report the least index or pair where a claim fails: the tail looks
+each stream value up, in constant work, in a table of the one value at
+which each pair of entries collides (built when 2m <= H for m betas and
+H stream entries, else the m values beta_i + t_i*gamma_s are compared:
+O(min(m^2, m*H) + H) in all); the pair verifiers hash each raw stream
+value to its indices and compare only the rows that can fail.  A
+verifier decodes each JSON stream once, in the group of the first entry.
 
 Streams are 1-indexed: a stream list g represents gamma_s = g[s-1] for
 s = 1..H (matching the source statements that range indices over [1, λ)).
@@ -106,6 +104,44 @@ def _tail_fault(G: ValueGroup, betas, ts, g, r) -> Optional[Tuple[str, str]]:
     return None
 
 
+_EVERY = object()  # the pair table's key for pairs that collide at every g
+
+
+def _pair_table(G: ValueGroup, betas, ts) -> dict:
+    """Each pair's collision value solve_scalar(t_i - t_j, beta_j - beta_i) to
+    its least (i, j), stopping at the first pair equal in t and beta (_EVERY)."""
+    table: dict = {}
+    for i, (bi, ti) in enumerate(zip(betas, ts)):
+        for j, bj, tj in zip(range(i + 1, len(betas)), betas[i + 1:], ts[i + 1:]):
+            g = (G.solve_scalar(ti - tj, G.sub(bj, bi)) if ti != tj
+                 else _EVERY if bi == bj else None)
+            if g is not None and g not in table:
+                table[g] = i, j
+                if g is _EVERY:
+                    return table
+    return table
+
+
+def _tail_check(G: ValueGroup, betas, ts, r, table):
+    """g -> _tail_fault(G, betas, ts, g, r) in a lookup and two comparisons:
+    r is least when d_i*g > c_i (d_i = t_i - t_r, c_i = beta_r - beta_i) for
+    all i != r, so when the largest c/d over d >= 0 (d = 0 <= c: never) and the
+    least over d < 0 (d = 0 > c: always) hold, found as d_j*c_i vs d_i*c_j."""
+    every, bounds = table.get(_EVERY), {}
+    for i in range(len(betas)) if r is not None else ():
+        d, c = ts[i] - ts[r], G.sub(betas[r], betas[i])
+        bound = bounds.get(up := (d, c) >= (0, G.zero()))
+        if i != r and (not bound or up == (G.scale(c, bound[0]) > G.scale(bound[1], d))):
+            bounds[up] = d, c
+
+    def fault(g):
+        if pair := table.get(g, every):
+            return "tail-distinct", "collision of entries {},{}".format(*pair)
+        if any(not G.scale(g, d) > c for d, c in bounds.values()):
+            return "tail-minimum", f"entry {r} not strictly minimal"
+    return fault
+
+
 def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationCert:
     """Least nu with beta_i + t_i*gamma_s pairwise distinct for all s > nu.
 
@@ -123,24 +159,19 @@ def sep_tail(betas: Sequence, ts: Sequence[int], gamma: Sequence) -> SeparationC
     G = _common_group([gamma], *betas)
     _check_stream(gamma)
     H = len(gamma)
-    beyond = False
-    for i in range(m):
-        for j in range(i + 1, m):
-            dt = ts[j] - ts[i]
-            if dt == 0 and betas[i] == betas[j]:
-                raise InputError(
-                    f"hypothesis violated: entries {i} and {j} coincide (equal t and beta)")
-            target = G.solve_scalar(dt, G.sub(betas[i], betas[j])) if dt else None
-            beyond |= target is not None and gamma[-1] < target
-    if beyond:
+    table = _pair_table(G, betas, ts)
+    if _EVERY in table:
+        raise InputError("hypothesis violated: entries {} and {} coincide "
+                         "(equal t and beta)".format(*table[_EVERY]))
+    if any(gamma[-1] < target for target in table):
         raise HorizonError(
             "a collision target lies beyond the stream window; extend the horizon")
     r: Optional[int] = None
     if all(t > 0 for t in ts):
         end = G.shifts(betas, ts, gamma[-1])
         r = end.index(min(end))
-    nu = next((s for s in range(H, 0, -1)
-               if _tail_fault(G, betas, ts, gamma[s - 1], r)), 0)
+    check = _tail_check(G, betas, ts, r, table)
+    nu = next((s for s in range(H, 0, -1) if check(gamma[s - 1])), 0)
     if r is not None and nu >= H:
         raise HorizonError("no indices remain past nu within the window")
     cert = SeparationCert("tail", {
@@ -171,12 +202,15 @@ def _verify_tail(data: dict) -> None:
         raise VerificationError("tail-bounds", f"r={r!r}, but r is null exactly when some t <= 0")
     if r is not None and nu == H:
         raise VerificationError("tail-bounds", f"r={r}, but nu={H} leaves no index past it")
+    # The table's m(m-1)/2 solves undercut the H*m values only for m well below H.
+    check = (_tail_check(G, betas, ts, r, _pair_table(G, betas, ts)) if 2 * m <= H
+             else lambda g: _tail_fault(G, betas, ts, g, r))
     for s in range(nu + 1, H + 1):
-        fault = _tail_fault(G, betas, ts, gamma[s - 1], r)
+        fault = check(gamma[s - 1])
         if fault:
             raise VerificationError(fault[0], f"{fault[1]} at s={s}")
     # nu is minimal when at s=nu the certified claims break.
-    if nu > 0 and not _tail_fault(G, betas, ts, gamma[nu - 1], r):
+    if nu > 0 and not check(gamma[nu - 1]):
         raise VerificationError(
             "tail-minimal-nu", f"claims hold at s={nu} already; nu is not minimal")
 
@@ -269,17 +303,12 @@ def _verify_shifted(data: dict) -> None:
     if len({b for _, b in pairs}) != len(pairs):
         raise VerificationError("shifted-injective", "sigma is not injective")
     _check_window("shifted-window", data["sigma"], H, H)
-    # The real collisions, row by row, must be exactly the listed ones.
+    # The real collisions must be exactly the listed ones.
     hits = _shifted_hits(G, beta0, beta1, c, gamma0)
-    listed: Dict[int, List[int]] = {}
-    for a, b in sorted(pairs):
-        listed.setdefault(a, []).append(b)
-    for j0 in range(1, H + 1):
-        real, claimed = hits.get(j0, []), listed.get(j0, [])
-        if real != claimed:
-            j1 = min(set(real).symmetric_difference(claimed))
-            raise VerificationError(
-                "shifted-exhaustive", f"collision map wrong at ({j0},{j1})")
+    real = {(j0, j1) for j0, found in hits.items() for j1 in found}
+    if real != pairs:
+        raise VerificationError(
+            "shifted-exhaustive", "collision map wrong at ({},{})".format(*min(real ^ pairs)))
 
 
 # -- Cross pair (two streams and a cross term) --------------------------
@@ -339,9 +368,10 @@ def _verify_cross(data: dict) -> None:
             raise VerificationError(
                 "cross-sigma", f"({a},{b}) is not a collision of the first two families")
     # Past the bounds and off sigma, each row's least colliding j1 is read
-    # off the three maps.
+    # off the three maps.  A column candidate fails at rho0+1 or rho0+2
+    # (injective, sigma skips it at one row at most), any other at its row.
     rows, every = set(rows), range(1, H1 + 1)
-    for j0 in range(rho0 + 1, H0 + 1):
+    for j0 in sorted(j for j in {rho0 + 1, rho0 + 2, *hits, *rows} if rho0 < j <= H0):
         skip = sigma.get(j0)
         candidates = [cols, hits.get(j0, [])] + ([every] if j0 in rows else [])
         found = [j for j in (_least_above(c, rho1, skip) for c in candidates)

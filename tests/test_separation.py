@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from valcert.errors import InputError, VerificationError
 from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
-from valcert.separation import (SeparationCert, _common_group, _decode, sep_cross_pair,
-                                sep_multi, sep_shifted_pair, sep_tail, separate_indices)
+from valcert import separation
+from valcert.cli import run_single
+from valcert.separation import (SeparationCert, _common_group, _decode, _tail_fault,
+                                sep_cross_pair, sep_multi, sep_shifted_pair, sep_tail,
+                                separate_indices)
 
 
 
@@ -206,7 +209,32 @@ class TestOtherGroups:
             SeparationCert.from_json(bad).verify()
 
 
-# -- the hash-indexed pair verifiers against the pair-by-pair scans ------
+# -- the table-driven tail and hash-indexed pair verifiers against scans ---
+
+def scan_tail(data):
+    """The tail verifier that compared the m values at each index with
+    _tail_fault, kept as an oracle."""
+    G, (gamma,), betas = _decode([data["gamma"]], data["betas"])
+    ts, nu, r = data["ts"], data["nu"], data["r"]
+    m, H = len(betas), len(gamma)
+    if not (isinstance(ts, list) and len(ts) == m and all(type(t) is int for t in ts)):
+        raise VerificationError("tail-bounds", f"ts must list {m} integers, one per beta")
+    if not (type(nu) is int and 0 <= nu <= H):
+        raise VerificationError("tail-bounds", f"nu={nu!r} lies outside [0,{H}]")
+    if not (r is None or type(r) is int and 0 <= r < m):
+        raise VerificationError("tail-bounds", f"r={r!r} is neither null nor in [0,{m})")
+    if (r is None) != any(t <= 0 for t in ts):
+        raise VerificationError("tail-bounds", f"r={r!r}, but r is null exactly when some t <= 0")
+    if r is not None and nu == H:
+        raise VerificationError("tail-bounds", f"r={r}, but nu={H} leaves no index past it")
+    for s in range(nu + 1, H + 1):
+        fault = _tail_fault(G, betas, ts, gamma[s - 1], r)
+        if fault:
+            raise VerificationError(fault[0], f"{fault[1]} at s={s}")
+    if nu > 0 and not _tail_fault(G, betas, ts, gamma[nu - 1], r):
+        raise VerificationError(
+            "tail-minimal-nu", f"claims hold at s={nu} already; nu is not minimal")
+
 
 def scan_shifted(data):
     """The O(H^2) scan the shifted verifier once was, kept as an oracle."""
@@ -260,8 +288,8 @@ def is_index(j, H):
 
 
 @st.composite
-def raw_stream(draw, embed):
-    values = draw(st.lists(small, min_size=1, max_size=7))
+def raw_stream(draw, embed, min_size=1, max_size=7):
+    values = draw(st.lists(small, min_size=min_size, max_size=max_size))
     if draw(st.booleans()):
         values = sorted(set(values))  # the honest shape: strictly increasing
     return [embed(v) for v in values]
@@ -362,6 +390,39 @@ def cross_certificates(draw):
     return data, newly_rejected
 
 
+def tail_data(G, betas, ts, gamma):
+    """A tail certificate's data with the builder's r and nu (the last
+    index at which the scan's check fails)."""
+    r = None
+    if all(t > 0 for t in ts):
+        end = G.shifts(betas, ts, gamma[-1])
+        r = end.index(min(end))
+    nu = next((s for s in range(len(gamma), 0, -1)
+               if _tail_fault(G, betas, ts, gamma[s - 1], r)), 0)
+    return {"betas": [G.to_json(b) for b in betas], "ts": ts,
+            "gamma": [G.to_json(g) for g in gamma], "nu": nu, "r": r}
+
+
+@st.composite
+def tail_certificates(draw):
+    """A tail certificate over a stream that may repeat or fall, with ts in
+    -2..3 (equal, zero and negative ones included) and up to 8 betas
+    against up to 12 stream entries, so that the verifier takes either
+    arm; then nu or r edited."""
+    G, embed = draw(st.sampled_from(EMBEDDINGS))
+    gamma = draw(raw_stream(embed, draw(st.integers(1, 12)), 12))
+    m = draw(st.integers(1, draw(st.sampled_from([max(1, len(gamma) // 2), 8]))))
+    betas = [embed(draw(small)) for _ in range(m)]
+    t = st.integers(draw(st.sampled_from([-2, 1])), 3)  # all positive half of the time
+    data = tail_data(G, betas, draw(st.lists(t, min_size=m, max_size=m)), gamma)
+    edit = draw(st.sampled_from(["none", "nu", "r"]))
+    if edit == "nu":
+        data["nu"] = draw(st.integers(-1, len(gamma) + 1))
+    elif edit == "r":
+        data["r"] = draw(st.sampled_from([None, *range(m)]))
+    return data, False
+
+
 def same_verdict(kind, scan, case):
     data, newly_rejected = case
     cert = {"cert": "separation", "kind": kind, **data}
@@ -374,13 +435,46 @@ def same_verdict(kind, scan, case):
 
 
 class TestAgainstPairScan:
-    """The hash-indexed verifiers give the pair-by-pair scan's verdict and
-    message (the least failing pair first) on honest and mutated
-    certificates over Z, Q and lex Z^2, and reject the sigma shapes the scan
-    let through: pairs outside the window or not made of integers, and in
-    the cross case negative bounds, bounds other than the builder's that
-    the scan accepts, an A off sigma's domain, a sigma that is not an
-    injective partial map, or one listing a non-collision."""
+    """The table-driven tail verifier gives the per-index scan's verdict and
+    message (the least failing index first), and the hash-indexed pair
+    verifiers give the pair-by-pair scan's (the least failing pair first),
+    on honest and mutated certificates over Z, Q and lex Z^2.  The pair
+    verifiers also reject the sigma shapes the scan let through: pairs
+    outside the window or not made of integers, and in the cross case
+    negative bounds, bounds other than the builder's that the scan accepts,
+    an A off sigma's domain, a sigma that is not an injective partial map,
+    or one listing a non-collision."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_certificates())
+    def test_tail(self, case):
+        same_verdict("tail", scan_tail, case)
+
+    @pytest.mark.parametrize("kind, scan, data", [
+        # entries 0, 1 collide at every g, and entries 2, 3 at g = 2 too
+        ("tail", scan_tail, {"betas": [0, 0, 1, 3], "ts": [1, 1, 2, 1],
+                             "gamma": list(range(1, 9)), "nu": 1, "r": 0}),
+        # t_0 = t_2 = t_r: entry 0 lies above r at every g, entry 2 below
+        ("tail", scan_tail, {"betas": [5, 3, 1], "ts": [1, 1, 1],
+                             "gamma": list(range(1, 7)), "nu": 0, "r": 1}),
+        # sigma skips column 3, the one past rho1, at row 1: row 2 fails
+        ("cross", scan_cross, {"beta0": 3, "beta1": 1, "beta01": 0, "gamma0": [1, 2, 3],
+                               "gamma1": [1, 2, 3], "rho0": 0, "rho1": 2, "A": [1],
+                               "sigma": [[1, 3]]}),
+    ])
+    def test_rare_faults(self, kind, scan, data):
+        assert outcome(scan, data) is not None
+        same_verdict(kind, scan, (data, False))
+
+    @pytest.mark.parametrize("gamma", [[1, 2, 4], [1, 2, 4, 5, 6, 7]])
+    def test_tail_minimum_below_r(self, gamma):
+        # at g = 4 the values are 12, 14, 11: entry 2 (d = -1 against r = 0)
+        # lies below r, on either arm (2m > H, then 2m <= H)
+        cert = {"cert": "separation", "kind": "tail", "betas": [0, 10, 3], "ts": [3, 1, 2],
+                "gamma": gamma, "nu": 0, "r": 0}
+        assert run_single("verify", cert, {}) == (
+            4, "verification failed: verification failed at tail-minimum: "
+            "entry 0 not strictly minimal at s=3")
 
     @settings(max_examples=400, deadline=None)
     @given(shifted_certificates())
@@ -391,6 +485,35 @@ class TestAgainstPairScan:
     @given(cross_certificates())
     def test_cross(self, case):
         same_verdict("cross", scan_cross, case)
+
+
+class TestTailArms:
+    """The tail verifier builds the pair table only when 2m <= H and else
+    compares the m values at each index; either arm gives the scan's
+    verdict on an honest certificate and on one with nu lowered."""
+
+    def verdicts(self, monkeypatch, m, H, unused):
+        # ts 1..4 and betas 0..m/4 collide at gamma_s = s <= m/4 only
+        cases = []
+        for lower in (0, 1):
+            data = tail_data(ZZ, [k // 4 for k in range(m)], [1 + k % 4 for k in range(m)],
+                             list(range(1, H + 1)))
+            data["nu"] -= lower
+            cases.append((data, outcome(scan_tail, data)))
+        assert cases[0][1] is None and "tail-distinct" in cases[1][1][1]
+
+        def unreachable(*args):
+            raise AssertionError(f"{unused} called")
+        monkeypatch.setattr(separation, unused, unreachable)
+        for data, want in cases:
+            cert = {"cert": "separation", "kind": "tail", **data}
+            assert outcome(lambda c: SeparationCert.from_json(c).verify(), cert) == want
+
+    def test_many_betas_compare_values(self, monkeypatch):
+        self.verdicts(monkeypatch, 40, 20, "_pair_table")
+
+    def test_few_betas_look_up_the_table(self, monkeypatch):
+        self.verdicts(monkeypatch, 10, 20, "_tail_fault")
 
 
 # -- the one-pass stream decode against the per-element decode -------------
