@@ -49,43 +49,28 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
+    """One instance per field (QQ, and GF(p) is cached), so fields compare
+    by identity.  A subclass supplies:
+
+    - `one()` and `is_zero(a)` on scalars;
+    - `normalise(nums, den)`: (nums, den) in lowest terms, den > 0, for
+      (key, n) pairs of folded nonzero integers over a nonzero denominator;
+    - `scalars(nums, den)`: the (key, n / den) pairs of a normal form, as
+      field scalars;
+    - `coeff_to_json(a)` and `coeff_from_json(obj)` for one scalar;
+    - `ratio_from_json(obj)`: the (numerator, denominator) ints of the
+      scalar coeff_from_json reads from obj, with its exceptions;
+    - `terms_to_json(nums, den, exp_to_json)`: the [exponent, scalar] JSON
+      terms of a normal form.
+    """
+
     name: str
     # fold(n): the representative of an integer numerator; a builtin
     # callable, since series arithmetic calls it once per term.
     fold: Callable[[int], int]
 
-    def one(self):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def normalise(self, nums: list, den: int) -> tuple:
-        """(nums, den) in lowest terms, den > 0, for (key, n) pairs of
-        folded nonzero integers over a nonzero denominator."""
-        raise NotImplementedError
-
-    def scalars(self, nums: tuple, den: int) -> tuple:
-        """The (key, n / den) pairs of a normal form, as field scalars."""
-        raise NotImplementedError
-
-    def coeff_to_json(self, a):
-        raise NotImplementedError
-
-    def coeff_from_json(self, obj):
-        raise NotImplementedError
-
-    def ratio_from_json(self, obj) -> tuple:
-        """(numerator, denominator) ints of the scalar coeff_from_json reads
-        from obj, with its exceptions."""
-        raise NotImplementedError
-
-    def terms_to_json(self, nums: tuple, den: int, exp_to_json) -> list:
-        """The [exponent, scalar] JSON terms of a normal form."""
-        raise NotImplementedError
-
     def check_same(self, other: "Field") -> None:
-        if self is not other and self != other:
+        if self is not other:
             raise VariantMismatchError(f"fields {self} vs {other}")
 
 
@@ -147,12 +132,6 @@ class RationalField(Field):
         return [[exp_to_json(e), f"{n // (g := gcd(n, den))}/{den // g}"]
                 for e, n in nums]
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "QQ"
 
@@ -194,12 +173,6 @@ class PrimeField(Field):
     def terms_to_json(self, nums, den, exp_to_json):
         # the numerators are the residues, over the denominator 1
         return [[exp_to_json(e), n] for e, n in nums]
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"

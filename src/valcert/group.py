@@ -35,16 +35,24 @@ class _Infinity:
     def __ge__(self, other):
         return True
 
-    def __repr__(self):
-        return "INF"
-
 
 INF = _Infinity()
 
 
 class ValueGroup:
     """One instance per group (Lex(n) is cached), so groups compare by
-    identity."""
+    identity.  A subclass supplies:
+
+    - `add(a, b)`, `neg(a)`, `sub(a, b)`, and `scale(a, t)`, the integer
+      multiple t*a (t may be negative);
+    - `coords(a)`: the coordinates of an element, (a,) in Z and Q, a in
+      lex Z^n;
+    - `_divide(delta, t)`: x with t*x == delta, or None;
+    - `members(xs)`: whether every one of xs is an element of the group;
+    - `to_json(a)`, and `from_json(obj)`, which decodes an element of this
+      group and raises InputError on anything else;
+    - `shifts(betas, ts, g)`: the values beta_i + t_i*g, for integers t_i.
+    """
 
     name: str
     zero_element: object
@@ -52,35 +60,11 @@ class ValueGroup:
     def zero(self):
         return self.zero_element
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def scale(self, a, t: int):
-        """The integer multiple t*a (t may be negative)."""
-        raise NotImplementedError
-
-    def coords(self, a) -> tuple:
-        """The coordinates of an element: (a,) in Z and Q, a in lex Z^n."""
-        raise NotImplementedError
-
     def solve_scalar(self, t: int, delta) -> Optional[object]:
         """x with t*x == delta; None when the group has no such x."""
         if t == 0:
             raise InputError("scalar t must be nonzero")
         return self._divide(delta, t)
-
-    def _divide(self, delta, t: int):
-        raise NotImplementedError
-
-    def members(self, xs) -> bool:
-        """Whether every one of xs is an element of the group."""
-        raise NotImplementedError
 
     def check(self, *xs) -> None:
         if not self.members(xs):
@@ -91,23 +75,12 @@ class ValueGroup:
         if self is not other:
             raise VariantMismatchError(f"value groups {self} vs {other}")
 
-    def to_json(self, a):
-        raise NotImplementedError
-
-    def from_json(self, obj):
-        """Decode an element of this group; anything else is an InputError."""
-        raise NotImplementedError
-
     def stream_from_json(self, objs) -> list:
         """Decode a JSON list of elements of this group.  Anything else is
         an InputError: the one from_json raises for the first bad entry."""
         if not isinstance(objs, list):
             raise InputError(f"{objs!r} is not a JSON list of {self} elements")
         return [self.from_json(x) for x in objs]
-
-    def shifts(self, betas, ts, g) -> list:
-        """The values beta_i + t_i*g, for integers t_i."""
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

@@ -28,9 +28,6 @@ class PseudoSequence:
     group: ValueGroup
     horizon: int
 
-    def term_pair(self, j: int) -> Tuple[object, object]:
-        raise NotImplementedError
-
     def _check_index(self, j: int) -> None:
         if j < 0:
             raise InputError("negative sequence index")

@@ -299,8 +299,6 @@ class Poly:
         return all(self.monos[m].same_known(other.monos[m]) for m in self.monos)
 
     def __repr__(self) -> str:
-        if not self.monos:
-            return "Poly(0)"
         parts = []
         for mono in sorted(self.monos, key=mono_key):
             coeff = self.monos[mono]
@@ -369,14 +367,12 @@ def det(rows: Sequence[Sequence[Poly]], one: Poly) -> Poly:
 
 
 def sylvester_resultant(p: Poly, q: Poly, tag: VarTag) -> Poly:
-    """Resultant of p and q with respect to one variable: the determinant of
-    the Sylvester matrix, whose entries are polynomials in the remaining
-    variables."""
+    """Resultant of p and q with respect to one variable, in which both have
+    positive degree: the determinant of the Sylvester matrix, whose entries
+    are polynomials in the remaining variables."""
     pc = p.coeffs_in(tag)
     qc = q.coeffs_in(tag)
     dp, dq = len(pc) - 1, len(qc) - 1
-    if dp < 1 or dq < 1:
-        raise InputError("resultant needs positive degree in the eliminated variable")
     n = dp + dq
     zero = Poly.zero(p.field, p.group)
     rows = []

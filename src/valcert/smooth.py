@@ -323,14 +323,16 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
     tag0 = VarTag.orig(0)
     if any(v != tag0 for v in f.variables()):
         raise InputError("f must be univariate in Y_0")
+    if d is not None and d.is_zero_exact():
+        raise InputError("d must be nonzero")
     field, group = f.field, seq0.group
     lead = _canonical_d(f, seq0)
     if d is None:
         d = lead
     if d.val() != lead.val():
         raise InputError(
-            f"val(f(y)) = {lead.val()!r} differs from val(d) = {d.val()!r}; "
-            "z would not be a unit")
+            f"val(f(y)) = {group.to_json(lead.val())} differs from "
+            f"val(d) = {group.to_json(d.val())}; z would not be a unit")
     problem = {"f": f.to_json(), "d": d.to_json(), "seq0": seq0.to_json()}
 
     if f.total_degree() < 1:
@@ -419,12 +421,15 @@ def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
         return _clear_content(g)
     p1 = f_prev.rename({VarTag.orig(0): Yelim}) - var(A).scale(d_prev)
     p2 = f_cur.rename({VarTag.orig(0): Yelim}) - var(B).scale(d_cur)
-    g = sylvester_resultant(p1, p2, Yelim)
-    if g.is_zero():
-        raise NotStabilizedError(
-            "resultant vanished for a non-proportional pair; cannot "
-            "derive a chain relation")
-    return _clear_content(g)
+    # The resultant is never zero.  Over exact coefficients, p1 is linear
+    # in A with a unit coefficient, so irreducible, and it cannot divide
+    # p2, which has no A.  As computed, truncated coefficients included:
+    # its A^n coefficient (n = deg_Y p2 >= 1) is one product, the -d_prev*A
+    # of p1's n Sylvester rows times the triangular block of p2's m rows
+    # (m = deg_Y p1 >= 1), whose diagonal is lc(f_cur).  That is
+    # ±d_prev^n * lc(f_cur)^m: nonzero when exact, else truncated, so never
+    # an exact zero that Poly drops.
+    return _clear_content(sylvester_resultant(p1, p2, Yelim))
 
 
 def _clear_content(g: Poly) -> Poly:
@@ -471,8 +476,8 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
     ds = [_canonical_d(f, seq0) for f in fs]
     if kind == "fraction" and ds[0].val() < ds[1].val():
         raise InputError(
-            f"val(f1(y0)) = {ds[0].val()!r} < val(f2(y0)) = {ds[1].val()!r}; "
-            "the fraction lies outside V'")
+            f"val(f1(y0)) = {seq0.group.to_json(ds[0].val())} < "
+            f"val(f2(y0)) = {seq0.group.to_json(ds[1].val())}; the fraction lies outside V'")
     seqs = [seq0] + [_derived_unit_sequence(f, d, seq0) for f, d in zip(fs, ds)]
     n = len(fs)
     cur = [0] * (n + 1)  # current stage index per element (0 = y0)

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import runpy
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -299,6 +301,18 @@ class TestEmbeddedRewriteSchema:
                         f"at index {t}") in capsys.readouterr().err
                 edited += 1
         assert edited == 3
+
+    def test_old_schema_extra_sequence(self, tmp_path, capsys, old_and_new):
+        # a link joins two elements, so it carries two sequences
+        old, _ = old_and_new
+        for i in range(len(old["rewrites"])):
+            bad = copy.deepcopy(old)
+            seqs = bad["rewrites"][i]["seqs"]
+            seqs.append(seqs[-1])
+            capsys.readouterr()
+            assert run(["verify", write(tmp_path, "bad.json", bad)]) == 4
+            assert (f"rewrite-{i}: verification failed at seqs: 3 sequences for 2"
+                    in capsys.readouterr().err)
 
     def test_new_schema(self, tmp_path, capsys, old_and_new):
         # an embedded rewrite carries no sequence, so it does not verify
@@ -1102,6 +1116,24 @@ def _with_f_mono(mono):
                 f=[[mono, {"terms": [[0, 1]], "trunc": "inf", "exact": True}]])
 
 
+def _series(terms):
+    """An exact series' JSON."""
+    return {"terms": terms, "trunc": "inf", "exact": True}
+
+
+def _rational_power(k):
+    """V^k's JSON with exponents in Q."""
+    return [[[[{"tag": "orig", "e": 0}, k]], _series([["0/1", "1/1"]])]]
+
+
+def _over_rational_exponents(op, **polys):
+    """A Q smooth config of op and its polys over the sequence of
+    exponents 1, 2, 3, ... in Q."""
+    seq0 = {"seq": "rule", "field": "Q", "horizon": 300, "coeff": {"kind": "const", "c": "1/1"},
+            "exp": {"kind": "arith", "a": "1/1", "b": "1/1"}}
+    return dict({"field": "Q", "op": op, "seq0": seq0}, **polys)
+
+
 def _multi(**edits):
     """A multi separation config over two streams, with edits applied."""
     return dict({"op": "multi", "subsets": [[0], [1]], "betas": [0, 1], "ts": [1, 1],
@@ -1226,6 +1258,10 @@ class TestExitArms:
             "smooth", lambda: _q_family(_y(0), Poly.const(ValuedSeries.t_power(QQ, ZZ, 1))),
             1, "input error: family members must be nonconstant "
                "(constant members are units already in V)"),
+        "witness-of-no-generator": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: (
+                c["witnesses"][1]["num"][0][0][0][0].update(e=3))),
+            1, "input error: no value for variable VarTag(kind='dup', e=3, extra='z')"),
         "unknown-witness-kind": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
                                       lambda c: c["witnesses"][0].update(kind="nope")),
@@ -1239,6 +1275,36 @@ class TestExitArms:
         "unknown-field": (
             "rewrite", lambda: {"field": "R", "op": "univariate"},
             1, "input error: unknown field spec 'R'"),
+        # fields compare by identity: QQ and the cached GF(p) are the only ones
+        "rewrite-Q-over-F5-sequence": (
+            "rewrite", lambda: dict(univariate_cfg(QQ, 1),
+                                    seqs=[lacunary_sequence(GF(5), 300).to_json()]),
+            1, "input error: fields QQ vs GF(5)"),
+        "smooth-Q-over-F5-sequence": (
+            "smooth", lambda: dict(q_pair_cfg("d-divides-c"),
+                                   seq0=lacunary_sequence(GF(5), 300).to_json()),
+            1, "input error: fields QQ vs GF(5)"),
+        "pair-d-zero": (
+            "smooth", lambda: dict(q_pair_cfg("d-divides-c"), d=_series([])),
+            1, "input error: d must be nonzero"),
+        # values are printed as group elements: "n/d" in Q, not a Fraction's repr
+        "pair-d-wrong-val-rational-exponents": (
+            "smooth", lambda: _over_rational_exponents(
+                "pair", f=_rational_power(1), d=_series([["5/1", "1/1"]])),
+            1, "input error: val(f(y)) = 1/1 differs from val(d) = 5/1; "
+               "z would not be a unit"),
+        "fraction-outside-V-rational-exponents": (
+            "smooth", lambda: _over_rational_exponents(
+                "fraction", f1=_rational_power(1), f2=_rational_power(2)),
+            1, "input error: val(f1(y0)) = 1/1 < val(f2(y0)) = 2/1; "
+               "the fraction lies outside V'"),
+        # a multilinear rewrite whose least G1 value is nonconstant, Y_{0,t}'s
+        "multilinear-gamma-min-forged-star": (
+            "verify", lambda: _edited("rewrite", _rewrite_cfg(
+                "multilinear", _y(0) - Poly.const(lacunary_sequence(QQ).term(30)), 1),
+                lambda c: c.update(case="star")),
+            4, "verification failed: verification failed at case: "
+               "'star' where 'gamma-min:0' is due"),
         # the message names the field only, not the 40 KB object it was in
         "unknown-field-in-certificate": (
             "verify", lambda: dict(json.loads(FULL_TABLES.read_text()), field="R"),
@@ -1287,6 +1353,16 @@ class TestExitArms:
         assert run(["separate", "-"]) == 0
         cert = json.loads(capsys.readouterr().out)
         assert run_single("verify", cert, {}) == (0, {"verified": True, "cert": "separation"})
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        # python -m valcert.cli exits with main()'s code; the module is run
+        # afresh, as it is when no import came first
+        monkeypatch.setattr("sys.argv", ["valcert", "verify", str(OLD_Q_CERTS["rewrite-square-Q"])])
+        monkeypatch.delitem(sys.modules, "valcert.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("valcert.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out) == {"cert": "rewrite", "verified": True}
 
     def test_equal_entries_cannot_be_separated(self):
         # sep_multi never passes two equal entries, so only a direct call

@@ -140,6 +140,28 @@ class TestResultant:
         t = Poly.var(QQ, ZZ, Y0) - Poly.var(QQ, ZZ, Y1)
         assert r.same_known(t) or r.same_known(-t)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lead", ["exact", "truncated"])
+    def test_chain_pair_leads_with_a_power_of_d(self, m, n, lead):
+        # the chain relation of smooth's family construction never
+        # vanishes: with p1 = F(Y) - d*A and p2 = G(Y) - e*B, the A^n
+        # coefficient is +/-d^n * lc(G)^m, exact and nonzero, or truncated
+        # when lc(G) is, so never an exact zero that Poly drops
+        f5 = GF(5)
+        A, B, Y = Y0, Y1, Y2
+        t = ValuedSeries.t_power(f5, ZZ, 1)
+        lc = t if lead == "exact" else ValuedSeries(f5, ZZ, [], trunc=3)
+        F = Poly.var(f5, ZZ, Y) ** m + Poly.var(f5, ZZ, Y) + Poly.const(t)
+        G = Poly.const(lc) * Poly.var(f5, ZZ, Y) ** n + Poly.const(one(f5))
+        d, e = t * t, t
+        p1 = F - Poly.var(f5, ZZ, A).scale(d)
+        p2 = G - Poly.var(f5, ZZ, B).scale(e)
+        coeff = sylvester_resultant(p1, p2, Y).monos[((A, n),)]
+        want = (Poly.const(d) ** n * Poly.const(lc) ** m).monos[()]
+        assert coeff.same_known(want) or coeff.same_known(-want)
+        assert coeff.exact == (lead == "exact")
+
 
 class TestDeterminant:
     def test_two_by_two(self):

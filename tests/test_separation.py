@@ -165,6 +165,26 @@ class TestStreamChecks:
         with pytest.raises(InputError):
             sep_shifted_pair(0, 0, 0, [2, 1])
 
+    # two equal adjacent entries: a nondecreasing stream is not enough
+    FLAT = [1, 2, 2, 3, 4, 5]
+    FLAT_STREAMS = {
+        "tail": ({"op": "tail", "betas": [0, 3], "ts": [2, 1], "gamma": FLAT}, "gamma"),
+        "shifted": ({"op": "shifted", "beta0": 0, "beta1": 1, "c": 1, "gamma0": FLAT},
+                    "gamma"),
+        "cross-gamma0": ({"op": "cross", "beta0": 0, "beta1": 5, "beta01": 0,
+                          "gamma0": FLAT, "gamma1": stream(6)}, "gamma0"),
+        "cross-gamma1": ({"op": "cross", "beta0": 0, "beta1": 5, "beta01": 0,
+                          "gamma0": stream(6), "gamma1": FLAT}, "gamma1"),
+        "multi": ({"op": "multi", "subsets": [[0]], "betas": [0], "ts": [1],
+                   "gammas": [FLAT]}, "gamma"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FLAT_STREAMS))
+    def test_equal_adjacent_entries_rejected(self, case):
+        cfg, name = self.FLAT_STREAMS[case]
+        assert run_single("separate", cfg, {}) == (
+            1, f"input error: {name} stream must be strictly increasing")
+
     def test_search_reads_only_what_it_needs(self):
         # [DERIVED] as test_three_subsets: js = [1, 2] reads gamma_1, gamma_2
         entries = [(sub, {e: 1 for e in sub}, 0) for sub in ([0], [1], [0, 1])]
