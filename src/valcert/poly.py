@@ -11,6 +11,7 @@ it rejects a monomial of total degree above MAX_JSON_DEGREE.
 """
 from __future__ import annotations
 
+import json
 import math
 import operator
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -120,7 +121,7 @@ class Powers(dict):
     def __missing__(self, key):
         tag, n = key
         if tag not in self._values:
-            raise InputError(f"no value for variable {tag}")
+            raise InputError(f"no value for variable {json.dumps(tag.to_json())}")
         base = self._values[tag]
         # from the highest power below n already known, up, in a loop
         low = n

@@ -1,8 +1,8 @@
 """Finite-support valued series with honest truncation tracking.
 
 A series is a sorted list of (exponent, coefficient) terms over a base
-field, together with a truncation order delta: exponents at or above
-delta are unknown unless the series is flagged exact.  Exponents are raw
+field, together with a truncation order delta, INF for an exact series:
+exponents at or above a finite delta are unknown.  Exponents are raw
 elements of the series' value group.  Arithmetic never fabricates terms
 past the reliable window; the window shrinks under multiplication and
 division exactly as the error analysis dictates.
@@ -18,7 +18,10 @@ in or asks for them: the constructor from (exponent, scalar) pairs, and
 the read-only `terms` view, built at most once per series, that
 `leading` and the sequences read.  JSON is read and written in the
 normal form itself (Field.ratio_from_json, Field.terms_to_json); the
-constructor and the decoder share one merging routine (_merged).
+constructor and the decoder share one merging routine (_merged).  An
+exact series is written as its terms alone, {"terms": ...}; "trunc"
+appears only when the series is truncated.  On read a missing "trunc" or
+"inf" means exact, and an "exact" key is accepted and ignored.
 
 A product sums the integer products of its factors' terms per exponent;
 terms are sorted and the group order is compatible with addition, so each
@@ -348,12 +351,9 @@ class ValuedSeries:
         return ValuedSeries(field, group, [(exp, coeff)])
 
     # -- misc ---------------------------------------------------------
-    def _trunc_json(self):
-        return "inf" if self.exact else self.group.to_json(self.trunc)
-
     def __repr__(self) -> str:
         body = " + ".join(f"{c!r}*t^{self.group.to_json(e)}" for e, c in self.terms) or "0"
-        tail = "" if self.exact else f" + O(t^{self._trunc_json()})"
+        tail = "" if self.exact else f" + O(t^{self.group.to_json(self.trunc)})"
         return f"<{body}{tail}>"
 
     def same_known(self, other: "ValuedSeries") -> bool:
@@ -361,11 +361,10 @@ class ValuedSeries:
                 and self.trunc == other.trunc)
 
     def to_json(self):
-        return {
-            "terms": self.field.terms_to_json(self.nums, self.den, self.group.to_json),
-            "trunc": self._trunc_json(),
-            "exact": self.exact,
-        }
+        out = {"terms": self.field.terms_to_json(self.nums, self.den, self.group.to_json)}
+        if not self.exact:
+            out["trunc"] = self.group.to_json(self.trunc)
+        return out
 
     @staticmethod
     def from_json(obj, field: Field, group: ValueGroup) -> "ValuedSeries":

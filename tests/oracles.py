@@ -163,12 +163,12 @@ def series_from_json(obj, field, group):
 
 
 def series_to_json(x):
-    """A series' JSON written scalar by scalar from its `terms` view."""
-    return {
-        "terms": [[x.group.to_json(e), x.field.coeff_to_json(c)] for e, c in x.terms],
-        "trunc": "inf" if x.exact else x.group.to_json(x.trunc),
-        "exact": x.exact,
-    }
+    """A series' JSON written scalar by scalar from its `terms` view; an
+    exact series is its terms alone."""
+    out = {"terms": [[x.group.to_json(e), x.field.coeff_to_json(c)] for e, c in x.terms]}
+    if not x.exact:
+        out["trunc"] = x.group.to_json(x.trunc)
+    return out
 
 
 def series_pow(x, n):

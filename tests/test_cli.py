@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valcert import smooth
-from valcert.cli import main, run_single
+from valcert.cli import canonical_json, main, run_single
 from valcert.errors import InputError
 from valcert.fields import GF, PRIME_LIMIT, QQ, _is_prime, field_from_json
 from valcert.group import INF, INTEGERS as ZZ
@@ -138,23 +138,23 @@ GOLDEN = {
     "separate-batch-worst": ("separate", lambda: batch_cfgs()[:1] + [{"op": "tail"}],
                              "9e4768e57a6a354cd78ddb139f475b9a1b76634a7aec190e896c5cc37a7ef8a4"),
     "rewrite-linear-Q": ("rewrite", lambda: univariate_cfg(QQ, 1),
-                         "921929462226f2790cfed02bd81ff96924e261750226daa1c9eef89581dfc8f4"),
+                         "35fd9a809b79f210019de8dfd7e43b717e501fd72acdb2e96957657a87f58862"),
     "rewrite-square-F2": ("rewrite", lambda: univariate_cfg(GF(2), 2),
-                          "4a92f7cdf1f7f3a47a09ff4fe14e27d11a534fbfb7a4ec45be5da7cb5c70f445"),
+                          "b0f83ddd5dd217de01820593cbce254a753730a4843e7ff80e2b1a3d9e449b9a"),
     "rewrite-square-Q": ("rewrite", lambda: univariate_cfg(QQ, 2),
-                         "32f737e09955c455b732e8b8ab09445944a72ee3eb61920c147bf67e12af7b3f"),
+                         "571e1afe5e83132dcf275af0af87ca77c23b681e0d94e87f426292a06abe6192"),
     "smooth-family-F5": ("smooth", family_cfg,
-                         "dbf13524b35123eef9faf483ce9ce1bb3fddb4b2823c2aa3478b93732015d1a4"),
+                         "bbd181a030da6fc229e0a02e087aaf609ac4249fcdd3274b89cbe04fa23fad71"),
     "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
-                        "d6bb66f81eb6cbb17c2f9ff902264f610ea3df52e9213d1bdb21c3391764e9eb"),
+                        "d4bbedd242d82d11bf955b168c969af8c54b270eac17a361d8b4348b6f525278"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
-                          "b51801373266a77167e06b8984e3909d88298fb56f13a2e2b213104a048b2c04"),
+                          "0f2a9d78a258312f5d814dcd49146832ef9e717e7c6c35e67009ffd66a536849"),
     "smooth-pair-constant": ("smooth", lambda: q_pair_cfg("constant"),
-                             "2e7a966e4b7d863daa36755fd7105698c02935670e9579aba1d58a27737fb33b"),
+                             "e0ce7214471e04898f0f9e5cb38aeb0c4b9070002b685b41c7dd1d2f833d1e81"),
     "smooth-pair-d-divides-c": ("smooth", lambda: q_pair_cfg("d-divides-c"),
-                                "be8be5daecf1e722acce7a02ab8e092c7bb6d6c518b8805c30885729713998ac"),
+                                "5ac7b5e1bafe2d6ca3ba1bb928a530c1871c870f16c9fe74c9bc44d612fa1cbc"),
     "smooth-pair-c-divides-d": ("smooth", lambda: q_pair_cfg("c-divides-d"),
-                                "4bc46aa07f78f94ea5a2b50f04a6f355491993ed3f51ed36d13f4e8e0855fecc"),
+                                "e7713d23984b5cb9578f31647dcbcfb5dcd40d95e27698b35aa847ff1ef0b210"),
 }
 
 
@@ -173,6 +173,7 @@ class TestGolden:
         assert run(["verify", str(FULL_TABLES)]) == 0
         old = json.loads(FULL_TABLES.read_text())
         assert _drop_seqs(old) == 2
+        _respell(old)
         for rewrite in old["rewrites"]:
             del rewrite["G1"], rewrite["table"]
         out = tmp_path / "out.json"
@@ -183,13 +184,11 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(OLD_Q_CERTS))
     def test_old_q_certificate(self, tmp_path, capsys, name):
         # it verifies, and today's build of its config writes it again,
-        # with the seqs of each embedded rewrite dropped; with no embedded
-        # rewrite, it writes the same bytes
+        # respelled, with the seqs of each embedded rewrite dropped; with no
+        # embedded rewrite, it writes the respelled bytes
         path = OLD_Q_CERTS[name]
         command, cfg, digest = GOLDEN[name]
         dropped = 2 if command == "smooth" else 0
-        if not dropped:
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         capsys.readouterr()
         assert run(["verify", str(path)]) == 0
         cert = json.loads(path.read_text())
@@ -197,15 +196,55 @@ class TestGolden:
         out = tmp_path / "out.json"
         assert run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)]) == 0
         assert _drop_seqs(cert) == dropped
-        assert json.loads(out.read_text()) == cert
+        assert json.loads(out.read_text()) == _respell(cert)
         if not dropped:
-            assert out.read_bytes() == path.read_bytes()
+            respelled = canonical_json(_respell(json.loads(path.read_text()))).encode()
+            assert hashlib.sha256(respelled).hexdigest() == digest
+            assert out.read_bytes() == respelled
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_old_spelling_verifies_the_same(self, tmp_path, capsys, name):
+        # the build respelled as certificates were once written, with
+        # "trunc": "inf" and "exact" on every series, gets the same verdict
+        command, cfg, _ = GOLDEN[name]
+        out = tmp_path / "out.json"
+        run([command, write(tmp_path, "c.json", cfg()), "--out", str(out)])
+        new = json.loads(out.read_text())
+        old = _respell(copy.deepcopy(new), old=True)
+        assert command == "separate" or old != new
+        capsys.readouterr()
+        verdicts = [(run(["verify", write(tmp_path, "v.json", cert)]), capsys.readouterr())
+                    for cert in (new, old)]
+        assert verdicts[0] == verdicts[1]
 
 
 def _drop_seqs(cert):
     """Drop the sequences each rewrite a smooth certificate embeds carries,
     in place; returns how many rewrites carried them."""
     return sum(rewrite.pop("seqs", None) is not None for rewrite in cert.get("rewrites", []))
+
+
+def _respell(cert, old=False):
+    """Respell every series of a certificate in place, as it is written
+    today: no "exact" key, and "trunc" only when truncated; or, with old,
+    as it was once written: "trunc", "inf" when exact, beside "exact"."""
+    def series(obj):
+        if isinstance(obj, dict):
+            if "terms" in obj and "seq" not in obj:  # a table sequence has terms too
+                yield obj
+            for v in obj.values():
+                yield from series(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                yield from series(v)
+    for s in list(series(cert)):
+        if old:
+            s["exact"] = s.setdefault("trunc", "inf") == "inf"
+        else:
+            s.pop("exact", None)
+            if s.get("trunc") == "inf":
+                del s["trunc"]
+    return cert
 
 
 def _built_smooth(op):
@@ -1261,7 +1300,7 @@ class TestExitArms:
         "witness-of-no-generator": (
             "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: (
                 c["witnesses"][1]["num"][0][0][0][0].update(e=3))),
-            1, "input error: no value for variable VarTag(kind='dup', e=3, extra='z')"),
+            1, 'input error: no value for variable {"tag": "dup", "e": 3, "key": "z"}'),
         "unknown-witness-kind": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
                                       lambda c: c["witnesses"][0].update(kind="nope")),

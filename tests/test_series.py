@@ -483,6 +483,25 @@ class TestJsonBoundary:
         assert back.same_known(x)
         assert back.same_known(oracles.series_from_json(out, x.field, x.group))
 
+    TERMS = [[0, 2], [2, 3], [4, 1]]
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("obj, trunc", [
+        ({"terms": TERMS, "trunc": "inf", "exact": True}, INF),
+        ({"terms": TERMS, "trunc": 3, "exact": False}, 3),
+        ({"terms": TERMS}, INF),
+        ({"terms": TERMS, "exact": True, "trunc": 3}, 3),  # trunc wins, as it always has
+    ], ids=["old-exact", "old-truncated", "terms-alone", "exact-key-contradicted"])
+    def test_both_spellings_read_the_same(self, field, obj, trunc):
+        # an "exact" key is ignored: the series is that of the object without it
+        plain = {k: v for k, v in obj.items() if k != "exact"}
+        assert (decoded(ValuedSeries.from_json, obj, field)
+                == decoded(ValuedSeries.from_json, plain, field)
+                == decoded(oracles.series_from_json, obj, field))
+        x = ValuedSeries.from_json(obj, field, ZZ)
+        assert x.trunc == trunc
+        assert set(x.to_json()) == ({"terms"} if trunc is INF else {"terms", "trunc"})
+
     SPELLINGS = ["2/4", "+1/2", " 1/2 ", "1/2\n", "1.5", "1e3", "1_0/3", "\u0663/\u0664",
                  "\u00b2/3", "-0/5", "0/7", "-6/4", "1/0", "0/0", "-1/-2", "1/", "/2", "", "-",
                  "abc", "1" * 5000 + "/3", "1/" + "7" * 5000,
