@@ -19,6 +19,7 @@ from .group import ValueGroup, element_from_json, group_of
 from .series import ValuedSeries
 
 DEFAULT_HORIZON = 300
+MAX_DOUBLINGS = 64  # window doublings a DerivedSequence makes, in all
 
 
 class PseudoSequence:
@@ -245,8 +246,9 @@ class DerivedSequence(PseudoSequence):
 
     materialize(delta) must return the series known below delta (exact
     results are accepted and simply bound the available terms).  Terms
-    are materialized only as far as they are read.  Nothing serialises
-    one: a certificate echoes the problem it derives from instead.
+    are materialized only as far as they are read, the window doubling
+    from seed_delta at most MAX_DOUBLINGS times in all.  Nothing
+    serialises one: a certificate echoes the problem it derives from.
     """
 
     def __init__(self, field: Field, materialize: Callable[[object], ValuedSeries],
@@ -255,7 +257,7 @@ class DerivedSequence(PseudoSequence):
         self.group = group_of(seed_delta)
         self.horizon = horizon
         self._materialize = materialize
-        self._delta = seed_delta
+        self._delta, self._doublings = seed_delta, 0
         self._series = materialize(seed_delta)
 
     def term_pair(self, j: int) -> Tuple[object, object]:
@@ -263,13 +265,13 @@ class DerivedSequence(PseudoSequence):
             if self._series.exact:
                 raise HorizonError(
                     f"underlying series has only {len(self._series.nums)} terms")
+            if self._doublings == MAX_DOUBLINGS:
+                raise HorizonError(f"term {j} is unknown after {MAX_DOUBLINGS} window doublings")
             # the window doubles only once the wider one is materialized, so
             # a read that failed fails the same way again
             delta = self.group.scale(self._delta, 2)
-            grown = self._materialize(delta)
-            if len(grown.nums) <= len(self._series.nums) and grown.trunc == self._series.trunc:
-                raise HorizonError("materialization stalled while extending the sequence")
-            self._delta, self._series = delta, grown
+            self._delta, self._series = delta, self._materialize(delta)
+            self._doublings += 1
         return self._series.terms[j]
 
 

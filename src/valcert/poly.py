@@ -44,9 +44,6 @@ class VarTag(tuple):
     def __getnewargs__(self):
         return tuple(self)
 
-    def __repr__(self) -> str:
-        return f"VarTag(kind={self.kind!r}, e={self.e!r}, extra={self.extra!r})"
-
     @staticmethod
     def orig(e: int) -> "VarTag":
         return VarTag("orig", e)

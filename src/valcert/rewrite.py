@@ -181,7 +181,6 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
     known = dict.fromkeys(derivs, False)  # whether L_k is a known term
     live = dict(derivs)
     runs: Dict[Tuple[int, ...], Tuple[object, int]] = {}
-    betas = dict.fromkeys(derivs)  # in derivative order
     horizon = min(s.horizon for s in seqs)
     for j in range(horizon - 1):
         if not live:
@@ -209,7 +208,6 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
                 # where its run would reach W below the horizon
                 for k in list(live):
                     if runs[k][1] + W - 1 < horizon - 1:
-                        betas[k] = runs[k]
                         del live[k]
                 break
         powers = None
@@ -226,13 +224,13 @@ def _stable_betas(h: Poly, seqs: Sequence[PseudoSequence], W: int):
             if run is None or bound[k] != run[0]:
                 run = runs[k] = (bound[k], j)
             if j - run[1] + 1 >= W:
-                betas[k] = run
                 del live[k]
     if live:
         raise NotStabilizedError(
             f"coefficient value did not stabilize over {W} indices below the "
             f"horizon {horizon}: " + ", ".join(_moving(k, runs.get(k), group) for k in live))
-    return betas
+    # a closed window's run no longer changes; listed in derivative order
+    return {k: runs[k] for k in derivs}
 
 
 def _moving(k: Tuple[int, ...], run, group) -> str:

@@ -48,7 +48,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, TableSequence, sequence_from_json
-from .poly import Poly, Powers, VarTag, sylvester_resultant
+from .poly import Poly, Powers, VarTag, mono_key, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw,
                       taylor_recenter)
 from .series import ValuedSeries
@@ -265,17 +265,10 @@ def _f_over_d(f: Poly, d: ValuedSeries, limit: Callable, cap) -> ValuedSeries:
 
 def _canonical_d(f: Poly, seq: PseudoSequence) -> ValuedSeries:
     """d = (leading coefficient) * t^val(f(y0)), so f(y0)/d has lead term 1
-    and val d = val f(y0).  f(y0) is evaluated from seq.gamma(4) on, the
-    window doubling while f(y0) cancels below it."""
-    delta = seq.gamma(4)
-    for _ in range(64):
-        fv = f.eval_series({VarTag.orig(0): seq.limit(delta)})
-        try:
-            fv.val()
-            return ValuedSeries(seq.field, seq.group, [fv.leading()])
-        except IndeterminateValError:
-            delta = seq.group.scale(delta, 2)
-    raise HorizonError("val(f(y0)) cancels below every tried truncation")
+    and val d = val f(y0): term 0 of the derived sequence of f(y0)/1, whose
+    window doubles from seq.gamma(4) while f(y0) cancels below it."""
+    one = ValuedSeries.one(seq.field, seq.group)
+    return ValuedSeries(seq.field, seq.group, [_derived_unit_sequence(f, one, seq).term_pair(0)])
 
 
 def _derived_unit_sequence(f: Poly, d: ValuedSeries, seq0: PseudoSequence) -> DerivedSequence:
@@ -383,27 +376,24 @@ def _proportional_factor(f1: Poly, f2: Poly):
     """If f2 and f1 are proportional, return (c1, c2) with c1*f2 == c2*f1."""
     if not f1.monos or set(f1.monos) != set(f2.monos):
         return None
-    m0 = min(f1.monos, key=str)
+    m0 = min(f1.monos, key=mono_key)
     c1, c2 = f1.monos[m0], f2.monos[m0]
-    for m in f1.monos:
-        lhs = f1.monos[m] * c2
-        rhs = f2.monos[m] * c1
-        if not (lhs - rhs).is_zero_exact():
-            return None
-    return c1, c2
+    if all((f1.monos[m] * c2 - f2.monos[m] * c1).is_zero_exact() for m in f1.monos):
+        return c1, c2
+    return None
 
 
-def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries, f_cur: Poly,
-                         d_cur: ValuedSeries, first: bool) -> Poly:
-    """Bivariate relation g(A, B) with g(y_prev, y_cur) = 0 exactly,
-    A = Orig(0) (previous element), B = Orig(1) (current element)."""
+def _chain_relation_poly(f_prev: Optional[Poly], d_prev: Optional[ValuedSeries],
+                         f_cur: Poly, d_cur: ValuedSeries) -> Poly:
+    """Bivariate relation g(A, B) with g(y_prev, y_cur) = 0 exactly, A = Orig(0)
+    (previous element, y0 when f_prev is None), B = Orig(1) (current one)."""
     field, group = f_cur.field, f_cur.group
     A, B, Yelim = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
 
     def var(tag):
         return Poly.var(field, group, tag)
 
-    if first:
+    if f_prev is None:
         # Previous element is y0 itself: g = f_cur(A) - d_cur * B.
         return _clear_content(f_cur - var(B).scale(d_cur))
     # Affine dependence: when the nonconstant parts of f_prev and f_cur
@@ -485,9 +475,8 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
     rewrites: List[RewriteCert] = []
     try:
         for e in range(1, n + 1):
-            g = _chain_relation_poly(fs[e - 2] if e >= 2 else None,
-                                     ds[e - 2] if e >= 2 else None,
-                                     fs[e - 1], ds[e - 1], first=(e == 1))
+            prev = (fs[e - 2], ds[e - 2]) if e >= 2 else (None, None)
+            g = _chain_relation_poly(*prev, fs[e - 1], ds[e - 1])
             rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
             a, b = rcert.indices
             rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
@@ -735,6 +724,8 @@ def _check_shape(cert: SmoothCert, problem: _Problem) -> None:
     if cert.branch != branch:
         raise VerificationError(
             "branch", f"branch {cert.branch!r}, but the presentation has branch {branch!r}")
+    if branch == "none":
+        raise VerificationError("branch", "the pair presentation fits none of the three branches")
     # a pair with a rewrite echoes case2: whether the rewrite multiplied by Y
     if kind == "pair":
         case2 = bool(cert.rewrites[0].multiplier) if links else None

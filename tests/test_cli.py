@@ -1301,6 +1301,13 @@ class TestExitArms:
             "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: (
                 c["witnesses"][1]["num"][0][0][0][0].update(e=3))),
             1, 'input error: no value for variable {"tag": "dup", "e": 3, "key": "z"}'),
+        # Z renamed dup(0, "w") in its generator, relation and witness: the
+        # presentation fits no branch, so the label "none" is refused too
+        "pair-fits-no-branch": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: c.update(
+                json.loads(json.dumps(c).replace('"key": "z"', '"key": "w"')), branch="none")),
+            4, "verification failed: verification failed at branch: "
+               "the pair presentation fits none of the three branches"),
         "unknown-witness-kind": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
                                       lambda c: c["witnesses"][0].update(kind="nope")),

@@ -92,10 +92,21 @@ class TestDerived:
             derived.term_pair(3)
 
     def test_stalled_materialization_raises(self):
-        # every window gives the same two terms known below 4
-        derived = DerivedSequence(QQ, lambda delta: S((0, 1), (1, 1), trunc=4), 4)
-        with pytest.raises(HorizonError, match="^materialization stalled"):
-            derived.term_pair(2)
+        # every window gives the same two terms known below 4: the read
+        # materializes the seed window and 64 doubled ones, then stops, and
+        # a second read fails the same way without materializing again
+        asked = []
+
+        def materialize(delta):
+            asked.append(delta)
+            return S((0, 1), (1, 1), trunc=4)
+
+        derived = DerivedSequence(QQ, materialize, 4)
+        for _ in range(2):
+            with pytest.raises(HorizonError, match="^term 2 is unknown after 64 window doublings$"):
+                derived.term_pair(2)
+        assert asked == [4 * 2 ** k for k in range(65)]
+        assert derived.term_pair(1) == (1, 1)
 
 
 class TestStage:

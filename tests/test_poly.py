@@ -188,8 +188,8 @@ class TestVarTag:
     def test_fields_and_repr(self):
         tag = VarTag.stage(1, 3)
         assert (tag.kind, tag.e, tag.extra) == ("stage", 1, 3)
-        assert repr(VarTag.orig(0)) == "VarTag(kind='orig', e=0, extra=None)"
-        assert f"{VarTag.dup(2, ('z', 1))}" == "VarTag(kind='dup', e=2, extra=('z', 1))"
+        # no repr of its own: a message names a tag by its JSON
+        assert repr(VarTag.dup(2, ("z", 1))) == "('dup', 2, ('z', 1))"
 
     def test_value_semantics(self):
         assert VarTag.stage(1, 3) == VarTag("stage", 1, 3)

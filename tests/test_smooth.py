@@ -243,7 +243,8 @@ class TestPair:
     @pytest.mark.parametrize("op", ["pair", "family"])
     def test_canonical_d_stops_doubling(self, op):
         # y0 = sum t^(2^j) over F2 is a root of Y^2 + Y + t, so f(y0)
-        # cancels below every window: the 64-doubling cap ends the search
+        # cancels below every window: term 0 of its derived sequence, d,
+        # is unknown after the 64 doublings the sequence allows
         F2 = GF(2)
         V = Poly.var(F2, ZZ, Y0)
         f = V ** 2 + V + Poly.const(tpow(F2, 1))
@@ -251,7 +252,7 @@ class TestPair:
                "seq0": lacunary_sequence(F2, 300).to_json()}
         cfg.update({"f": f.to_json()} if op == "pair" else {"fs": [V.to_json(), f.to_json()]})
         assert run_single("smooth", cfg, OPTS) == (
-            2, "horizon/stabilization: val(f(y0)) cancels below every tried truncation")
+            2, "horizon/stabilization: term 0 is unknown after 64 window doublings")
 
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from((2, 3)), data=st.data())
@@ -351,6 +352,19 @@ class TestFamily:
         three = ValuedSeries.scalar(field, ZZ, from_int(field, 3))
         cert = sm_family([V, V.scale(three)], lacunary_sequence(field))
         roundtrip_verify(cert)
+
+    def test_proportional_pivot_is_the_least_monomial(self):
+        # the pivot is the first monomial in mono_key order, Y^2, not Y^10,
+        # which sorts first as text ("10" < "2")
+        V = Poly.var(QQ, ZZ, Y0)
+
+        def scalar(n):
+            return ValuedSeries.scalar(QQ, ZZ, from_int(QQ, n))
+
+        f1 = (V ** 10).scale(scalar(3)) + V ** 2
+        f2 = (V ** 10).scale(scalar(6)) + (V ** 2).scale(scalar(2))
+        c1, c2 = smooth._proportional_factor(f1, f2)
+        assert (c1.terms, c2.terms) == (scalar(1).terms, scalar(2).terms)
 
     def test_unsteerable_chain_fails_after_one_attempt(self, monkeypatch):
         # no start index puts Y^2's rewrite on the earlier variable y1; the
