@@ -40,12 +40,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_stream(spec, horizon: int):
+def _load_stream(spec, horizon: int, key: str):
     """A gamma stream: either an explicit JSON list of group elements or a
-    sequence spec whose gamma values are materialized up to the horizon."""
+    sequence spec whose gamma values are materialized up to the horizon;
+    key names it."""
     if isinstance(spec, list):
         # an empty stream is the builder's to name
         return group_of(element_from_json(spec[0])).stream_from_json(spec) if spec else []
+    if not isinstance(spec, dict):
+        raise InputError(f"{key} must be a JSON list of group elements or a sequence spec, "
+                         f"got {spec!r}")
     seq = sequence_from_json(spec)
     hi = min(horizon, seq.horizon)
     return [seq.gamma(j) for j in range(hi)]
@@ -100,20 +104,21 @@ def cmd_separate(cfg, opts):
     if op == "tail":
         cert = sep_tail(_elements(_require(cfg, "betas"), "betas"),
                         _ints(_require(cfg, "ts"), "ts"),
-                        _load_stream(_require(cfg, "gamma"), H))
+                        _load_stream(_require(cfg, "gamma"), H, "gamma"))
     elif op == "shifted":
         cert = sep_shifted_pair(element_from_json(_require(cfg, "beta0")),
                                 element_from_json(_require(cfg, "beta1")),
                                 element_from_json(_require(cfg, "c")),
-                                _load_stream(_require(cfg, "gamma0"), H))
+                                _load_stream(_require(cfg, "gamma0"), H, "gamma0"))
     elif op == "cross":
         cert = sep_cross_pair(element_from_json(_require(cfg, "beta0")),
                               element_from_json(_require(cfg, "beta1")),
                               element_from_json(_require(cfg, "beta01")),
-                              _load_stream(_require(cfg, "gamma0"), H),
-                              _load_stream(_require(cfg, "gamma1"), H))
+                              _load_stream(_require(cfg, "gamma0"), H, "gamma0"),
+                              _load_stream(_require(cfg, "gamma1"), H, "gamma1"))
     elif op == "multi":
-        gammas = [_load_stream(g, H) for g in _require(cfg, "gammas")]
+        gammas = [_load_stream(g, H, f"gammas[{i}]")
+                  for i, g in enumerate(_require(cfg, "gammas"))]
         cert = sep_multi([_ints(s, "subsets") for s in _require(cfg, "subsets")],
                          _elements(_require(cfg, "betas"), "betas"),
                          _ints(_require(cfg, "ts"), "ts"),

@@ -93,30 +93,28 @@ class RuleSequence(PseudoSequence):
                  horizon: int = DEFAULT_HORIZON):
         self.field = field
         self.horizon = horizon
-        self.exp_rule = rule = dict(exp_rule)
-        self.coeff_rule = coeff = dict(coeff_rule)
-        kind, ck = rule.get("kind"), coeff.get("kind")
+        kind, ck = exp_rule.get("kind"), coeff_rule.get("kind")
         if kind not in ("arith", "geom", "list"):
             raise InputError(f"unknown exponent rule {kind!r}")
         if ck == "const":
-            cycle = [coeff["c"]]
+            cycle = [coeff_rule["c"]]
             if field.is_zero(cycle[0]):
                 raise InputError("coefficient rule must be nonzero")
         elif ck == "cycle":
-            cycle = coeff["values"]
+            cycle = coeff_rule["values"]
             if not cycle or any(field.is_zero(c) for c in cycle):
                 raise InputError("cycle coefficients must be nonzero")
         else:
             raise InputError(f"unknown coefficient rule {ck!r}")
-        self._cycle = list(cycle)
+        self._kinds, self._cycle = (kind, ck), list(cycle)
         if kind == "list":
-            if not rule["values"]:
+            if not exp_rule["values"]:
                 raise InputError("exponent list must be nonempty")
-            self._head, self._step = list(rule["values"]), rule["step"]
+            self._head, self._step = list(exp_rule["values"]), exp_rule["step"]
         elif kind == "arith":
-            self._head, self._step = [rule["a"]], rule["b"]
+            self._head, self._step = [exp_rule["a"]], exp_rule["b"]
         else:
-            self._head, self._step = [rule["a"]], None
+            self._head, self._step = [exp_rule["a"]], None
         elements = self._head + ([] if self._step is None else [self._step])
         self.group = group_of(elements[0])
         self.group.check(*elements)
@@ -142,21 +140,16 @@ class RuleSequence(PseudoSequence):
 
     # -- JSON ----------------------------------------------------------
     def to_json(self):
-        enc = self.group.to_json
-        exp = {"kind": self.exp_rule["kind"]}
-        if exp["kind"] == "arith":
-            exp["a"] = enc(self.exp_rule["a"])
-            exp["b"] = enc(self.exp_rule["b"])
-        elif exp["kind"] == "geom":
-            exp["a"] = enc(self.exp_rule["a"])
+        enc, coeff_enc = self.group.to_json, self.field.coeff_to_json
+        kind, ck = self._kinds
+        if kind == "list":
+            exp = {"kind": kind, "values": [enc(v) for v in self._head], "step": enc(self._step)}
         else:
-            exp["values"] = [enc(v) for v in self.exp_rule["values"]]
-            exp["step"] = enc(self.exp_rule["step"])
-        if self.coeff_rule["kind"] == "const":
-            coeff = {"kind": "const", "c": self.field.coeff_to_json(self.coeff_rule["c"])}
-        else:
-            coeff = {"kind": "cycle",
-                     "values": [self.field.coeff_to_json(c) for c in self.coeff_rule["values"]]}
+            exp = {"kind": kind, "a": enc(self._head[0])}
+            if kind == "arith":
+                exp["b"] = enc(self._step)
+        coeff = ({"kind": ck, "c": coeff_enc(self._cycle[0])} if ck == "const"
+                 else {"kind": ck, "values": [coeff_enc(c) for c in self._cycle]})
         out = {"seq": "rule", "exp": exp, "coeff": coeff, "horizon": self.horizon}
         out.update(field_to_json(self.field))
         return out

@@ -27,12 +27,12 @@ caller trying several nus keeps one Plans, so each plan is made once.
 What a rewrite kind means lives in one place, the rules under "Rewrite
 kinds": _shape_fault (the g, multiplier and sequences it accepts), _mode
 and _case.  _Plan refuses an input by the first, and _certify records
-what the other two give; RewriteCert.verify applies all three after the
-identity and normal-form checks.  The field's characteristic picks an
-op's kind, and _multipliers its characteristic-p multipliers, for both
-Plans and _shape_fault.  The degree bound on g * multiplier is checked
-where that product is formed (_with_multiplier), by _Plan and
-RewriteCert.verify alike, before any recentring.
+what the other two give.  The field's characteristic picks an op's kind,
+and _multipliers its characteristic-p multipliers, for both Plans and
+_shape_fault.  RewriteCert.verify checks, before any recentring, the
+degree bound on g * multiplier where _Plan does (_with_multiplier), the
+shape fault and each variable's degree in a carried G1; then the
+identity, the normal form, the mode and the case.
 
 Recentring is computed in Hasse form, from one power table of the
 centres and one of the scales.  The stabilized values of all Hasse
@@ -442,8 +442,18 @@ class RewriteCert:
                 "indices", f"{len(self.indices)} indices for {len(seqs)} sequences")
         if carried and len(carried) != len(seqs):
             raise VerificationError("seqs", f"{len(carried)} sequences for {len(seqs)}")
+        h = _with_multiplier(self.g, self.multiplier)
+        fault = _shape_fault(self.kind, self.g, self.multiplier, len(seqs))
+        if fault:
+            raise VerificationError("kind", fault)
+        # recentring keeps each variable's degree unless h holds a new one (Y0*S)
+        stages = [VarTag.stage(e, t) for e, t in enumerate(self.indices)]
+        if self.G1 is not None and set(stages).isdisjoint(h.variables()) and any(
+                self.G1.degree_in(tag) != h.degree_in(VarTag.orig(e))
+                for e, tag in enumerate(stages)):
+            raise VerificationError("identity", "recentred polynomial differs from G1")
         try:
-            G1 = recenter_at(_with_multiplier(self.g, self.multiplier), seqs, self.indices)
+            G1 = recenter_at(h, seqs, self.indices)
             for k, (seq, old, t) in enumerate(zip(seqs, carried, self.indices)):
                 # v_t + s_t holds the terms 0..t, all that recentring at t reads
                 if not (seq.term(t) + seq.scale(t)).same_known(old.term(t) + old.scale(t)):
@@ -460,9 +470,6 @@ class RewriteCert:
         case = _case(self.kind, self.multiplier, vals)
         if self.case != case:
             raise VerificationError("case", f"{self.case!r} where {case!r} is due")
-        fault = _shape_fault(self.kind, self.g, self.multiplier, len(seqs))
-        if fault:
-            raise VerificationError("kind", fault)
 
     def check_table(self, G1: Poly) -> Dict[tuple, object]:
         """The value and normal-form claims on the recentred polynomial G1:
@@ -506,9 +513,9 @@ class _GammaStream:
 class _Plan:
     """What every attempt at a rewrite of g * multiplier over seqs shares,
     whatever the start indices: the shape fault (raised here), h, the
-    mode, the stable betas and the gamma streams.  Attempt 0's indices,
-    or the error their search raised, are kept per nus, for the attempt
-    and for predict."""
+    mode, the stable betas and the gamma streams.  The indices an attempt
+    at given least indices rhos takes, or the error their search raised,
+    are kept per rhos, so predict and attempt 0 at the same nus search once."""
 
     def __init__(self, kind: str, g: Poly, multiplier: Mapping[int, int],
                  seqs: Sequence[PseudoSequence], W: int):
@@ -522,7 +529,7 @@ class _Plan:
         self.entries = [(k, {e: ke for e, ke in enumerate(k) if ke}, beta)
                         for k, (beta, _) in self.betas.items() if beta is not INF]
         self.streams = [_GammaStream(seq) for seq in seqs]
-        self._first: Dict[Optional[tuple], object] = {}
+        self._indices: Dict[tuple, object] = {}
 
     def starts(self, nus: Optional[Sequence[int]]) -> List[int]:
         """Attempt 0's least index per sequence: past nu and past the
@@ -534,21 +541,16 @@ class _Plan:
         return out
 
     def indices(self, rhos: Sequence[int]) -> List[int]:
-        """The recentring indices an attempt at least indices rhos takes."""
-        if self.entries:
-            return [j - 1 for j in separate_indices(self.entries, self.streams, rhos)]
-        return list(rhos)
-
-    def first_indices(self, nus: Optional[Sequence[int]]) -> List[int]:
-        """Attempt 0's indices at nus, searched once: a search that failed
-        raises its error again."""
-        key = None if nus is None else tuple(nus)
-        if key not in self._first:
+        """The recentring indices an attempt at least indices rhos takes,
+        searched once per rhos: a search that failed raises its error again."""
+        key = tuple(rhos)
+        if key not in self._indices:
             try:
-                self._first[key] = self.indices(self.starts(nus))
+                self._indices[key] = ([j - 1 for j in separate_indices(
+                    self.entries, self.streams, rhos)] if self.entries else list(rhos))
             except ValcertError as exc:
-                self._first[key] = exc
-        found = self._first[key]
+                self._indices[key] = exc
+        found = self._indices[key]
         if isinstance(found, ValcertError):
             raise found
         return found
@@ -565,7 +567,7 @@ class _Plan:
             return None
         group = self.h.group
         try:
-            t = self.first_indices(nus)
+            t = self.indices(self.starts(nus))
             gammas = [seq.gamma(i) for seq, i in zip(self.seqs, t)]
         except ValcertError:
             return None
@@ -584,8 +586,8 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
     each retry past the indices of the one before."""
     rhos = plan.starts(nus)
     failure = "no attempt"
-    for attempt in range(R):
-        indices = plan.first_indices(nus) if attempt == 0 else plan.indices(rhos)
+    for _ in range(R):
+        indices = plan.indices(rhos)
         G1 = recenter_at(plan.h, plan.seqs, indices)
         vals = {m: c.val() for m, c in G1.monos.items()}
         c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)

@@ -446,17 +446,14 @@ def _entry_value(G: ValueGroup, entry: Entry, gammas, js, upto: int):
 
 
 def _least_index(G: ValueGroup, entries, mixed, gammas, rhos, js, m: int) -> int:
+    """The least index past rhos[m] at which every mixed pair differs; each
+    entry's value below position m is computed once, from js."""
+    below = {i: _entry_value(G, entries[i], gammas, js, m - 1)
+             for i in {i for pair in mixed for i in pair}}
     for jm in range(rhos[m] + 1, len(gammas[m]) + 1):
         g = gammas[m][jm - 1]
-        ok = True
-        for i, j in mixed:
-            bi = _entry_value(G, entries[i], gammas, js + [jm], m - 1)
-            bj = _entry_value(G, entries[j], gammas, js + [jm], m - 1)
-            if (G.add(bi, G.scale(g, entries[i][1].get(m, 0)))
-                    == G.add(bj, G.scale(g, entries[j][1].get(m, 0)))):
-                ok = False
-                break
-        if ok:
+        if all(G.add(below[i], G.scale(g, entries[i][1].get(m, 0)))
+               != G.add(below[j], G.scale(g, entries[j][1].get(m, 0))) for i, j in mixed):
             return jm
     raise HorizonError(
         f"no admissible index for position {m} within the stream window")

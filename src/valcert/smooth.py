@@ -24,23 +24,23 @@ The verifier first checks that the data lies over V: every generator
 image, relation coefficient, witness coefficient and problem series has
 a value >= 0, and delta > 0.  Then it reads each value only below the
 window its verdict needs: relations and witnesses below a cap C with
-delta < C <= 2*delta, inexact images, coefficients and the pseudo-limit
-truncated at C first.  Over V a capped value is known at least as far
-as min(C, the uncapped value's window), so each check runs once and
-decides as it would on the full values.  The Jacobian minor is a unit
-exactly when its residue is nonzero, so it is decided by Gaussian
-elimination over the residue field (_check_minor).  The claims are
-decided in one order: data over V and delta > 0, relations, then the
-minor (sm_check), the problem echo decoded once (_Problem), witness and
-problem data over V, the delta floor 2*gamma of every stage generator
-(_check_floor; builders certify at it unless asked for more), then
-witnesses, shape and the link rewrites, each over the members its link
-joins, derived from the problem echo as the floor and witnesses computed
-them (_check_link).
+delta < C <= 2*delta, inexact coefficients and the pseudo-limit truncated
+at C first, and the images once, in one table of powers.  Over V a capped
+value is known at least as far as min(C, the uncapped value's window), so
+each check runs once and decides as it would on the full values.  The
+Jacobian minor is a unit exactly when its residue is nonzero, so it is
+decided by Gaussian elimination over the residue field (_check_minor).
+The claims are decided in one order: data over V and delta > 0,
+relations, then the minor (sm_check), the problem echo decoded once
+(_Problem), witness and problem data over V, the delta floor 2*gamma of
+every stage generator (_check_floor; builders certify at it unless asked
+for more), then witnesses, shape and the link rewrites, each over the
+members its link joins, derived from the problem echo as the floor and
+witnesses computed them (_check_link).
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, VerificationError,
@@ -69,9 +69,6 @@ class SmoothPresentation:
             raise InputError("base index out of range")
         if len(self.relations) != len(self.generators) - 1:
             raise InputError("need exactly (generators - 1) relations")
-
-    def assignment(self, cap) -> Dict[VarTag, ValuedSeries]:
-        return {tag: _cap(img, cap) for tag, img in self.generators}
 
     def to_json(self):
         return {
@@ -120,8 +117,8 @@ def _check_over_V(group: ValueGroup, named) -> None:
                     "in-V", f"{name} has val {group.to_json(s.val_lower())} below 0")
 
 
-def _check_relation(pres: SmoothPresentation, i: int, delta, cap) -> None:
-    residual = _capped(pres.relations[i], cap).eval_series(pres.assignment(cap))
+def _check_relation(pres: SmoothPresentation, i: int, delta, images: Powers, cap) -> None:
+    residual = _capped(pres.relations[i], cap).eval_series(images)
     try:
         small = residual.is_small(delta)
     except IndeterminateValError as exc:
@@ -164,10 +161,11 @@ def _check_minor(pres: SmoothPresentation) -> None:
                 row[m] = row[m] - factor * pivot[m]
 
 
-def sm_check(pres: SmoothPresentation, delta) -> None:
+def sm_check(pres: SmoothPresentation, delta) -> Tuple[object, Powers]:
     """Verify the two presentation invariants; raises VerificationError,
     also for data outside V, a delta <= 0, or when the presentation's own
-    data cannot decide one of them."""
+    data cannot decide one of them.  Returns the cap and the Powers of the
+    images capped there, which the witness checks share."""
     group = pres.group
     _check_over_V(group, [(f"generator {i} image", img)
                           for i, (_, img) in enumerate(pres.generators)]
@@ -176,9 +174,11 @@ def sm_check(pres: SmoothPresentation, delta) -> None:
     if not delta > group.zero():
         raise VerificationError("delta", f"delta {group.to_json(delta)} is not positive")
     cap = _verify_cap(pres, delta)
+    images = Powers({tag: _cap(img, cap) for tag, img in pres.generators})
     for i in range(len(pres.relations)):
-        _check_relation(pres, i, delta, cap)
+        _check_relation(pres, i, delta, images, cap)
     _check_minor(pres)
+    return cap, images
 
 
 class Witness:
@@ -211,12 +211,10 @@ class SmoothCert:
     recomputes its G1 over its link's members, and compares the
     sequences, G1 or value table an older certificate embeds."""
 
-    def __init__(self, kind: str, field: Field, problem: dict,
-                 pres: SmoothPresentation, witnesses: Sequence[Witness],
-                 rewrites: Sequence[RewriteCert], delta,
+    def __init__(self, kind: str, problem: dict, pres: SmoothPresentation,
+                 witnesses: Sequence[Witness], rewrites: Sequence[RewriteCert], delta,
                  branch: str = ""):
         self.kind = kind
-        self.field = field
         self.problem = problem  # JSON-ready problem echo
         self.pres = pres
         self.witnesses = list(witnesses)
@@ -235,7 +233,7 @@ class SmoothCert:
             "branch": self.branch,
         }
         out.update(self.pres.to_json())
-        out.update(field_to_json(self.field))
+        out.update(field_to_json(self.pres.field))
         return out
 
     @staticmethod
@@ -247,7 +245,7 @@ class SmoothCert:
         pres = SmoothPresentation.from_json(obj, field, group_of(delta))
         wits = [Witness.from_json(w, field, pres.group) for w in obj["witnesses"]]
         rewrites = [RewriteCert.from_json(c, pres.group) for c in obj.get("rewrites", [])]
-        return SmoothCert(obj["kind"], field, obj["problem"], pres, wits,
+        return SmoothCert(obj["kind"], obj["problem"], pres, wits,
                           rewrites, delta, obj.get("branch", ""))
 
 
@@ -352,7 +350,6 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         # generator.  Every case2 pair is here: f' = 0 gives c = f(v_t)*s_t, and
         # val f(v_t) = val f(y0) = val d, so val c = val d + gamma_t.
         znum = h.map_coeffs(lambda co: co.div_to(d, deltaw))
-        branch = "d-divides-c" if rewrites else "constant"
     else:
         # c | d: adjoin Z with relation (h - d*Z)/c, where Z carries z.  y0 is
         # read below deltaw + val d, which covers any z check at a cap <= deltaw.
@@ -361,11 +358,12 @@ def sm_pair(f: Poly, seq0: PseudoSequence, d: Optional[ValuedSeries] = None,
         gens.append((ztag, zval))
         rel = h - Poly.var(field, group, ztag).scale(d)
         rels.append(rel.map_coeffs(lambda co: co.div_to(rcert.c, deltaw)))
-        znum, branch = Poly.var(field, group, ztag), "c-divides-d"
+        znum = Poly.var(field, group, ztag)
     wits = [Witness("y", "y0", 0, ypoly, None),
             Witness("z", "z", 0, znum, ypoly if case2 else None)]
     pres = SmoothPresentation(field, group, gens, rels, len(gens) - 1)
-    cert = SmoothCert("pair", field, problem, pres, wits, rewrites, dlt, branch)
+    cert = SmoothCert("pair", problem, pres, wits, rewrites, dlt,
+                      _pair_branch(len(rewrites), [tag for tag, _ in gens]))
     sm_verify(cert)
     return cert
 
@@ -516,7 +514,7 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
         problem = {"fs": [f.to_json() for f in fs],
                    "ds": [d.to_json() for d in ds],
                    "seq0": seq0.to_json()}
-        cert = SmoothCert(kind, field, problem, pres, wits, rewrites, dlt)
+        cert = SmoothCert(kind, problem, pres, wits, rewrites, dlt)
         sm_verify(cert)
         return cert
     except (NotStabilizedError, UndecidedError, VerificationError) as exc:
@@ -558,7 +556,7 @@ class _Problem:
     reads y0 below C + val d, and y0 itself is read below C."""
 
     def __init__(self, cert: SmoothCert):
-        field, group, echo = cert.field, cert.pres.group, cert.problem
+        field, group, echo = cert.pres.field, cert.pres.group, cert.problem
         self.seq0 = sequence_from_json(echo["seq0"])
         self.f = Poly.from_json(echo["f"], field, group) if "f" in echo else None
         self.d = ValuedSeries.from_json(echo["d"], field, group) if "d" in echo else None
@@ -591,11 +589,11 @@ class _Problem:
             self.fs[e - 1], self.ds[e - 1], self.limit, cap))
 
     def sequence(self, e: int, cap) -> PseudoSequence:
-        """Chain element e: seq0, or the table of member e's terms below cap."""
+        """Chain element e: seq0, or the one table of member e's terms below cap."""
         if e == 0:
             return self.seq0
         member = self.member(e, cap)
-        return TableSequence(member.field, member.terms)
+        return self._once(("sequence", e, cap), lambda: TableSequence(member.field, member.terms))
 
     def _member(self, w: Witness, e: int, cap) -> ValuedSeries:
         member = self.member(e, cap)
@@ -622,12 +620,11 @@ class _Problem:
 
 
 def _check_witness(w: Witness, pres: SmoothPresentation, problem: _Problem,
-                   delta, cap) -> None:
-    assignment = pres.assignment(cap)
-    value = _capped(w.num, cap).eval_series(assignment)
+                   delta, images: Powers, cap) -> None:
+    value = _capped(w.num, cap).eval_series(images)
     try:
         if w.den is not None:
-            den_val = _capped(w.den, cap).eval_series(assignment)
+            den_val = _capped(w.den, cap).eval_series(images)
             # a value above 0, even one known only as a truncation, is no unit
             if den_val.val_lower() > pres.group.zero() or not den_val.is_unit():
                 raise VerificationError(
@@ -758,15 +755,14 @@ def sm_verify(cert: SmoothCert, delta=None) -> None:
     in the module's order; raises VerificationError at the first failure."""
     group = cert.pres.group
     dlt = cert.delta if delta is None else delta
-    sm_check(cert.pres, dlt)
+    cap, images = sm_check(cert.pres, dlt)
     problem = _Problem(cert)
     _check_over_V(group, [(f"witness {w.name} {part}", poly) for w in cert.witnesses
                           for part, poly in (("num", w.num), ("den", w.den))
                           if poly is not None] + problem.named())
-    cap = _verify_cap(cert.pres, dlt)
     _check_floor(cert, problem, dlt, cap)
     for w in cert.witnesses:
-        _check_witness(w, cert.pres, problem, dlt, cap)
+        _check_witness(w, cert.pres, problem, dlt, images, cap)
     _check_shape(cert, problem)
     for i in range(len(cert.rewrites)):
         try:

@@ -10,19 +10,24 @@ recentres and restages only in Hasse form, through taylor_recenter), the
 stable values of the Hasse derivatives by one scan per derivative, the
 ordinary partial derivative monomial by monomial, the smooth
 presentation checks on the full, uncapped values, a series' JSON
-through one Fraction (or residue) per coefficient, and the family
-steering loop that builds a link rewrite at every start index it tries.
+through one Fraction (or residue) per coefficient, the family
+steering loop that builds a link rewrite at every start index it tries,
+and the separation index search that rebuilds both entry values of every
+pair at every candidate index.
 """
 import itertools
 from fractions import Fraction
+from unittest import mock
 
+from valcert import separation
 from valcert.errors import (HorizonError, IndeterminateValError, InputError,
                             NotStabilizedError, UndecidedError, VerificationError)
 from valcert.fields import characteristic
-from valcert.group import INF
+from valcert.group import INF, ValueGroup
 from valcert.pcs import TableSequence, sequence_from_json
 from valcert.poly import Poly, VarTag, _mono_mul, det
 from valcert.rewrite import rw
+from valcert.separation import _entry_value
 from valcert.series import ValuedSeries
 
 
@@ -355,8 +360,8 @@ def member_target(cert, e, deltaw):
     if not 1 <= e <= min(len(fs), len(ds)):
         return None
     seq0 = sequence_from_json(cert.problem["seq0"])
-    f = Poly.from_json(fs[e - 1], cert.field, seq0.group)
-    d = ValuedSeries.from_json(ds[e - 1], cert.field, seq0.group)
+    f = Poly.from_json(fs[e - 1], cert.pres.field, seq0.group)
+    d = ValuedSeries.from_json(ds[e - 1], cert.pres.field, seq0.group)
     return _f_over_d(f, d, seq0, deltaw)
 
 
@@ -392,7 +397,7 @@ def witness_target(w, cert, deltaw):
     decoded afresh.  f1/f2 divides f1(y0) by f2(y0) directly, on purpose:
     the package forms it from the members as (d1*y1)/(d2*y2), so the
     differential compares two routes."""
-    field = cert.field
+    field = cert.pres.field
     seq0 = sequence_from_json(cert.problem["seq0"])
     group = seq0.group
     deep = group.scale(deltaw, 2)
@@ -427,10 +432,10 @@ def problem_named(cert):
     group = sequence_from_json(cert.problem["seq0"]).group
 
     def poly(obj):
-        return Poly.from_json(obj, cert.field, group)
+        return Poly.from_json(obj, cert.pres.field, group)
 
     def series(obj):
-        return ValuedSeries.from_json(obj, cert.field, group)
+        return ValuedSeries.from_json(obj, cert.pres.field, group)
 
     problem, out = cert.problem, []
     if "f" in problem:
@@ -475,7 +480,8 @@ def sm_verify(cert, delta=None):
                 f"expression differs from target at val {group.to_json(diff.val_lower())}")
     seq0 = sequence_from_json(cert.problem["seq0"])
     for i, rc in enumerate(cert.rewrites):
-        seqs = [seq0 if e == 0 else TableSequence(cert.field, member_target(cert, e, deltaw).terms)
+        seqs = [seq0 if e == 0
+                else TableSequence(cert.pres.field, member_target(cert, e, deltaw).terms)
                 for e in ([0] if cert.kind == "pair" else [i, i + 1])]
         try:
             rc.verify(seqs)
@@ -497,3 +503,27 @@ def steer_reference(g, pair, nu, W, R):
         if len(m) == 1 and m[0][1] == 1 and m[0][0].e == 0:
             return cand
     raise NotStabilizedError("could not steer the rewrite onto the earlier chain variable")
+
+
+def _least_index(G: ValueGroup, entries, mixed, gammas, rhos, js, m: int) -> int:
+    for jm in range(rhos[m] + 1, len(gammas[m]) + 1):
+        g = gammas[m][jm - 1]
+        ok = True
+        for i, j in mixed:
+            bi = _entry_value(G, entries[i], gammas, js + [jm], m - 1)
+            bj = _entry_value(G, entries[j], gammas, js + [jm], m - 1)
+            if (G.add(bi, G.scale(g, entries[i][1].get(m, 0)))
+                    == G.add(bj, G.scale(g, entries[j][1].get(m, 0)))):
+                ok = False
+                break
+        if ok:
+            return jm
+    raise HorizonError(
+        f"no admissible index for position {m} within the stream window")
+
+
+def least_indices(entries, gammas, rhos):
+    """separation.separate_indices with its index search per pair: both
+    entry values rebuilt at every candidate index, for every mixed pair."""
+    with mock.patch.object(separation, "_least_index", _least_index):
+        return separation.separate_indices(entries, gammas, rhos)

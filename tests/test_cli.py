@@ -273,7 +273,8 @@ def _as_once_embedded(cert):
     for i, rc in enumerate(cert.rewrites):
         old = copy.copy(rc)
         old.seqs = [live[e] if e == 0
-                    else TableSequence(cert.field, [live[e].term_pair(j) for j in range(t + 1)])
+                    else TableSequence(cert.pres.field,
+                                       [live[e].term_pair(j) for j in range(t + 1)])
                     for e, t in zip((i, i + 1), rc.indices)]
         out.append(old.to_json())
     return out
@@ -1100,6 +1101,28 @@ class TestDeepInput:
         assert "g * multiplier has total degree 8002; a certificate holds none above 2048" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op, claim", [("multilinear", "kind"), ("bivariate", "identity")])
+    def test_exponent_times_1000_refused_before_recentring(self, tmp_path, capsys,
+                                                           monkeypatch, op, claim):
+        # one exponent of g times 1000, G1 kept: a multilinear g takes no
+        # square, and recentring keeps each degree of a bivariate g, so
+        # verify refuses both before it forms the recentred polynomial
+        seqs = [lacunary_sequence(QQ).to_json(),
+                RuleSequence(QQ, {"kind": "geom", "a": 3},
+                             {"kind": "const", "c": 1}, horizon=300).to_json()]
+        g = _y(0) * _y(1) + _y(0) if op == "bivariate" else _y(0) - _y(1)
+        out = tmp_path / "cert.json"
+        cfg = dict(_rewrite_cfg(op, g, 0), seqs=seqs)
+        assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert cert["kind"] == op + ("_pfree" if op == "bivariate" else "")
+        (mono, _), = [m for m in cert["g"] if m[0] and m[0][0][0]["e"] == 0 and len(m[0]) == 1]
+        mono[0][1] *= 1000
+        capsys.readouterr()
+        self.no_recentring(monkeypatch)
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert f"verification failed at {claim}" in capsys.readouterr().err
+
     def test_many_streams(self, tmp_path, capsys):
         n = 1200
         cfg = {"op": "multi", "subsets": [[0], [n - 1]], "betas": [0, 0], "ts": [1] * n,
@@ -1276,6 +1299,25 @@ class TestExitArms:
         "multi-subset-past-streams": (
             "separate", lambda: _multi(subsets=[[0], [5]]),
             1, "input error: subset (5,) names a position without a stream"),
+        # a gamma stream is a JSON list or a sequence spec, nothing else
+        "tail-gamma-string": (
+            "separate", lambda: {"op": "tail", "betas": [0], "ts": [1], "gamma": "123"},
+            1, "input error: gamma must be a JSON list of group elements or a "
+               "sequence spec, got '123'"),
+        "shifted-gamma0-number": (
+            "separate", lambda: {"op": "shifted", "beta0": 0, "beta1": 1, "c": 1,
+                                 "gamma0": 5},
+            1, "input error: gamma0 must be a JSON list of group elements or a "
+               "sequence spec, got 5"),
+        "cross-gamma1-null": (
+            "separate", lambda: {"op": "cross", "beta0": 0, "beta1": 1, "beta01": 2,
+                                 "gamma0": [1, 2, 3], "gamma1": None},
+            1, "input error: gamma1 must be a JSON list of group elements or a "
+               "sequence spec, got None"),
+        "multi-gammas-entry-string": (
+            "separate", lambda: _multi(gammas=[list(range(1, 20)), "123"]),
+            1, "input error: gammas[1] must be a JSON list of group elements or a "
+               "sequence spec, got '123'"),
         "embedded-not-a-rewrite": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
                                       lambda c: c["rewrites"][0].update(cert="nope")),

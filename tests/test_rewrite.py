@@ -366,8 +366,9 @@ class TestTamper:
     def test_g_holding_the_new_variable(self):
         # g = Y0 * S with S the stage variable: at Y0 = v + s*S the identity
         # holds for v*S + s*S^2 only, never for the collapsed (v + s)*S.
+        # A univariate g may not hold S, so the multilinear kind carries it.
         seq = lacunary_sequence(QQ)
-        cert = rw("univariate", Poly.var(QQ, ZZ, Y0) ** 2, [seq])
+        cert = rw("multilinear", Poly.var(QQ, ZZ, Y0), [seq])
         t = cert.indices[0]
         S = VarTag.stage(0, t)
         v, s = seq.term(t), seq.scale(t)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from valcert.errors import InputError, VerificationError
 from valcert.group import INTEGERS as ZZ, RATIONALS, Lex, element_from_json, group_of
 from valcert import separation
@@ -593,3 +594,74 @@ class TestDecode:
         # a string is iterable, but no stream: "123" is not the Q stream 1, 2, 3
         with pytest.raises(InputError):
             _decode(streams, values)
+
+
+# -- the index search against its per-pair reference ------------------------
+
+class LazyStream:
+    """A strictly increasing stream whose entries are made when read; it
+    records the highest entry read."""
+
+    def __init__(self, values):
+        self.values, self.top = values, -1
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.top = max(self.top, i)
+        return self.values[i]
+
+
+# embeddings of increasing integers that keep their order
+ORDERED = [(ZZ, lambda v: v), (RATIONALS, lambda v: Fraction(v, 2)),
+           (Lex(2), lambda v: (v // 3, v % 3))]
+
+
+@st.composite
+def index_searches(draw):
+    """Entries with multipliers in -2..2 (0 included) over 1 to 3 lazy
+    streams, with their bounds rhos."""
+    G, embed = draw(st.sampled_from(ORDERED))
+    n = draw(st.integers(1, 3))
+    streams = [sorted(set(draw(st.lists(st.integers(-4, 12), min_size=2, max_size=10))))
+               for _ in range(n)]
+    entries = [(k, draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2), max_size=n)),
+                embed(draw(st.integers(-6, 6))))
+               for k in range(draw(st.integers(1, 6)))]
+    rhos = [draw(st.integers(0, 1)) for _ in range(n)]
+    gammas = [[embed(v) for v in s] for s in streams]
+    if len(entries) > 1 and all(r < len(s) for r, s in zip(rhos, gammas)) and draw(st.booleans()):
+        # plant a collision of two entries at the least indices
+        i, j = draw(st.permutations(range(len(entries))))[:2]
+        beta = entries[i][2]
+        for e, gamma in enumerate(gammas):
+            t = entries[i][1].get(e, 0) - entries[j][1].get(e, 0)
+            beta = G.add(beta, G.scale(gamma[rhos[e]], t))
+        entries[j] = (j, entries[j][1], beta)
+    return G, gammas, entries, rhos
+
+
+class TestIndexSearch:
+    """The search computes each entry's value below a position once; it
+    returns the per-pair reference's indices, or raises its error, reads
+    no stream entry past the index it returns, and the entry values at
+    those indices are pairwise distinct."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_searches())
+    def test_against_reference(self, case):
+        G, values, entries, rhos = case
+        streams = [LazyStream(v) for v in values]
+
+        def result(search, gammas):
+            try:
+                return search(entries, gammas, rhos)
+            except Exception as exc:  # compared by type and message
+                return type(exc).__name__, str(exc)
+        js = result(separate_indices, streams)
+        assert js == result(oracles.least_indices, values)
+        if isinstance(js, list):
+            assert all(s.top <= j - 1 for s, j in zip(streams, js))
+            vals = [separation._entry_value(G, entry, values, js, len(js)) for entry in entries]
+            assert len(set(vals)) == len(vals)

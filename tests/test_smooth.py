@@ -334,6 +334,45 @@ class TestFamily:
         # links as tables of their terms below the cap; seq0 stays a rule.
         assert _links_read_the_live_terms(cert, seq0, fs) == 5
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def three_members():
+        """The three-member F5 family, as its JSON."""
+        V, t = Poly.var(GF(5), ZZ, Y0), tpow(GF(5), 1)
+        return canonical_json(sm_family([V, V ** 2 + V.scale(t), V ** 3 + Poly.const(t) * V],
+                                        lacunary_sequence(GF(5))).to_json())
+
+    def test_each_image_power_computed_once(self):
+        # one verification raises each capped generator image to each power
+        # once, for every relation and witness check
+        cert = SmoothCert.from_json(json.loads(self.three_members()))
+        cap = smooth._verify_cap(cert.pres, cert.delta)
+        images = {tag: smooth._cap(img, cap) for tag, img in cert.pres.generators}
+        calls, missing = [], smooth.Powers.__missing__
+
+        def counted(powers, key):
+            calls.append((key, powers._values.get(key[0])))
+            return missing(powers, key)
+        with mock.patch.object(smooth.Powers, "__missing__", counted):
+            sm_verify(cert)
+        keys = [key for key, base in calls
+                if key[0] in images and base is not None and base.same_known(images[key[0]])]
+        assert len(keys) >= len(images) and len(keys) == len(set(keys))
+
+    def test_each_member_tabulated_once(self):
+        # the links 0-1, 1-2 and 2-3 read members 1 and 2 twice each, from
+        # one table per member
+        cert = SmoothCert.from_json(json.loads(self.three_members()))
+        built = []
+
+        class Counted(TableSequence):
+            def __init__(self, field, terms):
+                built.append(terms)
+                super().__init__(field, terms)
+        with mock.patch.object(smooth, "TableSequence", Counted):
+            sm_verify(cert)
+        assert len(built) == 3
+
     @pytest.mark.parametrize("field", [GF(5), QQ])
     def test_frozen_links_read_the_live_terms(self, field):
         # Each link rewrite is verified over the problem's members: at its
