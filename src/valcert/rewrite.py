@@ -55,7 +55,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import (HorizonError, IndeterminateValError, InputError,
                      NotStabilizedError, UndecidedError, ValcertError,
                      VerificationError, require_int)
-from .fields import Field, characteristic, field_from_json, field_to_json
+from .fields import characteristic, field_from_json, field_to_json
 from .group import INF, ValueGroup
 from .pcs import PseudoSequence, sequence_from_json
 from .poly import MAX_JSON_DEGREE, Poly, Powers, VarTag, mono_key
@@ -364,12 +364,10 @@ class RewriteCert:
     JSON omits them, and a top-level rewrite's group is its first
     sequence's."""
 
-    def __init__(self, kind: str, field: Field, g: Poly,
-                 multiplier: Mapping[int, int], seqs: Sequence[PseudoSequence],
-                 indices: Sequence[int], G1: Optional[Poly], c_mono, mode: str,
-                 case: str, table: Optional[Sequence[Tuple[object, object]]]):
+    def __init__(self, kind: str, g: Poly, multiplier: Mapping[int, int],
+                 seqs: Sequence[PseudoSequence], indices: Sequence[int], G1: Optional[Poly],
+                 c_mono, mode: str, case: str, table: Optional[Sequence[Tuple[object, object]]]):
         self.kind = kind
-        self.field = field
         self.g = g
         self.multiplier = dict(multiplier)
         self.seqs = list(seqs)
@@ -393,7 +391,7 @@ class RewriteCert:
             "mode": self.mode,
             "case": self.case,
         }
-        out.update(field_to_json(self.field))
+        out.update(field_to_json(self.g.field))
         return out
 
     def to_json(self):
@@ -429,7 +427,7 @@ class RewriteCert:
         if any(j < 0 for j in indices):
             # also at a sequence g does not read, which no check reaches
             raise InputError("negative sequence index")
-        return RewriteCert(obj["kind"], field, g, multiplier, seqs, indices, G1, mono,
+        return RewriteCert(obj["kind"], g, multiplier, seqs, indices, G1, mono,
                            obj["mode"], obj["case"], table)
 
     # -- verification -------------------------------------------------
@@ -593,7 +591,7 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
         c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)
         if not failure:
             table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
-            return RewriteCert(plan.kind, plan.g.field, plan.g, plan.multiplier, plan.seqs,
+            return RewriteCert(plan.kind, plan.g, plan.multiplier, plan.seqs,
                                indices, G1, c_mono, plan.mode,
                                _case(plan.kind, plan.multiplier, vals), table)
         rhos = [max(r, t + 1) + 1 for r, t in zip(rhos, indices)]

@@ -265,11 +265,20 @@ def _sigma_fields(hits: Dict[int, List[int]]) -> dict:
     return {"A": [j0 for j0, _ in sigma], "sigma": sigma}
 
 
-def _check_window(claim: str, sigma, H0: int, H1: int) -> None:
-    for a, b in sigma:
+def _read_sigma(kind: str, data: dict, H0: int, H1: int) -> Dict[int, int]:
+    """sigma as a map j0 -> j1: every listed pair in the window (checked
+    first, as 1.0 hashes equal to 1), the pairs distinct and an injective
+    partial map, and A its domain listed once each."""
+    for a, b in data["sigma"]:
         if not (_is_index(a, H0) and _is_index(b, H1)):
             raise VerificationError(
-                claim, f"sigma pair ({a},{b}) lies outside [1,{H0}]x[1,{H1}]")
+                f"{kind}-window", f"sigma pair ({a},{b}) lies outside [1,{H0}]x[1,{H1}]")
+    sigma = dict(data["sigma"])
+    if not len(data["sigma"]) == len(sigma) == len(set(sigma.values())):
+        raise VerificationError(f"{kind}-injective", "sigma is not an injective partial map")
+    if len(data["A"]) != len(sigma) or set(data["A"]) != set(sigma):
+        raise VerificationError(f"{kind}-A", "A does not match sigma's domain")
+    return sigma
 
 
 # -- Shifted pair (one stream, second shifted by a constant) ------------
@@ -297,12 +306,7 @@ def _verify_shifted(data: dict) -> None:
     G, (gamma0,), (beta0, beta1, c) = _decode(
         [data["gamma0"]], [data[k] for k in ("beta0", "beta1", "c")])
     H = len(gamma0)
-    pairs = {(a, b) for a, b in data["sigma"]}
-    if set(data["A"]) != {a for a, _ in pairs}:
-        raise VerificationError("shifted-A", "A does not match sigma's domain")
-    if len({b for _, b in pairs}) != len(pairs):
-        raise VerificationError("shifted-injective", "sigma is not injective")
-    _check_window("shifted-window", data["sigma"], H, H)
+    pairs = set(_read_sigma("shifted", data, H, H).items())
     # The real collisions must be exactly the listed ones.
     hits = _shifted_hits(G, beta0, beta1, c, gamma0)
     real = {(j0, j1) for j0, found in hits.items() for j1 in found}
@@ -354,16 +358,10 @@ def _verify_cross(data: dict) -> None:
     rho0, rho1 = data["rho0"], data["rho1"]
     if not all(type(rho) is int and rho >= 0 for rho in (rho0, rho1)):
         raise VerificationError("cross-bounds", "rho0 and rho1 must be integers >= 0")
-    pairs = {(a, b) for a, b in data["sigma"]}
-    sigma = dict(pairs)
-    if set(data["A"]) != set(sigma):
-        raise VerificationError("cross-A", "A does not match sigma's domain")
-    if not len(pairs) == len(sigma) == len(set(sigma.values())):
-        raise VerificationError("cross-injective", "sigma is not an injective partial map")
-    _check_window("cross-window", data["sigma"], H0, H1)
+    sigma = _read_sigma("cross", data, H0, H1)
     rows, cols, hits = _cross_maps(G, beta0, beta1, beta01, gamma0, gamma1)
     bounds = _last(rows), _last(cols)
-    for a, b in data["sigma"]:
+    for a, b in sigma.items():
         if b not in hits.get(a, ()):
             raise VerificationError(
                 "cross-sigma", f"({a},{b}) is not a collision of the first two families")

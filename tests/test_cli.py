@@ -453,6 +453,28 @@ class TestRewrite:
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
         assert "exactly one sequence expected" in capsys.readouterr().err
 
+    # g as {(exponent of Y_0, of Y_1): t-exponent of its coefficient 1},
+    # over the sequences t^(a*2^j), a = 1, 3, one per variable
+    OPS = {"pair_square": ("Q", {(1, 0): 0, (0, 1): 1}),
+           "multilinear_mono": ("Q", {(0,): 0, (1,): 1}),
+           "multilinear": ("Q", {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}),
+           "univariate": ("F2", {(2,): 0}),
+           "bivariate": ("F2", {(2, 2): 0})}
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_each_op_builds_and_verifies(self, tmp_path, capsys, op):
+        field, g = self.OPS[op]
+        spec = {"field": "Q"} if field == "Q" else {"field": "Fp", "p": 2}
+        seqs = [dict(spec, seq="rule", exp={"kind": "geom", "a": a},
+                     coeff={"kind": "const", "c": 1}, horizon=100)
+                for a in (1, 3)[:len(next(iter(g)))]]
+        cfg = dict(spec, op=op, seqs=seqs,
+                   g=[[[[{"tag": "orig", "e": e}, k] for e, k in enumerate(exps) if k],
+                       {"terms": [[t, 1]]}] for exps, t in g.items()])
+        out = str(tmp_path / "cert.json")
+        assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", out]) == 0
+        assert run(["verify", out]) == 0
+
     def test_unknown_op(self, tmp_path, capsys):
         cfg = dict(univariate_cfg(QQ, 1), op="trivariate")
         assert run(["rewrite", write(tmp_path, "c.json", cfg)]) == 1
@@ -1554,6 +1576,38 @@ class TestSeparationMaps:
         cert["rho0"] = 4
         assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
         assert "cross-distinct: families collide at (5,1)" in capsys.readouterr().err
+
+    # j0 = j1 + 3 for shifted, j1 = j0 + 5 for cross
+    CONFIGS = {"shifted": {"op": "shifted", "beta0": 0, "beta1": 2, "c": 1,
+                           "gamma0": list(range(1, 201))},
+               "cross": {"op": "cross", "beta0": 5, "beta1": 0, "beta01": 0,
+                         "gamma0": list(range(1, 51)), "gamma1": list(range(1, 51))}}
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    @pytest.mark.parametrize("edit, claim", [
+        (lambda c: c["sigma"].append(c["sigma"][0]), "injective"),
+        (lambda c: c["sigma"].append([c["sigma"][0][0], c["sigma"][1][1]]), "injective"),
+        (lambda c: c["A"].append(c["A"][0]), "A")],
+        ids=["pair-twice", "j0-twice", "A-entry-twice"])
+    def test_listed_twice(self, tmp_path, capsys, kind, edit, claim):
+        # a pair or an A entry listed twice once verified: both verifiers
+        # read sigma into a set
+        cert = self.certificate(tmp_path, self.CONFIGS[kind])
+        edit(cert)
+        capsys.readouterr()
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        message = {"injective": "sigma is not an injective partial map",
+                   "A": "A does not match sigma's domain"}[claim]
+        assert f"verification failed at {kind}-{claim}: {message}" in capsys.readouterr().err
+
+    def test_shifted_sigma_not_a_map(self, tmp_path, capsys):
+        # gamma_2 = gamma_3 makes row 1 collide at columns 2 and 3: a true
+        # collision set, but not the injective map a shifted claim lists
+        cert = {"cert": "separation", "kind": "shifted", "beta0": 0, "beta1": 0, "c": -5,
+                "gamma0": [0, 5, 5], "A": [1], "sigma": [[1, 2], [1, 3]]}
+        assert run(["verify", write(tmp_path, "bad.json", cert)]) == 4
+        assert ("verification failed at shifted-injective: sigma is not an injective "
+                "partial map") in capsys.readouterr().err
 
     @pytest.mark.parametrize("pair", [[500, 600], [4, 1.0], [True, 198]])
     def test_shifted_sigma_outside_window(self, tmp_path, capsys, pair):
