@@ -91,6 +91,8 @@ class RuleSequence(PseudoSequence):
 
     def __init__(self, field: Field, exp_rule: dict, coeff_rule: dict,
                  horizon: int = DEFAULT_HORIZON):
+        if horizon < 1:
+            raise InputError(f"horizon must be a positive integer, got {horizon!r}")
         self.field = field
         self.horizon = horizon
         kind, ck = exp_rule.get("kind"), coeff_rule.get("kind")

@@ -332,56 +332,48 @@ class Poly:
 
 
 def det(rows: Sequence[Sequence[Poly]], one: Poly) -> Poly:
-    """Determinant by Laplace expansion along the first row, skipping zero
-    entries (matrix sizes here stay small); one is the empty determinant.
-    The expansion keeps its own stack, one frame per row of the minor
-    being expanded, so a large matrix meets no recursion limit."""
+    """Determinant by cofactor expansion along the first row, each minor
+    expanded once; one is the empty determinant.  A minor is named by the
+    columns it keeps and expands along row n - len(columns).  A forward
+    pass collects, level by level, the minors reachable from the top
+    through nonzero entries; a backward pass computes each once from the
+    level below, from the last row up, with no recursion.  Its terms are
+    summed by ascending position, + at even ones, as Laplace expansion
+    sums them, so the two give the same bytes."""
     n = len(rows)
     zero = Poly.zero(one.field, one.group)
-    # a frame: the minor's columns, the position after the column being
-    # expanded, the signed sum so far; the minor's row is n - len(columns)
-    stack, value = [[tuple(range(n)), 0, zero]], None
-    while stack:
-        frame = stack[-1]
-        cols, pos, total = frame
-        if not cols:
-            stack.pop()
-            value = one
-            continue
-        row = rows[n - len(cols)]
-        if value is not None:  # the minor under column pos - 1
-            term = row[cols[pos - 1]] * value
-            total = frame[2] = total + term if pos % 2 else total - term
-            value = None
-        while pos < len(cols) and row[cols[pos]].is_zero():
-            pos += 1
-        if pos == len(cols):
-            stack.pop()
-            value = total
-        else:
-            frame[1] = pos + 1
-            stack.append([cols[:pos] + cols[pos + 1:], 0, zero])
-    return value
+    nonzero = [{c for c, entry in enumerate(row) if not entry.is_zero()} for row in rows]
+    levels = [{tuple(range(n))}]
+    for cs in nonzero:
+        levels.append({cols[:pos] + cols[pos + 1:] for cols in levels[-1]
+                       for pos, c in enumerate(cols) if c in cs})
+    below = {(): one}
+    for r in range(n - 1, -1, -1):
+        row, cs, values = rows[r], nonzero[r], {}
+        for cols in levels[r]:
+            total = None
+            for pos, c in enumerate(cols):
+                if c in cs:
+                    term = row[c] * below[cols[:pos] + cols[pos + 1:]]
+                    term = -term if pos % 2 else term
+                    total = term if total is None else total + term
+            values[cols] = zero if total is None else total
+        below = values
+    return below[tuple(range(n))]
 
 
 def sylvester_resultant(p: Poly, q: Poly, tag: VarTag) -> Poly:
     """Resultant of p and q with respect to one variable, in which both have
     positive degree: the determinant of the Sylvester matrix, whose entries
-    are polynomials in the remaining variables."""
-    pc = p.coeffs_in(tag)
-    qc = q.coeffs_in(tag)
+    are polynomials in the remaining variables.  Its rows are taken in band
+    order, p's shift i then q's shift i for i = 0, 1, ..., times the sign
+    of that interleaving: every row's nonzeros lie in a window of width
+    max(dp, dq) + 1, so few minors are reachable from the top."""
+    pc, qc = p.coeffs_in(tag), q.coeffs_in(tag)
     dp, dq = len(pc) - 1, len(qc) - 1
-    n = dp + dq
     zero = Poly.zero(p.field, p.group)
-    rows = []
-    for i in range(dq):
-        row = [zero] * n
-        for k, c in enumerate(pc):
-            row[i + (dp - k)] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for k, c in enumerate(qc):
-            row[i + (dq - k)] = c
-        rows.append(row)
-    return det(rows, p._one())
+    # a shift i row holds the coefficients, highest first, from column i
+    rows = [[zero] * i + cs[::-1] + [zero] * (dp + dq - i - len(cs))
+            for i in range(max(dp, dq)) for cs, shifts in ((pc, dq), (qc, dp)) if i < shifts]
+    d = det(rows, p._one())
+    return -d if sum(min(i, dp) for i in range(dq)) % 2 else d

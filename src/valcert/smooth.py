@@ -381,31 +381,29 @@ def _proportional_factor(f1: Poly, f2: Poly):
     return None
 
 
-def _chain_relation_poly(f_prev: Optional[Poly], d_prev: Optional[ValuedSeries],
+def _chain_relation_poly(f_prev: Poly, d_prev: ValuedSeries,
                          f_cur: Poly, d_cur: ValuedSeries) -> Poly:
     """Bivariate relation g(A, B) with g(y_prev, y_cur) = 0 exactly, A = Orig(0)
-    (previous element, y0 when f_prev is None), B = Orig(1) (current one)."""
+    (previous element), B = Orig(1) (current one).  y0 is the member Y/1:
+    Res_Y(Y - A, f_cur(Y) - d_cur*B) is f_cur(A) - d_cur*B."""
     field, group = f_cur.field, f_cur.group
     A, B, Yelim = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
 
     def var(tag):
         return Poly.var(field, group, tag)
 
-    if f_prev is None:
-        # Previous element is y0 itself: g = f_cur(A) - d_cur * B.
-        return _clear_content(f_cur - var(B).scale(d_cur))
     # Affine dependence: when the nonconstant parts of f_prev and f_cur
     # are proportional, the resultant degenerates to a power of the true
     # linear relation, so emit that relation directly (cross-multiplied,
-    # no division).
+    # no division), with the sign of the degree-1 resultant.
     k1 = f_prev.constant_term()
     k2 = f_cur.constant_term()
     prop = _proportional_factor(f_prev - Poly.const(k1), f_cur - Poly.const(k2))
     if prop is not None:
         c1, c2 = prop  # c1 * (f_cur - k2) == c2 * (f_prev - k1)
-        g = (var(B).scale(c1 * d_cur)
-             - var(A).scale(c2 * d_prev)
-             - Poly.const(c1 * k2 - c2 * k1))
+        g = (var(A).scale(c2 * d_prev)
+             - var(B).scale(c1 * d_cur)
+             + Poly.const(c1 * k2 - c2 * k1))
         return _clear_content(g)
     p1 = f_prev.rename({VarTag.orig(0): Yelim}) - var(A).scale(d_prev)
     p2 = f_cur.rename({VarTag.orig(0): Yelim}) - var(B).scale(d_cur)
@@ -467,14 +465,15 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
             f"val(f1(y0)) = {seq0.group.to_json(ds[0].val())} < "
             f"val(f2(y0)) = {seq0.group.to_json(ds[1].val())}; the fraction lies outside V'")
     seqs = [seq0] + [_derived_unit_sequence(f, d, seq0) for f, d in zip(fs, ds)]
+    members = [(Poly.var(field, seq0.group, VarTag.orig(0)),
+                ValuedSeries.one(field, seq0.group))] + list(zip(fs, ds))
     n = len(fs)
     cur = [0] * (n + 1)  # current stage index per element (0 = y0)
     rels_raw: List[Poly] = []
     rewrites: List[RewriteCert] = []
     try:
         for e in range(1, n + 1):
-            prev = (fs[e - 2], ds[e - 2]) if e >= 2 else (None, None)
-            g = _chain_relation_poly(*prev, fs[e - 1], ds[e - 1])
+            g = _chain_relation_poly(*members[e - 1], *members[e])
             rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
             a, b = rcert.indices
             rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),

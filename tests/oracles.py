@@ -8,7 +8,9 @@ squaring (series_pow); Taylor recentring as the sum of Hasse derivatives
 and by substituting one variable at a time (subs_poly; the package
 recentres and restages only in Hasse form, through taylor_recenter), the
 stable values of the Hasse derivatives by one scan per derivative, the
-ordinary partial derivative monomial by monomial, the smooth
+ordinary partial derivative monomial by monomial, determinants by
+Laplace expansion (the package expands each minor once), resultants on
+the standard Sylvester rows (the package takes them in band order), the smooth
 presentation checks on the full, uncapped values, a series' JSON
 through one Fraction (or residue) per coefficient, the family
 steering loop that builds a link rewrite at every start index it tries,
@@ -25,7 +27,7 @@ from valcert.errors import (HorizonError, IndeterminateValError, InputError,
 from valcert.fields import characteristic
 from valcert.group import INF, ValueGroup
 from valcert.pcs import TableSequence, sequence_from_json
-from valcert.poly import Poly, VarTag, _mono_mul, det
+from valcert.poly import Poly, VarTag, _mono_mul
 from valcert.rewrite import rw
 from valcert.separation import _entry_value
 from valcert.series import ValuedSeries
@@ -286,6 +288,61 @@ def derivative(g, tag):
     return Poly(g.field, g.group, out)
 
 
+def laplace_det(rows, one):
+    """Determinant by Laplace expansion along the first row, skipping zero
+    entries (matrix sizes here stay small); one is the empty determinant.
+    The expansion keeps its own stack, one frame per row of the minor
+    being expanded, so a large matrix meets no recursion limit."""
+    n = len(rows)
+    zero = Poly.zero(one.field, one.group)
+    # a frame: the minor's columns, the position after the column being
+    # expanded, the signed sum so far; the minor's row is n - len(columns)
+    stack, value = [[tuple(range(n)), 0, zero]], None
+    while stack:
+        frame = stack[-1]
+        cols, pos, total = frame
+        if not cols:
+            stack.pop()
+            value = one
+            continue
+        row = rows[n - len(cols)]
+        if value is not None:  # the minor under column pos - 1
+            term = row[cols[pos - 1]] * value
+            total = frame[2] = total + term if pos % 2 else total - term
+            value = None
+        while pos < len(cols) and row[cols[pos]].is_zero():
+            pos += 1
+        if pos == len(cols):
+            stack.pop()
+            value = total
+        else:
+            frame[1] = pos + 1
+            stack.append([cols[:pos] + cols[pos + 1:], 0, zero])
+    return value
+
+
+def sylvester_reference(p, q, tag):
+    """Resultant of p and q in tag: the Laplace determinant of the standard
+    Sylvester matrix, p's dq shifts above q's dp shifts."""
+    pc = p.coeffs_in(tag)
+    qc = q.coeffs_in(tag)
+    dp, dq = len(pc) - 1, len(qc) - 1
+    n = dp + dq
+    zero = Poly.zero(p.field, p.group)
+    rows = []
+    for i in range(dq):
+        row = [zero] * n
+        for k, c in enumerate(pc):
+            row[i + (dp - k)] = c
+        rows.append(row)
+    for i in range(dp):
+        row = [zero] * n
+        for k, c in enumerate(qc):
+            row[i + (dq - k)] = c
+        rows.append(row)
+    return laplace_det(rows, p._one())
+
+
 def jacobian_minor(pres):
     """The minor of the Jacobian without the base column, each entry
     evaluated at the full images."""
@@ -295,7 +352,7 @@ def jacobian_minor(pres):
              for tag in cols]
             for rel in pres.relations]
     one = Poly.const(ValuedSeries.one(pres.field, pres.group))
-    return det(rows, one).constant_term()
+    return laplace_det(rows, one).constant_term()
 
 
 def over_V(group, named):

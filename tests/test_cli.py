@@ -72,6 +72,17 @@ def family_cfg(horizon=300):
             "seq0": lacunary_sequence(f5, horizon).to_json()}
 
 
+def power_family_cfg(a):
+    """The F5 family [V^a + tV, V^(a+1) + tV^2]: its chain resultant is a
+    Sylvester determinant of a + (a + 1) rows."""
+    f5 = GF(5)
+    t = ValuedSeries.t_power(f5, ZZ, 1)
+    V = Poly.var(f5, ZZ, Y0)
+    return {"field": "Fp", "p": 5, "op": "family",
+            "fs": [(V ** a + V.scale(t)).to_json(), (V ** (a + 1) + (V ** 2).scale(t)).to_json()],
+            "seq0": lacunary_sequence(f5, 300).to_json()}
+
+
 def q_smooth_cfg(op):
     """A smooth config over Q whose coefficients have numerators and
     denominators other than 1: a [V, V^2 + (3/2)tV] family, or the fraction
@@ -130,6 +141,8 @@ def batch_cfgs():
 # derives from the problem echo; each smooth digest with a rewrite is the
 # sha256 of the earlier output with the seqs key removed from its embedded
 # rewrites, computed from that output.
+# The power-family digest was recorded while the chain resultant was a
+# Laplace expansion over the standard Sylvester rows.
 GOLDEN = {
     "separate-tail": ("separate", tail_cfg,
                       "dcff16b899b48ff4832c7a3ce659bca555e5001359be8545a421adbc039238ea"),
@@ -145,6 +158,8 @@ GOLDEN = {
                          "571e1afe5e83132dcf275af0af87ca77c23b681e0d94e87f426292a06abe6192"),
     "smooth-family-F5": ("smooth", family_cfg,
                          "bbd181a030da6fc229e0a02e087aaf609ac4249fcdd3274b89cbe04fa23fad71"),
+    "smooth-family-power-F5": ("smooth", lambda: power_family_cfg(10),
+                               "c54dd586132523356e5c29972ae35089d5aa3009712a1e08b7d4114ca5d08abd"),
     "smooth-family-Q": ("smooth", lambda: q_smooth_cfg("family"),
                         "d4bbedd242d82d11bf955b168c969af8c54b270eac17a361d8b4348b6f525278"),
     "smooth-fraction-Q": ("smooth", lambda: q_smooth_cfg("fraction"),
@@ -577,8 +592,9 @@ class TestWindowRetries:
 
 
 class TestHorizon:
-    """--horizon, and a separate config's horizon, is a positive integer:
-    0 is rejected, not replaced by the config's or the default horizon."""
+    """--horizon, a separate config's horizon and a rule sequence's horizon
+    are positive integers: 0 is rejected, not replaced by the config's or
+    the default horizon."""
 
     def tail_rule_cfg(self, horizon=200):
         gamma = {"seq": "rule", "field": "Q", "horizon": 300,
@@ -601,6 +617,22 @@ class TestHorizon:
                                               ("smooth", family_cfg)])
     def test_zero_flag_rewrite_smooth(self, tmp_path, capsys, command, cfg):
         assert run([command, write(tmp_path, "c.json", cfg()), "--horizon", "0"]) == 1
+        assert "horizon must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    @pytest.mark.parametrize("command", ["rewrite", "smooth", "verify"])
+    def test_nonpositive_in_a_rule_sequence(self, tmp_path, capsys, command, horizon):
+        # a rule sequence's own horizon, in a rewrite or smooth config or
+        # in a rewrite certificate, is refused as the flag's is
+        cfg = family_cfg() if command == "smooth" else univariate_cfg(QQ, 2)
+        if command == "verify":
+            out = tmp_path / "cert.json"
+            assert run(["rewrite", write(tmp_path, "c.json", cfg), "--out", str(out)]) == 0
+            cfg = json.loads(out.read_text())
+        seq = cfg["seq0"] if command == "smooth" else cfg["seqs"][0]
+        seq["horizon"] = horizon
+        capsys.readouterr()
+        assert run([command, write(tmp_path, "e.json", cfg)]) == 1
         assert "horizon must be a positive integer" in capsys.readouterr().err
 
     def test_one_is_too_short(self, tmp_path, capsys):

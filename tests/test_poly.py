@@ -1,21 +1,63 @@
 """Sparse multivariate polynomials, Hasse derivatives, resultants."""
+import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valcert.errors import InputError
 from valcert.fields import GF, QQ
-from valcert.group import INTEGERS as ZZ
+from valcert.group import INF, INTEGERS as ZZ
 from valcert.poly import Poly, VarTag, det, sylvester_resultant
 from valcert.series import ValuedSeries
 
-from oracles import derivative, from_int, subs_poly
+from oracles import derivative, from_int, laplace_det, subs_poly, sylvester_reference
 
 Y0, Y1, Y2 = VarTag.orig(0), VarTag.orig(1), VarTag.orig(2)
 
 
 def one(field=QQ):
     return ValuedSeries.one(field, ZZ)
+
+
+@st.composite
+def entry(draw, field, exact):
+    """Zero half the time, else up to two monomials of degree <= 1 in Y0
+    and Y1 whose coefficients have up to two terms; unless exact, each
+    coefficient is truncated half the time."""
+    monos = {}
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            mono = tuple((v, 1) for v in (Y0, Y1) if draw(st.booleans()))
+            terms = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                                            st.integers(min_value=1, max_value=4)),
+                                  min_size=1, max_size=2))
+            trunc = INF if exact else draw(st.just(INF) | st.integers(min_value=1, max_value=5))
+            monos[mono] = ValuedSeries(field, ZZ, [(e, from_int(field, c)) for e, c in terms],
+                                       trunc)
+    return Poly(field, ZZ, monos)
+
+
+@st.composite
+def in_y2(draw, field, exact):
+    """A polynomial in Y2 of degree 1-6 whose coefficients are entries:
+    the leading one nonzero, at most three others nonzero."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    lead = draw(entry(field, exact).filter(lambda c: not c.is_zero()))
+    out = lead * Poly.var(field, ZZ, Y2) ** d
+    for k in draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=3)):
+        out = out + draw(entry(field, exact)) * Poly.var(field, ZZ, Y2) ** k
+    return out
+
+
+def resultant_pairs(exact):
+    return st.sampled_from([GF(2), GF(5), QQ]).flatmap(
+        lambda field: st.tuples(in_y2(field, exact), in_y2(field, exact)))
+
+
+def json_bytes(p):
+    return json.dumps(p.to_json()).encode()
 
 
 class TestHasse:
@@ -163,7 +205,44 @@ class TestResultant:
         assert coeff.exact == (lead == "exact")
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(resultant_pairs(exact=True))
+    def test_exact_matches_standard_rows_oracle(self, pair):
+        # the band order times its sign is the standard Sylvester
+        # determinant: with exact coefficients, the same bytes
+        p, q = pair
+        assert json_bytes(sylvester_resultant(p, q, Y2)) == json_bytes(
+            sylvester_reference(p, q, Y2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(resultant_pairs(exact=False))
+    def test_truncated_agrees_with_standard_rows_oracle(self, pair):
+        # With truncated coefficients, the band order sums other products,
+        # and a coefficient can be known less far than on the standard
+        # rows (2 of about 40 random pairs): the two agree on every term
+        # both know.
+        p, q = pair
+        got, want = sylvester_resultant(p, q, Y2), sylvester_reference(p, q, Y2)
+        zero = ValuedSeries.zero(p.field, ZZ)
+        for mono in set(got.monos) | set(want.monos):
+            a, b = got.monos.get(mono, zero), want.monos.get(mono, zero)
+            cap = min(a.trunc, b.trunc)
+            assert a.truncate(cap).same_known(b.truncate(cap))
+
+
 class TestDeterminant:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([GF(5), QQ]).flatmap(lambda field: st.tuples(
+        st.integers(min_value=0, max_value=7), st.booleans()).flatmap(
+        lambda nx: st.lists(st.lists(entry(field, nx[1]), min_size=nx[0], max_size=nx[0]),
+                            min_size=nx[0], max_size=nx[0]))))
+    def test_matches_laplace_oracle(self, rows):
+        # each minor expanded once sums the terms Laplace expansion sums,
+        # in its order, so the bytes agree, truncated entries included
+        field = rows[0][0].field if rows else QQ
+        unit = Poly.const(one(field))
+        assert json_bytes(det(rows, unit)) == json_bytes(laplace_det(rows, unit))
+
     def test_two_by_two(self):
         # [TRIVIAL] det [[A, 1], [2, B]] = AB - 2
         A, B = Poly.var(QQ, ZZ, Y0), Poly.var(QQ, ZZ, Y1)
