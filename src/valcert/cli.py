@@ -1,12 +1,13 @@
 """Batch front end: run separation/rewrite/smooth pipelines from JSON
 configs and verify certificate files.
 
-Exit codes: 0 ok, 1 input error, 2 horizon/stabilization or unreadable
+Exit codes: 0 ok, 1 input error (a usage error or an option the command
+does not read among them), 2 horizon/stabilization or unreadable
 valuation, 3 undecided after the last of the R attempts that --retries
 allows, 4 verification failure, 5 internal error (any other exception, so
-one item cannot sink a batch).  Output is
-canonical JSON (sorted keys, compact separators) so identical configs
-yield byte-identical certificates.
+one item cannot sink a batch).  Output is canonical JSON (sorted keys,
+compact separators) so identical configs yield byte-identical
+certificates.
 """
 from __future__ import annotations
 
@@ -181,6 +182,9 @@ def cmd_smooth(cfg, opts):
 
 def cmd_verify(cfg, opts):
     kind = cfg.get("cert")
+    if opts.get("delta") is not None and kind in ("separation", "rewrite"):
+        raise InputError(f"--delta is a floor on a smooth certificate's delta; "
+                         f"a {kind} certificate has none")
     if kind == "separation":
         SeparationCert.from_json(cfg).verify()
     elif kind == "rewrite":
@@ -196,6 +200,9 @@ def cmd_verify(cfg, opts):
 
 _COMMANDS = {"separate": cmd_separate, "rewrite": cmd_rewrite,
              "smooth": cmd_smooth, "verify": cmd_verify}
+# the options each command reads; any other one is refused
+_READS = {"separate": {"horizon"}, "rewrite": {"horizon", "window", "retries"},
+          "smooth": {"horizon", "window", "retries", "delta"}, "verify": {"delta"}}
 
 
 def run_single(command: str, cfg: dict, opts: dict):
@@ -241,7 +248,15 @@ def main(argv=None) -> int:
     parser.add_argument("--retries", type=int)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for an array config")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message or the help
+        return EXIT_INPUT if exc.code else EXIT_OK
+    unread = [f"--{name}" for name in ("horizon", "window", "delta", "retries")
+              if getattr(args, name) is not None and name not in _READS[args.command]]
+    if unread:
+        print(f"error: {args.command} does not read {', '.join(unread)}", file=sys.stderr)
+        return EXIT_INPUT
 
     path = args.path
     if path is None:

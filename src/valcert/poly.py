@@ -2,12 +2,15 @@
 
 Variables carry a tag naming their role: an original generator, a stage
 variable recentred at index j, or a duplicated working variable used by
-the rewrite pipelines.  The Hasse derivative is computed with integer
-binomials before reduction into the base field, so it is correct in any
-characteristic.  Poly.__init__ is where monomials are sorted and merged:
-every operation hands it raw (monomial, coefficient) pairs.  Only
-Poly.from_json fills its dict itself, sorting each decoded monomial once;
-it rejects a monomial of total degree above MAX_JSON_DEGREE.
+the rewrite pipelines.  A tag is the tuple (rank, e, extra) and a monomial
+the sorted tuple of its (tag, exponent) pairs, so the canonical order of
+variables and monomials is Python's own tuple order.  The Hasse
+derivative is computed with integer binomials before reduction into the
+base field, so it is correct in any characteristic.  Poly.__init__ is
+where monomials are sorted and merged: every operation hands it raw
+(monomial, coefficient) pairs.  Only Poly.from_json fills its dict
+itself, sorting each decoded monomial once; it rejects a monomial of
+total degree above MAX_JSON_DEGREE.
 """
 from __future__ import annotations
 
@@ -21,28 +24,30 @@ from .fields import Field
 from .group import ValueGroup
 from .series import ValuedSeries
 
-_KIND_RANK = {"orig": 0, "stage": 1, "dup": 2}
+_KINDS = ("orig", "stage", "dup")  # a tag's rank is its kind's place here
 MAX_JSON_DEGREE = 2048  # recentring a higher power would take seconds
 
 
 class VarTag(tuple):
     """Identity of a polynomial variable: Orig(e), Stage(e, j) or Dup(e, key).
 
-    A (kind, e, extra) tuple, so hashing and equality run in C."""
+    The tuple (rank, e, extra), rank the kind's place in _KINDS, so hashing,
+    equality and the canonical order of variables are the tuple's own, in
+    C.  extra is None, the stage index j, or the dup key, a string."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, e: int, extra: object = None):
-        if kind not in _KIND_RANK:
+        if kind not in _KINDS:
             raise InputError(f"unknown variable kind {kind!r}")
-        return tuple.__new__(cls, (kind, e, extra))
+        return tuple.__new__(cls, (_KINDS.index(kind), e, extra))
 
-    kind = property(operator.itemgetter(0))
+    kind = property(lambda self: _KINDS[self[0]])
     e = property(operator.itemgetter(1))
     extra = property(operator.itemgetter(2))
 
     def __getnewargs__(self):
-        return tuple(self)
+        return self.kind, self.e, self.extra
 
     @staticmethod
     def orig(e: int) -> "VarTag":
@@ -53,19 +58,15 @@ class VarTag(tuple):
         return VarTag("stage", e, j)
 
     @staticmethod
-    def dup(e: int, key) -> "VarTag":
+    def dup(e: int, key: str) -> "VarTag":
         return VarTag("dup", e, key)
-
-    def sort_key(self):
-        # a sort calls this once per element; the slots are read directly
-        return (_KIND_RANK[self[0]], self[1], repr(self[2]))
 
     def to_json(self):
         if self.kind == "orig":
             return {"tag": "orig", "e": self.e}
         if self.kind == "stage":
             return {"tag": "stage", "e": self.e, "j": self.extra}
-        return {"tag": "dup", "e": self.e, "key": list(self.extra) if isinstance(self.extra, tuple) else self.extra}
+        return {"tag": "dup", "e": self.e, "key": self.extra}
 
     @staticmethod
     def from_json(obj) -> "VarTag":
@@ -76,8 +77,8 @@ class VarTag(tuple):
             return VarTag.stage(require_int(obj["e"], "tag e"), require_int(obj["j"], "tag j"))
         if kind == "dup":
             key = obj.get("key")
-            if isinstance(key, list):
-                key = tuple(key)
+            if not isinstance(key, str):
+                raise InputError(f"dup key {json.dumps(key)} is not a string")
             return VarTag.dup(require_int(obj["e"], "tag e"), key)
         raise InputError(f"cannot decode variable tag from {obj!r}")
 
@@ -90,14 +91,8 @@ def _mono_sorted(items: Iterable[Tuple[VarTag, int]]) -> Monomial:
     for v, k in kept:
         if k < 0:
             raise InputError("negative exponents are not allowed in polynomials")
-    if len(kept) > 1:
-        kept.sort(key=lambda p: p[0].sort_key())
+    kept.sort()
     return tuple(kept)
-
-
-def mono_key(m: Monomial) -> tuple:
-    """The order monomials are listed in: by variable, then by exponent."""
-    return tuple(v.sort_key() + (k,) for v, k in m)
 
 
 def _mono_mul(a: Iterable[Tuple[VarTag, int]], b: Monomial):
@@ -170,7 +165,7 @@ class Poly:
         for mono in self.monos:
             for v, _ in mono:
                 seen.add(v)
-        return sorted(seen, key=lambda v: v.sort_key())
+        return sorted(seen)
 
     def degree_in(self, tag: VarTag) -> int:
         best = 0
@@ -298,7 +293,7 @@ class Poly:
 
     def __repr__(self) -> str:
         parts = []
-        for mono in sorted(self.monos, key=mono_key):
+        for mono in sorted(self.monos):
             coeff = self.monos[mono]
             vars_txt = "".join(f"*{v.kind}{v.e}" + (f"^{k}" if k > 1 else "") for v, k in mono)
             parts.append(f"({coeff!r}){vars_txt}")
@@ -306,7 +301,7 @@ class Poly:
 
     def to_json(self):
         out = []
-        for mono in sorted(self.monos, key=mono_key):
+        for mono in sorted(self.monos):
             coeff = self.monos[mono]
             out.append([[ [v.to_json(), k] for v, k in mono], coeff.to_json()])
         return out

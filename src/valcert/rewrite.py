@@ -58,7 +58,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import characteristic, field_from_json, field_to_json
 from .group import INF, ValueGroup
 from .pcs import PseudoSequence, sequence_from_json
-from .poly import MAX_JSON_DEGREE, Poly, Powers, VarTag, mono_key
+from .poly import MAX_JSON_DEGREE, Poly, Powers, VarTag
 from .separation import separate_indices
 from .series import ValuedSeries
 
@@ -590,7 +590,7 @@ def _certify(plan: _Plan, nus: Optional[Sequence[int]], R: int) -> RewriteCert:
         vals = {m: c.val() for m, c in G1.monos.items()}
         c_mono, failure = _claims_hold(vals, plan.mode, plan.h.group)
         if not failure:
-            table = sorted(vals.items(), key=lambda kv: mono_key(kv[0]))
+            table = sorted(vals.items())
             return RewriteCert(plan.kind, plan.g, plan.multiplier, plan.seqs,
                                indices, G1, c_mono, plan.mode,
                                _case(plan.kind, plan.multiplier, vals), table)
@@ -614,7 +614,7 @@ def _with_multiplier(g: Poly, multiplier: Mapping[int, int]) -> Poly:
 def _argmin(vals: Dict[tuple, object]):
     best = min(vals.values())
     candidates = [m for m, v in vals.items() if v == best]
-    return min(candidates, key=mono_key)
+    return min(candidates)
 
 
 def _check_normal_form(vals: Dict[tuple, object], c_mono, mode: str, group) -> None:

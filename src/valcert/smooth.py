@@ -48,7 +48,7 @@ from .errors import (HorizonError, IndeterminateValError, InputError,
 from .fields import Field, field_from_json, field_to_json
 from .group import ValueGroup, element_from_json, group_of
 from .pcs import DerivedSequence, PseudoSequence, TableSequence, sequence_from_json
-from .poly import Poly, Powers, VarTag, mono_key, sylvester_resultant
+from .poly import Poly, Powers, VarTag, sylvester_resultant
 from .rewrite import (DEFAULT_RETRIES, DEFAULT_WINDOW, Plans, RewriteCert, rw,
                       taylor_recenter)
 from .series import ValuedSeries
@@ -374,7 +374,7 @@ def _proportional_factor(f1: Poly, f2: Poly):
     """If f2 and f1 are proportional, return (c1, c2) with c1*f2 == c2*f1."""
     if not f1.monos or set(f1.monos) != set(f2.monos):
         return None
-    m0 = min(f1.monos, key=mono_key)
+    m0 = min(f1.monos)
     c1, c2 = f1.monos[m0], f2.monos[m0]
     if all((f1.monos[m] * c2 - f2.monos[m] * c1).is_zero_exact() for m in f1.monos):
         return c1, c2
@@ -471,53 +471,50 @@ def _chain(kind: str, fs: Sequence[Poly], seq0: PseudoSequence,
     cur = [0] * (n + 1)  # current stage index per element (0 = y0)
     rels_raw: List[Poly] = []
     rewrites: List[RewriteCert] = []
-    try:
-        for e in range(1, n + 1):
-            g = _chain_relation_poly(*members[e - 1], *members[e])
-            rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
-            a, b = rcert.indices
-            rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
-                                   VarTag.stage(1, b): VarTag.stage(e, b)})
-            if e >= 2:
-                # Restage the previous relation from the old index of y_{e-1}:
-                # taylor_recenter puts y_{e-1,old} = d + b*y_{e-1,a} into it.
-                old = VarTag.stage(e - 1, cur[e - 1])
-                dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
-                rels_raw[e - 2] = taylor_recenter(rels_raw[e - 2], {old: dd}, {old: bb},
-                                                  {old: VarTag.stage(e - 1, a)})
-            cur[e - 1], cur[e] = a, b
-            rels_raw.append(rel)
-            rcert.seqs = []  # embedded, it carries no sequences, as in its JSON
-            rewrites.append(rcert)
+    for e in range(1, n + 1):
+        g = _chain_relation_poly(*members[e - 1], *members[e])
+        rcert = _steer(g, [seqs[e - 1], seqs[e]], cur[e - 1], W, R)
+        a, b = rcert.indices
+        rel = rcert.G1.rename({VarTag.stage(0, a): VarTag.stage(e - 1, a),
+                               VarTag.stage(1, b): VarTag.stage(e, b)})
+        if e >= 2:
+            # Restage the previous relation from the old index of y_{e-1}:
+            # taylor_recenter puts y_{e-1,old} = d + b*y_{e-1,a} into it.
+            old = VarTag.stage(e - 1, cur[e - 1])
+            dd, bb = seqs[e - 1].restage_coeffs(cur[e - 1], a)
+            rels_raw[e - 2] = taylor_recenter(rels_raw[e - 2], {old: dd}, {old: bb},
+                                              {old: VarTag.stage(e - 1, a)})
+        cur[e - 1], cur[e] = a, b
+        rels_raw.append(rel)
+        rcert.seqs = []  # embedded, it carries no sequences, as in its JSON
+        rewrites.append(rcert)
 
-        group = seq0.group
-        gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
-        dlt = _delta(group, gamma_max, delta)
-        deltaw = group.scale(dlt, 2)
-        # Divide each relation by its designated coefficient (every other
-        # coefficient has strictly larger value, so the quotients stay in V
-        # and the earlier-variable Jacobian entry becomes a unit).  With the
-        # last generator as base, the minor is lower triangular with these
-        # units on the diagonal.
-        rels = [rel.map_coeffs(lambda co, c0=rc.c: co.div_to(c0, deltaw))
-                for rel, rc in zip(rels_raw, rewrites)]
-        gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
-                for e in range(n + 1)]
-        wits = [Witness(f"y{e}", "ye" if e else "y0", e, _stage_poly(seqs[e], e, cur[e]), None)
-                for e in range(n + 1)]
-        if kind == "fraction":
-            # f1/f2 = (d1/d2) * y1 / y2; d1/d2 is an exact monomial of val >= 0.
-            wits.append(Witness("f1/f2", "fraction", 0,
-                                wits[1].num.scale(ds[0].div(ds[1])), wits[2].num))
-        pres = SmoothPresentation(field, group, gens, rels, n)
-        problem = {"fs": [f.to_json() for f in fs],
-                   "ds": [d.to_json() for d in ds],
-                   "seq0": seq0.to_json()}
-        cert = SmoothCert(kind, problem, pres, wits, rewrites, dlt)
-        sm_verify(cert)
-        return cert
-    except (NotStabilizedError, UndecidedError, VerificationError) as exc:
-        raise NotStabilizedError(f"family construction failed: {exc}")
+    group = seq0.group
+    gamma_max = max(seqs[e].gamma(cur[e]) for e in range(n + 1))
+    dlt = _delta(group, gamma_max, delta)
+    deltaw = group.scale(dlt, 2)
+    # Divide each relation by its designated coefficient (every other
+    # coefficient has strictly larger value, so the quotients stay in V
+    # and the earlier-variable Jacobian entry becomes a unit).  With the
+    # last generator as base, the minor is lower triangular with these
+    # units on the diagonal.
+    rels = [rel.map_coeffs(lambda co, c0=rc.c: co.div_to(c0, deltaw))
+            for rel, rc in zip(rels_raw, rewrites)]
+    gens = [(VarTag.stage(e, cur[e]), seqs[e].stage(cur[e], deltaw))
+            for e in range(n + 1)]
+    wits = [Witness(f"y{e}", "ye" if e else "y0", e, _stage_poly(seqs[e], e, cur[e]), None)
+            for e in range(n + 1)]
+    if kind == "fraction":
+        # f1/f2 = (d1/d2) * y1 / y2; d1/d2 is an exact monomial of val >= 0.
+        wits.append(Witness("f1/f2", "fraction", 0,
+                            wits[1].num.scale(ds[0].div(ds[1])), wits[2].num))
+    pres = SmoothPresentation(field, group, gens, rels, n)
+    problem = {"fs": [f.to_json() for f in fs],
+               "ds": [d.to_json() for d in ds],
+               "seq0": seq0.to_json()}
+    cert = SmoothCert(kind, problem, pres, wits, rewrites, dlt)
+    sm_verify(cert)
+    return cert
 
 
 def _steer(g: Poly, pair: Sequence[PseudoSequence], nu: int, W: int, R: int) -> RewriteCert:
@@ -670,7 +667,7 @@ def _check_floor(cert: SmoothCert, problem: _Problem, delta, cap) -> None:
 def _pair_branch(links: int, tags) -> str:
     """The sm_pair branch a pair presentation has: constant f (no rewrite,
     one generator), d | c (one generator) or c | d (a Z generator)."""
-    if [tag[:2] for tag in tags[:1]] == [("stage", 0)]:
+    if [(tag.kind, tag.e) for tag in tags[:1]] == [("stage", 0)]:
         if len(tags) == 1:
             return "d-divides-c" if links else "constant"
         if tags[1:] == [VarTag.dup(0, "z")] and links:

@@ -1003,6 +1003,58 @@ class TestVerifyDelta:
             f"{window} does not certify vanishing past {delta}")
 
 
+class TestOptions:
+    """A usage error, or an option the command does not read, exits 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["separate", "c.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frobnicate", "c.json"], "invalid choice: 'frobnicate'"),
+        (["separate", "c.json", "--horizon", "x"], "argument --horizon: invalid int value: 'x'")],
+        ids=["unknown-option", "unknown-command", "non-integer"])
+    def test_usage_error(self, tmp_path, capsys, argv, message):
+        argv[1] = write(tmp_path, "c.json", tail_cfg())
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help(self, capsys):
+        assert run(["separate", "--help"]) == 0
+        assert "--horizon" in capsys.readouterr().out
+
+    @staticmethod
+    def inputs():
+        """A config or certificate each command accepts without options."""
+        code, cert = run_single("separate", tail_cfg(H=50), {})
+        assert code == 0
+        return {"separate": tail_cfg(H=50), "rewrite": univariate_cfg(QQ, 2), "verify": cert}
+
+    @pytest.mark.parametrize("command, options, named", [
+        ("separate", ["--window", "0", "--retries", "-5", "--delta", "3"],
+         "--window, --delta, --retries"),
+        ("separate", ["--delta", "99"], "--delta"),
+        ("rewrite", ["--delta", "3"], "--delta"),
+        ("verify", ["--horizon", "50"], "--horizon"),
+        ("verify", ["--window", "8"], "--window"),
+        ("verify", ["--retries", "8"], "--retries")],
+        ids=["separate-three", "separate-delta", "rewrite-delta", "verify-horizon",
+             "verify-window", "verify-retries"])
+    def test_unread_option(self, tmp_path, capsys, command, options, named):
+        path = write(tmp_path, "c.json", self.inputs()[command])
+        assert run([command, path] + options) == 1
+        assert capsys.readouterr().err == f"error: {command} does not read {named}\n"
+
+    def test_verify_delta_on_a_non_smooth_item(self, tmp_path, capsys):
+        # a floor applies to a smooth certificate only; the batch runs on
+        rewrite = run_single("rewrite", univariate_cfg(QQ, 2), {})[1]
+        smooth_cert = run_single("smooth", family_cfg(horizon=100), {})[1]
+        batch = [self.inputs()["verify"], rewrite, smooth_cert]
+        assert run(["verify", write(tmp_path, "c.json", batch), "--delta", "16"]) == 1
+        results = json.loads(capsys.readouterr().out)
+        for kind, result in zip(["separation", "rewrite"], results):
+            assert result == {"exit": 1, "error": "input error: --delta is a floor on a "
+                              f"smooth certificate's delta; a {kind} certificate has none"}
+        assert results[2] == {"verified": True, "cert": "smooth"}
+
+
 class TestBadRational:
     """A rational coefficient "n/0" exits 1, in a build, a verify and a batch."""
 
@@ -1404,6 +1456,10 @@ class TestExitArms:
                 json.loads(json.dumps(c).replace('"key": "z"', '"key": "w"')), branch="none")),
             4, "verification failed: verification failed at branch: "
                "the pair presentation fits none of the three branches"),
+        "dup-key-not-a-string": (
+            "verify", lambda: _edited("smooth", q_pair_cfg("c-divides-d"), lambda c: c.update(
+                json.loads(json.dumps(c).replace('"key": "z"', '"key": ["z"]')))),
+            1, 'input error: dup key ["z"] is not a string'),
         "unknown-witness-kind": (
             "verify", lambda: _edited("smooth", q_pair_cfg("d-divides-c"),
                                       lambda c: c["witnesses"][0].update(kind="nope")),

@@ -162,6 +162,27 @@ class TestAlgebra:
             assert VarTag.from_json(t.to_json()) == t
 
 
+class TestListingOrder:
+    """Monomials are listed in tuple order, stage indices by value."""
+
+    def poly(self):
+        # Y_{0,10} + 2*Y_{0,2}: the coefficient shows which comes first
+        two = ValuedSeries.scalar(QQ, ZZ, from_int(QQ, 2))
+        return (Poly.var(QQ, ZZ, VarTag.stage(0, 10))
+                + Poly.var(QQ, ZZ, VarTag.stage(0, 2)).scale(two))
+
+    def test_to_json(self):
+        assert [mono[0][0]["j"] for mono, _ in self.poly().to_json()] == [2, 10]
+
+    def test_repr(self):
+        p = self.poly()
+        two, one_ = repr(p.monos[((VarTag.stage(0, 2), 1),)]), repr(one())
+        assert repr(p) == f"Poly(({two})*stage0 + ({one_})*stage0)"
+
+    def test_variables(self):
+        assert self.poly().variables() == [VarTag.stage(0, 2), VarTag.stage(0, 10)]
+
+
 class TestResultant:
     def test_eliminates_shared_root(self):
         # [DERIVED] Res_Y(Y^2 - A, Y^3 - B) vanishes iff A^3 = B^2:
@@ -262,13 +283,13 @@ class TestDeterminant:
 
 
 class TestVarTag:
-    TAGS = [VarTag.orig(0), VarTag.stage(1, 3), VarTag.dup(0, "z"), VarTag.dup(2, ("z", 1))]
+    TAGS = [VarTag.orig(0), VarTag.stage(1, 3), VarTag.dup(0, "z"), VarTag.dup(2, "w")]
 
     def test_fields_and_repr(self):
         tag = VarTag.stage(1, 3)
         assert (tag.kind, tag.e, tag.extra) == ("stage", 1, 3)
         # no repr of its own: a message names a tag by its JSON
-        assert repr(VarTag.dup(2, ("z", 1))) == "('dup', 2, ('z', 1))"
+        assert repr(VarTag.dup(2, "z")) == "(2, 2, 'z')"
 
     def test_value_semantics(self):
         assert VarTag.stage(1, 3) == VarTag("stage", 1, 3)
@@ -277,16 +298,16 @@ class TestVarTag:
         with pytest.raises(AttributeError):
             VarTag.orig(0).e = 1
 
-    def test_sort_key(self):
-        # equal tags whose extras print differently keep their own keys
-        for tag in self.TAGS:
-            assert tag.sort_key() == (("orig", "stage", "dup").index(tag.kind), tag.e,
-                                      repr(tag.extra))
-        assert VarTag.dup(5, 1).sort_key() == (2, 5, "1")
-        assert VarTag.dup(5, True).sort_key() == (2, 5, "True")
-        assert VarTag.dup(5, 1.0).sort_key() == (2, 5, "1.0")
-        assert VarTag.dup(5, (1,)).sort_key() == (2, 5, "(1,)")
-        assert VarTag.dup(5, (True,)).sort_key() == (2, 5, "(True,)")
+    def test_tuple_order(self):
+        # kind first (orig, stage, dup), then e, then the index or key by
+        # value: Y_{0,2} before Y_{0,10}; equal tags sort equal
+        assert sorted(self.TAGS[::-1]) == [VarTag.orig(0), VarTag.stage(1, 3),
+                                           VarTag.dup(0, "z"), VarTag.dup(2, "w")]
+        assert VarTag.orig(9) < VarTag.stage(0, 0) < VarTag.dup(0, "a")
+        assert VarTag.stage(0, 2) < VarTag.stage(0, 10) < VarTag.stage(1, 0)
+        for a in self.TAGS:
+            for b in self.TAGS:
+                assert (a < b) + (a == b) + (a > b) == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -301,3 +322,10 @@ class TestVarTag:
     def test_json_round_trip(self):
         for tag in self.TAGS:
             assert VarTag.from_json(tag.to_json()) == tag
+        assert VarTag.dup(2, "w").to_json() == {"tag": "dup", "e": 2, "key": "w"}
+
+    @pytest.mark.parametrize("key", [["z"], True, 1, None])
+    def test_dup_key_must_be_a_string(self, key):
+        with pytest.raises(InputError) as exc:
+            VarTag.from_json({"tag": "dup", "e": 0, "key": key})
+        assert str(exc.value) == f"dup key {json.dumps(key)} is not a string"

@@ -216,7 +216,7 @@ def as_naive(p):
     """A Poly in oracle form, after checking its normal-form invariants."""
     out = {}
     for mono, coeff in p.monos.items():
-        assert [v.sort_key() for v, _ in mono] == sorted(v.sort_key() for v, _ in mono)
+        assert list(mono) == sorted(mono)
         assert len({v for v, _ in mono}) == len(mono) and all(k >= 1 for _, k in mono)
         assert coeff.exact and coeff.terms
         for e, c in coeff.terms:

@@ -393,7 +393,7 @@ class TestFamily:
         roundtrip_verify(cert)
 
     def test_proportional_pivot_is_the_least_monomial(self):
-        # the pivot is the first monomial in mono_key order, Y^2, not Y^10,
+        # the pivot is the least monomial in tuple order, Y^2, not Y^10,
         # which sorts first as text ("10" < "2")
         V = Poly.var(QQ, ZZ, Y0)
 
@@ -416,7 +416,8 @@ class TestFamily:
                "fs": [(V - Poly.const(seq.term(5))).to_json(), (V ** 2).to_json()]}
         code, message = run_single("smooth", cfg, OPTS)
         assert (code, links) == (2, [1, 1])
-        assert "family construction failed: could not steer" in message
+        assert message == ("horizon/stabilization: could not steer the rewrite "
+                           "onto the earlier chain variable")
 
     def test_zero_member_rejected(self):
         with pytest.raises(InputError):
